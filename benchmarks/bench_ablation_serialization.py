@@ -28,6 +28,7 @@ from repro.net.serialize import (
     encode_frame,
     frame_section_lengths,
 )
+from repro.storage.resultset import ResultSet
 
 SIZE = 20_000
 
@@ -57,8 +58,9 @@ def test_arrow_vs_json_serialization(benchmark, harness):
     )
     json_seconds = _initial_render_seconds(configuration, harness, JsonCodec())
 
-    arrow_bytes = ArrowCodec().estimate(configuration.database.table("flights").to_rows()).payload_bytes
-    json_bytes = JsonCodec().estimate(configuration.database.table("flights").to_rows()).payload_bytes
+    flights = ResultSet.from_table(configuration.database.table("flights"))
+    arrow_bytes = ArrowCodec().estimate_result(flights).payload_bytes
+    json_bytes = JsonCodec().estimate_result(flights).payload_bytes
 
     print(f"\nArrow codec: {arrow_seconds * 1000:8.1f} ms, payload {arrow_bytes:>12,} bytes")
     print(f"JSON codec:  {json_seconds * 1000:8.1f} ms, payload {json_bytes:>12,} bytes")

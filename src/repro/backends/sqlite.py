@@ -42,20 +42,18 @@ import os
 import sqlite3
 import threading
 import time
-from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from repro.backends.base import BackendCapabilities, SQLBackend
 from repro.errors import ExecutionError, ReproError
-from repro.sql.engine import EngineMetrics, QueryResult, normalize_sql
+from repro.sql.engine import EngineMetrics, QueryResult
 from repro.sql.executor import ExecutionStats
 from repro.sql.explain import CostEstimator, QueryCostEstimate, query_shape
 from repro.sql.ivm import IVMConfig, IVMManager
-from repro.sql.optimizer import optimize_plan
-from repro.sql.parser import parse_sql
-from repro.sql.planner import LogicalPlan, build_logical_plan
+from repro.sql.plancache import PlanCache
+from repro.sql.planner import LogicalPlan
 from repro.storage.catalog import Catalog
 from repro.storage.sqlite_adapter import load_table, quote_identifier, table_from_cursor
 from repro.storage.statistics import CardinalityFeedback, TableStatistics
@@ -85,8 +83,14 @@ _SCALAR_FALLBACKS: dict[str, tuple[int, object]] = {
 }
 
 #: Clauses the SQL generator adds for this dialect; stripped before the
-#: embedded parser estimates costs for EXPLAIN (it has no such syntax).
+#: embedded planner sees the text (it has no such syntax).
 _DIALECT_CLAUSES = (" NULLS LAST", " NULLS FIRST", " ROWS UNBOUNDED PRECEDING")
+
+
+def _strip_dialect(sql: str) -> str:
+    for clause in _DIALECT_CLAUSES:
+        sql = sql.replace(clause, "")
+    return sql
 
 
 class _NumpyAggregate:
@@ -164,11 +168,6 @@ class SqliteBackend(SQLBackend):
     #: Distinguishes the shared-cache URI of each live backend instance.
     _instance_ids = itertools.count()
 
-    #: Cap on the normalized-SQL -> logical-plan cache used by the IVM
-    #: interception (parsing each brush step anew would dominate the
-    #: delta-maintenance cost it is meant to save).
-    _PLAN_CACHE_SIZE = 128
-
     def __init__(
         self,
         keep_query_log: bool = True,
@@ -195,8 +194,9 @@ class SqliteBackend(SQLBackend):
             )
         else:
             self._ivm = None
-        self._plan_cache: OrderedDict[str, LogicalPlan | None] = OrderedDict()
-        self._plan_cache_lock = threading.Lock()
+        # Parsing each brush step anew would dominate the delta-maintenance
+        # cost the IVM interception is meant to save.
+        self._plans = PlanCache(self._metrics)
         # The keeper: the shared in-memory database lives exactly as long
         # as at least one connection to its URI is open.
         self._keeper = self.connection
@@ -337,32 +337,16 @@ class SqliteBackend(SQLBackend):
         return result
 
     def _logical_plan(self, sql: str) -> LogicalPlan | None:
-        """The embedded logical plan for ``sql``, or ``None`` if unparseable.
-
-        Plans are cached under the normalized SQL text (literals included
-        — a brush step with a new threshold is a new plan) so re-issued
-        queries, e.g. concurrent crossfilter sessions replaying the same
-        step, parse once.  A parse failure (sqlite-only syntax) is cached
-        as ``None`` so the failure is also paid only once.
-        """
-        text = sql
-        for clause in _DIALECT_CLAUSES:
-            text = text.replace(clause, "")
-        key = normalize_sql(text)
-        with self._plan_cache_lock:
-            if key in self._plan_cache:
-                self._plan_cache.move_to_end(key)
-                return self._plan_cache[key]
+        """The embedded logical plan for ``sql`` (through the shared
+        :class:`PlanCache`), or ``None`` when the embedded parser cannot
+        read it (sqlite-only syntax) — SQLite then answers it untouched."""
         try:
-            plan: LogicalPlan | None = optimize_plan(build_logical_plan(parse_sql(text)))
+            return self._plans.plan(_strip_dialect(sql))
         except ReproError:
-            plan = None
-        with self._plan_cache_lock:
-            self._plan_cache[key] = plan
-            self._plan_cache.move_to_end(key)
-            while len(self._plan_cache) > self._PLAN_CACHE_SIZE:
-                self._plan_cache.popitem(last=False)
-        return plan
+            return None
+
+    def clear_plan_cache(self) -> None:
+        self._plans.clear()
 
     def explain(
         self, sql: str, feedback: CardinalityFeedback | None = None
@@ -380,9 +364,7 @@ class SqliteBackend(SQLBackend):
         # records observations under the SQL it actually executed, so the
         # lookup key must match before dialect clauses are stripped.
         shape = query_shape(text) if feedback is not None else None
-        for clause in _DIALECT_CLAUSES:
-            text = text.replace(clause, "")
-        plan = optimize_plan(build_logical_plan(parse_sql(text)))
+        plan = self._plans.plan(_strip_dialect(text))
         return CostEstimator(self._catalog, feedback=feedback).estimate(plan, shape_key=shape)
 
     def close(self) -> None:

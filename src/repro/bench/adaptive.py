@@ -20,9 +20,10 @@ Scenarios (``ADAPTIVE_SCENARIOS``):
   selective to unselective mid-session: offloaded plans suddenly
   transfer thousands of rows per interaction while the all-client plan's
   cost is unchanged,
-* ``dataset_growth`` — the backend table grows mid-session (the driver
-  resets result caches and calls :meth:`VegaPlusSystem.refresh` on every
-  session, modelling an application-level data-change notification);
+* ``dataset_growth`` — the backend table grows mid-session (replacing
+  the table invalidates the result caches; the driver calls
+  :meth:`VegaPlusSystem.refresh` on every session, modelling an
+  application-level data-change notification);
   client-resident plans now reprocess a much larger table per
   interaction while offloaded aggregates stay bounded by group count,
 * ``interaction_mix_change`` — the interaction stream switches from a
@@ -422,7 +423,7 @@ def run_policy(
     growth_factor = float(config.get("growth_factor", 0.0))
     for step in range(n_interactions):
         if scenario == "dataset_growth" and step == drift_at:
-            _grow_dataset(backend, n_rows, growth_factor, n_categories, seed, manager)
+            _grow_dataset(backend, n_rows, growth_factor, n_categories, seed)
             for system in systems:
                 system.refresh()
         for user, system in enumerate(systems):
@@ -452,22 +453,18 @@ def _grow_dataset(
     growth_factor: float,
     n_categories: int,
     seed: int,
-    manager: SessionManager,
 ) -> None:
-    """Apply the dataset-growth drift: bigger table, caches invalidated.
+    """Apply the dataset-growth drift: a bigger table.
 
     Re-registers the table at ``growth_factor`` times its size (the
-    original rows are the prefix, so history stays consistent) and clears
-    every result cache — modelling the application-level invalidation a
-    deployment must perform when backend data changes.
+    original rows are the prefix, so history stays consistent).  The
+    replacement itself invalidates every result cache of the runtime,
+    through the catalog's invalidation listeners.
     """
     grown = int(n_rows * max(growth_factor, 1.0))
     rows = make_event_rows(n_rows, n_categories, seed=seed)
     rows += make_event_rows(grown - n_rows, n_categories, seed=seed + 999)
     backend.register_rows(TABLE, rows, replace=True)
-    manager.middleware.reset_caches()
-    for session_id in manager.session_ids():
-        manager.get(session_id).cache.clear()
 
 
 # --------------------------------------------------------------------------- #

@@ -14,10 +14,12 @@ This module drives both serving tiers through one async interface:
 
 * :class:`ThreadedTier` — the single-process baseline: one
   :class:`~repro.server.session.SessionManager` over one middleware and
-  thread-pooled scheduler, adapted to asyncio via an executor, fronted
-  by the **same** :class:`~repro.server.shard.AdmissionController` as
-  the gateway (identical shed policy, so fig14 compares execution
-  models, not admission policies),
+  thread-pooled scheduler, adapted to asyncio via an executor.  It runs
+  the **same** request handler a shard worker runs
+  (:meth:`SessionManager.execute`) behind the **same**
+  :class:`~repro.server.shard.AdmissionController` as the gateway, and
+  reports the same :func:`~repro.server.shard.serving_summary`, so fig14
+  compares execution models over shared code, not two implementations,
 * :class:`~repro.server.shard.AsyncGateway` — the sharded tier.
 
 :func:`run_serving_point` measures one (tier, scenario, sessions,
@@ -32,22 +34,20 @@ tier sustains across the arrival-rate axis.
 from __future__ import annotations
 
 import asyncio
-import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.bench.concurrency import build_sessions
 from repro.errors import BenchmarkError, OverloadError
-from repro.net.middleware import MiddlewareServer
-from repro.server.scheduler import RequestScheduler
+from repro.net.middleware import QueryResponse
 from repro.server.session import SessionManager, latency_percentiles
 from repro.server.shard import (
     AdmissionController,
     AsyncGateway,
-    ShardResponse,
     ShardSpec,
     TableSpec,
+    serving_summary,
 )
 
 #: Tier names accepted by :func:`run_serving_point`.
@@ -60,9 +60,8 @@ class ThreadedTier:
     One shared middleware + thread-pooled single-flight scheduler (the
     pre-sharding serving runtime), adapted to the event loop with a
     thread-pool executor.  Admission control is the gateway's own
-    :class:`AdmissionController`; per-session locks serialise requests
-    of one session (``ClientSession`` is single-threaded by contract),
-    exactly as a shard worker does.
+    :class:`AdmissionController` and requests run through
+    :meth:`SessionManager.execute`, the handler a shard worker runs.
     """
 
     def __init__(
@@ -76,8 +75,6 @@ class ThreadedTier:
         self._database = None
         self._manager: SessionManager | None = None
         self._executor: ThreadPoolExecutor | None = None
-        self._session_locks: dict[str, threading.Lock] = {}
-        self._locks_guard = threading.Lock()
 
     async def __aenter__(self) -> "ThreadedTier":
         await self.start()
@@ -90,43 +87,23 @@ class ThreadedTier:
         if self._manager is not None:
             return
         self._database = self.spec.build_backend()
-        scheduler = RequestScheduler(max_workers=self.spec.max_workers)
-        middleware = MiddlewareServer(
-            self._database, network=self.spec.network, scheduler=scheduler
+        self._manager = SessionManager.for_backend(
+            self._database, max_workers=self.spec.max_workers, network=self.spec.network
         )
-        self._manager = SessionManager(middleware)
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, self.spec.max_workers),
             thread_name_prefix="threaded-tier",
         )
 
-    def _execute_sync(self, session_id: str, sql: str) -> ShardResponse:
+    async def execute(self, session_id: str, sql: str) -> QueryResponse:
+        """Serve one request (sheds with :class:`OverloadError`)."""
         manager = self._manager
         assert manager is not None, "tier not started"
-        with self._locks_guard:
-            lock = self._session_locks.setdefault(session_id, threading.Lock())
-        with lock:
-            try:
-                session = manager.get(session_id)
-            except KeyError:
-                session = manager.create_session(session_id)
-            response = session.execute(sql)
-        return ShardResponse(
-            result=response.result,
-            payload_bytes=response.payload_bytes,
-            total_seconds=response.total_seconds,
-            cache_level=response.cache_level,
-            coalesced=response.coalesced,
-            shard=0,
-        )
-
-    async def execute(self, session_id: str, sql: str) -> ShardResponse:
-        """Serve one request (sheds with :class:`OverloadError`)."""
         await self.admission.acquire()
         ok = False
         try:
             response = await asyncio.get_running_loop().run_in_executor(
-                self._executor, self._execute_sync, session_id, sql
+                self._executor, manager.execute, session_id, sql
             )
             ok = True
         finally:
@@ -139,17 +116,7 @@ class ThreadedTier:
         assert manager is not None, "tier not started"
         worker = manager.statistics()
         worker["shard"] = 0
-        serving: dict[str, object] = {
-            "n_shards": 1,
-            "live_shards": 1,
-            "sessions": int(worker.get("sessions", 0) or 0),
-            "requests": int(worker.get("requests", 0) or 0),
-            "queries_executed": int(worker.get("queries_executed", 0) or 0),
-            "scheduler": dict(worker.get("scheduler") or {}),
-            "admission": self.admission.snapshot(),
-            "shed": self.admission.shed,
-        }
-        return {"serving": serving, "shards": [worker]}
+        return {"serving": serving_summary([worker], self.admission), "shards": [worker]}
 
     async def close(self) -> None:
         manager, self._manager = self._manager, None

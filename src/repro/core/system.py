@@ -394,11 +394,8 @@ class VegaPlusSystem:
                 "fallback_rows": float(engine.get("ivm_fallback_rows", 0.0)),
                 "invalidations": float(engine.get("ivm_invalidations", 0.0)),
             }
-        scheduler = getattr(self.middleware, "scheduler", None) or getattr(
-            getattr(self.middleware, "middleware", None), "scheduler", None
-        )
-        if scheduler is not None:
-            stats["scheduler"] = scheduler.snapshot()
+        if self.middleware.scheduler is not None:
+            stats["scheduler"] = self.middleware.scheduler.snapshot()
         if self.feedback is not None:
             stats["feedback"] = self.feedback.snapshot()
         return stats

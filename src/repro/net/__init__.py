@@ -14,7 +14,7 @@ This package models the parts that are not Python compute:
   returns results with a full cost breakdown.
 """
 
-from repro.net.serialize import JsonCodec, ArrowCodec, Codec, estimate_payload_bytes
+from repro.net.serialize import JsonCodec, ArrowCodec, Codec
 from repro.net.channel import NetworkModel, VirtualClock, TransferCost
 from repro.net.cache import QueryCache, CacheStatistics
 from repro.net.middleware import MiddlewareServer, QueryResponse
@@ -23,7 +23,6 @@ __all__ = [
     "JsonCodec",
     "ArrowCodec",
     "Codec",
-    "estimate_payload_bytes",
     "NetworkModel",
     "VirtualClock",
     "TransferCost",

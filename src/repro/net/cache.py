@@ -5,16 +5,12 @@ middleware cache.  Each cache maps the executed SQL string to its result,
 has a fixed capacity, avoids duplicate entries, and only admits results
 below a size threshold.
 
-Entries hold the result in whatever form the caller supplies — the
-serving path stores columnar
-:class:`~repro.storage.resultset.ResultSet` batches (row dicts never
-materialise on a cache hit unless a final consumer asks), while legacy
-callers may still store plain ``list[dict]`` rows.  ``payload_bytes``
-should be the **exact** size of the stored result
-(:attr:`ResultSet.nbytes` for columnar entries), so the byte budget
-charges on insertion exactly what eviction later frees — a codec
-*estimate* here would let the accounted total drift from resident
-memory.
+Entries hold columnar :class:`~repro.storage.resultset.ResultSet`
+batches — row dicts never materialise on a cache hit unless a final
+consumer asks.  ``payload_bytes`` should be the **exact** size of the
+stored result (:attr:`ResultSet.nbytes`), so the byte budget charges on
+insertion exactly what eviction later frees — a codec *estimate* here
+would let the accounted total drift from resident memory.
 
 The serving runtime (:mod:`repro.server`) shares one middleware cache
 between many concurrent sessions, so the cache is thread-safe: every
@@ -67,19 +63,16 @@ class CacheStatistics:
 
 @dataclass
 class CacheEntry:
-    """One cached query result (columnar batch or legacy row list)."""
+    """One cached query result."""
 
     query: str
-    result: ResultSet | list[dict]
+    result: ResultSet
     payload_bytes: int
 
     @property
     def rows(self) -> list[dict]:
-        """The entry's rows — materialised (and cached) for columnar
-        entries, returned as-is for legacy row lists."""
-        if isinstance(self.result, ResultSet):
-            return self.result.rows()
-        return self.result
+        """The entry's rows, materialised (and cached) on first access."""
+        return self.result.rows()
 
 
 class QueryCache:
@@ -153,16 +146,14 @@ class QueryCache:
     def put(
         self,
         query: str,
-        result: ResultSet | list[dict],
+        result: ResultSet,
         payload_bytes: int,
         replace: bool = False,
     ) -> bool:
         """Insert a result; returns True when it was actually cached.
 
-        ``result`` may be a columnar :class:`ResultSet` (the serving
-        path) or a plain row list; ``payload_bytes`` is the exact size
-        charged to the byte budget (``ResultSet.nbytes`` for columnar
-        entries).
+        ``payload_bytes`` is the exact size charged to the byte budget
+        (``result.nbytes``).
 
         With ``replace=False`` (the default) an existing entry wins — the
         paper's duplicate check.  With ``replace=True`` the entry is
@@ -237,11 +228,10 @@ class QueryCache:
     # ------------------------------------------------------------------ #
     # Export / restore (session sharding)
     # ------------------------------------------------------------------ #
-    def export_entries(self) -> list[tuple[str, ResultSet | list[dict], int]]:
+    def export_entries(self) -> list[tuple[str, ResultSet, int]]:
         """Picklable ``(query, result, payload_bytes)`` tuples in eviction
         order (oldest first), so a restore reproduces the same eviction
-        sequence on the receiving shard.  Columnar entries export as
-        :class:`ResultSet` batches — they cross the shard wire as
+        sequence on the receiving shard.  Results cross the shard wire as
         out-of-band column buffers, never as row dicts."""
         with self._lock:
             return [
@@ -249,9 +239,7 @@ class QueryCache:
                 for entry in self._entries.values()
             ]
 
-    def restore_entries(
-        self, entries: list[tuple[str, ResultSet | list[dict], int]]
-    ) -> int:
+    def restore_entries(self, entries: list[tuple[str, ResultSet, int]]) -> int:
         """Re-insert exported entries (replacing on key collision).
 
         Returns the number of entries actually cached; oversized entries

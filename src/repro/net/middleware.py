@@ -9,9 +9,9 @@ serialisation, network transfer).
 The middleware is a **stateless query service** with respect to clients:
 :meth:`serve` takes the calling session's client-side cache and network
 model as arguments, so one middleware instance can serve many concurrent
-sessions (see :mod:`repro.server`).  The legacy single-user entry point
-:meth:`execute` still works — it serves against a default built-in
-client cache, preserving the original one-dashboard behaviour.
+sessions (see :mod:`repro.server`).  The single-user entry point
+:meth:`execute` serves against a built-in client cache — the
+one-dashboard configuration.
 
 Cache entries are keyed on ``<backend name>::<sql>`` so results from two
 backends can never alias, even when middleware caches are shared or
@@ -20,7 +20,9 @@ attached, backend executions run on its bounded worker pool with
 single-flight coalescing: concurrent identical requests share one
 execution, and the result is published to the server cache *before* the
 in-flight entry retires, so a request can never slip between "missed the
-cache" and "missed the flight" into a duplicate execution.
+cache" and "missed the flight" into a duplicate execution.  Both built-in
+caches subscribe to the backend catalog's invalidation events, so a
+replaced or dropped table never leaves stale results behind.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class QueryResponse:
     """
 
     sql: str
-    result: ResultSet | list[dict]
+    result: ResultSet
     payload_bytes: int
     server_seconds: float
     network_seconds: float
@@ -60,20 +62,19 @@ class QueryResponse:
     cache_level: str | None = None
     #: True when this request shared another request's in-flight execution.
     coalesced: bool = False
+    #: Index of the shard that served the request (set by the sharded
+    #: gateway; ``None`` when the response never crossed a shard wire).
+    shard: int | None = None
 
     @property
     def rows(self) -> list[dict]:
         """The canonical row-dict view (materialised on first access)."""
-        if isinstance(self.result, ResultSet):
-            return self.result.rows()
-        return self.result
+        return self.result.rows()
 
     @property
     def num_rows(self) -> int:
         """Result cardinality without materialising any rows."""
-        if isinstance(self.result, ResultSet):
-            return self.result.num_rows
-        return len(self.result)
+        return self.result.num_rows
 
     @property
     def total_seconds(self) -> float:
@@ -90,14 +91,11 @@ class QueryResponse:
 class _ExecutionOutcome:
     """Backend-side result shared by all coalesced requesters."""
 
-    result: ResultSet | list[dict]
-    payload_bytes: int
-    server_seconds: float
-    encode_seconds: float
-    decode_seconds: float
-    #: ``"backend"`` for a fresh execution, ``"server-cache"`` when the
-    #: in-flight check found the result already published.
-    source: str = "backend"
+    result: ResultSet
+    server_seconds: float = 0.0
+    #: Codec cost model of a fresh execution; ``None`` when the in-flight
+    #: check found the result already published to the server cache.
+    estimate: PayloadEstimate | None = None
 
 
 class MiddlewareServer:
@@ -159,13 +157,9 @@ class MiddlewareServer:
         )
         self.queries_executed = 0
         self._stats_lock = threading.Lock()
+        self.database.catalog.add_invalidation_listener(self.invalidate_table)
 
     # ------------------------------------------------------------------ #
-    @property
-    def backend(self) -> SQLBackend:
-        """The server-side SQL backend (alias of :attr:`database`)."""
-        return self.database
-
     @property
     def capabilities(self) -> BackendCapabilities:
         """Capabilities of the configured backend (drives SQL generation)."""
@@ -226,43 +220,31 @@ class MiddlewareServer:
                 )
 
         outcome, coalesced = self._execute_backend(key, sql)
-        if outcome.source == "server-cache":
+        estimate = outcome.estimate
+        if estimate is None:
             return self._respond_from_server_cache(
                 sql, key, outcome.result, client_cache, network,
                 coalesced=coalesced,
             )
         if self.enable_cache and client_cache is not None:
-            client_cache.put(key, outcome.result, self._result_bytes(outcome.result))
-        transfer = network.transfer(outcome.payload_bytes)
+            client_cache.put(key, outcome.result, outcome.result.nbytes)
         return QueryResponse(
             sql=sql,
             result=outcome.result,
-            payload_bytes=outcome.payload_bytes,
+            payload_bytes=estimate.payload_bytes,
             server_seconds=outcome.server_seconds,
-            network_seconds=transfer.seconds,
-            serialization_seconds=outcome.encode_seconds + outcome.decode_seconds,
+            network_seconds=network.transfer(estimate.payload_bytes).seconds,
+            serialization_seconds=estimate.encode_seconds + estimate.decode_seconds,
             cache_level=None,
             coalesced=coalesced,
         )
 
     # ------------------------------------------------------------------ #
-    def _estimate(self, result: ResultSet | list[dict]) -> PayloadEstimate:
-        """Codec cost model of a result in either representation."""
-        if isinstance(result, ResultSet):
-            return self.codec.estimate_result(result)
-        return self.codec.estimate(result)
-
-    def _result_bytes(self, result: ResultSet | list[dict]) -> int:
-        """Exact bytes to charge a cache for storing ``result``."""
-        if isinstance(result, ResultSet):
-            return result.nbytes
-        return self.codec.estimate(result).payload_bytes
-
     def _respond_from_server_cache(
         self,
         sql: str,
         key: str,
-        result: ResultSet | list[dict],
+        result: ResultSet,
         client_cache: QueryCache | None,
         network: NetworkModel,
         coalesced: bool = False,
@@ -273,10 +255,10 @@ class MiddlewareServer:
         wire would carry), while the client-cache insertion charges the
         exact resident bytes — the two sizes serve different budgets.
         """
-        estimate = self._estimate(result)
+        estimate = self.codec.estimate_result(result)
         transfer = network.transfer(estimate.payload_bytes)
         if client_cache is not None:
-            client_cache.put(key, result, self._result_bytes(result))
+            client_cache.put(key, result, result.nbytes)
         return QueryResponse(
             sql=sql,
             result=result,
@@ -313,30 +295,17 @@ class MiddlewareServer:
         if self.enable_cache:
             published = self.server_cache.peek(key)
             if published is not None:
-                return _ExecutionOutcome(
-                    result=published.result,
-                    payload_bytes=published.payload_bytes,
-                    server_seconds=0.0,
-                    encode_seconds=0.0,
-                    decode_seconds=0.0,
-                    source="server-cache",
-                )
+                return _ExecutionOutcome(published.result)
         result = self.database.execute(sql)
         with self._stats_lock:
             self.queries_executed += 1
         rset = result.result_set()
-        estimate = self.codec.estimate_result(rset)
         if self.enable_cache:
             # Exact resident bytes, not the codec's wire estimate: the
             # byte budget must charge what eviction later frees.
             self.server_cache.put(key, rset, rset.nbytes)
         return _ExecutionOutcome(
-            result=rset,
-            payload_bytes=estimate.payload_bytes,
-            server_seconds=result.elapsed_seconds,
-            encode_seconds=estimate.encode_seconds,
-            decode_seconds=estimate.decode_seconds,
-            source="backend",
+            rset, result.elapsed_seconds, self.codec.estimate_result(rset)
         )
 
     # ------------------------------------------------------------------ #
@@ -344,6 +313,14 @@ class MiddlewareServer:
         """Clear both built-in cache levels (between benchmark sessions)."""
         self.client_cache.clear()
         self.server_cache.clear()
+
+    def invalidate_table(self, name: str) -> None:
+        """Catalog listener: table ``name`` was replaced or dropped.
+
+        Cache keys are SQL text, not table names, so every cached result
+        is dropped rather than guessing which ones read ``name``.
+        """
+        self.reset_caches()
 
     def cache_statistics(self) -> dict[str, object]:
         """Summary of cache (and scheduler) behaviour for reporting."""

@@ -3,9 +3,10 @@
 VegaPlus reduces network transfer cost by encoding query results with the
 binary Apache Arrow format instead of JSON (Section 4).  We model the two
 codecs' payload sizes (and the CPU cost of encoding/decoding) without
-materialising giant byte strings: sizes are estimated from a row sample
-(or computed exactly from a columnar :class:`~repro.storage.resultset.ResultSet`),
-which keeps benchmarks fast while preserving the relative JSON/Arrow gap.
+materialising giant byte strings: sizes are computed from a columnar
+:class:`~repro.storage.resultset.ResultSet` — exactly for the columnar
+codec, from a head-row sample for the text codec — which keeps benchmarks
+fast while preserving the relative JSON/Arrow gap.
 
 This module also carries the **real** wire format of the sharded serving
 tier (:mod:`repro.server.shard`): length-prefixed frames over a stream
@@ -36,7 +37,6 @@ import json
 import pickle
 import socket
 import struct
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.storage.resultset import ResultSet
@@ -191,11 +191,6 @@ def decode_frame_sections(
         raise WireProtocolError(f"undecodable frame payload: {exc}") from exc
 
 
-def decode_frame_payload(payload: bytes | memoryview) -> object:
-    """The message of a buffer-free frame payload (control traffic)."""
-    return decode_frame_sections(payload)
-
-
 def send_frame(sock: socket.socket, message: object) -> None:
     """Blocking send of one frame (worker side of the shard protocol)."""
     sock.sendall(encode_frame(message))
@@ -262,23 +257,8 @@ class Codec:
     #: Human-readable codec name.
     name = "abstract"
 
-    def estimate(self, rows: Sequence[dict]) -> PayloadEstimate:
-        """Estimate the payload produced by serialising ``rows``."""
-        raise NotImplementedError
-
     def estimate_result(self, result: ResultSet) -> PayloadEstimate:
-        """Estimate the payload of a columnar result without exploding it.
-
-        The base implementation samples the head rows (cheap: only the
-        sample is materialised); columnar codecs override with exact
-        O(columns) math.
-        """
-        return self._estimate_scaled(result.head_rows(_SAMPLE_ROWS), result.num_rows)
-
-    def _estimate_scaled(
-        self, sample: Sequence[dict], num_rows: int
-    ) -> PayloadEstimate:
-        """Estimate for ``num_rows`` rows shaped like ``sample``."""
+        """Estimate the payload of a columnar result without exploding it."""
         raise NotImplementedError
 
 
@@ -296,19 +276,16 @@ class JsonCodec(Codec):
     encode_seconds_per_byte = 1.0 / 300e6
     decode_seconds_per_byte = 1.0 / 150e6
 
-    def estimate(self, rows: Sequence[dict]) -> PayloadEstimate:
-        return self._estimate_scaled(rows[:_SAMPLE_ROWS], len(rows))
-
-    def _estimate_scaled(
-        self, sample: Sequence[dict], num_rows: int
-    ) -> PayloadEstimate:
-        if num_rows == 0 or not sample:
+    def estimate_result(self, result: ResultSet) -> PayloadEstimate:
+        """Scale the JSON size of the head rows (cheap: only the sample
+        is materialised) to the full row count."""
+        sample = result.head_rows(_SAMPLE_ROWS)
+        if not sample:
             return PayloadEstimate(0, 2, 0.0, 0.0)
-        sample_bytes = len(json.dumps(list(sample), default=str))
-        per_row = sample_bytes / len(sample)
-        payload = int(per_row * num_rows) + 2
+        per_row = len(json.dumps(sample, default=str)) / len(sample)
+        payload = int(per_row * result.num_rows) + 2
         return PayloadEstimate(
-            num_rows=num_rows,
+            num_rows=result.num_rows,
             payload_bytes=payload,
             encode_seconds=payload * self.encode_seconds_per_byte,
             decode_seconds=payload * self.decode_seconds_per_byte,
@@ -331,35 +308,10 @@ class ArrowCodec(Codec):
     #: Fixed per-message framing overhead (schema + record batch headers).
     framing_bytes = 512
 
-    def estimate(self, rows: Sequence[dict]) -> PayloadEstimate:
-        return self._estimate_scaled(rows[:_SAMPLE_ROWS], len(rows))
-
-    def _estimate_scaled(
-        self, sample: Sequence[dict], num_rows: int
-    ) -> PayloadEstimate:
-        if num_rows == 0 or not sample:
-            return PayloadEstimate(0, self.framing_bytes, 0.0, 0.0)
-        per_row = 0.0
-        for row in sample:
-            row_bytes = 0
-            for value in row.values():
-                if value is None or isinstance(value, (int, float, bool)):
-                    row_bytes += 8
-                else:
-                    row_bytes += len(str(value).encode("utf-8")) + 4
-            per_row += row_bytes
-        per_row /= len(sample)
-        payload = int(per_row * num_rows) + self.framing_bytes
-        return PayloadEstimate(
-            num_rows=num_rows,
-            payload_bytes=payload,
-            encode_seconds=payload * self.encode_seconds_per_byte,
-            decode_seconds=payload * self.decode_seconds_per_byte,
-        )
-
     def estimate_result(self, result: ResultSet) -> PayloadEstimate:
         """Exact O(columns) estimate: the codec is columnar, so the
-        result's own byte accounting *is* the Arrow payload size."""
+        result's own byte accounting *is* the Arrow payload size
+        (``nbytes + framing_bytes``)."""
         payload = result.nbytes + self.framing_bytes
         return PayloadEstimate(
             num_rows=result.num_rows,
@@ -367,9 +319,3 @@ class ArrowCodec(Codec):
             encode_seconds=payload * self.encode_seconds_per_byte,
             decode_seconds=payload * self.decode_seconds_per_byte,
         )
-
-
-def estimate_payload_bytes(rows: Sequence[dict], codec: Codec | None = None) -> int:
-    """Convenience helper returning just the payload size."""
-    codec = codec or ArrowCodec()
-    return codec.estimate(rows).payload_bytes

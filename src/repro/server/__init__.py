@@ -31,7 +31,9 @@ Typical assembly::
     session = manager.create_session("alice", network=NetworkModel.wan())
     response = session.execute("SELECT carrier, COUNT(*) FROM flights GROUP BY carrier")
 
-Thread-safety contract: a :class:`ClientSession` belongs to one thread;
+Thread-safety contract: a :class:`ClientSession` belongs to one thread
+(:meth:`SessionManager.execute` is the entry point that enforces it for
+callers that cannot promise it, by serialising per session id);
 everything shared underneath (server cache, scheduler, plan cache,
 engine metrics, backends) is internally locked.  Backends advertise
 their concurrency model via
@@ -55,7 +57,6 @@ from repro.server.session import (
 from repro.server.shard import (
     AdmissionController,
     AsyncGateway,
-    ShardResponse,
     ShardSpec,
     TableSpec,
     shard_for,
@@ -70,7 +71,6 @@ __all__ = [
     "RequestScheduler",
     "SchedulerStats",
     "SessionManager",
-    "ShardResponse",
     "ShardSpec",
     "SingleFlightOutcome",
     "TableSpec",

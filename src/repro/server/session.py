@@ -8,17 +8,20 @@ user, every session carrying its *own* client-side result cache and its
 while all sessions share one :class:`MiddlewareServer` — and therefore
 one server cache, one scheduler and one backend.
 
-A :class:`ClientSession` is duck-compatible with the slice of the
-middleware API the rewrite layer uses (``execute`` / ``capabilities`` /
-``cache_key`` / ``database``), so a full :class:`VegaPlusSystem` can be
-built *per session* on top of the shared serving runtime::
+A :class:`ClientSession` offers the slice of the middleware API the
+rewrite layer and :class:`VegaPlusSystem` use (``execute`` /
+``capabilities`` / ``cache_key`` / ``database`` / ``scheduler``), so a
+full :class:`VegaPlusSystem` can be built *per session* on top of the
+shared serving runtime::
 
     manager = SessionManager.for_backend(backend, max_workers=8)
     session = manager.create_session("alice", network=NetworkModel.wan())
     system = VegaPlusSystem(spec, middleware=session)
 
 Each session is intended to be driven by a single thread (one simulated
-user); the shared layers underneath are thread-safe.
+user); the shared layers underneath are thread-safe.  A serving tier
+that may hold several requests of one session in flight goes through
+:meth:`SessionManager.execute`, which serialises them per session id.
 """
 
 from __future__ import annotations
@@ -116,6 +119,11 @@ class ClientSession:
     def capabilities(self) -> BackendCapabilities:
         """The shared backend's dialect description."""
         return self.middleware.capabilities
+
+    @property
+    def scheduler(self) -> RequestScheduler | None:
+        """The shared middleware's scheduler (when one is attached)."""
+        return self.middleware.scheduler
 
     def cache_key(self, sql: str) -> str:
         """The middleware's cache key for ``sql``."""
@@ -240,8 +248,10 @@ class SessionManager:
         self.cache_bytes = cache_bytes
         self.feedback = feedback
         self._sessions: dict[str, ClientSession] = {}
+        self._session_locks: dict[str, threading.Lock] = {}
         self._lock = threading.Lock()
         self._auto_ids = itertools.count()
+        middleware.database.catalog.add_invalidation_listener(self.invalidate_table)
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -314,10 +324,30 @@ class SessionManager:
             except KeyError as exc:
                 raise KeyError(f"unknown session {session_id!r}") from exc
 
+    def execute(self, session_id: str, sql: str) -> QueryResponse:
+        """Serve ``sql`` for ``session_id`` — the one request handler of
+        every serving tier (shard workers and the threaded tier alike).
+
+        A :class:`ClientSession` is single-threaded by contract, while a
+        tier may have several requests of one session in flight, so
+        requests are serialised per session id; distinct ids run
+        concurrently.  An unknown id gets a session with the manager's
+        defaults, created once under that id's lock.
+        """
+        with self._lock:
+            lock = self._session_locks.setdefault(session_id, threading.Lock())
+        with lock:
+            try:
+                session = self.get(session_id)
+            except KeyError:
+                session = self.create_session(session_id)
+            return session.execute(sql)
+
     def close_session(self, session_id: str) -> None:
         """Drop a session (its client cache is released)."""
         with self._lock:
             self._sessions.pop(session_id, None)
+            self._session_locks.pop(session_id, None)
 
     def session_ids(self) -> list[str]:
         """Identifiers of the live sessions, sorted."""
@@ -366,7 +396,16 @@ class SessionManager:
             final = self.middleware.scheduler.shutdown()
         with self._lock:
             self._sessions.clear()
+            self._session_locks.clear()
         return final
+
+    def invalidate_table(self, name: str) -> None:
+        """Catalog listener: table ``name`` was replaced or dropped, so
+        every session's client cache may hold rows of the old table."""
+        with self._lock:
+            sessions = list(self._sessions.values())
+        for session in sessions:
+            session.cache.clear()
 
     # ------------------------------------------------------------------ #
     # Session export / restore (sharding and migration)

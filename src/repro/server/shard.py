@@ -45,7 +45,7 @@ import os
 import socket
 import threading
 import zlib
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -53,7 +53,7 @@ from repro.backends import SQLBackend, create_backend
 from repro.datasets.generators import generate_dataset
 from repro.errors import BenchmarkError, OverloadError, ShardError
 from repro.net.channel import NetworkModel
-from repro.net.middleware import MiddlewareServer
+from repro.net.middleware import QueryResponse
 from repro.net.serialize import (
     FRAME_HEADER_BYTES,
     WireProtocolError,
@@ -63,8 +63,6 @@ from repro.net.serialize import (
     recv_frame,
     send_frame,
 )
-from repro.storage.resultset import ResultSet
-from repro.server.scheduler import RequestScheduler
 from repro.server.session import SessionManager
 
 #: Environment override for the shard-worker start method.
@@ -166,18 +164,14 @@ def _shard_worker_main(shard_index: int, spec: ShardSpec, conn: socket.socket) -
     spawn/forkserver.
     """
     database = spec.build_backend()
-    scheduler = RequestScheduler(max_workers=spec.max_workers)
-    middleware = MiddlewareServer(database, network=spec.network, scheduler=scheduler)
-    manager = SessionManager(middleware)
+    manager = SessionManager.for_backend(
+        database, max_workers=spec.max_workers, network=spec.network
+    )
     handler_pool = ThreadPoolExecutor(
         max_workers=max(1, spec.max_workers),
         thread_name_prefix=f"shard-{shard_index}",
     )
     write_lock = threading.Lock()
-    # ClientSession is single-threaded by contract; the gateway may have
-    # several requests from one session in flight, so serialise per id.
-    session_locks: dict[str, threading.Lock] = {}
-    locks_guard = threading.Lock()
 
     def reply(message: dict) -> None:
         with write_lock:
@@ -196,29 +190,12 @@ def _shard_worker_main(shard_index: int, spec: ShardSpec, conn: socket.socket) -
     def handle_execute(request: dict) -> None:
         request_id = request["request_id"]
         try:
-            session_id = str(request["session_id"])
-            with locks_guard:
-                lock = session_locks.setdefault(session_id, threading.Lock())
-            with lock:
-                try:
-                    session = manager.get(session_id)
-                except KeyError:
-                    session = manager.create_session(session_id)
-                response = session.execute(request["sql"])
-            # The columnar result crosses the wire as-is: its numeric
-            # column buffers ride the frame's out-of-band section, so the
-            # worker never materialises row dicts for transport.
-            reply(
-                {
-                    "request_id": request_id,
-                    "ok": True,
-                    "result": response.result,
-                    "payload_bytes": response.payload_bytes,
-                    "total_seconds": response.total_seconds,
-                    "cache_level": response.cache_level,
-                    "coalesced": response.coalesced,
-                }
-            )
+            response = manager.execute(str(request["session_id"]), request["sql"])
+            # The response crosses the wire as the middleware built it:
+            # the columnar result's numeric buffers ride the frame's
+            # out-of-band section, so the worker never materialises row
+            # dicts for transport.
+            reply({"request_id": request_id, "ok": True, "response": response})
         except BaseException as exc:  # must answer or the caller waits forever
             fail(request_id, exc)
 
@@ -350,40 +327,47 @@ class AdmissionController:
         }
 
 
+def serving_summary(
+    per_shard: Sequence[dict[str, object]], admission: AdmissionController
+) -> dict[str, object]:
+    """The ``stats()["serving"]`` aggregate of a serving tier.
+
+    ``per_shard`` holds one ``SessionManager.statistics()`` dict per
+    serving stack — N for the sharded gateway, one for the threaded tier —
+    or ``{"shard": i, "error": ...}`` for a stack that did not answer.
+    Sessions/requests/executions are summed over the live stacks, their
+    single-flight scheduler counters merged, and the admission snapshot
+    (including the shed count) embedded.
+    """
+    live = [stats for stats in per_shard if "error" not in stats]
+
+    def total(key: str) -> int:
+        return int(sum(float(stats.get(key, 0) or 0) for stats in live))
+
+    scheduler: dict[str, float] = {}
+    for stats in live:
+        for key, value in (stats.get("scheduler") or {}).items():
+            scheduler[key] = scheduler.get(key, 0.0) + float(value)
+    if scheduler:
+        submitted = scheduler.get("submitted", 0.0)
+        scheduler["coalescing_rate"] = (
+            scheduler.get("coalesced", 0.0) / submitted if submitted else 0.0
+        )
+    return {
+        "n_shards": len(per_shard),
+        "live_shards": len(live),
+        "sessions": total("sessions"),
+        "requests": total("requests"),
+        "queries_executed": total("queries_executed"),
+        "scheduler": scheduler,
+        "admission": admission.snapshot(),
+        "shed": admission.shed,
+    }
+
+
 # --------------------------------------------------------------------------- #
 # Gateway
 # --------------------------------------------------------------------------- #
-@dataclass
-class ShardResponse:
-    """One served request, as seen at the gateway.
-
-    :attr:`result` is the columnar batch exactly as the worker shipped
-    it; :attr:`rows` materialises the row-dict view on first access.
-    """
-
-    result: ResultSet | list[dict]
-    payload_bytes: int
-    #: Modelled end-to-end seconds inside the worker's middleware.
-    total_seconds: float
-    cache_level: str | None
-    coalesced: bool
-    shard: int
-
-    @property
-    def rows(self) -> list[dict]:
-        """The canonical row-dict view (materialised on first access)."""
-        if isinstance(self.result, ResultSet):
-            return self.result.rows()
-        return self.result
-
-    @property
-    def num_rows(self) -> int:
-        """Result cardinality without materialising any rows."""
-        if isinstance(self.result, ResultSet):
-            return self.result.num_rows
-        return len(self.result)
-
-
 @dataclass
 class _ShardHandle:
     """Gateway-side bookkeeping for one live worker."""
@@ -394,7 +378,6 @@ class _ShardHandle:
     writer: asyncio.StreamWriter
     pending: dict[int, asyncio.Future] = field(default_factory=dict)
     reader_task: asyncio.Task | None = None
-    requests: int = 0
     dead: BaseException | None = None
 
 
@@ -518,7 +501,6 @@ class AsyncGateway:
         message = dict(message, request_id=request_id)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         handle.pending[request_id] = future
-        handle.requests += 1
         try:
             try:
                 handle.writer.write(encode_frame(message))
@@ -550,10 +532,11 @@ class AsyncGateway:
         """The shard that owns ``session_id`` (stable CRC-32 routing)."""
         return shard_for(session_id, self.n_shards)
 
-    async def execute(self, session_id: str, sql: str) -> ShardResponse:
+    async def execute(self, session_id: str, sql: str) -> QueryResponse:
         """Serve ``sql`` for ``session_id`` through its home shard.
 
-        Raises :class:`~repro.errors.OverloadError` when admission sheds
+        Returns the :class:`QueryResponse` the shard's middleware
+        produced, stamped with the serving shard's index.  Raises :class:`~repro.errors.OverloadError` when admission sheds
         the request and :class:`~repro.errors.ShardError` when the owning
         worker fails it or dies mid-flight.
         """
@@ -569,14 +552,9 @@ class AsyncGateway:
             ok = True
         finally:
             self.admission.release(ok=ok)
-        return ShardResponse(
-            result=reply["result"],
-            payload_bytes=reply["payload_bytes"],
-            total_seconds=reply["total_seconds"],
-            cache_level=reply["cache_level"],
-            coalesced=reply["coalesced"],
-            shard=shard,
-        )
+        response: QueryResponse = reply["response"]
+        response.shard = shard
+        return response
 
     # ------------------------------------------------------------------ #
     async def export_session(self, session_id: str) -> dict[str, object]:
@@ -597,48 +575,19 @@ class AsyncGateway:
         return shard
 
     async def stats(self) -> dict[str, object]:
-        """Cross-shard aggregate under ``"serving"`` plus per-shard detail.
-
-        ``serving`` sums sessions/requests/executions over the live
-        shards, merges their single-flight scheduler counters, and embeds
-        the admission snapshot (including the shed count).
-        """
+        """Cross-shard aggregate under ``"serving"`` (see
+        :func:`serving_summary`) plus per-shard detail under ``"shards"``."""
         replies = await asyncio.gather(
             *(self._call(handle.index, {"op": "stats"}) for handle in self._shards),
             return_exceptions=True,
         )
-        per_shard: list[dict[str, object]] = []
-        for handle, reply in zip(self._shards, replies):
-            if isinstance(reply, BaseException):
-                per_shard.append({"shard": handle.index, "error": str(reply)})
-            else:
-                per_shard.append(reply["stats"])
-        live = [stats for stats in per_shard if "error" not in stats]
-
-        def total(key: str) -> float:
-            return sum(float(stats.get(key, 0) or 0) for stats in live)
-
-        scheduler: dict[str, float] = {}
-        for stats in live:
-            for key, value in (stats.get("scheduler") or {}).items():
-                scheduler[key] = scheduler.get(key, 0.0) + float(value)
-        submitted = scheduler.get("submitted", 0.0)
-        if scheduler:
-            scheduler["coalescing_rate"] = (
-                scheduler.get("coalesced", 0.0) / submitted if submitted else 0.0
-            )
-        serving: dict[str, object] = {
-            "n_shards": self.n_shards,
-            "live_shards": len(live),
-            "sessions": int(total("sessions")),
-            "requests": int(total("requests")),
-            "queries_executed": int(total("queries_executed")),
-            "gateway_requests": sum(handle.requests for handle in self._shards),
-            "scheduler": scheduler,
-            "admission": self.admission.snapshot(),
-            "shed": self.admission.shed,
-        }
-        return {"serving": serving, "shards": per_shard}
+        per_shard: list[dict[str, object]] = [
+            {"shard": handle.index, "error": str(reply)}
+            if isinstance(reply, BaseException)
+            else reply["stats"]
+            for handle, reply in zip(self._shards, replies)
+        ]
+        return {"serving": serving_summary(per_shard, self.admission), "shards": per_shard}
 
     # ------------------------------------------------------------------ #
     async def close(self) -> dict[str, object] | None:

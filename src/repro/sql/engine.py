@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -24,15 +23,8 @@ from repro.sql.morsel import (
     default_process_min_rows,
 )
 from repro.storage.statistics import CardinalityFeedback
-from repro.sql.optimizer import optimize_plan
-from repro.sql.parser import parse_sql
-from repro.sql.planner import LogicalPlan, build_logical_plan
-from repro.sql.template import (
-    PlanTemplate,
-    build_template,
-    instantiate,
-    template_shape,
-)
+from repro.sql.plancache import PlanCache
+from repro.sql.planner import LogicalPlan
 from repro.storage.catalog import Catalog
 from repro.storage.resultset import ResultSet
 from repro.storage.shared import shared_memory_available
@@ -147,30 +139,11 @@ class EngineMetrics:
             if keep_log:
                 self.query_log.append(result.sql)
 
-    def record_plan_cache_hit(self) -> None:
-        """Count one prepared-plan cache hit."""
+    def count(self, counter: str) -> None:
+        """Add one to the named counter field (the plan cache's hit /
+        miss / parse accounting)."""
         with self._lock:
-            self.plan_cache_hits += 1
-
-    def record_plan_cache_miss(self) -> None:
-        """Count one prepared-plan cache miss."""
-        with self._lock:
-            self.plan_cache_misses += 1
-
-    def record_plan_template_hit(self) -> None:
-        """Count one plan-cache miss answered by literal substitution."""
-        with self._lock:
-            self.plan_template_hits += 1
-
-    def record_plan_template_miss(self) -> None:
-        """Count one plan-cache miss that had to parse from scratch."""
-        with self._lock:
-            self.plan_template_misses += 1
-
-    def record_parse(self) -> None:
-        """Count one full tokenize+parse of a query text."""
-        with self._lock:
-            self.queries_parsed += 1
+            setattr(self, counter, getattr(self, counter) + 1)
 
     def record_ivm_view(self) -> None:
         """Count one materialized view registration."""
@@ -265,32 +238,6 @@ class EngineMetrics:
             self.query_log.clear()
 
 
-def normalize_sql(sql: str) -> str:
-    """Collapse insignificant whitespace so equivalent query texts share a key.
-
-    Whitespace inside quoted string literals (single- or double-quoted,
-    both accepted by the tokenizer) is preserved; runs of whitespace
-    elsewhere collapse to one space.  Used as the prepared-plan cache key
-    so interactive clients re-issuing the same query with different
-    formatting still hit the cache.
-    """
-    out: list[str] = []
-    quote: str | None = None
-    for ch in sql:
-        if ch == quote:
-            quote = None
-            out.append(ch)
-        elif quote is None and ch in ("'", '"'):
-            quote = ch
-            out.append(ch)
-        elif quote is None and ch.isspace():
-            if out and out[-1] != " ":
-                out.append(" ")
-        else:
-            out.append(ch)
-    return "".join(out).strip()
-
-
 class Database:
     """An embedded, in-memory analytical SQL database.
 
@@ -340,10 +287,6 @@ class Database:
     ) -> None:
         self._catalog = Catalog()
         self._keep_query_log = keep_query_log
-        self._plan_cache: OrderedDict[str, LogicalPlan] = OrderedDict()
-        self._template_cache: OrderedDict[str, PlanTemplate | None] = OrderedDict()
-        self._plan_cache_size = plan_cache_size
-        self._plan_cache_lock = threading.RLock()
         self.morsel_pool = MorselPool(parallelism)
         requested = default_executor() if executor is None else str(executor)
         if requested not in ("thread", "process"):
@@ -362,6 +305,7 @@ class Database:
             else max(0, int(process_min_rows))
         )
         self.metrics = EngineMetrics()
+        self._plans = PlanCache(self.metrics, plan_cache_size)
         self.ivm: IVMManager | None = (
             IVMManager(self._catalog, metrics=self.metrics, config=ivm_config)
             if ivm
@@ -429,81 +373,15 @@ class Database:
     # Query execution
     # ------------------------------------------------------------------ #
     def plan(self, sql: str) -> LogicalPlan:
-        """Parse and optimise ``sql``, memoising the result.
-
-        Plans are cached in an LRU keyed on whitespace-normalised SQL, so
+        """Parse and optimise ``sql`` through the :class:`PlanCache`, so
         repeated interactive queries (crossfilter, overview+detail) skip
-        the tokenize → parse → plan → optimise pipeline entirely.  Plans
-        resolve table names at execution time, so catalog changes never
-        invalidate cached entries.
-
-        The LRU dict is guarded by a lock: concurrent ``execute()`` calls
-        (the serving runtime runs many sessions against one engine) must
-        not corrupt the :class:`OrderedDict` mid-reorder.  Compilation of
-        a missed plan happens *outside* the lock — two threads racing on
-        the same new query may both compile it, which is wasted work but
-        never wrong (last insert wins).
-        """
-        key = normalize_sql(sql)
-        with self._plan_cache_lock:
-            cached = self._plan_cache.get(key)
-            if cached is not None:
-                self._plan_cache.move_to_end(key)
-                self.metrics.record_plan_cache_hit()
-                return cached
-        self.metrics.record_plan_cache_miss()
-        plan = optimize_plan(build_logical_plan(self._statement(sql)))
-        if self._plan_cache_size > 0:
-            with self._plan_cache_lock:
-                self._plan_cache[key] = plan
-                if len(self._plan_cache) > self._plan_cache_size:
-                    self._plan_cache.popitem(last=False)
-        return plan
-
-    def _statement(self, sql: str):
-        """The parsed statement for ``sql``, via the plan-template cache.
-
-        Repeated interactive queries differ only in literal values (brush
-        bounds), so on a plan-cache miss the engine first tries a *plan
-        template*: the previously-parsed statement for the same
-        literal-stripped shape, cloned with this query's literals
-        substituted (:mod:`repro.sql.template`).  Shapes whose token
-        literals don't line up 1:1 with AST literal slots are negatively
-        cached at build time, so substitution is only ever used where it
-        is provably value-faithful.  Planning and optimisation still run
-        per query — constant folding and pushdown see the real literals.
-        """
-        shaped = template_shape(sql)
-        if shaped is None:
-            self.metrics.record_parse()
-            return parse_sql(sql)
-        shape_key, values = shaped
-        with self._plan_cache_lock:
-            missing = object()
-            template = self._template_cache.get(shape_key, missing)
-            if template is not missing:
-                self._template_cache.move_to_end(shape_key)
-        if template is not missing and template is not None:
-            statement = instantiate(template, values)
-            if statement is not None:
-                self.metrics.record_plan_template_hit()
-                return statement
-        self.metrics.record_plan_template_miss()
-        self.metrics.record_parse()
-        statement = parse_sql(sql)
-        if template is missing and self._plan_cache_size > 0:
-            built = build_template(statement, values)
-            with self._plan_cache_lock:
-                self._template_cache[shape_key] = built
-                if len(self._template_cache) > self._plan_cache_size:
-                    self._template_cache.popitem(last=False)
-        return statement
+        the parse, or the whole tokenize → parse → plan → optimise
+        pipeline."""
+        return self._plans.plan(sql)
 
     def clear_plan_cache(self) -> None:
         """Drop all cached prepared plans and plan templates."""
-        with self._plan_cache_lock:
-            self._plan_cache.clear()
-            self._template_cache.clear()
+        self._plans.clear()
 
     def explain(
         self, sql: str, feedback: CardinalityFeedback | None = None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import weakref
 from collections.abc import Callable, Mapping, Sequence
 
 from repro.errors import CatalogError
@@ -37,7 +38,7 @@ class Catalog:
         self._statistics: dict[str, TableStatistics] = {}
         self._zone_maps: dict[str, list[ZoneMap]] = {}
         self._shared: dict[str, SharedTableHandle] = {}
-        self._listeners: list[Callable[[str], None]] = []
+        self._listeners: list[weakref.WeakMethod] = []
         self._lock = threading.RLock()
 
     def add_invalidation_listener(self, listener: Callable[[str], None]) -> None:
@@ -47,17 +48,24 @@ class Catalog:
         ``name`` stop being valid — on re-registration (``replace=True``)
         and on :meth:`drop` — in the same breath as the catalog's own
         statistics/zone-map cache invalidation.  Derived caches (the IVM
-        view registry) hook in here so a table swap can never serve
-        results maintained against the old rows.
+        view registry, the serving tier's result caches) hook in here so
+        a table swap can never serve results computed from the old rows.
+
+        ``listener`` must be a bound method and is held **weakly**: a
+        long-lived backend outlives the middlewares and session managers
+        built over it, and must not keep their caches alive.
         """
         with self._lock:
-            self._listeners.append(listener)
+            self._listeners = [ref for ref in self._listeners if ref() is not None]
+            self._listeners.append(weakref.WeakMethod(listener))
 
     def _notify_invalidation(self, name: str) -> None:
         # Called outside the catalog lock: listeners take their own locks
         # and may re-enter the catalog, so nesting would invite deadlock.
-        for listener in list(self._listeners):
-            listener(name)
+        for ref in list(self._listeners):
+            listener = ref()
+            if listener is not None:
+                listener(name)
 
     def register(self, name: str, table: Table, replace: bool = False) -> None:
         """Register ``table`` under ``name``.

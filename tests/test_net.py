@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import result_set
 from repro.net import (
     ArrowCodec,
     JsonCodec,
@@ -13,6 +14,8 @@ from repro.net import (
 
 
 ROWS = [{"a": float(i), "b": f"value-{i}"} for i in range(200)]
+RESULT = result_set(ROWS)
+EMPTY = result_set()
 
 
 # --------------------------------------------------------------------------- #
@@ -21,23 +24,24 @@ ROWS = [{"a": float(i), "b": f"value-{i}"} for i in range(200)]
 
 
 def test_json_payload_larger_than_arrow():
-    json_estimate = JsonCodec().estimate(ROWS)
-    arrow_estimate = ArrowCodec().estimate(ROWS)
+    json_estimate = JsonCodec().estimate_result(RESULT)
+    arrow_estimate = ArrowCodec().estimate_result(RESULT)
     assert json_estimate.payload_bytes > arrow_estimate.payload_bytes
     assert json_estimate.decode_seconds > arrow_estimate.decode_seconds
 
 
 def test_codec_payload_scales_with_rows():
     codec = ArrowCodec()
-    small = codec.estimate(ROWS[:10]).payload_bytes
-    large = codec.estimate(ROWS).payload_bytes
+    small = codec.estimate_result(result_set(ROWS[:10])).payload_bytes
+    large = codec.estimate_result(RESULT).payload_bytes
     # Per-row payload grows 20x (framing overhead is constant).
     assert large - codec.framing_bytes > (small - codec.framing_bytes) * 15
 
 
 def test_codec_empty_result():
-    assert JsonCodec().estimate([]).payload_bytes >= 2
-    assert ArrowCodec().estimate([]).num_rows == 0
+    assert JsonCodec().estimate_result(EMPTY).payload_bytes >= 2
+    arrow = ArrowCodec().estimate_result(EMPTY)
+    assert arrow.num_rows == 0 and arrow.payload_bytes == ArrowCodec.framing_bytes
 
 
 # --------------------------------------------------------------------------- #
@@ -116,7 +120,7 @@ def test_virtual_clock_event_log_labels():
 def test_cache_hit_miss_statistics():
     cache = QueryCache(max_entries=4)
     assert cache.get("q1") is None
-    cache.put("q1", ROWS[:5], payload_bytes=100)
+    cache.put("q1", result_set(ROWS[:5]), payload_bytes=100)
     assert cache.get("q1").rows == ROWS[:5]
     assert cache.stats.hits == 1
     assert cache.stats.misses == 1
@@ -125,9 +129,9 @@ def test_cache_hit_miss_statistics():
 
 def test_cache_fifo_eviction():
     cache = QueryCache(max_entries=2)
-    cache.put("q1", [], 10)
-    cache.put("q2", [], 10)
-    cache.put("q3", [], 10)
+    cache.put("q1", EMPTY, 10)
+    cache.put("q2", EMPTY, 10)
+    cache.put("q3", EMPTY, 10)
     assert not cache.contains("q1")
     assert cache.contains("q2") and cache.contains("q3")
     assert cache.stats.evictions == 1
@@ -136,10 +140,10 @@ def test_cache_fifo_eviction():
 
 def test_cache_rejects_large_results_and_duplicates():
     cache = QueryCache(max_entries=4, max_result_bytes=100)
-    assert cache.put("big", [], payload_bytes=1000) is False
+    assert cache.put("big", EMPTY, payload_bytes=1000) is False
     assert cache.stats.rejected_too_large == 1
-    assert cache.put("q", [], 10) is True
-    assert cache.put("q", [], 10) is False  # duplicate check
+    assert cache.put("q", EMPTY, 10) is True
+    assert cache.put("q", EMPTY, 10) is False  # duplicate check
     assert len(cache) == 1
 
 
@@ -154,34 +158,34 @@ def test_cache_invalid_capacity():
 
 def test_cache_lru_policy_keeps_recently_used_entries():
     cache = QueryCache(max_entries=2, policy="lru")
-    cache.put("q1", [], 10)
-    cache.put("q2", [], 10)
+    cache.put("q1", EMPTY, 10)
+    cache.put("q2", EMPTY, 10)
     assert cache.get("q1") is not None  # refresh q1's recency
-    cache.put("q3", [], 10)  # evicts q2, the least recently used
+    cache.put("q3", EMPTY, 10)  # evicts q2, the least recently used
     assert cache.contains("q1") and cache.contains("q3")
     assert not cache.contains("q2")
     # Under FIFO the same sequence evicts q1 (oldest insertion) instead.
     fifo = QueryCache(max_entries=2, policy="fifo")
-    fifo.put("q1", [], 10)
-    fifo.put("q2", [], 10)
+    fifo.put("q1", EMPTY, 10)
+    fifo.put("q2", EMPTY, 10)
     assert fifo.get("q1") is not None
-    fifo.put("q3", [], 10)
+    fifo.put("q3", EMPTY, 10)
     assert not fifo.contains("q1")
     assert fifo.contains("q2") and fifo.contains("q3")
 
 
 def test_cache_byte_budget_evicts_until_total_fits():
     cache = QueryCache(max_entries=10, max_total_bytes=100)
-    cache.put("a", [], 40)
-    cache.put("b", [], 40)
+    cache.put("a", EMPTY, 40)
+    cache.put("b", EMPTY, 40)
     assert cache.total_bytes == 80
-    cache.put("c", [], 40)  # 120 > 100: evicts "a"
+    cache.put("c", EMPTY, 40)  # 120 > 100: evicts "a"
     assert not cache.contains("a")
     assert cache.total_bytes == 80
     assert cache.stats.evictions == 1
     assert cache.stats.evicted_bytes == 40
     # A result larger than the whole budget is rejected outright.
-    assert cache.put("huge", [], 150) is False
+    assert cache.put("huge", EMPTY, 150) is False
     assert cache.stats.rejected_too_large == 1
     cache.clear()
     assert cache.total_bytes == 0
@@ -191,7 +195,7 @@ def test_cache_statistics_expose_policy_and_budget():
     cache = QueryCache(max_entries=4, policy="lru", max_total_bytes=500)
     assert cache.stats.policy == "lru"
     assert cache.stats.byte_budget == 500
-    cache.put("q", [], 123)
+    cache.put("q", EMPTY, 123)
     assert cache.stats.current_bytes == 123
     assert cache.peek("q") is not None
     assert cache.stats.hits == 0 and cache.stats.misses == 0  # peek is silent
@@ -206,26 +210,26 @@ def test_cache_replace_keeps_byte_accounting_exact():
     either direction.
     """
     cache = QueryCache(max_entries=4, max_total_bytes=200)
-    cache.put("a", [], 40)
-    cache.put("b", [], 40)
+    cache.put("a", EMPTY, 40)
+    cache.put("b", EMPTY, 40)
     # Overwrite smaller -> budget shrinks by the difference.
-    assert cache.put("a", [{"v": 1}], 10, replace=True) is True
+    assert cache.put("a", result_set([{"v": 1}]), 10, replace=True) is True
     assert cache.stats.current_bytes == 50
     assert cache.stats.replacements == 1
     assert cache.stats.insertions == 2  # a replace is not an insertion
     assert cache.peek("a").rows == [{"v": 1}]
     # Overwrite larger -> budget grows by the difference.
-    cache.put("a", [], 90, replace=True)
+    cache.put("a", EMPTY, 90, replace=True)
     assert cache.stats.current_bytes == 130
     # Grow "b" past the budget: the eviction that follows subtracts each
     # victim's *current* bytes — the total lands back at the exact sum.
-    cache.put("b", [], 150, replace=True)
+    cache.put("b", EMPTY, 150, replace=True)
     assert cache.contains("b") and not cache.contains("a")
     assert cache.stats.current_bytes == 150 == cache.total_bytes
     assert cache.stats.evicted_bytes == 90
     # replace=True on a missing key is a plain insertion.
     cache.clear()
-    assert cache.put("fresh", [], 10, replace=True) is True
+    assert cache.put("fresh", EMPTY, 10, replace=True) is True
     assert cache.stats.current_bytes == 10
 
 
@@ -237,7 +241,7 @@ def test_cache_replace_is_exact_under_contention():
 
     def hammer(worker: int) -> None:
         for i in range(400):
-            cache.put(f"q{(worker + i) % 9}", [], 30 + (i % 3) * 20, replace=True)
+            cache.put(f"q{(worker + i) % 9}", EMPTY, 30 + (i % 3) * 20, replace=True)
 
     threads = [threading.Thread(target=hammer, args=(w,)) for w in range(6)]
     for thread in threads:
@@ -254,12 +258,12 @@ def test_cache_replace_is_exact_under_contention():
 
 def test_cache_export_restore_roundtrip():
     cache = QueryCache(max_entries=4, max_total_bytes=200)
-    cache.put("a", [{"v": 1}], 40)
-    cache.put("b", [{"v": 2}], 50)
+    cache.put("a", result_set([{"v": 1}]), 40)
+    cache.put("b", result_set([{"v": 2}]), 50)
     exported = cache.export_entries()
-    assert exported == [("a", [{"v": 1}], 40), ("b", [{"v": 2}], 50)]
+    assert exported == [("a", result_set([{"v": 1}]), 40), ("b", result_set([{"v": 2}]), 50)]
     target = QueryCache(max_entries=4, max_total_bytes=200)
-    target.put("a", [{"v": 0}], 99)  # stale entry loses to the restore
+    target.put("a", result_set([{"v": 0}]), 99)  # stale entry loses to the restore
     assert target.restore_entries(exported) == 2
     assert target.peek("a").rows == [{"v": 1}]
     assert target.total_bytes == 90
@@ -280,7 +284,7 @@ def test_cache_is_thread_safe_under_contention():
         try:
             for i in range(300):
                 key = f"q{(worker + i) % 12}"
-                cache.put(key, [], 50)
+                cache.put(key, EMPTY, 50)
                 cache.get(key)
         except BaseException as exc:  # corrupt OrderedDict raises here
             errors.append(exc)

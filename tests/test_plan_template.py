@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backends import create_backend
 from repro.sql import Database
 from repro.sql.parser import parse_sql
 from repro.sql.template import (
@@ -50,6 +51,35 @@ def test_brush_sequence_parses_once(db):
     # Every step was still a plan-cache miss (distinct literals, distinct
     # keys) — the template cache sits behind the exact-text LRU.
     assert snapshot["plan_cache_misses"] == 20.0
+
+
+def test_sqlite_brush_sequence_parses_once():
+    """The sqlite backend plans its IVM interception through the same
+    :class:`PlanCache`: brush steps differing only in literals parse once
+    (it used to re-parse every new literal), and dialect clauses the
+    embedded parser does not know are stripped before the lookup."""
+    backend = create_backend("sqlite")
+    backend.register_rows(
+        "t", [{"g": "ab"[i % 2], "v": float(i)} for i in range(100)], column_order=["g", "v"]
+    )
+    try:
+        for low in range(0, 60, 3):  # 20 distinct literal pairs
+            rows = backend.query_rows(
+                f"SELECT g, COUNT(*) AS n FROM t WHERE v >= {low} AND v < {low + 40} "
+                "GROUP BY g ORDER BY g NULLS LAST"
+            )
+            assert sum(row["n"] for row in rows) == min(low + 40, 100) - low
+        stats = backend.stats()
+        assert stats["queries_parsed"] == 1.0
+        assert stats["plan_template_hits"] == 19.0
+        assert stats["plan_cache_misses"] == 20.0
+        # Text the embedded parser cannot read still runs on SQLite.
+        assert backend.query_rows("SELECT COUNT(*) AS n FROM t WHERE v IS NOT 2") == [{"n": 99}]
+        backend.clear_plan_cache()
+        backend.query_rows("SELECT g, COUNT(*) AS n FROM t WHERE v >= 1 AND v < 2 GROUP BY g")
+        assert backend.stats()["queries_parsed"] > stats["queries_parsed"]
+    finally:
+        backend.close()
 
 
 def test_exact_repeat_hits_plan_cache_not_template(db):

@@ -3,6 +3,7 @@ thread-safety contracts it forces through the lower layers."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -229,6 +230,81 @@ def test_session_latency_summary_and_statistics(manager):
     assert stats["requests"] == 4
     assert stats["client_hit_rate"] == pytest.approx(3 / 4)
     assert "latency_percentiles" in stats
+
+
+@pytest.mark.parametrize("backend_name", backend_names())
+def test_table_replacement_invalidates_result_caches(backend_name):
+    """``register_rows(replace=True)`` must not leave stale rows in any
+    result cache: server, built-in client, or a session's own."""
+    backend = create_backend(backend_name)
+    backend.register_rows("t", [{"v": 1.0}, {"v": 2.0}])
+    manager = SessionManager.for_backend(backend, max_workers=2)
+    middleware = manager.middleware
+    session = manager.create_session("alice")
+    sql = "SELECT SUM(v) AS s FROM t"
+    try:
+        assert middleware.execute(sql).rows == [{"s": 3}]
+        assert session.execute(sql).rows == [{"s": 3}]
+        assert session.execute(sql).cache_level == "client"
+
+        backend.register_rows("t", [{"v": 10.0}, {"v": 20.0}], replace=True)
+
+        fresh = session.execute(sql)
+        assert fresh.cache_level is None and fresh.rows == [{"s": 30}]
+        assert middleware.execute(sql).rows == [{"s": 30}]
+    finally:
+        manager.shutdown()
+        backend.close()
+
+
+def test_session_manager_execute_serialises_per_session_id(manager):
+    """The shared request handler: one session id never runs two requests
+    at once, distinct ids overlap, and an unknown id is created once."""
+    inside = threading.Barrier(2)
+    active: dict[str, int] = {}
+    overlapped: set[str] = set()
+    guard = threading.Lock()
+    serve = manager.middleware.serve
+
+    def observed_serve(sql, client_cache=None, network=None):
+        name = client_cache.name
+        with guard:
+            active[name] = active.get(name, 0) + 1
+            if active[name] > 1:
+                overlapped.add(name)
+        try:
+            if "rendezvous" in sql:  # both sessions must be inside serve at once
+                inside.wait(timeout=5)
+            return serve("SELECT COUNT(*) AS n FROM flights", client_cache, network)
+        finally:
+            with guard:
+                active[name] -= 1
+
+    manager.middleware.serve = observed_serve
+
+    def run(session_id, sql, repeat):
+        for _ in range(repeat):
+            manager.execute(session_id, sql)
+
+    same = [threading.Thread(target=run, args=("alice", "same", 50)) for _ in range(2)]
+    apart = [
+        threading.Thread(target=run, args=(sid, "rendezvous", 1)) for sid in ("bob", "carol")
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # make an unserialised overlap likely
+    try:
+        for thread in same + apart:
+            thread.start()
+        for thread in same + apart:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert not overlapped  # two threads on "alice" were serialised
+    assert not inside.broken  # "bob" and "carol" were in serve() together
+    assert manager.session_ids() == ["alice", "bob", "carol"]
+    assert manager.get("alice").requests == 100
 
 
 def test_client_session_works_as_middleware_for_vega_plus_system(manager, histogram_spec):

@@ -20,6 +20,7 @@ from repro.bench.load import (
     saturation_throughput,
 )
 from repro.errors import BenchmarkError, OverloadError, ServingError, ShardError
+from repro.net.middleware import QueryResponse
 from repro.net.serialize import (
     FRAME_HEADER_BYTES,
     MAX_BUFFER_SECTION_BYTES,
@@ -351,9 +352,26 @@ def test_open_loop_requests_interleave_sessions_round_robin():
     assert len({sql for _, sql in requests}) == 6
 
 
-def test_threaded_tier_serves_and_reports_gateway_shaped_stats():
+SERVING_KEYS = {
+    "n_shards", "live_shards", "sessions", "requests", "queries_executed",
+    "scheduler", "admission", "shed",
+}
+
+
+@pytest.mark.parametrize(
+    "make_tier",
+    [
+        lambda: ThreadedTier(SPEC, max_inflight=4, max_queue_depth=8),
+        lambda: AsyncGateway(SPEC, n_shards=1, max_inflight=4, max_queue_depth=8),
+    ],
+    ids=["threaded", "sharded"],
+)
+def test_serving_tiers_serve_and_report_the_same_stats_shape(make_tier):
+    """Both tiers run the shared handler and the shared summary: same
+    response type, same ``serving`` key set, same counts."""
+
     async def scenario():
-        async with ThreadedTier(SPEC, max_inflight=4, max_queue_depth=8) as tier:
+        async with make_tier() as tier:
             responses = await asyncio.gather(
                 *(tier.execute(f"user-{i}", SQL) for i in range(4))
             )
@@ -363,12 +381,16 @@ def test_threaded_tier_serves_and_reports_gateway_shaped_stats():
     responses, stats = asyncio.run(scenario())
     rows = responses[0].rows
     assert rows and all(response.rows == rows for response in responses)
+    assert all(type(response) is QueryResponse for response in responses)
     serving = stats["serving"]
-    assert serving["n_shards"] == 1
+    assert set(serving) == SERVING_KEYS
+    assert serving["n_shards"] == serving["live_shards"] == 1
     assert serving["sessions"] == 4
     assert serving["requests"] == 4
     assert serving["queries_executed"] == 1  # coalesced/cached in one process
+    assert serving["scheduler"]["submitted"] >= 1
     assert serving["admission"]["submitted"] == 4
+    assert [shard["shard"] for shard in stats["shards"]] == [0]
 
 
 @pytest.mark.parametrize("tier", ["threaded", "sharded"])
