@@ -5,6 +5,11 @@ reference implementations, plus the end-to-end group-by / distinct /
 order-by queries they power.  The recorded BENCH json is the per-PR
 record of the kernel speedup (vectorized vs reference) and of absolute
 query latency at a fixed scale.
+
+The string-key cell groups the same ``origin`` column twice — by its
+dictionary codes (what a stored string column hands the executor) and by
+re-factorizing its object array (what every query paid before columns
+were dictionary-encoded, and what computed string keys still pay).
 """
 
 import numpy as np
@@ -19,6 +24,8 @@ from repro.sql.executor import (
     sort_indices_reference,
     sort_indices_vectorized,
 )
+from repro.storage.column import factorize_array
+from repro.storage.table import group_segments
 
 N_ROWS = scaled_size(50_000, floor=5_000)
 
@@ -75,6 +82,43 @@ def test_bench_orderby_kernel_vectorized(benchmark, key_arrays):
 def test_bench_orderby_kernel_reference(benchmark, key_arrays):
     order = benchmark(sort_indices_reference, key_arrays, [False, True], N_ROWS)
     assert len(order) == N_ROWS
+
+
+@pytest.fixture(scope="module")
+def origin_column(flights_db):
+    column = flights_db.table("flights").column("origin")
+    assert column.codes is not None
+    return column
+
+
+def _group_by_dictionary_codes(column):
+    return group_segments([column.group_codes()], len(column))
+
+
+def _group_by_object_array(values):
+    return group_segments([factorize_array(values)[0]], len(values))
+
+
+def test_bench_groupby_string_key_dictionary(benchmark, origin_column):
+    _order, starts, _ends = benchmark(_group_by_dictionary_codes, origin_column)
+    assert len(starts) == len(origin_column.dictionary)
+
+
+def test_bench_groupby_string_key_object_array(benchmark, origin_column):
+    _order, starts, _ends = benchmark(_group_by_object_array, origin_column.values)
+    assert len(starts) == len(origin_column.dictionary)
+
+
+def test_string_key_paths_agree_on_bench_data(flights_db, origin_column):
+    """Same groups, same stable row order, same result rows either way."""
+    fast = _group_by_dictionary_codes(origin_column)
+    slow = _group_by_object_array(origin_column.values)
+    for left, right in zip(fast, slow):
+        assert np.array_equal(left, right)
+    sql = "SELECT {key} AS origin, COUNT(*) AS n, AVG(delay) AS d FROM flights GROUP BY {key}"
+    stored = flights_db.execute(sql.format(key="origin")).to_rows()
+    computed = flights_db.execute(sql.format(key="UPPER(origin)")).to_rows()
+    assert stored == computed
 
 
 def test_vectorized_kernels_match_reference_on_bench_data(key_arrays):

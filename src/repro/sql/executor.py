@@ -28,6 +28,7 @@ from repro.sql.ast_nodes import (
     IsNull,
     Literal,
     OrderItem,
+    SelectItem,
     Star,
     UnaryOp,
     WindowFunction,
@@ -35,6 +36,7 @@ from repro.sql.ast_nodes import (
 )
 from repro.sql.functions import (
     AGGREGATE_KERNELS,
+    aggregate_segment_arrays,
     apply_aggregate,
     apply_aggregate_segments,
     apply_scalar_function,
@@ -66,7 +68,7 @@ from repro.storage.shared import (
     StaleSegmentError,
     attach_table,
 )
-from repro.storage.table import PartitionedTable, Table, group_segments
+from repro.storage.table import PartitionedTable, Table, group_segments, sort_codes
 
 
 # --------------------------------------------------------------------------- #
@@ -256,6 +258,19 @@ class ExpressionEvaluator:
             raise ExecutionError("window functions must be evaluated by WindowNode")
         raise ExecutionError(f"cannot evaluate expression {expr!r}")
 
+    def column(self, expr: Expression) -> Column:
+        """``expr`` evaluated to a :class:`Column`.
+
+        A bare reference to a table column returns the stored column
+        itself, so a dictionary-encoded string column reaches the
+        group/distinct/sort kernels as codes and no string is hashed;
+        computed expressions are evaluated and wrapped (string results
+        encode once, in the column constructor).
+        """
+        if isinstance(expr, ColumnRef) and self._table.has_column(expr.name):
+            return self._table.column(expr.name)
+        return _array_to_column(str(expr), self.evaluate(expr))
+
     # -------------------------------------------------------------- #
     def _column_values(self, name: str) -> np.ndarray:
         if self._table.has_column(name):
@@ -418,6 +433,71 @@ def _array_to_column(name: str, values: np.ndarray) -> Column:
     return Column(name, values.astype(np.float64, copy=False), ColumnType.NUMERIC)
 
 
+def aggregate_evaluator(items: Sequence[SelectItem], table: Table) -> ExpressionEvaluator:
+    """Evaluator over ``table`` that also resolves the SELECT list's aliases.
+
+    GROUP BY may name a SELECT alias (``SELECT FLOOR(x) AS b ... GROUP BY
+    b``); the non-aggregate aliased items are evaluated up front so the
+    grouping expressions can refer to them.
+    """
+    evaluator = ExpressionEvaluator(table)
+    alias_arrays: dict[str, np.ndarray] = {}
+    for item in items:
+        if item.alias and not contains_aggregate(item.expression) and not isinstance(
+            item.expression, (Star, WindowFunction)
+        ):
+            try:
+                alias_arrays[item.alias] = evaluator.evaluate(item.expression)
+            except ExecutionError:
+                continue
+    return ExpressionEvaluator(table, alias_values=alias_arrays)
+
+
+def scan_columns(table: Table, scan: ScanNode) -> Table:
+    """``table`` narrowed to the columns the plan above ``scan`` reads.
+
+    Projection shares the column objects, so this costs nothing per row;
+    what it saves is every later filter/take gathering columns nobody
+    reads.  A plan that references no column at all (``COUNT(*)``) keeps
+    one, so the row count survives.
+    """
+    if scan.columns is None:
+        return table
+    names = [name for name in table.column_names() if name in scan.columns]
+    if len(names) == table.num_columns:
+        return table
+    return table.select(names or table.column_names()[:1])
+
+
+def _segment_firsts(column: Column, order: np.ndarray, starts: np.ndarray) -> Column:
+    """``column``'s value at the first row of every group segment.
+
+    Only a global aggregate over zero rows has a segment without a first
+    row; its value is NULL.
+    """
+    if len(starts) and not len(order):
+        return Column.from_values(column.name, [None] * len(starts))
+    return column.take(order[starts])
+
+
+def _segment_aggregate(
+    name: str, aggregate: str, ordered: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> Column:
+    """One aggregate's value per group segment as a column.
+
+    Numeric input reduces in one ``reduceat`` pass straight into a
+    float64 column; inputs without a batch kernel (strings, an empty
+    partition) reduce per segment.
+    """
+    reduced = aggregate_segment_arrays(aggregate, ordered, starts, ends)
+    if reduced is not None:
+        return Column(name, reduced, ColumnType.NUMERIC)
+    return Column.from_values(
+        name,
+        [apply_aggregate(aggregate, ordered[start:end]) for start, end in zip(starts, ends)],
+    )
+
+
 # --------------------------------------------------------------------------- #
 # Plan execution
 # --------------------------------------------------------------------------- #
@@ -479,7 +559,7 @@ class Executor:
             stats.record(table.num_rows)
             return table
         if isinstance(node, ScanNode):
-            table = self._catalog.get(node.table_name)
+            table = scan_columns(self._catalog.get(node.table_name), node)
             stats.rows_scanned += table.num_rows
             stats.record(table.num_rows)
             return table
@@ -548,12 +628,12 @@ class Executor:
             if isinstance(item.expression, WindowFunction):
                 # Window columns were already materialised by WindowNode
                 # under the item's output name.
-                values = table.column(name).values
+                column = table.column(name)
             else:
-                values = evaluator.evaluate(item.expression)
+                column = evaluator.column(item.expression)
             if name in used_names:
                 name = f"{name}_{index}"
-            columns.append(_array_to_column(name, values))
+            columns.append(column.rename(name))
             used_names.add(name)
         return Table(columns, name=table.name)
 
@@ -565,28 +645,10 @@ class Executor:
         self, node: AggregateNode, table: Table, stats: ExecutionStats
     ) -> Table:
         """Serial aggregation of an already-materialised input table."""
-        evaluator = ExpressionEvaluator(table)
-
-        # Pre-compute SELECT-item expressions that group-by keys may alias.
-        alias_arrays: dict[str, np.ndarray] = {}
-        for index, item in enumerate(node.items):
-            if item.alias and not contains_aggregate(item.expression) and not isinstance(
-                item.expression, (Star, WindowFunction)
-            ):
-                try:
-                    alias_arrays[item.alias] = evaluator.evaluate(item.expression)
-                except ExecutionError:
-                    continue
-        evaluator = ExpressionEvaluator(table, alias_values=alias_arrays)
-
-        group_arrays = [evaluator.evaluate(expr) for expr in node.group_by]
+        evaluator = aggregate_evaluator(node.items, table)
         n = table.num_rows
-
-        if group_arrays:
-            codes = [factorize_array(arr)[0] for arr in group_arrays]
-            order, starts, ends = group_segments(codes, n)
-        else:
-            order, starts, ends = group_segments([], n)
+        group_codes = [evaluator.column(expr).group_codes() for expr in node.group_by]
+        order, starts, ends = group_segments(group_codes, n)
         stats.rows_grouped += n
         stats.groups_formed += len(starts)
 
@@ -602,11 +664,6 @@ class Executor:
         result = Table(columns, name=table.name)
         stats.record(result.num_rows)
         return result
-
-    @staticmethod
-    def _group_rows(group_arrays: list[np.ndarray], n: int) -> list[np.ndarray]:
-        """Row-index arrays of each group, in deterministic key order."""
-        return group_rows_vectorized(group_arrays, n)
 
     def _evaluate_aggregate_expression(
         self,
@@ -642,21 +699,9 @@ class Executor:
         if isinstance(expr, Literal):
             return [expr.value] * n_groups
         # Non-aggregate expression inside a group: all rows of a group share
-        # the value, so evaluate once and fancy-index each group's first
-        # row (``order[starts]``) in one take — no per-group Python loop.
-        values = evaluator.evaluate(expr)
-        empty = starts == ends  # possible only for a global aggregate over 0 rows
-        firsts = np.where(empty, 0, order[np.minimum(starts, len(order) - 1)] if len(order) else 0)
-        if is_string_array(values):
-            taken = values[firsts] if len(values) else np.full(n_groups, None, dtype=object)
-            return [None if flag else value for flag, value in zip(empty, taken)]
-        taken = (
-            values[firsts].astype(np.float64)
-            if len(values)
-            else np.full(n_groups, np.nan)
-        )
-        nulls = empty | np.isnan(taken)
-        return [None if flag else float(value) for flag, value in zip(nulls, taken)]
+        # the value, so take each group's first row (``order[starts]``) in
+        # one gather — of codes, for a dictionary column.
+        return _segment_firsts(evaluator.column(expr), order, starts).to_pylist()
 
     def _execute_window(self, node: WindowNode, stats: ExecutionStats) -> Table:
         table = self._execute_node(node.child, stats)
@@ -670,9 +715,10 @@ class Executor:
     def _evaluate_window(self, window: WindowFunction, table: Table) -> np.ndarray:
         evaluator = ExpressionEvaluator(table)
         n = table.num_rows
-        partition_arrays = [evaluator.evaluate(e) for e in window.partition_by]
-        if partition_arrays:
-            partitions = self._group_rows(partition_arrays, n)
+        if window.partition_by:
+            codes = [evaluator.column(e).group_codes() for e in window.partition_by]
+            order, starts, ends = group_segments(codes, n)
+            partitions = [order[start:end] for start, end in zip(starts, ends)]
         else:
             partitions = [np.arange(n)]
 
@@ -860,10 +906,11 @@ class Executor:
             kept = list(range(total))
         stats.partitions_scanned += len(kept)
         stats.partitions_pruned += total - len(kept)
-        parts = [table.partition(index) for index in kept]
+        scanned = scan_columns(table, prefix.scan)
+        parts = [scanned.partition(index) for index in kept]
         stats.rows_scanned += sum(part.num_rows for part in parts)
         if not parts:
-            parts = [table.slice(0, 0)]
+            parts = [scanned.slice(0, 0)]
         stats.morsel_tasks += len(parts)
         return kept, parts
 
@@ -929,6 +976,7 @@ class Executor:
             return None
         spec = MorselTaskSpec(
             descriptor=handle.descriptor,
+            scan=prefix.scan,
             prefix_nodes=prefix.nodes,
             mode=mode,
             node=node,
@@ -1066,7 +1114,7 @@ def _normalise_group_value(value: object) -> object:
 
 
 def group_rows_vectorized(group_arrays: Sequence[np.ndarray], n: int) -> list[np.ndarray]:
-    """Vectorized grouping: factorized codes + one lexsort over the codes.
+    """Vectorized grouping: factorized codes + one stable sort of the codes.
 
     Returns each group's row indices (ascending within a group) with the
     groups themselves in deterministic key order.
@@ -1095,18 +1143,14 @@ def group_rows_reference(group_arrays: Sequence[np.ndarray], n: int) -> list[np.
 def sort_indices_vectorized(
     key_arrays: Sequence[np.ndarray], descending: Sequence[bool], n: int
 ) -> np.ndarray:
-    """Stable multi-key sort via one ``np.lexsort`` over factorized codes.
+    """Stable multi-key sort via one stable sort over factorized codes.
 
     Factorized codes already order uniques by the deterministic rank with
-    NULL largest, so DESC simply negates the codes (putting NULLs first).
+    NULL largest, so DESC simply mirrors the codes (putting NULLs first).
     """
     if not key_arrays:
         return np.arange(n, dtype=np.int64)
-    lex_keys = []
-    for values, desc in zip(key_arrays, descending):
-        codes, _uniques = factorize_array(values)
-        lex_keys.append(-codes if desc else codes)
-    return np.lexsort(tuple(reversed(lex_keys))).astype(np.int64)
+    return sort_codes([factorize_array(values)[0] for values in key_arrays], descending)
 
 
 def sort_indices_reference(
@@ -1143,9 +1187,10 @@ def _sort_indices(
     evaluator: ExpressionEvaluator, table: Table, keys: tuple[OrderItem, ...]
 ) -> np.ndarray:
     """Stable multi-key sort returning row indices."""
-    key_arrays = [evaluator.evaluate(key.expression) for key in keys]
-    descending = [key.descending for key in keys]
-    return sort_indices_vectorized(key_arrays, descending, table.num_rows)
+    if not keys:
+        return np.arange(table.num_rows, dtype=np.int64)
+    codes = [evaluator.column(key.expression).group_codes() for key in keys]
+    return sort_codes(codes, [key.descending for key in keys])
 
 
 # --------------------------------------------------------------------------- #
@@ -1154,10 +1199,13 @@ def _sort_indices(
 # A decomposable aggregate has a per-partition partial state that merges
 # into the exact global value: COUNT and SUM add, MIN and MAX reduce
 # again, AVG carries (sum, count).  The partial tables use reserved
-# ``__key_i`` / ``__agg_j`` / ``__first_j`` columns; the merge re-groups
-# them on the raw key values with the same factorize + lexsort kernels
-# the serial path uses, so merged groups come out in the identical
-# deterministic order (numbers < strings < NULL).
+# ``__key_i`` / ``__agg_j`` / ``__first_j`` columns — keys as the
+# partition's own columns gathered at each group's first row (codes into
+# the table's shared dictionary for strings), partial states as float64
+# arrays — and the merge re-groups them with the same kernels the serial
+# path uses, so merged groups come out in the identical deterministic
+# order (numbers < strings < NULL).  String keys decode once, in the
+# final result.
 # --------------------------------------------------------------------------- #
 
 #: Aggregates with a mergeable partial state.
@@ -1207,6 +1255,7 @@ class MorselTaskSpec:
     """
 
     descriptor: SharedTableDescriptor
+    scan: ScanNode
     prefix_nodes: tuple[PlanNode, ...]
     mode: str
     node: AggregateNode | None = None
@@ -1232,7 +1281,7 @@ def run_morsel_task(spec: MorselTaskSpec, index: int):
     and returns the mode's merge input — exactly what the thread path's
     closures return, so the parent-side merge code is shared verbatim.
     """
-    table = attach_table(spec.descriptor)
+    table = scan_columns(attach_table(spec.descriptor), spec.scan)
     chained = apply_prefix_chain(spec.prefix_nodes, table.partition(index))
     if spec.mode == MORSEL_CHAIN:
         return chained
@@ -1302,14 +1351,6 @@ def _decompose_aggregate_items(
     return list(aggregates.items()), list(firsts.items())
 
 
-def _segment_firsts(values: np.ndarray, order: np.ndarray, starts, ends) -> list[object]:
-    """First value of every group segment (``None`` for empty segments)."""
-    return [
-        values[order[start]] if start < end else None
-        for start, end in zip(starts, ends)
-    ]
-
-
 def _aggregate_partials(
     node: AggregateNode,
     table: Table,
@@ -1318,69 +1359,37 @@ def _aggregate_partials(
 ) -> Table:
     """One partition's partial-aggregation state table.
 
-    One row per local group, holding the raw group-key values, each
+    One row per local group, holding the group-key values, each
     aggregate's partial state, and the group's first value of every
     group-shared expression.
     """
-    evaluator = ExpressionEvaluator(table)
-    alias_arrays: dict[str, np.ndarray] = {}
-    for item in node.items:
-        if item.alias and not contains_aggregate(item.expression) and not isinstance(
-            item.expression, (Star, WindowFunction)
-        ):
-            try:
-                alias_arrays[item.alias] = evaluator.evaluate(item.expression)
-            except ExecutionError:
-                continue
-    evaluator = ExpressionEvaluator(table, alias_values=alias_arrays)
+    evaluator = aggregate_evaluator(node.items, table)
+    key_columns = [evaluator.column(expr) for expr in node.group_by]
+    order, starts, ends = group_segments(
+        [column.group_codes() for column in key_columns], table.num_rows
+    )
 
-    group_arrays = [evaluator.evaluate(expr) for expr in node.group_by]
-    n = table.num_rows
-    if group_arrays:
-        codes = [factorize_array(arr)[0] for arr in group_arrays]
-        order, starts, ends = group_segments(codes, n)
-    else:
-        order, starts, ends = group_segments([], n)
-
-    columns: list[Column] = []
-    for index, arr in enumerate(group_arrays):
-        columns.append(
-            Column.from_values(f"__key_{index}", _segment_firsts(arr, order, starts, ends))
-        )
+    columns = [
+        _segment_firsts(column, order, starts).rename(f"__key_{index}")
+        for index, column in enumerate(key_columns)
+    ]
     for index, (_key, call) in enumerate(agg_specs):
         name = call.name.upper()
         if call.is_star:
-            sizes = [float(end - start) for start, end in zip(starts, ends)]
-            columns.append(Column.from_values(f"__agg_{index}", sizes))
+            sizes = (ends - starts).astype(np.float64)
+            columns.append(Column(f"__agg_{index}", sizes, ColumnType.NUMERIC))
             continue
-        values = evaluator.evaluate(call.args[0])
-        ordered = values[order]
+        ordered = evaluator.evaluate(call.args[0])[order]
         if name == "AVG":
+            columns.append(_segment_aggregate(f"__agg_{index}", "SUM", ordered, starts, ends))
             columns.append(
-                Column.from_values(
-                    f"__agg_{index}",
-                    apply_aggregate_segments("SUM", ordered, starts, ends),
-                )
-            )
-            columns.append(
-                Column.from_values(
-                    f"__agg_{index}_count",
-                    apply_aggregate_segments("COUNT", ordered, starts, ends),
-                )
+                _segment_aggregate(f"__agg_{index}_count", "COUNT", ordered, starts, ends)
             )
         else:
-            columns.append(
-                Column.from_values(
-                    f"__agg_{index}",
-                    apply_aggregate_segments(name, ordered, starts, ends),
-                )
-            )
+            columns.append(_segment_aggregate(f"__agg_{index}", name, ordered, starts, ends))
     for index, (_key, expr) in enumerate(first_specs):
-        values = evaluator.evaluate(expr)
         columns.append(
-            Column.from_values(
-                f"__first_{index}", _segment_firsts(values, order, starts, ends)
-            )
+            _segment_firsts(evaluator.column(expr), order, starts).rename(f"__first_{index}")
         )
     return Table(columns, name=table.name)
 
@@ -1396,10 +1405,9 @@ def _merge_aggregate_partials(
     first_specs: list[tuple[str, Expression]],
 ) -> Table:
     """Merge per-partition partial states into the final aggregate table."""
-    n_keys = len(node.group_by)
     key_codes = [
-        factorize_array(merged.column(f"__key_{index}").values)[0]
-        for index in range(n_keys)
+        merged.column(f"__key_{index}").group_codes()
+        for index in range(len(node.group_by))
     ]
     order, starts, ends = group_segments(key_codes, merged.num_rows)
     n_groups = len(starts)
@@ -1425,20 +1433,12 @@ def _merge_aggregate_partials(
                 _COMBINE_KERNELS[name], partial, starts, ends
             )
 
-    first_finals: dict[str, list[object]] = {}
-    for index, (key, _expr) in enumerate(first_specs):
-        values = merged.column(f"__first_{index}").values[order]
-        out: list[object] = []
-        for start, end in zip(starts, ends):
-            if start == end:
-                out.append(None)
-                continue
-            value = values[start]
-            if is_string_array(values):
-                out.append(value)
-            else:
-                out.append(None if np.isnan(value) else float(value))
-        first_finals[key] = out
+    # The merged group's first value is its first partial's (partials
+    # concatenate in partition order and the sort is stable).
+    firsts = {
+        key: _segment_firsts(merged.column(f"__first_{index}"), order, starts)
+        for index, (key, _expr) in enumerate(first_specs)
+    }
 
     def finalize(expr: Expression) -> list[object]:
         if isinstance(expr, FunctionCall) and expr.name.upper() in AGGREGATE_KERNELS:
@@ -1451,10 +1451,14 @@ def _merge_aggregate_partials(
             return [None if value is None else -float(value) for value in finalize(expr.operand)]
         if isinstance(expr, Literal):
             return [expr.value] * n_groups
-        return first_finals[str(expr)]
+        return firsts[str(expr)].to_pylist()
 
+    # A group-shared item (a key, typically) is its first-value column as
+    # is — string keys stay codes until the result is read.
     columns = [
-        Column.from_values(item.output_name(index), finalize(item.expression))
+        firsts[str(item.expression)].rename(item.output_name(index))
+        if str(item.expression) in firsts
+        else Column.from_values(item.output_name(index), finalize(item.expression))
         for index, item in enumerate(node.items)
     ]
     return Table(columns, name=merged.name)

@@ -325,32 +325,24 @@ def apply_aggregate(name: str, values: np.ndarray, distinct: bool = False) -> ob
 BATCHABLE_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
 
-def apply_aggregate_segments(
-    name: str,
-    values: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    distinct: bool = False,
-) -> list[object]:
-    """Apply an aggregate to every ``values[starts[g]:ends[g]]`` segment.
+def aggregate_segment_arrays(
+    name: str, values: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray | None:
+    """One float64 per ``values[starts[g]:ends[g]]`` segment, NaN = NULL.
 
-    ``values`` must already be in group-sorted order.  The common numeric
-    aggregates reduce all segments in one ``numpy.reduceat`` pass; string
-    inputs, DISTINCT, and order-statistic aggregates fall back to the
-    per-segment scalar kernels (still evaluated over pre-sliced segments,
-    never re-materialised tables).
+    The batch kernel behind :func:`apply_aggregate_segments`: the common
+    numeric aggregates reduce all segments in one ``numpy.reduceat``
+    pass over the group-sorted ``values``.  Returns ``None`` when the
+    input has no batch form (string values, order-statistic aggregates,
+    segments that do not tile ``values``) — callers then reduce segment
+    by segment.
     """
     upper = name.upper()
-    if upper not in AGGREGATE_KERNELS:
-        raise ExecutionError(f"unknown aggregate function {name!r}")
-    n_groups = len(starts)
-    if n_groups == 0:
-        return []
     batchable = (
-        not distinct
-        and not is_string_array(values)
+        not is_string_array(values)
         and upper in BATCHABLE_AGGREGATES
         and len(values) > 0
+        and len(starts) > 0
         # reduceat(values, starts) reduces values[starts[g]:starts[g+1]],
         # so the fast path requires the segments to tile ``values`` exactly
         # (which grouping always produces); anything gapped, overlapping,
@@ -361,21 +353,48 @@ def apply_aggregate_segments(
         and bool(np.all(np.asarray(starts) < np.asarray(ends)))
     )
     if not batchable:
+        return None
+    nan_mask = np.isnan(values)
+    counts = np.add.reduceat((~nan_mask).astype(np.float64), starts)
+    if upper == "COUNT":
+        return counts
+    if upper in ("SUM", "AVG"):
+        reduced = np.add.reduceat(np.where(nan_mask, 0.0, values), starts)
+        if upper == "AVG":
+            with np.errstate(invalid="ignore", divide="ignore"):
+                reduced = reduced / counts
+    elif upper == "MIN":
+        reduced = np.minimum.reduceat(np.where(nan_mask, np.inf, values), starts)
+    else:
+        reduced = np.maximum.reduceat(np.where(nan_mask, -np.inf, values), starts)
+    return np.where(counts == 0, np.nan, reduced)
+
+
+def apply_aggregate_segments(
+    name: str,
+    values: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    distinct: bool = False,
+) -> list[object]:
+    """Apply an aggregate to every ``values[starts[g]:ends[g]]`` segment.
+
+    ``values`` must already be in group-sorted order.  The list form of
+    :func:`aggregate_segment_arrays` (``None`` for NULL); string inputs,
+    DISTINCT, and order-statistic aggregates fall back to the
+    per-segment scalar kernels (still evaluated over pre-sliced
+    segments, never re-materialised tables).
+    """
+    upper = name.upper()
+    if upper not in AGGREGATE_KERNELS:
+        raise ExecutionError(f"unknown aggregate function {name!r}")
+    reduced = None if distinct else aggregate_segment_arrays(upper, values, starts, ends)
+    if reduced is None:
         return [
             apply_aggregate(upper, values[start:end], distinct)
             for start, end in zip(starts, ends)
         ]
-    nan_mask = np.isnan(values)
-    counts = np.add.reduceat((~nan_mask).astype(np.float64), starts)
-    if upper == "COUNT":
-        return [float(c) for c in counts]
-    if upper in ("SUM", "AVG"):
-        sums = np.add.reduceat(np.where(nan_mask, 0.0, values), starts)
-        if upper == "SUM":
-            return [None if c == 0 else float(s) for s, c in zip(sums, counts)]
-        return [None if c == 0 else float(s / c) for s, c in zip(sums, counts)]
-    if upper == "MIN":
-        mins = np.minimum.reduceat(np.where(nan_mask, np.inf, values), starts)
-        return [None if c == 0 else float(m) for m, c in zip(mins, counts)]
-    maxes = np.maximum.reduceat(np.where(nan_mask, -np.inf, values), starts)
-    return [None if c == 0 else float(m) for m, c in zip(maxes, counts)]
+    out = reduced.tolist()
+    for index in np.flatnonzero(np.isnan(reduced)):
+        out[index] = None
+    return out

@@ -56,10 +56,7 @@ from repro.sql.ast_nodes import (
     IsNull,
     Literal,
     SelectItem,
-    Star,
     UnaryOp,
-    WindowFunction,
-    contains_aggregate,
     walk_expression,
 )
 from repro.sql.executor import (
@@ -67,6 +64,7 @@ from repro.sql.executor import (
     Executor,
     ExpressionEvaluator,
     _combine_scalar,
+    aggregate_evaluator,
 )
 from repro.sql.functions import apply_aggregate_segments, is_string_array
 from repro.sql.planner import (
@@ -79,7 +77,7 @@ from repro.sql.planner import (
     ivm_template,
 )
 from repro.storage.catalog import Catalog
-from repro.storage.column import Column, factorize_array
+from repro.storage.column import Column
 from repro.storage.table import Table, group_segments
 
 #: Largest magnitude at which consecutive float64 integers stay distinct.
@@ -213,19 +211,9 @@ class MaterializedView:
         if not brush.is_numeric():
             return None
 
-        # Mirror the serial aggregate path's alias pre-computation so
-        # GROUP BY may reference SELECT aliases exactly as it does there.
-        evaluator = ExpressionEvaluator(table)
-        alias_arrays: dict[str, np.ndarray] = {}
-        for item in template.aggregate.items:
-            if item.alias and not contains_aggregate(item.expression) and not isinstance(
-                item.expression, (Star, WindowFunction)
-            ):
-                try:
-                    alias_arrays[item.alias] = evaluator.evaluate(item.expression)
-                except ExecutionError:
-                    continue
-        evaluator = ExpressionEvaluator(table, alias_values=alias_arrays)
+        # The serial aggregate path's evaluator, so GROUP BY may reference
+        # SELECT aliases exactly as it does there.
+        evaluator = aggregate_evaluator(template.aggregate.items, table)
 
         # Static conjuncts: the WHERE clause minus the brush.  A row is in
         # the view's domain iff every conjunct evaluates to exactly 1.0 —
@@ -242,16 +230,17 @@ class MaterializedView:
         n_valid = int(len(sorted_values) - np.isnan(sorted_values).sum())
 
         # Group keys: composite mixed-radix codes over per-key factorized
-        # codes.  Ascending composite order reproduces the serial group
-        # order (numbers < strings < NULL per key, lexicographic across
-        # keys), so emitting states in index order is row-identical.
+        # codes (a dictionary column's own codes — no string is hashed).
+        # Ascending composite order reproduces the serial group order
+        # (numbers < strings < NULL per key, lexicographic across keys),
+        # so emitting states in index order is row-identical.
         group_by = template.aggregate.group_by
         if group_by:
             composite = np.zeros(n, dtype=np.int64)
             cardinality = 1
             per_key: list[tuple[np.ndarray, list[object]]] = []
             for expr in group_by:
-                codes, uniques = factorize_array(evaluator.evaluate(expr))
+                codes, uniques = evaluator.column(expr).factorize()
                 per_key.append((codes, uniques))
                 cardinality *= max(len(uniques), 1)
                 if cardinality > _MAX_COMPOSITE:

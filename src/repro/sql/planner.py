@@ -54,10 +54,19 @@ class PlanNode:
 
 @dataclass
 class ScanNode(PlanNode):
-    """Scan of a registered base table."""
+    """Scan of a registered base table.
+
+    ``columns`` is the set of column names the plan above the scan
+    references, recorded by :func:`build_logical_plan`; ``None`` means
+    every column (``SELECT *`` reaches the scan).  The executor gathers
+    only these, so a filter over a wide table moves the columns the
+    query reads and nothing else.  Names that are not base columns
+    (SELECT aliases, window outputs) may appear and are ignored.
+    """
 
     table_name: str
     alias: str | None = None
+    columns: frozenset[str] | None = None
 
     def label(self) -> str:
         return f"Scan({self.table_name})"
@@ -221,6 +230,7 @@ def _render(node: PlanNode, depth: int, lines: list[str]) -> None:
 def build_logical_plan(statement: SelectStatement) -> LogicalPlan:
     """Construct the logical plan for a parsed statement."""
     root = _plan_query(statement)
+    _record_scan_columns(root, None)
     return LogicalPlan(root=root, statement=statement, explain=statement.explain)
 
 
@@ -293,6 +303,43 @@ def _plan_source(statement: SelectStatement) -> PlanNode:
     if isinstance(source, SubquerySource):
         return SubqueryNode(plan=_plan_query(source.query), alias=source.alias)
     raise PlanningError(f"unsupported FROM source: {source!r}")
+
+
+def _columns_read(expressions: list[Expression]) -> frozenset[str] | None:
+    """Input columns the expressions reference (``None`` = all, via ``*``)."""
+    if any(isinstance(expr, Star) for expr in expressions):
+        return None
+    return frozenset().union(*(referenced_columns(expr) for expr in expressions))
+
+
+def _record_scan_columns(node: PlanNode, needed: frozenset[str] | None) -> None:
+    """Record on every :class:`ScanNode` the columns the plan above it reads.
+
+    Walks top-down carrying ``needed`` — the input columns the operators
+    above ``node`` reference (``None`` = all).  Projections and
+    aggregations define a new schema, so below them only their own
+    expressions count; filters, sorts and windows add theirs to what
+    passes through; DISTINCT compares whole rows and a sub-query
+    boundary exposes whatever the inner SELECT list declares.
+    """
+    if isinstance(node, ScanNode):
+        node.columns = needed
+        return
+    if isinstance(node, ProjectNode):
+        needed = _columns_read([item.expression for item in node.items])
+    elif isinstance(node, AggregateNode):
+        needed = _columns_read([item.expression for item in node.items] + list(node.group_by))
+    elif isinstance(node, (DistinctNode, SubqueryNode)):
+        needed = None
+    elif needed is not None:
+        if isinstance(node, FilterNode):
+            needed |= _columns_read([node.predicate])
+        elif isinstance(node, SortNode):
+            needed |= _columns_read([key.expression for key in node.keys])
+        elif isinstance(node, WindowNode):
+            needed |= _columns_read([window for _name, window in node.windows])
+    for child in node.children():
+        _record_scan_columns(child, needed)
 
 
 def _collect_windows(items: tuple[SelectItem, ...]) -> list[tuple[str, WindowFunction]]:

@@ -1,10 +1,22 @@
 """Typed columns backed by numpy arrays.
 
 Columns are the unit of storage in the SQL engine.  Numeric columns use
-float64 arrays with ``nan`` encoding SQL ``NULL``; string columns use
-object arrays with ``None`` encoding ``NULL``.  Boolean columns are stored
-as float64 (0.0/1.0/nan) so that three-valued logic composes with the
-numeric kernels.
+float64 arrays with ``nan`` encoding SQL ``NULL``.  Boolean columns are
+stored as float64 (0.0/1.0/nan) so that three-valued logic composes with
+the numeric kernels.
+
+String columns whose non-NULL values are all ``str`` are
+**dictionary-encoded**: a narrow unsigned ``codes`` array indexes one
+*sorted* ``dictionary`` of the distinct strings, and NULL is the single
+code ``len(dictionary)``.  Because the dictionary is sorted and all
+strings share one :func:`sort_rank_key` tier, code order *is* the
+engine's deterministic group/sort order (strings ascending, NULL last),
+so grouping, DISTINCT and ORDER BY run on the codes and never hash a
+string again.  ``filter``/``take``/``slice`` move codes and share the
+dictionary by reference; ``values`` materialises the object view
+(``None`` = NULL) lazily for consumers that want Python strings.  A
+string column holding anything else (mixed types) keeps the plain object
+representation — the choice follows the data, there is no setting.
 """
 
 from __future__ import annotations
@@ -25,6 +37,15 @@ class ColumnType(enum.Enum):
         return self.value
 
 
+#: Types stored in NUMERIC columns (``np.bool_`` is not an ``np.integer``).
+_NUMERIC_TYPES = (bool, int, float, np.bool_, np.integer, np.floating)
+
+#: Exact Python types ``np.array(..., dtype=float64)`` converts faithfully
+#: in one C pass; anything else (``None``, numpy scalars, strings — numpy
+#: would happily parse ``"1.5"``) takes the per-value loop.
+_PLAIN_NUMBERS = frozenset({float, int, bool})
+
+
 def _is_missing(value: object) -> bool:
     if value is None:
         return True
@@ -41,9 +62,43 @@ def sort_rank_key(value: object) -> tuple[int, object]:
     """
     if _is_missing(value):
         return (2, "")
-    if isinstance(value, (bool, int, float, np.integer, np.floating)):
+    if isinstance(value, _NUMERIC_TYPES):
         return (0, float(value))
     return (1, str(value))
+
+
+def code_dtype(cardinality: int) -> np.dtype:
+    """Narrowest unsigned dtype holding codes ``0..cardinality`` inclusive."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if cardinality <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def encode_strings(values: Sequence[object]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Dictionary-encode ``values`` (``str`` or ``None``) in one hash pass.
+
+    Returns ``(codes, dictionary)`` — ``dictionary`` the sorted distinct
+    strings as an object array, ``codes[i]`` the index of row ``i``'s
+    string, NULL the code ``len(dictionary)`` — or ``None`` when any
+    value is neither ``str`` nor ``None`` (or is unhashable).
+    """
+    try:
+        distinct = set(values)
+    except TypeError:
+        return None
+    distinct.discard(None)
+    if not all(isinstance(value, str) for value in distinct):
+        return None
+    ordered = sorted(distinct)
+    mapping: dict[object, int] = {value: code for code, value in enumerate(ordered)}
+    mapping[None] = len(ordered)
+    codes = np.fromiter(
+        map(mapping.__getitem__, values), dtype=code_dtype(len(ordered)), count=len(values)
+    )
+    dictionary = np.empty(len(ordered), dtype=object)
+    dictionary[:] = ordered
+    return codes, dictionary
 
 
 def factorize_array(values: np.ndarray) -> tuple[np.ndarray, list[object]]:
@@ -66,27 +121,16 @@ def factorize_array(values: np.ndarray) -> tuple[np.ndarray, list[object]]:
         if nan_mask.any():
             uniques.append(None)
         return codes, uniques
-    n = len(values)
-    # NULL detection without a Python-level loop: ``== None`` catches
-    # None, ``!= itself`` catches NaN (both run as C element loops).
-    null_mask = (values == None) | (values != values)  # noqa: E711
-    non_null = values[~null_mask]
-    # Fast path for the overwhelmingly common case of pure string columns
-    # (group-by keys, DISTINCT): one C-level hash pass for the uniques and
-    # a ``frompyfunc`` dict lookup for the codes replace the per-row
-    # interpreter loop (~3x on benchmark-sized columns).  String uniques
-    # already sort in rank order — they all share the "string" rank tier.
-    if non_null.size and all(issubclass(t, str) for t in set(map(type, non_null))):
-        uniq = sorted(set(non_null))
-        mapping = {value: code for code, value in enumerate(uniq)}
-        codes = np.empty(n, dtype=np.int64)
-        codes[~null_mask] = np.frompyfunc(mapping.__getitem__, 1, 1)(non_null).astype(
-            np.int64
-        )
-        codes[null_mask] = len(uniq)
-        if null_mask.any():
+    # Pure string arrays (computed group keys, DISTINCT over expressions)
+    # take the dictionary encoder: its sorted dictionary is already in
+    # rank order — strings all share the "string" rank tier.
+    encoded = encode_strings(values.tolist())
+    if encoded is not None:
+        codes, dictionary = encoded
+        uniq = dictionary.tolist()
+        if len(uniq) in codes:
             uniq.append(None)
-        return codes, uniq
+        return codes.astype(np.int64), uniq
     mapping: dict[object, int] = {}
     raw_uniques: list[object] = []
     raw_codes = np.empty(len(values), dtype=np.int64)
@@ -110,14 +154,33 @@ def infer_column_type(values: Iterable[object]) -> ColumnType:
     """Infer the storage type from a sample of Python values.
 
     A column is numeric when every non-null value is an ``int``, ``float``
-    or ``bool``; otherwise it is stored as strings/objects.
+    or ``bool`` (Python or numpy); otherwise it is stored as strings/objects.
     """
     for value in values:
         if _is_missing(value):
             continue
-        if not isinstance(value, (int, float, bool, np.integer, np.floating)):
+        if not isinstance(value, _NUMERIC_TYPES):
             return ColumnType.STRING
     return ColumnType.NUMERIC
+
+
+def canonical_pylist(values: np.ndarray) -> list[object]:
+    """An array as canonical Python values — the engine's one row-view rule.
+
+    Float arrays: NaN becomes ``None``, integral floats render as ``int``
+    (exactly, whatever their magnitude), everything else stays ``float``.
+    Object arrays pass through (``None`` is already NULL).
+    """
+    if values.dtype == object:
+        return values.tolist()
+    out = values.astype(object)
+    integral = values == np.floor(values)  # False for NaN; True for ±inf
+    small = integral & (np.abs(values) < 2.0**63)
+    out[small] = values[small].astype(np.int64)
+    for index in np.flatnonzero(integral & ~small & np.isfinite(values)):
+        out[index] = int(values[index])
+    out[np.isnan(values)] = None
+    return out.tolist()
 
 
 class Column:
@@ -128,28 +191,82 @@ class Column:
     name:
         Column name.
     values:
-        Backing numpy array.  Numeric columns must be float64; string
-        columns must be object arrays.
+        Backing numpy array.  Numeric columns are stored as float64.
+        String columns take an object array (``None``/NaN = NULL): when
+        every non-NULL value is a ``str`` the column dictionary-encodes
+        it (see the module docstring), otherwise it keeps the object
+        array with NaN normalised to ``None``.
     ctype:
         The declared :class:`ColumnType`.
+
+    ``codes``/``dictionary`` are set on dictionary-encoded columns and
+    ``None`` otherwise; :meth:`from_codes` builds an encoded column
+    directly (the kernels' path — no string is touched).
     """
 
-    __slots__ = ("name", "values", "ctype")
+    __slots__ = ("name", "ctype", "codes", "dictionary", "_values")
 
     def __init__(self, name: str, values: np.ndarray, ctype: ColumnType) -> None:
         self.name = name
         self.ctype = ctype
+        self.codes: np.ndarray | None = None
+        self.dictionary: np.ndarray | None = None
         if ctype is ColumnType.NUMERIC:
-            self.values = np.asarray(values, dtype=np.float64)
-        else:
-            self.values = np.asarray(values, dtype=object)
+            self._values: np.ndarray | None = np.asarray(values, dtype=np.float64)
+            return
+        data = np.asarray(values, dtype=object)
+        encoded = encode_strings(data.tolist())
+        if encoded is None:
+            # Non-string values present.  One NULL definition still holds:
+            # a float NaN inside an object array becomes None here.
+            nan_mask = data != data
+            if nan_mask.any():
+                data = data.copy()
+                data[nan_mask] = None
+                encoded = encode_strings(data.tolist())
+        if encoded is not None:
+            self.codes, self.dictionary = encoded
+        self._values = data
 
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
     @classmethod
+    def _of(
+        cls,
+        name: str,
+        ctype: ColumnType,
+        values: np.ndarray | None,
+        codes: np.ndarray | None = None,
+        dictionary: np.ndarray | None = None,
+    ) -> "Column":
+        """A column over already-prepared storage (no inspection, no copy)."""
+        column = cls.__new__(cls)
+        column.name = name
+        column.ctype = ctype
+        column._values = values
+        column.codes = codes
+        column.dictionary = dictionary
+        return column
+
+    @classmethod
+    def from_codes(cls, name: str, codes: np.ndarray, dictionary: np.ndarray) -> "Column":
+        """Dictionary-encoded string column over an existing dictionary.
+
+        ``codes`` index the sorted ``dictionary`` (shared by reference,
+        never copied); ``len(dictionary)`` encodes NULL.
+        """
+        return cls._of(name, ColumnType.STRING, None, codes, dictionary)
+
+    @classmethod
     def from_values(cls, name: str, values: Sequence[object]) -> "Column":
         """Build a column from arbitrary Python values, inferring the type."""
+        types = set(map(type, values))
+        if types <= _PLAIN_NUMBERS:
+            return cls(name, np.array(values, dtype=np.float64), ColumnType.NUMERIC)
+        if types <= {str, type(None)} and str in types:
+            codes, dictionary = encode_strings(values)
+            return cls.from_codes(name, codes, dictionary)
         ctype = infer_column_type(values)
         if ctype is ColumnType.NUMERIC:
             data = np.array(
@@ -165,11 +282,29 @@ class Column:
     # ------------------------------------------------------------------ #
     # Basic protocol
     # ------------------------------------------------------------------ #
+    @property
+    def values(self) -> np.ndarray:
+        """The backing array: float64, or the object view of a string column.
+
+        For a dictionary-encoded column the object view is materialised
+        from the codes on first use and cached (``None`` = NULL).
+        """
+        if self._values is None:
+            self._values = np.append(self.dictionary, None)[self.codes]
+        return self._values
+
     def __len__(self) -> int:
-        return int(self.values.shape[0])
+        data = self.codes if self.codes is not None else self._values
+        return int(data.shape[0])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Column({self.name!r}, {self.ctype.value}, n={len(self)})"
+
+    def __reduce__(self):
+        # Encoded columns cross process boundaries decoded: a filtered or
+        # aggregated column may reference a handful of entries of a large
+        # shared dictionary, and the constructor re-encodes compactly.
+        return (Column, (self.name, self.values, self.ctype))
 
     def is_numeric(self) -> bool:
         """Whether the column stores numeric data."""
@@ -178,41 +313,67 @@ class Column:
     def null_mask(self) -> np.ndarray:
         """Boolean array marking NULL entries."""
         if self.ctype is ColumnType.NUMERIC:
-            return np.isnan(self.values)
-        return np.array([v is None for v in self.values], dtype=bool)
+            return np.isnan(self._values)
+        if self.codes is not None:
+            return self.codes == len(self.dictionary)
+        return self._values == None  # noqa: E711 - elementwise over objects
+
+    def _derive(self, index: object) -> "Column":
+        """The rows selected by ``index`` (mask, index array or slice)."""
+        if self.codes is not None:
+            return Column.from_codes(self.name, self.codes[index], self.dictionary)
+        return Column._of(self.name, self.ctype, self._values[index])
 
     def take(self, indices: np.ndarray) -> "Column":
         """Return a new column containing the rows at ``indices``."""
-        return Column(self.name, self.values[indices], self.ctype)
-
-    def factorize(self) -> tuple[np.ndarray, list[object]]:
-        """Integer codes + sorted uniques (see :func:`factorize_array`)."""
-        return factorize_array(self.values)
+        return self._derive(indices)
 
     def filter(self, mask: np.ndarray) -> "Column":
         """Return a new column with only rows where ``mask`` is True."""
-        return Column(self.name, self.values[mask], self.ctype)
+        return self._derive(mask)
+
+    def slice(self, start: int, stop: int | None = None) -> "Column":
+        """Rows ``start:stop`` as a zero-copy view (shares the dictionary)."""
+        view = self._derive(slice(start, stop))
+        if self.codes is not None and self._values is not None:
+            view._values = self._values[start:stop]
+        return view
+
+    def group_codes(self) -> np.ndarray:
+        """Non-negative integer codes whose order is the group/sort order.
+
+        Equal values share a code, codes ascend in :func:`sort_rank_key`
+        order and NULL is largest.  Encoded columns hand out their
+        storage codes (possibly sparse after a filter — harmless to the
+        sort kernels); everything else factorizes.
+        """
+        if self.codes is not None:
+            return self.codes
+        return factorize_array(self._values)[0]
+
+    def factorize(self) -> tuple[np.ndarray, list[object]]:
+        """Integer codes + sorted uniques (see :func:`factorize_array`)."""
+        if self.codes is None:
+            return factorize_array(self._values)
+        present, inverse = np.unique(self.codes, return_inverse=True)
+        uniques = np.append(self.dictionary, None)[present].tolist()
+        return inverse.astype(np.int64), uniques
 
     def rename(self, name: str) -> "Column":
-        """Return the same column under a different name."""
-        return Column(name, self.values, self.ctype)
+        """Return the same column under a different name (shared data)."""
+        return Column._of(name, self.ctype, self._values, self.codes, self.dictionary)
 
     def to_pylist(self) -> list[object]:
         """Convert to a list of Python values (``None`` for NULL)."""
-        if self.ctype is ColumnType.NUMERIC:
-            out: list[object] = []
-            for value in self.values:
-                if np.isnan(value):
-                    out.append(None)
-                elif float(value).is_integer():
-                    out.append(int(value))
-                else:
-                    out.append(float(value))
-            return out
-        return [None if v is None else v for v in self.values]
+        return canonical_pylist(self.values)
 
     def nbytes(self) -> int:
         """Approximate in-memory size, used by the serialization models."""
         if self.ctype is ColumnType.NUMERIC:
-            return int(self.values.nbytes)
-        return int(sum(len(str(v)) if v is not None else 1 for v in self.values))
+            return int(self._values.nbytes)
+        if self.codes is not None:
+            lengths = np.fromiter(
+                map(len, self.dictionary), dtype=np.int64, count=len(self.dictionary)
+            )
+            return int(np.append(lengths, 1)[self.codes].sum())
+        return int(sum(len(str(v)) if v is not None else 1 for v in self._values))

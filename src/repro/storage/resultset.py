@@ -31,23 +31,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.storage.column import Column, ColumnType
+from repro.storage.column import Column, ColumnType, canonical_pylist
 from repro.storage.table import Table
-
-
-def _canonical_pylist(array: np.ndarray, ctype: ColumnType) -> list[object]:
-    """One column as canonical Python values (``Column.to_pylist`` rules)."""
-    if ctype is ColumnType.NUMERIC:
-        out: list[object] = []
-        for value in array:
-            if np.isnan(value):
-                out.append(None)
-            elif float(value).is_integer():
-                out.append(int(value))
-            else:
-                out.append(float(value))
-        return out
-    return [None if v is None else v for v in array]
 
 
 class ResultSet:
@@ -180,15 +165,8 @@ class ResultSet:
         ``float``; string NULLs stay ``None``.
         """
         if self._rows is None:
-            pylists = [
-                _canonical_pylist(array, ctype)
-                for array, ctype in zip(self.arrays, self.ctypes)
-            ]
-            names = self.names
-            self._rows = [
-                {name: pylists[j][i] for j, name in enumerate(names)}
-                for i in range(self.num_rows)
-            ]
+            pylists = [canonical_pylist(array) for array in self.arrays]
+            self._rows = [dict(zip(self.names, row)) for row in zip(*pylists)]
         return self._rows
 
     def head_rows(self, k: int) -> list[dict[str, object]]:
@@ -196,15 +174,8 @@ class ResultSet:
         if self._rows is not None:
             return self._rows[:k]
         k = min(k, self.num_rows)
-        pylists = [
-            _canonical_pylist(array[:k], ctype)
-            for array, ctype in zip(self.arrays, self.ctypes)
-        ]
-        names = self.names
-        return [
-            {name: pylists[j][i] for j, name in enumerate(names)}
-            for i in range(k)
-        ]
+        pylists = [canonical_pylist(array[:k]) for array in self.arrays]
+        return [dict(zip(self.names, row)) for row in zip(*pylists)]
 
     # ------------------------------------------------------------------ #
     # Canonical equality
@@ -223,7 +194,7 @@ class ResultSet:
             if ta is ColumnType.NUMERIC and tb is ColumnType.NUMERIC:
                 if not np.array_equal(a, b, equal_nan=True):
                     return False
-            elif _canonical_pylist(a, ta) != _canonical_pylist(b, tb):
+            elif canonical_pylist(a) != canonical_pylist(b):
                 return False
         return True
 

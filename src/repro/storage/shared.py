@@ -10,12 +10,15 @@ The export path here puts every column of a table into **one**
 
 * numeric (float64) columns are copied raw, 8-byte aligned — workers
   rebuild them as zero-copy ``np.frombuffer`` views;
-* string/object columns have no stable buffer representation, so they
-  travel as pickled blobs inside the same segment (attached once per
-  worker, not once per task).
+* dictionary-encoded string columns travel the same way: their narrow
+  ``codes`` array is a raw buffer (also a zero-copy view worker-side)
+  and only the small sorted dictionary is pickled, once per column;
+* plain object columns (mixed-type strings) have no stable buffer
+  representation, so they travel as pickled blobs inside the same
+  segment (attached once per worker, not once per task).
 
 A :class:`SharedTableDescriptor` — segment name, partition boundaries,
-and ``(column, offset, length)`` entries — is all that crosses the
+and per-column buffer/blob entries — is all that crosses the
 process boundary per table; task specs then reference partitions by
 index.  Workers cache the attached segment *and its numpy views* per
 segment name for the life of the process: dropping a ``SharedMemory``
@@ -67,9 +70,12 @@ class StaleSegmentError(StorageError):
 class SharedTableDescriptor:
     """Compact, picklable recipe to rebuild a table from a shm segment.
 
-    ``numeric`` entries are ``(column, byte_offset, element_count)`` into
-    the segment's float64 region; ``pickled`` entries are
-    ``(column, byte_offset, byte_length)`` pickle blobs.  ``column_order``
+    ``buffers`` entries are ``(column, byte_offset, element_count,
+    dtype)`` raw arrays: the float64 values of a numeric column, or the
+    codes of a dictionary-encoded string column.  ``pickled`` entries
+    are ``(column, byte_offset, byte_length)`` pickle blobs: the
+    dictionary of an encoded column (one that also has a buffer), or
+    the whole object array of a plain string column.  ``column_order``
     restores the original column order, which the executor's merge steps
     rely on.
     """
@@ -77,7 +83,7 @@ class SharedTableDescriptor:
     shm_name: str
     table_name: str
     boundaries: tuple[int, ...]
-    numeric: tuple[tuple[str, int, int], ...]
+    buffers: tuple[tuple[str, int, int, str], ...]
     pickled: tuple[tuple[str, int, int], ...]
     column_order: tuple[str, ...]
 
@@ -111,45 +117,46 @@ class SharedTableHandle:
         if _shm_module is None:  # pragma: no cover - guarded by callers
             raise StorageError("multiprocessing.shared_memory is unavailable")
         columns = table.columns()
+        arrays: dict[str, np.ndarray] = {}
         blobs: dict[str, bytes] = {}
-        numeric_bytes = 0
         for col in columns:
             if col.ctype is ColumnType.NUMERIC:
-                numeric_bytes += len(col) * 8
-            else:
+                arrays[col.name] = col.values
+            elif col.codes is not None:
+                arrays[col.name] = col.codes
                 blobs[col.name] = pickle.dumps(
-                    np.asarray(col.values, dtype=object), protocol=pickle.HIGHEST_PROTOCOL
+                    col.dictionary, protocol=pickle.HIGHEST_PROTOCOL
                 )
-        total = numeric_bytes + sum(len(blob) for blob in blobs.values())
+            else:
+                blobs[col.name] = pickle.dumps(col.values, protocol=pickle.HIGHEST_PROTOCOL)
+        # Raw buffers first, each padded to 8 bytes so every view is aligned.
+        buffer_bytes = sum(_padded(array.nbytes) for array in arrays.values())
+        total = buffer_bytes + sum(len(blob) for blob in blobs.values())
         self._shm = _shm_module.SharedMemory(create=True, size=max(1, total))
-        numeric_entries: list[tuple[str, int, int]] = []
+        buffer_entries: list[tuple[str, int, int, str]] = []
         pickled_entries: list[tuple[str, int, int]] = []
         offset = 0
-        for col in columns:
-            if col.ctype is ColumnType.NUMERIC:
-                count = len(col)
-                view = np.frombuffer(
-                    self._shm.buf, dtype=np.float64, count=count, offset=offset
-                )
-                view[:] = col.values
-                numeric_entries.append((col.name, offset, count))
-                offset += count * 8
-        for col in columns:
-            if col.ctype is not ColumnType.NUMERIC:
-                blob = blobs[col.name]
-                self._shm.buf[offset : offset + len(blob)] = blob
-                pickled_entries.append((col.name, offset, len(blob)))
-                offset += len(blob)
+        for name, array in arrays.items():
+            view = np.frombuffer(
+                self._shm.buf, dtype=array.dtype, count=len(array), offset=offset
+            )
+            view[:] = array
+            buffer_entries.append((name, offset, len(array), array.dtype.str))
+            offset += _padded(array.nbytes)
+        for name, blob in blobs.items():
+            self._shm.buf[offset : offset + len(blob)] = blob
+            pickled_entries.append((name, offset, len(blob)))
+            offset += len(blob)
         self.descriptor = SharedTableDescriptor(
             shm_name=self._shm.name,
             table_name=table.name,
             boundaries=_flatten_bounds(table),
-            numeric=tuple(numeric_entries),
+            buffers=tuple(buffer_entries),
             pickled=tuple(pickled_entries),
             column_order=tuple(col.name for col in columns),
         )
-        self.nbytes_shared = numeric_bytes
-        self.nbytes_pickled = total - numeric_bytes
+        self.nbytes_shared = buffer_bytes
+        self.nbytes_pickled = total - buffer_bytes
         self._closed = False
         _LIVE_SEGMENTS[self._shm.name] = self
 
@@ -174,6 +181,11 @@ class SharedTableHandle:
             pass
 
 
+def _padded(nbytes: int) -> int:
+    """``nbytes`` rounded up to the next multiple of 8."""
+    return -(-nbytes // 8) * 8
+
+
 def _flatten_bounds(table: PartitionedTable) -> tuple[int, ...]:
     """Partition boundaries as the flat ``0..n`` sequence."""
     bounds = table.partition_bounds()
@@ -194,10 +206,11 @@ _ATTACHED: dict[str, tuple[object, PartitionedTable]] = {}
 def attach_table(descriptor: SharedTableDescriptor) -> PartitionedTable:
     """Rebuild a read-only :class:`PartitionedTable` from ``descriptor``.
 
-    Numeric columns come back as zero-copy views into the shared segment
-    (marked non-writeable — the storage layer never mutates column
-    arrays, and a worker scribbling on shared pages would corrupt every
-    other worker); string columns are unpickled once per process.
+    Numeric values and dictionary codes come back as zero-copy views
+    into the shared segment (marked non-writeable — the storage layer
+    never mutates column arrays, and a worker scribbling on shared pages
+    would corrupt every other worker); dictionaries and plain object
+    columns are unpickled once per process.
     """
     cached = _ATTACHED.get(descriptor.shm_name)
     if cached is not None:
@@ -211,19 +224,24 @@ def attach_table(descriptor: SharedTableDescriptor) -> PartitionedTable:
             f"shared segment {descriptor.shm_name!r} for table "
             f"{descriptor.table_name!r} is gone (table replaced or dropped)"
         ) from exc
-    numeric = {name: (offset, count) for name, offset, count in descriptor.numeric}
+    buffers = {name: entry for name, *entry in descriptor.buffers}
     pickled = {name: (offset, length) for name, offset, length in descriptor.pickled}
     columns: list[Column] = []
     for name in descriptor.column_order:
-        if name in numeric:
-            offset, count = numeric[name]
-            values = np.frombuffer(shm.buf, dtype=np.float64, count=count, offset=offset)
-            values.flags.writeable = False
-            columns.append(Column(name, values, ColumnType.NUMERIC))
-        else:
+        array = blob = None
+        if name in buffers:
+            offset, count, dtype = buffers[name]
+            array = np.frombuffer(shm.buf, dtype=np.dtype(dtype), count=count, offset=offset)
+            array.flags.writeable = False
+        if name in pickled:
             offset, length = pickled[name]
-            values = pickle.loads(bytes(shm.buf[offset : offset + length]))
-            columns.append(Column(name, values, ColumnType.STRING))
+            blob = pickle.loads(bytes(shm.buf[offset : offset + length]))
+        if blob is None:
+            columns.append(Column(name, array, ColumnType.NUMERIC))
+        elif array is None:
+            columns.append(Column(name, blob, ColumnType.STRING))
+        else:
+            columns.append(Column.from_codes(name, array, blob))
     table = PartitionedTable(
         columns, name=descriptor.table_name, boundaries=descriptor.boundaries
     )

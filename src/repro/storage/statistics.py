@@ -319,8 +319,11 @@ def compute_column_statistics(column: Column, sample_limit: int = 100_000) -> Co
             float(values.min()),
             float(values.max()),
         )
-    sample = [v for v in column.values[:sample_limit] if v is not None]
-    distinct = len(set(sample))
+    if column.codes is not None:
+        present = np.unique(column.codes[:sample_limit])
+        distinct = int((present < len(column.dictionary)).sum())
+    else:
+        distinct = len({v for v in column.values[:sample_limit] if v is not None})
     return ColumnStatistics(column.name, n, nulls, distinct, None, None)
 
 

@@ -12,7 +12,63 @@ from collections.abc import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import CatalogError
-from repro.storage.column import Column, ColumnType, factorize_array
+from repro.storage.column import Column, ColumnType, code_dtype
+
+
+def composite_codes(
+    code_arrays: Sequence[np.ndarray], descending: Sequence[bool] = ()
+) -> np.ndarray | None:
+    """Fold one non-negative code array per key into a single sort key.
+
+    The keys combine mixed-radix, first key most significant (radix =
+    each array's ``max + 1``), into the narrowest unsigned dtype the
+    product of the radices fits — so one stable ``argsort`` of the
+    result orders rows exactly as a lexsort over the keys would, and for
+    products up to 16 bits numpy's stable sort is a radix sort (≈ 6x a
+    64-bit merge sort per 100k rows).  A ``descending`` key is mirrored
+    inside its radix, which puts NULL — the largest code — first.
+    Returns ``None`` when the product overflows 62 bits (callers lexsort).
+    """
+    arrays = [np.asarray(codes) for codes in code_arrays]
+    radices = [int(codes.max()) + 1 if codes.size else 1 for codes in arrays]
+    span = 1
+    for radix in radices:
+        span *= radix
+    if span > 2**62:
+        return None
+    dtype = code_dtype(span - 1).type
+    key: np.ndarray | None = None
+    for index, (codes, radix) in enumerate(zip(arrays, radices)):
+        digit = codes.astype(dtype, copy=False)
+        if index < len(descending) and descending[index]:
+            digit = dtype(radix - 1) - digit
+        key = digit if key is None else key * dtype(radix) + digit
+    return key
+
+
+def _stable_order(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """Stable row order by ``keys`` (first most significant): one narrow
+    ``argsort`` for a composite key, a lexsort for several."""
+    if len(keys) == 1:
+        order = np.argsort(keys[0], kind="stable")
+    else:
+        order = np.lexsort(tuple(reversed(keys)))
+    return order.astype(np.int64, copy=False)
+
+
+def sort_codes(code_arrays: Sequence[np.ndarray], descending: Sequence[bool] = ()) -> np.ndarray:
+    """Stable row order sorting by the code tuples (first key most significant)."""
+    key = composite_codes(code_arrays, descending)
+    if key is not None:
+        return _stable_order([key])
+    return _stable_order(
+        [
+            -np.asarray(codes, dtype=np.int64)
+            if index < len(descending) and descending[index]
+            else np.asarray(codes)
+            for index, codes in enumerate(code_arrays)
+        ]
+    )
 
 
 def group_segments(
@@ -20,8 +76,9 @@ def group_segments(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partition ``n_rows`` rows into groups of equal code tuples.
 
-    ``code_arrays`` holds one int64 code array per grouping key (as
-    produced by :func:`repro.storage.column.factorize_array`).  Returns
+    ``code_arrays`` holds one non-negative integer code array per
+    grouping key (a dictionary column's storage codes, or the output of
+    :func:`repro.storage.column.factorize_array`).  Returns
     ``(order, starts, ends)`` where ``order`` is a stable permutation of
     row indices sorted by code tuple and ``order[starts[g]:ends[g]]`` are
     the rows of group ``g``.  Groups appear in ascending code order, which
@@ -34,15 +91,19 @@ def group_segments(
             np.array([0], dtype=np.int64),
             np.array([n_rows], dtype=np.int64),
         )
-    order = np.lexsort(tuple(reversed([np.asarray(c) for c in code_arrays])))
     if n_rows == 0:
         empty = np.array([], dtype=np.int64)
-        return order.astype(np.int64), empty, empty
-    stacked = np.vstack([np.asarray(c)[order] for c in code_arrays])
-    change = np.any(stacked[:, 1:] != stacked[:, :-1], axis=0)
+        return empty, empty, empty
+    key = composite_codes(code_arrays)
+    keys = [key] if key is not None else [np.asarray(codes) for codes in code_arrays]
+    order = _stable_order(keys)
+    change = np.zeros(n_rows - 1, dtype=bool)
+    for codes in keys:
+        ordered = codes[order]
+        change |= ordered[1:] != ordered[:-1]
     starts = np.concatenate(([0], np.flatnonzero(change) + 1)).astype(np.int64)
     ends = np.concatenate((starts[1:], [n_rows])).astype(np.int64)
-    return order.astype(np.int64), starts, ends
+    return order, starts, ends
 
 
 class Table:
@@ -191,21 +252,20 @@ class Table:
         if self.num_rows == 0:
             return np.array([], dtype=np.int64)
         names = list(subset) if subset is not None else self.column_names()
-        codes = [factorize_array(self.column(name).values)[0] for name in names]
+        codes = [self.column(name).group_codes() for name in names]
         order, starts, _ends = group_segments(codes, self.num_rows)
         if len(starts) == 0:
             return np.array([], dtype=np.int64)
-        # The lexsort is stable, so each segment's first entry is already
+        # The sort is stable, so each segment's first entry is already
         # the group's minimum (first-occurrence) row index.
         firsts = order[starts]
         firsts.sort()
         return firsts
 
     def slice(self, offset: int, length: int | None = None) -> "Table":
-        """Return rows ``offset:offset+length``."""
+        """Return rows ``offset:offset+length`` (zero-copy column views)."""
         stop = None if length is None else offset + length
-        indices = np.arange(self.num_rows)[offset:stop]
-        return self.take(indices)
+        return Table([col.slice(offset, stop) for col in self.columns()], name=self.name)
 
     def concat(self, other: "Table") -> "Table":
         """Append ``other``'s rows; both tables must share the same columns."""
@@ -216,8 +276,11 @@ class Table:
         """Concatenate many tables in one pass (no O(k) intermediate copies).
 
         All tables must share the same column names in the same order.  A
-        column is kept numeric when it is numeric in every input; any
-        string occurrence promotes the merged column to the object
+        column is kept numeric when it is numeric in every input, and
+        dictionary-encoded when it is encoded in every input (parts of
+        one table share a dictionary and just concatenate codes; others
+        re-encode into the merged dictionary); any other string
+        occurrence promotes the merged column to the object
         representation (NULLs become ``None``).  This is the merge
         primitive of partitioned execution: per-partition results come
         back as k tables and a pairwise ``concat`` chain would copy the
@@ -235,17 +298,9 @@ class Table:
                 )
         if len(tables) == 1:
             return Table(first.columns(), name=first.name)
-        cols = []
-        for name in names:
-            parts = [table.column(name) for table in tables]
-            if all(part.ctype is ColumnType.NUMERIC for part in parts):
-                values = np.concatenate([part.values for part in parts])
-                cols.append(Column(name, values, ColumnType.NUMERIC))
-            else:
-                values = np.concatenate(
-                    [np.asarray(part.to_pylist(), dtype=object) for part in parts]
-                )
-                cols.append(Column(name, values, ColumnType.STRING))
+        cols = [
+            _concat_columns([table.column(name) for table in tables]) for name in names
+        ]
         return Table(cols, name=first.name)
 
     def renamed(self, name: str) -> "Table":
@@ -259,10 +314,7 @@ class Table:
         """Materialise the table as a list of row dictionaries."""
         names = self.column_names()
         pylists = [self._columns[n].to_pylist() for n in names]
-        return [
-            {name: pylists[j][i] for j, name in enumerate(names)}
-            for i in range(self.num_rows)
-        ]
+        return [dict(zip(names, row)) for row in zip(*pylists)]
 
     def to_columns(self) -> dict[str, list[object]]:
         """Materialise the table as a mapping of name -> Python values."""
@@ -275,6 +327,32 @@ class Table:
     def head(self, n: int = 5) -> list[dict[str, object]]:
         """First ``n`` rows as dictionaries (for debugging and docs)."""
         return self.slice(0, n).to_rows()
+
+
+def _concat_columns(parts: Sequence[Column]) -> Column:
+    """Concatenate same-named columns of several tables (see ``concat_all``)."""
+    name = parts[0].name
+    if all(part.ctype is ColumnType.NUMERIC for part in parts):
+        return Column(name, np.concatenate([part.values for part in parts]), ColumnType.NUMERIC)
+    if all(part.codes is not None for part in parts):
+        dictionary = parts[0].dictionary
+        if all(part.dictionary is dictionary for part in parts):
+            return Column.from_codes(
+                name, np.concatenate([part.codes for part in parts]), dictionary
+            )
+        # Different dictionaries: merge them (still sorted), then remap
+        # each part's codes — its NULL code included — into the merged one.
+        merged = np.unique(np.concatenate([part.dictionary for part in parts]))
+        dtype = code_dtype(len(merged))
+        remapped = [
+            np.append(np.searchsorted(merged, part.dictionary), len(merged)).astype(dtype)[
+                part.codes
+            ]
+            for part in parts
+        ]
+        return Column.from_codes(name, np.concatenate(remapped), merged)
+    values = np.concatenate([np.asarray(part.to_pylist(), dtype=object) for part in parts])
+    return Column(name, values, ColumnType.STRING)
 
 
 class PartitionedTable(Table):
@@ -336,6 +414,12 @@ class PartitionedTable(Table):
         """Rename while *preserving* the partition boundaries."""
         return PartitionedTable(self.columns(), name=name, boundaries=self._boundaries)
 
+    def select(self, names: Sequence[str]) -> "PartitionedTable":
+        """Project columns; rows are untouched, so the partitioning holds."""
+        return PartitionedTable(
+            [self.column(n) for n in names], name=self.name, boundaries=self._boundaries
+        )
+
     # ------------------------------------------------------------------ #
     @property
     def num_partitions(self) -> int:
@@ -355,13 +439,11 @@ class PartitionedTable(Table):
         """Partition ``index`` as a zero-copy :class:`Table` view.
 
         Row ranges slice the backing numpy arrays directly, so building a
-        partition view allocates no row data.
+        partition view allocates no row data; string partitions share the
+        table's dictionary.
         """
         start, end = self._boundaries[index], self._boundaries[index + 1]
-        cols = [
-            Column(col.name, col.values[start:end], col.ctype) for col in self.columns()
-        ]
-        return Table(cols, name=self.name)
+        return Table([col.slice(start, end) for col in self.columns()], name=self.name)
 
     def partitions(self) -> list[Table]:
         """All partitions in row order."""

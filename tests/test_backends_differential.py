@@ -238,6 +238,30 @@ def test_corpus_query_identical_across_backends(backends, name, builder, is_orde
     assert_identical_results(sql_by_backend, backends, ordered=is_ordered)
 
 
+def test_corpus_never_hashes_a_stored_string_column(backends, monkeypatch):
+    """GROUP BY / DISTINCT / ORDER BY / PARTITION BY over a bare string
+    column run on the column's dictionary codes: across the whole corpus
+    ``factorize_array`` only ever sees numeric keys."""
+    import repro.sql.executor as executor_module
+    import repro.storage.column as column_module
+
+    seen: list[np.dtype] = []
+    real = column_module.factorize_array
+
+    def recording(values):
+        seen.append(values.dtype)
+        return real(values)
+
+    monkeypatch.setattr(column_module, "factorize_array", recording)
+    monkeypatch.setattr(executor_module, "factorize_array", recording)
+    embedded = backends["embedded"]
+    assert embedded.database.table("data").column("g").codes is not None
+    for _name, builder, _ordered_flag in CORPUS:
+        embedded.query_rows(builder(embedded.capabilities))
+    assert seen, "numeric keys (b, bin0, n) still factorize"
+    assert all(dtype != object for dtype in seen)
+
+
 def test_order_limit_respects_limit(backends):
     """LIMIT composes with dialect-aware ORDER BY on every backend."""
     for backend in backends.values():

@@ -211,6 +211,50 @@ def test_shared_handle_round_trip():
 
 
 @needs_shm
+def test_dictionary_column_crosses_shm_as_codes():
+    """A dictionary column exports its raw codes plus one small pickled
+    dictionary — never a pickled object array — and a mixed-type string
+    column still travels whole."""
+    import pickle
+
+    rows = [
+        {
+            "s": None if i % 7 == 0 else f"name-{i % 5}",
+            "m": "x" if i % 2 else float(i),
+            "v": float(i),
+        }
+        for i in range(400)
+    ]
+    table = PartitionedTable.from_table(Table.from_rows(rows, name="t"), target_rows=100)
+    source = table.column("s")
+    assert source.codes is not None and table.column("m").codes is None
+    handle = SharedTableHandle(table)
+    rebuilt = attached = None
+    try:
+        descriptor = handle.descriptor
+        buffers = {name: (count, dtype) for name, _offset, count, dtype in descriptor.buffers}
+        blobs = {name: length for name, _offset, length in descriptor.pickled}
+        assert buffers["s"] == (400, source.codes.dtype.str)
+        assert blobs["s"] == len(pickle.dumps(source.dictionary, pickle.HIGHEST_PROTOCOL))
+        assert blobs["s"] < len(pickle.dumps(source.values, pickle.HIGHEST_PROTOCOL)) // 4
+        assert "m" not in buffers and "m" in blobs
+        assert handle.nbytes_pickled == sum(blobs.values())
+
+        rebuilt = attach_table(descriptor)
+        attached = rebuilt.column("s")
+        assert attached.codes.dtype == source.codes.dtype
+        assert attached.codes.tolist() == source.codes.tolist()
+        assert attached.dictionary.tolist() == source.dictionary.tolist()
+        assert not attached.codes.flags.writeable
+        assert rebuilt.partition(2).column("s").dictionary is attached.dictionary
+        assert rebuilt.to_rows() == table.to_rows()
+    finally:
+        del rebuilt, attached  # release the views so the detach can close the mmap
+        detach_all()
+        handle.close()
+
+
+@needs_shm
 def test_stale_segment_attach_fails_fast():
     table = PartitionedTable.from_table(
         Table.from_rows(_partitioned_rows(20), name="t"), target_rows=10

@@ -1,9 +1,20 @@
 """End-to-end tests of the SQL engine (parser → planner → executor)."""
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CatalogError, ExecutionError, PlanningError
 from repro.sql import Database
+from repro.sql.executor import (
+    distinct_indices_reference,
+    group_rows_reference,
+    sort_indices_reference,
+)
+from repro.sql.planner import ScanNode
+from repro.storage.column import Column, ColumnType
+from repro.storage.table import Table, composite_codes, group_segments, sort_codes
 
 
 @pytest.fixture()
@@ -360,3 +371,177 @@ def test_group_scalar_tail_vectorized_matches_naive_reference():
     assert database.query_rows("SELECT MAX(v) AS m, COUNT(*) AS n FROM e") == [
         {"m": None, "n": 0}
     ]
+
+
+# --------------------------------------------------------------------------- #
+# Dictionary-encoded string columns: code-domain kernels vs naive references
+# --------------------------------------------------------------------------- #
+
+_kernel_settings = settings(
+    deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=60
+)
+_strings = st.one_of(st.none(), st.sampled_from(["", "a", "b", "c", "zz", "é", "B"]))
+
+
+@st.composite
+def _dictionary_table(draw):
+    """1-3 dictionary-encoded key columns (NULLs included), then a filter,
+    so the surviving codes are sparse in the shared dictionary."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    n_keys = draw(st.integers(min_value=1, max_value=3))
+    columns = [
+        Column(
+            f"k{index}",
+            np.array(draw(st.lists(_strings, min_size=n, max_size=n)), dtype=object),
+            ColumnType.STRING,
+        )
+        for index in range(n_keys)
+    ]
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return Table(columns).filter(mask)
+
+
+@_kernel_settings
+@given(table=_dictionary_table(), flags=st.lists(st.booleans(), min_size=3, max_size=3))
+def test_code_domain_kernels_match_references_on_dictionary_columns(table, flags):
+    columns = table.columns()
+    assert all(column.codes is not None for column in columns)
+    n = table.num_rows
+    codes = [column.group_codes() for column in columns]
+    arrays = [column.values for column in columns]
+
+    order, starts, ends = group_segments(codes, n)
+    groups = [order[start:end].tolist() for start, end in zip(starts, ends)]
+    assert groups == [g.tolist() for g in group_rows_reference(arrays, n)]
+
+    descending = flags[: len(columns)]
+    assert sort_codes(codes, descending).tolist() == (
+        sort_indices_reference(arrays, descending, n).tolist()
+    )
+    assert table.distinct_indices().tolist() == distinct_indices_reference(table).tolist()
+
+
+@_kernel_settings
+@given(table=_dictionary_table(), descending=st.booleans())
+def test_dictionary_columns_through_sql_match_references(table, descending):
+    """The same three shapes through parser → planner → executor."""
+    names = table.column_names()
+    keys = ", ".join(names)
+    database = Database()
+    database.register_table("t", table)
+    arrays = [table.column(name).values for name in names]
+
+    grouped = database.query_rows(f"SELECT {keys}, COUNT(*) AS n FROM t GROUP BY {keys}")
+    reference = group_rows_reference(arrays, table.num_rows)
+    assert [row["n"] for row in grouped] == [len(group) for group in reference]
+    assert [tuple(row[name] for name in names) for row in grouped] == [
+        tuple(array[group[0]] for array in arrays) for group in reference
+    ]
+
+    direction = " DESC" if descending else ""
+    ordered = database.query_rows(
+        f"SELECT {keys} FROM t ORDER BY " + ", ".join(name + direction for name in names)
+    )
+    expected = sort_indices_reference(arrays, [descending] * len(names), table.num_rows)
+    assert ordered == table.take(expected).to_rows()
+
+    distinct = database.query_rows(f"SELECT DISTINCT {keys} FROM t")
+    seen: list[tuple] = []
+    for row in table.to_rows():
+        if tuple(row.values()) not in seen:
+            seen.append(tuple(row.values()))
+    assert [tuple(row.values()) for row in distinct] == seen
+
+
+def test_wide_key_products_fall_back_to_wider_sorts():
+    """Composite keys past 16 and 32 bits (and past 62: lexsort) stay exact."""
+    rng = np.random.default_rng(3)
+    for radix, n_keys, dtype in ((200, 2, np.uint16), (3000, 2, np.uint32),
+                                 (3000, 4, np.int64), (2**21, 3, None)):
+        codes = [rng.integers(0, radix, 500) for _ in range(n_keys)]
+        for array in codes:
+            array[0] = radix - 1  # pin the radix
+        key = composite_codes(codes)
+        assert (key is None) if dtype is None else (key.dtype == dtype)
+        expected = np.lexsort(tuple(reversed(codes)))
+        assert sort_codes(codes).tolist() == expected.tolist()
+        order, starts, ends = group_segments(codes, 500)
+        assert order.tolist() == expected.tolist()
+        tuples = list(zip(*(array[order] for array in codes)))
+        assert [tuples[s] for s in starts] == sorted(set(tuples))
+        flipped = sort_codes(codes, [True] * n_keys)
+        assert flipped.tolist() == np.lexsort(tuple(-a for a in reversed(codes))).tolist()
+
+
+# --------------------------------------------------------------------------- #
+# Scan column pruning
+# --------------------------------------------------------------------------- #
+
+
+def _scan_columns(sql: str) -> list:
+    database = Database()
+    scans: list = []
+
+    def walk(node):
+        if isinstance(node, ScanNode):
+            scans.append(node.columns)
+        for child in node.children():
+            walk(child)
+
+    walk(database.plan(sql).root)
+    return scans
+
+
+@pytest.mark.parametrize(
+    ("sql", "expected"),
+    [
+        ("SELECT origin, COUNT(*), AVG(delay) FROM flights WHERE distance <= 9 "
+         "GROUP BY origin ORDER BY origin", [{"origin", "delay", "distance"}]),
+        ("SELECT COUNT(*) FROM flights", [set()]),
+        ("SELECT carrier FROM flights WHERE delay > 0 ORDER BY distance",
+         [{"carrier", "delay", "distance"}]),
+        ("SELECT FLOOR(distance / 100) AS b, COUNT(*) FROM flights GROUP BY b",
+         [{"distance", "b"}]),
+        ("SELECT DISTINCT carrier, origin FROM flights WHERE date < 5",
+         [{"carrier", "origin", "date"}]),
+        ("SELECT * FROM flights WHERE delay > 0", [None]),
+        ("SELECT *, SUM(delay) OVER (PARTITION BY carrier ORDER BY date) AS s FROM flights",
+         [None]),
+        ("SELECT carrier, SUM(delay) OVER (PARTITION BY origin ORDER BY date) AS s "
+         "FROM flights", [{"carrier", "delay", "origin", "date"}]),
+        ("SELECT carrier, n FROM (SELECT carrier, COUNT(*) AS n FROM flights "
+         "GROUP BY carrier) AS sub WHERE n > 3", [{"carrier"}]),
+        ("SELECT carrier FROM (SELECT * FROM flights) AS sub WHERE delay > 1", [None]),
+        ("SELECT carrier FROM (SELECT carrier, delay FROM flights) AS sub WHERE delay > 1",
+         [{"carrier", "delay"}]),
+    ],
+)
+def test_scan_nodes_record_minimal_column_sets(sql, expected):
+    assert _scan_columns(sql) == [None if e is None else frozenset(e) for e in expected]
+
+
+def test_narrow_scans_return_the_same_rows(flights_db, flights_rows):
+    """Every pruned shape still sees each column it needs (vs a Python oracle)."""
+    assert flights_db.query_rows("SELECT COUNT(*) AS n FROM flights") == [{"n": 500}]
+    late = [r for r in flights_rows if r["delay"] is not None and r["delay"] > 30]
+    assert flights_db.query_rows("SELECT COUNT(*) AS n FROM flights WHERE delay > 30") == [
+        {"n": len(late)}
+    ]
+    star = flights_db.query_rows("SELECT * FROM flights WHERE delay > 30")
+    assert [list(row) for row in star[:1]] == [list(flights_rows[0])]
+    assert len(star) == len(late)
+    windowed = flights_db.query_rows(
+        "SELECT carrier, ROW_NUMBER() OVER (PARTITION BY origin ORDER BY date, delay) AS r "
+        "FROM flights WHERE delay > 30"
+    )
+    assert len(windowed) == len(late) and set(windowed[0]) == {"carrier", "r"}
+    nested = flights_db.query_rows(
+        "SELECT origin, n FROM (SELECT origin, COUNT(*) AS n FROM flights "
+        "WHERE delay > 30 GROUP BY origin) AS sub ORDER BY origin"
+    )
+    counts: dict = {}
+    for row in late:
+        counts[row["origin"]] = counts.get(row["origin"], 0) + 1
+    assert nested == [{"origin": k, "n": counts[k]} for k in sorted(counts)]
+    with pytest.raises(ExecutionError, match="unknown column 'nope'"):
+        flights_db.query_rows("SELECT nope FROM flights")

@@ -5,7 +5,12 @@ import pytest
 
 from repro.errors import CatalogError
 from repro.storage import Catalog, Column, ColumnType, Table, compute_table_statistics
-from repro.storage.column import factorize_array, sort_rank_key
+from repro.storage.column import (
+    canonical_pylist,
+    factorize_array,
+    infer_column_type,
+    sort_rank_key,
+)
 from repro.storage.statistics import compute_column_statistics
 from repro.storage.table import group_segments
 
@@ -91,6 +96,169 @@ def test_column_rename_and_nbytes():
     column = Column.from_values("x", [1.0, 2.0])
     assert column.rename("y").name == "y"
     assert column.nbytes() == 16
+
+
+def test_numpy_booleans_are_numeric():
+    """A comparison result fed back through from_values must not become objects."""
+    flags = [np.bool_(True), np.bool_(False)]
+    assert infer_column_type(flags) is ColumnType.NUMERIC
+    column = Column.from_values("flag", flags + [None])
+    assert column.ctype is ColumnType.NUMERIC
+    assert column.to_pylist() == [1, 0, None]
+    assert sort_rank_key(np.bool_(True)) == (0, 1.0)
+
+
+def test_object_column_nan_is_null_everywhere():
+    """Grouping always put a NaN inside an object array in the NULL group;
+    null_mask / to_pylist / nbytes must agree with it."""
+    encoded = Column("x", np.array(["a", float("nan")], dtype=object), ColumnType.STRING)
+    mixed = Column("x", np.array(["a", 2.5, float("nan")], dtype=object), ColumnType.STRING)
+    assert encoded.null_mask().tolist() == [False, True]
+    assert encoded.to_pylist() == ["a", None]
+    assert encoded.nbytes() == 2
+    assert mixed.codes is None
+    assert mixed.null_mask().tolist() == [False, False, True]
+    assert mixed.to_pylist() == ["a", 2.5, None]
+    assert mixed.factorize()[0].tolist() == [1, 0, 2]
+
+
+def test_from_values_fast_path_never_parses_numeric_looking_strings():
+    assert Column.from_values("x", [1, 2.5, True]).values.tolist() == [1.0, 2.5, 1.0]
+    assert Column.from_values("x", []).ctype is ColumnType.NUMERIC
+    assert Column.from_values("x", [None, None]).ctype is ColumnType.NUMERIC
+    for values in (["1.5", "2"], [1.0, "1.5"], ["1.5", None]):
+        column = Column.from_values("x", values)
+        assert column.ctype is ColumnType.STRING
+        assert column.to_pylist() == values
+    numpy_scalars = Column.from_values("x", [np.float64(1.5), np.int64(2), None])
+    assert numpy_scalars.ctype is ColumnType.NUMERIC
+    assert numpy_scalars.to_pylist() == [1.5, 2, None]
+
+
+def test_canonical_pylist_matches_per_value_rule():
+    values = np.array([1.0, -0.0, 2.5, np.nan, 2.0**53, -(2.0**70), np.inf, -np.inf, 1e300])
+    expected = [
+        None if np.isnan(v) else int(v) if float(v).is_integer() else float(v)
+        for v in values
+    ]
+    result = canonical_pylist(values)
+    assert result == expected
+    assert [type(v) for v in result] == [type(v) for v in expected]
+    assert canonical_pylist(np.array([], dtype=np.float64)) == []
+    assert canonical_pylist(np.array(["a", None], dtype=object)) == ["a", None]
+
+
+# --------------------------------------------------------------------------- #
+# Dictionary-encoded string columns
+# --------------------------------------------------------------------------- #
+
+
+def _object_twin(values: list[object]) -> Column:
+    """``values`` in the plain object representation (un-encoded)."""
+    twin = Column("s", np.array(values, dtype=object), ColumnType.STRING)
+    twin.codes = twin.dictionary = None
+    return twin
+
+
+def test_dictionary_round_trip_equals_object_representation():
+    values = ["pear", None, "apple", "pear", "", None, "apple"]
+    column = Column.from_values("s", values)
+    twin = _object_twin(values)
+    assert column.dictionary.tolist() == ["", "apple", "pear"]  # sorted = rank order
+    assert column.codes.dtype == np.uint8
+    assert column.codes.tolist() == [2, 3, 1, 2, 0, 3, 1]  # NULL = len(dictionary)
+    assert column.values.tolist() == values
+    assert column.values.dtype == object
+    assert column.to_pylist() == twin.to_pylist() == values
+    assert column.null_mask().tolist() == twin.null_mask().tolist()
+    assert column.nbytes() == twin.nbytes()
+    assert len(column) == len(values)
+    assert column.group_codes().tolist() == twin.group_codes().tolist()
+    assert column.factorize()[1] == twin.factorize()[1] == ["", "apple", "pear", None]
+    # The constructor takes the same decision from an object array.
+    built = Column("s", np.array(values, dtype=object), ColumnType.STRING)
+    assert built.codes.tolist() == column.codes.tolist()
+
+
+def test_dictionary_code_width_follows_cardinality():
+    wide = Column.from_values("s", [f"k{i:05d}" for i in range(300)])
+    assert wide.codes.dtype == np.uint16
+    assert wide.to_pylist()[299] == "k00299"
+
+
+def test_dictionary_filter_take_slice_share_the_dictionary():
+    column = Column.from_values("s", ["b", "a", None, "c", "a"])
+    filtered = column.filter(np.array([True, False, True, False, True]))
+    taken = column.take(np.array([3, 3, 0]))
+    window = column.slice(1, 4)
+    renamed = column.rename("t")
+    for derived in (filtered, taken, window, renamed):
+        assert derived.dictionary is column.dictionary
+    assert filtered.to_pylist() == ["b", None, "a"]
+    assert taken.to_pylist() == ["c", "c", "b"]
+    assert window.to_pylist() == ["a", None, "c"]
+    assert np.shares_memory(window.codes, column.codes)  # zero-copy view
+    # Sparse codes after a filter: only present values come back.
+    codes, uniques = filtered.factorize()
+    assert codes.tolist() == [1, 2, 0] and uniques == ["a", "b", None]
+    table = Table([column, Column.from_values("n", [1, 2, 3, 4, 5])])
+    assert table.slice(1, 2).column("s").dictionary is column.dictionary
+    assert table.slice(1, 2).to_rows() == [{"s": "a", "n": 2}, {"s": None, "n": 3}]
+
+
+def test_concat_all_same_dictionary_concatenates_codes():
+    column = Column.from_values("s", ["b", "a", None, "c"])
+    parts = [Table([column.slice(0, 2)]), Table([column.slice(2, 4)])]
+    merged = Table.concat_all(parts).column("s")
+    assert merged.dictionary is column.dictionary
+    assert merged.codes.tolist() == column.codes.tolist()
+
+
+def test_concat_all_different_dictionaries_reencodes():
+    left = Table([Column.from_values("s", ["m", None, "z"])])
+    right = Table([Column.from_values("s", ["a", "m", "q", None])])
+    merged = Table.concat_all([left, right]).column("s")
+    assert merged.dictionary.tolist() == ["a", "m", "q", "z"]
+    assert merged.to_pylist() == ["m", None, "z", "a", "m", "q", None]
+    assert merged.null_mask().tolist() == [False, True, False, False, False, False, True]
+    # A numeric (all-NULL) part promotes through the object path, as before.
+    nulls = Table([Column.from_values("s", [None, None])])
+    assert Table.concat_all([left, nulls]).to_columns() == {"s": ["m", None, "z", None, None]}
+
+
+def test_all_null_and_empty_string_columns():
+    all_null = Column("s", np.array([None, None], dtype=object), ColumnType.STRING)
+    assert all_null.codes.tolist() == [0, 0] and len(all_null.dictionary) == 0
+    assert all_null.null_mask().tolist() == [True, True]
+    assert all_null.to_pylist() == [None, None]
+    assert all_null.factorize()[1] == [None]
+    empty = Column("s", np.array([], dtype=object), ColumnType.STRING)
+    assert len(empty) == 0 and empty.to_pylist() == [] and empty.nbytes() == 0
+    assert empty.null_mask().tolist() == []
+    assert Table([empty]).distinct_indices().tolist() == []
+    assert Table.concat_all([Table([empty]), Table([all_null])]).to_columns() == {
+        "s": [None, None]
+    }
+
+
+def test_mixed_type_string_columns_stay_unencoded():
+    values = ["a", 3.5, None, "b", 7]
+    column = Column.from_values("s", values)
+    assert column.ctype is ColumnType.STRING and column.codes is None
+    assert column.to_pylist() == values
+    assert column.take(np.array([4, 0])).to_pylist() == [7, "a"]
+    assert column.slice(1, 3).to_pylist() == [3.5, None]
+    assert column.factorize()[1] == [3.5, 7, "a", "b", None]
+    unhashable = Column("s", np.array([["x"], None], dtype=object), ColumnType.STRING)
+    assert unhashable.codes is None and unhashable.null_mask().tolist() == [False, True]
+
+
+def test_column_pickles_compactly():
+    import pickle
+
+    big = Column.from_values("s", [f"k{i}" for i in range(1000)])
+    one = pickle.loads(pickle.dumps(big.take(np.array([7]))))
+    assert one.to_pylist() == ["k7"] and len(one.dictionary) == 1
 
 
 # --------------------------------------------------------------------------- #
