@@ -13,6 +13,13 @@ selects a best plan from a candidate set:
   learned models' feature weights; no training required.
 * :class:`RandomComparator` — sanity-check baseline picking randomly.
 
+Best-plan selection, ranking and session consolidation all go through two
+batch methods: :meth:`PlanComparator.costs` (one score per plan, when the
+model has a cost function) and :meth:`PlanComparator.wins` (the round-robin
+tournament).  The base ``wins`` is the literal pairwise loop; the
+deterministic comparators override it with :func:`_round_robin`, which
+judges each *distinct* pair of vectors once, in vectorised blocks.
+
 ``train_comparator`` builds the labelled pair dataset
 ``(v_i - v_j, y)`` from executed plan vectors and latencies, fits the
 requested model and reports its held-out pairwise accuracy.
@@ -29,7 +36,7 @@ adaptive benchmarks), then refines the model with
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,20 +79,73 @@ def build_pair_dataset(
     if len(vectors) < 2:
         raise OptimizationError("need at least two plans to build pairs")
     encoded = normalize_cardinalities(list(vectors)) if normalize else list(vectors)
-    arrays = [v.to_array() for v in encoded]
-    differences: list[np.ndarray] = []
-    labels: list[int] = []
-    gaps: list[float] = []
-    for i in range(len(arrays)):
-        for j in range(i + 1, len(arrays)):
-            differences.append(arrays[i] - arrays[j])
-            labels.append(1 if latencies[i] < latencies[j] else 0)
-            gaps.append(abs(latencies[i] - latencies[j]))
+    arrays = _feature_matrix(encoded)
+    seconds = np.asarray(latencies, dtype=np.float64)
+    first, second = np.triu_indices(len(arrays), k=1)
     return PairDataset(
-        differences=np.array(differences),
-        labels=np.array(labels),
-        latency_gaps=np.array(gaps),
+        differences=arrays[first] - arrays[second],
+        labels=(seconds[first] < seconds[second]).astype(int),
+        latency_gaps=np.abs(seconds[first] - seconds[second]),
     )
+
+
+def _feature_matrix(vectors: Sequence[PlanVector]) -> np.ndarray:
+    """``to_array()`` of every vector, stacked row-wise."""
+    return np.array([v.to_array() for v in vectors], dtype=np.float64)
+
+
+#: Upper bound on the pair judgements one :func:`_round_robin` block holds
+#: at once, so the tournament's temporaries stay a few megabytes whatever
+#: the number of plans.
+_PAIR_BLOCK = 1 << 14
+
+
+def _round_robin(
+    features: np.ndarray,
+    first_beats: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Win counts of the round-robin tournament over ``features`` rows.
+
+    Equals the pairwise loop ``for i < j: compare(v_i, v_j)`` exactly, for
+    any ``compare`` that is a pure function of the two rows — it need be
+    neither antisymmetric nor transitive (the heuristic's alpha band is
+    not).  ``first_beats(a, b)`` returns the boolean matrix
+    ``compare(a[p], b[q]) == 1``.
+
+    Identical rows are collapsed first: a plan space is a product of
+    per-entry choices and most plans share their vector with many others,
+    so only pairs of *distinct* vectors are judged.  Plan ``i`` of class
+    ``c`` then scores, against each class ``d``, one win per member of
+    ``d`` after ``i`` if ``compare(c, d)`` says first-wins, plus one per
+    member before ``i`` if ``compare(d, c)`` says second-wins.
+    """
+    n = len(features)
+    distinct, classes, sizes = np.unique(
+        features, axis=0, return_inverse=True, return_counts=True
+    )
+    classes = classes.reshape(n)
+    wins = np.zeros(n, dtype=np.float64)
+    seen = np.zeros(len(distinct), dtype=np.int64)
+    block = max(1, _PAIR_BLOCK // max(len(distinct), 1))
+    for start in range(0, n, block):
+        rows = classes[start : start + block]
+        present, local = np.unique(rows, return_inverse=True)
+        as_first = first_beats(distinct[present], distinct)
+        # A block holding every class (the usual, single-block case) has
+        # just judged all ordered pairs; no need to judge them again.
+        as_second = (
+            as_first
+            if len(present) == len(distinct)
+            else first_beats(distinct, distinct[present])
+        )
+        wins_first, wins_second = as_first[local], ~as_second.T[local]
+        own = np.zeros((len(rows), len(distinct)), dtype=np.int64)
+        own[np.arange(len(rows)), rows] = 1
+        before = seen + np.cumsum(own, axis=0) - own
+        after = sizes - before - own
+        wins[start : start + block] = (after * wins_first + before * wins_second).sum(axis=1)
+        seen += own.sum(axis=0)
+    return wins
 
 
 # --------------------------------------------------------------------------- #
@@ -113,37 +173,47 @@ class PlanComparator:
         """Scalar cost when the model provides one (lower = better)."""
         return None
 
+    def costs(self, vectors: Sequence[PlanVector]) -> np.ndarray | None:
+        """Cost of every vector, or ``None`` when the model only ranks pairs."""
+        values = []
+        for vector in vectors:
+            value = self.cost(vector)
+            if value is None:
+                return None
+            values.append(value)
+        return np.array(values, dtype=np.float64)
+
+    def wins(self, vectors: Sequence[PlanVector]) -> np.ndarray:
+        """Round-robin vote over every pair: how many opponents each plan beats.
+
+        The paper's wrapper for models that only rank pairs.  This literal
+        loop is the definition (and keeps a stateful comparator's call
+        sequence); deterministic comparators override it with an
+        equivalent batch computation.
+        """
+        wins = np.zeros(len(vectors), dtype=np.float64)
+        for i in range(len(vectors)):
+            for j in range(i + 1, len(vectors)):
+                if self.compare(vectors[i], vectors[j]) == 1:
+                    wins[i] += 1
+                else:
+                    wins[j] += 1
+        return wins
+
     def select_best(self, vectors: Sequence[PlanVector]) -> int:
         """Index of the predicted-fastest plan among ``vectors``."""
         if not vectors:
             raise OptimizationError("select_best needs at least one candidate")
-        costs = [self.cost(v) for v in vectors]
-        if all(c is not None for c in costs):
-            return int(np.argmin(np.array(costs, dtype=np.float64)))
-        # Round-robin vote over every pair (the paper's wrapper for models
-        # that only rank pairs).
-        wins = [0] * len(vectors)
-        for i in range(len(vectors)):
-            for j in range(i + 1, len(vectors)):
-                if self.compare(vectors[i], vectors[j]) == 1:
-                    wins[i] += 1
-                else:
-                    wins[j] += 1
-        return int(np.argmax(wins))
+        costs = self.costs(vectors)
+        if costs is not None:
+            return int(np.argmin(costs))
+        return int(np.argmax(self.wins(vectors)))
 
     def rank(self, vectors: Sequence[PlanVector]) -> list[int]:
         """Indices of candidates ordered best-first."""
-        costs = [self.cost(v) for v in vectors]
-        if all(c is not None for c in costs):
-            return list(np.argsort(np.array(costs, dtype=np.float64)))
-        wins = [0] * len(vectors)
-        for i in range(len(vectors)):
-            for j in range(i + 1, len(vectors)):
-                if self.compare(vectors[i], vectors[j]) == 1:
-                    wins[i] += 1
-                else:
-                    wins[j] += 1
-        return list(np.argsort(-np.array(wins, dtype=np.float64)))
+        costs = self.costs(vectors)
+        order = np.argsort(costs) if costs is not None else np.argsort(-self.wins(vectors))
+        return order.tolist()
 
 
 class RankSVMComparator(PlanComparator):
@@ -165,6 +235,9 @@ class RankSVMComparator(PlanComparator):
     def cost(self, vector: PlanVector) -> float:
         return float(self.model.cost(vector.to_array())[0])
 
+    def costs(self, vectors: Sequence[PlanVector]) -> np.ndarray:
+        return self.model.cost(_feature_matrix(vectors))
+
     def feature_weights(self) -> np.ndarray:
         """Learned weights — inspected to derive the heuristic rules."""
         return self.model.feature_weights()
@@ -185,6 +258,14 @@ class RandomForestComparator(PlanComparator):
 
     def compare(self, first: PlanVector, second: PlanVector) -> int:
         return self.model.predict_pair(first.to_array(), second.to_array())
+
+    def wins(self, vectors: Sequence[PlanVector]) -> np.ndarray:
+        return _round_robin(_feature_matrix(vectors), self._first_beats)
+
+    def _first_beats(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        differences = first[:, None, :] - second[None, :, :]
+        predicted = self.model.predict(differences.reshape(-1, differences.shape[-1]))
+        return predicted.reshape(len(first), len(second)) == 1
 
     def feature_importances(self) -> np.ndarray:
         """Forest feature importances — also feeds the heuristic design."""
@@ -232,6 +313,39 @@ class HeuristicComparator(PlanComparator):
             if decision is not None:
                 return decision
         return 1
+
+    def wins(self, vectors: Sequence[PlanVector]) -> np.ndarray:
+        keys = np.array(
+            [
+                (
+                    v.total_cardinality + self.cardinality_epsilon,
+                    v.client_aggregate_count(),
+                    v.client_operator_count(),
+                    v.counts.get("vdt", 0.0),
+                )
+                for v in vectors
+            ],
+            dtype=np.float64,
+        ).reshape(len(vectors), 4)
+        return _round_robin(keys, self._first_beats)
+
+    def _first_beats(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """:meth:`compare` on every (first row, second row) pair of rule keys."""
+        (card_a, aggs_a, ops_a, vdts_a), (card_b, aggs_b, ops_b, vdts_b) = (
+            first.T[:, :, None],
+            second.T[:, None, :],
+        )
+        # (first wins, second wins) per rule, in priority order.
+        rules = (
+            (card_a * self.alpha < card_b, card_b * self.alpha < card_a),
+            (aggs_a > aggs_b, aggs_b > aggs_a),
+            (ops_a < ops_b, ops_b < ops_a),
+            (vdts_a > vdts_b, vdts_b > vdts_a),
+        )
+        beats = np.ones((len(first), len(second)), dtype=bool)
+        for first_wins, second_wins in reversed(rules):
+            beats = np.where(first_wins, True, np.where(second_wins, False, beats))
+        return beats
 
     # -- individual rules ------------------------------------------------ #
     def _rule_cardinality(self, first: PlanVector, second: PlanVector) -> int | None:

@@ -43,9 +43,7 @@ class SessionDecision:
     def ranking(self) -> list[int]:
         """Plan indices ordered best-first."""
         scores = np.array(self.per_plan_score, dtype=np.float64)
-        if self.score_kind == "cost":
-            return list(np.argsort(scores))
-        return list(np.argsort(-scores))
+        return np.argsort(scores if self.score_kind == "cost" else -scores).tolist()
 
 
 class IncrementalConsolidator:
@@ -78,25 +76,15 @@ class IncrementalConsolidator:
             raise OptimizationError(
                 f"episode covers {len(vectors)} plans, consolidator expects {self.n_plans}"
             )
+        costs = self.comparator.costs(vectors)
         if self._score_kind is None:
-            costs = [self.comparator.cost(v) for v in vectors]
-            self._score_kind = "cost" if all(c is not None for c in costs) else "wins"
-        if self._score_kind == "cost":
-            costs = [self.comparator.cost(v) for v in vectors]
-            if any(c is None for c in costs):
-                raise OptimizationError(
-                    "comparator stopped providing costs mid-consolidation"
-                )
-            self._scores += weight * np.array(costs, dtype=np.float64)
+            self._score_kind = "cost" if costs is not None else "wins"
+        if self._score_kind == "wins":
+            self._scores += weight * self.comparator.wins(vectors)
+        elif costs is None:
+            raise OptimizationError("comparator stopped providing costs mid-consolidation")
         else:
-            wins = np.zeros(self.n_plans, dtype=np.float64)
-            for i in range(self.n_plans):
-                for j in range(i + 1, self.n_plans):
-                    if self.comparator.compare(vectors[i], vectors[j]) == 1:
-                        wins[i] += 1
-                    else:
-                        wins[j] += 1
-            self._scores += weight * wins
+            self._scores += weight * costs
         self.n_episodes += 1
         return self.decision()
 

@@ -33,11 +33,11 @@ candidate plan offloading the same chain.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence, Set
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dataflow import Dataflow
 from repro.dataflow.operator import Operator, SourceOperator
 from repro.expr import parse_expression
 from repro.expr.nodes import BinaryNode, IdentifierNode, MemberNode, NumberNode
@@ -163,6 +163,85 @@ def normalize_cardinalities(vectors: list[PlanVector]) -> list[PlanVector]:
     return normalised
 
 
+@dataclass(frozen=True)
+class OperatorRecord:
+    """Everything plan encoding reads off one operator of a rewritten dataflow.
+
+    ``key`` is ``(data entry, index among the operators that entry
+    contributed)``: unique within one dataflow and — unlike an operator id
+    — the same in every candidate plan that builds the entry in the same
+    context, so records harvested from one build can stand in for the
+    operators of another (see ``docs/OPTIMIZER.md``).  Row-stream and
+    parameter dependencies are kept symbolically (``upstream`` key,
+    ``operator_refs`` names) for the same reason.
+    """
+
+    key: tuple[str, int]
+    op_type: str
+    #: Estimated output cardinality.
+    rows: float
+    #: Name the operator is registered under, if any.
+    name: str | None
+    #: Signals the operator's parameters reference.
+    signals: frozenset[str]
+    #: Key of the operator whose rows this one consumes.
+    upstream: tuple[str, int] | None
+    #: Names of operators whose output value this one's parameters reference.
+    operator_refs: frozenset[str]
+
+
+def fold_records(
+    records: Sequence[OperatorRecord],
+    plan_id: int,
+    episode: int = 0,
+    changed_signals: Set[str] | None = None,
+) -> PlanVector:
+    """Fold operator records (in dataflow insertion order) into a plan vector.
+
+    With ``changed_signals`` the vector covers only the operators an
+    interaction changing those signals re-evaluates (Section 5.4).  The
+    per-operator additions are replayed one by one in record order, so a
+    vector folded from records assembled out of cached fragments is
+    bit-identical to one folded from the plan's own built dataflow.
+    """
+    vector = PlanVector(plan_id=plan_id, episode=episode)
+    if changed_signals is not None:
+        stale = _stale_keys(records, changed_signals)
+        records = [record for record in records if record.key in stale]
+    counts, cardinalities = vector.counts, vector.cardinalities
+    for record in records:
+        op_type = record.op_type
+        counts[op_type] = counts.get(op_type, 0.0) + 1.0
+        cardinalities[op_type] = cardinalities.get(op_type, 0.0) + record.rows
+    return vector
+
+
+def _stale_keys(
+    records: Sequence[OperatorRecord], changed_signals: Set[str]
+) -> set[tuple[str, int]]:
+    """Keys of the records that re-run when ``changed_signals`` change.
+
+    Mirrors :meth:`Dataflow._stale_operators`: direct signal dependents
+    plus everything transitively downstream of them.
+    """
+    stale = {record.key for record in records if record.signals & changed_signals}
+    if not stale:
+        return stale
+    key_of_name = {record.name: record.key for record in records if record.name is not None}
+    grew = True
+    while grew:
+        grew = False
+        for record in records:
+            if record.key in stale:
+                continue
+            if record.upstream in stale or any(
+                key_of_name.get(name) in stale for name in record.operator_refs
+            ):
+                stale.add(record.key)
+                grew = True
+    return stale
+
+
 #: Default selectivity of a filter whose predicate cannot be analysed.
 _FALLBACK_FILTER_SELECTIVITY = 0.3
 
@@ -248,15 +327,33 @@ class PlanEncoder:
         self, rewritten: RewrittenDataflow, plan_id: int, episode: int = 0
     ) -> PlanVector:
         """Encode without executing, using EXPLAIN-style estimates."""
-        vector = PlanVector(plan_id=plan_id, episode=episode)
+        return fold_records(self.operator_records(rewritten), plan_id, episode)
+
+    def operator_records(self, rewritten: RewrittenDataflow) -> list[OperatorRecord]:
+        """One estimated :class:`OperatorRecord` per operator, in insertion order."""
+        dataflow = rewritten.dataflow
         estimates = self._estimate_cardinalities(rewritten)
-        for operator in rewritten.dataflow.operators():
-            op_type = _operator_type(operator)
-            vector.counts[op_type] = vector.counts.get(op_type, 0.0) + 1.0
-            vector.cardinalities[op_type] = vector.cardinalities.get(
-                op_type, 0.0
-            ) + estimates.get(operator.id, 0.0)
-        return vector
+        key_of = {
+            operator.id: (entry, index)
+            for entry, operators in rewritten.entry_operators.items()
+            for index, operator in enumerate(operators)
+        }
+        name_of = {operator.id: name for name, operator in dataflow.operator_names().items()}
+        records = []
+        for operator in dataflow.operators():
+            upstream = dataflow.upstream_of(operator)
+            records.append(
+                OperatorRecord(
+                    key=key_of[operator.id],
+                    op_type=_operator_type(operator),
+                    rows=estimates.get(operator.id, 0.0),
+                    name=name_of.get(operator.id),
+                    signals=frozenset(operator.signal_dependencies()),
+                    upstream=key_of[upstream.id] if upstream is not None else None,
+                    operator_refs=frozenset(operator.operator_dependencies()),
+                )
+            )
+        return records
 
     # ------------------------------------------------------------------ #
     def _estimate_cardinalities(self, rewritten: RewrittenDataflow) -> dict[int, float]:

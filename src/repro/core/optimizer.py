@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 
 from repro.core.comparators import HeuristicComparator, PlanComparator
 from repro.core.consolidation import SessionDecision, consolidate_session
-from repro.core.encoder import PlanEncoder, PlanVector, normalize_cardinalities
+from repro.core.encoder import (
+    OperatorRecord,
+    PlanEncoder,
+    PlanVector,
+    fold_records,
+    normalize_cardinalities,
+)
 from repro.core.enumerator import PlanEnumerator
 from repro.core.plan import ExecutionPlan
 from repro.errors import OptimizationError
@@ -43,6 +49,66 @@ class OptimizationResult:
     def n_candidates(self) -> int:
         """Number of plans that were considered."""
         return len(self.candidate_plans)
+
+
+class _PlanSpace:
+    """The operators of every candidate plan, assembled from entry fragments.
+
+    Candidate plans are a product of per-entry split choices, and what
+    :meth:`SpecRewriter.build` adds for one data entry — and what those
+    operators estimate to — depends only on the entry's *context*: its
+    split, whether its rows are needed on the client, and the same for
+    each ancestor up the ``source`` chain.  So a plan is really built
+    only when one of its entries appears in a context no earlier plan
+    had; the entry fragments harvested from that build are then
+    concatenated, in ``spec.data`` order, into the operator records of
+    every other plan sharing the context.
+
+    One instance serves one :meth:`VegaPlusOptimizer.encode_candidates`
+    call: fragments carry cardinality estimates, which must be read from
+    the statistics, signal values and feedback of *that* call.
+    """
+
+    def __init__(
+        self,
+        rewriter: SpecRewriter,
+        encoder: PlanEncoder,
+        signal_values: Mapping[str, object] | None,
+    ) -> None:
+        self._rewriter = rewriter
+        self._encoder = encoder
+        self._signal_values = dict(signal_values or {})
+        self._fragments: dict[tuple, list[OperatorRecord]] = {}
+
+    def records(self, plan: ExecutionPlan) -> list[OperatorRecord]:
+        """Operator records of ``plan``, as its own built dataflow would yield."""
+        assignment = plan.as_dict()
+        contexts = self._contexts(assignment)
+        if any(context not in self._fragments for context in contexts.values()):
+            built = self._rewriter.build(assignment)
+            if self._signal_values:
+                built.dataflow.set_signal_values(self._signal_values)
+            fragments: dict[str, list[OperatorRecord]] = {name: [] for name in contexts}
+            for record in self._encoder.operator_records(built):
+                fragments[record.key[0]].append(record)
+            for name, context in contexts.items():
+                self._fragments.setdefault(context, fragments[name])
+        return [
+            record for context in contexts.values() for record in self._fragments[context]
+        ]
+
+    def _contexts(self, assignment: Mapping[str, int]) -> dict[str, tuple]:
+        """Per data entry (in ``spec.data`` order), the key of its build context."""
+        needed = self._rewriter.client_row_consumers(assignment)
+        contexts: dict[str, tuple] = {}
+        for entry in self._rewriter.spec.data:
+            contexts[entry.name] = (
+                entry.name,
+                int(assignment.get(entry.name, 0)),
+                entry.name in needed,
+                contexts.get(entry.source),
+            )
+        return contexts
 
 
 class VegaPlusOptimizer:
@@ -96,18 +162,19 @@ class VegaPlusOptimizer:
         anticipated_interactions: Sequence[Mapping[str, object]] | None = None,
         signal_values: Mapping[str, object] | None = None,
         normalize: bool | None = None,
-    ) -> tuple[list[list[PlanVector]], list[RewrittenDataflow]]:
+    ) -> list[list[PlanVector]]:
         """Encode every candidate, optionally once per anticipated interaction.
 
-        Returns ``(episode_vectors, rewritten)`` where
-        ``episode_vectors[e][p]`` is plan ``p``'s vector for episode ``e``
-        (episode 0 = initial rendering) and ``rewritten[p]`` is the built
-        dataflow for plan ``p``.
+        Returns ``episode_vectors`` where ``episode_vectors[e][p]`` is plan
+        ``p``'s vector for episode ``e`` (episode 0 = initial rendering;
+        episode ``e > 0`` covers only the operators interaction ``e``
+        re-evaluates).  Every vector equals
+        ``encoder.encode_estimated(self.build(plan))`` restricted likewise,
+        but candidates are not built one by one — see :class:`_PlanSpace`.
 
-        ``signal_values`` overrides the spec-default signal state of the
-        built dataflows before encoding — mid-session replans estimate
-        under the signal values the session has actually reached, not the
-        ones it started from.
+        ``signal_values`` overrides the spec-default signal state before
+        estimating — mid-session replans estimate under the signal values
+        the session has actually reached, not the ones it started from.
 
         ``normalize`` controls whether cardinalities are log-normalised;
         the default follows the configured comparator's
@@ -119,24 +186,18 @@ class VegaPlusOptimizer:
         if normalize is None:
             normalize = self.comparator.wants_normalized
         scale = normalize_cardinalities if normalize else list
-        rewritten = [self.build(plan) for plan in plans]
-        if signal_values:
-            for built in rewritten:
-                built.dataflow.set_signal_values(dict(signal_values))
-        initial = [
-            self.encoder.encode_estimated(r, plan.plan_id, episode=0)
-            for plan, r in zip(plans, rewritten)
+        space = _PlanSpace(self.rewriter, self.encoder, signal_values)
+        records = [space.records(plan) for plan in plans]
+        changed_per_episode = [None, *(set(i) for i in anticipated_interactions or [])]
+        return [
+            scale(
+                [
+                    fold_records(plan_records, plan.plan_id, episode, changed)
+                    for plan, plan_records in zip(plans, records)
+                ]
+            )
+            for episode, changed in enumerate(changed_per_episode)
         ]
-        episodes: list[list[PlanVector]] = [scale(initial)]
-
-        for episode_index, interaction in enumerate(anticipated_interactions or [], start=1):
-            episode_vectors: list[PlanVector] = []
-            for plan, built in zip(plans, rewritten):
-                episode_vectors.append(
-                    self._encode_interaction(built, plan, interaction, episode_index)
-                )
-            episodes.append(scale(episode_vectors))
-        return episodes, rewritten
 
     def choose_plan(
         self,
@@ -147,7 +208,7 @@ class VegaPlusOptimizer:
         plans = self.enumerate_plans()
         if len(plans) == 1:
             return OptimizationResult(plan=plans[0], candidate_plans=plans)
-        episodes, _rewritten = self.encode_candidates(plans, anticipated_interactions)
+        episodes = self.encode_candidates(plans, anticipated_interactions)
         decision = consolidate_session(self.comparator, episodes, episode_weights)
         best = plans[decision.best_plan_index]
         return OptimizationResult(
@@ -156,33 +217,3 @@ class VegaPlusOptimizer:
             decision=decision,
             vectors=episodes[0],
         )
-
-    # ------------------------------------------------------------------ #
-    def _encode_interaction(
-        self,
-        built: RewrittenDataflow,
-        plan: ExecutionPlan,
-        interaction: Mapping[str, object],
-        episode_index: int,
-    ) -> PlanVector:
-        """Estimated vector covering only operators the interaction touches."""
-        changed = set(interaction)
-        stale = built.dataflow._stale_operators(changed)
-        full = self.encoder.encode_estimated(built, plan.plan_id, episode=episode_index)
-        if not stale:
-            return PlanVector(plan_id=plan.plan_id, episode=episode_index)
-        # Restrict counts/cardinalities to the stale subset by re-walking.
-        vector = PlanVector(plan_id=plan.plan_id, episode=episode_index)
-        estimates = self.encoder._estimate_cardinalities(built)
-        for operator in built.dataflow.operators():
-            if operator.id not in stale:
-                continue
-            from repro.core.encoder import _operator_type
-
-            op_type = _operator_type(operator)
-            vector.counts[op_type] = vector.counts.get(op_type, 0.0) + 1.0
-            vector.cardinalities[op_type] = vector.cardinalities.get(op_type, 0.0) + estimates.get(
-                operator.id, 0.0
-            )
-        del full
-        return vector

@@ -352,7 +352,7 @@ class AdaptivePolicy(PlanPolicy):
         if len(self._plans) <= 1:
             return None
         recent = list(self._recent_interactions)
-        episodes, _rewritten = self._optimizer.encode_candidates(
+        episodes = self._optimizer.encode_candidates(
             self._plans, recent, signal_values=self._signal_state
         )
         consolidator = IncrementalConsolidator(
@@ -370,11 +370,10 @@ class AdaptivePolicy(PlanPolicy):
             # Charge the one-off switch cost (a full re-render) to every
             # candidate except the incumbent, then take the minimum.
             scores = np.array(decision.per_plan_score, dtype=np.float64)
-            render_costs = [self._optimizer.comparator.cost(v) for v in episodes[0]]
-            if all(c is not None for c in render_costs):
-                for index, render_cost in enumerate(render_costs):
-                    if index != self._current_index:
-                        scores[index] += self.switch_cost_weight * float(render_cost)
+            render_costs = self._optimizer.comparator.costs(episodes[0])
+            if render_costs is not None:
+                switching = np.arange(len(scores)) != self._current_index
+                scores[switching] += self.switch_cost_weight * render_costs[switching]
             new_index = int(np.argmin(scores))
         else:
             new_index = decision.best_plan_index

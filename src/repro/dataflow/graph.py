@@ -17,7 +17,7 @@ VegaPlus optimizer exploits when costing interactions (Section 5.4).
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Set
 from dataclasses import dataclass, field
 
 from repro.errors import CycleError, DataflowError
@@ -63,6 +63,11 @@ class Dataflow:
         self._named_operators: dict[str, Operator] = {}
         self._datasets: dict[str, int] = {}
         self._clock = 0
+        #: The graph is frozen once built, so the evaluation order and the
+        #: operators each set of changed signals makes stale are computed
+        #: once; every structural change (:meth:`_invalidate`) drops them.
+        self._order: list[Operator] | None = None
+        self._stale_orders: dict[frozenset[str], list[Operator]] = {}
 
     # ------------------------------------------------------------------ #
     # Graph construction
@@ -88,6 +93,7 @@ class Dataflow:
             if name in self._named_operators:
                 raise DataflowError(f"operator name {name!r} already in use")
             self._named_operators[name] = operator
+        self._invalidate()
         return operator
 
     def add_source(self, rows: list[dict[str, object]], name: str = "source") -> SourceOperator:
@@ -105,6 +111,11 @@ class Dataflow:
     def declare_signal(self, name: str, value: object = None, bind: dict | None = None) -> None:
         """Declare an interaction signal."""
         self.signals.declare(name, value=value, bind=bind)
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        self._order = None
+        self._stale_orders.clear()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -178,6 +189,11 @@ class Dataflow:
     # ------------------------------------------------------------------ #
     def topological_order(self) -> list[Operator]:
         """Operators sorted so that every dependency precedes its dependents."""
+        if self._order is None:
+            self._order = self._sort_topologically()
+        return list(self._order)
+
+    def _sort_topologically(self) -> list[Operator]:
         indegree: dict[int, int] = {op_id: 0 for op_id in self._operators}
         dependents: dict[int, list[int]] = {op_id: [] for op_id in self._operators}
         for op_id, operator in self._operators.items():
@@ -209,9 +225,7 @@ class Dataflow:
         changed = self.signals.set(name, value, self._clock)
         if not changed:
             return EvaluationReport()
-        stale = self._stale_operators({name})
-        ordered = [op for op in self.topological_order() if op.id in stale]
-        return self._evaluate(ordered)
+        return self._evaluate(self._stale_order(frozenset({name})))
 
     def set_signal_values(self, updates: dict[str, object]) -> set[str]:
         """Set signal values *without* re-evaluating; returns changed names.
@@ -239,9 +253,7 @@ class Dataflow:
         }
         if not changed_names:
             return EvaluationReport()
-        stale = self._stale_operators(changed_names)
-        ordered = [op for op in self.topological_order() if op.id in stale]
-        return self._evaluate(ordered)
+        return self._evaluate(self._stale_order(frozenset(changed_names)))
 
     # ------------------------------------------------------------------ #
     def _dependency_ids(self, operator: Operator) -> set[int]:
@@ -258,7 +270,16 @@ class Dataflow:
             deps.add(referenced.id)
         return deps
 
-    def _stale_operators(self, changed_signals: set[str]) -> set[int]:
+    def _stale_order(self, changed_signals: frozenset[str]) -> list[Operator]:
+        """Operators to re-run after the given signal changes, in evaluation order."""
+        ordered = self._stale_orders.get(changed_signals)
+        if ordered is None:
+            stale = self._stale_operators(changed_signals)
+            ordered = [op for op in self.topological_order() if op.id in stale]
+            self._stale_orders[changed_signals] = ordered
+        return ordered
+
+    def _stale_operators(self, changed_signals: Set[str]) -> set[int]:
         """Ids of operators that must re-run after the given signal changes."""
         stale: set[int] = set()
         for operator in self._operators.values():
@@ -280,13 +301,13 @@ class Dataflow:
         report = EvaluationReport()
         refs = {name: op.id for name, op in self._named_operators.items()}
         start_total = time.perf_counter()
+        results = {
+            op_id: op.last_result
+            for op_id, op in self._operators.items()
+            if op.last_result is not None
+        }
+        context = EvaluationContext(self.signals.values(), results)
         for operator in operators:
-            results = {
-                op_id: op.last_result
-                for op_id, op in self._operators.items()
-                if op.last_result is not None
-            }
-            context = EvaluationContext(self.signals.values(), results)
             upstream = self.upstream_of(operator)
             if upstream is not None:
                 if upstream.last_result is None:
@@ -300,7 +321,7 @@ class Dataflow:
             started = time.perf_counter()
             result = operator.evaluate(source_rows, params, context)
             elapsed = time.perf_counter() - started
-            operator.last_result = result
+            operator.last_result = results[operator.id] = result
             operator.stamp = self._clock
             report.evaluated_operators.append(operator.id)
             report.operator_seconds[operator.id] = elapsed

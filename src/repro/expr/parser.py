@@ -16,6 +16,8 @@ Grammar (precedence low → high)::
 
 from __future__ import annotations
 
+import functools
+
 from repro.errors import ExpressionParseError
 from repro.expr.nodes import (
     BinaryNode,
@@ -209,6 +211,12 @@ class _ExprParser:
 def parse_expression(text: str) -> ExprNode:
     """Parse Vega expression ``text`` into an AST.
 
+    Parses are memoised on the source string: a dashboard re-parses the
+    same handful of filter/formula expressions on every interaction and
+    for every candidate plan.  Sharing the AST is safe because every node
+    is a frozen dataclass with tuple children; a failed parse raises and
+    is therefore never cached.
+
     Raises
     ------
     ExpressionParseError
@@ -216,5 +224,9 @@ def parse_expression(text: str) -> ExprNode:
     """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionParseError(f"expression must be a non-empty string, got {text!r}")
-    tokens = tokenize_expression(text)
-    return _ExprParser(tokens, text).parse()
+    return _parse(text)
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse(text: str) -> ExprNode:
+    return _ExprParser(tokenize_expression(text), text).parse()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,49 @@ class _TreeNode:
 
     def is_leaf(self) -> bool:
         return self.feature is None
+
+
+class FlatTrees:
+    """Fitted trees laid out as parallel node arrays for batch prediction.
+
+    Samples descend all trees level by level with array gathers — a few
+    numpy calls per level whatever the number of samples or trees —
+    instead of one Python walk per (sample, tree).  Leaves point at
+    themselves, so samples that arrive early simply wait.
+    """
+
+    def __init__(self, roots: Sequence[_TreeNode]) -> None:
+        feature: list[int] = []
+        threshold: list[float] = []
+        children: list[tuple[int, int]] = []
+        probability: list[float] = []
+        self.depth = 0
+
+        def add(node: _TreeNode, level: int) -> int:
+            index = len(feature)
+            feature.append(0 if node.is_leaf() else node.feature)
+            threshold.append(node.threshold)
+            probability.append(node.probability)
+            children.append((index, index))
+            if not node.is_leaf():
+                self.depth = max(self.depth, level + 1)
+                children[index] = (add(node.left, level + 1), add(node.right, level + 1))
+            return index
+
+        self._roots = np.array([add(root, 0) for root in roots], dtype=np.intp)
+        self._feature = np.array(feature, dtype=np.intp)
+        self._threshold = np.array(threshold, dtype=np.float64)
+        self._left, self._right = np.array(children, dtype=np.intp).T
+        self._probability = np.array(probability, dtype=np.float64)
+
+    def leaf_probabilities(self, features: np.ndarray) -> np.ndarray:
+        """Class-1 probability of every sample under every tree: (trees, samples)."""
+        samples = np.arange(len(features))
+        node = np.repeat(self._roots[:, None], len(features), axis=1)
+        for _ in range(self.depth):
+            goes_left = features[samples, self._feature[node]] <= self._threshold[node]
+            node = np.where(goes_left, self._left[node], self._right[node])
+        return self._probability[node]
 
 
 def _gini(labels: np.ndarray) -> float:
@@ -61,6 +105,7 @@ class DecisionTreeClassifier:
         self.max_features = max_features
         self.seed = seed
         self.root_: _TreeNode | None = None
+        self._flat: FlatTrees | None = None
         self.n_features_: int = 0
         self.feature_importances_: np.ndarray | None = None
 
@@ -79,6 +124,7 @@ class DecisionTreeClassifier:
         self._importance = np.zeros(self.n_features_, dtype=np.float64)
         rng = np.random.default_rng(self.seed)
         self.root_ = self._grow(features, labels, depth=0, rng=rng)
+        self._flat = FlatTrees([self.root_])
         total = self._importance.sum()
         self.feature_importances_ = (
             self._importance / total if total > 0 else self._importance
@@ -162,20 +208,14 @@ class DecisionTreeClassifier:
     # ------------------------------------------------------------------ #
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Probability of class 1 for each sample."""
-        if self.root_ is None:
+        if self._flat is None:
             raise ModelError("DecisionTreeClassifier.predict called before fit")
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        return np.array([self._predict_one(row) for row in features])
+        return self._flat.leaf_probabilities(features)[0]
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predicted class (0/1) for each sample."""
         return (self.predict_proba(features) >= 0.5).astype(int)
-
-    def _predict_one(self, row: np.ndarray) -> float:
-        node = self.root_
-        while node is not None and not node.is_leaf():
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.probability if node is not None else 0.0
 
     def depth(self) -> int:
         """Actual depth of the fitted tree."""

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from repro.errors import ModelError
-from repro.ml.decision_tree import DecisionTreeClassifier
+from repro.ml.decision_tree import DecisionTreeClassifier, FlatTrees
 
 
 class RandomForestClassifier:
@@ -42,6 +42,7 @@ class RandomForestClassifier:
         self.max_features = max_features
         self.seed = seed
         self.trees_: list[DecisionTreeClassifier] = []
+        self._flat: FlatTrees | None = None
         self.feature_importances_: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
@@ -84,17 +85,19 @@ class RandomForestClassifier:
                 importances += tree.feature_importances_
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances
+        self._flat = FlatTrees([tree.root_ for tree in self.trees_])
         return self
 
     # ------------------------------------------------------------------ #
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Mean class-1 probability over all trees."""
-        if not self.trees_:
+        if self._flat is None:
             raise ModelError("RandomForestClassifier.predict called before fit")
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         votes = np.zeros(len(features), dtype=np.float64)
-        for tree in self.trees_:
-            votes += tree.predict_proba(features)
+        # Tree by tree, so the float sum keeps its order.
+        for tree_probabilities in self._flat.leaf_probabilities(features):
+            votes += tree_probabilities
         return votes / len(self.trees_)
 
     def predict(self, features: np.ndarray) -> np.ndarray:

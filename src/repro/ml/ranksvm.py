@@ -146,7 +146,11 @@ class RankSVM:
         if self.weights_ is None:
             raise ModelError("RankSVM.cost called before fit")
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        return vectors @ self.weights_
+        # Multiply and sum each row on its own instead of one BLAS product,
+        # whose rounding can depend on where a row sits in the matrix: equal
+        # plan vectors must cost exactly the same, alone or in any batch,
+        # so that ties keep going to the first plan.
+        return (vectors * self.weights_).sum(axis=1)
 
     def predict_pair(self, first: np.ndarray, second: np.ndarray) -> int:
         """1 when ``first`` is predicted faster than ``second``, else 0."""

@@ -39,6 +39,11 @@ class RewrittenDataflow:
     dataflow: Dataflow
     vdts: list[VegaDBMSTransform] = field(default_factory=list)
     assignment: dict[str, int] = field(default_factory=dict)
+    #: The operators each data entry contributed, in insertion order.  What
+    #: an entry contributes depends only on its own and its ancestors'
+    #: splits and client-row needs, which lets the optimizer encode a plan
+    #: space by entry fragment instead of building every candidate.
+    entry_operators: dict[str, list[Operator]] = field(default_factory=dict)
 
     def server_seconds(self) -> float:
         """Total DBMS execution time across all VDTs so far."""
@@ -78,6 +83,11 @@ class SpecRewriter:
         self.spec = spec
         self.middleware = middleware
         self._operator_signals = spec.operator_signal_names()
+        self._referenced = spec.referenced_datasets()
+        self._children: dict[str, list[str]] = {entry.name: [] for entry in spec.data}
+        for entry in spec.data:
+            if entry.source is not None:
+                self._children.setdefault(entry.source, []).append(entry.name)
 
     # ------------------------------------------------------------------ #
     def max_server_prefix(self, entry: DataEntry) -> int:
@@ -130,23 +140,17 @@ class SpecRewriter:
         itself needs rows.  Entries outside this set that are fully pushed
         to the server never transfer their rows to the browser.
         """
-        referenced = self.spec.referenced_datasets()
         needed: set[str] = set()
         # Walk entries in reverse declaration order so children are decided
-        # before their parents.
+        # before their parents.  An entry with client-side transforms needs
+        # its *input* rows, which is the parent's (or its own VDT's) concern,
+        # handled when the entry is built; the flag here is only about outputs.
         for entry in reversed(self.spec.data):
-            split = int(assignment.get(entry.name, 0))
-            entry_needed = entry.name in referenced
-            for child in self.spec.data:
-                if child.source == entry.name and int(assignment.get(child.name, 0)) == 0 \
-                        and child.name in needed:
-                    entry_needed = True
-            if entry_needed:
+            if entry.name in self._referenced or any(
+                child in needed and int(assignment.get(child, 0)) == 0
+                for child in self._children[entry.name]
+            ):
                 needed.add(entry.name)
-            # An entry with client-side transforms needs its *input* rows,
-            # which is the parent's (or its own VDT's) concern, handled when
-            # the entry is built; the flag here is only about outputs.
-            del split
         return needed
 
     # ------------------------------------------------------------------ #
@@ -160,11 +164,14 @@ class SpecRewriter:
         vdts: list[VegaDBMSTransform] = []
         states: dict[str, _EntryState] = {}
         needed = self.client_row_consumers(assignment)
+        entry_operators: dict[str, list[Operator]] = {}
 
         for entry in self.spec.data:
             split = int(assignment.get(entry.name, 0))
+            already = dataflow.num_operators()
             state = self._build_entry(entry, split, dataflow, states, vdts, needed)
             states[entry.name] = state
+            entry_operators[entry.name] = dataflow.operators()[already:]
             if state.tail is not None:
                 dataflow.mark_dataset(entry.name, state.tail)
 
@@ -172,6 +179,7 @@ class SpecRewriter:
             dataflow=dataflow,
             vdts=vdts,
             assignment={e.name: int(assignment.get(e.name, 0)) for e in self.spec.data},
+            entry_operators=entry_operators,
         )
 
     # ------------------------------------------------------------------ #

@@ -87,14 +87,17 @@ class VegaDBMSTransform(Operator):
         self.value_kind = value_kind
         self.cost_log = VDTCostLog()
         self.last_sql: str | None = None
+        # ``transforms`` and ``params`` are private copies, so the signals
+        # they reference are fixed at construction.
+        deps = super().signal_dependencies()
+        for definition in self.transforms:
+            deps |= _definition_signal_refs(definition)
+        self._signal_dependencies = frozenset(deps)
 
     # ------------------------------------------------------------------ #
     def signal_dependencies(self) -> set[str]:
         """Signals referenced by any of the wrapped transform definitions."""
-        deps = super().signal_dependencies()
-        for definition in self.transforms:
-            deps |= _definition_signal_refs(definition)
-        return deps
+        return set(self._signal_dependencies)
 
     def describe(self) -> str:
         """Short human-readable description (used in plan explanations)."""

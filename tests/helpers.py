@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from repro.core.encoder import PlanVector, _operator_type
 from repro.storage.resultset import ResultSet
 from repro.storage.table import Table
 
@@ -11,3 +12,26 @@ from repro.storage.table import Table
 def result_set(rows: Sequence[dict] = ()) -> ResultSet:
     """A small columnar result — what caches store and codecs estimate."""
     return ResultSet.from_table(Table.from_rows(list(rows)))
+
+
+def reference_vector(encoder, built, plan_id, episode=0, interaction=None):
+    """The per-plan definition of an estimated vector, written out longhand.
+
+    Episode 0 sums every operator of the plan's own built dataflow; an
+    interaction episode sums only the operators the interaction makes
+    stale.  This is what ``encode_candidates`` computed — one build per
+    plan — before it encoded by fragment, kept as the oracle.
+    """
+    dataflow = built.dataflow
+    estimates = encoder._estimate_cardinalities(built)
+    wanted = None if interaction is None else dataflow._stale_operators(set(interaction))
+    vector = PlanVector(plan_id=plan_id, episode=episode)
+    for operator in dataflow.operators():
+        if wanted is not None and operator.id not in wanted:
+            continue
+        op_type = _operator_type(operator)
+        vector.counts[op_type] = vector.counts.get(op_type, 0.0) + 1.0
+        vector.cardinalities[op_type] = (
+            vector.cardinalities.get(op_type, 0.0) + estimates.get(operator.id, 0.0)
+        )
+    return vector

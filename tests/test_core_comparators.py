@@ -2,18 +2,27 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import comparators as comparators_module
 from repro.core.comparators import (
     HeuristicComparator,
+    PlanComparator,
     RandomComparator,
     RandomForestComparator,
     RankSVMComparator,
     build_pair_dataset,
     train_comparator,
 )
-from repro.core.consolidation import consolidate_session, downweight_initial_render
-from repro.core.encoder import PlanVector
+from repro.core.consolidation import (
+    IncrementalConsolidator,
+    consolidate_session,
+    downweight_initial_render,
+)
+from repro.core.encoder import PlanVector, normalize_cardinalities
 from repro.errors import OptimizationError
+from repro.ml import RandomForestClassifier, RankSVM
 
 
 def make_vectors(cardinalities):
@@ -122,8 +131,6 @@ def synthetic_training_set(n_plans: int = 12, seed: int = 0):
 
 
 def test_ranksvm_comparator_learns_cardinality_rule():
-    from repro.core.encoder import normalize_cardinalities
-
     vectors, latencies = synthetic_training_set()
     dataset = build_pair_dataset(vectors, latencies)
     comparator = RankSVMComparator().fit(dataset)
@@ -134,8 +141,6 @@ def test_ranksvm_comparator_learns_cardinality_rule():
 
 
 def test_random_forest_comparator_learns_and_votes():
-    from repro.core.encoder import normalize_cardinalities
-
     vectors, latencies = synthetic_training_set()
     dataset = build_pair_dataset(vectors, latencies)
     comparator = RandomForestComparator().fit(dataset)
@@ -160,6 +165,141 @@ def test_train_comparator_reports_accuracy():
     assert svm.test_accuracy > rnd.test_accuracy
     with pytest.raises(OptimizationError):
         train_comparator("neural", dataset)
+
+
+# --------------------------------------------------------------------------- #
+# Batch tournament / costs vs the pairwise definition
+# --------------------------------------------------------------------------- #
+
+_CLIENT_TYPES = ("filter", "aggregate", "joinaggregate", "collect")
+
+
+@st.composite
+def plan_vector_lists(draw):
+    """Vector lists shaped like a plan space: few distinct vectors, many
+    duplicates, totals inside each other's alpha band (a ~ b ~ c yet a
+    beats c, so the tournament is not a sort), and all-equal sets."""
+    n_distinct = draw(st.integers(1, 6))
+    base = draw(st.sampled_from([0.0, 1.0, 40.0, 5_000.0]))
+    distinct = []
+    for _ in range(n_distinct):
+        # Steps of 0.3-0.45x chain several totals inside alpha = 1.5.
+        total = base * draw(st.sampled_from([1.0, 1.3, 1.45, 1.8, 2.4, 10.0]))
+        counts = {"vdt": float(draw(st.integers(0, 3)))}
+        for op_type in draw(st.lists(st.sampled_from(_CLIENT_TYPES), max_size=3)):
+            counts[op_type] = counts.get(op_type, 0.0) + 1.0
+        split = draw(st.floats(0.0, 1.0))
+        distinct.append((counts, {"vdt": total * split, "aggregate": total * (1.0 - split)}))
+    picks = draw(st.lists(st.integers(0, n_distinct - 1), min_size=1, max_size=24))
+    return [
+        PlanVector(plan_id=i, counts=dict(distinct[p][0]), cardinalities=dict(distinct[p][1]))
+        for i, p in enumerate(picks)
+    ]
+
+
+def _fitted_models():
+    rng = np.random.default_rng(11)
+    differences = rng.normal(size=(200, 26))
+    labels = (differences @ rng.normal(size=26) < 0).astype(int)
+    forest = RandomForestClassifier(n_estimators=7, max_depth=5, seed=0)
+    return (
+        RandomForestComparator(forest.fit(differences, labels)),
+        RankSVMComparator(RankSVM(seed=0, epochs=10).fit(differences, labels)),
+    )
+
+
+_FOREST, _SVM = _fitted_models()
+
+
+_differential = settings(max_examples=40, deadline=None)
+
+
+@given(plan_vector_lists())
+@_differential
+def test_heuristic_wins_equal_the_pairwise_loop(vectors):
+    comparator = HeuristicComparator()
+    assert comparator.wins(vectors).tolist() == PlanComparator.wins(comparator, vectors).tolist()
+
+
+@given(plan_vector_lists())
+@_differential
+def test_random_forest_wins_equal_the_pairwise_loop(vectors):
+    vectors = normalize_cardinalities(vectors)
+    assert _FOREST.wins(vectors).tolist() == PlanComparator.wins(_FOREST, vectors).tolist()
+    assert _FOREST.select_best(vectors) == int(np.argmax(PlanComparator.wins(_FOREST, vectors)))
+
+
+def test_heuristic_alpha_band_is_not_transitive_and_ties_go_to_the_first():
+    a, b, c = make_vectors([100, 140, 190])
+    comparator = HeuristicComparator(alpha=1.5)
+    # a ~ b and b ~ c fall through to the stable tie-break, yet a beats c.
+    assert [comparator.compare(a, b), comparator.compare(b, a)] == [1, 1]
+    assert [comparator.compare(b, c), comparator.compare(c, b)] == [1, 1]
+    assert [comparator.compare(a, c), comparator.compare(c, a)] == [1, 0]
+    for order in ([a, b, c], [c, b, a], [b, c, a, b, a, c]):
+        assert comparator.wins(order).tolist() == PlanComparator.wins(comparator, order).tolist()
+    assert comparator.wins([c, b, a]).tolist() == [1.0, 1.0, 1.0]
+
+
+def test_round_robin_blocks_do_not_change_the_result(monkeypatch):
+    rng = np.random.default_rng(2)
+    vectors = make_vectors(rng.choice([10.0, 13.0, 18.0, 400.0, 9_000.0], size=60))
+    comparator = HeuristicComparator()
+    whole = comparator.wins(vectors)
+    monkeypatch.setattr(comparators_module, "_PAIR_BLOCK", 16)  # 3-plan blocks
+    assert comparator.wins(vectors).tolist() == whole.tolist()
+    assert whole.tolist() == PlanComparator.wins(comparator, vectors).tolist()
+
+
+@given(plan_vector_lists())
+@_differential
+def test_ranksvm_batch_costs_match_per_vector_cost(vectors):
+    vectors = normalize_cardinalities(vectors)
+    single = np.array([_SVM.cost(v) for v in vectors])
+    batch = _SVM.costs(vectors)
+    # Equal vectors tie exactly wherever they sit in the batch, so ties
+    # resolve to the same plan whichever way the costs were computed.
+    assert batch.tolist() == single.tolist()
+    assert _SVM.select_best(vectors) == int(np.argmin(single))
+    assert _SVM.rank(vectors) == np.argsort(single).tolist()
+
+
+def test_rank_and_ranking_return_plain_ints():
+    vectors = make_vectors([500, 10, 10_000])
+    for comparator in (HeuristicComparator(), _SVM, _FOREST):
+        ranking = comparator.rank(vectors)
+        assert sorted(ranking) == [0, 1, 2]
+        assert all(type(index) is int for index in ranking)
+        decision = consolidate_session(comparator, [vectors])
+        assert all(type(index) is int for index in decision.ranking())
+    assert HeuristicComparator().rank(vectors) == [1, 0, 2]
+
+
+def test_random_comparator_keeps_its_draw_sequence_through_consolidation():
+    vectors = make_vectors([1, 2, 3, 4])
+    decision = consolidate_session(RandomComparator(seed=5), [vectors])
+    rng = np.random.default_rng(5)
+    wins = [0.0] * 4
+    for i in range(4):
+        for j in range(i + 1, 4):
+            wins[i if int(rng.integers(0, 2)) == 1 else j] += 1
+    assert decision.per_plan_score == wins
+
+
+def test_consolidation_costs_each_vector_once_per_episode():
+    calls = []
+
+    class CountingCost(PlanComparator):
+        def cost(self, vector):
+            calls.append(vector.plan_id)
+            return vector.total_cardinality
+
+    vectors = make_vectors([5, 1, 3])
+    consolidator = IncrementalConsolidator(CountingCost(), 3)
+    assert consolidator.add_episode(vectors).best_plan_index == 1
+    assert calls == [0, 1, 2]
+    consolidator.add_episode(vectors)
+    assert calls == [0, 1, 2, 0, 1, 2]
 
 
 # --------------------------------------------------------------------------- #

@@ -1,13 +1,33 @@
 """Tests for execution plans, enumeration and plan encoding."""
 
+import numpy as np
 import pytest
 
-from repro.core import ExecutionPlan, PlanEncoder, PlanEnumerator
-from repro.core.encoder import FEATURE_OPERATOR_TYPES, PlanVector, feature_names, normalize_cardinalities
+from repro.backends import create_backend
+from repro.bench.templates import template_names
+from repro.bench.workload import WorkloadGenerator
+from repro.core import (
+    ExecutionPlan,
+    HeuristicComparator,
+    PlanEncoder,
+    PlanEnumerator,
+    VegaPlusOptimizer,
+)
+from repro.core.encoder import (
+    FEATURE_OPERATOR_TYPES,
+    PlanVector,
+    feature_names,
+    normalize_cardinalities,
+    vdt_shape_key,
+)
+from repro.datasets import generate_dataset
 from repro.errors import OptimizationError
+from repro.expr import parser as expr_parser
 from repro.net import MiddlewareServer
 from repro.rewrite import SpecRewriter
+from repro.storage.statistics import CardinalityFeedback
 from repro.vega.spec import parse_spec_dict
+from helpers import reference_vector
 
 
 @pytest.fixture()
@@ -197,3 +217,157 @@ def test_encoder_measured_episode_subset(spec, flights_db):
     full_vector = encoder.encode_measured(built, plan_id=0)
     assert episode_vector.episode == 1
     assert sum(episode_vector.counts.values()) < sum(full_vector.counts.values())
+
+
+# --------------------------------------------------------------------------- #
+# Plan-space encoding: fragments vs one build per plan
+# --------------------------------------------------------------------------- #
+
+
+def assert_same_vector(got, want):
+    # Item *order* matters too: ``total_cardinality`` sums the dict's values.
+    assert (got.plan_id, got.episode) == (want.plan_id, want.episode)
+    assert list(got.counts.items()) == list(want.counts.items())
+    assert list(got.cardinalities.items()) == list(want.cardinalities.items())
+
+
+def assert_plan_space_matches_builds(optimizer, interactions, signal_values=None):
+    plans = optimizer.enumerate_plans()
+    episodes = optimizer.encode_candidates(
+        plans, interactions, signal_values=signal_values, normalize=False
+    )
+    assert len(episodes) == 1 + len(interactions)
+    for index, plan in enumerate(plans):
+        built = optimizer.build(plan)
+        if signal_values:
+            built.dataflow.set_signal_values(dict(signal_values))
+        want = reference_vector(optimizer.encoder, built, plan.plan_id)
+        assert_same_vector(episodes[0][index], want)
+        assert_same_vector(optimizer.encoder.encode_estimated(built, plan.plan_id), want)
+        for episode, interaction in enumerate(interactions, start=1):
+            assert_same_vector(
+                episodes[episode][index],
+                reference_vector(optimizer.encoder, built, plan.plan_id, episode, interaction),
+            )
+    return plans
+
+
+@pytest.fixture(scope="module")
+def template_rows():
+    return generate_dataset("flights", 3_000, seed=11)
+
+
+@pytest.fixture(params=["embedded", "sqlite"])
+def template_backend(request, template_rows):
+    backend = create_backend(request.param)
+    backend.register_rows("flights", template_rows)
+    yield backend
+    backend.close()
+
+
+@pytest.mark.parametrize("template_name", template_names())
+def test_plan_space_vectors_equal_per_plan_builds(template_name, template_backend):
+    """Every plan of every template, episode 0 and three interactions."""
+    instance = WorkloadGenerator(seed=0).instantiate(template_name, "flights")
+    rng = np.random.default_rng(4)
+    interactions = (
+        [instance.sample_interaction(rng) for _ in range(3)]
+        if instance.template.interactive
+        else []
+    )
+    optimizer = VegaPlusOptimizer(instance.spec, MiddlewareServer(template_backend))
+    assert_plan_space_matches_builds(optimizer, interactions)
+    if interactions:
+        # A mid-session replan estimates under the signal values reached so far.
+        reached = {**interactions[0], **interactions[1]}
+        assert_plan_space_matches_builds(optimizer, interactions[2:], signal_values=reached)
+
+
+def crossfilter_instance():
+    fields = {"field_a": "distance", "field_b": "air_time", "field_c": "dep_delay"}
+    return WorkloadGenerator(seed=0).instantiate("crossfilter", "flights", fields=fields)
+
+
+def test_plan_space_reads_zone_maps_and_feedback_like_a_build(template_rows):
+    """Partitioned table (zone-map selectivities) plus live observations."""
+    instance = crossfilter_instance()
+    rng = np.random.default_rng(9)
+    interactions = [instance.sample_interaction(rng) for _ in range(2)]
+    # Every brush numeric, so the filter's range selectivities are analysed.
+    reached = instance.template.initial_signals(instance.schema, instance.bound.fields)
+    reached.update(interactions[0])
+    clustered = sorted(template_rows, key=lambda row: row["distance"])
+
+    def first_episode(partitioned, feedback=None):
+        backend = create_backend("embedded")
+        backend.register_rows("flights", clustered)
+        if partitioned:
+            backend.repartition("flights", 400)
+        optimizer = VegaPlusOptimizer(
+            instance.spec, MiddlewareServer(backend), feedback=feedback
+        )
+        plans = assert_plan_space_matches_builds(optimizer, interactions, signal_values=reached)
+        vectors = optimizer.encode_candidates(plans, signal_values=reached, normalize=False)[0]
+        backend.close()
+        return optimizer, plans, vectors
+
+    optimizer, plans, zoned = first_episode(partitioned=True)
+    feedback = CardinalityFeedback()
+    for plan in (plans[0], plans[len(plans) // 2], plans[-1]):
+        for position, vdt in enumerate(optimizer.build(plan).vdts):
+            feedback.observe(vdt_shape_key(vdt.table, vdt.transforms), 37.0 * (position + 1))
+    _, _, corrected = first_episode(partitioned=True, feedback=feedback)
+    _, _, uniform = first_episode(partitioned=False)
+    # Neither scenario is vacuous: zone maps and observations move the vectors.
+    assert any(a.cardinalities != b.cardinalities for a, b in zip(zoned, uniform))
+    assert any(a.cardinalities != b.cardinalities for a, b in zip(zoned, corrected))
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count calls of ``owner.name`` (a function or method) from now on."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_crossfilter_plan_selection_work_is_per_fragment_not_per_plan(
+    monkeypatch, template_rows
+):
+    """Count pins on ``choose_plan()``; a fresh optimizer repeats them exactly."""
+    spec = crossfilter_instance().spec
+    builds = count_calls(monkeypatch, SpecRewriter, "build")
+    compares = count_calls(monkeypatch, HeuristicComparator, "compare")
+    tokenizer_runs = count_calls(monkeypatch, expr_parser, "tokenize_expression")
+    expressions = {
+        transform["expr"]
+        for entry in spec["data"]
+        for transform in entry.get("transform", [])
+        if "expr" in transform
+    }
+    observed = []
+    for _ in range(2):
+        # Fresh backend, middleware and optimizer; the only process-wide
+        # state in reach, the parse memo, is emptied too.
+        expr_parser._parse.cache_clear()
+        backend = create_backend("embedded")
+        backend.register_rows("flights", template_rows)
+        optimizer = VegaPlusOptimizer(spec, MiddlewareServer(backend))
+        before = (builds[0], compares[0], tokenizer_runs[0])
+        result = optimizer.choose_plan()
+        observed.append(
+            (builds[0] - before[0], compares[0] - before[1], tokenizer_runs[0] - before[2])
+        )
+        backend.close()
+        assert result.n_candidates == 756
+        assert result.plan.plan_id == 755
+    n_builds, n_compares, n_tokenized = observed[0]
+    assert 0 < n_builds <= 64
+    assert n_compares == 0
+    assert 0 < n_tokenized <= len(expressions)
+    assert observed[1] == observed[0]

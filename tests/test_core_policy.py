@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.backends import create_backend
-from repro.bench.adaptive import adaptive_dashboard_spec, make_event_rows
+from repro.bench.adaptive import (
+    adaptive_dashboard_spec,
+    build_interaction_script,
+    make_event_rows,
+)
 from repro.core import (
     AdaptivePolicy,
     HeuristicComparator,
@@ -15,10 +19,12 @@ from repro.core import (
     VegaPlusSystem,
     consolidate_session,
 )
-from repro.core.encoder import FEATURE_OPERATOR_TYPES, feature_names
+from repro.core.encoder import FEATURE_OPERATOR_TYPES, feature_names, normalize_cardinalities
 from repro.errors import OptimizationError
 from repro.ml import RankSVM
 from repro.net.channel import NetworkModel
+from repro.server.feedback import FeedbackCollector
+from helpers import reference_vector
 
 
 # --------------------------------------------------------------------------- #
@@ -201,6 +207,82 @@ def test_adaptive_policy_replans_on_drift_and_preserves_results(adaptive_backend
         return sorted(out)
 
     assert canonical(system.dataset("summary")) == canonical(baseline.dataset("summary"))
+
+
+def _replan_by_building_every_plan(policy, optimizer):
+    """The replan decision computed the long way: one build per candidate,
+    per-vector ``cost`` calls, no plan space and no batch scoring."""
+    recent = list(policy._recent_interactions)
+    episodes = [[] for _ in range(1 + len(recent))]
+    for plan in policy._plans:
+        built = optimizer.build(plan)
+        built.dataflow.set_signal_values(dict(policy._signal_state))
+        episodes[0].append(reference_vector(optimizer.encoder, built, plan.plan_id))
+        for episode, interaction in enumerate(recent, start=1):
+            episodes[episode].append(
+                reference_vector(optimizer.encoder, built, plan.plan_id, episode, interaction)
+            )
+    weight = policy.horizon / max(len(recent), 1)
+    scores = np.zeros(len(policy._plans))
+    for episode in episodes[1:]:
+        normalized = normalize_cardinalities(episode)
+        scores += weight * np.array([optimizer.comparator.cost(v) for v in normalized])
+    return policy._plans[int(np.argmin(scores))].plan_id
+
+
+def test_replan_decisions_match_per_plan_builds_on_selectivity_shift(
+    adaptive_backend, monkeypatch
+):
+    """fig11's ``selectivity_shift`` script, with live cardinality feedback:
+    every replan lands on the plan the one-build-per-candidate path picks."""
+    policy = AdaptivePolicy(
+        regret_threshold=0.5, patience=1, cooldown=0, replan_window=4, horizon=12, max_replans=3
+    )
+    system = VegaPlusSystem(
+        adaptive_dashboard_spec("events"),
+        adaptive_backend,
+        comparator=_latency_shaped_comparator(),
+        network=_NETWORK,
+        enable_cache=False,
+        policy=policy,
+        feedback=FeedbackCollector(),
+    )
+    script = build_interaction_script("selectivity_shift", 24, drift_at=8, user_index=0)
+    expected = []
+    replan = AdaptivePolicy._replan
+
+    def checked_replan(self, observed, predicted):
+        expected.append(_replan_by_building_every_plan(self, system.optimizer))
+        return replan(self, observed, predicted)
+
+    monkeypatch.setattr(AdaptivePolicy, "_replan", checked_replan)
+    system.optimize(anticipated_interactions=script[:4])
+    system.initialize()
+    for interaction in script:
+        system.interact(interaction)
+
+    assert len(system.feedback.cardinality) > 0
+    assert policy.replan_events and policy.replans >= 1
+    assert [event.to_plan_id for event in policy.replan_events] == expected
+    episodes = [event.episode for event in policy.replan_events]
+    assert episodes == sorted(episodes) and episodes[0] > 8
+    for before, after in zip(policy.replan_events, policy.replan_events[1:]):
+        assert after.from_plan_id == before.to_plan_id
+
+
+def test_switch_cost_charges_every_candidate_but_the_incumbent(adaptive_backend):
+    policy = AdaptivePolicy(
+        regret_threshold=0.5, patience=1, cooldown=0, replan_window=3, switch_cost_weight=1e6
+    )
+    system = _make_system(adaptive_backend, policy)
+    system.optimize(anticipated_interactions=SELECTIVE)
+    system.initialize()
+    for interaction in SELECTIVE + UNSELECTIVE:
+        system.interact(interaction)
+    # Drift is noticed, but a prohibitive re-render cost keeps the plan.
+    assert policy.replan_events
+    assert not any(event.switched for event in policy.replan_events)
+    assert system.replans == 0
 
 
 def test_adaptive_policy_observe_requires_begin():

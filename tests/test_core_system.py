@@ -35,10 +35,9 @@ def test_optimizer_encode_candidates_episode_structure(histogram_spec, flights_d
     middleware = MiddlewareServer(flights_db)
     optimizer = VegaPlusOptimizer(histogram_spec, middleware)
     plans = optimizer.enumerate_plans()
-    episodes, rewritten = optimizer.encode_candidates(plans, [{"maxbins": 30}])
+    episodes = optimizer.encode_candidates(plans, [{"maxbins": 30}])
     assert len(episodes) == 2  # initial render + one interaction
     assert len(episodes[0]) == len(plans)
-    assert len(rewritten) == len(plans)
     with pytest.raises(OptimizationError):
         optimizer.encode_candidates([])
 

@@ -106,6 +106,69 @@ def test_update_signals_batch():
     assert len(report.evaluated_operators) == 2
 
 
+def test_evaluation_order_is_computed_once_and_dropped_when_the_graph_changes(monkeypatch):
+    dataflow, source, extent, bin_op, aggregate = build_chain()
+    sorts, closures = [], []
+    sort, closure = Dataflow._sort_topologically, Dataflow._stale_operators
+    monkeypatch.setattr(
+        Dataflow, "_sort_topologically", lambda self: sorts.append(1) or sort(self)
+    )
+    monkeypatch.setattr(
+        Dataflow,
+        "_stale_operators",
+        lambda self, changed: closures.append(set(changed)) or closure(self, changed),
+    )
+    full = dataflow.run()
+    assert full.evaluated_operators == [source.id, extent.id, bin_op.id, aggregate.id]
+    for bins in (7, 9, 11, 13):
+        if bins == 13:
+            report = dataflow.update_signal("maxbins", bins)
+        else:
+            report = dataflow.update_signals({"maxbins": bins})
+        assert report.evaluated_operators == [bin_op.id, aggregate.id]
+        assert set(report.operator_seconds) == set(report.operator_cardinality) == {
+            bin_op.id,
+            aggregate.id,
+        }
+        assert report.operator_cardinality[aggregate.id] == len(dataflow.dataset("binned"))
+    assert (len(sorts), closures) == (1, [{"maxbins"}])
+
+    # A structural change drops both caches: the new operator is ordered
+    # and made stale like any other.
+    collect = create_transform({"type": "collect", "sort": {"field": "count"}})
+    dataflow.add_operator(collect, aggregate)
+    assert dataflow.run().evaluated_operators[-1] == collect.id
+    report = dataflow.update_signals({"maxbins": 6})
+    assert report.evaluated_operators == [bin_op.id, aggregate.id, collect.id]
+    assert (len(sorts), closures) == (2, [{"maxbins"}, {"maxbins"}])
+    dataflow.declare_signal("late", value=0)
+    dataflow.update_signals({"maxbins": 8})
+    assert len(sorts) == 3
+
+
+def test_operators_see_values_finished_earlier_in_the_same_pass():
+    """One ``results`` mapping serves a whole pass and is updated as
+    operators finish: a bin re-run by a signal change reads the extent
+    recomputed a moment earlier, not the previous pass's."""
+    dataflow = Dataflow()
+    dataflow.declare_signal("lo", value=0)
+    source = dataflow.add_source(ROWS, name="src")
+    keep = create_transform({"type": "filter", "expr": "datum.v >= lo"})
+    dataflow.add_operator(keep, source)
+    extent = create_transform({"type": "extent", "field": "v"})
+    dataflow.add_operator(extent, keep, name="v_extent")
+    bin_op = create_transform(
+        {"type": "bin", "field": "v", "maxbins": 5, "extent": {"operator": "v_extent"}}
+    )
+    dataflow.add_operator(bin_op, extent)
+    dataflow.run()
+    assert min(row["bin0"] for row in bin_op.last_result.rows) == 0.0
+    report = dataflow.update_signals({"lo": 6})
+    assert report.evaluated_operators == [keep.id, extent.id, bin_op.id]
+    assert extent.last_result.value == [6.0, 9.0]
+    assert min(row["bin0"] for row in bin_op.last_result.rows) >= 6.0
+
+
 def test_dataset_before_run_raises():
     dataflow, *_ = build_chain()
     with pytest.raises(DataflowError):

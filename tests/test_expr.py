@@ -75,6 +75,28 @@ def test_parse_errors():
         parse_expression("(a + b")
 
 
+def test_parse_is_memoised_on_the_source_string_but_errors_are_not(monkeypatch):
+    from repro.expr import parser
+
+    parser._parse.cache_clear()
+    runs = []
+    tokenize = parser.tokenize_expression
+    monkeypatch.setattr(
+        parser, "tokenize_expression", lambda text: runs.append(text) or tokenize(text)
+    )
+    first = parse_expression("datum.delay > lo && datum.delay < hi")
+    assert parse_expression("datum.delay > lo && datum.delay < hi") is first
+    assert parse_expression("datum.delay > lo") is not first
+    assert len(runs) == 2
+    for _ in range(2):
+        with pytest.raises(ExpressionParseError):
+            parse_expression("datum.delay >")
+    assert runs.count("datum.delay >") == 2
+    with pytest.raises(ExpressionParseError):
+        parse_expression(["datum.delay"])
+    assert parser._parse.cache_info().maxsize is not None
+
+
 # --------------------------------------------------------------------------- #
 # Evaluation
 # --------------------------------------------------------------------------- #

@@ -149,6 +149,23 @@ def test_decision_tree_fits_xor():
     assert tree.feature_importances_[2] < 0.2
 
 
+def test_decision_tree_batch_prediction_equals_walking_each_sample():
+    features, labels = make_nonlinear()
+    tree = DecisionTreeClassifier(max_depth=6, min_samples_split=4, seed=0).fit(features, labels)
+
+    def walk(row):
+        node = tree.root_
+        while not node.is_leaf():
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        return node.probability
+
+    probes = np.random.default_rng(5).uniform(-1.2, 1.2, size=(300, 3))
+    # Samples sitting exactly on a split threshold go left, like the walk.
+    probes[:40, tree.root_.feature] = tree.root_.threshold
+    assert tree.predict_proba(probes).tolist() == [walk(row) for row in probes]
+    assert tree.predict_proba(probes[0]).tolist() == [walk(probes[0])]
+
+
 def test_decision_tree_pure_labels_returns_leaf():
     features = np.array([[0.0], [1.0], [2.0]])
     labels = np.array([1, 1, 1])
