@@ -3,17 +3,17 @@
 Beyond the paper: the reproduction's storage tier splits tables into
 horizontal row-range partitions with per-partition zone maps, and the
 embedded engine executes scan → filter → project → partial-aggregate
-morsel-parallel over the partitions that survive zone-map pruning.  This
-sweep measures throughput as a function of **data scale × partition
-count × worker count** — the muBench-style axes — on the crossfilter
-query mix a filtered dashboard actually sends (grouped aggregates,
-extents, DISTINCT over a sliding date window).
+partition by partition over the partitions that survive zone-map pruning.
+This sweep measures throughput as a function of **data scale × partition
+count** — the muBench-style axes — on the crossfilter query mix a
+filtered dashboard actually sends (grouped aggregates, extents, DISTINCT
+over a sliding date window).
 
-Each point runs the identical mix twice: once on a flat table with a
-serial executor (the pre-partitioning engine), once partitioned, and the
-partitioned rows must match the serial rows query for query.  The
-committed BENCH summary records the partitioned leg's p50/p95, the
-zone-map pruning rate, and the speedup over serial.
+Each point runs the identical mix twice: once on a flat table (the
+pre-partitioning engine), once partitioned, and the partitioned rows
+must match the flat rows query for query.  The committed BENCH summary
+records the partitioned leg's p50/p95, the zone-map pruning rate, and
+the speedup over serial.
 
 Correctness gates: partitioned results are row-identical to serial
 everywhere; at full workload scale the embedded backend must prune
@@ -25,18 +25,10 @@ thousand rows per query, fixed per-query overheads dominate both legs.)
 Backends without the ``partitioning`` capability (sqlite) run both legs
 flat, so their entries track pure data scaling on the same mix.
 
-The **thread** workers axis is reported, not asserted: with CPython's
-GIL the morsel threads only overlap the kernels' no-GIL windows, so on
-that executor the dominant term is zone-map pruning — visible directly
-in the (16 partitions, 1 worker) vs (16 partitions, 4 workers) entries.
-The **process** executor points (shared-memory morsel workers, see
-``repro.sql.morsel``) are where the workers axis must actually climb:
-``test_figure12_worker_scaling`` asserts >= 1.8x for 4 workers over 1
-on the aggregate-heavy mix — at full workload scale on hosts with at
-least 4 cores (a single-core CI runner has no parallelism to measure).
+Partitions are scanned on the calling thread; docs/STORAGE.md
+("Partitioned execution") carries the measurement that retired the
+thread and process pools.
 """
-
-import os
 
 import pytest
 
@@ -44,7 +36,6 @@ from repro.bench.scale import (
     bench_scale,
     headline_point,
     run_scale_point,
-    run_worker_scaling,
     scale_points,
 )
 
@@ -56,13 +47,9 @@ POINTS = scale_points()
 
 @pytest.mark.parametrize("point", POINTS, ids=[p.label for p in POINTS])
 def test_figure12_partitioned_scale(benchmark, backend_name, point):
-    if point.executor != "thread" and backend_name != "embedded":
-        pytest.skip("morsel executor axis only exists on the embedded engine")
     benchmark.extra_info["backend"] = backend_name
     benchmark.extra_info["n_rows"] = point.n_rows
     benchmark.extra_info["partitions"] = point.partitions
-    benchmark.extra_info["workers"] = point.workers
-    benchmark.extra_info["executor"] = point.executor
 
     result = benchmark.pedantic(
         run_scale_point,
@@ -70,9 +57,7 @@ def test_figure12_partitioned_scale(benchmark, backend_name, point):
             "backend": backend_name,
             "n_rows": point.n_rows,
             "partitions": point.partitions,
-            "workers": point.workers,
             "repeats": REPEATS,
-            "executor": point.executor,
         },
         rounds=1,
         iterations=1,
@@ -103,48 +88,4 @@ def test_figure12_partitioned_scale(benchmark, backend_name, point):
         assert result.speedup >= 2.0, (
             f"expected >= 2x over serial at the largest scale point, "
             f"got {result.speedup:.2f}x (pruning rate {result.pruning_rate:.2f})"
-        )
-
-
-def test_figure12_worker_scaling(benchmark, backend_name):
-    """Process-executor worker axis: 4 workers vs 1 on the aggregate mix."""
-    if backend_name != "embedded":
-        pytest.skip("morsel executor axis only exists on the embedded engine")
-    n_rows = headline_point().n_rows
-
-    result = benchmark.pedantic(
-        run_worker_scaling,
-        kwargs={
-            "backend": backend_name,
-            "n_rows": n_rows,
-            "partitions": 16,
-            "worker_counts": (1, 2, 4),
-            "executor": "process",
-            "repeats": REPEATS,
-        },
-        rounds=1,
-        iterations=1,
-    )
-
-    benchmark.extra_info["backend"] = backend_name
-    benchmark.extra_info["n_rows"] = n_rows
-    benchmark.extra_info["partitions"] = result.partitions
-    benchmark.extra_info["executor"] = result.executor
-    benchmark.extra_info["worker_totals_seconds"] = {
-        str(workers): round(total, 6) for workers, total in sorted(result.totals.items())
-    }
-    benchmark.extra_info["worker_scaling"] = round(result.scaling, 3)
-
-    # Process-pool execution must never change results.
-    assert result.matches_serial, result.mismatched_queries
-
-    if bench_scale() >= 1.0 and (os.cpu_count() or 1) >= 4:
-        # The executor-axis acceptance gate: at full workload scale on a
-        # multicore host, 4 shared-memory workers must beat 1 worker by
-        # at least 1.8x on the aggregate-heavy mix.  Reduced-scale CI
-        # smoke runs (and single-core runners) keep the row-identity
-        # gate but cannot measure parallel speedup.
-        assert result.scaling >= 1.8, (
-            f"expected >= 1.8x for 4 process workers over 1, got "
-            f"{result.scaling:.2f}x (totals {result.totals})"
         )

@@ -82,7 +82,7 @@ class BackendCapabilities:
     #: connection per worker thread over shared storage), or ``"none"``.
     connection_strategy: str = "none"
     #: Whether the backend supports horizontal table partitioning with
-    #: zone-map pruning and morsel-parallel execution (``repartition``).
+    #: zone-map pruning and per-partition execution (``repartition``).
     #: The scale benchmarks and the serving tier consult this before
     #: asking a backend to partition a table.
     partitioning: bool = False

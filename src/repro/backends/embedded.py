@@ -68,15 +68,6 @@ class EmbeddedBackend(SQLBackend):
         """The wrapped engine's IVM view manager (``None`` when disabled)."""
         return self.database.ivm
 
-    @property
-    def morsel_executor(self) -> str:
-        """The wrapped engine's morsel executor kind: "thread" | "process"."""
-        return self.database.morsel_executor
-
-    def morsel_utilization(self) -> dict[str, float] | None:
-        """Process-pool worker utilization (``None`` on the thread executor)."""
-        return self.database.morsel_utilization()
-
     # ------------------------------------------------------------------ #
     def register_table(self, name: str, table: Table, replace: bool = False) -> None:
         self.database.register_table(name, table, replace=replace)
@@ -99,7 +90,7 @@ class EmbeddedBackend(SQLBackend):
     def repartition(self, name: str, target_rows: int) -> None:
         """Split a registered table into row-range partitions.
 
-        Subsequent queries over the table run morsel-parallel with
+        Subsequent queries over the table run partition by partition with
         zone-map pruning (see :mod:`repro.storage.table`).
         """
         self.database.repartition(name, target_rows)
@@ -128,5 +119,3 @@ class EmbeddedBackend(SQLBackend):
     def clear_plan_cache(self) -> None:
         self.database.clear_plan_cache()
 
-    def close(self) -> None:
-        self.database.close()

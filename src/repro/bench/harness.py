@@ -21,7 +21,6 @@ on.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -46,9 +45,8 @@ def run_metadata(backend: str | None = None) -> dict[str, object]:
 
     Everything :meth:`repro.bench.resultsdb.ResultsDB.ingest` wants on
     the ``runs`` row: git SHA, machine fingerprint, python version, the
-    active ``REPRO_BENCH_SCALE``, and the execution configuration
-    (backend, morsel-worker override) that distinguishes otherwise
-    identical runs.
+    active ``REPRO_BENCH_SCALE``, and the backend that distinguishes
+    otherwise identical runs.
     """
     from repro.bench.resultsdb import (
         current_git_sha,
@@ -66,9 +64,6 @@ def run_metadata(backend: str | None = None) -> dict[str, object]:
     }
     if backend is not None:
         metadata["backend"] = backend
-    workers = os.environ.get("REPRO_MORSEL_WORKERS")
-    if workers is not None:
-        metadata["morsel_workers"] = workers
     return metadata
 
 

@@ -65,7 +65,6 @@ LIFTED_RATE_KEYS: tuple[str, ...] = (
     "speedup_vs_serial",
     "throughput_rps",
     "transport_speedup",
-    "worker_scaling",
 )
 
 #: Structured extras lifted verbatim (adaptive-policy benchmarks).

@@ -7,10 +7,10 @@ Two things live here:
   uniformly; CI's benchmark-smoke job sets it to 0.25 so the suite runs
   in seconds while still recording the perf trajectory per PR.
 * the **scale sweep driver** for ``benchmarks/bench_fig12_scale.py`` —
-  rows × partitions × workers over a crossfilter-style query mix on the
-  flights dataset, run once against a flat serial engine and once against
-  a partitioned engine (zone-map pruning + morsel parallelism), with the
-  partitioned results asserted row-identical to the serial ones.
+  rows × partitions over a crossfilter-style query mix on the flights
+  dataset, run once against a flat engine and once against a partitioned
+  engine (zone-map pruning + per-partition partial aggregation), with the
+  partitioned results asserted row-identical to the flat ones.
 
 The sweep loads the data *time-ordered* (sorted by the ``date`` column),
 which is how dashboard fact tables actually arrive; that clustering is
@@ -27,9 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backends import EmbeddedBackend, SQLBackend, create_backend
+from repro.backends import SQLBackend, create_backend
 from repro.datasets.generators import generate_dataset
-from repro.sql.engine import Database
 from repro.storage.column import sort_rank_key
 
 
@@ -67,50 +66,28 @@ _WINDOWS: tuple[tuple[float, float], ...] = (
 
 @dataclass(frozen=True)
 class ScalePoint:
-    """One sweep configuration: size × partitions × workers × executor."""
+    """One sweep configuration: size × partitions."""
 
     n_rows: int
     partitions: int
-    workers: int
-    executor: str = "thread"
 
     @property
     def label(self) -> str:
-        """Stable test id.
-
-        Thread points keep their historical label (no suffix) so the
-        results DB's per-experiment trajectories stay continuous across
-        the introduction of the executor axis.
-        """
-        base = f"rows{self.n_rows}-parts{self.partitions}-workers{self.workers}"
-        return base if self.executor == "thread" else f"{base}-{self.executor}"
+        """Stable test id."""
+        return f"rows{self.n_rows}-parts{self.partitions}"
 
 
 def scale_points() -> list[ScalePoint]:
     """The fig12 sweep grid, scaled by ``REPRO_BENCH_SCALE``.
 
-    The rows axis runs at the full partition/worker configuration; the
-    largest size additionally sweeps partition count and worker count so
-    both axes of the refactor (pruning granularity, parallelism) are
-    visible in the committed summary.  The largest size also sweeps the
-    worker axis under the **process executor** (shared-memory morsel
-    workers, see :mod:`repro.sql.morsel`) — the thread points measure
-    pruning, the process points measure actual multicore scaling.
+    The rows axis runs at 16 partitions; the largest size additionally
+    sweeps the partition count, so pruning granularity is visible in the
+    committed summary.
     """
     sizes = [scaled_size(size, floor=2_000) for size in SCALE_BASE_ROWS]
-    points = [ScalePoint(size, 16, 4) for size in sizes]
-    largest = sizes[-1]
-    for partitions, workers in ((4, 2), (8, 4), (16, 1)):
-        points.append(ScalePoint(largest, partitions, workers))
-    for workers in (1, 2, 4):
-        points.append(ScalePoint(largest, 16, workers, executor="process"))
-    seen: set[ScalePoint] = set()
-    unique: list[ScalePoint] = []
-    for point in points:
-        if point not in seen:
-            seen.add(point)
-            unique.append(point)
-    return unique
+    points = [ScalePoint(size, 16) for size in sizes]
+    points.extend(ScalePoint(sizes[-1], partitions) for partitions in (4, 8))
+    return points
 
 
 def headline_point() -> ScalePoint:
@@ -118,17 +95,13 @@ def headline_point() -> ScalePoint:
     return scale_points()[len(SCALE_BASE_ROWS) - 1]
 
 
-def scale_queries(
-    date_low: float, date_high: float, aggregate_only: bool = False
-) -> list[str]:
+def scale_queries(date_low: float, date_high: float) -> list[str]:
     """The crossfilter query mix over a ``date`` span (dialect-neutral).
 
     Four interaction windows × four query shapes: grouped aggregates
     (decomposable partial-merge path), a BETWEEN variant, an extent-style
     global aggregate, and a DISTINCT — the server-side shapes the
-    rewriter emits for a filtered dashboard.  ``aggregate_only`` keeps
-    just the three aggregate shapes — the worker-scaling sweep measures
-    the partial-merge path, where per-morsel work dominates.
+    rewriter emits for a filtered dashboard.
     """
     span = date_high - date_low
     queries: list[str] = []
@@ -145,13 +118,10 @@ def scale_queries(
                 f"GROUP BY origin",
                 f"SELECT MIN(delay) AS lo, MAX(delay) AS hi, COUNT(*) AS n "
                 f"FROM flights WHERE date >= {low:.0f} AND date < {high:.0f}",
+                f"SELECT DISTINCT carrier FROM flights "
+                f"WHERE date >= {low:.0f} AND date < {high:.0f}",
             ]
         )
-        if not aggregate_only:
-            queries.append(
-                f"SELECT DISTINCT carrier FROM flights "
-                f"WHERE date >= {low:.0f} AND date < {high:.0f}"
-            )
     return queries
 
 
@@ -162,9 +132,6 @@ class ScaleRunResult:
     backend: str
     n_rows: int
     partitions: int
-    workers: int
-    #: Morsel executor of the partitioned leg: "thread" | "process".
-    executor: str
     #: Whether the backend actually partitioned (capability-gated).
     partitioned: bool
     serial_seconds: list[float] = field(default_factory=list)
@@ -231,55 +198,36 @@ def rows_match(left: list[dict[str, object]], right: list[dict[str, object]]) ->
     return True
 
 
-def _build_backend(backend: str, workers: int, executor: str = "thread") -> SQLBackend:
+def _build_backend(backend: str) -> SQLBackend:
     # IVM stays off on both legs: the sweep measures scan execution
-    # (flat serial vs partitioned parallel), and the repeated query mix
-    # would otherwise be answered from maintained views on both sides,
-    # compressing the ratio toward 1.  The IVM axis has its own sweep
-    # (repro.bench.ivm).
-    if backend == "embedded":
-        # process_min_rows=0: the sweep labels the point "process", so the
-        # reduced-scale CI smoke must exercise the process path rather
-        # than silently falling back to threads under the size floor.
-        return EmbeddedBackend(
-            Database(
-                parallelism=workers,
-                keep_query_log=False,
-                ivm=False,
-                executor=executor,
-                process_min_rows=0,
-            )
-        )
-    return create_backend(backend, ivm=False)
+    # (flat vs partitioned), and the repeated query mix would otherwise
+    # be answered from maintained views on both sides, compressing the
+    # ratio toward 1.  The IVM axis has its own sweep (repro.bench.ivm).
+    return create_backend(backend, keep_query_log=False, ivm=False)
 
 
 def run_scale_point(
     backend: str,
     n_rows: int,
     partitions: int,
-    workers: int,
     repeats: int = 3,
     seed: int = 7,
-    executor: str = "thread",
 ) -> ScaleRunResult:
-    """Measure one sweep point: flat-serial vs partitioned-parallel.
+    """Measure one sweep point: flat vs partitioned.
 
     Both legs run the same query mix over identical (time-ordered) data;
-    the partitioned leg's rows are compared against the serial leg's for
+    the partitioned leg's rows are compared against the flat leg's for
     every query.  Backends without the ``partitioning`` capability run
     the second leg flat too (the sweep then measures pure data scaling).
-    ``executor`` selects the partitioned leg's morsel executor (thread
-    pool vs shared-memory process pool); the serial leg always runs the
-    thread path with one worker.
     """
     rows = generate_dataset("flights", n_rows, seed=seed)
     rows.sort(key=lambda row: row["date"])
     dates = [float(row["date"]) for row in rows]
     queries = scale_queries(dates[0], dates[-1])
 
-    serial = _build_backend(backend, workers=1)
+    serial = _build_backend(backend)
     serial.register_rows("flights", rows)
-    partitioned_backend = _build_backend(backend, workers=workers, executor=executor)
+    partitioned_backend = _build_backend(backend)
     partitioned_backend.register_rows("flights", rows)
     partitioned = bool(partitioned_backend.capabilities.partitioning) and partitions > 1
     if partitioned:
@@ -289,8 +237,6 @@ def run_scale_point(
         backend=backend,
         n_rows=n_rows,
         partitions=partitions if partitioned else 1,
-        workers=workers if partitioned else 1,
-        executor=executor if partitioned else "thread",
         partitioned=partitioned,
     )
 
@@ -323,82 +269,4 @@ def run_scale_point(
     finally:
         serial.close()
         partitioned_backend.close()
-    return result
-
-
-@dataclass
-class WorkerScalingResult:
-    """Aggregate-mix totals per worker count under one executor."""
-
-    backend: str
-    executor: str
-    n_rows: int
-    partitions: int
-    #: worker count -> total seconds over ``repeats`` passes of the mix.
-    totals: dict[int, float] = field(default_factory=dict)
-    matches_serial: bool = True
-    mismatched_queries: list[str] = field(default_factory=list)
-
-    @property
-    def scaling(self) -> float:
-        """Speedup of the widest worker count over the 1-worker leg.
-
-        This is the fig12 executor-axis headline: with the thread
-        executor it sits near 1.0 (the GIL flattens the axis); the
-        process executor must lift it on multicore hosts.
-        """
-        if not self.totals:
-            return 0.0
-        narrow = self.totals[min(self.totals)]
-        wide = self.totals[max(self.totals)]
-        return narrow / wide if wide > 0 else 0.0
-
-
-def run_worker_scaling(
-    backend: str = "embedded",
-    n_rows: int = 200_000,
-    partitions: int = 16,
-    worker_counts: tuple[int, ...] = (1, 2, 4),
-    executor: str = "process",
-    repeats: int = 3,
-    seed: int = 7,
-) -> WorkerScalingResult:
-    """Sweep the worker axis on one dataset with the aggregate-heavy mix.
-
-    One flights dataset, one partitioning, ``worker_counts`` engines: a
-    pure workers-axis measurement (unlike :func:`run_scale_point`, which
-    compares against a serial leg).  Every engine's first pass is both
-    warmup and a row-identity check against a serial thread engine.
-    """
-    rows = generate_dataset("flights", n_rows, seed=seed)
-    rows.sort(key=lambda row: row["date"])
-    dates = [float(row["date"]) for row in rows]
-    queries = scale_queries(dates[0], dates[-1], aggregate_only=True)
-
-    result = WorkerScalingResult(
-        backend=backend, executor=executor, n_rows=n_rows, partitions=partitions
-    )
-    serial = _build_backend(backend, workers=1)
-    serial.register_rows("flights", rows)
-    try:
-        reference = [serial.execute(sql).to_rows() for sql in queries]
-        for workers in worker_counts:
-            engine = _build_backend(backend, workers=workers, executor=executor)
-            engine.register_rows("flights", rows)
-            if engine.capabilities.partitioning and partitions > 1:
-                engine.repartition("flights", max(1, n_rows // partitions))
-            try:
-                for sql, expected in zip(queries, reference):
-                    if not rows_match(expected, engine.execute(sql).to_rows()):
-                        result.matches_serial = False
-                        result.mismatched_queries.append(f"workers={workers}: {sql}")
-                start = time.perf_counter()
-                for _ in range(repeats):
-                    for sql in queries:
-                        engine.execute(sql)
-                result.totals[workers] = time.perf_counter() - start
-            finally:
-                engine.close()
-    finally:
-        serial.close()
     return result

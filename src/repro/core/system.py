@@ -356,30 +356,12 @@ class VegaPlusSystem:
             scanned = float(engine.get("partitions_scanned", 0.0))
             pruned = float(engine.get("partitions_pruned", 0.0))
             considered = scanned + pruned
-            partitioning: dict[str, object] = {
+            stats["partitioning"] = {
                 "partitions_scanned": scanned,
                 "partitions_pruned": pruned,
                 "pruning_rate": pruned / considered if considered else 0.0,
                 "morsel_tasks": float(engine.get("morsel_tasks", 0.0)),
-                "morsel_tasks_dispatched": float(
-                    engine.get("morsel_tasks_dispatched", 0.0)
-                ),
-                "morsel_tasks_inline": float(engine.get("morsel_tasks_inline", 0.0)),
-                "morsel_bytes_shared": float(engine.get("morsel_bytes_shared", 0.0)),
-                "morsel_bytes_pickled": float(engine.get("morsel_bytes_pickled", 0.0)),
-                "morsel_process_fallbacks": float(
-                    engine.get("morsel_process_fallbacks", 0.0)
-                ),
             }
-            executor = getattr(self.database, "morsel_executor", None)
-            if executor is not None:
-                partitioning["morsel_executor"] = executor
-            utilization = getattr(self.database, "morsel_utilization", None)
-            if callable(utilization):
-                workers = utilization()
-                if workers is not None:
-                    partitioning["worker_utilization"] = workers
-            stats["partitioning"] = partitioning
         if "ivm_hits" in engine:
             delta = float(engine.get("ivm_delta_rows", 0.0))
             avoided = float(engine.get("ivm_rescan_rows_avoided", 0.0))

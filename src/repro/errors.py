@@ -41,10 +41,6 @@ class CatalogError(SQLError):
     """Raised for missing tables/columns or conflicting registrations."""
 
 
-class StorageError(ReproError):
-    """Raised by the storage layer (shared-memory export/attach)."""
-
-
 class ExpressionError(ReproError):
     """Base class for errors in the Vega expression language."""
 

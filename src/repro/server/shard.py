@@ -76,10 +76,9 @@ CONTROL_TIMEOUT_SECONDS = 60.0
 def default_start_method() -> str:
     """Preferred start method for shard workers (env override respected).
 
-    Mirrors :func:`repro.sql.morsel.default_start_method`: ``forkserver``
-    where available — workers fork from a clean single-threaded server
-    process instead of inheriting the gateway's event loop and threads —
-    with ``spawn`` as the portable fallback.
+    ``forkserver`` where available — workers fork from a clean
+    single-threaded server process instead of inheriting the gateway's
+    event loop and threads — with ``spawn`` as the portable fallback.
     """
     env = os.environ.get(START_METHOD_ENV)
     methods = multiprocessing.get_all_start_methods()

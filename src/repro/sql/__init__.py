@@ -16,7 +16,6 @@ a DuckDB-like API::
 """
 
 from repro.sql.engine import Database, QueryResult
-from repro.sql.morsel import MorselPool
 from repro.sql.parser import parse_sql
 from repro.sql.tokenizer import tokenize
 from repro.sql.explain import QueryCostEstimate
@@ -24,7 +23,6 @@ from repro.sql.explain import QueryCostEstimate
 __all__ = [
     "Database",
     "QueryResult",
-    "MorselPool",
     "parse_sql",
     "tokenize",
     "QueryCostEstimate",

@@ -16,18 +16,11 @@ from dataclasses import dataclass, field
 from repro.sql.executor import ExecutionStats, Executor
 from repro.sql.explain import CostEstimator, QueryCostEstimate, query_shape
 from repro.sql.ivm import IVMConfig, IVMManager
-from repro.sql.morsel import (
-    MorselPool,
-    ProcessMorselPool,
-    default_executor,
-    default_process_min_rows,
-)
 from repro.storage.statistics import CardinalityFeedback
 from repro.sql.plancache import PlanCache
 from repro.sql.planner import LogicalPlan
 from repro.storage.catalog import Catalog
 from repro.storage.resultset import ResultSet
-from repro.storage.shared import shared_memory_available
 from repro.storage.statistics import TableStatistics
 from repro.storage.table import PartitionedTable, Table
 
@@ -101,11 +94,7 @@ class EngineMetrics:
     total_partitions_scanned: int = 0
     total_partitions_pruned: int = 0
     total_morsel_tasks: int = 0
-    total_morsel_tasks_dispatched: int = 0
     total_morsel_tasks_inline: int = 0
-    total_morsel_bytes_shared: int = 0
-    total_morsel_bytes_pickled: int = 0
-    total_morsel_process_fallbacks: int = 0
     ivm_views: int = 0
     ivm_hits: int = 0
     ivm_delta_rows: int = 0
@@ -131,11 +120,7 @@ class EngineMetrics:
             self.total_partitions_scanned += result.stats.partitions_scanned
             self.total_partitions_pruned += result.stats.partitions_pruned
             self.total_morsel_tasks += result.stats.morsel_tasks
-            self.total_morsel_tasks_dispatched += result.stats.morsel_tasks_dispatched
             self.total_morsel_tasks_inline += result.stats.morsel_tasks_inline
-            self.total_morsel_bytes_shared += result.stats.morsel_bytes_shared
-            self.total_morsel_bytes_pickled += result.stats.morsel_bytes_pickled
-            self.total_morsel_process_fallbacks += result.stats.morsel_process_fallbacks
             if keep_log:
                 self.query_log.append(result.sql)
 
@@ -191,11 +176,7 @@ class EngineMetrics:
                 "partitions_scanned": float(self.total_partitions_scanned),
                 "partitions_pruned": float(self.total_partitions_pruned),
                 "morsel_tasks": float(self.total_morsel_tasks),
-                "morsel_tasks_dispatched": float(self.total_morsel_tasks_dispatched),
                 "morsel_tasks_inline": float(self.total_morsel_tasks_inline),
-                "morsel_bytes_shared": float(self.total_morsel_bytes_shared),
-                "morsel_bytes_pickled": float(self.total_morsel_bytes_pickled),
-                "morsel_process_fallbacks": float(self.total_morsel_process_fallbacks),
                 "ivm_views": float(self.ivm_views),
                 "ivm_hits": float(self.ivm_hits),
                 "ivm_delta_rows": float(self.ivm_delta_rows),
@@ -223,11 +204,7 @@ class EngineMetrics:
             self.total_partitions_scanned = 0
             self.total_partitions_pruned = 0
             self.total_morsel_tasks = 0
-            self.total_morsel_tasks_dispatched = 0
             self.total_morsel_tasks_inline = 0
-            self.total_morsel_bytes_shared = 0
-            self.total_morsel_bytes_pickled = 0
-            self.total_morsel_process_fallbacks = 0
             self.ivm_views = 0
             self.ivm_hits = 0
             self.ivm_delta_rows = 0
@@ -246,27 +223,6 @@ class Database:
     keep_query_log:
         When True (default) the text of every executed query is kept in
         :attr:`metrics` — handy for tests and for the caching layer.
-    parallelism:
-        Worker threads/processes for morsel-parallel execution over
-        partitioned tables; ``None`` resolves the default
-        (``REPRO_MORSEL_WORKERS`` env or capped CPU count), ``1`` forces
-        serial execution under the thread executor.  The pool is shared
-        by every query this engine runs and is only started once a
-        partitioned table is actually executed against.
-    executor:
-        Morsel executor kind: ``"thread"`` (default) or ``"process"``.
-        ``None`` resolves the ``REPRO_MORSEL_EXECUTOR`` env default.
-        ``"process"`` adds a :class:`~repro.sql.morsel.ProcessMorselPool`
-        whose workers attach to tables via shared memory — true
-        multicore scaling past the GIL.  The thread pool stays as the
-        fallback tier (small tables, unpicklable plans, platforms
-        without shared memory); when shared memory is unavailable the
-        engine silently resolves back to ``"thread"``.
-    process_min_rows:
-        Table-row floor below which process dispatch is skipped in
-        favour of threads (pickling overhead dominates small tables).
-        ``None`` resolves ``REPRO_MORSEL_PROCESS_MIN_ROWS`` env or the
-        32768-row default; ``0`` forces process dispatch (tests).
     ivm:
         When True (default) eligible crossfilter-style queries are
         answered by incrementally maintained materialized views (see
@@ -279,31 +235,11 @@ class Database:
         self,
         keep_query_log: bool = True,
         plan_cache_size: int = 256,
-        parallelism: int | None = None,
-        executor: str | None = None,
-        process_min_rows: int | None = None,
         ivm: bool = True,
         ivm_config: IVMConfig | None = None,
     ) -> None:
         self._catalog = Catalog()
         self._keep_query_log = keep_query_log
-        self.morsel_pool = MorselPool(parallelism)
-        requested = default_executor() if executor is None else str(executor)
-        if requested not in ("thread", "process"):
-            raise ValueError(
-                f"executor must be 'thread' or 'process', got {requested!r}"
-            )
-        if requested == "process" and not shared_memory_available():
-            requested = "thread"
-        self.morsel_executor = requested
-        self.process_pool: ProcessMorselPool | None = (
-            ProcessMorselPool(parallelism) if requested == "process" else None
-        )
-        self._process_min_rows = (
-            default_process_min_rows()
-            if process_min_rows is None
-            else max(0, int(process_min_rows))
-        )
         self.metrics = EngineMetrics()
         self._plans = PlanCache(self.metrics, plan_cache_size)
         self.ivm: IVMManager | None = (
@@ -340,8 +276,8 @@ class Database:
 
         The table is split into contiguous chunks of about
         ``target_rows`` rows; per-partition zone maps are computed lazily
-        by the catalog, and queries over the table run morsel-parallel
-        with zone-map pruning from then on.
+        by the catalog, and queries over the table run partition by
+        partition with zone-map pruning from then on.
         """
         table = self._catalog.get(name)
         self._catalog.register(
@@ -415,13 +351,7 @@ class Database:
         if attempt is not None and attempt.table is not None:
             table, stats = attempt.table, attempt.stats
         else:
-            executor = Executor(
-                self._catalog,
-                pool=self.morsel_pool,
-                process_pool=self.process_pool,
-                process_min_rows=self._process_min_rows,
-            )
-            table, stats = executor.execute(plan)
+            table, stats = Executor(self._catalog).execute(plan)
         elapsed = time.perf_counter() - start
         if attempt is not None:
             # Either arm's observed latency teaches the per-shape selector.
@@ -433,20 +363,3 @@ class Database:
     def query_rows(self, sql: str) -> list[dict[str, object]]:
         """Convenience wrapper returning the result rows directly."""
         return self.execute(sql).to_rows()
-
-    def morsel_utilization(self) -> dict[str, float] | None:
-        """Process-pool worker-utilization counters (``None`` for threads)."""
-        if self.process_pool is None:
-            return None
-        return self.process_pool.utilization()
-
-    def close(self) -> None:
-        """Release engine resources.
-
-        Stops the morsel worker threads/processes and unlinks every
-        shared-memory table export this engine's catalog created.
-        """
-        self.morsel_pool.shutdown()
-        if self.process_pool is not None:
-            self.process_pool.shutdown()
-        self._catalog.close_shared()

@@ -9,14 +9,12 @@ to exactly 1.0.
 
 from __future__ import annotations
 
-import functools
-import pickle
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ExecutionError, StorageError
+from repro.errors import ExecutionError
 from repro.sql.ast_nodes import (
     Between,
     BinaryOp,
@@ -43,7 +41,6 @@ from repro.sql.functions import (
     is_string_array,
     null_mask,
 )
-from repro.sql.morsel import MorselPool, ProcessMorselPool, default_process_min_rows
 from repro.sql.optimizer import prune_partitions, pruning_conjuncts
 from repro.sql.planner import (
     AggregateNode,
@@ -63,11 +60,6 @@ from repro.sql.planner import (
 )
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column, ColumnType, factorize_array, sort_rank_key
-from repro.storage.shared import (
-    SharedTableDescriptor,
-    StaleSegmentError,
-    attach_table,
-)
 from repro.storage.table import PartitionedTable, Table, group_segments, sort_codes
 
 
@@ -92,18 +84,10 @@ class ExecutionStats:
     partitions_scanned: int = 0
     partitions_pruned: int = 0
     morsel_tasks: int = 0
-    #: Of the morsel tasks, how many were handed to a worker pool
-    #: (thread or process) vs. run inline on the calling thread.
-    morsel_tasks_dispatched: int = 0
+    #: Always equal to ``morsel_tasks`` (every task runs on the calling
+    #: thread); kept because benchmarks/e2e derives
+    #: ``sql.morsel_inline_share`` from the pair.
     morsel_tasks_inline: int = 0
-    #: Process-executor transfer accounting: partition bytes served via
-    #: the shared-memory segment vs. bytes that crossed the process
-    #: boundary pickled (task specs out, partial results back).
-    morsel_bytes_shared: int = 0
-    morsel_bytes_pickled: int = 0
-    #: Process dispatches that fell back to threads mid-query (the
-    #: table's shared segment vanished under a concurrent replace/drop).
-    morsel_process_fallbacks: int = 0
 
     def record(self, node_rows: int) -> None:
         """Record one operator execution producing ``node_rows`` rows."""
@@ -510,27 +494,14 @@ class Executor:
     their ``Scan → Filter → Project`` prefix (plus partial aggregation
     and per-partition DISTINCT) morsel-style: zone maps prune partitions
     the pushed-down predicates provably cannot match, the surviving
-    partitions run on the shared :class:`MorselPool`, and the merge steps
-    are row-identical to serial execution by construction (partitions are
-    contiguous row ranges, so concatenation in partition order reproduces
-    the serial operator output exactly).
+    partitions are scanned one after another on the calling thread, and
+    the merge steps are row-identical to flat execution by construction
+    (partitions are contiguous row ranges, so concatenation in partition
+    order reproduces the flat operator output exactly).
     """
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        pool: MorselPool | None = None,
-        process_pool: ProcessMorselPool | None = None,
-        process_min_rows: int | None = None,
-    ) -> None:
+    def __init__(self, catalog: Catalog) -> None:
         self._catalog = catalog
-        self._pool = pool if pool is not None else MorselPool(1)
-        self._process_pool = process_pool
-        self._process_min_rows = (
-            default_process_min_rows()
-            if process_min_rows is None
-            else max(0, int(process_min_rows))
-        )
 
     def execute(self, plan: LogicalPlan) -> tuple[Table, ExecutionStats]:
         """Execute ``plan`` and return the result table plus statistics."""
@@ -830,10 +801,10 @@ class Executor:
         return result
 
     # -------------------------------------------------------------- #
-    # Morsel-parallel partitioned execution
+    # Partitioned execution
     # -------------------------------------------------------------- #
     def _try_partitioned(self, node: PlanNode, stats: ExecutionStats) -> Table | None:
-        """Execute ``node`` partition-parallel when its shape allows it.
+        """Execute ``node`` partition by partition when its shape allows it.
 
         Returns ``None`` (caller falls through to serial execution) when
         the node is not rooted in a partitionable prefix over a
@@ -858,20 +829,7 @@ class Executor:
             table = self._prefix_table(prefix)
             if table is None:
                 return None
-            kept, parts = self._morsel_partitions(prefix, table, stats)
-            results = self._map_morsels(
-                prefix,
-                table,
-                kept,
-                parts,
-                MORSEL_CHAIN,
-                None,
-                stats,
-                lambda part: self._run_chain(prefix, part),
-            )
-            merged = Table.concat_all(results)
-            self._record_chain(prefix, merged.num_rows, stats)
-            return merged
+            return self._chain_merged(prefix, table, stats)
         return None
 
     def _prefix_table(self, prefix: PartitionablePrefix | None) -> PartitionedTable | None:
@@ -885,23 +843,23 @@ class Executor:
 
     def _morsel_partitions(
         self, prefix: PartitionablePrefix, table: PartitionedTable, stats: ExecutionStats
-    ) -> tuple[list[int], list[Table]]:
-        """Partition indices + views surviving zone-map pruning.
+    ) -> list[Table]:
+        """The partition views of ``table`` surviving zone-map pruning.
 
         Pruning intersects the prefix's scan-adjacent predicates with the
-        catalog's per-partition zone maps; a pruned partition provably
-        holds no satisfying row, so skipping it cannot change results.
-        When everything is pruned a single zero-row view stands in (with
-        no index — such a morsel set never dispatches to processes), so
-        downstream merges keep the correct schema.
+        zone maps of ``table`` itself — asked for by table object, not by
+        name, so a replace racing this query cannot pair the old
+        partitions with the new table's maps.  A pruned partition
+        provably holds no satisfying row, so skipping it cannot change
+        results.  When everything is pruned a single zero-row view
+        stands in, so downstream merges keep the correct schema.
         """
         conjuncts = []
         for predicate in prefix.scan_filters:
             conjuncts.extend(pruning_conjuncts(predicate))
         total = table.num_partitions
         if conjuncts:
-            zone_maps = self._catalog.zone_maps(prefix.scan.table_name)
-            kept = prune_partitions(zone_maps, conjuncts) if zone_maps else list(range(total))
+            kept = prune_partitions(self._catalog.zone_maps_of(table), conjuncts)
         else:
             kept = list(range(total))
         stats.partitions_scanned += len(kept)
@@ -912,93 +870,20 @@ class Executor:
         if not parts:
             parts = [scanned.slice(0, 0)]
         stats.morsel_tasks += len(parts)
-        return kept, parts
+        stats.morsel_tasks_inline += len(parts)
+        return parts
 
-    def _run_chain(self, prefix: PartitionablePrefix, table: Table) -> Table:
+    @staticmethod
+    def _run_chain(prefix: PartitionablePrefix, table: Table) -> Table:
         """Apply the prefix's row-local operators to one partition."""
-        return apply_prefix_chain(prefix.nodes, table)
-
-    # -------------------------------------------------------------- #
-    # Process dispatch
-    # -------------------------------------------------------------- #
-    def _map_morsels(
-        self,
-        prefix: PartitionablePrefix,
-        table: PartitionedTable,
-        kept: list[int],
-        parts: list[Table],
-        mode: str,
-        node: AggregateNode | None,
-        stats: ExecutionStats,
-        local_task,
-    ) -> list:
-        """Run one task per surviving partition on the best available pool.
-
-        Tries the process pool first (shared-memory descriptors, compact
-        picklable task specs); any ineligibility — no pool, table below
-        the size floor, a single surviving partition, an unexportable
-        plan fragment, or a segment yanked by a concurrent replace/drop —
-        falls back to the thread pool running ``local_task``, which is
-        row-identical by construction (both paths execute the same
-        row-local chain over the same partition views).
-        """
-        results = self._map_morsels_process(prefix, table, kept, parts, mode, node, stats)
-        if results is not None:
-            return results
-        use_threads = _worth_threading(parts)
-        if use_threads and self._pool.parallel and len(parts) > 1:
-            stats.morsel_tasks_dispatched += len(parts)
-        else:
-            stats.morsel_tasks_inline += len(parts)
-        return self._pool.map(local_task, parts, parallel=use_threads)
-
-    def _map_morsels_process(
-        self,
-        prefix: PartitionablePrefix,
-        table: PartitionedTable,
-        kept: list[int],
-        parts: list[Table],
-        mode: str,
-        node: AggregateNode | None,
-        stats: ExecutionStats,
-    ) -> list | None:
-        """Process-pool leg of :meth:`_map_morsels` (``None`` = not taken)."""
-        pool = self._process_pool
-        if pool is None or len(kept) <= 1 or len(kept) != len(parts):
-            return None
-        if table.num_rows < self._process_min_rows:
-            return None
-        try:
-            handle = self._catalog.shared_handle(table.name)
-        except StorageError:
-            handle = None
-        if handle is None:
-            return None
-        spec = MorselTaskSpec(
-            descriptor=handle.descriptor,
-            scan=prefix.scan,
-            prefix_nodes=prefix.nodes,
-            mode=mode,
-            node=node,
-        )
-        try:
-            spec_bytes = len(pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL))
-        except Exception:
-            # A plan fragment that refuses to pickle (shouldn't happen —
-            # all AST/plan nodes are plain dataclasses) keeps the thread
-            # path as a safety net rather than failing the query.
-            return None
-        try:
-            results = pool.map(functools.partial(run_morsel_task, spec), kept)
-        except StaleSegmentError:
-            stats.morsel_process_fallbacks += 1
-            return None
-        stats.morsel_tasks_dispatched += len(kept)
-        stats.morsel_bytes_shared += sum(part.nbytes() for part in parts)
-        stats.morsel_bytes_pickled += spec_bytes * len(kept) + sum(
-            _result_nbytes(result) for result in results
-        )
-        return results
+        current = table
+        for chain_node in reversed(prefix.nodes):
+            if isinstance(chain_node, FilterNode):
+                current = Executor._apply_filter(chain_node, current)
+            elif isinstance(chain_node, ProjectNode):
+                current = Executor._apply_project(chain_node, current)
+            # SubqueryNode is the identity on rows.
+        return current
 
     def _record_chain(
         self, prefix: PartitionablePrefix, rows: int, stats: ExecutionStats
@@ -1006,6 +891,19 @@ class Executor:
         """Account the chain's operators (scan + chain nodes) once each."""
         for _ in range(len(prefix.nodes) + 1):
             stats.record(rows)
+
+    def _chain_merged(
+        self, prefix: PartitionablePrefix, table: PartitionedTable, stats: ExecutionStats
+    ) -> Table:
+        """The prefix's rows over the surviving partitions, in partition order."""
+        merged = Table.concat_all(
+            [
+                self._run_chain(prefix, part)
+                for part in self._morsel_partitions(prefix, table, stats)
+            ]
+        )
+        self._record_chain(prefix, merged.num_rows, stats)
+        return merged
 
     def _morsel_distinct(
         self,
@@ -1022,17 +920,12 @@ class Executor:
         concatenate in row order, and the final pass keeps the global
         first of each duplicate set.
         """
-        kept, parts = self._morsel_partitions(prefix, table, stats)
-
-        def task(part: Table) -> tuple[int, Table]:
+        deduped: list[Table] = []
+        for part in self._morsel_partitions(prefix, table, stats):
             chained = self._run_chain(prefix, part)
-            return chained.num_rows, chained.take(chained.distinct_indices())
-
-        results = self._map_morsels(
-            prefix, table, kept, parts, MORSEL_DISTINCT, None, stats, task
-        )
-        stats.rows_deduplicated += sum(rows for rows, _ in results)
-        merged = Table.concat_all([deduped for _, deduped in results])
+            stats.rows_deduplicated += chained.num_rows
+            deduped.append(chained.take(chained.distinct_indices()))
+        merged = Table.concat_all(deduped)
         self._record_chain(prefix, merged.num_rows, stats)
         result = merged.take(merged.distinct_indices())
         stats.record(result.num_rows)
@@ -1045,7 +938,7 @@ class Executor:
         table: PartitionedTable,
         stats: ExecutionStats,
     ) -> Table:
-        """Partition-parallel aggregation with a partial-state merge.
+        """Per-partition aggregation with a partial-state merge.
 
         Decomposable aggregates (COUNT/SUM/MIN/MAX, AVG as sum+count)
         compute per-partition partial states with the same ``reduceat``
@@ -1053,39 +946,22 @@ class Executor:
         partials on the raw key values and combining states (counts and
         sums add, mins/maxes reduce again).  Queries with aggregates that
         have no mergeable partial state (MEDIAN, STDDEV, VARIANCE,
-        DISTINCT aggregates) still parallelise the scan/filter/project
-        prefix and aggregate the merged rows serially.
+        DISTINCT aggregates) still prune and run the scan/filter/project
+        prefix per partition, and aggregate the merged rows in one pass.
         """
         specs = _decompose_aggregate_items(node)
-        kept, parts = self._morsel_partitions(prefix, table, stats)
         if specs is None:
-            results = self._map_morsels(
-                prefix,
-                table,
-                kept,
-                parts,
-                MORSEL_CHAIN,
-                None,
-                stats,
-                lambda part: self._run_chain(prefix, part),
-            )
-            merged = Table.concat_all(results)
-            self._record_chain(prefix, merged.num_rows, stats)
-            return self._aggregate_table(node, merged, stats)
+            return self._aggregate_table(node, self._chain_merged(prefix, table, stats), stats)
         agg_specs, first_specs = specs
-
-        def task(part: Table) -> tuple[int, Table]:
+        chained_rows = 0
+        partials: list[Table] = []
+        for part in self._morsel_partitions(prefix, table, stats):
             chained = self._run_chain(prefix, part)
-            return chained.num_rows, _aggregate_partials(
-                node, chained, agg_specs, first_specs
-            )
-
-        partials = self._map_morsels(
-            prefix, table, kept, parts, MORSEL_PARTIAL, node, stats, task
-        )
-        stats.rows_grouped += sum(rows for rows, _ in partials)
-        self._record_chain(prefix, sum(rows for rows, _ in partials), stats)
-        merged = Table.concat_all([partial for _, partial in partials])
+            chained_rows += chained.num_rows
+            partials.append(_aggregate_partials(node, chained, agg_specs, first_specs))
+        stats.rows_grouped += chained_rows
+        self._record_chain(prefix, chained_rows, stats)
+        merged = Table.concat_all(partials)
         result = _merge_aggregate_partials(node, merged, agg_specs, first_specs)
         stats.groups_formed += result.num_rows
         stats.record(result.num_rows)
@@ -1194,7 +1070,7 @@ def _sort_indices(
 
 
 # --------------------------------------------------------------------------- #
-# Partial aggregation (morsel-parallel GROUP BY)
+# Partial aggregation (per-partition GROUP BY)
 #
 # A decomposable aggregate has a per-partition partial state that merges
 # into the exact global value: COUNT and SUM add, MIN and MAX reduce
@@ -1210,102 +1086,6 @@ def _sort_indices(
 
 #: Aggregates with a mergeable partial state.
 DECOMPOSABLE_AGGREGATES = frozenset({"COUNT", "SUM", "MIN", "MAX", "AVG"})
-
-#: Minimum average rows per morsel before a thread handoff pays for
-#: itself; smaller morsel sets run inline on the calling thread (the
-#: pruning benefit is identical either way).
-MORSEL_PARALLEL_MIN_TASK_ROWS = 8192
-
-
-def _worth_threading(parts: Sequence[Table]) -> bool:
-    """Whether a morsel set is big enough to amortise thread dispatch."""
-    if len(parts) <= 1:
-        return False
-    total = sum(part.num_rows for part in parts)
-    return total / len(parts) >= MORSEL_PARALLEL_MIN_TASK_ROWS
-
-
-# --------------------------------------------------------------------------- #
-# Process-parallel morsel tasks
-#
-# The wire format of process dispatch: one MorselTaskSpec per query
-# (shared-memory descriptor + row-local plan prefix + merge mode), one
-# partition *index* per task.  Workers attach to the table's segment
-# once per process and run the identical row-local code the thread path
-# runs, so results merge through the same serial-identical contract.
-# --------------------------------------------------------------------------- #
-
-#: Task modes: return the chained partition rows, the partition's local
-#: DISTINCT, or the partition's partial-aggregate state table.
-MORSEL_CHAIN = "chain"
-MORSEL_DISTINCT = "distinct"
-MORSEL_PARTIAL = "partial"
-
-
-@dataclass(frozen=True)
-class MorselTaskSpec:
-    """Compact picklable description of one query's morsel tasks.
-
-    ``prefix_nodes`` is the row-local ``Filter|Project|Subquery`` chain
-    (top-down, as in :class:`~repro.sql.planner.PartitionablePrefix`);
-    ``node`` carries the :class:`~repro.sql.planner.AggregateNode` for
-    ``MORSEL_PARTIAL`` tasks — the worker re-derives the aggregate
-    decomposition from it, which is deterministic, rather than shipping
-    evaluated spec objects.
-    """
-
-    descriptor: SharedTableDescriptor
-    scan: ScanNode
-    prefix_nodes: tuple[PlanNode, ...]
-    mode: str
-    node: AggregateNode | None = None
-
-
-def apply_prefix_chain(nodes: Sequence[PlanNode], table: Table) -> Table:
-    """Apply a row-local operator chain (top-down order) to one partition."""
-    current = table
-    for chain_node in reversed(list(nodes)):
-        if isinstance(chain_node, FilterNode):
-            current = Executor._apply_filter(chain_node, current)
-        elif isinstance(chain_node, ProjectNode):
-            current = Executor._apply_project(chain_node, current)
-        # SubqueryNode is the identity on rows.
-    return current
-
-
-def run_morsel_task(spec: MorselTaskSpec, index: int):
-    """Execute one morsel in a worker process.
-
-    Attaches to the table's shared segment (cached per process), takes
-    the zero-copy view of partition ``index``, runs the row-local chain,
-    and returns the mode's merge input — exactly what the thread path's
-    closures return, so the parent-side merge code is shared verbatim.
-    """
-    table = scan_columns(attach_table(spec.descriptor), spec.scan)
-    chained = apply_prefix_chain(spec.prefix_nodes, table.partition(index))
-    if spec.mode == MORSEL_CHAIN:
-        return chained
-    if spec.mode == MORSEL_DISTINCT:
-        return chained.num_rows, chained.take(chained.distinct_indices())
-    if spec.mode == MORSEL_PARTIAL:
-        specs = _decompose_aggregate_items(spec.node)
-        if specs is None:  # pragma: no cover - parent checked the same node
-            raise ExecutionError("aggregate is not decomposable in worker")
-        agg_specs, first_specs = specs
-        return chained.num_rows, _aggregate_partials(
-            spec.node, chained, agg_specs, first_specs
-        )
-    raise ExecutionError(f"unknown morsel task mode {spec.mode!r}")
-
-
-def _result_nbytes(result: object) -> int:
-    """Approximate pickled-result size for the transfer accounting."""
-    if isinstance(result, Table):
-        return result.nbytes()
-    if isinstance(result, tuple) and len(result) == 2 and isinstance(result[1], Table):
-        return result[1].nbytes()
-    return 0
-
 
 def _collect_item_parts(
     expr: Expression,

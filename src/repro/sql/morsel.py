@@ -1,307 +1,16 @@
-"""Shared worker pools for morsel-driven partitioned execution.
+"""The engine's one partitioned-execution strategy, as reportable constants."""
 
-A *morsel* is one partition's share of a partition-parallel operator
-chain (scan → filter → project → partial aggregate).  The engine owns
-one pool and every query's executor submits its morsels there, so
-concurrent queries share one bounded set of workers instead of spawning
-their own.  Two pool flavours implement the same ``map`` contract:
-
-:class:`MorselPool`
-    Thread-based.  Cheap dispatch, zero-copy partition views — but the
-    hot morsel path (string factorize, per-partition re-group, plan
-    interpretation) holds the GIL, so the workers axis is flat.
-
-:class:`ProcessMorselPool`
-    Process-based, for true multicore scaling.  Workers attach
-    read-only to the table's column buffers via
-    ``multiprocessing.shared_memory`` (see :mod:`repro.storage.shared`),
-    so only a compact picklable task spec crosses the process boundary.
-    Fork-server start method where the platform offers it (workers
-    never inherit the parent's thread/lock state), spawn otherwise.
-
-Both pools are created lazily — an engine that never touches a
-partitioned table never starts a worker — and ``workers <= 1`` thread
-pools degrade to ordinary serial iteration, which keeps the partitioned
-executor's single code path exactly equivalent to serial execution.
-
-Lifecycle: ``Database.close()`` shuts its pools down, and a module
-``atexit`` hook sweeps any pool still live at interpreter exit (an
-abandoned engine must not strand worker processes or keep CI hanging).
-``shutdown()`` is safe to race with in-flight ``map`` calls: a submit
-that loses the race runs its tasks inline instead of failing.
-"""
-
-from __future__ import annotations
-
-import atexit
-import os
-import weakref
-from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from threading import Lock
-from typing import TypeVar
-
-from repro.errors import ExecutionError
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-#: Environment override for the default worker count.
-WORKERS_ENV = "REPRO_MORSEL_WORKERS"
-
-#: Environment default for the morsel executor kind: "thread" | "process".
-MORSEL_EXECUTOR_ENV = "REPRO_MORSEL_EXECUTOR"
-
-#: Environment override for the process-pool start method.
-START_METHOD_ENV = "REPRO_MORSEL_START_METHOD"
-
-#: Environment override for the process-dispatch table-size floor.
-PROCESS_MIN_ROWS_ENV = "REPRO_MORSEL_PROCESS_MIN_ROWS"
-
-#: Below this many table rows, process dispatch cannot amortise the task
-#: pickling + result transfer and the executor falls back to threads.
-DEFAULT_PROCESS_MIN_ROWS = 32_768
-
-#: Upper bound on the default worker count (diminishing returns beyond).
-_DEFAULT_WORKER_CAP = 8
-
-#: Live pools swept by the atexit hook.  A WeakSet: the hook must not
-#: keep abandoned engines (and their catalogs) alive.
-_LIVE_POOLS: "weakref.WeakSet[object]" = weakref.WeakSet()
+# Partitioned queries scan their surviving partitions on the calling
+# thread (docs/STORAGE.md, "Partitioned execution"); this module remains
+# only because benchmarks/e2e/run.py imports both names for its
+# environment block.
 
 
 def default_workers() -> int:
-    """The default morsel worker count (env override, else capped cores)."""
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None:
-        return max(1, int(env))
-    return max(1, min(_DEFAULT_WORKER_CAP, os.cpu_count() or 1))
+    """Always ``1``: partitions are scanned on the calling thread."""
+    return 1
 
 
 def default_executor() -> str:
-    """The default morsel executor kind (``REPRO_MORSEL_EXECUTOR`` env)."""
-    value = os.environ.get(MORSEL_EXECUTOR_ENV, "thread").strip().lower()
-    if value not in ("thread", "process"):
-        raise ValueError(
-            f"{MORSEL_EXECUTOR_ENV} must be 'thread' or 'process', got {value!r}"
-        )
-    return value
-
-
-def default_process_min_rows() -> int:
-    """Table-row floor below which process dispatch falls back to threads."""
-    env = os.environ.get(PROCESS_MIN_ROWS_ENV)
-    if env is not None:
-        return max(0, int(env))
-    return DEFAULT_PROCESS_MIN_ROWS
-
-
-def default_start_method() -> str:
-    """Preferred multiprocessing start method (env override respected).
-
-    ``forkserver`` where available: workers are forked from a clean
-    single-threaded server process, so they never inherit the serving
-    tier's threads/locks mid-flight (plain ``fork`` would) and warm
-    dispatch stays far cheaper than ``spawn``'s full interpreter boot.
-    """
-    import multiprocessing
-
-    env = os.environ.get(START_METHOD_ENV)
-    methods = multiprocessing.get_all_start_methods()
-    if env is not None:
-        if env not in methods:
-            raise ValueError(
-                f"{START_METHOD_ENV}={env!r} unsupported here; one of {methods}"
-            )
-        return env
-    return "forkserver" if "forkserver" in methods else "spawn"
-
-
-@atexit.register
-def _shutdown_live_pools() -> None:  # pragma: no cover - interpreter exit
-    for pool in list(_LIVE_POOLS):
-        pool.shutdown()
-
-
-class MorselPool:
-    """A lazily-started, shared thread pool for partition morsels.
-
-    Parameters
-    ----------
-    workers:
-        Worker thread count; ``None`` resolves via :func:`default_workers`
-        at construction time.  ``0``/``1`` disables threading entirely —
-        :meth:`map` then runs tasks inline, preserving one code path.
-    """
-
-    kind = "thread"
-
-    def __init__(self, workers: int | None = None) -> None:
-        self.workers = default_workers() if workers is None else max(1, int(workers))
-        self._executor: ThreadPoolExecutor | None = None
-        self._lock = Lock()
-        _LIVE_POOLS.add(self)
-
-    @property
-    def parallel(self) -> bool:
-        """Whether this pool actually fans work out to threads."""
-        return self.workers > 1
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="morsel"
-                )
-            return self._executor
-
-    def map(
-        self,
-        fn: Callable[[_T], _R],
-        items: Iterable[_T],
-        parallel: bool | None = None,
-    ) -> list[_R]:
-        """Apply ``fn`` to every item, preserving input order.
-
-        Runs inline (no threads) when the pool is serial, there is at
-        most one item, or the caller passes ``parallel=False`` (morsels
-        too small to amortise a thread handoff); otherwise dispatches to
-        the shared executor.  The first raised exception propagates to
-        the caller either way.  A dispatch that races a concurrent
-        :meth:`shutdown` falls back to inline execution instead of
-        surfacing the executor's ``RuntimeError``.
-        """
-        materialized: Sequence[_T] = list(items)
-        use_threads = self.parallel if parallel is None else (parallel and self.parallel)
-        if not use_threads or len(materialized) <= 1:
-            return [fn(item) for item in materialized]
-        executor = self._ensure_executor()
-        try:
-            return list(executor.map(fn, materialized))
-        except RuntimeError:
-            # Lost a race with shutdown(): the executor refused new
-            # futures.  Results must still come back — run inline.
-            return [fn(item) for item in materialized]
-
-    def shutdown(self) -> None:
-        """Stop the worker threads (idempotent; pool restarts on next use)."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-
-def _run_tagged(payload: tuple[Callable[[_T], _R], _T]) -> tuple[int, _R]:
-    """Worker-side trampoline tagging each result with the worker's pid.
-
-    Module-level so it pickles by reference under spawn/forkserver; the
-    pid tags feed the pool's worker-utilization metrics.
-    """
-    fn, item = payload
-    return os.getpid(), fn(item)
-
-
-class ProcessMorselPool:
-    """A lazily-started pool of worker *processes* for partition morsels.
-
-    Task functions and their results must pickle; large inputs should
-    travel via shared memory (the executor sends
-    :class:`~repro.sql.executor.MorselTaskSpec` + a partition index, and
-    workers attach to the table's segment).  Unlike the thread pool,
-    ``workers == 1`` still dispatches — a one-worker process leg is the
-    dispatch-overhead baseline the fig12 scaling curve is measured
-    against.
-
-    A worker that dies mid-task (OOM-kill, hard crash) surfaces as a
-    clean :class:`~repro.errors.ExecutionError` — never a hang — and the
-    broken executor is discarded so the next query gets a fresh pool.
-    """
-
-    kind = "process"
-
-    def __init__(
-        self, workers: int | None = None, start_method: str | None = None
-    ) -> None:
-        self.workers = default_workers() if workers is None else max(1, int(workers))
-        self.start_method = start_method or default_start_method()
-        self._executor: ProcessPoolExecutor | None = None
-        self._lock = Lock()
-        self._tasks_by_pid: Counter[int] = Counter()
-        _LIVE_POOLS.add(self)
-
-    @property
-    def parallel(self) -> bool:
-        """Process pools always dispatch when asked (see class docstring)."""
-        return True
-
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        import multiprocessing
-
-        with self._lock:
-            if self._executor is None:
-                context = multiprocessing.get_context(self.start_method)
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=context
-                )
-            return self._executor
-
-    def map(
-        self,
-        fn: Callable[[_T], _R],
-        items: Iterable[_T],
-        parallel: bool | None = None,
-    ) -> list[_R]:
-        """Apply ``fn`` to every item in worker processes, preserving order.
-
-        Runs inline for a single item or ``parallel=False``.  Exceptions
-        raised by ``fn`` propagate to the caller (pickled back from the
-        worker); a worker *process* death raises
-        :class:`~repro.errors.ExecutionError` and resets the pool.
-        """
-        materialized: Sequence[_T] = list(items)
-        use_processes = True if parallel is None else bool(parallel)
-        if not use_processes or len(materialized) <= 1:
-            return [fn(item) for item in materialized]
-        executor = self._ensure_executor()
-        try:
-            tagged = list(executor.map(_run_tagged, [(fn, item) for item in materialized]))
-        except BrokenProcessPool as exc:
-            # Must precede the RuntimeError arm: BrokenProcessPool IS a
-            # RuntimeError, and a dead worker must surface, not run inline.
-            with self._lock:
-                broken, self._executor = self._executor, None
-            if broken is not None:
-                broken.shutdown(wait=False, cancel_futures=True)
-            raise ExecutionError(
-                "morsel worker process died mid-task; the process pool was "
-                "reset (the next query starts fresh workers)"
-            ) from exc
-        except RuntimeError:
-            # Raced shutdown() — same inline fallback as the thread pool.
-            return [fn(item) for item in materialized]
-        results: list[_R] = []
-        with self._lock:
-            for pid, value in tagged:
-                self._tasks_by_pid[pid] += 1
-                results.append(value)
-        return results
-
-    def utilization(self) -> dict[str, float]:
-        """Worker-utilization counters for the observability surface."""
-        with self._lock:
-            tasks = sum(self._tasks_by_pid.values())
-            used = len(self._tasks_by_pid)
-        return {
-            "workers": float(self.workers),
-            "workers_used": float(used),
-            "tasks": float(tasks),
-        }
-
-    def shutdown(self) -> None:
-        """Stop the worker processes (idempotent; pool restarts on next use)."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
+    """Always ``"inline"``: no worker pool exists."""
+    return "inline"

@@ -433,7 +433,7 @@ class PartitionablePrefix:
     horizontal partition of the scanned table and concatenating the
     results (in partition order) is row-identical to applying them to the
     whole table, because filters and projections never look across rows.
-    This is the unit of morsel-parallel execution.
+    This is the unit of partitioned execution.
 
     ``scan_filters`` holds the predicates of the chain's filters that sit
     *directly above the scan* — no projection or sub-query boundary in

@@ -7,10 +7,6 @@ import weakref
 from collections.abc import Callable, Mapping, Sequence
 
 from repro.errors import CatalogError
-from repro.storage.shared import (
-    SharedTableHandle,
-    shared_memory_available,
-)
 from repro.storage.statistics import (
     TableStatistics,
     ZoneMap,
@@ -37,7 +33,6 @@ class Catalog:
         self._tables: dict[str, Table] = {}
         self._statistics: dict[str, TableStatistics] = {}
         self._zone_maps: dict[str, list[ZoneMap]] = {}
-        self._shared: dict[str, SharedTableHandle] = {}
         self._listeners: list[weakref.WeakMethod] = []
         self._lock = threading.RLock()
 
@@ -83,12 +78,6 @@ class Catalog:
             self._tables[name] = table.renamed(name)
             self._statistics.pop(name, None)
             self._zone_maps.pop(name, None)
-            shared = self._shared.pop(name, None)
-        if shared is not None:
-            # Unlinking outside the lock: in-flight worker attaches of the
-            # old segment fail fast (StaleSegmentError) and the executor
-            # retries against the current table.
-            shared.close()
         if replaced:
             self._notify_invalidation(name)
 
@@ -110,9 +99,6 @@ class Catalog:
             del self._tables[name]
             self._statistics.pop(name, None)
             self._zone_maps.pop(name, None)
-            shared = self._shared.pop(name, None)
-        if shared is not None:
-            shared.close()
         self._notify_invalidation(name)
 
     def get(self, name: str) -> Table:
@@ -142,48 +128,31 @@ class Catalog:
                 self._statistics[name] = compute_table_statistics(self.get(name))
             return self._statistics[name]
 
-    def shared_handle(self, name: str) -> SharedTableHandle | None:
-        """The shared-memory export of a partitioned table, or ``None``.
-
-        Built lazily on first request (one segment per table, reused by
-        every subsequent query) and invalidated — closed *and unlinked* —
-        on re-registration and :meth:`drop`, like :meth:`statistics`.
-        Returns ``None`` for plain tables and when shared memory is
-        unavailable on this platform.
-        """
-        if not shared_memory_available():
-            return None
-        with self._lock:
-            table = self.get(name)
-            if not isinstance(table, PartitionedTable):
-                return None
-            handle = self._shared.get(name)
-            if handle is None:
-                handle = SharedTableHandle(table)
-                self._shared[name] = handle
-            return handle
-
-    def close_shared(self) -> None:
-        """Close and unlink every shared-memory export this catalog owns."""
-        with self._lock:
-            handles = list(self._shared.values())
-            self._shared.clear()
-        for handle in handles:
-            handle.close()
-
     def zone_maps(self, name: str) -> list[ZoneMap] | None:
         """Per-partition zone maps of a partitioned table, or ``None``.
 
-        Computed lazily on first request and cached; invalidated on
-        re-registration and drop, like :meth:`statistics`.  Plain
-        (unpartitioned) tables have no zone maps.
+        Plain (unpartitioned) tables have no zone maps.
+        """
+        table = self.get(name)
+        if not isinstance(table, PartitionedTable):
+            return None
+        return self.zone_maps_of(table)
+
+    def zone_maps_of(self, table: PartitionedTable) -> list[ZoneMap]:
+        """Per-partition zone maps of exactly this ``table`` object.
+
+        Computed lazily and cached while ``table`` is the one registered
+        under its name; invalidated on re-registration and drop, like
+        :meth:`statistics`.  A caller still scanning a table that has
+        since been replaced gets maps computed from *its* table, never
+        the replacement's — partition index ``i`` of the maps is always
+        partition ``i`` of ``table``.
         """
         with self._lock:
-            table = self.get(name)
-            if not isinstance(table, PartitionedTable):
-                return None
-            if name not in self._zone_maps:
-                self._zone_maps[name] = [
-                    compute_zone_map(partition) for partition in table.partitions()
-                ]
-            return self._zone_maps[name]
+            registered = self._tables.get(table.name) is table
+            maps = self._zone_maps.get(table.name) if registered else None
+            if maps is None:
+                maps = [compute_zone_map(partition) for partition in table.partitions()]
+                if registered:
+                    self._zone_maps[table.name] = maps
+            return maps

@@ -361,7 +361,7 @@ class PartitionedTable(Table):
     Behaves exactly like a :class:`Table` everywhere (same columns, same
     rows, same operations — derived tables come back unpartitioned); the
     partitioning is extra structure the executor exploits: each partition
-    is a zero-copy row-range view suitable for morsel-parallel execution,
+    is a zero-copy row-range view the executor scans on its own,
     and the catalog attaches a zone map (per-column min/max/null-count,
     see :mod:`repro.storage.statistics`) to each partition so range
     predicates can skip partitions before scanning them.

@@ -1,9 +1,8 @@
-"""Partitioned-parallel vs serial differential over the backend corpus.
+"""Partitioned vs flat differential over the backend corpus.
 
 Runs every query of the 29-query backend corpus (plus its hypothesis
-shapes) on two embedded engines holding identical data — one flat with a
-serial executor, one partitioned with morsel workers — and asserts
-row-identical results through the same comparison contract the
+shapes) on two embedded engines holding identical data — one flat, one
+partitioned — and asserts row-identical results through the same comparison contract the
 cross-backend suite enforces (values, ordering, NULL placement).
 
 This is the correctness gate of the partitioned execution refactor: the
@@ -12,6 +11,9 @@ per-partition DISTINCT, post-merge sort) must be invisible in results.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -32,11 +34,10 @@ from repro.sql import Database
 def _engine_pair(
     tables: dict[str, tuple[list[dict], list[str] | None]],
     target_rows: int,
-    parallelism: int = 4,
 ) -> dict[str, EmbeddedBackend]:
-    """A flat-serial and a partitioned-parallel engine with the same data."""
-    serial = EmbeddedBackend(Database(parallelism=1))
-    partitioned = EmbeddedBackend(Database(parallelism=parallelism))
+    """A flat and a partitioned engine with the same data."""
+    serial = EmbeddedBackend(Database())
+    partitioned = EmbeddedBackend(Database())
     for name, (rows, column_order) in tables.items():
         serial.register_rows(name, rows, column_order=column_order)
         partitioned.register_rows(name, rows, column_order=column_order)
@@ -46,17 +47,14 @@ def _engine_pair(
 
 @pytest.fixture(scope="module")
 def engines():
-    """The corpus tables, flat-serial vs partitioned-parallel."""
-    pair = _engine_pair(
+    """The corpus tables, flat vs partitioned."""
+    return _engine_pair(
         {
             "data": (_mixed_rows(), ["g", "v", "w", "b"]),
             "flights": (generate_dataset("flights", 300, seed=5), None),
         },
         target_rows=40,
     )
-    yield pair
-    for engine in pair.values():
-        engine.close()
 
 
 @pytest.mark.parametrize(
@@ -113,42 +111,30 @@ PARTITION_QUERIES = (
 )
 def test_random_tables_identical_partitioned(rows, target_rows):
     engines = _engine_pair({"t": (rows, ["v", "w", "g"])}, target_rows=target_rows)
-    try:
-        for sql in PARTITION_QUERIES:
-            assert_identical_results(dict.fromkeys(engines, sql), engines, ordered=False)
-    finally:
-        for engine in engines.values():
-            engine.close()
+    for sql in PARTITION_QUERIES:
+        assert_identical_results(dict.fromkeys(engines, sql), engines, ordered=False)
 
 
 @given(rows=st.lists(row_strategy, min_size=1, max_size=30), descending=st.booleans())
 def test_random_order_by_identical_partitioned(rows, descending):
     """Positional comparison: the merge must preserve stable sort order."""
     engines = _engine_pair({"t": (rows, ["v", "w", "g"])}, target_rows=5)
-    try:
-        direction = "DESC" if descending else "ASC"
-        sql = f"SELECT v, g FROM t WHERE w >= -1e6 ORDER BY v {direction}"
-        assert_identical_results(dict.fromkeys(engines, sql), engines, ordered=True)
-    finally:
-        for engine in engines.values():
-            engine.close()
+    direction = "DESC" if descending else "ASC"
+    sql = f"SELECT v, g FROM t WHERE w >= -1e6 ORDER BY v {direction}"
+    assert_identical_results(dict.fromkeys(engines, sql), engines, ordered=True)
 
 
 def test_partition_boundary_rows_not_lost():
     """Boundary values landing exactly on partition edges stay visible."""
     rows = [{"t": float(i), "v": float(i)} for i in range(100)]
     engines = _engine_pair({"t": (rows, ["t", "v"])}, target_rows=10)
-    try:
-        for bound in (9.0, 10.0, 50.0, 99.0):
-            sql = f"SELECT COUNT(*) AS n FROM t WHERE t >= {bound}"
-            assert_identical_results(dict.fromkeys(engines, sql), engines, ordered=True)
-        deltas = engines["partitioned"].query_rows(
-            "SELECT COUNT(*) AS n FROM t WHERE t = 10"
-        )
-        assert deltas == [{"n": 1}]
-    finally:
-        for engine in engines.values():
-            engine.close()
+    for bound in (9.0, 10.0, 50.0, 99.0):
+        sql = f"SELECT COUNT(*) AS n FROM t WHERE t >= {bound}"
+        assert_identical_results(dict.fromkeys(engines, sql), engines, ordered=True)
+    deltas = engines["partitioned"].query_rows(
+        "SELECT COUNT(*) AS n FROM t WHERE t = 10"
+    )
+    assert deltas == [{"n": 1}]
 
 
 def test_float_merge_tolerance_is_tight():
@@ -156,15 +142,34 @@ def test_float_merge_tolerance_is_tight():
     rng = np.random.default_rng(11)
     rows = [{"g": "ab"[i % 2], "v": float(rng.normal(0, 1e6))} for i in range(5000)]
     engines = _engine_pair({"t": (rows, ["g", "v"])}, target_rows=500)
-    try:
-        serial = engines["serial"].query_rows("SELECT g, SUM(v) AS s, AVG(v) AS a FROM t GROUP BY g")
-        partitioned = engines["partitioned"].query_rows(
-            "SELECT g, SUM(v) AS s, AVG(v) AS a FROM t GROUP BY g"
-        )
-        for row_a, row_b in zip(serial, partitioned):
-            assert row_a["g"] == row_b["g"]
-            assert np.isclose(row_a["s"], row_b["s"], rtol=1e-9)
-            assert np.isclose(row_a["a"], row_b["a"], rtol=1e-9)
-    finally:
-        for engine in engines.values():
-            engine.close()
+    serial = engines["serial"].query_rows("SELECT g, SUM(v) AS s, AVG(v) AS a FROM t GROUP BY g")
+    partitioned = engines["partitioned"].query_rows(
+        "SELECT g, SUM(v) AS s, AVG(v) AS a FROM t GROUP BY g"
+    )
+    for row_a, row_b in zip(serial, partitioned):
+        assert row_a["g"] == row_b["g"]
+        assert np.isclose(row_a["s"], row_b["s"], rtol=1e-9)
+        assert np.isclose(row_a["a"], row_b["a"], rtol=1e-9)
+
+
+def test_partitioned_execution_starts_nothing():
+    """Partitions are scanned on the calling thread: no thread, no process.
+
+    The shape that used to be handed to a worker pool — several
+    surviving partitions of at least 8,192 rows each — through all three
+    partitioned operators (grouped aggregate, DISTINCT, row-local chain).
+    """
+    rows = [{"t": float(i), "g": "abcd"[i % 4], "v": float(i % 97)} for i in range(40_000)]
+    engines = _engine_pair({"t": (rows, ["t", "g", "v"])}, target_rows=10_000)
+    threads = threading.active_count()
+    children = multiprocessing.active_children()
+    for sql in (
+        "SELECT g, COUNT(*) AS n, AVG(v) AS a FROM t WHERE t >= 10000 GROUP BY g",
+        "SELECT DISTINCT g FROM t WHERE t >= 10000",
+        "SELECT t, v FROM t WHERE t >= 10000 AND v < 3",
+    ):
+        assert_identical_results(dict.fromkeys(engines, sql), engines, ordered=False)
+    # Three of the four 10,000-row partitions survive each query.
+    assert engines["partitioned"].stats()["partitions_scanned"] == 9
+    assert threading.active_count() == threads
+    assert multiprocessing.active_children() == children

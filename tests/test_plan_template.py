@@ -26,14 +26,13 @@ from repro.sql.template import (
 
 @pytest.fixture()
 def db() -> Database:
-    database = Database(ivm=False, parallelism=1)
+    database = Database(ivm=False)
     database.register_rows(
         "t",
         [{"g": "ab"[i % 2], "v": float(i), "w": float(i % 10)} for i in range(100)],
         column_order=["g", "v", "w"],
     )
-    yield database
-    database.close()
+    return database
 
 
 def test_brush_sequence_parses_once(db):
@@ -94,28 +93,25 @@ def test_exact_repeat_hits_plan_cache_not_template(db):
 
 def test_template_results_match_fresh_parse(db):
     """Template-instantiated plans return byte-identical rows to parsing."""
-    uncached = Database(ivm=False, parallelism=1, plan_cache_size=0)
+    uncached = Database(ivm=False, plan_cache_size=0)
     uncached.register_rows(
         "t",
         [{"g": "ab"[i % 2], "v": float(i), "w": float(i % 10)} for i in range(100)],
         column_order=["g", "v", "w"],
     )
-    try:
-        shapes = [
-            "SELECT g, v FROM t WHERE v BETWEEN {lo} AND {hi} ORDER BY v LIMIT 5",
-            "SELECT g, AVG(v) AS a FROM t WHERE w = {lo} GROUP BY g HAVING AVG(v) > {hi}",
-            "SELECT DISTINCT g FROM t WHERE v > {lo} OR w < {hi}",
-            "SELECT CASE WHEN v > {hi} THEN 'high' ELSE 'low' END AS bucket, "
-            "COUNT(*) AS n FROM t WHERE v >= {lo} GROUP BY bucket",
-            "SELECT g FROM t WHERE v IN ({lo}, {hi}, 42) ORDER BY g LIMIT 3 OFFSET 1",
-            "SELECT -v AS neg FROM t WHERE v > -{lo} AND v < {hi} ORDER BY neg LIMIT 4",
-        ]
-        for shape in shapes:
-            for lo, hi in ((1, 50), (7, 80), (3, 66)):
-                sql = shape.format(lo=lo, hi=hi)
-                assert db.query_rows(sql) == uncached.query_rows(sql), sql
-    finally:
-        uncached.close()
+    shapes = [
+        "SELECT g, v FROM t WHERE v BETWEEN {lo} AND {hi} ORDER BY v LIMIT 5",
+        "SELECT g, AVG(v) AS a FROM t WHERE w = {lo} GROUP BY g HAVING AVG(v) > {hi}",
+        "SELECT DISTINCT g FROM t WHERE v > {lo} OR w < {hi}",
+        "SELECT CASE WHEN v > {hi} THEN 'high' ELSE 'low' END AS bucket, "
+        "COUNT(*) AS n FROM t WHERE v >= {lo} GROUP BY bucket",
+        "SELECT g FROM t WHERE v IN ({lo}, {hi}, 42) ORDER BY g LIMIT 3 OFFSET 1",
+        "SELECT -v AS neg FROM t WHERE v > -{lo} AND v < {hi} ORDER BY neg LIMIT 4",
+    ]
+    for shape in shapes:
+        for lo, hi in ((1, 50), (7, 80), (3, 66)):
+            sql = shape.format(lo=lo, hi=hi)
+            assert db.query_rows(sql) == uncached.query_rows(sql), sql
     assert db.metrics.snapshot()["plan_template_hits"] > 0
 
 

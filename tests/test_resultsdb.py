@@ -325,14 +325,14 @@ def test_metadata_overrides_and_config_storage():
                 "git_sha": "cafe1234",
                 "machine": "ci-runner|x86_64|py3.12",
                 "bench_scale": 0.25,
-                "morsel_workers": "4",
+                "serving_shards": "2",
             },
         )
         run = db.run(run_id)
         assert run.git_sha == "cafe1234"
         assert run.machine == "ci-runner|x86_64|py3.12"
         assert run.bench_scale == 0.25
-        assert run.config == {"morsel_workers": "4"}
+        assert run.config == {"serving_shards": "2"}
 
 
 # --------------------------------------------------------------------------- #

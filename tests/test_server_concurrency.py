@@ -364,37 +364,6 @@ def test_concurrent_run_matches_serial_baseline(backend, scenario):
     assert result.queries_executed <= result.unique_queries
 
 
-def test_crossfilter_storm_with_forced_process_morsel_executor(monkeypatch):
-    """The cache-heavy scenario survives the process morsel executor.
-
-    REPRO_MORSEL_EXECUTOR=process with the size floor disabled pushes
-    every embedded-backend morsel across the process boundary while the
-    serving tier coalesces the storm's duplicate queries — the two
-    process-parallel layers composed must still return row-identical
-    results, with coalescing engaged.
-    """
-    from repro.storage.shared import shared_memory_available
-
-    if not shared_memory_available():
-        pytest.skip("multiprocessing.shared_memory unavailable")
-    monkeypatch.setenv("REPRO_MORSEL_EXECUTOR", "process")
-    monkeypatch.setenv("REPRO_MORSEL_PROCESS_MIN_ROWS", "0")
-    result = run_scenario(
-        "crossfilter_storm",
-        backend="embedded",
-        n_sessions=8,
-        queries_per_session=4,
-        n_rows=400,
-        max_workers=4,
-    )
-    assert result.matches_serial, result.mismatched_queries
-    stats = result.scheduler
-    assert stats["submitted"] == stats["executed"] + stats["coalesced"]
-    # The storm's overlap must actually engage the single-flight path.
-    assert stats["coalesced"] > 0
-    assert result.queries_executed <= result.unique_queries
-
-
 def test_build_sessions_shapes_and_validation():
     burst = build_sessions("cold_start_burst", 3, 10)
     assert len(burst) == 3
