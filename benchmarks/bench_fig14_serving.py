@@ -11,8 +11,9 @@ unboundedly and never dropped silently.
 
 The grid is scenario × arrival rate × sessions per tier:
 
-* ``threaded`` — the single-process baseline (one SessionManager over a
-  thread-pooled scheduler, the pre-PR-9 runtime),
+* ``threaded`` — the single-process baseline (one SessionManager whose
+  requests run on a thread-pool executor's threads, each bounded and
+  coalesced by one single-flight scheduler),
 * ``sharded`` — the :class:`~repro.server.shard.AsyncGateway` over
   session-sharded worker processes.
 

@@ -74,8 +74,9 @@ class BackendCapabilities:
     #: Scalar function names the backend executes (upper-case).
     supported_scalar_functions: frozenset[str] = field(default=CORE_SCALAR_FUNCTIONS)
     #: Whether concurrent ``execute()`` calls from multiple threads are
-    #: safe.  The serving runtime (:mod:`repro.server`) refuses to fan a
-    #: worker pool out over a backend that does not declare this.
+    #: safe.  The serving runtime (:mod:`repro.server`) refuses to admit
+    #: more than one concurrent execution on a backend that does not
+    #: declare this.
     thread_safe: bool = False
     #: How the backend achieves thread safety: ``"shared"`` (one engine
     #: instance with internal locking), ``"per-thread"`` (a dedicated

@@ -136,9 +136,9 @@ class SqliteBackend(SQLBackend):
 
     Each thread that touches the backend gets its own ``sqlite3``
     connection to one shared-cache in-memory database, so concurrent
-    sessions (the :mod:`repro.server` worker pool) never violate
-    sqlite3's one-thread-per-connection rule while still reading the
-    same tables.
+    sessions (each request runs on the serving tier's handler thread
+    that received it) never violate sqlite3's one-thread-per-connection
+    rule while still reading the same tables.
 
     Crossfilter-style brush sequences are additionally served through the
     shared incremental-view-maintenance subsystem (:mod:`repro.sql.ivm`):

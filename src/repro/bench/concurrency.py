@@ -223,7 +223,7 @@ def run_scenario(
     database.register_rows("flights", generate_dataset("flights", n_rows, seed=seed))
 
     # Serial baseline: the same workload, one query at a time, straight on
-    # the backend (no caches, no pool) — the ground truth for row identity.
+    # the backend (no caches, no scheduler) — the ground truth for row identity.
     unique_queries = sorted({sql for session in sessions_sql for sql in session})
     serial_rows = {sql: database.execute(sql).to_rows() for sql in unique_queries}
 

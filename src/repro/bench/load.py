@@ -14,7 +14,8 @@ This module drives both serving tiers through one async interface:
 
 * :class:`ThreadedTier` — the single-process baseline: one
   :class:`~repro.server.session.SessionManager` over one middleware and
-  thread-pooled scheduler, adapted to asyncio via an executor.  It runs
+  single-flight scheduler, adapted to asyncio via a thread-pool executor
+  whose threads run their queries themselves.  It runs
   the **same** request handler a shard worker runs
   (:meth:`SessionManager.execute`) behind the **same**
   :class:`~repro.server.shard.AdmissionController` as the gateway, and
@@ -39,7 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.bench.concurrency import build_sessions
-from repro.errors import BenchmarkError, OverloadError
+from repro.errors import BenchmarkError, OverloadError, ServingError
 from repro.net.middleware import QueryResponse
 from repro.server.session import SessionManager, latency_percentiles
 from repro.server.shard import (
@@ -57,11 +58,14 @@ SERVING_TIERS = ("threaded", "sharded")
 class ThreadedTier:
     """The single-process serving tier behind the gateway's async API.
 
-    One shared middleware + thread-pooled single-flight scheduler (the
-    pre-sharding serving runtime), adapted to the event loop with a
-    thread-pool executor.  Admission control is the gateway's own
+    One shared middleware + single-flight scheduler (the pre-sharding
+    serving runtime), adapted to the event loop with a thread-pool
+    executor.  Admission control is the gateway's own
     :class:`AdmissionController` and requests run through
     :meth:`SessionManager.execute`, the handler a shard worker runs.
+    :meth:`close` drains the executor before it shuts the manager down,
+    so every admitted request is answered; a request after close raises
+    :class:`~repro.errors.ServingError`.
     """
 
     def __init__(
@@ -95,13 +99,19 @@ class ThreadedTier:
             thread_name_prefix="threaded-tier",
         )
 
+    def _running(self) -> SessionManager:
+        if self._manager is None:
+            raise ServingError("threaded tier is not running")
+        return self._manager
+
     async def execute(self, session_id: str, sql: str) -> QueryResponse:
         """Serve one request (sheds with :class:`OverloadError`)."""
-        manager = self._manager
-        assert manager is not None, "tier not started"
         await self.admission.acquire()
         ok = False
         try:
+            # Checked once admitted: a request queued across close() fails
+            # typed instead of reaching a shut-down executor.
+            manager = self._running()
             response = await asyncio.get_running_loop().run_in_executor(
                 self._executor, manager.execute, session_id, sql
             )
@@ -112,19 +122,17 @@ class ThreadedTier:
 
     async def stats(self) -> dict[str, object]:
         """Same shape as :meth:`AsyncGateway.stats` with one 'shard'."""
-        manager = self._manager
-        assert manager is not None, "tier not started"
-        worker = manager.statistics()
+        worker = self._running().statistics()
         worker["shard"] = 0
         return {"serving": serving_summary([worker], self.admission), "shards": [worker]}
 
     async def close(self) -> None:
         manager, self._manager = self._manager, None
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)  # answer what was admitted
+            self._executor = None
         if manager is not None:
             manager.shutdown()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         if self._database is not None:
             self._database.close()
             self._database = None

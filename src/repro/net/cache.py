@@ -10,7 +10,10 @@ batches — row dicts never materialise on a cache hit unless a final
 consumer asks.  ``payload_bytes`` should be the **exact** size of the
 stored result (:attr:`ResultSet.nbytes`), so the byte budget charges on
 insertion exactly what eviction later frees — a codec *estimate* here
-would let the accounted total drift from resident memory.
+would let the accounted total drift from resident memory.  Entries are
+never overwritten in place: the first result stored under a key stays
+until eviction or :meth:`QueryCache.clear` (which a table replacement
+triggers), so an entry's bytes enter and leave the budget exactly once.
 
 The serving runtime (:mod:`repro.server`) shares one middleware cache
 between many concurrent sessions, so the cache is thread-safe: every
@@ -41,8 +44,6 @@ class CacheStatistics:
     hits: int = 0
     misses: int = 0
     insertions: int = 0
-    #: In-place overwrites of an existing entry (``put(replace=True)``).
-    replacements: int = 0
     evictions: int = 0
     rejected_too_large: int = 0
     #: Eviction policy the cache runs (``fifo`` or ``lru``).
@@ -143,24 +144,12 @@ class QueryCache:
         with self._lock:
             return query in self._entries
 
-    def put(
-        self,
-        query: str,
-        result: ResultSet,
-        payload_bytes: int,
-        replace: bool = False,
-    ) -> bool:
+    def put(self, query: str, result: ResultSet, payload_bytes: int) -> bool:
         """Insert a result; returns True when it was actually cached.
 
         ``payload_bytes`` is the exact size charged to the byte budget
-        (``result.nbytes``).
-
-        With ``replace=False`` (the default) an existing entry wins — the
-        paper's duplicate check.  With ``replace=True`` the entry is
-        overwritten **under the same lock** that adjusts the byte budget:
-        the old entry's bytes leave and the new entry's bytes enter the
-        budget in one step, so an eviction racing the overwrite can never
-        observe (and double-subtract) a half-replaced entry.
+        (``result.nbytes``).  An existing entry wins — the paper's
+        duplicate check keeps it and its position.
         """
         with self._lock:
             too_large = payload_bytes > self.max_result_bytes or (
@@ -169,22 +158,8 @@ class QueryCache:
             if too_large:
                 self.stats.rejected_too_large += 1
                 return False
-            existing = self._entries.get(query)
-            if existing is not None:
-                if not replace:
-                    # Duplicate check: keep the existing entry and its position.
-                    return False
-                # Lock-held replace path: swap result and bytes atomically
-                # with respect to _evict_over_budget, which reads each
-                # evicted entry's payload_bytes under this same lock.
-                self.stats.current_bytes += payload_bytes - existing.payload_bytes
-                existing.result = result
-                existing.payload_bytes = payload_bytes
-                self.stats.replacements += 1
-                if self.policy == "lru":
-                    self._entries.move_to_end(query)
-                self._evict_over_budget()
-                return True
+            if query in self._entries:
+                return False
             self._entries[query] = CacheEntry(
                 query=query, result=result, payload_bytes=payload_bytes
             )
@@ -224,29 +199,3 @@ class QueryCache:
         """The cached query strings in eviction order (oldest first)."""
         with self._lock:
             return list(self._entries)
-
-    # ------------------------------------------------------------------ #
-    # Export / restore (session sharding)
-    # ------------------------------------------------------------------ #
-    def export_entries(self) -> list[tuple[str, ResultSet, int]]:
-        """Picklable ``(query, result, payload_bytes)`` tuples in eviction
-        order (oldest first), so a restore reproduces the same eviction
-        sequence on the receiving shard.  Results cross the shard wire as
-        out-of-band column buffers, never as row dicts."""
-        with self._lock:
-            return [
-                (entry.query, entry.result, entry.payload_bytes)
-                for entry in self._entries.values()
-            ]
-
-    def restore_entries(self, entries: list[tuple[str, ResultSet, int]]) -> int:
-        """Re-insert exported entries (replacing on key collision).
-
-        Returns the number of entries actually cached; oversized entries
-        are dropped exactly as a fresh ``put`` would drop them.
-        """
-        restored = 0
-        for query, result, payload_bytes in entries:
-            if self.put(query, result, payload_bytes, replace=True):
-                restored += 1
-        return restored

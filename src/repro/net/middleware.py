@@ -16,13 +16,14 @@ one-dashboard configuration.
 Cache entries are keyed on ``<backend name>::<sql>`` so results from two
 backends can never alias, even when middleware caches are shared or
 compared across backend runs.  When a :class:`RequestScheduler` is
-attached, backend executions run on its bounded worker pool with
+attached, backend executions pass its admission bound with
 single-flight coalescing: concurrent identical requests share one
-execution, and the result is published to the server cache *before* the
-in-flight entry retires, so a request can never slip between "missed the
-cache" and "missed the flight" into a duplicate execution.  Both built-in
-caches subscribe to the backend catalog's invalidation events, so a
-replaced or dropped table never leaves stale results behind.
+execution, run on the first requester's thread, and the result is
+published to the server cache *before* the in-flight entry retires, so
+a request can never slip between "missed the cache" and "missed the
+flight" into a duplicate execution.  Both built-in caches subscribe to
+the backend catalog's invalidation events, so a replaced or dropped
+table never leaves stale results behind.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class MiddlewareServer:
         Optional total-byte budget of the shared server cache.
     scheduler:
         Optional :class:`RequestScheduler`; when given, backend queries
-        run on its bounded pool with single-flight coalescing.
+        run under its admission bound with single-flight coalescing.
     """
 
     def __init__(
@@ -184,7 +185,7 @@ class MiddlewareServer:
 
         Lookup order follows the paper: the session's client cache, then
         the shared middleware cache (one round trip, tiny payload), then
-        DBMS execution — through the scheduler's single-flight pool when
+        DBMS execution — through the scheduler's single flight when
         one is attached.
 
         Parameters

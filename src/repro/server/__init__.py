@@ -4,10 +4,10 @@ The paper's middleware exists to serve interactive dashboards to many
 users at once; this package is the reproduction's multi-session tier on
 top of the (stateless) :class:`~repro.net.middleware.MiddlewareServer`:
 
-* :mod:`~repro.server.scheduler` — a bounded worker pool with
+* :mod:`~repro.server.scheduler` — bounded admission with
   **single-flight coalescing**: concurrent identical
-  ``<backend>::<sql>`` requests share one backend execution, with
-  admission/queueing statistics,
+  ``<backend>::<sql>`` requests share one backend execution, run on the
+  leading caller's own thread, with admission/queueing statistics,
 * :mod:`~repro.server.session` — :class:`SessionManager` /
   :class:`ClientSession`: per-client state (client-side cache, network
   profile, latency history) over the shared middleware, scheduler and
@@ -31,15 +31,16 @@ Typical assembly::
     session = manager.create_session("alice", network=NetworkModel.wan())
     response = session.execute("SELECT carrier, COUNT(*) FROM flights GROUP BY carrier")
 
-Thread-safety contract: a :class:`ClientSession` belongs to one thread
-(:meth:`SessionManager.execute` is the entry point that enforces it for
-callers that cannot promise it, by serialising per session id);
-everything shared underneath (server cache, scheduler, plan cache,
-engine metrics, backends) is internally locked.  Backends advertise
-their concurrency model via
+Thread-safety contract: a request runs on the thread that received it,
+and a :class:`ClientSession` lives on the runtime that created it and
+belongs to one thread at a time (:meth:`SessionManager.execute` is the
+entry point that enforces it for callers that cannot promise it, by
+serialising per session id); everything shared underneath (server
+cache, scheduler, plan cache, engine metrics, backends) is internally
+locked.  Backends advertise their concurrency model via
 :attr:`~repro.backends.base.BackendCapabilities.thread_safe` and
 ``connection_strategy``; ``SessionManager.for_backend`` enforces the
-flag before fanning out a pool.
+flag before admitting more than one concurrent execution.
 """
 
 from repro.server.feedback import FeedbackCollector

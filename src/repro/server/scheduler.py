@@ -1,17 +1,21 @@
-"""Bounded worker pool with single-flight request coalescing.
+"""Bounded admission with single-flight request coalescing.
 
 The serving runtime funnels every backend query through one
 :class:`RequestScheduler`.  Two properties fall out:
 
 * **admission control** — at most ``max_workers`` queries execute on the
-  backend simultaneously; the rest queue (FIFO) inside the pool, and the
+  backend simultaneously; the rest wait on a semaphore, and the
   scheduler records how long callers waited end to end,
 * **single-flight coalescing** — concurrent requests for the same key
   (the middleware uses ``<backend>::<sql>``) share ONE execution: the
-  first arrival becomes the *leader* and submits the work, every
-  overlapping arrival becomes a *follower* that waits on the leader's
-  future.  Under a crossfilter storm where eight dashboards fire the
-  same query, the backend runs it once.
+  first arrival becomes the *leader* and runs the work **on its own
+  thread**, every overlapping arrival becomes a *follower* that waits on
+  the leader's future.  Under a crossfilter storm where eight dashboards
+  fire the same query, the backend runs it once.
+
+The scheduler owns no threads: a request runs on the thread that
+received it (a serving tier's handler thread, or the caller itself), so
+draining in-flight work is the job of whoever owns those threads.
 
 The scheduler is deliberately ignorant of caching and SQL — it maps a
 string key to a zero-argument callable.  The middleware composes it with
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, TypeVar
 
@@ -40,12 +44,12 @@ class SchedulerStats:
     Mutated only under the owning scheduler's lock.  For a consistent
     copy use :meth:`RequestScheduler.snapshot`, which takes that lock;
     reading the fields directly may straddle an in-progress update
-    (e.g. a wait time landed but not yet attributed) mid-drain.
+    (e.g. a wait time landed but not yet attributed).
     """
 
     #: Total ``run()`` calls (leaders + followers).
     submitted: int = 0
-    #: Executions actually dispatched to the pool (leaders).
+    #: Executions actually run (leaders).
     executed: int = 0
     #: Requests that attached to an in-flight execution (followers).
     coalesced: int = 0
@@ -53,8 +57,8 @@ class SchedulerStats:
     failed: int = 0
     #: Highest number of distinct keys in flight at once.
     peak_in_flight: int = 0
-    #: Summed wall-clock seconds callers spent in ``run()`` (queueing +
-    #: execution + result wait).
+    #: Summed wall-clock seconds callers spent in ``run()`` (admission
+    #: wait + execution + result wait).
     total_wait_seconds: float = 0.0
 
     @property
@@ -93,14 +97,13 @@ class SingleFlightOutcome:
 
 
 class RequestScheduler:
-    """Runs keyed requests on a bounded pool, coalescing duplicates.
+    """Runs keyed requests on their callers' threads, at most
+    ``max_workers`` at once, coalescing duplicates.
 
     Parameters
     ----------
     max_workers:
-        Size of the worker pool — the backend's admission limit.
-    name:
-        Thread-name prefix, useful in stack dumps.
+        Concurrent executions admitted — the backend's admission limit.
     feedback:
         Optional :class:`~repro.server.feedback.FeedbackCollector`; every
         completed ``run()`` reports its end-to-end wait so the adaptive
@@ -110,7 +113,6 @@ class RequestScheduler:
     def __init__(
         self,
         max_workers: int = 4,
-        name: str = "repro-server",
         feedback: FeedbackCollector | None = None,
     ) -> None:
         if max_workers <= 0:
@@ -118,11 +120,10 @@ class RequestScheduler:
         self.max_workers = max_workers
         self.feedback = feedback
         self.stats = SchedulerStats()
-        self._pool = ThreadPoolExecutor(max_workers=max_workers, thread_name_prefix=name)
+        self._slots = threading.BoundedSemaphore(max_workers)
         self._lock = threading.Lock()
         self._in_flight: dict[str, Future] = {}
         self._closed = False
-        self._final_snapshot: dict[str, float] | None = None
 
     # ------------------------------------------------------------------ #
     def run(self, key: str, fn: Callable[[], T]) -> SingleFlightOutcome:
@@ -147,27 +148,19 @@ class RequestScheduler:
                 self.stats.peak_in_flight = max(
                     self.stats.peak_in_flight, len(self._in_flight)
                 )
-                try:
-                    self._pool.submit(self._lead, key, fn, future)
-                except BaseException:
-                    self._in_flight.pop(key, None)
-                    raise
         try:
-            value = future.result()
-        except BaseException:
+            value = future.result() if coalesced else self._lead(key, fn, future)
+        finally:
             wait = time.perf_counter() - start
             with self._lock:
                 self.stats.total_wait_seconds += wait
-            raise
-        wait = time.perf_counter() - start
-        with self._lock:
-            self.stats.total_wait_seconds += wait
         if self.feedback is not None:
             self.feedback.record_wait(wait, coalesced)
         return SingleFlightOutcome(value=value, coalesced=coalesced, wait_seconds=wait)
 
-    def _lead(self, key: str, fn: Callable[[], T], future: Future) -> None:
-        """Worker-side execution: retire the key, then resolve the future.
+    def _lead(self, key: str, fn: Callable[[], T], future: Future) -> T:
+        """Run ``fn`` within the admission bound, retire the key, then
+        resolve the future for the followers.
 
         The in-flight entry is removed *before* the result is set: any
         caller whose ``result()`` already returned is guaranteed a fresh
@@ -178,20 +171,22 @@ class RequestScheduler:
         i.e. strictly before the key retires.
         """
         try:
-            value = fn()
+            with self._slots:
+                value = fn()
         except BaseException as exc:
             with self._lock:
                 self.stats.failed += 1
                 self._in_flight.pop(key, None)
             future.set_exception(exc)
-            return
+            raise
         with self._lock:
             self._in_flight.pop(key, None)
         future.set_result(value)
+        return value
 
     # ------------------------------------------------------------------ #
     def in_flight_count(self) -> int:
-        """Distinct keys currently executing or queued."""
+        """Distinct keys currently executing or waiting for admission."""
         with self._lock:
             return len(self._in_flight)
 
@@ -202,26 +197,16 @@ class RequestScheduler:
         with self._lock:
             return self.stats.snapshot()
 
-    def shutdown(self, wait: bool = True) -> dict[str, float]:
-        """Stop accepting work, drain the pool, return the final stats.
+    def shutdown(self) -> dict[str, float]:
+        """Stop admitting new requests and return :meth:`snapshot`.
 
-        Idempotent: the first call closes admission, drains the pool
-        (when ``wait``) and freezes one final :meth:`snapshot` under the
-        scheduler lock; every later call is a no-op that returns the
-        same frozen snapshot, so concurrent shutdown paths (a session
-        manager and a benchmark ``finally`` block, say) agree on the
-        final counters instead of racing a second drain.
+        Idempotent.  Requests already inside :meth:`run` finish on their
+        own threads; whoever owns those threads drains them first when
+        the returned counters must be final.
         """
         with self._lock:
-            already_closed = self._closed
             self._closed = True
-        if already_closed and self._final_snapshot is not None:
-            return self._final_snapshot
-        self._pool.shutdown(wait=wait)
-        with self._lock:
-            if self._final_snapshot is None:
-                self._final_snapshot = self.stats.snapshot()
-            return self._final_snapshot
+            return self.stats.snapshot()
 
     def __enter__(self) -> "RequestScheduler":
         return self

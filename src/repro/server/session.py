@@ -163,54 +163,6 @@ class ClientSession:
         self.latencies.clear()
         self.requests = 0
 
-    # ------------------------------------------------------------------ #
-    # Export / restore (sharding and migration)
-    # ------------------------------------------------------------------ #
-    def export_state(self) -> dict[str, object]:
-        """Everything a shard needs to adopt this session, as plain
-        picklable data: identity, network profile, latency history and
-        the client cache's entries + sizing.  No live objects cross the
-        boundary — the importer re-binds the state to its own middleware.
-        """
-        return {
-            "session_id": self.session_id,
-            "network": {
-                "rtt_seconds": self.network.rtt_seconds,
-                "bandwidth_bytes_per_second": self.network.bandwidth_bytes_per_second,
-            },
-            "requests": self.requests,
-            "latencies": list(self.latencies),
-            "cache_entries": self.cache.export_entries(),
-            "cache_config": {
-                "cache_entries": self.cache.max_entries,
-                "max_cached_result_bytes": self.cache.max_result_bytes,
-                "cache_policy": self.cache.policy,
-                "cache_bytes": self.cache.max_total_bytes,
-            },
-        }
-
-    @classmethod
-    def from_state(
-        cls,
-        state: dict[str, object],
-        middleware: MiddlewareServer,
-        feedback: FeedbackCollector | None = None,
-    ) -> "ClientSession":
-        """Rebuild a session from :meth:`export_state` output."""
-        network_state = dict(state.get("network") or {})
-        network = NetworkModel(**network_state) if network_state else None
-        session = cls(
-            str(state["session_id"]),
-            middleware,
-            network=network,
-            feedback=feedback,
-            **dict(state.get("cache_config") or {}),  # type: ignore[arg-type]
-        )
-        session.requests = int(state.get("requests", 0))
-        session.latencies = [float(value) for value in state.get("latencies", [])]
-        session.cache.restore_entries(list(state.get("cache_entries") or []))
-        return session
-
 
 class SessionManager:
     """Owns the sessions of one serving runtime.
@@ -267,11 +219,11 @@ class SessionManager:
         """Build a full serving runtime (scheduler + middleware) around
         ``database`` and return its session manager.
 
-        Refuses backends that do not declare thread-safe execution when a
-        multi-worker pool is requested — fanning threads over an unsafe
-        backend corrupts results silently.  A ``feedback`` collector is
-        shared by the scheduler (wait times) and every created session
-        (request latencies and cardinalities).
+        Refuses backends that do not declare thread-safe execution when
+        more than one concurrent execution is admitted — overlapping
+        threads on an unsafe backend corrupt results silently.  A
+        ``feedback`` collector is shared by the scheduler (wait times)
+        and every created session (request latencies and cardinalities).
         """
         if scheduler is None:
             scheduler = RequestScheduler(max_workers=max_workers, feedback=feedback)
@@ -386,10 +338,11 @@ class SessionManager:
         return stats
 
     def shutdown(self) -> dict[str, float] | None:
-        """Stop the scheduler (if any) and drop all sessions.
+        """Close the scheduler's admission (if any) and drop all sessions.
 
-        Returns the scheduler's final stats snapshot (idempotent — see
+        Returns the scheduler's stats snapshot (see
         :meth:`RequestScheduler.shutdown`), or ``None`` without one.
+        Callers that own request threads drain them first.
         """
         final = None
         if self.middleware.scheduler is not None:
@@ -406,32 +359,3 @@ class SessionManager:
             sessions = list(self._sessions.values())
         for session in sessions:
             session.cache.clear()
-
-    # ------------------------------------------------------------------ #
-    # Session export / restore (sharding and migration)
-    # ------------------------------------------------------------------ #
-    def export_session(self, session_id: str) -> dict[str, object]:
-        """Picklable state of one session (see
-        :meth:`ClientSession.export_state`); the session stays live."""
-        return self.get(session_id).export_state()
-
-    def restore_session(
-        self, state: dict[str, object], replace: bool = False
-    ) -> ClientSession:
-        """Recreate a session from exported state on *this* runtime.
-
-        The restored session runs against this manager's middleware and
-        feedback collector — only the per-client state (cache contents,
-        network profile, latency history) travels, which is what makes
-        sessions shardable: a worker process can adopt a session by
-        value without sharing any live object with the exporter.
-        """
-        session_id = str(state["session_id"])
-        with self._lock:
-            if session_id in self._sessions and not replace:
-                raise ValueError(f"session {session_id!r} already exists")
-            session = ClientSession.from_state(
-                state, self.middleware, feedback=self.feedback
-            )
-            self._sessions[session_id] = session
-            return session

@@ -1,10 +1,10 @@
 """Sharded async serving tier: an asyncio gateway over worker processes.
 
 One Python process cannot serve many concurrent dashboard sessions past
-the point where query execution saturates the GIL — the thread-pooled
-tier of :mod:`repro.server.scheduler` overlaps *waiting* well but not
-*computing*.  This module scales the serving runtime across processes
-while keeping the paper's middleware semantics intact:
+the point where query execution saturates the GIL — a thread-pooled
+tier (:class:`~repro.bench.load.ThreadedTier`) overlaps *waiting* well
+but not *computing*.  This module scales the serving runtime across
+processes while keeping the paper's middleware semantics intact:
 
 * an :class:`AsyncGateway` (asyncio, single event loop) owns admission
   control and routing.  Each request is routed by a **stable hash of its
@@ -29,11 +29,10 @@ queueing unboundedly.  Overload is therefore a fast, distinct, countable
 outcome — never a hang, never a silent drop — and shed counts surface in
 ``stats()["serving"]``.
 
-Sessions migrate between runtimes by value: ``export_session`` /
-``restore_session`` move a session's picklable state (client cache
-entries, network profile, latency history) across the wire, which is
-also how a serial :class:`~repro.server.session.SessionManager` can be
-pre-sharded onto workers.
+A session lives on its home shard for the worker's lifetime — routing
+is a pure function of its id, so there is nothing to migrate.  The wire
+speaks four operations: ``execute``, ``ping``, ``stats`` and
+``shutdown``.
 """
 
 from __future__ import annotations
@@ -133,7 +132,8 @@ class ShardSpec:
 
     backend: str = "embedded"
     tables: tuple[TableSpec, ...] = ()
-    #: Thread-pool width of each worker's scheduler (and reply handlers).
+    #: Request-handler threads of each worker, which is also its
+    #: scheduler's admission bound.
     max_workers: int = 4
     #: Link model applied by each worker's middleware (None = no model).
     network: NetworkModel | None = None
@@ -156,10 +156,11 @@ def _shard_worker_main(shard_index: int, spec: ShardSpec, conn: socket.socket) -
     """Entry point of one shard worker process.
 
     Single reader loop over the gateway socket; ``execute`` requests fan
-    out to a thread pool (the worker's own single-flight scheduler does
-    the coalescing), control requests are answered inline.  Every reply
-    carries the request id it answers, so the gateway can interleave
-    requests freely.  Module-level so it pickles by reference under
+    out to a thread pool whose threads run their queries themselves (the
+    worker's own single-flight scheduler bounds and coalesces them),
+    control requests are answered inline.  Every reply carries the
+    request id it answers, so the gateway can interleave requests
+    freely.  Module-level so it pickles by reference under
     spawn/forkserver.
     """
     database = spec.build_backend()
@@ -220,20 +221,6 @@ def _shard_worker_main(shard_index: int, spec: ShardSpec, conn: socket.socket) -
                     reply({"request_id": request_id, "ok": True, "pid": os.getpid()})
                 elif operation == "stats":
                     reply({"request_id": request_id, "ok": True, "stats": worker_stats()})
-                elif operation == "export_session":
-                    state = manager.export_session(str(request["session_id"]))
-                    reply({"request_id": request_id, "ok": True, "state": state})
-                elif operation == "restore_session":
-                    session = manager.restore_session(
-                        request["state"], replace=bool(request.get("replace", False))
-                    )
-                    reply(
-                        {
-                            "request_id": request_id,
-                            "ok": True,
-                            "session_id": session.session_id,
-                        }
-                    )
                 elif operation == "shutdown":
                     handler_pool.shutdown(wait=True)
                     reply({"request_id": request_id, "ok": True, "stats": worker_stats()})
@@ -554,24 +541,6 @@ class AsyncGateway:
         response: QueryResponse = reply["response"]
         response.shard = shard
         return response
-
-    # ------------------------------------------------------------------ #
-    async def export_session(self, session_id: str) -> dict[str, object]:
-        """Picklable state of ``session_id`` from its home shard."""
-        reply = await self._call(
-            self.shard_for(session_id), {"op": "export_session", "session_id": session_id}
-        )
-        return reply["state"]
-
-    async def restore_session(
-        self, state: dict[str, object], replace: bool = False
-    ) -> int:
-        """Adopt exported session state on its home shard; returns the shard."""
-        shard = self.shard_for(str(state["session_id"]))
-        await self._call(
-            shard, {"op": "restore_session", "state": state, "replace": replace}
-        )
-        return shard
 
     async def stats(self) -> dict[str, object]:
         """Cross-shard aggregate under ``"serving"`` (see

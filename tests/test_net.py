@@ -201,79 +201,6 @@ def test_cache_statistics_expose_policy_and_budget():
     assert cache.stats.hits == 0 and cache.stats.misses == 0  # peek is silent
 
 
-def test_cache_replace_keeps_byte_accounting_exact():
-    """Regression: overwrite-then-evict must never double-subtract.
-
-    The replace path swaps the entry's rows and bytes under the same
-    lock that the eviction loop reads them through, so ``current_bytes``
-    stays the exact sum of cached payloads across overwrite sizes in
-    either direction.
-    """
-    cache = QueryCache(max_entries=4, max_total_bytes=200)
-    cache.put("a", EMPTY, 40)
-    cache.put("b", EMPTY, 40)
-    # Overwrite smaller -> budget shrinks by the difference.
-    assert cache.put("a", result_set([{"v": 1}]), 10, replace=True) is True
-    assert cache.stats.current_bytes == 50
-    assert cache.stats.replacements == 1
-    assert cache.stats.insertions == 2  # a replace is not an insertion
-    assert cache.peek("a").rows == [{"v": 1}]
-    # Overwrite larger -> budget grows by the difference.
-    cache.put("a", EMPTY, 90, replace=True)
-    assert cache.stats.current_bytes == 130
-    # Grow "b" past the budget: the eviction that follows subtracts each
-    # victim's *current* bytes — the total lands back at the exact sum.
-    cache.put("b", EMPTY, 150, replace=True)
-    assert cache.contains("b") and not cache.contains("a")
-    assert cache.stats.current_bytes == 150 == cache.total_bytes
-    assert cache.stats.evicted_bytes == 90
-    # replace=True on a missing key is a plain insertion.
-    cache.clear()
-    assert cache.put("fresh", EMPTY, 10, replace=True) is True
-    assert cache.stats.current_bytes == 10
-
-
-def test_cache_replace_is_exact_under_contention():
-    """current_bytes stays exact while replaces race the eviction loop."""
-    import threading
-
-    cache = QueryCache(max_entries=6, max_total_bytes=300)
-
-    def hammer(worker: int) -> None:
-        for i in range(400):
-            cache.put(f"q{(worker + i) % 9}", EMPTY, 30 + (i % 3) * 20, replace=True)
-
-    threads = [threading.Thread(target=hammer, args=(w,)) for w in range(6)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    # The pinned invariant: the counter equals the recomputed sum (a
-    # double-subtract would leave it short) and respects the budget.
-    with cache._lock:
-        actual = sum(entry.payload_bytes for entry in cache._entries.values())
-    assert cache.stats.current_bytes == actual
-    assert 0 <= cache.stats.current_bytes <= 300
-
-
-def test_cache_export_restore_roundtrip():
-    cache = QueryCache(max_entries=4, max_total_bytes=200)
-    cache.put("a", result_set([{"v": 1}]), 40)
-    cache.put("b", result_set([{"v": 2}]), 50)
-    exported = cache.export_entries()
-    assert exported == [("a", result_set([{"v": 1}]), 40), ("b", result_set([{"v": 2}]), 50)]
-    target = QueryCache(max_entries=4, max_total_bytes=200)
-    target.put("a", result_set([{"v": 0}]), 99)  # stale entry loses to the restore
-    assert target.restore_entries(exported) == 2
-    assert target.peek("a").rows == [{"v": 1}]
-    assert target.total_bytes == 90
-    assert target.cached_queries() == ["a", "b"]  # eviction order preserved
-    # Oversized entries drop exactly as a fresh put would.
-    tiny = QueryCache(max_entries=4, max_result_bytes=45)
-    assert tiny.restore_entries(exported) == 1
-    assert tiny.cached_queries() == ["a"]
-
-
 def test_cache_is_thread_safe_under_contention():
     import threading
 
@@ -284,7 +211,7 @@ def test_cache_is_thread_safe_under_contention():
         try:
             for i in range(300):
                 key = f"q{(worker + i) % 12}"
-                cache.put(key, EMPTY, 50)
+                cache.put(key, EMPTY, 30 + (i % 3) * 20)
                 cache.get(key)
         except BaseException as exc:  # corrupt OrderedDict raises here
             errors.append(exc)
@@ -297,6 +224,11 @@ def test_cache_is_thread_safe_under_contention():
     assert not errors
     assert len(cache) <= 8
     assert cache.total_bytes <= 400
+    # Byte accounting stays exact while puts of mixed sizes race the
+    # eviction loop: the counter equals the sum over resident entries.
+    with cache._lock:
+        resident = sum(entry.payload_bytes for entry in cache._entries.values())
+    assert cache.stats.current_bytes == resident
     stats = cache.stats
     assert stats.insertions - stats.evictions == len(cache)
 

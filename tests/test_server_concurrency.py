@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -107,16 +108,15 @@ def test_scheduler_rejects_after_shutdown_and_bad_config():
 
 
 def test_scheduler_shutdown_is_idempotent_and_freezes_final_stats():
-    """Repeated/concurrent shutdowns return ONE frozen final snapshot."""
+    """Repeated/concurrent shutdowns of an idle scheduler agree on the
+    final counters: admission is closed, so nothing can move them."""
     scheduler = RequestScheduler(max_workers=2)
     scheduler.run("a", lambda: 1)
     scheduler.run("b", lambda: 2)
     first = scheduler.shutdown()
     assert first["submitted"] == 2
     assert first["executed"] == 2
-    # Every later call — including racing ones — returns the same
-    # frozen snapshot object, not a re-drained recount.
-    assert scheduler.shutdown() is first
+    assert scheduler.shutdown() == first
     snapshots = []
     threads = [
         threading.Thread(target=lambda: snapshots.append(scheduler.shutdown()))
@@ -126,7 +126,104 @@ def test_scheduler_shutdown_is_idempotent_and_freezes_final_stats():
         thread.start()
     for thread in threads:
         thread.join()
-    assert all(snapshot is first for snapshot in snapshots)
+    assert len(snapshots) == 4
+    assert all(snapshot == first for snapshot in snapshots)
+
+
+def _wait_until(condition, timeout=5.0):
+    """Poll ``condition`` until true (fails the test after ``timeout``)."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            pytest.fail("condition not reached in time")
+        time.sleep(0.005)
+
+
+def test_leader_runs_fn_on_the_calling_thread():
+    """No hand-off: the leader executes ``fn`` itself and the scheduler
+    starts no thread of its own."""
+    threads_before = threading.active_count()
+    scheduler = RequestScheduler(max_workers=2)
+    ran_on = []
+    outcome = scheduler.run("k", lambda: ran_on.append(threading.get_ident()) or "v")
+    assert outcome.value == "v" and not outcome.coalesced
+    assert ran_on == [threading.get_ident()]
+    assert threading.active_count() == threads_before
+    scheduler.shutdown()
+
+
+def test_admission_bound_caps_concurrent_executions():
+    """Six distinct keys held open never run more than ``max_workers``
+    executions at once, and every one completes once released."""
+    scheduler = RequestScheduler(max_workers=2)
+    release = threading.Event()
+    guard = threading.Lock()
+    running = [0]
+    peak = [0]
+
+    def held(index):
+        def fn():
+            with guard:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            release.wait(timeout=5)
+            with guard:
+                running[0] -= 1
+            return index
+
+        return fn
+
+    outcomes = [None] * 6
+
+    def submit(index):
+        outcomes[index] = scheduler.run(f"k{index}", held(index))
+
+    threads = [threading.Thread(target=submit, args=(i,)) for i in range(6)]
+    for thread in threads:
+        thread.start()
+    _wait_until(lambda: scheduler.stats.submitted == 6 and running[0] == 2)
+    time.sleep(0.05)  # give an unbounded scheduler time to overrun
+    assert running[0] == 2
+    release.set()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert peak[0] == 2
+    assert [outcome.value for outcome in outcomes] == list(range(6))
+    assert scheduler.stats.executed == 6 and scheduler.in_flight_count() == 0
+    scheduler.shutdown()
+
+
+def test_leader_exception_reaches_coalesced_followers_as_the_same_object():
+    scheduler = RequestScheduler(max_workers=2)
+    release = threading.Event()
+    error = ValueError("backend exploded")
+
+    def boom():
+        release.wait(timeout=5)
+        raise error
+
+    raised = [None] * 4
+
+    def submit(index):
+        try:
+            scheduler.run("k", boom)
+        except ValueError as exc:
+            raised[index] = exc
+
+    threads = [threading.Thread(target=submit, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    _wait_until(lambda: scheduler.stats.submitted == 4)
+    release.set()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert all(exc is error for exc in raised)
+    assert scheduler.stats.executed == 1 and scheduler.stats.coalesced == 3
+    assert scheduler.stats.failed == 1
+    assert scheduler.in_flight_count() == 0  # the key retired
+    scheduler.shutdown()
 
 
 # --------------------------------------------------------------------------- #
@@ -188,35 +285,11 @@ def test_session_manager_shutdown_returns_final_scheduler_snapshot(flights_db):
     manager.create_session("alice").execute(SQL)
     final = manager.shutdown()
     assert final is not None and final["submitted"] == 1
-    assert manager.shutdown() is final  # idempotent, same frozen snapshot
+    assert manager.shutdown() == final  # idempotent: admission is closed
     assert len(manager) == 0
     # Without a scheduler there is no snapshot to return.
     bare = SessionManager(MiddlewareServer(flights_db))
     assert bare.shutdown() is None
-
-
-def test_session_export_restore_roundtrip(manager):
-    import pickle
-
-    alice = manager.create_session("alice", network=NetworkModel.wan())
-    alice.execute(SQL)
-    state = pickle.loads(pickle.dumps(manager.export_session("alice")))
-    assert state["requests"] == 1 and len(state["cache_entries"]) == 1
-
-    # Export leaves the source live; restoring over it needs replace.
-    assert manager.get("alice") is alice
-    with pytest.raises(ValueError):
-        manager.restore_session(state)
-    restored = manager.restore_session(state, replace=True)
-    assert restored is not alice
-    assert restored.network.rtt_seconds == alice.network.rtt_seconds
-    assert restored.latencies == alice.latencies
-    # The client cache travelled by value: the same query is a client
-    # hit on the restored session without touching the server again.
-    executed_before = manager.middleware.queries_executed
-    response = restored.execute(SQL)
-    assert response.cache_level == "client"
-    assert manager.middleware.queries_executed == executed_before
 
 
 def test_session_latency_summary_and_statistics(manager):

@@ -19,7 +19,7 @@ from repro.bench.load import (
     run_serving_point,
     saturation_throughput,
 )
-from repro.errors import BenchmarkError, OverloadError, ServingError, ShardError
+from repro.errors import BenchmarkError, OverloadError, ServingError, ShardError, SQLError
 from repro.net.middleware import QueryResponse
 from repro.net.serialize import (
     FRAME_HEADER_BYTES,
@@ -239,31 +239,29 @@ def test_gateway_coalesces_identical_queries_within_a_shard():
     assert scheduler["submitted"] >= 1
 
 
-def test_gateway_session_export_restore_roundtrip():
+def test_gateway_failed_request_is_typed_and_session_keeps_serving():
+    bad_sql = "SELECT no_such_column FROM flights"
+    baseline = SPEC.build_backend()
+    try:
+        with pytest.raises(SQLError) as local:
+            baseline.execute(bad_sql)
+    finally:
+        baseline.close()
+
     async def scenario():
         async with AsyncGateway(SPEC, n_shards=2) as gateway:
-            await gateway.execute("alice", SQL)
-            state = await gateway.export_session("alice")
-            assert state["session_id"] == "alice"
-            assert state["requests"] == 1
-            assert len(state["cache_entries"]) == 1
-            # The state is genuinely picklable (it crossed the wire once
-            # already, but pin the contract explicitly).
-            pickle.loads(pickle.dumps(state))
-            # Restoring over a live session needs replace.
             with pytest.raises(ShardError) as excinfo:
-                await gateway.restore_session(state)
-            assert excinfo.value.error_type == "ValueError"
-            shard = await gateway.restore_session(state, replace=True)
-            assert shard == gateway.shard_for("alice")
-            # The restored session kept its client cache: serving the
-            # same query again is a client-cache hit.
+                await gateway.execute("alice", bad_sql)
             response = await gateway.execute("alice", SQL)
-            assert response.cache_level == "client"
-            return await gateway.stats()
+            return excinfo.value, response, await gateway.stats()
 
-    stats = asyncio.run(scenario())
+    error, response, stats = asyncio.run(scenario())
+    # The worker's exception class crosses the wire by name.
+    assert error.error_type == type(local.value).__name__
+    # The same session is served next, on its home shard.
+    assert response.rows and response.shard == shard_for("alice", 2)
     assert stats["serving"]["sessions"] == 1
+    assert stats["serving"]["admission"]["failed"] == 1
 
 
 def test_gateway_overload_sheds_with_distinct_error_and_counts():
@@ -391,6 +389,37 @@ def test_serving_tiers_serve_and_report_the_same_stats_shape(make_tier):
     assert serving["scheduler"]["submitted"] >= 1
     assert serving["admission"]["submitted"] == 4
     assert [shard["shard"] for shard in stats["shards"]] == [0]
+
+
+def test_threaded_tier_close_answers_every_admitted_request():
+    """close() drains the executor before shutting the manager down, so
+    requests admitted before it complete; a request after it is a typed
+    serving error."""
+    queries = [
+        "SELECT carrier, COUNT(*) AS n FROM flights "
+        f"WHERE dep_delay >= {threshold} GROUP BY carrier ORDER BY carrier"
+        for threshold in range(16)
+    ]
+
+    async def scenario():
+        tier = ThreadedTier(SPEC, max_inflight=16, max_queue_depth=0)
+        await tier.start()
+        tasks = [
+            asyncio.ensure_future(tier.execute(f"user-{i}", sql))
+            for i, sql in enumerate(queries)
+        ]
+        for _ in range(3):  # every task reaches the executor, few finish
+            await asyncio.sleep(0)
+        await tier.close()
+        outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+        late = await asyncio.gather(tier.execute("late", SQL), return_exceptions=True)
+        return outcomes, late[0]
+
+    outcomes, late = asyncio.run(scenario())
+    errors = [o for o in outcomes if isinstance(o, BaseException)]
+    assert not errors, errors[:3]
+    assert all(response.rows for response in outcomes)
+    assert isinstance(late, ServingError)
 
 
 @pytest.mark.parametrize("tier", ["threaded", "sharded"])
