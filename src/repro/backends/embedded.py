@@ -111,10 +111,9 @@ class EmbeddedBackend(SQLBackend):
     def execute(self, sql: str) -> QueryResult:
         return self.database.execute(sql)
 
-    def explain(self, sql: str, feedback=None):
-        """Cost estimate from the engine's EXPLAIN (optionally calibrated
-        by a :class:`~repro.storage.statistics.CardinalityFeedback`)."""
-        return self.database.explain(sql, feedback=feedback)
+    def explain(self, sql: str):
+        """Cost estimate from the engine's EXPLAIN."""
+        return self.database.explain(sql)
 
     def clear_plan_cache(self) -> None:
         self.database.clear_plan_cache()

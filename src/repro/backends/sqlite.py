@@ -50,13 +50,13 @@ from repro.backends.base import BackendCapabilities, SQLBackend
 from repro.errors import ExecutionError, ReproError
 from repro.sql.engine import EngineMetrics, QueryResult
 from repro.sql.executor import ExecutionStats
-from repro.sql.explain import CostEstimator, QueryCostEstimate, query_shape
+from repro.sql.explain import CostEstimator, QueryCostEstimate
 from repro.sql.ivm import IVMConfig, IVMManager
 from repro.sql.plancache import PlanCache
 from repro.sql.planner import LogicalPlan
 from repro.storage.catalog import Catalog
 from repro.storage.sqlite_adapter import load_table, quote_identifier, table_from_cursor
-from repro.storage.statistics import CardinalityFeedback, TableStatistics
+from repro.storage.statistics import TableStatistics
 from repro.storage.table import Table
 
 #: Dialect description of SQLite (3.30+ for the NULLS ordering clause).
@@ -306,17 +306,17 @@ class SqliteBackend(SQLBackend):
             result = QueryResult(sql=sql, table=table, elapsed_seconds=0.0, stats=ExecutionStats())
             self.metrics.record(result, self._keep_query_log)
             return result
-        attempt = None
         if self._ivm is not None:
             start = time.perf_counter()
             plan = self._logical_plan(sql)
-            attempt = self._ivm.attempt(plan) if plan is not None else None
-            if attempt is not None and attempt.table is not None:
-                elapsed = time.perf_counter() - start
-                self._ivm.observe(attempt, elapsed)
-                stats = attempt.stats if attempt.stats is not None else ExecutionStats()
+            hit = self._ivm.attempt(plan) if plan is not None else None
+            if hit is not None:
+                table, stats = hit
                 result = QueryResult(
-                    sql=sql, table=attempt.table, elapsed_seconds=elapsed, stats=stats
+                    sql=sql,
+                    table=table,
+                    elapsed_seconds=time.perf_counter() - start,
+                    stats=stats,
                 )
                 self.metrics.record(result, self._keep_query_log)
                 return result
@@ -327,10 +327,6 @@ class SqliteBackend(SQLBackend):
         except sqlite3.Error as exc:
             raise ExecutionError(f"sqlite backend failed to execute {sql!r}: {exc}") from exc
         elapsed = time.perf_counter() - start
-        if attempt is not None:
-            # The arm selector routed this shape to a re-scan (or the view
-            # declined); feed it the observed SQLite latency so it learns.
-            self._ivm.observe(attempt, elapsed)
         table = table_from_cursor(cursor.description, rows)
         result = QueryResult(sql=sql, table=table, elapsed_seconds=elapsed, stats=ExecutionStats())
         self.metrics.record(result, self._keep_query_log)
@@ -348,24 +344,17 @@ class SqliteBackend(SQLBackend):
     def clear_plan_cache(self) -> None:
         self._plans.clear()
 
-    def explain(
-        self, sql: str, feedback: CardinalityFeedback | None = None
-    ) -> QueryCostEstimate:
+    def explain(self, sql: str) -> QueryCostEstimate:
         """Cost estimate for ``sql`` from the shared cost model.
 
         Cost estimation is backend-independent (it reads catalog
         statistics, not the engine), so the embedded planner estimates
         sqlite-bound queries too; dialect-only clauses the embedded
-        parser does not know are stripped first.  ``feedback`` calibrates
-        the root cardinality exactly as on the embedded backend.
+        parser does not know are stripped first.
         """
         text = sql.removeprefix("EXPLAIN ").removeprefix("explain ")
-        # Shape key from the *original* dialect text: the serving tier
-        # records observations under the SQL it actually executed, so the
-        # lookup key must match before dialect clauses are stripped.
-        shape = query_shape(text) if feedback is not None else None
         plan = self._plans.plan(_strip_dialect(text))
-        return CostEstimator(self._catalog, feedback=feedback).estimate(plan, shape_key=shape)
+        return CostEstimator(self._catalog).estimate(plan)
 
     def close(self) -> None:
         """Close every per-thread connection (frees the shared database)."""

@@ -67,9 +67,6 @@ LIFTED_RATE_KEYS: tuple[str, ...] = (
     "transport_speedup",
 )
 
-#: Structured extras lifted verbatim (adaptive-policy benchmarks).
-LIFTED_STRUCT_KEYS: tuple[str, ...] = ("policy", "regret")
-
 
 def experiment_key(name: str, backend: str | None) -> str:
     """Canonical experiment key: ``<test name>[<backend>]``.
@@ -102,12 +99,6 @@ def summary_entry(stats: dict, extra: dict) -> dict:
     for key in LIFTED_RATE_KEYS:
         if key in extra:
             entry[key] = round(float(extra[key]), 4)
-    for key in LIFTED_STRUCT_KEYS:
-        if isinstance(extra.get(key), dict):
-            entry[key] = extra[key]
-    accuracy = extra.get("accuracy_over_time")
-    if isinstance(accuracy, list):
-        entry["accuracy_over_time"] = [round(float(v), 4) for v in accuracy]
     return entry
 
 

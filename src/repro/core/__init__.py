@@ -14,13 +14,10 @@ Pipeline (Section 5):
 4. :mod:`~repro.core.consolidation` — combine per-interaction decisions
    into one plan for a whole exploration session, incrementally as the
    episodes arrive.
-5. :mod:`~repro.core.policy` — plan policies: the one-shot
-   :class:`~repro.core.policy.StaticPolicy` baseline and the
-   feedback-driven :class:`~repro.core.policy.AdaptivePolicy` that
-   replans mid-session when observed latencies diverge from predictions.
-6. :class:`~repro.core.optimizer.VegaPlusOptimizer` and
+5. :class:`~repro.core.optimizer.VegaPlusOptimizer` and
    :class:`~repro.core.system.VegaPlusSystem` — the user-facing facade that
-   ties enumeration, encoding, comparison, policies and execution together.
+   ties enumeration, encoding, comparison and execution together; the plan
+   is chosen once, before the session starts.
 """
 
 from repro.core.plan import ExecutionPlan
@@ -32,7 +29,6 @@ from repro.core.comparators import (
     RandomForestComparator,
     HeuristicComparator,
     RandomComparator,
-    OnlineComparatorTrainer,
     train_comparator,
 )
 from repro.core.consolidation import (
@@ -40,7 +36,6 @@ from repro.core.consolidation import (
     consolidate_session,
     SessionDecision,
 )
-from repro.core.policy import AdaptivePolicy, PlanPolicy, ReplanEvent, StaticPolicy
 from repro.core.optimizer import VegaPlusOptimizer, OptimizationResult
 from repro.core.system import VegaPlusSystem, InteractionResult
 
@@ -56,15 +51,10 @@ __all__ = [
     "RandomForestComparator",
     "HeuristicComparator",
     "RandomComparator",
-    "OnlineComparatorTrainer",
     "train_comparator",
     "IncrementalConsolidator",
     "consolidate_session",
     "SessionDecision",
-    "PlanPolicy",
-    "StaticPolicy",
-    "AdaptivePolicy",
-    "ReplanEvent",
     "VegaPlusOptimizer",
     "OptimizationResult",
     "VegaPlusSystem",

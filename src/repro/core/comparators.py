@@ -23,19 +23,10 @@ judges each *distinct* pair of vectors once, in vectorised blocks.
 ``train_comparator`` builds the labelled pair dataset
 ``(v_i - v_j, y)`` from executed plan vectors and latencies, fits the
 requested model and reports its held-out pairwise accuracy.
-
-:class:`OnlineComparatorTrainer` is the streaming counterpart: the
-serving tier hands it one ``(plan vector, measured latency)`` observation
-per executed episode, and it pairs each new observation against a sliding
-window of recent ones, evaluates the current model on those pairs first
-(prequential pairwise accuracy — the "accuracy over time" curve of the
-adaptive benchmarks), then refines the model with
-:meth:`~repro.ml.ranksvm.RankSVM.partial_fit`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -400,103 +391,6 @@ class RandomComparator(PlanComparator):
         if not vectors:
             raise OptimizationError("select_best needs at least one candidate")
         return int(self._rng.integers(0, len(vectors)))
-
-
-# --------------------------------------------------------------------------- #
-# Online training from serving-tier observations
-# --------------------------------------------------------------------------- #
-
-
-class OnlineComparatorTrainer:
-    """Streams (plan vector, latency) observations into comparator updates.
-
-    Parameters
-    ----------
-    comparator:
-        The :class:`RankSVMComparator` being refined (a fresh, untrained
-        one by default — the trainer can learn entirely from live
-        traffic).
-    window:
-        How many recent observations each new one is paired against.
-    min_relative_gap:
-        Pairs whose latencies differ by less than this fraction are
-        skipped — near-ties carry label noise, not signal (the paper's
-        Figure 7 shows comparator errors concentrate at small gaps).
-    """
-
-    def __init__(
-        self,
-        comparator: RankSVMComparator | None = None,
-        window: int = 32,
-        min_relative_gap: float = 0.05,
-    ) -> None:
-        if window < 1:
-            raise OptimizationError("window must be at least 1")
-        self.comparator = comparator or RankSVMComparator()
-        self.window = window
-        self.min_relative_gap = min_relative_gap
-        self._buffer: deque[tuple[PlanVector, float]] = deque(maxlen=window)
-        self.observations = 0
-        self.pairs_trained = 0
-        self.updates = 0
-        #: Prequential pairwise accuracy per update (each batch of pairs is
-        #: scored with the model *before* the model trains on it).
-        self.accuracy_over_time: list[float] = []
-
-    # -------------------------------------------------------------- #
-    def observe(self, vector: PlanVector, latency_seconds: float) -> None:
-        """Ingest one executed episode's vector and measured latency."""
-        self.observations += 1
-        pairs = self._pairs_against_buffer(vector, float(latency_seconds))
-        self._buffer.append((vector, float(latency_seconds)))
-        if pairs is None:
-            return
-        differences, labels = pairs
-        if self.comparator.model.weights_ is not None:
-            predictions = self.comparator.model.predict(differences)
-            self.accuracy_over_time.append(accuracy_score(labels, predictions))
-        self.comparator.model.partial_fit(differences, labels)
-        self.pairs_trained += len(labels)
-        self.updates += 1
-
-    def _pairs_against_buffer(
-        self, vector: PlanVector, latency: float
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Labelled difference vectors (buffered_i, new); None when empty."""
-        if not self._buffer:
-            return None
-        buffered = list(self._buffer)
-        candidates = [v for v, _ in buffered] + [vector]
-        arrays = [v.to_array() for v in normalize_cardinalities(candidates)]
-        new_array = arrays[-1]
-        differences: list[np.ndarray] = []
-        labels: list[int] = []
-        for (_, buffered_latency), array in zip(buffered, arrays[:-1]):
-            reference = max(buffered_latency, latency, 1e-12)
-            if abs(buffered_latency - latency) / reference < self.min_relative_gap:
-                continue
-            differences.append(array - new_array)
-            labels.append(1 if buffered_latency < latency else 0)
-        if not differences:
-            return None
-        return np.array(differences), np.array(labels)
-
-    # -------------------------------------------------------------- #
-    def recent_accuracy(self, last: int = 10) -> float:
-        """Mean prequential accuracy over the most recent updates."""
-        if not self.accuracy_over_time:
-            return 0.0
-        tail = self.accuracy_over_time[-last:]
-        return float(np.mean(tail))
-
-    def snapshot(self) -> dict[str, float]:
-        """Flat counters for reporting."""
-        return {
-            "observations": float(self.observations),
-            "pairs_trained": float(self.pairs_trained),
-            "updates": float(self.updates),
-            "recent_pairwise_accuracy": self.recent_accuracy(),
-        }
 
 
 # --------------------------------------------------------------------------- #

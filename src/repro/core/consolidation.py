@@ -14,10 +14,9 @@ those per-episode judgements into a single plan choice for the session:
 
 Consolidation is *incremental*: an :class:`IncrementalConsolidator`
 accumulates per-plan scores episode by episode and can report the current
-best plan after every :meth:`~IncrementalConsolidator.add_episode` — the
-adaptive plan policies revise a running session's decision as its
-interaction episodes actually arrive, instead of deciding once up front.
-:func:`consolidate_session` keeps the original one-shot API on top of it.
+best plan after every :meth:`~IncrementalConsolidator.add_episode`.
+:func:`consolidate_session`, the one-shot API the optimizer calls, is
+built on top of it.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ Two encoding modes are provided:
 Estimates are additionally *calibrated* when the encoder is given a
 :class:`~repro.storage.statistics.CardinalityFeedback` store: every VDT
 has a structural shape key (:func:`vdt_shape_key` — table plus its
-literal-stripped transform chain), the serving tier records true VDT
+literal-stripped transform chain), executed sessions record true VDT
 output cardinalities under that key, and the encoder blends its static
 estimate with the observed value.  Because the key is structural, an
 observation made while executing one plan corrects the estimate of every

@@ -6,11 +6,11 @@ executing them) using EXPLAIN-style estimates, optionally derives one
 vector per anticipated interaction, and selects the plan the comparator
 predicts to be fastest for the whole session.
 
-The optimizer itself is stateless per decision; *when* it decides — once
-up front, or repeatedly as runtime feedback arrives — is the job of the
-plan policies in :mod:`repro.core.policy`, which call back into
-:meth:`VegaPlusOptimizer.encode_candidates` with the session's live
-signal values and accumulated cardinality feedback.
+The optimizer decides once per session, before it starts
+(:meth:`VegaPlusOptimizer.choose_plan`).  The only runtime input it reads
+is an optional :class:`~repro.storage.statistics.CardinalityFeedback`
+store of VDT row counts observed by earlier sessions, which corrects the
+encoder's estimates.
 """
 
 from __future__ import annotations
@@ -173,8 +173,7 @@ class VegaPlusOptimizer:
         but candidates are not built one by one — see :class:`_PlanSpace`.
 
         ``signal_values`` overrides the spec-default signal state before
-        estimating — mid-session replans estimate under the signal values
-        the session has actually reached, not the ones it started from.
+        estimating, so candidates can be encoded under any reached state.
 
         ``normalize`` controls whether cardinalities are log-normalised;
         the default follows the configured comparator's

@@ -26,17 +26,16 @@ from repro.core.comparators import HeuristicComparator, PlanComparator
 from repro.core.encoder import vdt_shape_key
 from repro.core.optimizer import OptimizationResult, VegaPlusOptimizer
 from repro.core.plan import ExecutionPlan
-from repro.core.policy import PlanPolicy, StaticPolicy
 from repro.errors import OptimizationError
 from repro.net.channel import NetworkModel
 from repro.net.middleware import MiddlewareServer
 from repro.net.serialize import ArrowCodec, Codec
 from repro.rewrite.rewriter import RewrittenDataflow
 from repro.sql.engine import Database
+from repro.storage.statistics import CardinalityFeedback
 from repro.vega.spec import VegaSpec, parse_spec_dict
 
 if TYPE_CHECKING:  # imports kept lazy; repro.server pulls in the runtime
-    from repro.server.feedback import FeedbackCollector
     from repro.server.session import ClientSession
 
 
@@ -93,17 +92,12 @@ class VegaPlusSystem:
         a private :class:`MiddlewareServer` — either a shared middleware
         or a :class:`~repro.server.session.ClientSession`, so per-user
         dashboards can run on one concurrent serving runtime.
-    policy:
-        The plan policy driving selection: :class:`StaticPolicy` (the
-        default — one decision up front, identical to the pre-policy
-        behaviour) or an :class:`~repro.core.policy.AdaptivePolicy` that
-        replans mid-session from observed latencies.
     feedback:
-        Optional :class:`~repro.server.feedback.FeedbackCollector`;
-        executed episodes stream their measured vectors, latencies and
-        VDT cardinalities into it, and candidate encodings are calibrated
-        by its cardinality store.  Inherited from the ``middleware``
-        session when that session carries a collector.
+        Optional :class:`~repro.storage.statistics.CardinalityFeedback`
+        store: every executed pass records its VDTs' true row counts
+        under :func:`~repro.core.encoder.vdt_shape_key`, and the next
+        :meth:`optimize` (of this or any system sharing the store) blends
+        them into the candidates' estimated cardinalities.
     """
 
     def __init__(
@@ -115,8 +109,7 @@ class VegaPlusSystem:
         codec: Codec | None = None,
         enable_cache: bool = True,
         middleware: MiddlewareServer | ClientSession | None = None,
-        policy: PlanPolicy | None = None,
-        feedback: FeedbackCollector | None = None,
+        feedback: CardinalityFeedback | None = None,
     ) -> None:
         self.spec = parse_spec_dict(spec) if isinstance(spec, dict) else spec
         if middleware is not None:
@@ -140,28 +133,14 @@ class VegaPlusSystem:
                 "VegaPlusSystem needs a database backend or a middleware/session"
             )
         self.comparator = comparator or HeuristicComparator()
-        self.policy = policy or StaticPolicy()
-        self.feedback = feedback or getattr(middleware, "feedback", None)
-        # Policies that carry an execution-arm selector (AdaptivePolicy)
-        # take over the backend's IVM-vs-re-scan routing: the selector
-        # learns per query shape from the latencies the engine reports.
-        arms = getattr(self.policy, "arms", None)
-        ivm = getattr(self.database, "ivm", None)
-        if arms is not None and ivm is not None:
-            ivm.arm_selector = arms
+        self.feedback = feedback
         self.optimizer = VegaPlusOptimizer(
-            self.spec,
-            self.middleware,
-            self.comparator,
-            feedback=self.feedback.cardinality if self.feedback is not None else None,
+            self.spec, self.middleware, self.comparator, feedback=feedback
         )
         self.plan: ExecutionPlan | None = None
         self.rewritten: RewrittenDataflow | None = None
         self.optimization: OptimizationResult | None = None
         self.history: list[InteractionResult] = []
-        #: Cumulative signal values applied by this session's interactions,
-        #: carried over when a replan rebuilds the dataflow.
-        self._signal_state: dict[str, object] = {}
 
     # ------------------------------------------------------------------ #
     # Plan selection
@@ -171,8 +150,8 @@ class VegaPlusSystem:
         anticipated_interactions: Sequence[Mapping[str, object]] | None = None,
         episode_weights: Sequence[float] | None = None,
     ) -> OptimizationResult:
-        """Let the policy select the initial plan and build its dataflow."""
-        result = self.policy.begin(self.optimizer, anticipated_interactions, episode_weights)
+        """Select the session's plan once, up front, and build its dataflow."""
+        result = self.optimizer.choose_plan(anticipated_interactions, episode_weights)
         self.use_plan(result.plan)
         self.optimization = result
         return result
@@ -195,99 +174,25 @@ class VegaPlusSystem:
         self._record_feedback(result)
         return result
 
-    def _record_feedback(self, result: InteractionResult, vector=None) -> None:
-        """Stream this episode's measurements into the feedback collector."""
+    def _record_feedback(self, result: InteractionResult) -> None:
+        """Record the true row counts of the VDTs this pass evaluated."""
         if self.feedback is None:
             return
         built = self._require_built()
-        evaluated = (
-            set(result.report.evaluated_operators) if result.report is not None else set()
-        )
+        evaluated = set(result.report.evaluated_operators)
         for vdt in built.vdts:
             if vdt.id in evaluated and vdt.last_result is not None:
-                self.feedback.record_shape(
+                self.feedback.observe(
                     vdt_shape_key(vdt.table, vdt.transforms),
                     float(vdt.last_result.cardinality),
                 )
-        if vector is None:
-            vector = self._measured_vector(result)
-        self.feedback.record_episode(vector, result.total_seconds)
-
-    def _measured_vector(self, result: InteractionResult):
-        """Measured plan vector of one episode (evaluated operators only)."""
-        built = self._require_built()
-        operator_ids = (
-            list(result.report.evaluated_operators) if result.report is not None else None
-        )
-        plan_id = self.plan.plan_id if self.plan is not None else 0
-        return self.optimizer.encoder.encode_measured(
-            built, plan_id, operator_ids=operator_ids, episode=len(self.history) - 1
-        )
 
     def interact(self, signal_updates: Mapping[str, object]) -> InteractionResult:
-        """Apply an interaction (signal updates) and re-evaluate.
-
-        Under an adaptive policy the observed episode may trigger a
-        mid-session replan; the switch (rebuild + full re-render under
-        the carried-over signal state) runs immediately and is recorded
-        in :attr:`history` as a ``"replan"`` episode, so its cost counts
-        against the adaptive policy in every latency metric.
-        """
+        """Apply an interaction (signal updates) and re-evaluate."""
         built = self._require_built()
-        self._signal_state.update(signal_updates)
         before = self._vdt_costs(built)
         report = built.dataflow.update_signals(dict(signal_updates))
         result = self._make_result("interaction", report, before, built, dict(signal_updates))
-        self.history.append(result)
-        # The measured vector is only encoded when something consumes it:
-        # the feedback collector, or a policy that asks for observations
-        # (the shipped policies judge latency alone, so the common
-        # no-collector configuration skips the per-interaction encode).
-        vector = None
-        if self.feedback is not None or getattr(self.policy, "wants_vectors", False):
-            vector = self._measured_vector(result)
-        self._record_feedback(result, vector)
-        if self.optimization is not None:
-            # Plans forced through use_plan() bypass the policy entirely
-            # (baseline runs must execute exactly the requested plan).
-            new_plan = self.policy.observe(
-                vector, result.total_seconds, signal_updates=dict(signal_updates)
-            )
-            if new_plan is not None:
-                self._switch_plan(new_plan)
-        return result
-
-    def _switch_plan(self, plan: ExecutionPlan) -> InteractionResult:
-        """Adopt ``plan`` mid-session: rebuild, carry signals, re-render.
-
-        The full re-render under the session's current signal state is
-        the honest cost of switching; it lands in :attr:`history` as a
-        ``"replan"`` episode so every latency metric charges it to the
-        policy that caused it.
-        """
-        self.plan = plan
-        self.rewritten = self.optimizer.build(plan)
-        self.rewritten.dataflow.set_signal_values(self._signal_state)
-        before = self._vdt_costs(self.rewritten)
-        report = self.rewritten.dataflow.run()
-        result = self._make_result("replan", report, before, self.rewritten, {})
-        self.history.append(result)
-        self._record_feedback(result)
-        return result
-
-    def refresh(self) -> InteractionResult:
-        """Re-run the full dataflow under the current signal state.
-
-        The hook an application calls when the *backend data* changed out
-        from under a running dashboard (append, reload): client-resident
-        operators hold materialised rows that no signal update would
-        invalidate, so a full pass is the only way to pick up new data.
-        Recorded in :attr:`history` as a ``"refresh"`` episode.
-        """
-        built = self._require_built()
-        before = self._vdt_costs(built)
-        report = built.dataflow.run()
-        result = self._make_result("refresh", report, before, built, {})
         self.history.append(result)
         self._record_feedback(result)
         return result
@@ -317,23 +222,13 @@ class VegaPlusSystem:
         """Cache behaviour of the middleware."""
         return self.middleware.cache_statistics()
 
-    @property
-    def replans(self) -> int:
-        """Mid-session plan switches executed so far."""
-        return sum(1 for result in self.history if result.kind == "replan")
-
-    def replan_seconds(self) -> float:
-        """Total latency spent on replan re-renders."""
-        return sum(r.total_seconds for r in self.history if r.kind == "replan")
-
     def stats(self) -> dict[str, object]:
         """One merged snapshot of every subsystem this system touches.
 
         Combines the backend's :class:`~repro.sql.engine.EngineMetrics`,
         the middleware/session cache statistics, the scheduler's admission
-        counters (when a scheduler is attached), the plan policy's
-        counters and the feedback collector's counters — callers no longer
-        reach into four subsystems for one health check.  Backends that
+        counters (when a scheduler is attached) and the cardinality
+        feedback store's counters (when one is attached).  Backends that
         report partitioned-execution counters additionally get a
         ``partitioning`` section (partitions scanned vs pruned by zone
         maps, the derived pruning rate, and morsel tasks run), and
@@ -345,12 +240,9 @@ class VegaPlusSystem:
         stats: dict[str, object] = {
             "plan": self.describe_plan(),
             "episodes": len(self.history),
-            "replans": self.replans,
-            "replan_seconds": self.replan_seconds(),
             "session_seconds": self.session_seconds(),
             "engine": engine,
             "cache": self.middleware.cache_statistics(),
-            "policy": self.policy.counters(),
         }
         if "partitions_scanned" in engine:
             scanned = float(engine.get("partitions_scanned", 0.0))

@@ -230,12 +230,11 @@ class Dataflow:
     def set_signal_values(self, updates: dict[str, object]) -> set[str]:
         """Set signal values *without* re-evaluating; returns changed names.
 
-        Used when a freshly built dataflow must adopt the signal state of
-        a running session (the adaptive policies rebuild the dataflow for
-        a new plan mid-session) — the following :meth:`run` evaluates
-        everything under the carried-over values.  Unknown signal names
-        are ignored: plans differ in which signals their operators
-        declare.
+        Used when a freshly built dataflow must adopt a given signal
+        state (the optimizer estimates candidates under it) — the
+        following :meth:`run` evaluates everything under those values.
+        Unknown signal names are ignored: plans differ in which signals
+        their operators declare.
         """
         self._clock += 1
         return {

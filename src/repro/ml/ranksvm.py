@@ -5,13 +5,6 @@ label ``y`` (+1 when plan *i* is faster) is fit by minimising the hinge
 loss of ``y * w^T (v_i - v_j)``.  After training, ``Cost(v) = w^T v`` acts
 as a linear cost model, so the best of *n* plans is found with *n* cost
 evaluations instead of ``n(n-1)/2`` pairwise calls.
-
-Two training modes are provided: :meth:`RankSVM.fit` runs the full batch
-protocol (multiple shuffled epochs, convergence check), while
-:meth:`RankSVM.partial_fit` consumes labelled pairs incrementally — one
-sub-gradient pass per call, with the 1/sqrt(t) step decay continuing
-across calls — so the serving tier can keep refining a deployed
-comparator from pairs observed at runtime.
 """
 
 from __future__ import annotations
@@ -53,8 +46,8 @@ class RankSVM:
         self.seed = seed
         self.weights_: np.ndarray | None = None
         self.training_loss_: list[float] = []
-        #: Sub-gradient steps taken so far; persists across ``partial_fit``
-        #: calls so the 1/sqrt(t) learning-rate decay keeps decaying.
+        #: Sub-gradient steps taken so far in the current :meth:`fit`
+        #: (drives the 1/sqrt(t) learning-rate decay).
         self._step = 0
 
     # ------------------------------------------------------------------ #
@@ -80,27 +73,6 @@ class RankSVM:
                 self.training_loss_[-1] - self.training_loss_[-2]
             ) < 1e-6:
                 break
-        return self
-
-    def partial_fit(self, differences: np.ndarray, labels: np.ndarray) -> "RankSVM":
-        """Update the model with new labelled pairs (online learning).
-
-        Runs one sub-gradient pass over the given pairs in order, carrying
-        the step counter (and therefore the learning-rate decay) across
-        calls.  The first call initialises a zero weight vector, so a
-        comparator can start cold and learn entirely from streamed pairs;
-        calling it after :meth:`fit` refines the batch solution.
-        """
-        differences, margins = self._validate_pairs(differences, labels)
-        if self.weights_ is None:
-            self.weights_ = np.zeros(differences.shape[1], dtype=np.float64)
-        elif differences.shape[1] != self.weights_.shape[0]:
-            raise ModelError(
-                f"partial_fit got {differences.shape[1]} features, "
-                f"model has {self.weights_.shape[0]}"
-            )
-        loss = self._sgd_pass(differences, margins)
-        self.training_loss_.append(loss / len(differences))
         return self
 
     # ------------------------------------------------------------------ #

@@ -12,10 +12,6 @@ top of the (stateless) :class:`~repro.net.middleware.MiddlewareServer`:
   :class:`ClientSession`: per-client state (client-side cache, network
   profile, latency history) over the shared middleware, scheduler and
   backend,
-* :mod:`~repro.server.feedback` — :class:`FeedbackCollector`: observed
-  latencies and true result cardinalities from live traffic, feeding the
-  adaptive plan policies' cardinality calibration and the online
-  comparator trainer (the closed loop of the adaptive optimizer),
 * :mod:`~repro.server.shard` — the sharded async tier:
   :class:`AsyncGateway` routes requests by session-id hash to worker
   *processes* (each owning its shard of the session map plus a full
@@ -43,7 +39,6 @@ locked.  Backends advertise their concurrency model via
 flag before admitting more than one concurrent execution.
 """
 
-from repro.server.feedback import FeedbackCollector
 from repro.server.scheduler import (
     RequestScheduler,
     SchedulerStats,
@@ -67,7 +62,6 @@ __all__ = [
     "AdmissionController",
     "AsyncGateway",
     "ClientSession",
-    "FeedbackCollector",
     "LATENCY_PERCENTILES",
     "RequestScheduler",
     "SchedulerStats",

@@ -29,10 +29,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, TypeVar
-
-if TYPE_CHECKING:  # avoids a runtime scheduler ↔ feedback import cycle
-    from repro.server.feedback import FeedbackCollector
+from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
@@ -104,21 +101,12 @@ class RequestScheduler:
     ----------
     max_workers:
         Concurrent executions admitted — the backend's admission limit.
-    feedback:
-        Optional :class:`~repro.server.feedback.FeedbackCollector`; every
-        completed ``run()`` reports its end-to-end wait so the adaptive
-        tier sees queueing pressure, not just raw execution time.
     """
 
-    def __init__(
-        self,
-        max_workers: int = 4,
-        feedback: FeedbackCollector | None = None,
-    ) -> None:
+    def __init__(self, max_workers: int = 4) -> None:
         if max_workers <= 0:
             raise ValueError("max_workers must be positive")
         self.max_workers = max_workers
-        self.feedback = feedback
         self.stats = SchedulerStats()
         self._slots = threading.BoundedSemaphore(max_workers)
         self._lock = threading.Lock()
@@ -154,8 +142,6 @@ class RequestScheduler:
             wait = time.perf_counter() - start
             with self._lock:
                 self.stats.total_wait_seconds += wait
-        if self.feedback is not None:
-            self.feedback.record_wait(wait, coalesced)
         return SingleFlightOutcome(value=value, coalesced=coalesced, wait_seconds=wait)
 
     def _lead(self, key: str, fn: Callable[[], T], future: Future) -> T:

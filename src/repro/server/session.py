@@ -38,7 +38,6 @@ from repro.errors import BenchmarkError
 from repro.net.cache import QueryCache
 from repro.net.channel import NetworkModel
 from repro.net.middleware import MiddlewareServer, QueryResponse
-from repro.server.feedback import FeedbackCollector
 from repro.server.scheduler import RequestScheduler
 from repro.sql.engine import Database
 
@@ -73,13 +72,6 @@ class ClientSession:
         Sizing of this client's private result cache.  Client caches
         default to LRU — a dashboard user's working set is recency-
         driven — while the shared server cache keeps the paper's FIFO.
-    feedback:
-        Optional (usually runtime-shared)
-        :class:`~repro.server.feedback.FeedbackCollector`; every served
-        request records its latency and true result cardinality, which
-        calibrates the adaptive optimizer's estimates.  A
-        :class:`~repro.core.system.VegaPlusSystem` built on this session
-        inherits the collector automatically.
     """
 
     def __init__(
@@ -91,12 +83,10 @@ class ClientSession:
         max_cached_result_bytes: int = 2_000_000,
         cache_policy: str = "lru",
         cache_bytes: int | None = None,
-        feedback: FeedbackCollector | None = None,
     ) -> None:
         self.session_id = session_id
         self.middleware = middleware
         self.network = network or middleware.network
-        self.feedback = feedback
         self.cache = QueryCache(
             max_entries=cache_entries,
             max_result_bytes=max_cached_result_bytes,
@@ -137,8 +127,6 @@ class ClientSession:
         )
         self.requests += 1
         self.latencies.append(response.total_seconds)
-        if self.feedback is not None:
-            self.feedback.record_query(sql, response.num_rows, response.total_seconds)
         return response
 
     # ------------------------------------------------------------------ #
@@ -176,10 +164,6 @@ class SessionManager:
         (defaults to the middleware's).
     cache_entries / max_cached_result_bytes / cache_policy / cache_bytes:
         Defaults for the per-session client caches.
-    feedback:
-        Optional runtime-wide :class:`FeedbackCollector` handed to every
-        created session (sessions may still override per-session), so
-        feedback from all users of this runtime compounds in one store.
     """
 
     def __init__(
@@ -190,7 +174,6 @@ class SessionManager:
         max_cached_result_bytes: int = 2_000_000,
         cache_policy: str = "lru",
         cache_bytes: int | None = None,
-        feedback: FeedbackCollector | None = None,
     ) -> None:
         self.middleware = middleware
         self.default_network = default_network or middleware.network
@@ -198,7 +181,6 @@ class SessionManager:
         self.max_cached_result_bytes = max_cached_result_bytes
         self.cache_policy = cache_policy
         self.cache_bytes = cache_bytes
-        self.feedback = feedback
         self._sessions: dict[str, ClientSession] = {}
         self._session_locks: dict[str, threading.Lock] = {}
         self._lock = threading.Lock()
@@ -213,7 +195,6 @@ class SessionManager:
         max_workers: int = 4,
         network: NetworkModel | None = None,
         scheduler: RequestScheduler | None = None,
-        feedback: FeedbackCollector | None = None,
         **middleware_kwargs: object,
     ) -> "SessionManager":
         """Build a full serving runtime (scheduler + middleware) around
@@ -221,12 +202,10 @@ class SessionManager:
 
         Refuses backends that do not declare thread-safe execution when
         more than one concurrent execution is admitted — overlapping
-        threads on an unsafe backend corrupt results silently.  A
-        ``feedback`` collector is shared by the scheduler (wait times)
-        and every created session (request latencies and cardinalities).
+        threads on an unsafe backend corrupt results silently.
         """
         if scheduler is None:
-            scheduler = RequestScheduler(max_workers=max_workers, feedback=feedback)
+            scheduler = RequestScheduler(max_workers=max_workers)
         middleware = MiddlewareServer(
             database, network=network, scheduler=scheduler, **middleware_kwargs
         )
@@ -236,7 +215,7 @@ class SessionManager:
                 f"backend {capabilities.name!r} does not declare thread-safe "
                 "execution; use max_workers=1 or a thread-safe backend"
             )
-        return cls(middleware, feedback=feedback)
+        return cls(middleware)
 
     # ------------------------------------------------------------------ #
     def create_session(
@@ -256,7 +235,6 @@ class SessionManager:
                 "max_cached_result_bytes": self.max_cached_result_bytes,
                 "cache_policy": self.cache_policy,
                 "cache_bytes": self.cache_bytes,
-                "feedback": self.feedback,
             }
             defaults.update(session_kwargs)
             session = ClientSession(
@@ -333,8 +311,6 @@ class SessionManager:
         stats["sessions"] = len(sessions)
         stats["requests"] = sum(session.requests for session in sessions.values())
         stats["latency_percentiles"] = latency_percentiles(all_latencies)
-        if self.feedback is not None:
-            stats["feedback"] = self.feedback.snapshot()
         return stats
 
     def shutdown(self) -> dict[str, float] | None:

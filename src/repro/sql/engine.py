@@ -14,9 +14,8 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.sql.executor import ExecutionStats, Executor
-from repro.sql.explain import CostEstimator, QueryCostEstimate, query_shape
+from repro.sql.explain import CostEstimator, QueryCostEstimate
 from repro.sql.ivm import IVMConfig, IVMManager
-from repro.storage.statistics import CardinalityFeedback
 from repro.sql.plancache import PlanCache
 from repro.sql.planner import LogicalPlan
 from repro.storage.catalog import Catalog
@@ -319,19 +318,10 @@ class Database:
         """Drop all cached prepared plans and plan templates."""
         self._plans.clear()
 
-    def explain(
-        self, sql: str, feedback: CardinalityFeedback | None = None
-    ) -> QueryCostEstimate:
-        """Return the cost estimate the engine's EXPLAIN would produce.
-
-        ``feedback`` (observed cardinalities from the serving tier)
-        calibrates the root cardinality for queries whose literal-stripped
-        shape has been executed before.
-        """
+    def explain(self, sql: str) -> QueryCostEstimate:
+        """Return the cost estimate the engine's EXPLAIN would produce."""
         text = sql.removeprefix("EXPLAIN ").removeprefix("explain ")
-        plan = self.plan(text)
-        shape = query_shape(text) if feedback is not None else None
-        return CostEstimator(self._catalog, feedback=feedback).estimate(plan, shape_key=shape)
+        return CostEstimator(self._catalog).estimate(self.plan(text))
 
     def execute(self, sql: str) -> QueryResult:
         """Execute ``sql`` and return a :class:`QueryResult`.
@@ -347,15 +337,9 @@ class Database:
             self.metrics.record(result, self._keep_query_log)
             return result
         start = time.perf_counter()
-        attempt = self.ivm.attempt(plan) if self.ivm is not None else None
-        if attempt is not None and attempt.table is not None:
-            table, stats = attempt.table, attempt.stats
-        else:
-            table, stats = Executor(self._catalog).execute(plan)
+        hit = self.ivm.attempt(plan) if self.ivm is not None else None
+        table, stats = hit if hit is not None else Executor(self._catalog).execute(plan)
         elapsed = time.perf_counter() - start
-        if attempt is not None:
-            # Either arm's observed latency teaches the per-shape selector.
-            self.ivm.observe(attempt, elapsed)
         result = QueryResult(sql=sql, table=table, elapsed_seconds=elapsed, stats=stats)
         self.metrics.record(result, self._keep_query_log)
         return result

@@ -5,14 +5,6 @@ VegaPlus uses the DBMS's plan analyzer to estimate execution costs
 estimates from table statistics through selectivity heuristics, and
 accumulates a cost figure in abstract "work units" proportional to rows
 processed.  The VegaPlus optimizer consumes these estimates as features.
-
-Estimates can additionally be *calibrated* against live traffic: a
-:class:`~repro.storage.statistics.CardinalityFeedback` store, fed by the
-serving tier with true result cardinalities keyed by :func:`query_shape`
-(the query text with literals stripped), corrects the root cardinality of
-any query whose shape has been observed before.  A crossfilter family
-like ``... WHERE delay >= 30`` / ``... WHERE delay >= 60`` shares one
-shape, so a handful of observations recalibrates the whole family.
 """
 
 from __future__ import annotations
@@ -43,9 +35,8 @@ from repro.sql.planner import (
     WindowNode,
 )
 from repro.sql.optimizer import prune_partitions, pruning_conjuncts
-from repro.sql.tokenizer import TokenType, tokenize
 from repro.storage.catalog import Catalog
-from repro.storage.statistics import CardinalityFeedback, TableStatistics
+from repro.storage.statistics import TableStatistics
 
 #: Default selectivity when a predicate cannot be analysed.
 _DEFAULT_SELECTIVITY = 0.33
@@ -88,38 +79,10 @@ class QueryCostEstimate:
     root: NodeEstimate
     total_cost: float
     estimated_rows: float
-    #: The root cardinality before feedback calibration (equal to
-    #: ``estimated_rows`` when no feedback correction applied).
-    uncalibrated_rows: float = 0.0
 
     def pretty(self) -> str:
         """Textual plan with per-node rows/cost, like ``EXPLAIN`` output."""
         return self.root.pretty()
-
-
-def query_shape(sql: str) -> str:
-    """Canonical shape key of a query: literals stripped, spacing unified.
-
-    Number and string literals become ``?`` so all members of one
-    parameterised query family (the same dashboard widget at different
-    slider positions) share a single feedback key.  Falls back to the
-    raw text for SQL the tokenizer rejects (foreign-dialect queries).
-    """
-    try:
-        tokens = tokenize(sql)
-    except Exception:
-        return " ".join(sql.split())
-    parts: list[str] = []
-    for token in tokens:
-        if token.ttype is TokenType.EOF:
-            break
-        if token.ttype in (TokenType.NUMBER, TokenType.STRING):
-            parts.append("?")
-        elif token.ttype is TokenType.KEYWORD:
-            parts.append(token.value.upper())
-        else:
-            parts.append(token.value)
-    return " ".join(parts)
 
 
 class CostEstimator:
@@ -129,29 +92,16 @@ class CostEstimator:
     ----------
     catalog:
         Source of table/column statistics.
-    feedback:
-        Optional :class:`CardinalityFeedback` store; when given (and a
-        ``shape_key`` is passed to :meth:`estimate`), the root cardinality
-        is blended with the observed cardinalities of that query shape.
     """
 
-    def __init__(
-        self, catalog: Catalog, feedback: CardinalityFeedback | None = None
-    ) -> None:
+    def __init__(self, catalog: Catalog) -> None:
         self._catalog = catalog
-        self._feedback = feedback
 
-    def estimate(self, plan: LogicalPlan, shape_key: str | None = None) -> QueryCostEstimate:
-        """Estimate ``plan`` bottom-up, optionally feedback-calibrated."""
+    def estimate(self, plan: LogicalPlan) -> QueryCostEstimate:
+        """Estimate ``plan`` bottom-up."""
         root = self._estimate_node(plan.root)
-        estimated_rows = root.estimated_rows
-        if self._feedback is not None and shape_key is not None:
-            estimated_rows = self._feedback.correct(shape_key, estimated_rows)
         return QueryCostEstimate(
-            root=root,
-            total_cost=root.estimated_cost,
-            estimated_rows=estimated_rows,
-            uncalibrated_rows=root.estimated_rows,
+            root=root, total_cost=root.estimated_cost, estimated_rows=root.estimated_rows
         )
 
     # -------------------------------------------------------------- #

@@ -513,23 +513,6 @@ class MaterializedView:
         raise ExecutionError(f"expression {expr} is not a group key of this view")
 
 
-@dataclass
-class IVMAttempt:
-    """Outcome of consulting the IVM manager for one query.
-
-    ``table`` is populated when the maintenance path produced the
-    result; when the plan arm chose a re-scan instead, ``table`` is
-    ``None`` and the engine executes normally.  Either way the engine
-    reports the observed latency back via :meth:`IVMManager.observe` so
-    the arm selector learns per query shape.
-    """
-
-    view_key: str
-    arm: str
-    table: Table | None = None
-    stats: ExecutionStats | None = None
-
-
 class IVMManager:
     """Registry of materialized views keyed by crossfilter query shape.
 
@@ -555,10 +538,6 @@ class IVMManager:
         self._ineligible: dict[str, str] = {}
         self._lock = threading.RLock()
         self._executor = Executor(catalog)
-        #: Optional plug-in deciding IVM vs. re-scan per query shape
-        #: (duck-typed: ``choose(shape, arms)`` / ``record(shape, arm,
-        #: seconds)`` — :class:`repro.core.policy.ArmSelector` fits).
-        self.arm_selector: object | None = None
         catalog.add_invalidation_listener(self.invalidate)
 
     # ------------------------------------------------------------------ #
@@ -567,13 +546,12 @@ class IVMManager:
         with self._lock:
             return len(self._views)
 
-    def attempt(self, plan: LogicalPlan) -> IVMAttempt | None:
+    def attempt(self, plan: LogicalPlan) -> tuple[Table, ExecutionStats] | None:
         """Try to answer ``plan`` from a maintained view.
 
-        Returns ``None`` when the plan is ineligible or its view is not
-        (yet) registered; an :class:`IVMAttempt` carrying the result
-        table on a hit; or an attempt with ``table=None`` when the arm
-        selector routed this shape to a re-scan.
+        Returns the result table and its execution stats on a hit, or
+        ``None`` when the plan is ineligible or its view is not (yet)
+        registered — the engine then re-scans.
         """
         template = ivm_template(plan)
         if template is None:
@@ -601,11 +579,6 @@ class IVMManager:
                 self._record_metric("record_ivm_view")
             else:
                 self._views.move_to_end(key)
-            arm = "ivm"
-            if self.arm_selector is not None:
-                arm = self.arm_selector.choose(key, ("ivm", "rescan"))
-            if arm != "ivm":
-                return IVMAttempt(view_key=key, arm=arm)
             try:
                 table, stats, delta_rows = self._query(view, template)
             except ReproError:
@@ -620,12 +593,7 @@ class IVMManager:
                 delta_rows=delta_rows,
                 rows_avoided=max(view.base_rows - delta_rows, 0),
             )
-            return IVMAttempt(view_key=key, arm="ivm", table=table, stats=stats)
-
-    def observe(self, attempt: IVMAttempt, seconds: float) -> None:
-        """Report the latency of an attempted query back to the arm selector."""
-        if self.arm_selector is not None:
-            self.arm_selector.record(attempt.view_key, attempt.arm, seconds)
+            return table, stats
 
     def invalidate(self, table_name: str) -> None:
         """Drop all views (and shape bookkeeping) of ``table_name``.

@@ -6,8 +6,7 @@ the tokenizer/parser run per brush step costs more than answering the
 query.  A plan template removes the parser from that loop:
 
 1. the query is tokenized (cheap) and its **shape key** computed by
-   replacing every NUMBER/STRING token with ``?`` — the same stripping
-   :func:`repro.sql.explain.query_shape` uses for cardinality feedback;
+   replacing every NUMBER/STRING token with ``?``;
 2. on a shape hit, the cached parsed statement is cloned with the new
    token literals substituted in source order — no parsing;
 3. the cloned statement re-runs planning + optimization, so constant

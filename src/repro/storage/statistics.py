@@ -8,12 +8,12 @@ cardinality and cost estimates.
 
 Static statistics drift: selectivity heuristics assume uniformity, group
 counts assume independence, and the data itself may change under a live
-session.  :class:`CardinalityFeedback` is the correction layer: the
-serving tier records *observed* result cardinalities keyed by query shape
-(literals stripped, so one key covers a whole crossfilter family), and
-estimators blend their static estimate with the exponentially-weighted
-observed value, weighting the observation by how often the shape has
-actually been seen.
+session.  :class:`CardinalityFeedback` is the correction layer: executed
+dashboards record *observed* VDT result cardinalities keyed by structural
+shape (literals stripped, so one key covers a whole crossfilter family),
+and the plan encoder blends its static estimate with the
+exponentially-weighted observed value, weighting the observation by how
+often the shape has actually been seen.
 """
 
 from __future__ import annotations
@@ -87,30 +87,23 @@ class _ShapeObservation:
     observations: int = 0
 
 
+#: EWMA smoothing weight of the *newest* cardinality observation.
+FEEDBACK_ALPHA = 0.5
+
+#: Observations after which the blend weights the observed EWMA and the
+#: static estimate equally (``w = n / (n + FEEDBACK_CONFIDENCE)``); a shape
+#: seen many times is trusted almost entirely.
+FEEDBACK_CONFIDENCE = 2.0
+
+
 class CardinalityFeedback:
     """Observed-cardinality corrections for EXPLAIN-style estimates.
 
-    Thread-safe: the serving runtime records observations from many
-    sessions while the optimizer reads corrections mid-replan.
-
-    Parameters
-    ----------
-    alpha:
-        EWMA smoothing weight of the *newest* observation — high values
-        track drifting workloads quickly, low values smooth noise.
-    confidence:
-        Number of observations after which the blend weights the observed
-        EWMA and the static estimate equally (``w = n / (n + confidence)``);
-        a shape seen many times is trusted almost entirely.
+    Thread-safe: systems sharing one store may record observations from
+    several threads while another optimizes.
     """
 
-    def __init__(self, alpha: float = 0.5, confidence: float = 2.0) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if confidence <= 0:
-            raise ValueError("confidence must be positive")
-        self.alpha = alpha
-        self.confidence = confidence
+    def __init__(self) -> None:
         self._shapes: dict[str, _ShapeObservation] = {}
         self._lock = threading.Lock()
 
@@ -123,7 +116,7 @@ class CardinalityFeedback:
             if entry is None:
                 self._shapes[shape_key] = _ShapeObservation(rows, 1)
                 return
-            entry.ewma_rows = self.alpha * rows + (1.0 - self.alpha) * entry.ewma_rows
+            entry.ewma_rows = FEEDBACK_ALPHA * rows + (1.0 - FEEDBACK_ALPHA) * entry.ewma_rows
             entry.observations += 1
 
     def correct(self, shape_key: str, estimated_rows: float) -> float:
@@ -131,13 +124,13 @@ class CardinalityFeedback:
 
         Unobserved shapes return the estimate unchanged; observed shapes
         return ``(1 - w) * estimate + w * ewma`` with
-        ``w = n / (n + confidence)``.
+        ``w = n / (n + FEEDBACK_CONFIDENCE)``.
         """
         with self._lock:
             entry = self._shapes.get(shape_key)
             if entry is None:
                 return estimated_rows
-            weight = entry.observations / (entry.observations + self.confidence)
+            weight = entry.observations / (entry.observations + FEEDBACK_CONFIDENCE)
             return (1.0 - weight) * estimated_rows + weight * entry.ewma_rows
 
     def observed_rows(self, shape_key: str) -> float | None:
@@ -158,11 +151,6 @@ class CardinalityFeedback:
                 "shapes_tracked": float(len(self._shapes)),
                 "observations": float(observations),
             }
-
-    def clear(self) -> None:
-        """Forget all observations (between benchmark scenarios)."""
-        with self._lock:
-            self._shapes.clear()
 
 
 # --------------------------------------------------------------------------- #

@@ -20,7 +20,7 @@ from repro.core.consolidation import (
     consolidate_session,
     downweight_initial_render,
 )
-from repro.core.encoder import PlanVector, normalize_cardinalities
+from repro.core.encoder import FEATURE_OPERATOR_TYPES, PlanVector, normalize_cardinalities
 from repro.errors import OptimizationError
 from repro.ml import RandomForestClassifier, RankSVM
 
@@ -350,6 +350,61 @@ def test_consolidation_validation_errors():
         consolidate_session(comparator, [make_vectors([1, 2]), make_vectors([1])])
     with pytest.raises(OptimizationError):
         consolidate_session(comparator, [make_vectors([1, 2])], episode_weights=[1.0, 2.0])
+
+
+def _vdt_cost_comparator():
+    """A fitted RankSVM whose cost is exactly the vdt cardinality."""
+    model = RankSVM()
+    weights = np.zeros(2 * len(FEATURE_OPERATOR_TYPES))
+    weights[len(FEATURE_OPERATOR_TYPES) + FEATURE_OPERATOR_TYPES.index("vdt")] = 1.0
+    model.weights_ = weights
+    return RankSVMComparator(model)
+
+
+def test_incremental_matches_one_shot_cost_kind():
+    comparator = _vdt_cost_comparator()
+    episodes = [make_vectors([5.0, 1.0, 3.0]), make_vectors([2.0, 4.0, 1.0])]
+    one_shot = consolidate_session(comparator, episodes)
+    incremental = IncrementalConsolidator(comparator, 3)
+    for episode in episodes:
+        decision = incremental.add_episode(episode)
+    assert decision.best_plan_index == one_shot.best_plan_index
+    assert decision.score_kind == one_shot.score_kind == "cost"
+    assert np.allclose(decision.per_plan_score, one_shot.per_plan_score)
+
+
+def test_incremental_matches_one_shot_wins_kind():
+    comparator = HeuristicComparator()
+    episodes = [make_vectors([50.0, 1.0, 30.0]), make_vectors([40.0, 2.0, 20.0])]
+    one_shot = consolidate_session(comparator, episodes, episode_weights=[1.0, 2.0])
+    incremental = IncrementalConsolidator(comparator, 3)
+    incremental.add_episode(episodes[0], weight=1.0)
+    incremental.add_episode(episodes[1], weight=2.0)
+    decision = incremental.decision()
+    assert decision.best_plan_index == one_shot.best_plan_index
+    assert decision.score_kind == one_shot.score_kind == "wins"
+    assert np.allclose(decision.per_plan_score, one_shot.per_plan_score)
+
+
+def test_incremental_decision_revisable_as_episodes_arrive():
+    comparator = _vdt_cost_comparator()
+    incremental = IncrementalConsolidator(comparator, 2)
+    first = incremental.add_episode(make_vectors([1.0, 10.0]))
+    assert first.best_plan_index == 0
+    # Overwhelming later evidence flips the running decision.
+    flipped = incremental.add_episode(make_vectors([100.0, 1.0]))
+    assert flipped.best_plan_index == 1
+
+
+def test_incremental_consolidator_guards():
+    comparator = HeuristicComparator()
+    with pytest.raises(OptimizationError):
+        IncrementalConsolidator(comparator, 0)
+    incremental = IncrementalConsolidator(comparator, 2)
+    with pytest.raises(OptimizationError):
+        incremental.decision()
+    with pytest.raises(OptimizationError):
+        incremental.add_episode(make_vectors([1.0, 2.0, 3.0]))
 
 
 def test_downweight_initial_render_weights():

@@ -278,7 +278,7 @@ def test_plan_space_vectors_equal_per_plan_builds(template_name, template_backen
     optimizer = VegaPlusOptimizer(instance.spec, MiddlewareServer(template_backend))
     assert_plan_space_matches_builds(optimizer, interactions)
     if interactions:
-        # A mid-session replan estimates under the signal values reached so far.
+        # Estimating under the signal values a session has reached so far.
         reached = {**interactions[0], **interactions[1]}
         assert_plan_space_matches_builds(optimizer, interactions[2:], signal_values=reached)
 

@@ -7,6 +7,7 @@ from repro.core import HeuristicComparator, VegaPlusOptimizer, VegaPlusSystem
 from repro.core.enumerator import PlanEnumerator
 from repro.errors import OptimizationError
 from repro.net import MiddlewareServer, NetworkModel
+from repro.storage.statistics import CardinalityFeedback
 from repro.vega.spec import parse_spec_dict
 
 
@@ -119,6 +120,20 @@ def test_system_cache_statistics_exposed(histogram_spec, flights_db):
     stats = system.cache_statistics()
     assert stats["queries_executed"] >= 1
     assert stats["client_hit_rate"] >= 0.0
+
+
+def test_system_stats_merges_subsystems(histogram_spec, flights_db):
+    feedback = CardinalityFeedback()
+    system = VegaPlusSystem(histogram_spec, flights_db, feedback=feedback)
+    system.optimize()
+    system.initialize()
+    stats = system.stats()
+    assert "queries_executed" in stats["engine"]
+    assert "server_hit_rate" in stats["cache"]
+    assert stats["episodes"] == 1
+    assert stats["session_seconds"] > 0
+    assert stats["feedback"] == feedback.snapshot()
+    assert stats["feedback"]["observations"] > 0
 
 
 # --------------------------------------------------------------------------- #

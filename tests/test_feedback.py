@@ -1,15 +1,17 @@
-"""Tests for the cardinality-feedback layer and the feedback collector."""
+"""Tests for cardinality feedback: the store, its shape keys, and the one
+decision it changes."""
 
 import threading
 
 import pytest
 
-from repro.backends import create_backend
-from repro.core import OnlineComparatorTrainer, PlanVector, vdt_shape_key
-from repro.server import FeedbackCollector, RequestScheduler, SessionManager
-from repro.sql.engine import Database
-from repro.sql.explain import query_shape
-from repro.storage.statistics import CardinalityFeedback
+from repro.bench.harness import BenchmarkHarness
+from repro.core import VegaPlusSystem, vdt_shape_key
+from repro.storage.statistics import (
+    FEEDBACK_ALPHA,
+    FEEDBACK_CONFIDENCE,
+    CardinalityFeedback,
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -18,13 +20,14 @@ from repro.storage.statistics import CardinalityFeedback
 
 
 def test_cardinality_feedback_ewma_and_blend():
-    feedback = CardinalityFeedback(alpha=0.5, confidence=2.0)
+    feedback = CardinalityFeedback()
     assert feedback.correct("k", 10.0) == 10.0  # unobserved: estimate unchanged
     feedback.observe("k", 100.0)
     feedback.observe("k", 200.0)
-    assert feedback.observed_rows("k") == pytest.approx(150.0)
-    # Two observations, confidence 2 -> weight 0.5 on the EWMA.
-    assert feedback.correct("k", 10.0) == pytest.approx(0.5 * 10.0 + 0.5 * 150.0)
+    ewma = FEEDBACK_ALPHA * 200.0 + (1.0 - FEEDBACK_ALPHA) * 100.0
+    assert feedback.observed_rows("k") == pytest.approx(ewma)
+    weight = 2 / (2 + FEEDBACK_CONFIDENCE)
+    assert feedback.correct("k", 10.0) == pytest.approx((1 - weight) * 10.0 + weight * ewma)
     # A heavily observed shape is trusted almost entirely.
     for _ in range(50):
         feedback.observe("hot", 300.0)
@@ -33,15 +36,6 @@ def test_cardinality_feedback_ewma_and_blend():
     snapshot = feedback.snapshot()
     assert snapshot["shapes_tracked"] == 2.0
     assert snapshot["observations"] == 52.0
-    feedback.clear()
-    assert len(feedback) == 0
-
-
-def test_cardinality_feedback_parameter_guards():
-    with pytest.raises(ValueError):
-        CardinalityFeedback(alpha=0.0)
-    with pytest.raises(ValueError):
-        CardinalityFeedback(confidence=0.0)
 
 
 def test_cardinality_feedback_thread_safety():
@@ -66,25 +60,6 @@ def test_cardinality_feedback_thread_safety():
 # --------------------------------------------------------------------------- #
 
 
-def test_query_shape_strips_literals():
-    a = query_shape("SELECT c, COUNT(*) FROM t WHERE x >= 30 GROUP BY c ORDER BY c")
-    b = query_shape("SELECT c,  COUNT(*) FROM t WHERE x >= 99.5 GROUP BY c ORDER BY c")
-    assert a == b
-    assert "?" in a
-    # Different predicate shapes stay distinct.
-    c = query_shape("SELECT c, COUNT(*) FROM t WHERE y >= 30 GROUP BY c ORDER BY c")
-    assert a != c
-    # String literals are stripped too.
-    assert query_shape("SELECT * FROM t WHERE name = 'alice'") == query_shape(
-        "SELECT * FROM t WHERE name = 'bob'"
-    )
-
-
-def test_query_shape_tolerates_foreign_dialect():
-    shape = query_shape("VACUUM   INTO something")
-    assert shape  # falls back to whitespace-normalised text
-
-
 def test_vdt_shape_key_structural():
     transforms = [
         {"type": "filter", "expr": "datum.value >= 990"},
@@ -101,79 +76,26 @@ def test_vdt_shape_key_structural():
 
 
 # --------------------------------------------------------------------------- #
-# Explain calibration
+# The decision feedback changes
 # --------------------------------------------------------------------------- #
 
 
-def test_explain_calibrated_by_feedback():
-    database = Database()
-    database.register_rows(
-        "t", [{"x": float(i % 50), "c": f"c{i % 5}"} for i in range(1000)]
+def test_warmed_feedback_moves_the_overview_detail_pick():
+    """One executed session's VDT row counts make a fresh system pick a
+    different overview+detail plan than the same system without them."""
+    harness = BenchmarkHarness(seed=0)
+    config = harness.configure(
+        "overview_detail", "flights", 5_000, n_sessions=1, interactions_per_session=5
     )
-    sql = "SELECT c, COUNT(*) AS n FROM t WHERE x >= 10 GROUP BY c"
-    uncalibrated = database.explain(sql)
+    session = config.sessions[0]
+    cold = VegaPlusSystem(config.spec, config.database).optimize(session).plan
+
     feedback = CardinalityFeedback()
-    for _ in range(20):
-        feedback.observe(query_shape(sql), 500.0)
-    calibrated = database.explain(sql, feedback=feedback)
-    assert calibrated.uncalibrated_rows == uncalibrated.estimated_rows
-    assert calibrated.estimated_rows != uncalibrated.estimated_rows
-    assert calibrated.estimated_rows == pytest.approx(500.0, rel=0.2)
-    # A query of a different shape is untouched.
-    other = database.explain("SELECT c FROM t", feedback=feedback)
-    assert other.estimated_rows == other.uncalibrated_rows
+    warming = VegaPlusSystem(config.spec, config.database, feedback=feedback)
+    assert warming.optimize(session).plan == cold  # an empty store changes nothing
+    warming.run_session(session)
+    assert len(feedback) > 0
 
-
-# --------------------------------------------------------------------------- #
-# FeedbackCollector plumbing
-# --------------------------------------------------------------------------- #
-
-
-def test_collector_records_queries_and_episodes():
-    trainer = OnlineComparatorTrainer()
-    collector = FeedbackCollector(trainer=trainer)
-    collector.record_query("SELECT * FROM t WHERE x >= 5", n_rows=42, latency_seconds=0.1)
-    collector.record_query("SELECT * FROM t WHERE x >= 9", n_rows=58, latency_seconds=0.2)
-    # Same shape -> one tracked shape, EWMA over both observations.
-    assert collector.cardinality.snapshot()["shapes_tracked"] == 1.0
-    collector.record_wait(0.05, coalesced=True)
-    vector = PlanVector(plan_id=0, counts={"vdt": 1.0}, cardinalities={"vdt": 10.0})
-    collector.record_episode(vector, 0.1)
-    collector.record_episode(
-        PlanVector(plan_id=1, counts={"filter": 1.0}, cardinalities={"filter": 5.0}), 0.4
-    )
-    snapshot = collector.snapshot()
-    assert snapshot["queries_recorded"] == 2
-    assert snapshot["episodes_recorded"] == 2
-    assert snapshot["waits_recorded"] == 1
-    assert snapshot["trainer"]["observations"] == 2.0
-
-
-def test_session_manager_shares_collector_with_sessions_and_scheduler():
-    backend = create_backend("embedded")
-    backend.register_rows("t", [{"x": float(i)} for i in range(100)])
-    collector = FeedbackCollector()
-    manager = SessionManager.for_backend(backend, max_workers=2, feedback=collector)
-    try:
-        session = manager.create_session("alice")
-        assert session.feedback is collector
-        session.execute("SELECT COUNT(*) AS n FROM t WHERE x >= 10")
-        session.execute("SELECT COUNT(*) AS n FROM t WHERE x >= 90")
-        snapshot = collector.snapshot()
-        assert snapshot["queries_recorded"] == 2
-        # The scheduler reported its waits into the same collector.
-        assert snapshot["waits_recorded"] == 2
-        assert collector.cardinality.snapshot()["shapes_tracked"] == 1.0
-        stats = manager.statistics()
-        assert stats["feedback"]["queries_recorded"] == 2
-    finally:
-        manager.shutdown()
-        backend.close()
-
-
-def test_scheduler_reports_waits():
-    collector = FeedbackCollector()
-    with RequestScheduler(max_workers=2, feedback=collector) as scheduler:
-        scheduler.run("a", lambda: 1)
-        scheduler.run("b", lambda: 2)
-    assert collector.snapshot()["waits_recorded"] == 2
+    warmed = VegaPlusSystem(config.spec, config.database, feedback=feedback)
+    warmed_plan = warmed.optimize(session).plan
+    assert (cold.plan_id, warmed_plan.plan_id) == (28, 19)

@@ -10,9 +10,8 @@ at every step, on every backend.
 
 Also covered: the MIN/MAX retraction fallback (with pinned
 :class:`~repro.sql.engine.EngineMetrics` counters), catalog invalidation
-on re-register/drop, suffix replay (HAVING / ORDER BY / LIMIT),
-eligibility negatives, and the :class:`~repro.core.policy.ArmSelector`
-plan arm.
+on re-register/drop, suffix replay (HAVING / ORDER BY / LIMIT) and
+eligibility negatives.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import backend_names, create_backend
-from repro.core.policy import EXECUTION_ARMS, AdaptivePolicy, ArmSelector
 from repro.core.system import VegaPlusSystem
-from repro.errors import OptimizationError
 from repro.sql import Database
 from repro.sql.ivm import IVMConfig, IVMManager
 from repro.sql.parser import parse_sql
@@ -348,77 +345,15 @@ def test_view_key_excludes_brush_literals():
 
 
 # --------------------------------------------------------------------------- #
-# The IVM plan arm (ArmSelector)
+# System-level reporting
 # --------------------------------------------------------------------------- #
 
 
-def test_arm_selector_probes_then_routes_greedily():
-    selector = ArmSelector()
-    shape = "flights§brush=dep_delay"
-    # Every offered arm is pulled once before any greedy routing.
-    assert selector.choose(shape, ("ivm", "rescan")) == "ivm"
-    selector.record(shape, "ivm", 0.010)
-    assert selector.choose(shape, ("ivm", "rescan")) == "rescan"
-    selector.record(shape, "rescan", 0.002)
-    # Greedy thereafter: the faster arm wins until the estimates flip.
-    assert selector.choose(shape, ("ivm", "rescan")) == "rescan"
-    for _ in range(5):
-        selector.record(shape, "rescan", 0.050)
-    assert selector.choose(shape, ("ivm", "rescan")) == "ivm"
-    assert selector.preferred(shape) == "ivm"
-
-
-def test_arm_selector_reprobes_least_pulled_arm():
-    selector = ArmSelector(probe_interval=5)
-    shape = "s"
-    for _ in range(3):
-        selector.record(shape, "ivm", 0.001)
-    selector.record(shape, "rescan", 0.100)
-    choices = [selector.choose(shape, ("ivm", "rescan")) for _ in range(5)]
-    # Decisions 1-4 route greedily; the 5th re-probes the least-pulled arm
-    # (rescan, pulled once against ivm's three) despite its slower EWMA.
-    assert choices[:4] == ["ivm"] * 4
-    assert choices[4] == "rescan"
-
-
-def test_arm_selector_validates_alpha_and_counts():
-    with pytest.raises(OptimizationError):
-        ArmSelector(alpha=0.0)
-    selector = ArmSelector()
-    selector.choose("s", EXECUTION_ARMS)
-    selector.record("s", "ivm", 0.5)
-    counters = selector.counters()
-    assert counters["shapes"] == 1
-    assert counters["decisions"] == 1
-    assert counters["pulls"] == {"ivm": 1}
-
-
-def test_arm_routing_preserves_results():
-    """Whatever arm the selector picks, the rows never change."""
-    db = Database(ivm_config=_EAGER)
-    db.ivm.arm_selector = ArmSelector(probe_interval=3)
-    rows = _brush_rows(list(range(30)))
-    db.register_rows("t", rows, column_order=["g", "v", "b"])
-    plain = Database(ivm=False)
-    plain.register_rows("t", rows, column_order=["g", "v", "b"])
-    sql = "SELECT g, COUNT(*) AS n, SUM(v) AS s FROM t WHERE b >= {} GROUP BY g"
-    for threshold in range(12):
-        assert (
-            db.execute(sql.format(threshold)).table.to_rows()
-            == plain.execute(sql.format(threshold)).table.to_rows()
-        )
-    # Both arms were actually exercised and observed.
-    pulls = db.ivm.arm_selector.counters()["pulls"]
-    assert pulls.get("ivm", 0) > 0 and pulls.get("rescan", 0) > 0
-
-
-def test_system_wires_arm_selector_into_ivm(histogram_spec, flights_db):
-    system = VegaPlusSystem(histogram_spec, flights_db, policy=AdaptivePolicy())
-    assert flights_db.ivm.arm_selector is system.policy.arms
+def test_system_stats_report_ivm_section(histogram_spec, flights_db):
+    system = VegaPlusSystem(histogram_spec, flights_db)
     stats = system.stats()
     assert "ivm" in stats
     assert set(stats["ivm"]) >= {"views", "hits", "delta_fraction", "invalidations"}
-    assert "arms" in stats["policy"]
 
 
 # --------------------------------------------------------------------------- #

@@ -219,3 +219,80 @@ def test_models_are_deterministic_given_seed():
     forest_a = RandomForestClassifier(n_estimators=5, seed=9).fit(differences, labels)
     forest_b = RandomForestClassifier(n_estimators=5, seed=9).fit(differences, labels)
     assert np.array_equal(forest_a.predict(differences), forest_b.predict(differences))
+
+
+# --------------------------------------------------------------------------- #
+# Preprocessing and metrics edge cases
+# --------------------------------------------------------------------------- #
+
+
+def test_train_test_split_single_sample_keeps_it_in_train():
+    features = np.array([[1.0, 2.0]])
+    labels = np.array([1])
+    x_train, x_test, y_train, y_test = train_test_split(features, labels)
+    assert len(x_train) == 1 and len(y_train) == 1
+    assert len(x_test) == 0 and len(y_test) == 0
+
+
+def test_train_test_split_two_samples_never_empties_either_side():
+    features = np.arange(4.0).reshape(2, 2)
+    labels = np.array([0, 1])
+    x_train, x_test, _, _ = train_test_split(features, labels, test_fraction=0.9)
+    assert len(x_train) == 1 and len(x_test) == 1
+
+
+def test_train_test_split_guards():
+    features = np.arange(4.0).reshape(2, 2)
+    with pytest.raises(ModelError):
+        train_test_split(features, np.array([1]))
+    with pytest.raises(ModelError):
+        train_test_split(features, np.array([0, 1]), test_fraction=0.0)
+    with pytest.raises(ModelError):
+        train_test_split(features, np.array([0, 1]), test_fraction=1.0)
+
+
+def test_minmax_scaler_constant_and_nan_features():
+    scaler = MinMaxScaler()
+    features = np.array([[1.0, np.nan, 5.0], [1.0, 2.0, 10.0]])
+    scaled = scaler.fit_transform(features)
+    # Constant features map to 0 (not NaN/inf) ...
+    assert np.all(scaled[:, 0] == 0.0)
+    # ... NaN inputs propagate as NaN rather than crashing ...
+    assert np.isnan(scaled[0, 1])
+    # ... and regular features land in [0, 1].
+    assert scaled[0, 2] == 0.0 and scaled[1, 2] == 1.0
+
+
+def test_minmax_scaler_requires_fit_and_2d():
+    scaler = MinMaxScaler()
+    with pytest.raises(ModelError):
+        scaler.transform(np.zeros((1, 2)))
+    with pytest.raises(ModelError):
+        scaler.fit(np.zeros(3))
+
+
+# --------------------------------------------------------------------------- #
+# Metrics edges
+# --------------------------------------------------------------------------- #
+
+
+def test_accuracy_score_edges():
+    assert accuracy_score(np.array([]), np.array([])) == 0.0
+    ones = np.ones(5)
+    assert accuracy_score(ones, ones) == 1.0  # single-class stream
+    assert accuracy_score(ones, np.zeros(5)) == 0.0
+    with pytest.raises(ModelError):
+        accuracy_score(np.array([1]), np.array([1, 0]))
+
+
+def test_confusion_counts_single_class():
+    y = np.ones(4)
+    counts = confusion_counts(y, y)
+    assert counts == {
+        "true_positive": 4,
+        "true_negative": 0,
+        "false_positive": 0,
+        "false_negative": 0,
+    }
+    with pytest.raises(ModelError):
+        confusion_counts(np.array([1]), np.array([1, 0]))

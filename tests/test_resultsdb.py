@@ -103,12 +103,10 @@ def test_experiment_key_appends_backend_when_present():
     assert experiment_key("test_x", None) == "test_x"
 
 
-def test_summary_entry_lifts_percentiles_rates_and_structs():
+def test_summary_entry_lifts_percentiles_and_rates():
     extra = {
         "latency_percentiles": {"p95": 0.00640199, "p50": 0.004944},
         "coalescing_rate": 0.87512,
-        "policy": {"static": {}},
-        "accuracy_over_time": [1.0, 0.53571],
     }
     entry = summary_entry(
         {"median": 0.0521504, "min": 0.05, "mean": 0.052, "rounds": 1}, extra
@@ -116,8 +114,6 @@ def test_summary_entry_lifts_percentiles_rates_and_structs():
     assert entry["median_seconds"] == 0.05215
     assert entry["latency_percentiles"] == {"p50": 0.004944, "p95": 0.006402}
     assert entry["coalescing_rate"] == 0.8751
-    assert entry["policy"] == {"static": {}}
-    assert entry["accuracy_over_time"] == [1.0, 0.5357]
     assert "pruning_rate" not in entry
 
 

@@ -18,10 +18,10 @@ backend-independent experiments that repeat across input files under the
 same key (the SQL kernel micro-benchmarks), the first file listed wins
 and the duplicates are reported on stderr.
 
-The per-experiment entry layout — which percentiles exist, what the
+The per-experiment entry layout — which percentiles exist and what the
 lifted scalar metrics (``coalescing_rate``, ``pruning_rate``,
-``speedup_vs_serial``, ``throughput_rps``) and structured extras (``policy``, ``regret``,
-``accuracy_over_time``) are called — is defined **once** in
+``speedup_vs_serial``, ``throughput_rps``, ``transport_speedup``) are
+called — is defined **once** in
 :mod:`repro.bench.resultsdb` and shared with the persistent results
 database, so the committed summary and ``tools/benchdb.py`` always
 agree on field names (see ``docs/REPRODUCING.md``).
