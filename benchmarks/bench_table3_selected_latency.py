@@ -35,8 +35,12 @@ def test_table3_selected_plan_latency(benchmark, harness, measurement_set, bench
     assert result.seconds["random"][largest] >= best_informed
 
 
-#: Alternating timed repetitions per plan in the feedback cell.
-FEEDBACK_REPEATS = 5
+#: Alternating timed repetitions per plan in the feedback cell.  Single
+#: runs spread by up to ~45 % on a loaded 2-core machine, but alternating
+#: the plans exposes both to the same load: over six cells of nine repeats
+#: the warmed median was 9-12 % below the cold one, so the 5 % slack in the
+#: assertion leaves that whole margin for noise before it trips.
+FEEDBACK_REPEATS = 9
 
 
 def _cold_and_warmed_picks(harness, n_rows):
@@ -47,14 +51,24 @@ def _cold_and_warmed_picks(harness, n_rows):
         "overview_detail", "flights", n_rows, n_sessions=1, interactions_per_session=5
     )
     session = config.sessions[0]
-    cold = VegaPlusSystem(config.spec, config.database).optimize(session).plan
+
+    def system(feedback=None):
+        # Pick under the network and codec the picks are timed with.
+        return VegaPlusSystem(
+            config.spec,
+            config.database,
+            network=harness.network,
+            codec=harness.codec,
+            enable_cache=harness.enable_cache,
+            feedback=feedback,
+        )
+
+    cold = system().optimize(session).plan
     feedback = CardinalityFeedback()
-    warming = VegaPlusSystem(config.spec, config.database, feedback=feedback)
+    warming = system(feedback)
     warming.use_plan(cold)
     warming.run_session(session)
-    warmed = (
-        VegaPlusSystem(config.spec, config.database, feedback=feedback).optimize(session).plan
-    )
+    warmed = system(feedback).optimize(session).plan
     plans = [cold] if warmed == cold else [cold, warmed]
     seconds = {plan.plan_id: [] for plan in plans}
     for _ in range(FEEDBACK_REPEATS):

@@ -66,18 +66,12 @@ class _PlanSpace:
 
     One instance serves one :meth:`VegaPlusOptimizer.encode_candidates`
     call: fragments carry cardinality estimates, which must be read from
-    the statistics, signal values and feedback of *that* call.
+    the statistics and feedback of *that* call.
     """
 
-    def __init__(
-        self,
-        rewriter: SpecRewriter,
-        encoder: PlanEncoder,
-        signal_values: Mapping[str, object] | None,
-    ) -> None:
+    def __init__(self, rewriter: SpecRewriter, encoder: PlanEncoder) -> None:
         self._rewriter = rewriter
         self._encoder = encoder
-        self._signal_values = dict(signal_values or {})
         self._fragments: dict[tuple, list[OperatorRecord]] = {}
 
     def records(self, plan: ExecutionPlan) -> list[OperatorRecord]:
@@ -86,8 +80,6 @@ class _PlanSpace:
         contexts = self._contexts(assignment)
         if any(context not in self._fragments for context in contexts.values()):
             built = self._rewriter.build(assignment)
-            if self._signal_values:
-                built.dataflow.set_signal_values(self._signal_values)
             fragments: dict[str, list[OperatorRecord]] = {name: [] for name in contexts}
             for record in self._encoder.operator_records(built):
                 fragments[record.key[0]].append(record)
@@ -160,7 +152,6 @@ class VegaPlusOptimizer:
         self,
         plans: Sequence[ExecutionPlan],
         anticipated_interactions: Sequence[Mapping[str, object]] | None = None,
-        signal_values: Mapping[str, object] | None = None,
         normalize: bool | None = None,
     ) -> list[list[PlanVector]]:
         """Encode every candidate, optionally once per anticipated interaction.
@@ -172,9 +163,6 @@ class VegaPlusOptimizer:
         ``encoder.encode_estimated(self.build(plan))`` restricted likewise,
         but candidates are not built one by one — see :class:`_PlanSpace`.
 
-        ``signal_values`` overrides the spec-default signal state before
-        estimating, so candidates can be encoded under any reached state.
-
         ``normalize`` controls whether cardinalities are log-normalised;
         the default follows the configured comparator's
         ``wants_normalized`` flag (learned models train on normalised
@@ -185,7 +173,7 @@ class VegaPlusOptimizer:
         if normalize is None:
             normalize = self.comparator.wants_normalized
         scale = normalize_cardinalities if normalize else list
-        space = _PlanSpace(self.rewriter, self.encoder, signal_values)
+        space = _PlanSpace(self.rewriter, self.encoder)
         records = [space.records(plan) for plan in plans]
         changed_per_episode = [None, *(set(i) for i in anticipated_interactions or [])]
         return [

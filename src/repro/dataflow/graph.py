@@ -227,22 +227,6 @@ class Dataflow:
             return EvaluationReport()
         return self._evaluate(self._stale_order(frozenset({name})))
 
-    def set_signal_values(self, updates: dict[str, object]) -> set[str]:
-        """Set signal values *without* re-evaluating; returns changed names.
-
-        Used when a freshly built dataflow must adopt a given signal
-        state (the optimizer estimates candidates under it) — the
-        following :meth:`run` evaluates everything under those values.
-        Unknown signal names are ignored: plans differ in which signals
-        their operators declare.
-        """
-        self._clock += 1
-        return {
-            name
-            for name, value in updates.items()
-            if self.signals.has(name) and self.signals.set(name, value, self._clock)
-        }
-
     def update_signals(self, updates: dict[str, object]) -> EvaluationReport:
         """Update several signals at once (one combined partial re-evaluation)."""
         self._clock += 1

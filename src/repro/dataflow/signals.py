@@ -70,10 +70,6 @@ class SignalRegistry:
                 f"unknown signal {name!r}; declared signals: {sorted(self._signals)}"
             ) from exc
 
-    def has(self, name: str) -> bool:
-        """Whether a signal with this name exists."""
-        return name in self._signals
-
     def value(self, name: str) -> object:
         """Current value of the signal named ``name``."""
         return self.get(name).value

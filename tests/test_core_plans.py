@@ -231,16 +231,12 @@ def assert_same_vector(got, want):
     assert list(got.cardinalities.items()) == list(want.cardinalities.items())
 
 
-def assert_plan_space_matches_builds(optimizer, interactions, signal_values=None):
+def assert_plan_space_matches_builds(optimizer, interactions):
     plans = optimizer.enumerate_plans()
-    episodes = optimizer.encode_candidates(
-        plans, interactions, signal_values=signal_values, normalize=False
-    )
+    episodes = optimizer.encode_candidates(plans, interactions, normalize=False)
     assert len(episodes) == 1 + len(interactions)
     for index, plan in enumerate(plans):
         built = optimizer.build(plan)
-        if signal_values:
-            built.dataflow.set_signal_values(dict(signal_values))
         want = reference_vector(optimizer.encoder, built, plan.plan_id)
         assert_same_vector(episodes[0][index], want)
         assert_same_vector(optimizer.encoder.encode_estimated(built, plan.plan_id), want)
@@ -277,10 +273,6 @@ def test_plan_space_vectors_equal_per_plan_builds(template_name, template_backen
     )
     optimizer = VegaPlusOptimizer(instance.spec, MiddlewareServer(template_backend))
     assert_plan_space_matches_builds(optimizer, interactions)
-    if interactions:
-        # Estimating under the signal values a session has reached so far.
-        reached = {**interactions[0], **interactions[1]}
-        assert_plan_space_matches_builds(optimizer, interactions[2:], signal_values=reached)
 
 
 def crossfilter_instance():
@@ -293,9 +285,15 @@ def test_plan_space_reads_zone_maps_and_feedback_like_a_build(template_rows):
     instance = crossfilter_instance()
     rng = np.random.default_rng(9)
     interactions = [instance.sample_interaction(rng) for _ in range(2)]
-    # Every brush numeric, so the filter's range selectivities are analysed.
-    reached = instance.template.initial_signals(instance.schema, instance.bound.fields)
-    reached.update(interactions[0])
+    # Every brush numeric (moved once), so the filter's range selectivities
+    # are analysed.
+    spec = {
+        **instance.spec,
+        "signals": [
+            {**signal, "value": interactions[0].get(signal["name"], signal["value"])}
+            for signal in instance.spec["signals"]
+        ],
+    }
     clustered = sorted(template_rows, key=lambda row: row["distance"])
 
     def first_episode(partitioned, feedback=None):
@@ -303,11 +301,9 @@ def test_plan_space_reads_zone_maps_and_feedback_like_a_build(template_rows):
         backend.register_rows("flights", clustered)
         if partitioned:
             backend.repartition("flights", 400)
-        optimizer = VegaPlusOptimizer(
-            instance.spec, MiddlewareServer(backend), feedback=feedback
-        )
-        plans = assert_plan_space_matches_builds(optimizer, interactions, signal_values=reached)
-        vectors = optimizer.encode_candidates(plans, signal_values=reached, normalize=False)[0]
+        optimizer = VegaPlusOptimizer(spec, MiddlewareServer(backend), feedback=feedback)
+        plans = assert_plan_space_matches_builds(optimizer, interactions)
+        vectors = optimizer.encode_candidates(plans, normalize=False)[0]
         backend.close()
         return optimizer, plans, vectors
 
