@@ -32,7 +32,7 @@ N_ROWS = scaled_size(50_000, floor=5_000)
 
 @pytest.fixture(scope="module")
 def flights_db():
-    database = Database(keep_query_log=False)
+    database = Database()
     database.register_rows("flights", generate_dataset("flights", N_ROWS, seed=0))
     return database
 

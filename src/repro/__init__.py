@@ -10,7 +10,8 @@ This package re-implements the full stack in Python:
 
 * :mod:`repro.sql` - an in-memory columnar SQL engine (the DBMS substrate),
 * :mod:`repro.backends` - the pluggable server-side backend seam (the
-  embedded engine plus a stdlib ``sqlite3`` backend),
+  embedded engine's :class:`~repro.sql.engine.Database` plus a stdlib
+  ``sqlite3`` backend),
 * :mod:`repro.dataflow` / :mod:`repro.vega` - a reactive Vega-like dataflow
   runtime and specification layer (the client substrate),
 * :mod:`repro.expr` - the Vega expression language and its SQL translation,
@@ -43,10 +44,8 @@ Quickstart::
 
 from repro.sql import Database
 from repro.backends import (
-    EmbeddedBackend,
     SQLBackend,
     SqliteBackend,
-    as_backend,
     backend_names,
     create_backend,
 )
@@ -62,7 +61,6 @@ from repro.core import (
     RandomComparator,
 )
 from repro.server import ClientSession, RequestScheduler, SessionManager
-from repro.vega import VegaRuntime
 from repro.baselines import VegaNativeSystem, VegaFusionSystem
 
 __version__ = "0.4.0"
@@ -70,9 +68,7 @@ __version__ = "0.4.0"
 __all__ = [
     "Database",
     "SQLBackend",
-    "EmbeddedBackend",
     "SqliteBackend",
-    "as_backend",
     "backend_names",
     "create_backend",
     "VegaPlusSystem",
@@ -84,7 +80,6 @@ __all__ = [
     "RandomForestComparator",
     "HeuristicComparator",
     "RandomComparator",
-    "VegaRuntime",
     "VegaNativeSystem",
     "VegaFusionSystem",
     "ClientSession",

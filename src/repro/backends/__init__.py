@@ -7,31 +7,28 @@ package is the reproduction's equivalent seam.  Every backend implements
 generating SQL (NULL-ordering clauses, window frames, supported
 functions).  Two backends ship today:
 
-* :class:`EmbeddedBackend` — the original in-process columnar engine
-  (:mod:`repro.sql`), the default and the semantic reference,
-* :class:`SqliteBackend` — stdlib ``sqlite3``, an independent SQL
-  implementation used to cross-validate results.
+* ``"embedded"`` — :class:`~repro.sql.engine.Database`, the in-process
+  columnar engine (:mod:`repro.sql`), the default and the semantic
+  reference,
+* ``"sqlite"`` — :class:`SqliteBackend` on stdlib ``sqlite3``, an
+  independent SQL implementation used to cross-validate results.
 
 Construct one directly, or by name::
 
     backend = create_backend("sqlite")
     backend.register_rows("flights", rows)
     system = VegaPlusSystem(spec, backend)
-
-``as_backend`` adapts a raw :class:`~repro.sql.engine.Database` (the
-pre-backend API) so existing call sites keep working unchanged.
 """
 
 from __future__ import annotations
 
 from repro.backends.base import BackendCapabilities, SQLBackend
-from repro.backends.embedded import EMBEDDED_CAPABILITIES, EmbeddedBackend
 from repro.backends.sqlite import SQLITE_CAPABILITIES, SqliteBackend
-from repro.sql.engine import Database
+from repro.sql.engine import EMBEDDED_CAPABILITIES, Database
 
 #: Registry of constructible backends by name.
 BACKENDS: dict[str, type[SQLBackend]] = {
-    EmbeddedBackend.name: EmbeddedBackend,
+    Database.name: Database,
     SqliteBackend.name: SqliteBackend,
 }
 
@@ -52,30 +49,13 @@ def create_backend(name: str, **kwargs: object) -> SQLBackend:
     return backend_class(**kwargs)
 
 
-def as_backend(database: SQLBackend | Database) -> SQLBackend:
-    """Adapt ``database`` to the backend protocol.
-
-    A :class:`SQLBackend` passes through; a raw :class:`Database` is
-    wrapped in an :class:`EmbeddedBackend` sharing its catalog/metrics.
-    """
-    if isinstance(database, SQLBackend):
-        return database
-    if isinstance(database, Database):
-        return EmbeddedBackend(database)
-    raise TypeError(
-        f"expected a SQLBackend or Database, got {type(database).__name__}"
-    )
-
-
 __all__ = [
     "BACKENDS",
     "BackendCapabilities",
     "EMBEDDED_CAPABILITIES",
-    "EmbeddedBackend",
     "SQLBackend",
     "SQLITE_CAPABILITIES",
     "SqliteBackend",
-    "as_backend",
     "backend_names",
     "create_backend",
 ]

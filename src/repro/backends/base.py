@@ -121,9 +121,9 @@ class SQLBackend(abc.ABC):
     """Abstract server-side SQL engine.
 
     Concrete backends own a table catalog, execute SQL strings, and track
-    cumulative :class:`~repro.sql.engine.EngineMetrics`.  The surface
-    deliberately mirrors the original :class:`~repro.sql.engine.Database`
-    facade so existing call sites work with any backend.
+    cumulative :class:`~repro.sql.engine.EngineMetrics`.  The embedded
+    engine, :class:`~repro.sql.engine.Database`, is one; so is
+    :class:`~repro.backends.sqlite.SqliteBackend`.
     """
 
     #: Short identifier used in cache keys, benchmark output and logs.
@@ -173,7 +173,8 @@ class SQLBackend(abc.ABC):
     @property
     @abc.abstractmethod
     def catalog(self) -> Catalog:
-        """The catalog of registered tables (used by the cost estimator)."""
+        """The catalog of registered tables (statistics, zone maps and
+        table-replacement events)."""
 
     # ------------------------------------------------------------------ #
     # Query execution

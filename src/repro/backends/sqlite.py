@@ -22,6 +22,9 @@ Dialect shims applied to reach the shared semantics:
 * math scalar functions (``FLOOR``, ``CEIL``, ...) are registered as UDFs
   only when the linked SQLite build lacks them
   (``SQLITE_ENABLE_MATH_FUNCTIONS`` is common but not guaranteed),
+* ``ROUND`` is always replaced by a UDF that rounds ties to even, as the
+  engine (``np.round``) and the client evaluator (``round``) do — native
+  SQLite rounds ties away from zero,
 * NaN is stored as NULL on load — SQLite has no NaN, and NaN *is* the
   embedded engine's NULL encoding.
 
@@ -50,7 +53,6 @@ from repro.backends.base import BackendCapabilities, SQLBackend
 from repro.errors import ExecutionError, ReproError
 from repro.sql.engine import EngineMetrics, QueryResult
 from repro.sql.executor import ExecutionStats
-from repro.sql.explain import CostEstimator, QueryCostEstimate
 from repro.sql.ivm import IVMConfig, IVMManager
 from repro.sql.plancache import PlanCache
 from repro.sql.planner import LogicalPlan
@@ -81,6 +83,14 @@ _SCALAR_FALLBACKS: dict[str, tuple[int, object]] = {
     "EXP": (1, lambda x: None if x is None else math.exp(x)),
     "POWER": (2, lambda x, y: None if x is None or y is None else float(x) ** float(y)),
 }
+
+
+def _round(value: float | None, digits: float | None = 0) -> float | None:
+    """``ROUND`` as the engine computes it (``functions._scalar_round``)."""
+    if value is None:
+        return None
+    return float(np.round(float(value), 0 if digits is None else int(digits)))
+
 
 #: Clauses the SQL generator adds for this dialect; stripped before the
 #: embedded planner sees the text (it has no such syntax).
@@ -130,9 +140,9 @@ class SqliteBackend(SQLBackend):
     """An in-memory SQLite database behind the backend seam.
 
     Registered tables are mirrored twice: loaded into SQLite for
-    execution, and kept in a :class:`Catalog` so the optimizer's cost
-    estimator and plan encoder see the same table statistics they would
-    on the embedded backend.
+    execution, and kept in a :class:`Catalog` so the optimizer's plan
+    encoder sees the same table statistics it would on the embedded
+    backend.
 
     Each thread that touches the backend gets its own ``sqlite3``
     connection to one shared-cache in-memory database, so concurrent
@@ -151,9 +161,6 @@ class SqliteBackend(SQLBackend):
 
     Parameters
     ----------
-    keep_query_log:
-        When True (default) the text of every executed query is kept in
-        :attr:`metrics`, mirroring the embedded engine's flag.
     ivm:
         When True (default) brush sequences over eligible aggregates are
         answered via incremental view maintenance instead of SQL
@@ -168,13 +175,7 @@ class SqliteBackend(SQLBackend):
     #: Distinguishes the shared-cache URI of each live backend instance.
     _instance_ids = itertools.count()
 
-    def __init__(
-        self,
-        keep_query_log: bool = True,
-        ivm: bool = True,
-        ivm_config: IVMConfig | None = None,
-        **_ignored: object,
-    ) -> None:
+    def __init__(self, ivm: bool = True, ivm_config: IVMConfig | None = None) -> None:
         self._uri = (
             f"file:repro-sqlite-{os.getpid()}-{next(self._instance_ids)}"
             "?mode=memory&cache=shared"
@@ -184,7 +185,6 @@ class SqliteBackend(SQLBackend):
         self._connections_lock = threading.Lock()
         self._closed = False
         self._catalog = Catalog()
-        self._keep_query_log = keep_query_log
         self._metrics = EngineMetrics()
         if ivm:
             config = ivm_config if ivm_config is not None else IVMConfig()
@@ -293,19 +293,7 @@ class SqliteBackend(SQLBackend):
     # Query execution
     # ------------------------------------------------------------------ #
     def execute(self, sql: str) -> QueryResult:
-        """Execute ``sql`` on SQLite and return a :class:`QueryResult`.
-
-        ``EXPLAIN SELECT ...`` follows the embedded engine's convention:
-        a single-column table holding the textual cost estimate (sqlite's
-        native EXPLAIN emits VM opcodes, useless to the optimizer).
-        """
-        stripped = sql.lstrip()
-        if stripped.upper().startswith("EXPLAIN "):
-            estimate = self.explain(stripped)
-            table = Table.from_columns({"plan": estimate.pretty().split("\n")})
-            result = QueryResult(sql=sql, table=table, elapsed_seconds=0.0, stats=ExecutionStats())
-            self.metrics.record(result, self._keep_query_log)
-            return result
+        """Execute ``sql`` on SQLite and return a :class:`QueryResult`."""
         if self._ivm is not None:
             start = time.perf_counter()
             plan = self._logical_plan(sql)
@@ -318,7 +306,7 @@ class SqliteBackend(SQLBackend):
                     elapsed_seconds=time.perf_counter() - start,
                     stats=stats,
                 )
-                self.metrics.record(result, self._keep_query_log)
+                self._metrics.record(result)
                 return result
         start = time.perf_counter()
         try:
@@ -329,7 +317,7 @@ class SqliteBackend(SQLBackend):
         elapsed = time.perf_counter() - start
         table = table_from_cursor(cursor.description, rows)
         result = QueryResult(sql=sql, table=table, elapsed_seconds=elapsed, stats=ExecutionStats())
-        self.metrics.record(result, self._keep_query_log)
+        self._metrics.record(result)
         return result
 
     def _logical_plan(self, sql: str) -> LogicalPlan | None:
@@ -343,18 +331,6 @@ class SqliteBackend(SQLBackend):
 
     def clear_plan_cache(self) -> None:
         self._plans.clear()
-
-    def explain(self, sql: str) -> QueryCostEstimate:
-        """Cost estimate for ``sql`` from the shared cost model.
-
-        Cost estimation is backend-independent (it reads catalog
-        statistics, not the engine), so the embedded planner estimates
-        sqlite-bound queries too; dialect-only clauses the embedded
-        parser does not know are stripped first.
-        """
-        text = sql.removeprefix("EXPLAIN ").removeprefix("explain ")
-        plan = self._plans.plan(_strip_dialect(text))
-        return CostEstimator(self._catalog).estimate(plan)
 
     def close(self) -> None:
         """Close every per-thread connection (frees the shared database)."""
@@ -370,14 +346,18 @@ class SqliteBackend(SQLBackend):
     # ------------------------------------------------------------------ #
     @staticmethod
     def _register_functions(connection: sqlite3.Connection) -> None:
-        """Install aggregate UDFs and any missing math scalar functions.
+        """Install aggregate UDFs, ``ROUND`` and any missing math scalar
+        functions.
 
         UDFs are connection-scoped in sqlite3, so this runs once per
-        per-thread connection.
+        per-thread connection.  A UDF overrides the built-in of the same
+        name and arity.
         """
         connection.create_aggregate("MEDIAN", 1, _Median)
         connection.create_aggregate("STDDEV", 1, _Stddev)
         connection.create_aggregate("VARIANCE", 1, _Variance)
+        connection.create_function("ROUND", 1, _round, deterministic=True)
+        connection.create_function("ROUND", 2, _round, deterministic=True)
         for function_name, (arity, impl) in _SCALAR_FALLBACKS.items():
             probe = f"SELECT {function_name}({', '.join(['1.0'] * arity)})"
             try:

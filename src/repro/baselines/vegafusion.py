@@ -15,7 +15,6 @@ from repro.core.system import InteractionResult, VegaPlusSystem
 from repro.net.channel import NetworkModel
 from repro.net.serialize import ArrowCodec, Codec
 from repro.backends import SQLBackend
-from repro.sql.engine import Database
 from repro.vega.spec import VegaSpec
 
 
@@ -30,7 +29,7 @@ class VegaFusionSystem(VegaPlusSystem):
     def __init__(
         self,
         spec: VegaSpec | dict,
-        database: SQLBackend | Database,
+        database: SQLBackend,
         network: NetworkModel | None = None,
         codec: Codec | None = None,
     ) -> None:

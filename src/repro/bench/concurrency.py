@@ -219,7 +219,7 @@ def run_scenario(
     response to the serial rows.
     """
     sessions_sql = build_sessions(scenario, n_sessions, queries_per_session, seed=seed)
-    database = create_backend(backend, keep_query_log=False)
+    database = create_backend(backend)
     database.register_rows("flights", generate_dataset("flights", n_rows, seed=seed))
 
     # Serial baseline: the same workload, one query at a time, straight on

@@ -180,7 +180,7 @@ class BenchmarkHarness:
         """A backend with the dataset registered (memoised per size)."""
         key = (dataset, n_rows)
         if key not in self._database_cache:
-            database = create_backend(self.backend_name, keep_query_log=False)
+            database = create_backend(self.backend_name)
             database.register_rows(dataset, generate_dataset(dataset, n_rows, seed=self.seed))
             self._database_cache[key] = database
         return self._database_cache[key]

@@ -190,10 +190,8 @@ def run_ivm_trajectory(
 
     # register_after=1: the view materializes on first sight, so the warm
     # pass builds it and every measured step runs the maintenance path.
-    ivm_backend: SQLBackend = create_backend(
-        backend, keep_query_log=False, ivm_config=IVMConfig(register_after=1)
-    )
-    rescan_backend: SQLBackend = create_backend(backend, keep_query_log=False, ivm=False)
+    ivm_backend: SQLBackend = create_backend(backend, ivm_config=IVMConfig(register_after=1))
+    rescan_backend: SQLBackend = create_backend(backend, ivm=False)
     result = IVMRunResult(
         backend=backend, n_rows=n_rows, steps=len(queries), query_kind=query_kind
     )

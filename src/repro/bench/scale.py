@@ -203,7 +203,7 @@ def _build_backend(backend: str) -> SQLBackend:
     # (flat vs partitioned), and the repeated query mix would otherwise
     # be answered from maintained views on both sides, compressing the
     # ratio toward 1.  The IVM axis has its own sweep (repro.bench.ivm).
-    return create_backend(backend, keep_query_log=False, ivm=False)
+    return create_backend(backend, ivm=False)
 
 
 def run_scale_point(

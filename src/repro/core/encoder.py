@@ -14,11 +14,12 @@ Two encoding modes are provided:
 
 * *measured* — cardinalities read from an executed dataflow (used to build
   training data, where every candidate plan is executed anyway);
-* *estimated* — cardinalities predicted from the DBMS ``EXPLAIN``-style
+* *estimated* — cardinalities predicted from the backend catalog's
   statistics (table row counts, per-column distinct counts and ranges,
-  signal-aware filter selectivities) for VDT queries and simple
-  propagation rules for client operators (used at optimization time, when
-  candidate plans must be ranked without being executed).
+  zone maps, signal-aware filter selectivities) for VDT queries and
+  simple propagation rules for client operators (used at optimization
+  time, when candidate plans must be ranked without being executed).
+  This module is the system's one cardinality estimator.
 
 Estimates are additionally *calibrated* when the encoder is given a
 :class:`~repro.storage.statistics.CardinalityFeedback` store: every VDT
@@ -44,7 +45,6 @@ from repro.expr.nodes import BinaryNode, IdentifierNode, MemberNode, NumberNode
 from repro.rewrite.rewriter import RewrittenDataflow
 from repro.rewrite.vdt import VegaDBMSTransform
 from repro.backends import SQLBackend
-from repro.sql.engine import Database
 from repro.storage.statistics import (
     CardinalityFeedback,
     TableStatistics,
@@ -286,7 +286,7 @@ class PlanEncoder:
 
     def __init__(
         self,
-        database: SQLBackend | Database | None = None,
+        database: SQLBackend | None = None,
         feedback: CardinalityFeedback | None = None,
     ) -> None:
         self._database = database
@@ -326,7 +326,7 @@ class PlanEncoder:
     def encode_estimated(
         self, rewritten: RewrittenDataflow, plan_id: int, episode: int = 0
     ) -> PlanVector:
-        """Encode without executing, using EXPLAIN-style estimates."""
+        """Encode without executing, using catalog-statistics estimates."""
         return fold_records(self.operator_records(rewritten), plan_id, episode)
 
     def operator_records(self, rewritten: RewrittenDataflow) -> list[OperatorRecord]:
@@ -445,8 +445,7 @@ def _aggregate_groups(
     """Estimated group count of a server-side aggregate.
 
     Uses the per-column distinct counts (independence assumption) when
-    the group keys are plain table columns with statistics, mirroring the
-    engine's EXPLAIN.  Keys produced by an earlier ``bin`` in the chain
+    the group keys are plain table columns with statistics.  Keys produced by an earlier ``bin`` in the chain
     are bounded by its ``maxbins`` — counted once per originating bin,
     since bin-edge pairs are perfectly correlated.  Falls back to the
     fixed fan-out guess when a key is entirely unknown.

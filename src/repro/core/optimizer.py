@@ -2,9 +2,10 @@
 
 Given a specification, a backend database (via the middleware) and a plan
 comparator, the optimizer enumerates candidate plans, encodes them (without
-executing them) using EXPLAIN-style estimates, optionally derives one
-vector per anticipated interaction, and selects the plan the comparator
-predicts to be fastest for the whole session.
+executing them) from cardinalities that :mod:`repro.core.encoder` estimates
+from catalog statistics, optionally derives one vector per anticipated
+interaction, and selects the plan the comparator predicts to be fastest
+for the whole session.
 
 The optimizer decides once per session, before it starts
 (:meth:`VegaPlusOptimizer.choose_plan`).  The only runtime input it reads
@@ -121,7 +122,8 @@ class VegaPlusOptimizer:
     feedback:
         Optional :class:`~repro.storage.statistics.CardinalityFeedback`
         store of observed result cardinalities; when given, candidate
-        encodings blend EXPLAIN-style estimates with live observations.
+        encodings blend the encoder's static estimates with live
+        observations.
     """
 
     def __init__(

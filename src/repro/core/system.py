@@ -21,7 +21,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.backends import SQLBackend, as_backend
+from repro.backends import SQLBackend
 from repro.core.comparators import HeuristicComparator, PlanComparator
 from repro.core.encoder import vdt_shape_key
 from repro.core.optimizer import OptimizationResult, VegaPlusOptimizer
@@ -31,7 +31,6 @@ from repro.net.channel import NetworkModel
 from repro.net.middleware import MiddlewareServer
 from repro.net.serialize import ArrowCodec, Codec
 from repro.rewrite.rewriter import RewrittenDataflow
-from repro.sql.engine import Database
 from repro.storage.statistics import CardinalityFeedback
 from repro.vega.spec import VegaSpec, parse_spec_dict
 
@@ -85,8 +84,8 @@ class VegaPlusSystem:
     spec:
         The dashboard's Vega specification.
     database:
-        The server-side backend (any :class:`SQLBackend`, or a raw
-        :class:`Database`).  May be omitted when ``middleware`` is given.
+        The server-side backend (any :class:`SQLBackend`).  May be
+        omitted when ``middleware`` is given.
     middleware:
         An existing query service to execute through instead of building
         a private :class:`MiddlewareServer` — either a shared middleware
@@ -103,7 +102,7 @@ class VegaPlusSystem:
     def __init__(
         self,
         spec: VegaSpec | dict,
-        database: SQLBackend | Database | None = None,
+        database: SQLBackend | None = None,
         comparator: PlanComparator | None = None,
         network: NetworkModel | None = None,
         codec: Codec | None = None,
@@ -118,10 +117,8 @@ class VegaPlusSystem:
             self.middleware = middleware
             self.database = middleware.database
         elif database is not None:
-            #: The server-side SQL backend; a raw :class:`Database` is
-            #: adapted to the backend protocol so pre-backend call sites
-            #: keep working.
-            self.database = as_backend(database)
+            #: The server-side SQL backend.
+            self.database = database
             self.middleware = MiddlewareServer(
                 self.database,
                 network=network or NetworkModel.lan(),

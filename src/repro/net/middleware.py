@@ -32,12 +32,11 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.backends import SQLBackend, as_backend
+from repro.backends import SQLBackend
 from repro.backends.base import BackendCapabilities
 from repro.net.cache import QueryCache
 from repro.net.channel import NetworkModel
 from repro.net.serialize import ArrowCodec, Codec, PayloadEstimate
-from repro.sql.engine import Database
 from repro.storage.resultset import ResultSet
 
 if TYPE_CHECKING:  # avoids a runtime repro.net ↔ repro.server cycle
@@ -105,8 +104,7 @@ class MiddlewareServer:
     Parameters
     ----------
     database:
-        The backend DBMS: any :class:`SQLBackend`, or a raw
-        :class:`Database` (wrapped in an embedded backend).
+        The backend DBMS: any :class:`SQLBackend`.
     network:
         Default latency/bandwidth model of the client↔middleware link
         (sessions may override per request via :meth:`serve`).
@@ -127,7 +125,7 @@ class MiddlewareServer:
 
     def __init__(
         self,
-        database: SQLBackend | Database,
+        database: SQLBackend,
         network: NetworkModel | None = None,
         codec: Codec | None = None,
         enable_cache: bool = True,
@@ -138,7 +136,7 @@ class MiddlewareServer:
         server_cache_bytes: int | None = None,
         scheduler: RequestScheduler | None = None,
     ) -> None:
-        self.database = as_backend(database)
+        self.database = database
         self.network = network or NetworkModel.lan()
         self.codec = codec or ArrowCodec()
         self.enable_cache = enable_cache

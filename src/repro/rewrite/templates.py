@@ -16,8 +16,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
-from repro.backends.base import BackendCapabilities
-from repro.backends.embedded import EMBEDDED_CAPABILITIES
+from repro.backends import EMBEDDED_CAPABILITIES, BackendCapabilities
 from repro.errors import ExpressionTranslationError, RewriteError
 from repro.expr import to_sql
 from repro.dataflow.transforms.bin import compute_bins

@@ -39,7 +39,6 @@ from repro.net.cache import QueryCache
 from repro.net.channel import NetworkModel
 from repro.net.middleware import MiddlewareServer, QueryResponse
 from repro.server.scheduler import RequestScheduler
-from repro.sql.engine import Database
 
 #: Percentile levels reported by latency summaries.
 LATENCY_PERCENTILES = (50, 95, 99)
@@ -191,7 +190,7 @@ class SessionManager:
     @classmethod
     def for_backend(
         cls,
-        database: SQLBackend | Database,
+        database: SQLBackend,
         max_workers: int = 4,
         network: NetworkModel | None = None,
         scheduler: RequestScheduler | None = None,

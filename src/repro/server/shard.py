@@ -144,7 +144,7 @@ class ShardSpec:
     def build_backend(self) -> SQLBackend:
         if self.backend_factory is not None:
             return self.backend_factory()
-        database = create_backend(self.backend, keep_query_log=False)
+        database = create_backend(self.backend)
         for spec in self.tables:
             database.register_rows(
                 spec.name, generate_dataset(spec.dataset, spec.n_rows, seed=spec.seed)

@@ -7,7 +7,7 @@ predicates, GROUP BY and ORDER BY keys.  Statement-level nodes describe one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 # --------------------------------------------------------------------------- #
@@ -266,7 +266,6 @@ class SelectStatement:
     limit: int | None = None
     offset: int | None = None
     distinct: bool = False
-    explain: bool = False
 
     def __str__(self) -> str:
         parts = ["SELECT"]
@@ -286,10 +285,7 @@ class SelectStatement:
             parts.append(f"LIMIT {self.limit}")
         if self.offset is not None:
             parts.append(f"OFFSET {self.offset}")
-        sql = " ".join(parts)
-        if self.explain:
-            return f"EXPLAIN {sql}"
-        return sql
+        return " ".join(parts)
 
 
 # --------------------------------------------------------------------------- #

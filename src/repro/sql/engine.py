@@ -1,9 +1,10 @@
 """The `Database` facade: a DuckDB-like embedded SQL engine.
 
-This is the public entry point of :mod:`repro.sql`.  It owns a catalog of
-registered tables and runs the full pipeline (tokenize → parse → plan →
-optimise → execute) for each query, recording timing and row counts so the
-VegaPlus optimizer and the benchmark harness can observe server-side work.
+This is the public entry point of :mod:`repro.sql` and the ``"embedded"``
+:class:`~repro.backends.base.SQLBackend`.  It owns a catalog of registered
+tables and runs the full pipeline (tokenize → parse → plan → optimise →
+execute) for each query, recording timing and row counts so the VegaPlus
+optimizer and the benchmark harness can observe server-side work.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
+from repro.backends.base import BackendCapabilities, SQLBackend
 from repro.sql.executor import ExecutionStats, Executor
-from repro.sql.explain import CostEstimator, QueryCostEstimate
 from repro.sql.ivm import IVMConfig, IVMManager
 from repro.sql.plancache import PlanCache
 from repro.sql.planner import LogicalPlan
@@ -101,12 +102,11 @@ class EngineMetrics:
     ivm_fallbacks: int = 0
     ivm_fallback_rows: int = 0
     ivm_invalidations: int = 0
-    query_log: list[str] = field(default_factory=list)
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
 
-    def record(self, result: QueryResult, keep_log: bool) -> None:
+    def record(self, result: QueryResult) -> None:
         """Record one executed query."""
         with self._lock:
             self.queries_executed += 1
@@ -120,8 +120,6 @@ class EngineMetrics:
             self.total_partitions_pruned += result.stats.partitions_pruned
             self.total_morsel_tasks += result.stats.morsel_tasks
             self.total_morsel_tasks_inline += result.stats.morsel_tasks_inline
-            if keep_log:
-                self.query_log.append(result.sql)
 
     def count(self, counter: str) -> None:
         """Add one to the named counter field (the plan cache's hit /
@@ -211,17 +209,34 @@ class EngineMetrics:
             self.ivm_fallbacks = 0
             self.ivm_fallback_rows = 0
             self.ivm_invalidations = 0
-            self.query_log.clear()
 
 
-class Database:
-    """An embedded, in-memory analytical SQL database.
+#: Dialect description of the embedded engine.  Concurrent execution is
+#: safe because the engine's shared mutable state (plan-cache LRU, metrics
+#: counters, catalog registry) is internally locked; query execution
+#: itself only reads the immutable column arrays.
+EMBEDDED_CAPABILITIES = BackendCapabilities(
+    name="embedded",
+    supports_window_functions=True,
+    supports_nulls_ordering_clause=False,
+    nulls_sort_largest=True,
+    default_window_frame_is_rows=True,
+    thread_safe=True,
+    connection_strategy="shared",
+    partitioning=True,
+)
+
+
+class Database(SQLBackend):
+    """An embedded, in-memory analytical SQL database: the default backend.
+
+    It is the semantic reference for the differential suite — its dialect
+    needs no NULL-ordering or window-frame shims because the engine was
+    built to the shared contract (numbers < strings < NULL, NULL last
+    under ASC / first under DESC, ROWS-frame running aggregates).
 
     Parameters
     ----------
-    keep_query_log:
-        When True (default) the text of every executed query is kept in
-        :attr:`metrics` — handy for tests and for the caching layer.
     ivm:
         When True (default) eligible crossfilter-style queries are
         answered by incrementally maintained materialized views (see
@@ -230,22 +245,31 @@ class Database:
         registry's tunables.
     """
 
+    name = "embedded"
+
     def __init__(
         self,
-        keep_query_log: bool = True,
         plan_cache_size: int = 256,
         ivm: bool = True,
         ivm_config: IVMConfig | None = None,
     ) -> None:
         self._catalog = Catalog()
-        self._keep_query_log = keep_query_log
-        self.metrics = EngineMetrics()
-        self._plans = PlanCache(self.metrics, plan_cache_size)
+        self._metrics = EngineMetrics()
+        self._plans = PlanCache(self._metrics, plan_cache_size)
         self.ivm: IVMManager | None = (
-            IVMManager(self._catalog, metrics=self.metrics, config=ivm_config)
+            IVMManager(self._catalog, metrics=self._metrics, config=ivm_config)
             if ivm
             else None
         )
+
+    @property
+    def capabilities(self) -> BackendCapabilities:
+        return EMBEDDED_CAPABILITIES
+
+    @property
+    def metrics(self) -> EngineMetrics:
+        """Cumulative counters across every executed query."""
+        return self._metrics
 
     # ------------------------------------------------------------------ #
     # Table registration
@@ -318,32 +342,13 @@ class Database:
         """Drop all cached prepared plans and plan templates."""
         self._plans.clear()
 
-    def explain(self, sql: str) -> QueryCostEstimate:
-        """Return the cost estimate the engine's EXPLAIN would produce."""
-        text = sql.removeprefix("EXPLAIN ").removeprefix("explain ")
-        return CostEstimator(self._catalog).estimate(self.plan(text))
-
     def execute(self, sql: str) -> QueryResult:
-        """Execute ``sql`` and return a :class:`QueryResult`.
-
-        ``EXPLAIN SELECT ...`` queries return a single-column table with
-        the textual plan instead of executing the query.
-        """
+        """Execute ``sql`` and return a :class:`QueryResult`."""
         plan = self.plan(sql)
-        if plan.explain:
-            estimate = CostEstimator(self._catalog).estimate(plan)
-            table = Table.from_columns({"plan": estimate.pretty().split("\n")})
-            result = QueryResult(sql=sql, table=table, elapsed_seconds=0.0, stats=ExecutionStats())
-            self.metrics.record(result, self._keep_query_log)
-            return result
         start = time.perf_counter()
         hit = self.ivm.attempt(plan) if self.ivm is not None else None
         table, stats = hit if hit is not None else Executor(self._catalog).execute(plan)
         elapsed = time.perf_counter() - start
         result = QueryResult(sql=sql, table=table, elapsed_seconds=elapsed, stats=stats)
-        self.metrics.record(result, self._keep_query_log)
+        self._metrics.record(result)
         return result
-
-    def query_rows(self, sql: str) -> list[dict[str, object]]:
-        """Convenience wrapper returning the result rows directly."""
-        return self.execute(sql).to_rows()

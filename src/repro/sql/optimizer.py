@@ -41,7 +41,6 @@ from repro.sql.planner import (
     LogicalPlan,
     PlanNode,
     ProjectNode,
-    ScanNode,
     SortNode,
     SubqueryNode,
     WindowNode,
@@ -167,7 +166,7 @@ def optimize_plan(plan: LogicalPlan) -> LogicalPlan:
     root = _optimize_node(plan.root)
     root = _push_filters(root)
     root = _merge_filters(root)
-    return LogicalPlan(root=root, statement=plan.statement, explain=plan.explain)
+    return LogicalPlan(root=root, statement=plan.statement)
 
 
 def _optimize_node(node: PlanNode) -> PlanNode:

@@ -2,7 +2,7 @@
 
 Grammar (informal)::
 
-    statement   := [EXPLAIN] select
+    statement   := select
     select      := SELECT [DISTINCT] item (, item)* FROM source
                    [WHERE expr] [GROUP BY expr (, expr)*] [HAVING expr]
                    [ORDER BY order (, order)*] [LIMIT n] [OFFSET n]
@@ -111,21 +111,7 @@ class _Parser:
     # Statement parsing
     # -------------------------------------------------------------- #
     def parse_statement(self) -> SelectStatement:
-        explain = self._match_keyword("EXPLAIN")
         stmt = self._parse_select()
-        if explain:
-            stmt = SelectStatement(
-                items=stmt.items,
-                source=stmt.source,
-                where=stmt.where,
-                group_by=stmt.group_by,
-                having=stmt.having,
-                order_by=stmt.order_by,
-                limit=stmt.limit,
-                offset=stmt.offset,
-                distinct=stmt.distinct,
-                explain=True,
-            )
         if self._peek().ttype is not TokenType.EOF:
             raise self._error("unexpected trailing input")
         return stmt

@@ -2,8 +2,7 @@
 
 One component, used by every backend that plans through the embedded
 planner (the engine for execution, the sqlite backend for IVM
-interception and EXPLAIN), holding two LRU levels under one lock and
-one size:
+interception), holding two LRU levels under one lock and one size:
 
 * **exact** — whitespace-normalised SQL text → :class:`LogicalPlan`;
   a re-issued query skips tokenize → parse → plan → optimise entirely,

@@ -9,7 +9,7 @@ Limit) with nesting only through sub-query sources.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import PlanningError
 from repro.sql.ast_nodes import (
@@ -47,10 +47,6 @@ class PlanNode:
         """Child nodes (empty for leaves)."""
         return []
 
-    def label(self) -> str:
-        """Short human-readable label used by EXPLAIN output."""
-        return type(self).__name__
-
 
 @dataclass
 class ScanNode(PlanNode):
@@ -68,9 +64,6 @@ class ScanNode(PlanNode):
     alias: str | None = None
     columns: frozenset[str] | None = None
 
-    def label(self) -> str:
-        return f"Scan({self.table_name})"
-
 
 @dataclass
 class SubqueryNode(PlanNode):
@@ -81,9 +74,6 @@ class SubqueryNode(PlanNode):
 
     def children(self) -> list[PlanNode]:
         return [self.plan]
-
-    def label(self) -> str:
-        return "Subquery"
 
 
 @dataclass
@@ -96,9 +86,6 @@ class FilterNode(PlanNode):
     def children(self) -> list[PlanNode]:
         return [self.child]
 
-    def label(self) -> str:
-        return f"Filter({self.predicate})"
-
 
 @dataclass
 class ProjectNode(PlanNode):
@@ -109,9 +96,6 @@ class ProjectNode(PlanNode):
 
     def children(self) -> list[PlanNode]:
         return [self.child]
-
-    def label(self) -> str:
-        return "Project(" + ", ".join(str(i) for i in self.items) + ")"
 
 
 @dataclass
@@ -125,10 +109,6 @@ class AggregateNode(PlanNode):
     def children(self) -> list[PlanNode]:
         return [self.child]
 
-    def label(self) -> str:
-        keys = ", ".join(str(e) for e in self.group_by) or "<global>"
-        return f"Aggregate(by=[{keys}])"
-
 
 @dataclass
 class WindowNode(PlanNode):
@@ -139,9 +119,6 @@ class WindowNode(PlanNode):
 
     def children(self) -> list[PlanNode]:
         return [self.child]
-
-    def label(self) -> str:
-        return f"Window(n={len(self.windows)})"
 
 
 @dataclass
@@ -154,9 +131,6 @@ class SortNode(PlanNode):
     def children(self) -> list[PlanNode]:
         return [self.child]
 
-    def label(self) -> str:
-        return "Sort(" + ", ".join(str(k) for k in self.keys) + ")"
-
 
 @dataclass
 class LimitNode(PlanNode):
@@ -168,9 +142,6 @@ class LimitNode(PlanNode):
 
     def children(self) -> list[PlanNode]:
         return [self.child]
-
-    def label(self) -> str:
-        return f"Limit(limit={self.limit}, offset={self.offset})"
 
 
 @dataclass
@@ -197,9 +168,6 @@ class MaterializedNode(PlanNode):
 
     table: object = None
 
-    def label(self) -> str:
-        return f"Materialized(rows={getattr(self.table, 'num_rows', '?')})"
-
 
 @dataclass
 class LogicalPlan:
@@ -207,19 +175,6 @@ class LogicalPlan:
 
     root: PlanNode
     statement: SelectStatement
-    explain: bool = False
-
-    def pretty(self) -> str:
-        """Indented text rendering of the plan tree."""
-        lines: list[str] = []
-        _render(self.root, 0, lines)
-        return "\n".join(lines)
-
-
-def _render(node: PlanNode, depth: int, lines: list[str]) -> None:
-    lines.append("  " * depth + node.label())
-    for child in node.children():
-        _render(child, depth + 1, lines)
 
 
 # --------------------------------------------------------------------------- #
@@ -231,7 +186,7 @@ def build_logical_plan(statement: SelectStatement) -> LogicalPlan:
     """Construct the logical plan for a parsed statement."""
     root = _plan_query(statement)
     _record_scan_columns(root, None)
-    return LogicalPlan(root=root, statement=statement, explain=statement.explain)
+    return LogicalPlan(root=root, statement=statement)
 
 
 def _plan_query(statement: SelectStatement) -> PlanNode:
@@ -413,11 +368,6 @@ def _rewrite_having(predicate: Expression, items: tuple[SelectItem, ...]) -> Exp
         return expr
 
     return rewrite(predicate)
-
-
-def plan_cardinality_hint(node: PlanNode) -> str:
-    """Describe the node type for cost estimation grouping."""
-    return type(node).__name__
 
 
 # --------------------------------------------------------------------------- #
@@ -689,8 +639,6 @@ def ivm_template(plan: LogicalPlan) -> IVMTemplate | None:
     deltas (non-incrementable aggregate, DISTINCT aggregate, window
     function, expression that is neither a group key nor an aggregate).
     """
-    if plan.explain:
-        return None
     suffix: list[PlanNode] = []
     node = plan.root
     # Any FilterNode above the aggregate is necessarily HAVING: WHERE

@@ -220,7 +220,6 @@ def _map_statement(stmt: SelectStatement, slots: _Slots) -> SelectStatement:
         limit=limit,
         offset=offset,
         distinct=stmt.distinct,
-        explain=stmt.explain,
     )
 
 

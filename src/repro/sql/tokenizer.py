@@ -31,7 +31,7 @@ KEYWORDS = frozenset(
         "SELECT", "FROM", "WHERE", "GROUP", "BY", "ORDER", "HAVING", "LIMIT",
         "OFFSET", "AS", "AND", "OR", "NOT", "IN", "IS", "NULL", "BETWEEN",
         "LIKE", "ASC", "DESC", "DISTINCT", "CASE", "WHEN", "THEN", "ELSE",
-        "END", "OVER", "PARTITION", "ROWS", "TRUE", "FALSE", "EXPLAIN",
+        "END", "OVER", "PARTITION", "ROWS", "TRUE", "FALSE",
         "UNION", "ALL", "CAST",
     }
 )

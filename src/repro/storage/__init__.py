@@ -3,7 +3,8 @@
 The paper's server side is a relational DBMS (PostgreSQL or DuckDB).  This
 package provides the storage layer for our in-process substitute: columnar
 tables backed by numpy arrays, a catalog mapping names to tables, and basic
-per-column statistics used for cost estimation (``EXPLAIN``).
+per-column statistics from which the plan encoder (:mod:`repro.core.encoder`)
+estimates cardinalities.
 """
 
 from repro.storage.column import Column, ColumnType

@@ -1,10 +1,10 @@
-"""Table and column statistics for cost estimation.
+"""Table and column statistics for cardinality estimation.
 
-The VegaPlus optimizer leans on the DBMS ``EXPLAIN`` facility to estimate
-query costs (Section 3 of the paper).  Our SQL engine computes simple
-statistics per table — row counts, distinct-value estimates, min/max, null
-counts — which the :mod:`repro.sql.explain` module combines into
-cardinality and cost estimates.
+The VegaPlus optimizer estimates query cardinalities from DBMS statistics
+(Section 3 of the paper).  The catalog computes simple statistics per
+table — row counts, distinct-value estimates, min/max, null counts — which
+the plan encoder (:mod:`repro.core.encoder`) combines into the estimated
+cardinalities of each candidate plan's queries.
 
 Static statistics drift: selectivity heuristics assume uniformity, group
 counts assume independence, and the data itself may change under a live
@@ -38,13 +38,6 @@ class ColumnStatistics:
     num_distinct: int
     minimum: float | None = None
     maximum: float | None = None
-
-    @property
-    def null_fraction(self) -> float:
-        """Fraction of values that are NULL."""
-        if self.num_values == 0:
-            return 0.0
-        return self.num_nulls / self.num_values
 
     def selectivity_equals(self) -> float:
         """Estimated selectivity of an equality predicate on this column."""
@@ -97,7 +90,7 @@ FEEDBACK_CONFIDENCE = 2.0
 
 
 class CardinalityFeedback:
-    """Observed-cardinality corrections for EXPLAIN-style estimates.
+    """Observed-cardinality corrections for the encoder's static estimates.
 
     Thread-safe: systems sharing one store may record observations from
     several threads while another optimizes.

@@ -1,10 +1,9 @@
 """Vega specification layer.
 
 Provides a declarative, JSON-style specification format modelled after
-Vega's (signals, a data pipeline of transforms, scales, marks), a parser
-that compiles a specification into a :class:`~repro.dataflow.graph.Dataflow`,
-and a :class:`~repro.vega.runtime.VegaRuntime` that owns the compiled
-dataflow, renders the initial view and applies interaction updates.
+Vega's (signals, a data pipeline of transforms, scales, marks).  The one
+compiler from a specification to a client dataflow is the rewriter
+(:mod:`repro.rewrite.rewriter`): its all-client plan is plain Vega.
 """
 
 from repro.vega.spec import (
@@ -15,8 +14,6 @@ from repro.vega.spec import (
     MarkSpec,
     parse_spec_dict,
 )
-from repro.vega.parser import compile_spec, DataProvider
-from repro.vega.runtime import VegaRuntime, RenderResult
 
 __all__ = [
     "VegaSpec",
@@ -25,8 +22,4 @@ __all__ = [
     "ScaleSpec",
     "MarkSpec",
     "parse_spec_dict",
-    "compile_spec",
-    "DataProvider",
-    "VegaRuntime",
-    "RenderResult",
 ]

@@ -1,7 +1,8 @@
 """Backend-differential tests: every backend must return identical results.
 
-The shared query corpus below runs through the :class:`EmbeddedBackend`
-and the :class:`SqliteBackend` and asserts row-identical results:
+The shared query corpus below runs through the embedded engine
+(:class:`~repro.sql.engine.Database`) and the :class:`SqliteBackend` and
+asserts row-identical results:
 
 * **values** — numeric results agree to float tolerance (the two engines
   accumulate in different orders), everything else exactly,
@@ -27,18 +28,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import (
-    EmbeddedBackend,
-    SqliteBackend,
-    as_backend,
-    backend_names,
-    create_backend,
-)
+from repro.backends import SqliteBackend, backend_names, create_backend
 from repro.backends.base import BackendCapabilities
 from repro.bench.scale import row_sort_key, values_equal
 from repro.datasets import generate_dataset
 from repro.rewrite.templates import QueryFragment, apply_transform
-from repro.sql import Database
 
 settings.register_profile(
     "repro-diff", deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=15
@@ -181,6 +175,12 @@ CORPUS: list[tuple[str, object, bool]] = [
     ("scalar_functions", _plain(
         "SELECT ABS(v - 50) AS a, FLOOR(w / 10) AS f, SQRT(w) AS s, "
         "COALESCE(v, -1) AS c FROM data"), False),
+    # w is a multiple of 1.75, so w / 3.5 and w / 7.0 land on exact ties:
+    # ROUND must round them to even on every backend, as the client does.
+    ("math_function_ties", _plain(
+        "SELECT ROUND(w / 3.5) AS r, ROUND(-w / 3.5) AS r_neg, ROUND(w / 7.0, 1) AS r1, "
+        "CEIL(-w / 3.5) AS c, LN(w + 1) AS l, EXP(w / 100) AS e, "
+        "POWER(w / 3.5, 2) AS p FROM data"), False),
     ("string_functions", _plain(
         "SELECT UPPER(g) AS u, LOWER(g) AS l, LENGTH(g) AS n, g || '_x' AS tagged FROM data"),
      False),
@@ -255,7 +255,7 @@ def test_corpus_never_hashes_a_stored_string_column(backends, monkeypatch):
     monkeypatch.setattr(column_module, "factorize_array", recording)
     monkeypatch.setattr(executor_module, "factorize_array", recording)
     embedded = backends["embedded"]
-    assert embedded.database.table("data").column("g").codes is not None
+    assert embedded.table("data").column("g").codes is not None
     for _name, builder, _ordered_flag in CORPUS:
         embedded.query_rows(builder(embedded.capabilities))
     assert seen, "numeric keys (b, bin0, n) still factorize"
@@ -339,20 +339,15 @@ def test_random_order_by_null_placement(rows, descending):
 # --------------------------------------------------------------------------- #
 
 
-def test_as_backend_adapts_database_and_passes_backends_through():
-    database = Database()
-    adapted = as_backend(database)
-    assert isinstance(adapted, EmbeddedBackend)
-    assert adapted.database is database
-    backend = SqliteBackend()
-    assert as_backend(backend) is backend
-    with pytest.raises(TypeError):
-        as_backend(object())
-
-
 def test_create_backend_rejects_unknown_names():
     with pytest.raises(ValueError, match="unknown backend"):
         create_backend("duckdb")
+
+
+@pytest.mark.parametrize("name", backend_names())
+def test_create_backend_rejects_unknown_options(name):
+    with pytest.raises(TypeError):
+        create_backend(name, no_such_option=1)
 
 
 def test_capabilities_drive_dialect_clauses():
@@ -389,12 +384,3 @@ def test_sqlite_registration_survives_replace_and_requery():
     backend.register_rows("t", [{"x": 5.0}, {"x": 6.0}], replace=True)
     assert backend.query_rows("SELECT COUNT(*) AS n FROM t") == [{"n": 2}]
     assert backend.table_statistics("t").num_rows == 2
-
-
-def test_sqlite_explain_matches_embedded_convention():
-    backend = SqliteBackend()
-    backend.register_rows("t", [{"x": float(i)} for i in range(10)])
-    estimate = backend.explain("SELECT x, COUNT(*) FROM t GROUP BY x")
-    assert estimate.estimated_rows >= 1
-    rows = backend.query_rows("EXPLAIN SELECT x FROM t")
-    assert rows and "plan" in rows[0]

@@ -250,16 +250,6 @@ class TestExecutorPruning:
         assert snapshot["partitions_pruned"] == 18.0
         assert snapshot["morsel_tasks"] >= 2.0
 
-    def test_explain_reflects_pruning(self):
-        db = _partitioned_db()
-        estimate = db.explain("SELECT * FROM data WHERE t >= 350 AND t < 450")
-        text = estimate.pretty()
-        assert "[partitions 2/10]" in text
-        flat = Database()
-        flat.register_rows("data", [{"t": float(i)} for i in range(1000)])
-        flat_estimate = flat.explain("SELECT * FROM data WHERE t >= 350 AND t < 450")
-        assert estimate.total_cost < flat_estimate.total_cost
-
     def test_serial_engine_prunes_too(self):
         db = _partitioned_db()
         result = db.execute("SELECT SUM(v) AS s FROM data WHERE t BETWEEN 200 AND 299")

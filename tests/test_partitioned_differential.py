@@ -26,7 +26,6 @@ from test_backends_differential import (
     assert_identical_results,
 )
 
-from repro.backends import EmbeddedBackend
 from repro.datasets import generate_dataset
 from repro.sql import Database
 
@@ -34,10 +33,10 @@ from repro.sql import Database
 def _engine_pair(
     tables: dict[str, tuple[list[dict], list[str] | None]],
     target_rows: int,
-) -> dict[str, EmbeddedBackend]:
+) -> dict[str, Database]:
     """A flat and a partitioned engine with the same data."""
-    serial = EmbeddedBackend(Database())
-    partitioned = EmbeddedBackend(Database())
+    serial = Database()
+    partitioned = Database()
     for name, (rows, column_order) in tables.items():
         serial.register_rows(name, rows, column_order=column_order)
         partitioned.register_rows(name, rows, column_order=column_order)

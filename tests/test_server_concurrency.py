@@ -402,10 +402,9 @@ def test_vega_plus_system_requires_database_or_middleware(histogram_spec):
 
 def test_for_backend_refuses_unsafe_backend_with_pool(flights_db, monkeypatch):
     from repro.backends.base import BackendCapabilities
-    from repro.backends.embedded import EmbeddedBackend
 
     unsafe = BackendCapabilities(name="unsafe", thread_safe=False)
-    monkeypatch.setattr(EmbeddedBackend, "capabilities", property(lambda self: unsafe))
+    monkeypatch.setattr(Database, "capabilities", property(lambda self: unsafe))
     with pytest.raises(BenchmarkError, match="thread-safe"):
         SessionManager.for_backend(flights_db, max_workers=4)
     # A single worker is always allowed.
@@ -455,7 +454,7 @@ def test_build_sessions_shapes_and_validation():
 
 
 def test_database_plan_cache_and_metrics_survive_concurrent_execution(flights_rows):
-    db = Database(keep_query_log=False)
+    db = Database()
     db.register_rows("flights", flights_rows)
     queries = [
         "SELECT carrier, COUNT(*) AS n FROM flights GROUP BY carrier ORDER BY carrier",
@@ -491,7 +490,7 @@ def test_database_plan_cache_and_metrics_survive_concurrent_execution(flights_ro
 
 
 def test_sqlite_backend_uses_per_thread_connections(flights_rows):
-    backend = create_backend("sqlite", keep_query_log=False)
+    backend = create_backend("sqlite")
     backend.register_rows("flights", flights_rows)
     sql = "SELECT carrier, COUNT(*) AS n FROM flights GROUP BY carrier ORDER BY carrier"
     expected = backend.execute(sql).to_rows()

@@ -144,11 +144,6 @@ def test_parse_count_distinct_and_star():
     assert isinstance(second, FunctionCall) and second.is_star
 
 
-def test_parse_explain_flag():
-    stmt = parse_sql("EXPLAIN SELECT a FROM t")
-    assert stmt.explain is True
-
-
 def test_parse_cast():
     stmt = parse_sql("SELECT CAST(a AS FLOAT) FROM t")
     expr = stmt.items[0].expression

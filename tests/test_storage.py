@@ -381,7 +381,6 @@ def test_column_statistics_numeric(tiny_table_rows):
     assert stats.minimum == 10
     assert stats.maximum == 50
     assert stats.num_distinct == 4
-    assert 0 < stats.null_fraction < 1
 
 
 def test_column_statistics_string(tiny_table_rows):

@@ -1,9 +1,15 @@
-"""Tests for the Vega specification layer and client runtime."""
+"""Tests for the Vega specification layer and plain Vega on the client.
+
+Plain Vega is the all-client plan (#0) that :class:`VegaNativeSystem`
+runs: the rewriter compiles every data entry into client operators.
+"""
 
 import pytest
 
+from repro.baselines import VegaNativeSystem
 from repro.errors import SpecError
-from repro.vega import VegaRuntime, compile_spec, parse_spec_dict
+from repro.sql import Database
+from repro.vega import parse_spec_dict
 
 
 # --------------------------------------------------------------------------- #
@@ -56,81 +62,72 @@ def test_spec_validation_errors():
 
 
 # --------------------------------------------------------------------------- #
-# Spec compilation
+# Plain Vega: compilation and partial re-evaluation
 # --------------------------------------------------------------------------- #
 
 
-def test_compile_spec_builds_expected_operators(histogram_spec, flights_rows):
-    dataflow = compile_spec(histogram_spec, {"flights": flights_rows})
-    # 1 source + 4 transforms
+def _binned_count(system: VegaNativeSystem) -> int:
+    return sum(row["count"] for row in system.dataset("binned"))
+
+
+def _delays_at_least(rows: list[dict], threshold: float) -> int:
+    return sum(1 for row in rows if row["delay"] is not None and row["delay"] >= threshold)
+
+
+def test_plain_vega_plan_builds_expected_operators(histogram_spec, flights_db):
+    dataflow = VegaNativeSystem(histogram_spec, flights_db).rewritten.dataflow
+    # 1 table fetch + 4 transforms
     assert dataflow.num_operators() == 5
     assert set(dataflow.dataset_names()) == {"source", "binned"}
     assert "delay_extent" in dataflow.operator_names()
 
 
-def test_compile_spec_missing_provider(histogram_spec):
-    with pytest.raises(SpecError):
-        compile_spec(histogram_spec)
-    with pytest.raises(SpecError):
-        compile_spec(histogram_spec, {"not_flights": []})
-
-
-def test_compile_spec_inline_values():
+def test_native_system_runs_inline_values_entry():
     spec = {
         "data": [
             {"name": "inline", "values": [{"x": 1}, {"x": 5}],
              "transform": [{"type": "extent", "field": "x", "signal": "ext"}]},
         ],
     }
-    dataflow = compile_spec(spec)
-    dataflow.run()
-    assert dataflow.named_operator("ext").last_result.value == [1.0, 5.0]
+    system = VegaNativeSystem(spec, Database())
+    result = system.initialize()
+    assert result.evaluated_operators == 2
+    assert result.breakdown.server_seconds == 0.0
+    assert system.rewritten.dataflow.named_operator("ext").last_result.value == [1.0, 5.0]
+    assert system.dataset("inline") == [{"x": 1}, {"x": 5}]
 
 
-# --------------------------------------------------------------------------- #
-# Runtime
-# --------------------------------------------------------------------------- #
+def test_runtime_initialize_and_dataset(histogram_spec, flights_db, flights_rows):
+    system = VegaNativeSystem(histogram_spec, flights_db)
+    result = system.initialize()
+    assert result.evaluated_operators == 5
+    assert result.breakdown.client_seconds > 0
+    assert _binned_count(system) == _delays_at_least(flights_rows, 0)
 
 
-def test_runtime_initialize_and_dataset(histogram_spec, flights_rows):
-    runtime = VegaRuntime(histogram_spec, {"flights": flights_rows})
-    result = runtime.initialize()
-    assert result.evaluated_operator_count == 5
-    assert result.elapsed_seconds > 0
-    binned = runtime.dataset("binned")
-    assert sum(r["count"] for r in binned) == sum(
-        1 for r in flights_rows if (r["delay"] or -1) >= 0
-    )
+def test_runtime_interaction_partial_reevaluation(histogram_spec, flights_db, flights_rows):
+    system = VegaNativeSystem(histogram_spec, flights_db)
+    system.initialize()
+    before = len(system.dataset("binned"))
+    update = system.interact({"maxbins": 40})
+    assert update.evaluated_operators == 2  # bin + aggregate only
+    assert len(system.dataset("binned")) > before
+    assert _binned_count(system) == _delays_at_least(flights_rows, 0)
+    assert system.rewritten.dataflow.signals.value("maxbins") == 40
+    assert [r.evaluated_operators for r in system.history] == [5, 2]
 
 
-def test_runtime_interaction_partial_reevaluation(histogram_spec, flights_rows):
-    runtime = VegaRuntime(histogram_spec, {"flights": flights_rows})
-    runtime.initialize()
-    before = len(runtime.dataset("binned"))
-    update = runtime.interact({"maxbins": 40})
-    after = len(runtime.dataset("binned"))
-    assert update.evaluated_operator_count == 2  # bin + aggregate only
-    assert after > before
-    assert runtime.signal_value("maxbins") == 40
-    assert runtime.render_count == 2
-    assert runtime.total_client_seconds > 0
-
-
-def test_runtime_filter_interaction(histogram_spec, flights_rows):
-    runtime = VegaRuntime(histogram_spec, {"flights": flights_rows})
-    runtime.initialize()
-    update = runtime.interact({"min_delay": 200})
+def test_runtime_filter_interaction(histogram_spec, flights_db, flights_rows):
+    system = VegaNativeSystem(histogram_spec, flights_db)
+    system.initialize()
+    update = system.interact({"min_delay": 200})
     # Filter, extent, bin and aggregate all depend (directly or transitively).
-    assert update.evaluated_operator_count == 4
-    binned = runtime.dataset("binned")
-    total = sum(r["count"] for r in binned)
-    expected = sum(1 for r in flights_rows if r["delay"] is not None and r["delay"] >= 200)
-    assert total == expected
+    assert update.evaluated_operators == 4
+    assert _binned_count(system) == _delays_at_least(flights_rows, 200)
 
 
-def test_runtime_dataset_cardinalities(histogram_spec, flights_rows):
-    runtime = VegaRuntime(histogram_spec, {"flights": flights_rows})
-    runtime.initialize()
-    cardinalities = runtime.dataset_cardinalities()
-    assert cardinalities["source"] == len(flights_rows)
-    assert cardinalities["binned"] >= 1
+def test_runtime_dataset_cardinalities(histogram_spec, flights_db, flights_rows):
+    system = VegaNativeSystem(histogram_spec, flights_db)
+    system.initialize()
+    assert len(system.dataset("source")) == len(flights_rows)
+    assert len(system.dataset("binned")) >= 1

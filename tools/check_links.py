@@ -3,7 +3,7 @@
 
 Usage::
 
-    python tools/check_links.py README.md docs src
+    PYTHONPATH=src python tools/check_links.py README.md docs src
 
 Every ``[text](target)`` whose target is not an absolute URL or a pure
 anchor must resolve to an existing file or directory, relative to the
@@ -22,12 +22,20 @@ a reference containing ``/`` resolves against the repository root and
 the module's directory.  Directories passed on the command line are
 walked recursively for ``*.py`` as well.
 
+Every Sphinx cross-reference to the package in any docstring of a Python
+file (``:mod:`repro.sql```, ``:class:`~repro.sql.engine.Database```,
+``:func:``, ``:meth:``) must name something that exists: the longest
+importable module prefix is imported and the rest resolved by
+``getattr``.  This catches docstrings pointing at renamed or deleted
+code, so ``repro`` must be importable (``PYTHONPATH=src``).
+
 Exits non-zero listing every broken link.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -40,6 +48,9 @@ _LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
 #: Markdown file references inside docstrings (``docs/FOO.md``, ``BAR.md``).
 _DOCSTRING_MD_PATTERN = re.compile(r"(?<![\w/.-])([\w./-]+\.md)\b")
+
+#: Sphinx cross-references into the package (``~`` only shortens the text).
+_DOCSTRING_XREF_PATTERN = re.compile(r":(?:mod|class|func|meth):`~?(repro(?:\.\w+)*)`")
 
 #: Targets that are not relative file links.
 _EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "#")
@@ -89,6 +100,46 @@ def docstring_references(python_path: Path) -> list[str]:
     return _DOCSTRING_MD_PATTERN.findall(docstring)
 
 
+def all_docstrings(python_path: Path) -> list[str]:
+    """Docstrings of the module and of every class and function in it."""
+    try:
+        tree = ast.parse(python_path.read_text(encoding="utf-8"))
+    except SyntaxError:
+        return []
+    nodes = [tree] + [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    return [doc for doc in map(ast.get_docstring, nodes) if doc]
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module or an attribute reachable from one."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for name in parts[split:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+def broken_cross_references(python_path: Path) -> tuple[int, list[str]]:
+    """(references checked, those naming nothing) across all docstrings."""
+    references = [
+        reference
+        for docstring in all_docstrings(python_path)
+        for reference in _DOCSTRING_XREF_PATTERN.findall(docstring)
+    ]
+    return len(references), [reference for reference in references if not resolves(reference)]
+
+
 def broken_docstring_links(python_path: Path) -> list[str]:
     """Docstring ``*.md`` references that resolve to no file on disk."""
     problems: list[str] = []
@@ -107,6 +158,7 @@ def main(arguments: list[str]) -> int:
         return 2
     files = source_files(arguments)
     failures = 0
+    cross_references = 0
     for path in files:
         if not path.exists():
             print(f"MISSING FILE {path}", file=sys.stderr)
@@ -116,6 +168,11 @@ def main(arguments: list[str]) -> int:
             for reference in broken_docstring_links(path):
                 print(f"BROKEN DOCSTRING REF {path}: {reference}", file=sys.stderr)
                 failures += 1
+            checked_here, broken = broken_cross_references(path)
+            cross_references += checked_here
+            for reference in broken:
+                print(f"BROKEN CROSS-REFERENCE {path}: {reference}", file=sys.stderr)
+                failures += 1
             continue
         for line_number, target in broken_links(path):
             print(f"BROKEN {path}:{line_number}: {target}", file=sys.stderr)
@@ -124,7 +181,10 @@ def main(arguments: list[str]) -> int:
     if failures:
         print(f"{failures} broken link(s) across {checked} file(s)", file=sys.stderr)
         return 1
-    print(f"OK: {checked} file(s), no broken relative links or docstring refs")
+    print(
+        f"OK: {checked} file(s), no broken relative links or docstring refs; "
+        f"{cross_references} cross-reference(s) resolve"
+    )
     return 0
 
 
