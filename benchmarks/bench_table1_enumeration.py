@@ -7,6 +7,9 @@ template) and the whole plan *selection* — enumerate, encode without
 executing, rank — on that template, for each kind of comparator.
 """
 
+import statistics
+import time
+
 import numpy as np
 import pytest
 
@@ -73,15 +76,22 @@ def test_crossfilter_plan_selection(benchmark, harness, kind, allowed_seconds, s
     backend = harness.database_for("flights", 20_000)
     comparator = _seeded_comparator(kind)
 
+    seconds: list[float] = []
+
     def choose_on_a_fresh_optimizer():
+        start = time.perf_counter()
         optimizer = VegaPlusOptimizer(instance.spec, MiddlewareServer(backend), comparator)
-        return optimizer.choose_plan()
+        chosen = optimizer.choose_plan()
+        seconds.append(time.perf_counter() - start)
+        return chosen
 
     result = benchmark.pedantic(choose_on_a_fresh_optimizer, rounds=5, iterations=1)
+    while len(seconds) < 5:  # --benchmark-disable runs the function once
+        choose_on_a_fresh_optimizer()
     benchmark.extra_info["comparator"] = comparator.name
     benchmark.extra_info["n_plans"] = result.n_candidates
     assert result.n_candidates == 756
-    assert benchmark.stats.stats.median <= allowed_seconds
+    assert statistics.median(seconds) <= allowed_seconds
 
     # The batch ranking picks what the literal pairwise loop picks.
     assert result.plan == result.candidate_plans[comparator.select_best(result.vectors)]

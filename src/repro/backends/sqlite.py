@@ -347,12 +347,14 @@ class SqliteBackend(SQLBackend):
     @staticmethod
     def _register_functions(connection: sqlite3.Connection) -> None:
         """Install aggregate UDFs, ``ROUND`` and any missing math scalar
-        functions.
+        functions, and make ``LIKE`` case-sensitive.
 
-        UDFs are connection-scoped in sqlite3, so this runs once per
-        per-thread connection.  A UDF overrides the built-in of the same
-        name and arity.
+        UDFs and pragmas are connection-scoped in sqlite3, so this runs
+        once per per-thread connection.  A UDF overrides the built-in of
+        the same name and arity.  sqlite's ``LIKE`` folds ASCII case by
+        default; the embedded engine, like the SQL standard, does not.
         """
+        connection.execute("PRAGMA case_sensitive_like = ON")
         connection.create_aggregate("MEDIAN", 1, _Median)
         connection.create_aggregate("STDDEV", 1, _Stddev)
         connection.create_aggregate("VARIANCE", 1, _Variance)

@@ -46,7 +46,10 @@ from repro.errors import BenchmarkError
 from repro.net.channel import NetworkModel
 from repro.net.middleware import MiddlewareServer
 from repro.server.scheduler import RequestScheduler
-from repro.server.session import SessionManager, latency_percentiles
+from repro.server.session import SessionManager
+
+#: Percentile levels reported by latency summaries.
+LATENCY_PERCENTILES = (50, 95, 99)
 
 #: Scenario names accepted by :func:`build_sessions` / :func:`run_scenario`.
 CONCURRENCY_SCENARIOS = (
@@ -105,6 +108,14 @@ _COLD_START_QUERIES = (
     "MAX(air_time) AS max_air FROM flights GROUP BY cancelled ORDER BY cancelled",
     _overview_dashboard(_DELAY_THRESHOLDS[1]),
 )
+
+
+def latency_percentiles(latencies: list[float]) -> dict[str, float]:
+    """p50/p95/p99 of ``latencies`` (zeros when empty)."""
+    if not latencies:
+        return {f"p{level}": 0.0 for level in LATENCY_PERCENTILES}
+    points = np.percentile(np.asarray(latencies, dtype=float), LATENCY_PERCENTILES)
+    return {f"p{level}": float(point) for level, point in zip(LATENCY_PERCENTILES, points)}
 
 
 def build_sessions(
@@ -251,8 +262,10 @@ def run_scenario(
             barrier.wait()
             for sql in sessions_sql[session_index]:
                 response = session.execute(sql)
-                if response.rows != serial_rows[sql]:
-                    with lock:
+                matches = response.rows == serial_rows[sql]
+                with lock:
+                    result.latencies.append(response.total_seconds)
+                    if not matches:
                         mismatches.append(sql)
         except BaseException as exc:  # surfaced after join
             with lock:
@@ -279,9 +292,6 @@ def run_scenario(
             f"{len(errors)} session thread(s) failed; first: {errors[0]!r}"
         ) from errors[0]
 
-    result.latencies = [
-        latency for session in sessions for latency in session.latencies
-    ]
     result.percentiles = latency_percentiles(result.latencies)
     result.scheduler = scheduler.snapshot()
     result.statistics = manager_stats

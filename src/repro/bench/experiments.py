@@ -133,14 +133,6 @@ class MeasurementSet:
         default_factory=dict
     )
 
-    def for_size(self, size: int) -> list[PlanMeasurement]:
-        """All measurements of every template at one size."""
-        out: list[PlanMeasurement] = []
-        for (_, measurement_size), measurements in self.per_template_size.items():
-            if measurement_size == size:
-                out.extend(measurements)
-        return out
-
 
 def collect_measurements(
     harness: BenchmarkHarness,

@@ -89,11 +89,6 @@ class SessionMeasurement:
         """Total latency across the session."""
         return float(sum(self.episode_seconds))
 
-    @property
-    def interaction_seconds(self) -> float:
-        """Latency of the interaction episodes only."""
-        return float(sum(self.episode_seconds[1:]))
-
 
 @dataclass
 class PlanMeasurement:
@@ -115,18 +110,6 @@ class PlanMeasurement:
         if not self.sessions:
             return 0.0
         return float(np.mean([s.initial_seconds for s in self.sessions]))
-
-    def mean_total_seconds(self) -> float:
-        """Average total session latency."""
-        if not self.sessions:
-            return 0.0
-        return float(np.mean([s.total_seconds for s in self.sessions]))
-
-    def mean_interaction_seconds(self) -> float:
-        """Average interaction-only latency."""
-        if not self.sessions:
-            return 0.0
-        return float(np.mean([s.interaction_seconds for s in self.sessions]))
 
 
 @dataclass

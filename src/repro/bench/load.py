@@ -39,10 +39,10 @@ from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.bench.concurrency import build_sessions
+from repro.bench.concurrency import build_sessions, latency_percentiles
 from repro.errors import BenchmarkError, OverloadError, ServingError
 from repro.net.middleware import QueryResponse
-from repro.server.session import SessionManager, latency_percentiles
+from repro.server.session import SessionManager
 from repro.server.shard import (
     AdmissionController,
     AsyncGateway,
@@ -172,10 +172,6 @@ class OpenLoopPoint:
     mismatched_queries: list[str] = field(default_factory=list)
     #: ``stats()["serving"]`` of the tier after the run.
     serving: dict[str, object] = field(default_factory=dict)
-
-    @property
-    def shed_rate(self) -> float:
-        return self.shed / self.n_requests if self.n_requests else 0.0
 
 
 def open_loop_requests(

@@ -104,10 +104,6 @@ class PlanEnumerator:
         return plans
 
     # ------------------------------------------------------------------ #
-    def count(self) -> int:
-        """Number of valid plans (without materialising them twice)."""
-        return len(self.enumerate())
-
     def all_client_plan(self) -> ExecutionPlan:
         """The plan that keeps every transform on the client."""
         return ExecutionPlan.from_mapping(

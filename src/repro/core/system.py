@@ -215,9 +215,16 @@ class VegaPlusSystem:
         """Total end-to-end latency across all recorded passes."""
         return sum(result.total_seconds for result in self.history)
 
+    @property
+    def server(self) -> MiddlewareServer:
+        """The middleware itself, also when the system runs over a session."""
+        if isinstance(self.middleware, MiddlewareServer):
+            return self.middleware
+        return self.middleware.middleware
+
     def cache_statistics(self) -> dict[str, object]:
         """Cache behaviour of the middleware."""
-        return self.middleware.cache_statistics()
+        return self.server.cache_statistics()
 
     def stats(self) -> dict[str, object]:
         """One merged snapshot of every subsystem this system touches.
@@ -239,7 +246,7 @@ class VegaPlusSystem:
             "episodes": len(self.history),
             "session_seconds": self.session_seconds(),
             "engine": engine,
-            "cache": self.middleware.cache_statistics(),
+            "cache": self.cache_statistics(),
         }
         if "partitions_scanned" in engine:
             scanned = float(engine.get("partitions_scanned", 0.0))
@@ -265,8 +272,8 @@ class VegaPlusSystem:
                 "fallback_rows": float(engine.get("ivm_fallback_rows", 0.0)),
                 "invalidations": float(engine.get("ivm_invalidations", 0.0)),
             }
-        if self.middleware.scheduler is not None:
-            stats["scheduler"] = self.middleware.scheduler.snapshot()
+        if self.server.scheduler is not None:
+            stats["scheduler"] = self.server.scheduler.snapshot()
         if self.feedback is not None:
             stats["feedback"] = self.feedback.snapshot()
         return stats

@@ -124,13 +124,6 @@ class Dataflow:
         """All operators in insertion order."""
         return list(self._operators.values())
 
-    def operator(self, operator_id: int) -> Operator:
-        """Look up an operator by id."""
-        try:
-            return self._operators[operator_id]
-        except KeyError as exc:
-            raise DataflowError(f"unknown operator id {operator_id}") from exc
-
     def named_operator(self, name: str) -> Operator:
         """Look up an operator by its registered name."""
         try:

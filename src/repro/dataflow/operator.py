@@ -158,10 +158,6 @@ class SourceOperator(Operator):
         super().__init__(name=name, params={})
         self._rows = list(rows)
 
-    def set_rows(self, rows: list[dict[str, object]]) -> None:
-        """Replace the source rows (used when data is streamed in)."""
-        self._rows = list(rows)
-
     def evaluate(
         self,
         source: list[dict[str, object]],

@@ -7,15 +7,15 @@ This package models the parts that are not Python compute:
 * :mod:`~repro.net.serialize` — payload size estimation for a JSON-like
   text codec and an Arrow-like binary columnar codec,
 * :mod:`~repro.net.channel` — a network model (round-trip latency +
-  bandwidth) and a virtual clock that accumulates modelled time,
-* :mod:`~repro.net.cache` — the two-level FIFO query cache of Section 5.5,
+  bandwidth),
+* :mod:`~repro.net.cache` — the two-level LRU query cache of Section 5.5,
 * :mod:`~repro.net.middleware` — the middleware server that receives SQL
   from VDT operators, consults the caches, executes on the DBMS and
   returns results with a full cost breakdown.
 """
 
 from repro.net.serialize import JsonCodec, ArrowCodec, Codec
-from repro.net.channel import NetworkModel, VirtualClock, TransferCost
+from repro.net.channel import NetworkModel, TransferCost
 from repro.net.cache import QueryCache, CacheStatistics
 from repro.net.middleware import MiddlewareServer, QueryResponse
 
@@ -24,7 +24,6 @@ __all__ = [
     "ArrowCodec",
     "Codec",
     "NetworkModel",
-    "VirtualClock",
     "TransferCost",
     "QueryCache",
     "CacheStatistics",

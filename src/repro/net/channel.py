@@ -1,16 +1,16 @@
-"""Network model and virtual clock.
+"""Network model.
 
 End-to-end latency in the paper is wall-clock time on a real deployment.
 Here compute time is measured (Python execution) while network time is
 *modelled*: each query round trip costs one RTT plus payload size divided
-by bandwidth.  The :class:`VirtualClock` accumulates modelled time so the
-benchmark harness can report ``measured compute + modelled transfer``
-deterministically.
+by bandwidth.  Every :class:`~repro.net.middleware.QueryResponse` carries
+its modelled seconds, and :class:`~repro.core.system.LatencyBreakdown`
+adds them to the measured compute of a pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -54,45 +54,3 @@ class NetworkModel:
     def wan(cls) -> "NetworkModel":
         """A remote DBMS across the internet."""
         return cls(rtt_seconds=0.05, bandwidth_bytes_per_second=50e6 / 8)
-
-
-@dataclass
-class VirtualClock:
-    """Accumulates measured and modelled time separately.
-
-    ``compute_seconds`` is real, measured Python execution time;
-    ``network_seconds`` and ``serialization_seconds`` are modelled.  The
-    total is what the benchmark reports as end-to-end latency.
-    """
-
-    compute_seconds: float = 0.0
-    network_seconds: float = 0.0
-    serialization_seconds: float = 0.0
-    events: list[tuple[str, float]] = field(default_factory=list)
-
-    def add_compute(self, seconds: float, label: str = "compute") -> None:
-        """Record measured compute time."""
-        self.compute_seconds += seconds
-        self.events.append((label, seconds))
-
-    def add_network(self, seconds: float, label: str = "network") -> None:
-        """Record modelled transfer time."""
-        self.network_seconds += seconds
-        self.events.append((label, seconds))
-
-    def add_serialization(self, seconds: float, label: str = "serialization") -> None:
-        """Record modelled encode/decode time."""
-        self.serialization_seconds += seconds
-        self.events.append((label, seconds))
-
-    @property
-    def total_seconds(self) -> float:
-        """Total end-to-end latency."""
-        return self.compute_seconds + self.network_seconds + self.serialization_seconds
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.compute_seconds = 0.0
-        self.network_seconds = 0.0
-        self.serialization_seconds = 0.0
-        self.events.clear()

@@ -11,7 +11,8 @@ The middleware is a **stateless query service** with respect to clients:
 model as arguments, so one middleware instance can serve many concurrent
 sessions (see :mod:`repro.server`).  The single-user entry point
 :meth:`execute` serves against a built-in client cache — the
-one-dashboard configuration.
+one-dashboard configuration.  Both built-in caches (and every session's
+client cache) are LRU with the fixed capacities of :mod:`repro.net.cache`.
 
 Cache entries are keyed on ``<backend name>::<sql>`` so results from two
 backends can never alias, even when middleware caches are shared or
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from repro.backends import SQLBackend
 from repro.backends.base import BackendCapabilities
-from repro.net.cache import QueryCache
+from repro.net.cache import CLIENT_CACHE_ENTRIES, SERVER_CACHE_ENTRIES, QueryCache
 from repro.net.channel import NetworkModel
 from repro.net.serialize import ArrowCodec, Codec, PayloadEstimate
 from repro.storage.resultset import ResultSet
@@ -111,13 +112,8 @@ class MiddlewareServer:
     codec:
         Result serialisation codec (Arrow-like binary by default).
     enable_cache:
-        Turn the two-level cache of Section 5.5 on or off.
-    client_cache_entries / server_cache_entries / max_cached_result_bytes:
-        Cache sizing knobs.
-    cache_policy:
-        Eviction policy of both built-in caches (``fifo``/``lru``).
-    server_cache_bytes:
-        Optional total-byte budget of the shared server cache.
+        Turn the two-level cache of Section 5.5 on or off.  Both built-in
+        caches are LRU, sized by the :mod:`repro.net.cache` constants.
     scheduler:
         Optional :class:`RequestScheduler`; when given, backend queries
         run under its admission bound with single-flight coalescing.
@@ -129,11 +125,6 @@ class MiddlewareServer:
         network: NetworkModel | None = None,
         codec: Codec | None = None,
         enable_cache: bool = True,
-        client_cache_entries: int = 32,
-        server_cache_entries: int = 128,
-        max_cached_result_bytes: int = 2_000_000,
-        cache_policy: str = "fifo",
-        server_cache_bytes: int | None = None,
         scheduler: RequestScheduler | None = None,
     ) -> None:
         self.database = database
@@ -141,19 +132,8 @@ class MiddlewareServer:
         self.codec = codec or ArrowCodec()
         self.enable_cache = enable_cache
         self.scheduler = scheduler
-        self.client_cache = QueryCache(
-            max_entries=client_cache_entries,
-            max_result_bytes=max_cached_result_bytes,
-            name="client",
-            policy=cache_policy,
-        )
-        self.server_cache = QueryCache(
-            max_entries=server_cache_entries,
-            max_result_bytes=max_cached_result_bytes,
-            name="server",
-            policy=cache_policy,
-            max_total_bytes=server_cache_bytes,
-        )
+        self.client_cache = QueryCache(CLIENT_CACHE_ENTRIES, name="client")
+        self.server_cache = QueryCache(SERVER_CACHE_ENTRIES, name="server")
         self.queries_executed = 0
         self._stats_lock = threading.Lock()
         self.database.catalog.add_invalidation_listener(self.invalidate_table)
@@ -252,7 +232,7 @@ class MiddlewareServer:
 
         The transfer/decode cost is modelled from the codec (what the
         wire would carry), while the client-cache insertion charges the
-        exact resident bytes — the two sizes serve different budgets.
+        exact resident bytes — the two sizes serve different purposes.
         """
         estimate = self.codec.estimate_result(result)
         transfer = network.transfer(estimate.payload_bytes)
@@ -301,7 +281,7 @@ class MiddlewareServer:
         rset = result.result_set()
         if self.enable_cache:
             # Exact resident bytes, not the codec's wire estimate: the
-            # byte budget must charge what eviction later frees.
+            # byte count must charge what eviction later frees.
             self.server_cache.put(key, rset, rset.nbytes)
         return _ExecutionOutcome(
             rset, result.elapsed_seconds, self.codec.estimate_result(rset)

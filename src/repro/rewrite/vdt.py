@@ -11,7 +11,7 @@ emits the result rows for propagation downstream (Section 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dataflow.operator import EvaluationContext, Operator, OperatorResult
 from repro.errors import RewriteError
@@ -22,34 +22,32 @@ from repro.rewrite.templates import QueryFragment, apply_transform
 
 @dataclass
 class VDTCostLog:
-    """Accumulated non-client costs incurred by one VDT across evaluations."""
+    """Running non-client cost totals of one VDT across evaluations.
 
-    responses: list[QueryResponse] = field(default_factory=list)
+    Updated once per response; the responses themselves (and their
+    results) are not kept.
+    """
 
-    @property
-    def server_seconds(self) -> float:
-        """Total DBMS execution time."""
-        return sum(r.server_seconds for r in self.responses)
+    #: Total DBMS execution time.
+    server_seconds: float = 0.0
+    #: Total modelled transfer time.
+    network_seconds: float = 0.0
+    #: Total modelled encode/decode time.
+    serialization_seconds: float = 0.0
+    #: Total payload bytes fetched from the server (cache hits excluded).
+    bytes_transferred: int = 0
+    #: Number of requests served by either cache level.
+    cache_hits: int = 0
 
-    @property
-    def network_seconds(self) -> float:
-        """Total modelled transfer time."""
-        return sum(r.network_seconds for r in self.responses)
-
-    @property
-    def serialization_seconds(self) -> float:
-        """Total modelled encode/decode time."""
-        return sum(r.serialization_seconds for r in self.responses)
-
-    @property
-    def bytes_transferred(self) -> int:
-        """Total payload bytes fetched from the server."""
-        return sum(r.payload_bytes for r in self.responses if not r.from_cache)
-
-    @property
-    def cache_hits(self) -> int:
-        """Number of requests served by either cache level."""
-        return sum(1 for r in self.responses if r.from_cache)
+    def record(self, response: QueryResponse) -> None:
+        """Add one response's costs to the totals."""
+        self.server_seconds += response.server_seconds
+        self.network_seconds += response.network_seconds
+        self.serialization_seconds += response.serialization_seconds
+        if response.from_cache:
+            self.cache_hits += 1
+        else:
+            self.bytes_transferred += response.payload_bytes
 
 
 class VegaDBMSTransform(Operator):
@@ -99,11 +97,6 @@ class VegaDBMSTransform(Operator):
         """Signals referenced by any of the wrapped transform definitions."""
         return set(self._signal_dependencies)
 
-    def describe(self) -> str:
-        """Short human-readable description (used in plan explanations)."""
-        chain = " -> ".join(t.get("type", "?") for t in self.transforms)
-        return f"VDT[{self.table}: {chain}]"
-
     # ------------------------------------------------------------------ #
     def evaluate(
         self,
@@ -114,7 +107,7 @@ class VegaDBMSTransform(Operator):
         sql = self.build_sql(params, context)
         self.last_sql = sql
         response = self.middleware.execute(sql)
-        self.cost_log.responses.append(response)
+        self.cost_log.record(response)
         rows = response.rows
         value = None
         if self.value_kind == "extent":

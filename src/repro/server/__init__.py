@@ -9,9 +9,9 @@ top of the (stateless) :class:`~repro.net.middleware.MiddlewareServer`:
   ``<backend>::<sql>`` requests share one backend execution, run on the
   leading caller's own thread, with admission/queueing statistics,
 * :mod:`~repro.server.session` — :class:`SessionManager` /
-  :class:`ClientSession`: per-client state (client-side cache, network
-  profile, latency history) over the shared middleware, scheduler and
-  backend,
+  :class:`ClientSession`: per-client state (LRU client-side cache,
+  network profile, request count) over the shared middleware, scheduler
+  and backend,
 * :mod:`~repro.server.shard` — the sharded async tier:
   :class:`AsyncGateway` routes requests by session-id hash to worker
   *processes* (each owning its shard of the session map plus a full
@@ -44,12 +44,7 @@ from repro.server.scheduler import (
     SchedulerStats,
     SingleFlightOutcome,
 )
-from repro.server.session import (
-    LATENCY_PERCENTILES,
-    ClientSession,
-    SessionManager,
-    latency_percentiles,
-)
+from repro.server.session import ClientSession, SessionManager
 from repro.server.shard import (
     AdmissionController,
     AsyncGateway,
@@ -62,13 +57,11 @@ __all__ = [
     "AdmissionController",
     "AsyncGateway",
     "ClientSession",
-    "LATENCY_PERCENTILES",
     "RequestScheduler",
     "SchedulerStats",
     "SessionManager",
     "ShardSpec",
     "SingleFlightOutcome",
     "TableSpec",
-    "latency_percentiles",
     "shard_for",
 ]

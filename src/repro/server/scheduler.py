@@ -193,9 +193,3 @@ class RequestScheduler:
         with self._lock:
             self._closed = True
             return self.stats.snapshot()
-
-    def __enter__(self) -> "RequestScheduler":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()

@@ -10,7 +10,7 @@ processes while keeping the paper's middleware semantics intact:
   control and routing.  Each request is routed by a **stable hash of its
   session id** (:func:`shard_for`, CRC-32 — Python's ``hash`` is salted
   per process and useless across restarts) to one of N shard workers, so
-  every session's client cache and latency history live on exactly one
+  every session's client cache and request count live on exactly one
   shard and per-session state never needs cross-process locking,
 * each **shard worker** is a separate process owning its slice of the
   session map *plus its own full middleware stack* — backend, server

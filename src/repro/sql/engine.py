@@ -39,11 +39,6 @@ class QueryResult:
         """Number of rows in the result."""
         return self.table.num_rows
 
-    @property
-    def num_columns(self) -> int:
-        """Number of columns in the result."""
-        return self.table.num_columns
-
     def to_rows(self) -> list[dict[str, object]]:
         """Result as a list of row dictionaries."""
         return self.table.to_rows()
@@ -60,14 +55,6 @@ class QueryResult:
             rset = ResultSet.from_table(self.table)
             self._result_set = rset
         return rset
-
-    def to_columns(self) -> dict[str, list[object]]:
-        """Result as a mapping column -> values."""
-        return self.table.to_columns()
-
-    def result_bytes(self) -> int:
-        """Approximate size of the result payload, for transfer modelling."""
-        return self.table.nbytes()
 
 
 @dataclass

@@ -701,8 +701,9 @@ class Executor:
         for indices in partitions:
             subset = table.take(indices)
             sub_eval = ExpressionEvaluator(subset)
+            codes = [sub_eval.column(key.expression).group_codes() for key in order_keys]
             if order_keys:
-                sort_order = _sort_indices(sub_eval, subset, order_keys)
+                sort_order = sort_codes(codes, [key.descending for key in order_keys])
             else:
                 sort_order = np.arange(len(indices))
             ordered_global = indices[sort_order]
@@ -711,7 +712,7 @@ class Executor:
                 out[ordered_global] = np.arange(1, len(indices) + 1, dtype=np.float64)
                 continue
             if name == "RANK":
-                out[ordered_global] = self._rank_values(sub_eval, subset, order_keys, sort_order)
+                out[ordered_global] = _rank_values(codes, sort_order)
                 continue
 
             if func.is_star:
@@ -752,30 +753,6 @@ class Executor:
                 total = apply_aggregate(name, ordered_values)
                 out[ordered_global] = np.nan if total is None else float(total)
         return out
-
-    @staticmethod
-    def _rank_values(
-        evaluator: ExpressionEvaluator,
-        subset: Table,
-        order_keys: tuple[OrderItem, ...],
-        sort_order: np.ndarray,
-    ) -> np.ndarray:
-        if not order_keys:
-            return np.ones(len(sort_order), dtype=np.float64)
-        key_arrays = [evaluator.evaluate(k.expression) for k in order_keys]
-        ranks = np.empty(len(sort_order), dtype=np.float64)
-        previous_key: tuple | None = None
-        current_rank = 0
-        for position, idx in enumerate(sort_order):
-            key = tuple(
-                arr[idx] if is_string_array(arr) else float(arr[idx])
-                for arr in key_arrays
-            )
-            if key != previous_key:
-                current_rank = position + 1
-                previous_key = key
-            ranks[position] = current_rank
-        return ranks
 
     def _execute_sort(self, node: SortNode, stats: ExecutionStats) -> Table:
         table = self._execute_node(node.child, stats)
@@ -1057,6 +1034,20 @@ def distinct_indices_reference(table: Table) -> np.ndarray:
 def _group_sort_key(key: tuple) -> tuple:
     """Deterministic ordering of group keys with mixed types and NULLs."""
     return tuple(sort_rank_key(value) for value in key)
+
+
+def _rank_values(codes: list[np.ndarray], sort_order: np.ndarray) -> np.ndarray:
+    """SQL ``RANK()`` of each sorted position: a new rank starts where the
+    tuple of sort codes changes, so NULL keys (one code) are peers and,
+    without sort keys, every row ranks 1."""
+    n = len(sort_order)
+    starts = np.zeros(n, dtype=bool)
+    starts[:1] = True
+    for key_codes in codes:
+        ordered = key_codes[sort_order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    positions = np.where(starts, np.arange(1, n + 1, dtype=np.float64), 0.0)
+    return np.maximum.accumulate(positions)
 
 
 def _sort_indices(

@@ -9,7 +9,7 @@ boxing on every cache insert, wire transfer and session export.  A
 * **zero-copy construction** from a :class:`~repro.storage.table.Table`
   (the numpy arrays are shared, never copied),
 * **exact byte accounting** (:attr:`ResultSet.nbytes`) so cache byte
-  budgets charge what eviction actually frees, instead of a codec's
+  counts charge what eviction actually frees, instead of a codec's
   sampled estimate,
 * **out-of-band pickling**: numeric columns are contiguous float64
   arrays, so ``pickle.dumps(..., protocol=5, buffer_callback=...)``
@@ -31,7 +31,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.storage.column import Column, ColumnType, canonical_pylist
+from repro.storage.column import ColumnType, canonical_pylist
 from repro.storage.table import Table
 
 
@@ -94,16 +94,6 @@ class ResultSet:
             [col.ctype for col in columns],
         )
 
-    def to_table(self, name: str = "") -> Table:
-        """Rebuild a :class:`Table` sharing these column arrays."""
-        return Table(
-            [
-                Column(col_name, array, ctype)
-                for col_name, array, ctype in zip(self.names, self.arrays, self.ctypes)
-            ],
-            name=name,
-        )
-
     # ------------------------------------------------------------------ #
     # Shape and size
     # ------------------------------------------------------------------ #
@@ -128,7 +118,7 @@ class ResultSet:
         Numeric columns cost their raw buffer size (8 bytes per value);
         string columns cost each value's UTF-8 length plus a 4-byte
         offset (Arrow's varbinary layout), NULL costing the offset only.
-        This is the number cache byte budgets account with — eviction
+        This is the number cache byte counts account with — eviction
         frees exactly what insertion charged.
         """
         if self._nbytes is None:

@@ -7,7 +7,7 @@ returns a new table that shares column data where possible.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -324,10 +324,6 @@ class Table:
         """Approximate in-memory size in bytes."""
         return sum(col.nbytes() for col in self.columns())
 
-    def head(self, n: int = 5) -> list[dict[str, object]]:
-        """First ``n`` rows as dictionaries (for debugging and docs)."""
-        return self.slice(0, n).to_rows()
-
 
 def _concat_columns(parts: Sequence[Column]) -> Column:
     """Concatenate same-named columns of several tables (see ``concat_all``)."""
@@ -454,8 +450,3 @@ class PartitionedTable(Table):
             f"PartitionedTable({self.name!r}, rows={self.num_rows}, "
             f"partitions={self.num_partitions}, cols={self.column_names()})"
         )
-
-
-def rows_from_iterable(rows: Iterable[Mapping[str, object]]) -> list[dict[str, object]]:
-    """Normalise an iterable of mappings to a list of plain dictionaries."""
-    return [dict(row) for row in rows]

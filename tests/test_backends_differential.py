@@ -154,6 +154,17 @@ def _stack(capabilities: BackendCapabilities) -> str:
     return fragment.to_sql()
 
 
+def _rank_null_peers(capabilities: BackendCapabilities) -> str:
+    """``RANK()`` over keys with tied NULLs, NULL placement forced in OVER."""
+    asc = capabilities.order_nulls_suffix(False)
+    desc = capabilities.order_nulls_suffix(True)
+    return (
+        f"SELECT w, RANK() OVER (ORDER BY g ASC{asc}) AS r, "
+        f"RANK() OVER (ORDER BY g DESC{desc}, v ASC{asc}) AS r_desc, "
+        f"RANK() OVER (PARTITION BY b ORDER BY g ASC{asc}) AS r_part FROM data"
+    )
+
+
 # --------------------------------------------------------------------------- #
 # The shared corpus
 # --------------------------------------------------------------------------- #
@@ -224,6 +235,13 @@ CORPUS: list[tuple[str, object, bool]] = [
         "FROM flights GROUP BY carrier", [("n", True), ("carrier", False)]), True),
     # Window query through the production stack builder (ROWS frame shim).
     ("stack_window", _stack, False),
+    # g has tied keys and tied NULLs: NULL keys are RANK peers.
+    ("rank_null_peers", _rank_null_peers, False),
+    # LIKE is case-sensitive on every backend (sqlite folds case by default).
+    ("like_case", _plain(
+        "SELECT w, g LIKE 'A%' AS upper_a, UPPER(g) LIKE 'a%' AS mixed, "
+        "g LIKE '_' AS one_char, UPPER(g) LIKE 'B' AS exact FROM data "
+        "WHERE g NOT LIKE 'C%'"), False),
 ]
 
 

@@ -1,5 +1,8 @@
 """End-to-end tests of VegaPlusSystem, the optimizer facade and baselines."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.baselines import VegaFusionSystem, VegaNativeSystem
@@ -108,6 +111,30 @@ def test_system_results_equivalent_across_plans(histogram_spec, flights_db):
             reference = binned
         else:
             assert binned == reference
+
+
+def test_system_retains_no_earlier_responses(histogram_spec, flights_db):
+    """VDT cost totals keep no ``QueryResponse`` (nor its result) alive."""
+    system = VegaPlusSystem(histogram_spec, flights_db, enable_cache=False)
+    system.use_plan(PlanEnumerator(system.spec).all_server_plan())
+    served = []
+    execute = system.middleware.execute
+
+    def recording(sql):
+        response = execute(sql)
+        served.append(weakref.ref(response))
+        return response
+
+    system.middleware.execute = recording
+    first = system.initialize()
+    initial = list(served)
+    system.interact({"maxbins": 30})
+    system.interact({"maxbins": 20})
+    gc.collect()
+    assert initial and len(served) > len(initial)
+    assert all(ref() is None for ref in initial)
+    assert first.breakdown.server_seconds > 0
+    assert sum(vdt.cost_log.bytes_transferred for vdt in system.rewritten.vdts) > 0
 
 
 def test_system_cache_statistics_exposed(histogram_spec, flights_db):

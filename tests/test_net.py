@@ -9,8 +9,8 @@ from repro.net import (
     MiddlewareServer,
     NetworkModel,
     QueryCache,
-    VirtualClock,
 )
+from repro.net.cache import MAX_CACHED_RESULT_BYTES, SERVER_CACHE_ENTRIES
 
 
 ROWS = [{"a": float(i), "b": f"value-{i}"} for i in range(200)]
@@ -45,7 +45,7 @@ def test_codec_empty_result():
 
 
 # --------------------------------------------------------------------------- #
-# Network model and clock
+# Network model
 # --------------------------------------------------------------------------- #
 
 
@@ -62,17 +62,6 @@ def test_network_profiles_ordering():
     lan = NetworkModel.lan().transfer(payload).seconds
     wan = NetworkModel.wan().transfer(payload).seconds
     assert localhost < lan < wan
-
-
-def test_virtual_clock_accumulates_and_resets():
-    clock = VirtualClock()
-    clock.add_compute(0.1)
-    clock.add_network(0.2)
-    clock.add_serialization(0.05)
-    assert clock.total_seconds == pytest.approx(0.35)
-    assert len(clock.events) == 3
-    clock.reset()
-    assert clock.total_seconds == 0
 
 
 @pytest.mark.parametrize(
@@ -99,19 +88,6 @@ def test_network_preset_transfer_math(preset, rtt, bandwidth):
     assert network.transfer(0).seconds == pytest.approx(rtt)
 
 
-def test_virtual_clock_event_log_labels():
-    clock = VirtualClock()
-    clock.add_compute(0.2, label="dataflow")
-    clock.add_network(0.01, label="fetch")
-    clock.add_serialization(0.002, label="decode")
-    assert clock.events == [("dataflow", 0.2), ("fetch", 0.01), ("decode", 0.002)]
-    assert clock.compute_seconds == pytest.approx(0.2)
-    assert clock.network_seconds == pytest.approx(0.01)
-    assert clock.serialization_seconds == pytest.approx(0.002)
-    clock.reset()
-    assert clock.events == []
-
-
 # --------------------------------------------------------------------------- #
 # Query cache
 # --------------------------------------------------------------------------- #
@@ -121,26 +97,15 @@ def test_cache_hit_miss_statistics():
     cache = QueryCache(max_entries=4)
     assert cache.get("q1") is None
     cache.put("q1", result_set(ROWS[:5]), payload_bytes=100)
-    assert cache.get("q1").rows == ROWS[:5]
+    assert cache.get("q1").result.rows() == ROWS[:5]
     assert cache.stats.hits == 1
     assert cache.stats.misses == 1
     assert cache.stats.hit_rate == pytest.approx(0.5)
 
 
-def test_cache_fifo_eviction():
-    cache = QueryCache(max_entries=2)
-    cache.put("q1", EMPTY, 10)
-    cache.put("q2", EMPTY, 10)
-    cache.put("q3", EMPTY, 10)
-    assert not cache.contains("q1")
-    assert cache.contains("q2") and cache.contains("q3")
-    assert cache.stats.evictions == 1
-    assert cache.cached_queries() == ["q2", "q3"]
-
-
 def test_cache_rejects_large_results_and_duplicates():
-    cache = QueryCache(max_entries=4, max_result_bytes=100)
-    assert cache.put("big", EMPTY, payload_bytes=1000) is False
+    cache = QueryCache(max_entries=4)
+    assert cache.put("big", EMPTY, payload_bytes=MAX_CACHED_RESULT_BYTES + 1) is False
     assert cache.stats.rejected_too_large == 1
     assert cache.put("q", EMPTY, 10) is True
     assert cache.put("q", EMPTY, 10) is False  # duplicate check
@@ -150,61 +115,43 @@ def test_cache_rejects_large_results_and_duplicates():
 def test_cache_invalid_capacity():
     with pytest.raises(ValueError):
         QueryCache(max_entries=0)
-    with pytest.raises(ValueError):
-        QueryCache(policy="random")
-    with pytest.raises(ValueError):
-        QueryCache(max_total_bytes=0)
 
 
 def test_cache_lru_policy_keeps_recently_used_entries():
-    cache = QueryCache(max_entries=2, policy="lru")
+    cache = QueryCache(max_entries=2)
     cache.put("q1", EMPTY, 10)
     cache.put("q2", EMPTY, 10)
     assert cache.get("q1") is not None  # refresh q1's recency
     cache.put("q3", EMPTY, 10)  # evicts q2, the least recently used
-    assert cache.contains("q1") and cache.contains("q3")
-    assert not cache.contains("q2")
-    # Under FIFO the same sequence evicts q1 (oldest insertion) instead.
-    fifo = QueryCache(max_entries=2, policy="fifo")
-    fifo.put("q1", EMPTY, 10)
-    fifo.put("q2", EMPTY, 10)
-    assert fifo.get("q1") is not None
-    fifo.put("q3", EMPTY, 10)
-    assert not fifo.contains("q1")
-    assert fifo.contains("q2") and fifo.contains("q3")
+    assert cache.peek("q1") is not None and cache.peek("q3") is not None
+    assert cache.peek("q2") is None
+    assert cache.stats.evictions == 1
+    cache.put("q4", EMPTY, 10)  # no read since: q1 is now the oldest use
+    assert cache.peek("q1") is None
+    assert cache.peek("q3") is not None and cache.peek("q4") is not None
+    assert len(cache) == 2 and cache.stats.evictions == 2
 
 
-def test_cache_byte_budget_evicts_until_total_fits():
-    cache = QueryCache(max_entries=10, max_total_bytes=100)
+def test_cache_byte_accounting_follows_evictions():
+    cache = QueryCache(max_entries=2)
     cache.put("a", EMPTY, 40)
-    cache.put("b", EMPTY, 40)
-    assert cache.total_bytes == 80
-    cache.put("c", EMPTY, 40)  # 120 > 100: evicts "a"
-    assert not cache.contains("a")
-    assert cache.total_bytes == 80
+    cache.put("b", EMPTY, 60)
+    assert cache.total_bytes == cache.stats.current_bytes == 100
+    assert cache.peek("a") is not None
+    assert cache.stats.hits == 0 and cache.stats.misses == 0  # peek is silent
+    cache.put("c", EMPTY, 30)  # the third entry evicts "a"
+    assert cache.peek("a") is None
+    assert cache.total_bytes == 90
     assert cache.stats.evictions == 1
     assert cache.stats.evicted_bytes == 40
-    # A result larger than the whole budget is rejected outright.
-    assert cache.put("huge", EMPTY, 150) is False
-    assert cache.stats.rejected_too_large == 1
     cache.clear()
     assert cache.total_bytes == 0
-
-
-def test_cache_statistics_expose_policy_and_budget():
-    cache = QueryCache(max_entries=4, policy="lru", max_total_bytes=500)
-    assert cache.stats.policy == "lru"
-    assert cache.stats.byte_budget == 500
-    cache.put("q", EMPTY, 123)
-    assert cache.stats.current_bytes == 123
-    assert cache.peek("q") is not None
-    assert cache.stats.hits == 0 and cache.stats.misses == 0  # peek is silent
 
 
 def test_cache_is_thread_safe_under_contention():
     import threading
 
-    cache = QueryCache(max_entries=8, policy="lru", max_total_bytes=400)
+    cache = QueryCache(max_entries=8)
     errors = []
 
     def hammer(worker: int) -> None:
@@ -223,7 +170,6 @@ def test_cache_is_thread_safe_under_contention():
         thread.join()
     assert not errors
     assert len(cache) <= 8
-    assert cache.total_bytes <= 400
     # Byte accounting stays exact while puts of mixed sizes race the
     # eviction loop: the counter equals the sum over resident entries.
     with cache._lock:
@@ -282,6 +228,23 @@ def test_middleware_cache_disabled(flights_db):
     response = middleware.execute(sql)
     assert not response.from_cache
     assert middleware.queries_executed == 2
+
+
+def test_middleware_server_cache_evicts_least_recently_used(middleware):
+    """A server-cache entry read after insertion outlives a newer, unread one."""
+    queries = [
+        f"SELECT COUNT(*) AS n FROM flights WHERE distance > {i}"
+        for i in range(SERVER_CACHE_ENTRIES + 1)
+    ]
+    read, unread = queries[:2]
+    middleware.serve(read)  # no client cache: every repeat reaches the server
+    middleware.serve(unread)
+    assert middleware.serve(read).cache_level == "server"
+    for sql in queries[2:]:
+        middleware.serve(sql)
+    assert middleware.server_cache.stats.evictions == 1
+    assert middleware.server_cache.peek(middleware.cache_key(unread)) is None
+    assert middleware.serve(read).cache_level == "server"
 
 
 def test_middleware_reset_caches(middleware):

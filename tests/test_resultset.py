@@ -4,7 +4,7 @@ The tentpole contract of the columnar result path:
 
 * ``ResultSet.rows()`` is byte-identical to ``Table.to_rows()`` of the
   originating table (the canonical row view),
-* ``ResultSet.nbytes`` is exact — cache byte budgets charge on insert
+* ``ResultSet.nbytes`` is exact — cache byte counts charge on insert
   exactly what eviction frees,
 * a ResultSet survives the wire protocol round trip (protocol-5 pickle
   with numeric columns as out-of-band raw buffers) for every column
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.cache import QueryCache
+from repro.net.cache import MAX_CACHED_RESULT_BYTES, QueryCache
 from repro.net.serialize import (
     FRAME_HEADER_BYTES,
     ArrowCodec,
@@ -277,9 +277,7 @@ def _batch(value: float, n_rows: int) -> ResultSet:
 
 def test_cache_bytes_equal_sum_of_resident_entries_after_mixed_sequence():
     """current_bytes == sum of resident entries through put/evict/reject/clear."""
-    cache = QueryCache(
-        max_entries=4, max_result_bytes=10_000, max_total_bytes=400, policy="lru"
-    )
+    cache = QueryCache(max_entries=4)
 
     def check() -> None:
         with cache._lock:
@@ -290,10 +288,12 @@ def test_cache_bytes_equal_sum_of_resident_entries_after_mixed_sequence():
         batch = _batch(float(index), 10 + index)
         assert cache.put(f"q{index}", batch, batch.nbytes)
         check()
-    huge = _batch(1.0, 49)  # 392 bytes: byte-budget eviction of everything else
-    assert cache.put("big", huge, huge.nbytes)
+    assert cache.get("q2") is not None  # the next eviction takes q3, not q2
+    big = _batch(1.0, 49)
+    assert cache.put("big", big, big.nbytes)
     check()
-    assert not cache.put("too-big", _batch(1.0, 2_000), 16_000)  # rejected
+    assert cache.peek("q2") is not None and cache.peek("q3") is None
+    assert not cache.put("too-big", _batch(1.0, 1), MAX_CACHED_RESULT_BYTES + 1)  # rejected
     check()
     cache.clear()
     check()
@@ -306,7 +306,7 @@ def test_cache_entry_rows_materialise_lazily_and_payload_is_exact():
     cache.put("q", batch, batch.nbytes)
     entry = cache.get("q")
     assert entry.payload_bytes == batch.nbytes == 32
-    assert entry.rows == [{"v": 1.5}] * 4
+    assert entry.result.rows() == [{"v": 1.5}] * 4
     # The columnar codec's estimate is the documented formula, exactly.
     codec = ArrowCodec()
     assert codec.estimate_result(batch).payload_bytes == batch.nbytes + codec.framing_bytes

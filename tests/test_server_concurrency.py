@@ -292,17 +292,15 @@ def test_session_manager_shutdown_returns_final_scheduler_snapshot(flights_db):
     assert bare.shutdown() is None
 
 
-def test_session_latency_summary_and_statistics(manager):
+def test_session_manager_statistics(manager):
     session = manager.create_session("s")
     for _ in range(4):
         session.execute(SQL)
-    summary = session.latency_summary()
-    assert summary["p50"] <= summary["p95"] <= summary["p99"]
     stats = manager.statistics()
     assert stats["sessions"] == 1
     assert stats["requests"] == 4
     assert stats["client_hit_rate"] == pytest.approx(3 / 4)
-    assert "latency_percentiles" in stats
+    assert stats["queries_executed"] == 1
 
 
 @pytest.mark.parametrize("backend_name", backend_names())
@@ -546,10 +544,10 @@ def test_middleware_serve_is_client_state_free(flights_db):
     middleware = MiddlewareServer(flights_db)
     from repro.net.cache import QueryCache
 
-    private = QueryCache(max_entries=4, name="private", policy="lru")
+    private = QueryCache(max_entries=4, name="private")
     first = middleware.serve(SQL, client_cache=private, network=NetworkModel.wan())
     assert first.cache_level is None
     assert len(middleware.client_cache) == 0  # default session untouched
-    assert private.contains(middleware.cache_key(SQL))
+    assert private.peek(middleware.cache_key(SQL)) is not None
     again = middleware.serve(SQL, client_cache=private)
     assert again.cache_level == "client"
