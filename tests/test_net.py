@@ -103,6 +103,18 @@ def test_cache_hit_miss_statistics():
     assert cache.stats.hit_rate == pytest.approx(0.5)
 
 
+def test_cache_fifo_eviction():
+    # With no reads in between, least recently used is first inserted.
+    cache = QueryCache(max_entries=2)
+    cache.put("q1", EMPTY, 10)
+    cache.put("q2", EMPTY, 10)
+    cache.put("q3", EMPTY, 10)
+    assert cache.peek("q1") is None
+    assert cache.peek("q2") is not None and cache.peek("q3") is not None
+    assert cache.stats.evictions == 1
+    assert len(cache) == 2
+
+
 def test_cache_rejects_large_results_and_duplicates():
     cache = QueryCache(max_entries=4)
     assert cache.put("big", EMPTY, payload_bytes=MAX_CACHED_RESULT_BYTES + 1) is False
@@ -137,8 +149,6 @@ def test_cache_byte_accounting_follows_evictions():
     cache.put("a", EMPTY, 40)
     cache.put("b", EMPTY, 60)
     assert cache.total_bytes == cache.stats.current_bytes == 100
-    assert cache.peek("a") is not None
-    assert cache.stats.hits == 0 and cache.stats.misses == 0  # peek is silent
     cache.put("c", EMPTY, 30)  # the third entry evicts "a"
     assert cache.peek("a") is None
     assert cache.total_bytes == 90
@@ -146,6 +156,23 @@ def test_cache_byte_accounting_follows_evictions():
     assert cache.stats.evicted_bytes == 40
     cache.clear()
     assert cache.total_bytes == 0
+
+
+def test_cache_statistics_expose_policy_and_budget():
+    # The entry budget and the result-size cap are constants; what the
+    # statistics expose is their effect: bytes held, evictions, rejections.
+    cache = QueryCache(max_entries=1)
+    cache.put("q", EMPTY, 123)
+    assert cache.stats.current_bytes == 123
+    assert cache.peek("q") is not None
+    assert cache.stats.hits == 0 and cache.stats.misses == 0  # peek is silent
+    cache.put("r", EMPTY, 7)  # over the one-entry budget: evicts "q"
+    assert cache.stats.evictions == 1
+    assert cache.stats.evicted_bytes == 123
+    assert cache.stats.current_bytes == 7
+    assert cache.put("big", EMPTY, MAX_CACHED_RESULT_BYTES + 1) is False
+    assert cache.stats.rejected_too_large == 1
+    assert cache.stats.insertions == 2
 
 
 def test_cache_is_thread_safe_under_contention():
