@@ -1,8 +1,9 @@
 """Pluggable server-side SQL backends.
 
 The paper's middleware talks to a real DBMS (PostgreSQL / DuckDB); this
-package is the reproduction's equivalent seam.  Every backend implements
-:class:`SQLBackend` and describes its dialect with
+package is the reproduction's equivalent seam.  Every backend is a
+:class:`SQLBackend` — one front door owning the catalog, plan cache, IVM
+and metrics — and describes its dialect with
 :class:`BackendCapabilities`, which the rewrite layer consults while
 generating SQL (NULL-ordering clauses, window frames, supported
 functions).  Two backends ship today:
@@ -22,9 +23,9 @@ Construct one directly, or by name::
 
 from __future__ import annotations
 
-from repro.backends.base import BackendCapabilities, SQLBackend
+from repro.backends.base import BackendCapabilities
 from repro.backends.sqlite import SQLITE_CAPABILITIES, SqliteBackend
-from repro.sql.engine import EMBEDDED_CAPABILITIES, Database
+from repro.sql.engine import EMBEDDED_CAPABILITIES, Database, SQLBackend
 
 #: Registry of constructible backends by name.
 BACKENDS: dict[str, type[SQLBackend]] = {

@@ -1,10 +1,9 @@
-"""The pluggable SQL backend contract.
+"""The dialect and feature surface of a SQL backend.
 
 The paper runs the server side of VegaPlus on a real DBMS (PostgreSQL or
-DuckDB).  This module defines the seam that makes the reproduction's
-server side swappable: a :class:`SQLBackend` abstract base class every
-backend implements, and a :class:`BackendCapabilities` record describing
-the dialect and feature surface a backend offers.
+DuckDB).  The reproduction's backends share one front door,
+:class:`~repro.sql.engine.SQLBackend`; each describes what differs in its
+SQL with a :class:`BackendCapabilities` record.
 
 Capabilities serve two purposes:
 
@@ -16,24 +15,11 @@ Capabilities serve two purposes:
 * the **optimizer** consults them to decide which transforms may be
   offloaded at all (a backend without window functions cannot take a
   ``stack`` transform).
-
-Every backend must honour the result contract pinned by
-``tests/test_backends_differential.py``: NULL sorts last under ``ASC``
-and first under ``DESC``, cross-type keys order numbers < strings < NULL,
-aggregates skip NULLs, and ``STDDEV``/``VARIANCE`` are sample statistics
-(``ddof=1``, NULL below two values).  ``docs/BACKENDS.md`` documents the
-contract in prose.
 """
 
 from __future__ import annotations
 
-import abc
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-
-from repro.storage.catalog import Catalog
-from repro.storage.statistics import TableStatistics
-from repro.storage.table import Table
 
 #: Aggregate functions the rewrite layer may emit.
 CORE_AGGREGATES = frozenset(
@@ -115,96 +101,3 @@ class BackendCapabilities:
     def supports_scalar(self, sql_function: str) -> bool:
         """Whether the backend executes the (upper-case) scalar function."""
         return sql_function.upper() in self.supported_scalar_functions
-
-
-class SQLBackend(abc.ABC):
-    """Abstract server-side SQL engine.
-
-    Concrete backends own a table catalog, execute SQL strings, and track
-    cumulative :class:`~repro.sql.engine.EngineMetrics`.  The embedded
-    engine, :class:`~repro.sql.engine.Database`, is one; so is
-    :class:`~repro.backends.sqlite.SqliteBackend`.
-    """
-
-    #: Short identifier used in cache keys, benchmark output and logs.
-    name: str = "abstract"
-
-    # ------------------------------------------------------------------ #
-    # Capabilities
-    # ------------------------------------------------------------------ #
-    @property
-    @abc.abstractmethod
-    def capabilities(self) -> BackendCapabilities:
-        """The backend's dialect/feature description."""
-
-    # ------------------------------------------------------------------ #
-    # Table registration
-    # ------------------------------------------------------------------ #
-    @abc.abstractmethod
-    def register_table(self, name: str, table: Table, replace: bool = False) -> None:
-        """Register an existing :class:`Table` under ``name``."""
-
-    @abc.abstractmethod
-    def register_rows(
-        self,
-        name: str,
-        rows: Sequence[Mapping[str, object]],
-        replace: bool = False,
-        column_order: Sequence[str] | None = None,
-    ) -> None:
-        """Register a table created from row dictionaries."""
-
-    @abc.abstractmethod
-    def drop_table(self, name: str) -> None:
-        """Remove a registered table."""
-
-    @abc.abstractmethod
-    def table_names(self) -> list[str]:
-        """Names of registered tables."""
-
-    @abc.abstractmethod
-    def table(self, name: str) -> Table:
-        """Return a registered table."""
-
-    @abc.abstractmethod
-    def table_statistics(self, name: str) -> TableStatistics:
-        """Statistics for a registered table."""
-
-    @property
-    @abc.abstractmethod
-    def catalog(self) -> Catalog:
-        """The catalog of registered tables (statistics, zone maps and
-        table-replacement events)."""
-
-    # ------------------------------------------------------------------ #
-    # Query execution
-    # ------------------------------------------------------------------ #
-    @abc.abstractmethod
-    def execute(self, sql: str):
-        """Execute ``sql`` and return a :class:`~repro.sql.engine.QueryResult`."""
-
-    def query_rows(self, sql: str) -> list[dict[str, object]]:
-        """Convenience wrapper returning the result rows directly."""
-        return self.execute(sql).to_rows()
-
-    def clear_plan_cache(self) -> None:
-        """Drop prepared/cached plans (no-op for backends without one)."""
-
-    def close(self) -> None:
-        """Release backend resources (no-op by default)."""
-
-    # ------------------------------------------------------------------ #
-    # Observability
-    # ------------------------------------------------------------------ #
-    @property
-    @abc.abstractmethod
-    def metrics(self):
-        """Cumulative :class:`~repro.sql.engine.EngineMetrics`.
-
-        Part of the enforced protocol: the benchmark harness diffs
-        ``metrics.snapshot()`` around every measured session.
-        """
-
-    def stats(self) -> dict[str, float]:
-        """Flat snapshot of the backend's cumulative engine counters."""
-        return self.metrics.snapshot()

@@ -1,10 +1,10 @@
 """A server-side SQL backend built on the stdlib ``sqlite3`` module.
 
 This is the first *independent* SQL implementation behind the
-:class:`~repro.backends.base.SQLBackend` seam: results come from SQLite's
-own parser/planner/executor, which makes it a true cross-check for the
-embedded engine (the differential suite runs the shared query corpus
-through both and asserts identical results).
+:class:`~repro.sql.engine.SQLBackend` front door: results come from
+SQLite's own parser/planner/executor, which makes it a true cross-check
+for the embedded engine (the differential suite runs the shared query
+corpus through both and asserts identical results).
 
 Dialect shims applied to reach the shared semantics:
 
@@ -38,27 +38,21 @@ pins the in-memory database alive for the backend's lifetime.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import os
+import re
 import sqlite3
 import threading
-import time
-from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.backends.base import BackendCapabilities, SQLBackend
+from repro.backends.base import BackendCapabilities
 from repro.errors import ExecutionError, ReproError
-from repro.sql.engine import EngineMetrics, QueryResult
+from repro.sql.engine import SQLBackend
 from repro.sql.executor import ExecutionStats
-from repro.sql.ivm import IVMConfig, IVMManager
-from repro.sql.plancache import PlanCache
 from repro.sql.planner import LogicalPlan
-from repro.storage.catalog import Catalog
 from repro.storage.sqlite_adapter import load_table, quote_identifier, table_from_cursor
-from repro.storage.statistics import TableStatistics
 from repro.storage.table import Table
 
 #: Dialect description of SQLite (3.30+ for the NULLS ordering clause).
@@ -96,11 +90,18 @@ def _round(value: float | None, digits: float | None = 0) -> float | None:
 #: embedded planner sees the text (it has no such syntax).
 _DIALECT_CLAUSES = (" NULLS LAST", " NULLS FIRST", " ROWS UNBOUNDED PRECEDING")
 
+#: Quoted literals (single- or double-quoted, as the tokenizer accepts);
+#: splitting on them leaves the text outside quotes at even indices.
+_QUOTED = re.compile(r"""('[^']*'|"[^"]*")""")
+
 
 def _strip_dialect(sql: str) -> str:
-    for clause in _DIALECT_CLAUSES:
-        sql = sql.replace(clause, "")
-    return sql
+    """``sql`` without the dialect clauses, quoted literals left intact."""
+    parts = _QUOTED.split(sql)
+    for index in range(0, len(parts), 2):
+        for clause in _DIALECT_CLAUSES:
+            parts[index] = parts[index].replace(clause, "")
+    return "".join(parts)
 
 
 class _NumpyAggregate:
@@ -137,12 +138,11 @@ class _Variance(_NumpyAggregate):
 
 
 class SqliteBackend(SQLBackend):
-    """An in-memory SQLite database behind the backend seam.
+    """An in-memory SQLite database behind the backend front door.
 
-    Registered tables are mirrored twice: loaded into SQLite for
-    execution, and kept in a :class:`Catalog` so the optimizer's plan
-    encoder sees the same table statistics it would on the embedded
-    backend.
+    Registered tables are mirrored into SQLite for execution; the front
+    door's catalog keeps them too, so the optimizer's plan encoder sees
+    the same table statistics it would on the embedded backend.
 
     Each thread that touches the backend gets its own ``sqlite3``
     connection to one shared-cache in-memory database, so concurrent
@@ -150,32 +150,23 @@ class SqliteBackend(SQLBackend):
     that received it) never violate sqlite3's one-thread-per-connection
     rule while still reading the same tables.
 
-    Crossfilter-style brush sequences are additionally served through the
-    shared incremental-view-maintenance subsystem (:mod:`repro.sql.ivm`):
-    eligible aggregate queries are answered by delta-maintaining a
-    materialized view instead of re-running the SQL on SQLite.  Because
-    the IVM kernels are the *embedded* engine's, strict eligibility rules
-    (``IVMConfig(strict=True)``) restrict maintenance to query shapes
-    whose results are bit-identical across both engines — everything else
-    falls through to SQLite untouched.
-
-    Parameters
-    ----------
-    ivm:
-        When True (default) brush sequences over eligible aggregates are
-        answered via incremental view maintenance instead of SQL
-        re-execution.
-    ivm_config:
-        Overrides the IVM tuning knobs; ``strict`` is forced to True
-        because only the strict shape subset is cross-engine exact.
+    Crossfilter-style brush sequences are served through the front
+    door's incremental view maintenance (:mod:`repro.sql.ivm`) before
+    SQLite sees them.  Because the IVM kernels are the *embedded*
+    engine's, this backend's :attr:`strict_ivm` eligibility rules restrict
+    maintenance to query shapes whose results are bit-identical across
+    both engines — everything else falls through to SQLite untouched.
     """
 
     name = "sqlite"
+    capabilities = SQLITE_CAPABILITIES
+    strict_ivm = True
 
     #: Distinguishes the shared-cache URI of each live backend instance.
     _instance_ids = itertools.count()
 
-    def __init__(self, ivm: bool = True, ivm_config: IVMConfig | None = None) -> None:
+    def __init__(self, ivm: bool = True) -> None:
+        super().__init__(ivm)
         self._uri = (
             f"file:repro-sqlite-{os.getpid()}-{next(self._instance_ids)}"
             "?mode=memory&cache=shared"
@@ -184,40 +175,9 @@ class SqliteBackend(SQLBackend):
         self._connections: list[sqlite3.Connection] = []
         self._connections_lock = threading.Lock()
         self._closed = False
-        self._catalog = Catalog()
-        self._metrics = EngineMetrics()
-        if ivm:
-            config = ivm_config if ivm_config is not None else IVMConfig()
-            config = dataclasses.replace(config, strict=True)
-            self._ivm: IVMManager | None = IVMManager(
-                self._catalog, metrics=self._metrics, config=config
-            )
-        else:
-            self._ivm = None
-        # Parsing each brush step anew would dominate the delta-maintenance
-        # cost the IVM interception is meant to save.
-        self._plans = PlanCache(self._metrics)
         # The keeper: the shared in-memory database lives exactly as long
         # as at least one connection to its URI is open.
         self._keeper = self.connection
-
-    # ------------------------------------------------------------------ #
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        return SQLITE_CAPABILITIES
-
-    @property
-    def metrics(self) -> EngineMetrics:
-        return self._metrics
-
-    @property
-    def catalog(self) -> Catalog:
-        return self._catalog
-
-    @property
-    def ivm(self) -> IVMManager | None:
-        """The backend's IVM view manager (``None`` when disabled)."""
-        return self._ivm
 
     @property
     def connection(self) -> sqlite3.Connection:
@@ -249,88 +209,36 @@ class SqliteBackend(SQLBackend):
             return len(self._connections)
 
     # ------------------------------------------------------------------ #
-    # Table registration
+    # What differs from the front door
     # ------------------------------------------------------------------ #
-    def register_table(self, name: str, table: Table, replace: bool = False) -> None:
-        self._catalog.register(name, table, replace=replace)
-        load_table(self.connection, name, self._catalog.get(name), replace=replace)
+    def _load(self, name: str, table: Table) -> None:
+        load_table(self.connection, name, table, replace=True)
 
-    def register_rows(
-        self,
-        name: str,
-        rows: Sequence[Mapping[str, object]],
-        replace: bool = False,
-        column_order: Sequence[str] | None = None,
-    ) -> None:
-        self.register_table(
-            name,
-            Table.from_rows(rows, name=name, column_order=column_order),
-            replace=replace,
-        )
-
-    def register_columns(
-        self, name: str, data: Mapping[str, Sequence[object]], replace: bool = False
-    ) -> None:
-        """Register a table created from a column mapping."""
-        self.register_table(name, Table.from_columns(data, name=name), replace=replace)
-
-    def drop_table(self, name: str) -> None:
-        self._catalog.drop(name)
+    def _unload(self, name: str) -> None:
         connection = self.connection
         connection.execute(f"DROP TABLE IF EXISTS {quote_identifier(name)}")
         connection.commit()
 
-    def table_names(self) -> list[str]:
-        return self._catalog.table_names()
+    def _prepare(self, sql: str) -> LogicalPlan | None:
+        """The embedded plan IVM is asked about, or ``None`` when IVM is
+        off or the embedded parser cannot read the text (sqlite-only
+        syntax) — SQLite then answers it untouched."""
+        if self.ivm is None:
+            return None
+        try:
+            return self.plan(_strip_dialect(sql))
+        except ReproError:
+            return None
 
-    def table(self, name: str) -> Table:
-        return self._catalog.get(name)
-
-    def table_statistics(self, name: str) -> TableStatistics:
-        return self._catalog.statistics(name)
-
-    # ------------------------------------------------------------------ #
-    # Query execution
-    # ------------------------------------------------------------------ #
-    def execute(self, sql: str) -> QueryResult:
-        """Execute ``sql`` on SQLite and return a :class:`QueryResult`."""
-        if self._ivm is not None:
-            start = time.perf_counter()
-            plan = self._logical_plan(sql)
-            hit = self._ivm.attempt(plan) if plan is not None else None
-            if hit is not None:
-                table, stats = hit
-                result = QueryResult(
-                    sql=sql,
-                    table=table,
-                    elapsed_seconds=time.perf_counter() - start,
-                    stats=stats,
-                )
-                self._metrics.record(result)
-                return result
-        start = time.perf_counter()
+    def _rescan(
+        self, sql: str, plan: LogicalPlan | None
+    ) -> tuple[Table, ExecutionStats]:
         try:
             cursor = self.connection.execute(sql)
             rows = cursor.fetchall()
         except sqlite3.Error as exc:
             raise ExecutionError(f"sqlite backend failed to execute {sql!r}: {exc}") from exc
-        elapsed = time.perf_counter() - start
-        table = table_from_cursor(cursor.description, rows)
-        result = QueryResult(sql=sql, table=table, elapsed_seconds=elapsed, stats=ExecutionStats())
-        self._metrics.record(result)
-        return result
-
-    def _logical_plan(self, sql: str) -> LogicalPlan | None:
-        """The embedded logical plan for ``sql`` (through the shared
-        :class:`PlanCache`), or ``None`` when the embedded parser cannot
-        read it (sqlite-only syntax) — SQLite then answers it untouched."""
-        try:
-            return self._plans.plan(_strip_dialect(sql))
-        except ReproError:
-            return None
-
-    def clear_plan_cache(self) -> None:
-        self._plans.clear()
+        return table_from_cursor(cursor.description, rows), ExecutionStats()
 
     def close(self) -> None:
         """Close every per-thread connection (frees the shared database)."""

@@ -35,7 +35,6 @@ import numpy as np
 from repro.backends import SQLBackend, create_backend
 from repro.bench.scale import scaled_size
 from repro.datasets.generators import generate_dataset
-from repro.sql.ivm import IVMConfig
 
 #: Base (unscaled) row counts of the fig13 data-size axis.  The largest
 #: is the headline point the ≥5x p95 acceptance gate runs against.
@@ -188,9 +187,10 @@ def run_ivm_trajectory(
     trajectory = brush_trajectory(min(values), max(values))
     queries = [brush_query(low, high, kind=query_kind) for low, high in trajectory]
 
-    # register_after=1: the view materializes on first sight, so the warm
-    # pass builds it and every measured step runs the maintenance path.
-    ivm_backend: SQLBackend = create_backend(backend, ivm_config=IVMConfig(register_after=1))
+    # Every step shares one view key, so the warm pass builds the view
+    # (on its REGISTER_AFTER-th step) and every measured step runs the
+    # maintenance path.
+    ivm_backend: SQLBackend = create_backend(backend)
     rescan_backend: SQLBackend = create_backend(backend, ivm=False)
     result = IVMRunResult(
         backend=backend, n_rows=n_rows, steps=len(queries), query_kind=query_kind

@@ -2,7 +2,7 @@
 
 VDT operators send SQL over (simulated) HTTP to this middleware, which
 checks the caches, executes the query on the configured
-:class:`~repro.backends.base.SQLBackend` when needed, serialises the
+:class:`~repro.sql.engine.SQLBackend` when needed, serialises the
 result and returns it together with a cost breakdown (server compute,
 serialisation, network transfer).
 

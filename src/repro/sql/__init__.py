@@ -9,7 +9,7 @@ optimizer's cardinality estimates come from catalog statistics in
 :mod:`repro.core.encoder`.
 
 The public entry point is :class:`repro.sql.engine.Database`, the
-``"embedded"`` :class:`~repro.backends.base.SQLBackend`, which exposes a
+``"embedded"`` :class:`~repro.sql.engine.SQLBackend`, which exposes a
 DuckDB-like API::
 
     db = Database()
@@ -18,9 +18,10 @@ DuckDB-like API::
     result.to_rows()
 """
 
-# Database subclasses repro.backends.base.SQLBackend and the backends
-# package registers Database, so the backends package must start loading
-# first whichever of the two a caller imports.
+# The engine reads repro.backends.base and the backends package registers
+# Database and SqliteBackend (which subclasses SQLBackend from the
+# engine), so the backends package must start loading first whichever of
+# the two a caller imports.
 import repro.backends  # noqa: F401
 from repro.sql.engine import Database, QueryResult
 from repro.sql.parser import parse_sql

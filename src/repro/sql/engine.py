@@ -1,10 +1,12 @@
-"""The `Database` facade: a DuckDB-like embedded SQL engine.
+"""The SQL backend front door, and the embedded engine behind it.
 
-This is the public entry point of :mod:`repro.sql` and the ``"embedded"``
-:class:`~repro.backends.base.SQLBackend`.  It owns a catalog of registered
-tables and runs the full pipeline (tokenize → parse → plan → optimise →
-execute) for each query, recording timing and row counts so the VegaPlus
-optimizer and the benchmark harness can observe server-side work.
+:class:`SQLBackend` is the server-side seam the middleware, optimizer and
+benchmarks talk to.  It owns, once for every backend, the catalog of
+registered tables, the prepared-plan cache, the optional incremental
+view maintenance (:mod:`repro.sql.ivm`) and the cumulative
+:class:`EngineMetrics`.  :class:`Database`, the ``"embedded"`` backend and
+the public entry point of :mod:`repro.sql`, adds only its numpy re-scan
+(tokenize → parse → plan → optimise → execute) and ``repartition``.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.backends.base import BackendCapabilities, SQLBackend
+from repro.backends.base import BackendCapabilities
 from repro.sql.executor import ExecutionStats, Executor
-from repro.sql.ivm import IVMConfig, IVMManager
+from repro.sql.ivm import IVMManager
 from repro.sql.plancache import PlanCache
 from repro.sql.planner import LogicalPlan
 from repro.storage.catalog import Catalog
@@ -57,145 +59,219 @@ class QueryResult:
         return rset
 
 
-@dataclass
+#: :class:`ExecutionStats` fields summed into the counter of the same name.
+_STATS_COUNTERS = (
+    "rows_grouped",
+    "groups_formed",
+    "rows_sorted",
+    "rows_deduplicated",
+    "partitions_scanned",
+    "partitions_pruned",
+    "morsel_tasks",
+    "morsel_tasks_inline",
+)
+
+
 class EngineMetrics:
-    """Cumulative engine-level metrics across all executed queries.
+    """Cumulative engine-level counters across all executed queries.
 
     Counters are updated under an internal lock so backends serving
     concurrent sessions (:mod:`repro.server`) never lose increments to
     read-modify-write races.
     """
 
-    queries_executed: int = 0
-    total_execution_seconds: float = 0.0
-    total_rows_returned: int = 0
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    plan_template_hits: int = 0
-    plan_template_misses: int = 0
-    queries_parsed: int = 0
-    total_rows_grouped: int = 0
-    total_groups_formed: int = 0
-    total_rows_sorted: int = 0
-    total_rows_deduplicated: int = 0
-    total_partitions_scanned: int = 0
-    total_partitions_pruned: int = 0
-    total_morsel_tasks: int = 0
-    total_morsel_tasks_inline: int = 0
-    ivm_views: int = 0
-    ivm_hits: int = 0
-    ivm_delta_rows: int = 0
-    ivm_rescan_rows_avoided: int = 0
-    ivm_fallbacks: int = 0
-    ivm_fallback_rows: int = 0
-    ivm_invalidations: int = 0
-    _lock: threading.RLock = field(
-        default_factory=threading.RLock, repr=False, compare=False
+    #: Every counter, in snapshot order.
+    COUNTERS = (
+        "queries_executed",
+        "execution_seconds",
+        "rows_returned",
+        "plan_cache_hits",
+        "plan_cache_misses",
+        "plan_template_hits",
+        "plan_template_misses",
+        "queries_parsed",
+        *_STATS_COUNTERS,
+        "ivm_views",
+        "ivm_hits",
+        "ivm_delta_rows",
+        "ivm_rescan_rows_avoided",
+        "ivm_fallbacks",
+        "ivm_fallback_rows",
+        "ivm_invalidations",
     )
 
-    def record(self, result: QueryResult) -> None:
-        """Record one executed query."""
-        with self._lock:
-            self.queries_executed += 1
-            self.total_execution_seconds += result.elapsed_seconds
-            self.total_rows_returned += result.num_rows
-            self.total_rows_grouped += result.stats.rows_grouped
-            self.total_groups_formed += result.stats.groups_formed
-            self.total_rows_sorted += result.stats.rows_sorted
-            self.total_rows_deduplicated += result.stats.rows_deduplicated
-            self.total_partitions_scanned += result.stats.partitions_scanned
-            self.total_partitions_pruned += result.stats.partitions_pruned
-            self.total_morsel_tasks += result.stats.morsel_tasks
-            self.total_morsel_tasks_inline += result.stats.morsel_tasks_inline
+    def __init__(self) -> None:
+        self._counts = dict.fromkeys(self.COUNTERS, 0.0)
+        self._lock = threading.Lock()
 
-    def count(self, counter: str) -> None:
-        """Add one to the named counter field (the plan cache's hit /
-        miss / parse accounting)."""
+    def add(self, **deltas: float) -> None:
+        """Add each delta to the counter it is named after."""
         with self._lock:
-            setattr(self, counter, getattr(self, counter) + 1)
-
-    def record_ivm_view(self) -> None:
-        """Count one materialized view registration."""
-        with self._lock:
-            self.ivm_views += 1
-
-    def record_ivm_hit(self, delta_rows: int, rows_avoided: int) -> None:
-        """Count one query answered from a maintained view.
-
-        ``delta_rows`` is how many rows entered/left the brush range;
-        ``rows_avoided`` is the full-scan row count the engine skipped.
-        """
-        with self._lock:
-            self.ivm_hits += 1
-            self.ivm_delta_rows += delta_rows
-            self.ivm_rescan_rows_avoided += rows_avoided
-
-    def record_ivm_fallback(self, count: int, rows: int) -> None:
-        """Count MIN/MAX retraction re-scans (and the rows they touched)."""
-        with self._lock:
-            self.ivm_fallbacks += count
-            self.ivm_fallback_rows += rows
-
-    def record_ivm_invalidations(self, count: int) -> None:
-        """Count views dropped by a catalog re-register/drop."""
-        with self._lock:
-            self.ivm_invalidations += count
+            for name, delta in deltas.items():
+                self._counts[name] += delta
 
     def snapshot(self) -> dict[str, float]:
         """Current counter values as a flat mapping (for delta reporting)."""
         with self._lock:
-            return {
-                "queries_executed": float(self.queries_executed),
-                "execution_seconds": float(self.total_execution_seconds),
-                "rows_returned": float(self.total_rows_returned),
-                "plan_cache_hits": float(self.plan_cache_hits),
-                "plan_cache_misses": float(self.plan_cache_misses),
-                "plan_template_hits": float(self.plan_template_hits),
-                "plan_template_misses": float(self.plan_template_misses),
-                "queries_parsed": float(self.queries_parsed),
-                "rows_grouped": float(self.total_rows_grouped),
-                "groups_formed": float(self.total_groups_formed),
-                "rows_sorted": float(self.total_rows_sorted),
-                "rows_deduplicated": float(self.total_rows_deduplicated),
-                "partitions_scanned": float(self.total_partitions_scanned),
-                "partitions_pruned": float(self.total_partitions_pruned),
-                "morsel_tasks": float(self.total_morsel_tasks),
-                "morsel_tasks_inline": float(self.total_morsel_tasks_inline),
-                "ivm_views": float(self.ivm_views),
-                "ivm_hits": float(self.ivm_hits),
-                "ivm_delta_rows": float(self.ivm_delta_rows),
-                "ivm_rescan_rows_avoided": float(self.ivm_rescan_rows_avoided),
-                "ivm_fallbacks": float(self.ivm_fallbacks),
-                "ivm_fallback_rows": float(self.ivm_fallback_rows),
-                "ivm_invalidations": float(self.ivm_invalidations),
-            }
+            return dict(self._counts)
 
-    def reset(self) -> None:
-        """Clear all counters (used between benchmark runs)."""
-        with self._lock:
-            self.queries_executed = 0
-            self.total_execution_seconds = 0.0
-            self.total_rows_returned = 0
-            self.plan_cache_hits = 0
-            self.plan_cache_misses = 0
-            self.plan_template_hits = 0
-            self.plan_template_misses = 0
-            self.queries_parsed = 0
-            self.total_rows_grouped = 0
-            self.total_groups_formed = 0
-            self.total_rows_sorted = 0
-            self.total_rows_deduplicated = 0
-            self.total_partitions_scanned = 0
-            self.total_partitions_pruned = 0
-            self.total_morsel_tasks = 0
-            self.total_morsel_tasks_inline = 0
-            self.ivm_views = 0
-            self.ivm_hits = 0
-            self.ivm_delta_rows = 0
-            self.ivm_rescan_rows_avoided = 0
-            self.ivm_fallbacks = 0
-            self.ivm_fallback_rows = 0
-            self.ivm_invalidations = 0
+
+class SQLBackend:
+    """A server-side SQL engine: the one front door every backend shares.
+
+    Registration, lookups, planning through the :class:`PlanCache`, the
+    IVM attempt, :class:`QueryResult` assembly and metrics live here.  A
+    backend sets :attr:`name` and :attr:`capabilities` and implements
+    :meth:`_rescan`; one that keeps its own copy of the data also
+    overrides :meth:`_load` / :meth:`_unload`.
+
+    Every backend must honour the result contract pinned by
+    ``tests/test_backends_differential.py``: NULL sorts last under ``ASC``
+    and first under ``DESC``, cross-type keys order numbers < strings <
+    NULL, aggregates skip NULLs, and ``STDDEV``/``VARIANCE`` are sample
+    statistics (``ddof=1``, NULL below two values).  ``docs/BACKENDS.md``
+    documents the contract in prose.
+
+    Parameters
+    ----------
+    ivm:
+        When True (default) eligible crossfilter-style queries are
+        answered by incrementally maintained materialized views (see
+        :mod:`repro.sql.ivm`); results are bit-identical to a full
+        re-scan by construction.
+    """
+
+    #: Short identifier used in cache keys, benchmark output and logs.
+    name: str
+    #: The backend's dialect/feature description.
+    capabilities: BackendCapabilities
+    #: Whether IVM applies the extra eligibility rules that keep maintained
+    #: results bit-identical to an engine other than the embedded one.
+    strict_ivm = False
+
+    def __init__(self, ivm: bool = True) -> None:
+        #: The registered tables (statistics, zone maps and
+        #: table-replacement events).
+        self.catalog = Catalog()
+        #: Cumulative counters; the benchmarks diff ``metrics.snapshot()``.
+        self.metrics = EngineMetrics()
+        self._plans = PlanCache(self.metrics)
+        #: The IVM view manager (``None`` when disabled).
+        self.ivm: IVMManager | None = (
+            IVMManager(self.catalog, self.metrics, strict=self.strict_ivm)
+            if ivm
+            else None
+        )
+
+    # ------------------------------------------------------------------ #
+    # Table registration
+    # ------------------------------------------------------------------ #
+    def register_table(self, name: str, table: Table, replace: bool = False) -> None:
+        """Register an existing :class:`Table` under ``name``.
+
+        The backend's own copy is loaded before the catalog entry is
+        swapped: the swap fires the catalog's invalidation listeners, and
+        a query they trigger must already read the new rows.
+        """
+        self.catalog.check_register(name, replace)
+        self._load(name, table)
+        self.catalog.register(name, table, replace=replace)
+
+    def register_rows(
+        self,
+        name: str,
+        rows: Sequence[Mapping[str, object]],
+        replace: bool = False,
+        column_order: Sequence[str] | None = None,
+    ) -> None:
+        """Register a table created from row dictionaries."""
+        self.register_table(
+            name, Table.from_rows(rows, name=name, column_order=column_order), replace
+        )
+
+    def register_columns(
+        self, name: str, data: Mapping[str, Sequence[object]], replace: bool = False
+    ) -> None:
+        """Register a table created from a column mapping."""
+        self.register_table(name, Table.from_columns(data, name=name), replace)
+
+    def drop_table(self, name: str) -> None:
+        """Remove a registered table (the backend's copy first, as above)."""
+        self._unload(name)
+        self.catalog.drop(name)
+
+    def table_names(self) -> list[str]:
+        """Names of registered tables."""
+        return self.catalog.table_names()
+
+    def table(self, name: str) -> Table:
+        """Return a registered table."""
+        return self.catalog.get(name)
+
+    def table_statistics(self, name: str) -> TableStatistics:
+        """Statistics for a registered table."""
+        return self.catalog.statistics(name)
+
+    def _load(self, name: str, table: Table) -> None:
+        """Copy ``table`` into the backend's own storage (none by default)."""
+
+    def _unload(self, name: str) -> None:
+        """Remove ``name`` from the backend's own storage (none by default)."""
+
+    # ------------------------------------------------------------------ #
+    # Query execution
+    # ------------------------------------------------------------------ #
+    def plan(self, sql: str) -> LogicalPlan:
+        """Parse and optimise ``sql`` through the :class:`PlanCache`, so
+        repeated interactive queries (crossfilter, overview+detail) skip
+        the parse, or the whole tokenize → parse → plan → optimise
+        pipeline."""
+        return self._plans.plan(sql)
+
+    def clear_plan_cache(self) -> None:
+        """Drop all cached prepared plans and plan templates."""
+        self._plans.clear()
+
+    def execute(self, sql: str) -> QueryResult:
+        """Execute ``sql`` and return a :class:`QueryResult`.
+
+        ``elapsed_seconds`` runs from the end of planning to the result
+        :class:`Table`: the IVM attempt plus, when it declines, the
+        backend's re-scan including its conversion to a table.
+        """
+        plan = self._prepare(sql)
+        start = time.perf_counter()
+        hit = self.ivm.attempt(plan) if self.ivm is not None and plan is not None else None
+        table, stats = hit if hit is not None else self._rescan(sql, plan)
+        elapsed = time.perf_counter() - start
+        self.metrics.add(
+            queries_executed=1,
+            execution_seconds=elapsed,
+            rows_returned=table.num_rows,
+            **{counter: getattr(stats, counter) for counter in _STATS_COUNTERS},
+        )
+        return QueryResult(sql=sql, table=table, elapsed_seconds=elapsed, stats=stats)
+
+    def _prepare(self, sql: str) -> LogicalPlan | None:
+        """The plan :meth:`execute` offers to IVM and to :meth:`_rescan`."""
+        return self.plan(sql)
+
+    def _rescan(
+        self, sql: str, plan: LogicalPlan | None
+    ) -> tuple[Table, ExecutionStats]:
+        """Answer a query IVM declined, by executing it on the backend."""
+        raise NotImplementedError
+
+    def query_rows(self, sql: str) -> list[dict[str, object]]:
+        """Convenience wrapper returning the result rows directly."""
+        return self.execute(sql).to_rows()
+
+    def stats(self) -> dict[str, float]:
+        """Flat snapshot of the backend's cumulative engine counters."""
+        return self.metrics.snapshot()
+
+    def close(self) -> None:
+        """Release backend resources (nothing to release by default)."""
 
 
 #: Dialect description of the embedded engine.  Concurrent execution is
@@ -221,65 +297,13 @@ class Database(SQLBackend):
     needs no NULL-ordering or window-frame shims because the engine was
     built to the shared contract (numbers < strings < NULL, NULL last
     under ASC / first under DESC, ROWS-frame running aggregates).
-
-    Parameters
-    ----------
-    ivm:
-        When True (default) eligible crossfilter-style queries are
-        answered by incrementally maintained materialized views (see
-        :mod:`repro.sql.ivm`); results are bit-identical to a full
-        re-scan by construction.  ``ivm_config`` overrides the view
-        registry's tunables.
     """
 
     name = "embedded"
+    capabilities = EMBEDDED_CAPABILITIES
 
-    def __init__(
-        self,
-        plan_cache_size: int = 256,
-        ivm: bool = True,
-        ivm_config: IVMConfig | None = None,
-    ) -> None:
-        self._catalog = Catalog()
-        self._metrics = EngineMetrics()
-        self._plans = PlanCache(self._metrics, plan_cache_size)
-        self.ivm: IVMManager | None = (
-            IVMManager(self._catalog, metrics=self._metrics, config=ivm_config)
-            if ivm
-            else None
-        )
-
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        return EMBEDDED_CAPABILITIES
-
-    @property
-    def metrics(self) -> EngineMetrics:
-        """Cumulative counters across every executed query."""
-        return self._metrics
-
-    # ------------------------------------------------------------------ #
-    # Table registration
-    # ------------------------------------------------------------------ #
-    def register_table(self, name: str, table: Table, replace: bool = False) -> None:
-        """Register an existing :class:`Table` under ``name``."""
-        self._catalog.register(name, table, replace=replace)
-
-    def register_rows(
-        self,
-        name: str,
-        rows: Sequence[Mapping[str, object]],
-        replace: bool = False,
-        column_order: Sequence[str] | None = None,
-    ) -> None:
-        """Register a table created from row dictionaries."""
-        self._catalog.register_rows(name, rows, replace=replace, column_order=column_order)
-
-    def register_columns(
-        self, name: str, data: Mapping[str, Sequence[object]], replace: bool = False
-    ) -> None:
-        """Register a table created from a column mapping."""
-        self._catalog.register(name, Table.from_columns(data, name=name), replace=replace)
+    def _rescan(self, sql: str, plan: LogicalPlan) -> tuple[Table, ExecutionStats]:
+        return Executor(self.catalog).execute(plan)
 
     def repartition(self, name: str, target_rows: int) -> None:
         """Re-register ``name`` as a :class:`PartitionedTable`.
@@ -289,53 +313,5 @@ class Database(SQLBackend):
         by the catalog, and queries over the table run partition by
         partition with zone-map pruning from then on.
         """
-        table = self._catalog.get(name)
-        self._catalog.register(
-            name, PartitionedTable.from_table(table, target_rows), replace=True
-        )
-
-    def drop_table(self, name: str) -> None:
-        """Remove a registered table."""
-        self._catalog.drop(name)
-
-    def table_names(self) -> list[str]:
-        """Names of registered tables."""
-        return self._catalog.table_names()
-
-    def table(self, name: str) -> Table:
-        """Return a registered table."""
-        return self._catalog.get(name)
-
-    def table_statistics(self, name: str) -> TableStatistics:
-        """Statistics for a registered table."""
-        return self._catalog.statistics(name)
-
-    @property
-    def catalog(self) -> Catalog:
-        """The underlying catalog (shared with the executor)."""
-        return self._catalog
-
-    # ------------------------------------------------------------------ #
-    # Query execution
-    # ------------------------------------------------------------------ #
-    def plan(self, sql: str) -> LogicalPlan:
-        """Parse and optimise ``sql`` through the :class:`PlanCache`, so
-        repeated interactive queries (crossfilter, overview+detail) skip
-        the parse, or the whole tokenize → parse → plan → optimise
-        pipeline."""
-        return self._plans.plan(sql)
-
-    def clear_plan_cache(self) -> None:
-        """Drop all cached prepared plans and plan templates."""
-        self._plans.clear()
-
-    def execute(self, sql: str) -> QueryResult:
-        """Execute ``sql`` and return a :class:`QueryResult`."""
-        plan = self.plan(sql)
-        start = time.perf_counter()
-        hit = self.ivm.attempt(plan) if self.ivm is not None else None
-        table, stats = hit if hit is not None else Executor(self._catalog).execute(plan)
-        elapsed = time.perf_counter() - start
-        result = QueryResult(sql=sql, table=table, elapsed_seconds=elapsed, stats=stats)
-        self._metrics.record(result)
-        return result
+        table = PartitionedTable.from_table(self.table(name), target_rows)
+        self.register_table(name, table, replace=True)

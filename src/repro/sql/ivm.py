@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -80,6 +81,9 @@ from repro.storage.catalog import Catalog
 from repro.storage.column import Column
 from repro.storage.table import Table, group_segments
 
+if TYPE_CHECKING:
+    from repro.sql.engine import EngineMetrics
+
 #: Largest magnitude at which consecutive float64 integers stay distinct.
 _EXACT_LIMIT = float(2**53)
 
@@ -87,25 +91,12 @@ _EXACT_LIMIT = float(2**53)
 _MAX_COMPOSITE = 2**62
 
 
-@dataclass(frozen=True)
-class IVMConfig:
-    """Tunables of one :class:`IVMManager`.
+#: LRU capacity of materialized views per manager.
+MAX_VIEWS = 32
 
-    ``strict`` enables the extra eligibility rules the SQLite backend
-    needs for bit-identical interception (see :meth:`IVMManager._strict_ok`):
-    bare-column group keys and aggregate arguments, an ORDER BY covering
-    every group key (deterministic row order), no NULL group-key values,
-    and a restricted expression grammar whose semantics the differential
-    corpus has validated against SQLite.
-    """
-
-    #: LRU capacity of materialized views per manager.
-    max_views: int = 32
-    #: Register a view on the Nth sighting of an eligible query shape,
-    #: so one-shot queries never pay the build cost.
-    register_after: int = 2
-    #: Extra eligibility rules for cross-backend (SQLite) parity.
-    strict: bool = False
+#: A view registers on this sighting of an eligible query shape, so
+#: one-shot queries never pay the build cost.
+REGISTER_AFTER = 2
 
 
 def _exactly_summable(values: np.ndarray, n_rows: int) -> bool:
@@ -516,23 +507,28 @@ class MaterializedView:
 class IVMManager:
     """Registry of materialized views keyed by crossfilter query shape.
 
-    A view registers on the ``register_after``-th sighting of an
+    A view registers on the :data:`REGISTER_AFTER`-th sighting of an
     eligible shape (successive brush positions share one key because the
-    brush literals are excluded from it), is bounded by an LRU, and is
-    dropped whenever the catalog re-registers or drops its base table.
-    All state mutates under one lock — concurrent sessions brushing the
-    same view serialize their delta maintenance.
+    brush literals are excluded from it), is bounded by an LRU of
+    :data:`MAX_VIEWS`, and is dropped whenever the catalog re-registers
+    or drops its base table.  All state mutates under one lock —
+    concurrent sessions brushing the same view serialize their delta
+    maintenance.
+
+    ``strict`` enables the extra eligibility rules a backend other than
+    the embedded engine needs for bit-identical interception (see
+    :meth:`_strict_ok`): bare-column group keys and aggregate arguments,
+    an ORDER BY covering every group key (deterministic row order), no
+    NULL group-key values, and a restricted expression grammar whose
+    semantics the differential corpus has validated against SQLite.
     """
 
     def __init__(
-        self,
-        catalog: Catalog,
-        metrics: object | None = None,
-        config: IVMConfig | None = None,
+        self, catalog: Catalog, metrics: EngineMetrics, strict: bool = False
     ) -> None:
         self._catalog = catalog
         self._metrics = metrics
-        self.config = config or IVMConfig()
+        self._strict = strict
         self._views: OrderedDict[str, MaterializedView] = OrderedDict()
         self._seen: dict[str, int] = {}
         self._ineligible: dict[str, str] = {}
@@ -556,7 +552,7 @@ class IVMManager:
         template = ivm_template(plan)
         if template is None:
             return None
-        if self.config.strict and not self._strict_ok(template):
+        if self._strict and not self._strict_ok(template):
             return None
         with self._lock:
             key = template.view_key
@@ -566,7 +562,7 @@ class IVMManager:
             if view is None:
                 sightings = self._seen.get(key, 0) + 1
                 self._seen[key] = sightings
-                if sightings < self.config.register_after:
+                if sightings < REGISTER_AFTER:
                     return None
                 view = self._build(template)
                 if view is None:
@@ -574,9 +570,9 @@ class IVMManager:
                     return None
                 self._seen.pop(key, None)
                 self._views[key] = view
-                while len(self._views) > self.config.max_views:
+                while len(self._views) > MAX_VIEWS:
                     self._views.popitem(last=False)
-                self._record_metric("record_ivm_view")
+                self._metrics.add(ivm_views=1)
             else:
                 self._views.move_to_end(key)
             try:
@@ -588,10 +584,10 @@ class IVMManager:
                 self._views.pop(key, None)
                 self._ineligible[key] = template.table_name
                 return None
-            self._record_metric(
-                "record_ivm_hit",
-                delta_rows=delta_rows,
-                rows_avoided=max(view.base_rows - delta_rows, 0),
+            self._metrics.add(
+                ivm_hits=1,
+                ivm_delta_rows=delta_rows,
+                ivm_rescan_rows_avoided=max(view.base_rows - delta_rows, 0),
             )
             return table, stats
 
@@ -622,13 +618,13 @@ class IVMManager:
                 if table != table_name
             }
             if doomed:
-                self._record_metric("record_ivm_invalidations", count=len(doomed))
+                self._metrics.add(ivm_invalidations=len(doomed))
 
     # ------------------------------------------------------------------ #
     def _build(self, template: IVMTemplate) -> MaterializedView | None:
         try:
             table = self._catalog.get(template.table_name)
-            if self.config.strict and self._has_null_keys(template, table):
+            if self._strict and self._has_null_keys(template, table):
                 return None
             return MaterializedView.build(template, table)
         except ReproError:
@@ -639,9 +635,7 @@ class IVMManager:
     ) -> tuple[Table, ExecutionStats, int]:
         delta_rows, fallbacks, fallback_rows = view.maintain(template.interval)
         if fallbacks:
-            self._record_metric(
-                "record_ivm_fallback", count=fallbacks, rows=fallback_rows
-            )
+            self._metrics.add(ivm_fallbacks=fallbacks, ivm_fallback_rows=fallback_rows)
         stats = ExecutionStats()
         stats.rows_scanned = delta_rows + fallback_rows
         stats.rows_grouped = delta_rows
@@ -655,11 +649,6 @@ class IVMManager:
             table = self._executor.execute_subtree(node, stats)
         stats.rows_output = table.num_rows
         return table, stats, delta_rows
-
-    def _record_metric(self, method: str, **kwargs: object) -> None:
-        recorder = getattr(self._metrics, method, None)
-        if recorder is not None:
-            recorder(**kwargs)
 
     # ------------------------------------------------------------------ #
     # Strict (cross-backend) eligibility

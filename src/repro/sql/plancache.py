@@ -2,7 +2,8 @@
 
 One component, used by every backend that plans through the embedded
 planner (the engine for execution, the sqlite backend for IVM
-interception), holding two LRU levels under one lock and one size:
+interception), holding two LRU levels of :data:`PLAN_CACHE_ENTRIES`
+each under one lock:
 
 * **exact** — whitespace-normalised SQL text → :class:`LogicalPlan`;
   a re-issued query skips tokenize → parse → plan → optimise entirely,
@@ -32,6 +33,9 @@ if TYPE_CHECKING:
 
 _MISSING = object()
 
+#: Entry cap of each LRU level.
+PLAN_CACHE_ENTRIES = 256
+
 
 def normalize_sql(sql: str) -> str:
     """Collapse insignificant whitespace so equivalent query texts share a key.
@@ -60,20 +64,11 @@ def normalize_sql(sql: str) -> str:
 
 
 class PlanCache:
-    """Two-level LRU of prepared plans (see the module docstring).
+    """Two-level LRU of prepared plans (see the module docstring);
+    ``metrics`` receives the hit/miss/parse counts."""
 
-    Parameters
-    ----------
-    metrics:
-        Receives the hit/miss/parse counts.
-    size:
-        Entry cap of each level; ``0`` disables caching (every query
-        parses and plans from scratch).
-    """
-
-    def __init__(self, metrics: EngineMetrics, size: int = 256) -> None:
+    def __init__(self, metrics: EngineMetrics) -> None:
         self._metrics = metrics
-        self._size = size
         self._plans: OrderedDict[str, LogicalPlan] = OrderedDict()
         self._templates: OrderedDict[str, PlanTemplate | None] = OrderedDict()
         self._lock = threading.Lock()
@@ -87,12 +82,10 @@ class PlanCache:
             return value
 
     def _store(self, cache: OrderedDict, key: str, value: object) -> None:
-        if self._size <= 0:
-            return
         with self._lock:
             cache[key] = value
             cache.move_to_end(key)
-            while len(cache) > self._size:
+            while len(cache) > PLAN_CACHE_ENTRIES:
                 cache.popitem(last=False)
 
     def plan(self, sql: str) -> LogicalPlan:
@@ -107,9 +100,9 @@ class PlanCache:
         key = normalize_sql(sql)
         cached = self._lookup(self._plans, key)
         if cached is not _MISSING:
-            self._metrics.count("plan_cache_hits")
+            self._metrics.add(plan_cache_hits=1)
             return cached
-        self._metrics.count("plan_cache_misses")
+        self._metrics.add(plan_cache_misses=1)
         plan = optimize_plan(build_logical_plan(self._statement(sql)))
         self._store(self._plans, key, plan)
         return plan
@@ -129,17 +122,16 @@ class PlanCache:
         """
         shaped = template_shape(sql)
         if shaped is None:
-            self._metrics.count("queries_parsed")
+            self._metrics.add(queries_parsed=1)
             return parse_sql(sql)
         shape_key, values = shaped
         template = self._lookup(self._templates, shape_key)
         if template is not _MISSING and template is not None:
             statement = instantiate(template, values)
             if statement is not None:
-                self._metrics.count("plan_template_hits")
+                self._metrics.add(plan_template_hits=1)
                 return statement
-        self._metrics.count("plan_template_misses")
-        self._metrics.count("queries_parsed")
+        self._metrics.add(plan_template_misses=1, queries_parsed=1)
         statement = parse_sql(sql)
         if template is _MISSING:
             self._store(self._templates, shape_key, build_template(statement, values))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable
 
 from repro.errors import CatalogError
 from repro.storage.statistics import (
@@ -62,6 +62,14 @@ class Catalog:
             if listener is not None:
                 listener(name)
 
+    def check_register(self, name: str, replace: bool = False) -> None:
+        """Raise :class:`CatalogError` if ``register(name, ..., replace)`` would."""
+        if not name:
+            raise CatalogError("table name must be non-empty")
+        with self._lock:
+            if name in self._tables and not replace:
+                raise CatalogError(f"table {name!r} already registered (pass replace=True)")
+
     def register(self, name: str, table: Table, replace: bool = False) -> None:
         """Register ``table`` under ``name``.
 
@@ -69,27 +77,14 @@ class Catalog:
         gets per-partition zone maps computed lazily); a plain table is
         stored flat.
         """
-        if not name:
-            raise CatalogError("table name must be non-empty")
         with self._lock:
-            if name in self._tables and not replace:
-                raise CatalogError(f"table {name!r} already registered (pass replace=True)")
+            self.check_register(name, replace)
             replaced = name in self._tables
             self._tables[name] = table.renamed(name)
             self._statistics.pop(name, None)
             self._zone_maps.pop(name, None)
         if replaced:
             self._notify_invalidation(name)
-
-    def register_rows(
-        self,
-        name: str,
-        rows: Sequence[Mapping[str, object]],
-        replace: bool = False,
-        column_order: Sequence[str] | None = None,
-    ) -> None:
-        """Register a table built from row dictionaries."""
-        self.register(name, Table.from_rows(rows, name=name, column_order=column_order), replace)
 
     def drop(self, name: str) -> None:
         """Remove a table from the catalog."""

@@ -364,8 +364,11 @@ def test_create_backend_rejects_unknown_names():
 
 @pytest.mark.parametrize("name", backend_names())
 def test_create_backend_rejects_unknown_options(name):
-    with pytest.raises(TypeError):
-        create_backend(name, no_such_option=1)
+    """``ivm`` is the only constructor option: the tuning values that
+    used to be options are module constants now."""
+    for option in ("no_such_option", "plan_cache_size", "ivm_config"):
+        with pytest.raises(TypeError):
+            create_backend(name, **{option: 1})
 
 
 def test_capabilities_drive_dialect_clauses():

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.backends import backend_names, create_backend
 from repro.core.system import VegaPlusSystem
 from repro.sql import Database
-from repro.sql.ivm import IVMConfig, IVMManager
+from repro.sql.ivm import MAX_VIEWS, IVMManager
 from repro.sql.parser import parse_sql
 from repro.sql.planner import build_logical_plan, ivm_template
 
@@ -31,9 +31,6 @@ settings.register_profile(
     "repro", deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=30
 )
 settings.load_profile("repro")
-
-#: IVM engages on first sight, so short trajectories exercise maintenance.
-_EAGER = IVMConfig(register_after=1)
 
 
 # --------------------------------------------------------------------------- #
@@ -73,7 +70,7 @@ def _ordered(thresholds: list[int], order: str) -> list[int]:
 
 def _assert_differential(queries: list[str], rows: list[dict], backend: str = "embedded"):
     """Every query must return identical rows with and without IVM."""
-    ivm_backend = create_backend(backend, ivm_config=_EAGER)
+    ivm_backend = create_backend(backend)
     plain = create_backend(backend, ivm=False)
     try:
         for db in (ivm_backend, plain):
@@ -100,7 +97,7 @@ def test_brush_trajectory_differential(rows, thresholds, order):
     ]
     metrics = _assert_differential(queries, rows)
     # The maintenance path must actually have served the trajectory.
-    assert metrics["ivm_hits"] >= len(queries) - 1
+    assert metrics["ivm_hits"] >= len(queries) - 2
 
 
 @given(rows=_rows, thresholds=_thresholds, order=_order, width=st.integers(1, 10))
@@ -112,7 +109,7 @@ def test_brush_interval_differential(rows, thresholds, order, width):
         for t in _ordered(thresholds, order)
     ]
     metrics = _assert_differential(queries, rows)
-    assert metrics["ivm_hits"] >= len(queries) - 1
+    assert metrics["ivm_hits"] >= len(queries) - 2
 
 
 @given(rows=_rows, thresholds=_thresholds)
@@ -122,7 +119,7 @@ def test_global_aggregate_differential(rows, thresholds):
         f"SELECT {_ALL_AGGREGATES} FROM t WHERE b >= {t}" for t in thresholds
     ]
     metrics = _assert_differential(queries, rows)
-    assert metrics["ivm_hits"] >= len(queries) - 1
+    assert metrics["ivm_hits"] >= len(queries) - 2
 
 
 @settings(max_examples=15)
@@ -138,7 +135,7 @@ def test_brush_trajectory_differential_backends(backend, rows, thresholds, order
         for t in _ordered(thresholds, order)
     ]
     metrics = _assert_differential(queries, rows, backend=backend)
-    assert metrics["ivm_hits"] >= len(queries) - 1
+    assert metrics["ivm_hits"] >= len(queries) - 2
 
 
 # --------------------------------------------------------------------------- #
@@ -157,7 +154,7 @@ def test_having_order_limit_suffix_replayed():
         for t in (-1, 2, 5, 0, 9)
     ]
     metrics = _assert_differential(queries, rows)
-    assert metrics["ivm_hits"] >= len(queries) - 1
+    assert metrics["ivm_hits"] >= len(queries) - 2
 
 
 # --------------------------------------------------------------------------- #
@@ -169,7 +166,7 @@ def _extremum_db() -> tuple[Database, Database]:
     # v is minimal at b=0 and maximal at b=9, so a brush edge crossing
     # either endpoint retracts the current extremum.
     rows = [{"b": b, "v": [1, 5, 6, 7, 8, 9, 10, 11, 12, 13][b]} for b in range(10)]
-    ivm_db = Database(ivm_config=_EAGER)
+    ivm_db = Database()
     plain = Database(ivm=False)
     for db in (ivm_db, plain):
         db.register_rows("t", rows, column_order=["b", "v"])
@@ -180,7 +177,8 @@ def test_min_retraction_triggers_partial_rescan():
     """Brushing out the current minimum re-scans the remaining range."""
     ivm_db, plain = _extremum_db()
     sql = "SELECT MIN(v) AS lo, MAX(v) AS hi FROM t WHERE b >= {}"
-    assert ivm_db.execute(sql.format(0)).table.to_rows() == [{"lo": 1, "hi": 13}]
+    for _ in range(2):  # the second sighting builds the view
+        assert ivm_db.execute(sql.format(0)).table.to_rows() == [{"lo": 1, "hi": 13}]
     # b=0 (v=1, the minimum) leaves; the max (b=9) stays in range.
     assert (
         ivm_db.execute(sql.format(1)).table.to_rows()
@@ -196,7 +194,8 @@ def test_min_retraction_triggers_partial_rescan():
 def test_max_retraction_triggers_partial_rescan():
     ivm_db, plain = _extremum_db()
     sql = "SELECT MIN(v) AS lo, MAX(v) AS hi FROM t WHERE b <= {}"
-    assert ivm_db.execute(sql.format(9)).table.to_rows() == [{"lo": 1, "hi": 13}]
+    for _ in range(2):
+        assert ivm_db.execute(sql.format(9)).table.to_rows() == [{"lo": 1, "hi": 13}]
     # b=9 (v=13, the maximum) leaves; the min (b=0) stays in range.
     assert (
         ivm_db.execute(sql.format(8)).table.to_rows()
@@ -213,7 +212,7 @@ def test_emptied_brush_needs_no_fallback_rescan():
     refilled brush rebuilds it from entering rows alone."""
     ivm_db, plain = _extremum_db()
     sql = "SELECT MIN(v) AS lo, MAX(v) AS hi FROM t WHERE b >= {}"
-    for threshold in (0, 100, 0):
+    for threshold in (0, 0, 100, 0):
         assert (
             ivm_db.execute(sql.format(threshold)).table.to_rows()
             == plain.execute(sql.format(threshold)).table.to_rows()
@@ -233,7 +232,7 @@ def _brush_rows(values: list[int]) -> list[dict]:
 
 
 def test_reregister_invalidates_views_and_statistics():
-    db = Database(ivm_config=_EAGER)
+    db = Database()
     db.register_rows("t", _brush_rows([1, 2, 3, 4]), column_order=["g", "v", "b"])
     sql = "SELECT g, COUNT(*) AS n, SUM(v) AS s FROM t WHERE b >= {} GROUP BY g"
     db.execute(sql.format(0))
@@ -259,9 +258,10 @@ def test_reregister_invalidates_views_and_statistics():
 
 
 def test_drop_table_invalidates_views():
-    db = Database(ivm_config=_EAGER)
+    db = Database()
     db.register_rows("t", _brush_rows([1, 2, 3]), column_order=["g", "v", "b"])
     db.execute("SELECT g, COUNT(*) AS n FROM t WHERE b >= 1 GROUP BY g")
+    db.execute("SELECT g, COUNT(*) AS n FROM t WHERE b >= 2 GROUP BY g")
     assert db.ivm.view_count() == 1
     db.drop_table("t")
     assert db.ivm.view_count() == 0
@@ -269,7 +269,7 @@ def test_drop_table_invalidates_views():
 
 
 def test_sqlite_reregister_invalidates_views():
-    backend = create_backend("sqlite", ivm_config=_EAGER)
+    backend = create_backend("sqlite")
     try:
         backend.register_rows("t", _brush_rows([1, 2, 3, 4]), column_order=["g", "v", "b"])
         sql = "SELECT g, COUNT(*) AS n FROM t WHERE b >= {} GROUP BY g ORDER BY g"
@@ -293,13 +293,39 @@ def test_sqlite_reregister_invalidates_views():
         backend.close()
 
 
+def test_sqlite_ivm_leaves_dialect_words_in_string_literals():
+    """sqlite strips its dialect clauses before the embedded planner sees
+    the text — but the same words inside a string literal are data."""
+    rows = [
+        {"g": g, "b": b}
+        for b in range(10)
+        for g in ("a", "a NULLS LAST", "c", "d ROWS UNBOUNDED PRECEDING")
+    ]
+    queries = [
+        f"SELECT g, COUNT(*) AS n FROM t WHERE b >= {t} AND g <> 'a NULLS LAST' "
+        "AND g <> 'd ROWS UNBOUNDED PRECEDING' GROUP BY g ORDER BY g NULLS LAST"
+        for t in (1, 3, 5)
+    ]
+    ivm_backend = create_backend("sqlite")
+    plain = create_backend("sqlite", ivm=False)
+    try:
+        for backend in (ivm_backend, plain):
+            backend.register_rows("t", rows, column_order=["g", "b"])
+        for sql in queries:
+            assert ivm_backend.query_rows(sql) == plain.query_rows(sql), sql
+        assert ivm_backend.stats()["ivm_hits"] == len(queries) - 1
+    finally:
+        ivm_backend.close()
+        plain.close()
+
+
 # --------------------------------------------------------------------------- #
 # Eligibility negatives: ineligible shapes/data must never engage
 # --------------------------------------------------------------------------- #
 
 
 def _hits_after(queries: list[str], rows: list[dict]) -> float:
-    db = Database(ivm_config=_EAGER)
+    db = Database()
     db.register_rows("t", rows, column_order=list(rows[0]))
     for sql in queries:
         db.execute(sql)
@@ -361,19 +387,22 @@ def test_system_stats_report_ivm_section(histogram_spec, flights_db):
 # --------------------------------------------------------------------------- #
 
 
-def test_metrics_snapshot_and_reset_cover_ivm():
-    db = Database(ivm_config=_EAGER)
+def test_metrics_snapshot_covers_ivm():
+    db = Database()
     db.register_rows("t", _brush_rows([1, 2, 3]), column_order=["g", "v", "b"])
     sql = "SELECT g, COUNT(*) AS n FROM t WHERE b >= {} GROUP BY g"
-    db.execute(sql.format(1))
-    db.execute(sql.format(2))
+    for threshold in (1, 2, 3):
+        db.execute(sql.format(threshold))
     snapshot = db.metrics.snapshot()
     assert snapshot["ivm_views"] == 1
     assert snapshot["ivm_hits"] == 2
     assert snapshot["ivm_rescan_rows_avoided"] > 0
-    db.metrics.reset()
-    wiped = db.metrics.snapshot()
-    assert all(wiped[key] == 0 for key in snapshot if key.startswith("ivm_"))
+    # Snapshots are copies: a later one diffs against an earlier one.
+    db.execute(sql.format(1))
+    later = db.metrics.snapshot()
+    assert later["ivm_hits"] - snapshot["ivm_hits"] == 1
+    assert later["ivm_views"] - snapshot["ivm_views"] == 0
+    assert set(later) == set(snapshot) and len(snapshot) == 23
 
 
 def test_ivm_disabled_database_has_no_manager():
@@ -387,22 +416,21 @@ def test_ivm_disabled_database_has_no_manager():
 
 
 def test_view_cap_evicts_oldest_view():
-    db = Database(ivm_config=IVMConfig(register_after=1, max_views=2))
+    db = Database()
     db.register_rows("t", _brush_rows(list(range(10))), column_order=["g", "v", "b"])
-    templates = (
-        "SELECT g, COUNT(*) AS n FROM t WHERE b >= {} GROUP BY g",
-        "SELECT g, SUM(v) AS s FROM t WHERE b >= {} GROUP BY g",
-        "SELECT g, MIN(v) AS lo FROM t WHERE b >= {} GROUP BY g",
-    )
-    for template in templates:
-        db.execute(template.format(1))
-    assert db.ivm.view_count() == 2
+    # One more shape than the cap, each seen twice so its view registers.
+    for shape in range(MAX_VIEWS + 1):
+        sql = f"SELECT g, COUNT(*) AS n FROM t WHERE v <> {shape} AND b >= {{}} GROUP BY g"
+        db.execute(sql.format(1))
+        db.execute(sql.format(2))
+    assert db.ivm.view_count() == MAX_VIEWS
+    assert db.metrics.snapshot()["ivm_views"] == MAX_VIEWS + 1
 
 
 def test_manager_detaches_on_listener():
     """The manager registers itself as a catalog listener at construction."""
     db = Database(ivm=False)
-    manager = IVMManager(db.catalog)
+    manager = IVMManager(db.catalog, db.metrics)
     db.register_rows("t", _brush_rows([1, 2]), column_order=["g", "v", "b"])
     db.register_rows("t", _brush_rows([3]), replace=True, column_order=["g", "v", "b"])
     # No views existed, so invalidation is a no-op — but must not raise.

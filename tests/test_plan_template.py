@@ -93,7 +93,7 @@ def test_exact_repeat_hits_plan_cache_not_template(db):
 
 def test_template_results_match_fresh_parse(db):
     """Template-instantiated plans return byte-identical rows to parsing."""
-    uncached = Database(ivm=False, plan_cache_size=0)
+    uncached = Database(ivm=False)
     uncached.register_rows(
         "t",
         [{"g": "ab"[i % 2], "v": float(i), "w": float(i % 10)} for i in range(100)],
@@ -111,6 +111,7 @@ def test_template_results_match_fresh_parse(db):
     for shape in shapes:
         for lo, hi in ((1, 50), (7, 80), (3, 66)):
             sql = shape.format(lo=lo, hi=hi)
+            uncached.clear_plan_cache()  # the reference parses every query fresh
             assert db.query_rows(sql) == uncached.query_rows(sql), sql
     assert db.metrics.snapshot()["plan_template_hits"] > 0
 

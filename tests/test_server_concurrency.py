@@ -11,7 +11,7 @@ import pytest
 
 from repro.backends import backend_names, create_backend
 from repro.bench.concurrency import CONCURRENCY_SCENARIOS, build_sessions, run_scenario
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, ReproError
 from repro.net.channel import NetworkModel
 from repro.net.middleware import MiddlewareServer
 from repro.server import RequestScheduler, SessionManager
@@ -328,6 +328,48 @@ def test_table_replacement_invalidates_result_caches(backend_name):
         backend.close()
 
 
+class _ListenerRequest:
+    """Issues one request from the catalog's invalidation listeners, after
+    the middleware's own listener (registered earlier) cleared its caches."""
+
+    def __init__(self, middleware: MiddlewareServer, sql: str) -> None:
+        self.middleware = middleware
+        self.sql = sql
+        self.outcomes: list = []
+        middleware.database.catalog.add_invalidation_listener(self.request)
+
+    def request(self, table_name: str) -> None:
+        try:
+            self.outcomes.append(self.middleware.execute(self.sql).rows)
+        except ReproError as exc:
+            self.outcomes.append(exc)
+
+
+@pytest.mark.parametrize("backend_name", backend_names())
+def test_request_during_table_swap_reads_the_new_table(backend_name):
+    """A request that lands as a table is replaced or dropped must read the
+    new rows (or fail on the dropped table), never publish the old rows
+    into a result cache that was just cleared."""
+    backend = create_backend(backend_name)
+    backend.register_rows("t", [{"v": 1.0}, {"v": 2.0}])
+    middleware = MiddlewareServer(backend)
+    sql = "SELECT COUNT(*) AS n FROM t"
+    try:
+        assert middleware.execute(sql).rows == [{"n": 2}]
+        injected = _ListenerRequest(middleware, sql)
+
+        backend.register_rows("t", [{"v": float(v)} for v in range(5)], replace=True)
+        assert injected.outcomes == [[{"n": 5}]]
+        assert middleware.execute(sql).rows == [{"n": 5}]
+
+        backend.drop_table("t")
+        assert isinstance(injected.outcomes[-1], ReproError)
+        with pytest.raises(ReproError):
+            middleware.execute(sql)
+    finally:
+        backend.close()
+
+
 def test_session_manager_execute_serialises_per_session_id(manager):
     """The shared request handler: one session id never runs two requests
     at once, distinct ids overlap, and an unknown id is created once."""
@@ -461,7 +503,7 @@ def test_database_plan_cache_and_metrics_survive_concurrent_execution(flights_ro
     ]
     n_threads, laps = 8, 5
     serial = {sql: db.execute(sql).to_rows() for sql in queries}
-    db.metrics.reset()
+    before = db.metrics.snapshot()
     db.clear_plan_cache()
     errors = []
 
@@ -482,9 +524,14 @@ def test_database_plan_cache_and_metrics_survive_concurrent_execution(flights_ro
     assert not errors
     total = n_threads * laps * len(queries)
     # No lost increments on any counter.
-    assert db.metrics.queries_executed == total
-    assert db.metrics.plan_cache_hits + db.metrics.plan_cache_misses == total
-    assert db.metrics.plan_cache_hits >= total - len(queries) * n_threads
+    after = db.metrics.snapshot()
+    executed, hits, misses = (
+        after[key] - before[key]
+        for key in ("queries_executed", "plan_cache_hits", "plan_cache_misses")
+    )
+    assert executed == total
+    assert hits + misses == total
+    assert hits >= total - len(queries) * n_threads
 
 
 def test_sqlite_backend_uses_per_thread_connections(flights_rows):

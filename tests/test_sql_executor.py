@@ -241,8 +241,9 @@ def test_unknown_function(db):
 def test_engine_metrics_accumulate(db):
     db.execute("SELECT * FROM tiny")
     db.execute("SELECT COUNT(*) FROM tiny")
-    assert db.metrics.queries_executed >= 2
-    assert db.metrics.total_rows_returned >= 6
+    totals = db.metrics.snapshot()
+    assert totals["queries_executed"] >= 2
+    assert totals["rows_returned"] >= 6
 
 
 def test_execution_stats_count_kernel_work(db):
@@ -260,12 +261,13 @@ def test_execution_stats_count_kernel_work(db):
 
 
 def test_plan_cache_hits_on_whitespace_variants(db):
-    baseline_misses = db.metrics.plan_cache_misses
+    baseline = db.metrics.snapshot()
     first = rows(db, "SELECT category, COUNT(*) AS n FROM tiny GROUP BY category")
     again = rows(db, "SELECT   category,\n  COUNT(*) AS n\nFROM tiny   GROUP BY category")
     assert again == first
-    assert db.metrics.plan_cache_hits >= 1
-    assert db.metrics.plan_cache_misses == baseline_misses + 1
+    totals = db.metrics.snapshot()
+    assert totals["plan_cache_hits"] >= 1
+    assert totals["plan_cache_misses"] == baseline["plan_cache_misses"] + 1
 
 
 def test_plan_cache_preserves_string_literal_whitespace():
@@ -276,8 +278,9 @@ def test_plan_cache_preserves_string_literal_whitespace():
         two = database.query_rows(f"SELECT * FROM t WHERE s = {quote}a  b{quote}")
         assert one == [{"s": "a b"}]
         assert two == [{"s": "a  b"}]  # distinct cache keys, not a stale plan
-    assert database.metrics.plan_cache_misses == 4
-    assert database.metrics.plan_cache_hits == 0
+    totals = database.metrics.snapshot()
+    assert totals["plan_cache_misses"] == 4
+    assert totals["plan_cache_hits"] == 0
 
 
 def test_plan_cache_survives_table_replacement(db):
@@ -285,7 +288,7 @@ def test_plan_cache_survives_table_replacement(db):
     assert rows(db, sql) == [{"n": 5}]
     db.register_rows("tiny", [{"category": "x", "value": 1, "weight": 1}], replace=True)
     assert rows(db, sql) == [{"n": 1}]  # cached plan re-resolves the table
-    assert db.metrics.plan_cache_hits >= 1
+    assert db.metrics.snapshot()["plan_cache_hits"] >= 1
 
 
 def test_apply_aggregate_segments_honours_gapped_segments():

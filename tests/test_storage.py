@@ -340,7 +340,7 @@ def test_empty_table():
 
 def test_catalog_register_and_get(tiny_table_rows):
     catalog = Catalog()
-    catalog.register_rows("tiny", tiny_table_rows)
+    catalog.register("tiny", Table.from_rows(tiny_table_rows))
     assert catalog.has("tiny")
     assert catalog.get("tiny").num_rows == 5
     assert catalog.table_names() == ["tiny"]
@@ -348,16 +348,16 @@ def test_catalog_register_and_get(tiny_table_rows):
 
 def test_catalog_duplicate_and_replace(tiny_table_rows):
     catalog = Catalog()
-    catalog.register_rows("tiny", tiny_table_rows)
+    catalog.register("tiny", Table.from_rows(tiny_table_rows))
     with pytest.raises(CatalogError):
-        catalog.register_rows("tiny", tiny_table_rows)
-    catalog.register_rows("tiny", tiny_table_rows[:2], replace=True)
+        catalog.register("tiny", Table.from_rows(tiny_table_rows))
+    catalog.register("tiny", Table.from_rows(tiny_table_rows[:2]), replace=True)
     assert catalog.get("tiny").num_rows == 2
 
 
 def test_catalog_drop_and_missing(tiny_table_rows):
     catalog = Catalog()
-    catalog.register_rows("tiny", tiny_table_rows)
+    catalog.register("tiny", Table.from_rows(tiny_table_rows))
     catalog.drop("tiny")
     assert not catalog.has("tiny")
     with pytest.raises(CatalogError):
