@@ -43,6 +43,45 @@ def compute_bins(extent: tuple[float, float], maxbins: int) -> tuple[float, floa
     return start, stop, step
 
 
+def bin_start(value: float, start: float, stop: float, step: float) -> float:
+    """Start of the bin holding ``value``.
+
+    Values below the domain clamp into the first bin; values at or
+    beyond its end, and any whose computed start reaches ``stop``, fall
+    into the last bin.
+    """
+    clamped = min(max(value, start), stop)
+    first = start + math.floor((clamped - start) / step) * step
+    return stop - step if first >= stop else first
+
+
+def last_bin_threshold(start: float, stop: float, step: float) -> float:
+    """The smallest value :func:`bin_start` puts where it puts ``stop``.
+
+    Below the threshold (and at or above ``start``) a value's bin start is
+    its floored start, which never reaches ``stop``; from the threshold
+    up it is ``bin_start(stop)``.  The floored start is monotone in the
+    value, so a bisection over floats finds the threshold exactly.  It is
+    ``stop`` itself unless float rounding floors a value just below
+    ``stop`` onto it.
+    """
+
+    def floored(value: float) -> float:
+        return start + math.floor((value - start) / step) * step
+
+    if floored(stop) < stop:
+        return stop
+    low, high = start, stop
+    while True:
+        middle = low + (high - low) / 2
+        if not low < middle < high:
+            return high
+        if floored(middle) >= stop:
+            high = middle
+        else:
+            low = middle
+
+
 class BinTransform(Operator):
     """Annotates each datum with its bin start/end.
 
@@ -87,13 +126,9 @@ class BinTransform(Operator):
             value = row.get(field)
             updated = dict(row)
             if isinstance(value, (int, float)) and not isinstance(value, bool):
-                clamped = min(max(float(value), start), stop)
-                index = math.floor((clamped - start) / step)
-                bin_start = start + index * step
-                if bin_start >= stop:
-                    bin_start = stop - step
-                updated[bin0_name] = bin_start
-                updated[bin1_name] = bin_start + step
+                lower = bin_start(float(value), start, stop, step)
+                updated[bin0_name] = lower
+                updated[bin1_name] = lower + step
             else:
                 updated[bin0_name] = None
                 updated[bin1_name] = None

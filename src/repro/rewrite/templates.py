@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from repro.backends import EMBEDDED_CAPABILITIES, BackendCapabilities
 from repro.errors import ExpressionTranslationError, RewriteError
 from repro.expr import to_sql
-from repro.dataflow.transforms.bin import compute_bins
+from repro.dataflow.transforms.bin import bin_start, compute_bins, last_bin_threshold
 from repro.dataflow.transforms.timeunit import UNIT_SECONDS
 
 #: Transform types the rewriter can translate to SQL.
@@ -227,12 +227,13 @@ def _apply_bin(fragment: QueryFragment, params: Mapping) -> QueryFragment:
     bin1 = out_names[1] if len(out_names) > 1 else "bin1"
     if not fragment.can_add_projection() or fragment.select_items:
         fragment = fragment.nest()
-    # Mirror the client-side bin transform exactly: values at or beyond the
-    # domain maximum fall into the last bin (not a new one), and values below
-    # the domain minimum clamp into the first bin.
+    # Mirror the client-side bin transform (``bin_start``) exactly: values
+    # below the domain clamp into the first bin, and values from the
+    # threshold up land in the last bin (not a new one).
     floor_expr = f"FLOOR(({column} - {start}) / {step}) * {step} + {start}"
     bin_expr = (
-        f"CASE WHEN {column} >= {stop} THEN {stop - step} "
+        f"CASE WHEN {column} >= {last_bin_threshold(start, stop, step)} "
+        f"THEN {bin_start(stop, start, stop, step)} "
         f"WHEN {column} < {start} THEN {start} "
         f"ELSE {floor_expr} END"
     )

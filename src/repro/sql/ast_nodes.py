@@ -7,6 +7,7 @@ predicates, GROUP BY and ORDER BY keys.  Statement-level nodes describe one
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Union
 
@@ -293,39 +294,83 @@ class SelectStatement:
 # --------------------------------------------------------------------------- #
 
 
+#: Nodes without sub-expressions.
+_LEAVES = (Literal, ColumnRef, Star)
+
+
+def children(expr: Expression) -> tuple[Expression, ...]:
+    """The direct sub-expressions of ``expr``, in source order.
+
+    The same nodes, in the same order, that :func:`map_children` passes
+    to its ``fn``.
+    """
+    if isinstance(expr, _LEAVES):
+        return ()
+    if isinstance(expr, BinaryOp):
+        return (expr.left, expr.right)
+    if isinstance(expr, FunctionCall):
+        return expr.args
+    if isinstance(expr, UnaryOp):
+        return (expr.operand,)
+    if isinstance(expr, CaseExpression):
+        parts = sum(expr.whens, ())
+        return parts if expr.default is None else (*parts, expr.default)
+    if isinstance(expr, InList):
+        return (expr.expr, *expr.values)
+    if isinstance(expr, IsNull):
+        return (expr.expr,)
+    if isinstance(expr, Between):
+        return (expr.expr, expr.low, expr.high)
+    if isinstance(expr, WindowFunction):
+        return (
+            expr.function,
+            *expr.partition_by,
+            *(item.expression for item in expr.order_by),
+        )
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def map_children(expr: Expression, fn: Callable[[Expression], Expression]) -> Expression:
+    """``expr`` rebuilt with ``fn`` applied to each direct sub-expression.
+
+    ``fn`` is called in source order (the order :func:`children` lists);
+    leaves are returned as they are.
+    """
+    if isinstance(expr, _LEAVES):
+        return expr
+    if isinstance(expr, BinaryOp):
+        return BinaryOp(expr.op, fn(expr.left), fn(expr.right))
+    if isinstance(expr, FunctionCall):
+        return FunctionCall(
+            expr.name, tuple(fn(arg) for arg in expr.args), expr.distinct, expr.is_star
+        )
+    if isinstance(expr, UnaryOp):
+        return UnaryOp(expr.op, fn(expr.operand))
+    if isinstance(expr, CaseExpression):
+        whens = tuple((fn(cond), fn(value)) for cond, value in expr.whens)
+        return CaseExpression(whens, None if expr.default is None else fn(expr.default))
+    if isinstance(expr, InList):
+        return InList(fn(expr.expr), tuple(fn(value) for value in expr.values), expr.negated)
+    if isinstance(expr, IsNull):
+        return IsNull(fn(expr.expr), expr.negated)
+    if isinstance(expr, Between):
+        return Between(fn(expr.expr), fn(expr.low), fn(expr.high), expr.negated)
+    if isinstance(expr, WindowFunction):
+        return WindowFunction(
+            fn(expr.function),
+            tuple(fn(part) for part in expr.partition_by),
+            tuple(OrderItem(fn(item.expression), item.descending) for item in expr.order_by),
+        )
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
 def walk_expression(expr: Expression):
     """Yield ``expr`` and all of its sub-expressions, depth first."""
-    yield expr
-    if isinstance(expr, UnaryOp):
-        yield from walk_expression(expr.operand)
-    elif isinstance(expr, BinaryOp):
-        yield from walk_expression(expr.left)
-        yield from walk_expression(expr.right)
-    elif isinstance(expr, FunctionCall):
-        for arg in expr.args:
-            yield from walk_expression(arg)
-    elif isinstance(expr, WindowFunction):
-        yield from walk_expression(expr.function)
-        for part in expr.partition_by:
-            yield from walk_expression(part)
-        for item in expr.order_by:
-            yield from walk_expression(item.expression)
-    elif isinstance(expr, CaseExpression):
-        for cond, value in expr.whens:
-            yield from walk_expression(cond)
-            yield from walk_expression(value)
-        if expr.default is not None:
-            yield from walk_expression(expr.default)
-    elif isinstance(expr, InList):
-        yield from walk_expression(expr.expr)
-        for value in expr.values:
-            yield from walk_expression(value)
-    elif isinstance(expr, IsNull):
-        yield from walk_expression(expr.expr)
-    elif isinstance(expr, Between):
-        yield from walk_expression(expr.expr)
-        yield from walk_expression(expr.low)
-        yield from walk_expression(expr.high)
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
 
 
 def referenced_columns(expr: Expression) -> set[str]:
@@ -347,23 +392,9 @@ def contains_aggregate(expr: Expression) -> bool:
         return False
     if isinstance(expr, FunctionCall) and expr.name.upper() in AGGREGATE_FUNCTIONS:
         return True
-    if isinstance(expr, UnaryOp):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, BinaryOp):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, FunctionCall):
-        return any(contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, CaseExpression):
-        for cond, value in expr.whens:
-            if contains_aggregate(cond) or contains_aggregate(value):
-                return True
-        return expr.default is not None and contains_aggregate(expr.default)
-    if isinstance(expr, InList):
-        return contains_aggregate(expr.expr)
-    if isinstance(expr, (IsNull,)):
-        return contains_aggregate(expr.expr)
-    if isinstance(expr, Between):
-        return any(contains_aggregate(e) for e in (expr.expr, expr.low, expr.high))
+    for child in children(expr):
+        if contains_aggregate(child):
+            return True
     return False
 
 

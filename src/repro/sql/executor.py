@@ -56,6 +56,9 @@ from repro.sql.planner import (
     SortNode,
     SubqueryNode,
     WindowNode,
+    aggregate_item_leaves,
+    evaluate_aggregate_item,
+    mergeable_call,
     partitionable_prefix,
 )
 from repro.storage.catalog import Catalog
@@ -623,56 +626,34 @@ class Executor:
         stats.rows_grouped += n
         stats.groups_formed += len(starts)
 
+        def aggregate(call: FunctionCall) -> list[object]:
+            # Aggregate arguments are evaluated once over the whole input
+            # table and reduced per segment of the group-sorted ``order``.
+            if call.is_star:
+                return np.asarray(ends - starts, dtype=np.float64).tolist()
+            if not call.args:
+                raise ExecutionError(f"aggregate {call.name} requires an argument")
+            values = evaluator.evaluate(call.args[0])
+            return apply_aggregate_segments(
+                call.name, values[order], starts, ends, call.distinct
+            )
+
+        def shared(expr: Expression) -> list[object]:
+            # All rows of a group share the value, so take each group's
+            # first row (``order[starts]``) in one gather — of codes, for
+            # a dictionary column.
+            return _segment_firsts(evaluator.column(expr), order, starts).to_pylist()
+
         columns = [
             Column.from_values(
                 item.output_name(index),
-                self._evaluate_aggregate_expression(
-                    item.expression, evaluator, order, starts, ends
-                ),
+                evaluate_aggregate_item(item.expression, aggregate, shared, len(starts)),
             )
             for index, item in enumerate(node.items)
         ]
         result = Table(columns, name=table.name)
         stats.record(result.num_rows)
         return result
-
-    def _evaluate_aggregate_expression(
-        self,
-        expr: Expression,
-        evaluator: ExpressionEvaluator,
-        order: np.ndarray,
-        starts: np.ndarray,
-        ends: np.ndarray,
-    ) -> list[object]:
-        """Evaluate one SELECT item to a value per group segment.
-
-        Aggregate arguments are evaluated once over the whole input table
-        and reduced per segment of the group-sorted row ``order``; scalar
-        combinations recurse and merge the per-group lists.
-        """
-        n_groups = len(starts)
-        if isinstance(expr, FunctionCall) and expr.name.upper() in AGGREGATE_KERNELS:
-            if expr.is_star:
-                return np.asarray(ends - starts, dtype=np.float64).tolist()
-            if not expr.args:
-                raise ExecutionError(f"aggregate {expr.name} requires an argument")
-            values = evaluator.evaluate(expr.args[0])
-            return apply_aggregate_segments(
-                expr.name, values[order], starts, ends, expr.distinct
-            )
-        if isinstance(expr, BinaryOp):
-            left = self._evaluate_aggregate_expression(expr.left, evaluator, order, starts, ends)
-            right = self._evaluate_aggregate_expression(expr.right, evaluator, order, starts, ends)
-            return [_combine_scalar(expr.op, lv, rv) for lv, rv in zip(left, right)]
-        if isinstance(expr, UnaryOp) and expr.op == "-":
-            inner = self._evaluate_aggregate_expression(expr.operand, evaluator, order, starts, ends)
-            return [None if value is None else -float(value) for value in inner]
-        if isinstance(expr, Literal):
-            return [expr.value] * n_groups
-        # Non-aggregate expression inside a group: all rows of a group share
-        # the value, so take each group's first row (``order[starts]``) in
-        # one gather — of codes, for a dictionary column.
-        return _segment_firsts(evaluator.column(expr), order, starts).to_pylist()
 
     def _execute_window(self, node: WindowNode, stats: ExecutionStats) -> Table:
         table = self._execute_node(node.child, stats)
@@ -917,7 +898,7 @@ class Executor:
     ) -> Table:
         """Per-partition aggregation with a partial-state merge.
 
-        Decomposable aggregates (COUNT/SUM/MIN/MAX, AVG as sum+count)
+        Mergeable aggregates (COUNT/SUM/MIN/MAX, AVG as sum+count)
         compute per-partition partial states with the same ``reduceat``
         kernels the serial path uses, then merge by re-grouping the
         partials on the raw key values and combining states (counts and
@@ -1063,62 +1044,32 @@ def _sort_indices(
 # --------------------------------------------------------------------------- #
 # Partial aggregation (per-partition GROUP BY)
 #
-# A decomposable aggregate has a per-partition partial state that merges
-# into the exact global value: COUNT and SUM add, MIN and MAX reduce
-# again, AVG carries (sum, count).  The partial tables use reserved
-# ``__key_i`` / ``__agg_j`` / ``__first_j`` columns — keys as the
-# partition's own columns gathered at each group's first row (codes into
-# the table's shared dictionary for strings), partial states as float64
-# arrays — and the merge re-groups them with the same kernels the serial
-# path uses, so merged groups come out in the identical deterministic
-# order (numbers < strings < NULL).  String keys decode once, in the
-# final result.
+# A mergeable aggregate (``functions.MERGEABLE_AGGREGATES``) has a
+# per-partition partial state that merges into the exact global value:
+# COUNT and SUM add, MIN and MAX reduce again, AVG carries (sum, count).
+# The partial tables use reserved ``__key_i`` / ``__agg_j`` /
+# ``__first_j`` columns — keys as the partition's own columns gathered at
+# each group's first row (codes into the table's shared dictionary for
+# strings), partial states as float64 arrays — and the merge re-groups
+# them with the same kernels the serial path uses, so merged groups come
+# out in the identical deterministic order (numbers < strings < NULL).
+# String keys decode once, in the final result.
 # --------------------------------------------------------------------------- #
-
-#: Aggregates with a mergeable partial state.
-DECOMPOSABLE_AGGREGATES = frozenset({"COUNT", "SUM", "MIN", "MAX", "AVG"})
-
-def _collect_item_parts(
-    expr: Expression,
-    aggregates: dict[str, FunctionCall],
-    firsts: dict[str, Expression],
-) -> bool:
-    """Split one SELECT item into aggregate calls and group-shared parts.
-
-    Mirrors the recursion :meth:`Executor._evaluate_aggregate_expression`
-    supports; returns ``False`` when any aggregate lacks a mergeable
-    partial state (the caller then falls back to a serial merge).
-    """
-    if isinstance(expr, FunctionCall) and expr.name.upper() in AGGREGATE_KERNELS:
-        if expr.distinct or expr.name.upper() not in DECOMPOSABLE_AGGREGATES:
-            return False
-        if not expr.is_star and not expr.args:
-            return False
-        aggregates[str(expr)] = expr
-        return True
-    if isinstance(expr, BinaryOp):
-        return _collect_item_parts(expr.left, aggregates, firsts) and _collect_item_parts(
-            expr.right, aggregates, firsts
-        )
-    if isinstance(expr, UnaryOp) and expr.op == "-":
-        return _collect_item_parts(expr.operand, aggregates, firsts)
-    if isinstance(expr, Literal):
-        return True
-    if contains_aggregate(expr) or isinstance(expr, (Star, WindowFunction)):
-        return False
-    firsts[str(expr)] = expr
-    return True
-
 
 def _decompose_aggregate_items(
     node: AggregateNode,
 ) -> tuple[list[tuple[str, FunctionCall]], list[tuple[str, Expression]]] | None:
-    """All aggregate/first-value parts of the node's items, or ``None``."""
+    """The node's distinct aggregate calls and group-shared parts, or
+    ``None`` when some call has no mergeable partial state (the caller
+    then aggregates the merged rows serially)."""
     aggregates: dict[str, FunctionCall] = {}
     firsts: dict[str, Expression] = {}
     for item in node.items:
-        if not _collect_item_parts(item.expression, aggregates, firsts):
+        calls, shared = aggregate_item_leaves(item.expression)
+        if not all(mergeable_call(call) for call in calls):
             return None
+        aggregates.update((str(call), call) for call in calls)
+        firsts.update((str(part), part) for part in shared)
     return list(aggregates.items()), list(firsts.items())
 
 
@@ -1211,42 +1162,20 @@ def _merge_aggregate_partials(
         for index, (key, _expr) in enumerate(first_specs)
     }
 
-    def finalize(expr: Expression) -> list[object]:
-        if isinstance(expr, FunctionCall) and expr.name.upper() in AGGREGATE_KERNELS:
-            return agg_finals[str(expr)]
-        if isinstance(expr, BinaryOp):
-            left = finalize(expr.left)
-            right = finalize(expr.right)
-            return [_combine_scalar(expr.op, lv, rv) for lv, rv in zip(left, right)]
-        if isinstance(expr, UnaryOp) and expr.op == "-":
-            return [None if value is None else -float(value) for value in finalize(expr.operand)]
-        if isinstance(expr, Literal):
-            return [expr.value] * n_groups
-        return firsts[str(expr)].to_pylist()
-
     # A group-shared item (a key, typically) is its first-value column as
     # is — string keys stay codes until the result is read.
     columns = [
         firsts[str(item.expression)].rename(item.output_name(index))
         if str(item.expression) in firsts
-        else Column.from_values(item.output_name(index), finalize(item.expression))
+        else Column.from_values(
+            item.output_name(index),
+            evaluate_aggregate_item(
+                item.expression,
+                lambda call: agg_finals[str(call)],
+                lambda part: firsts[str(part)].to_pylist(),
+                n_groups,
+            ),
+        )
         for index, item in enumerate(node.items)
     ]
     return Table(columns, name=merged.name)
-
-
-def _combine_scalar(op: str, left: object, right: object) -> object:
-    if left is None or right is None:
-        return None
-    lv, rv = float(left), float(right)
-    if op == "+":
-        return lv + rv
-    if op == "-":
-        return lv - rv
-    if op == "*":
-        return lv * rv
-    if op == "/":
-        return None if rv == 0 else lv / rv
-    if op == "%":
-        return None if rv == 0 else lv % rv
-    raise ExecutionError(f"unsupported operator {op!r} over aggregate results")

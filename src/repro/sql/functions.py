@@ -8,6 +8,7 @@ SQL requires.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -321,8 +322,11 @@ def apply_aggregate(name: str, values: np.ndarray, distinct: bool = False) -> ob
     return kernel(values, distinct)
 
 
-#: Aggregates with a ``reduceat``-based batch kernel over group segments.
-BATCHABLE_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
+#: Aggregates with a ``reduceat``-based batch kernel over group segments
+#: and a partial state that merges exactly: COUNT and SUM add, MIN and MAX
+#: reduce again, AVG carries (sum, count).  The partitioned merge and IVM
+#: maintain exactly these.
+MERGEABLE_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
 
 def aggregate_segment_arrays(
@@ -340,7 +344,7 @@ def aggregate_segment_arrays(
     upper = name.upper()
     batchable = (
         not is_string_array(values)
-        and upper in BATCHABLE_AGGREGATES
+        and upper in MERGEABLE_AGGREGATES
         and len(values) > 0
         and len(starts) > 0
         # reduceat(values, starts) reduces values[starts[g]:starts[g+1]],
@@ -398,3 +402,24 @@ def apply_aggregate_segments(
     for index in np.flatnonzero(np.isnan(reduced)):
         out[index] = None
     return out
+
+
+#: Arithmetic an aggregate SELECT item may apply to aggregate results.
+SCALAR_ARITHMETIC: dict[str, Callable[[float, float], float]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "%": operator.mod,
+}
+
+
+def combine_scalar(op: str, left: object, right: object) -> object:
+    """``left op right`` on two per-group values: NULL when either is NULL,
+    and for ``x / 0`` and ``x % 0``."""
+    if left is None or right is None:
+        return None
+    lv, rv = float(left), float(right)
+    if op in ("/", "%") and rv == 0:
+        return None
+    return SCALAR_ARITHMETIC[op](lv, rv)

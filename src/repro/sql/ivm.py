@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import ExecutionError, ReproError
+from repro.errors import ReproError
 from repro.sql.ast_nodes import (
     AGGREGATE_FUNCTIONS,
     Between,
@@ -58,13 +58,11 @@ from repro.sql.ast_nodes import (
     Literal,
     SelectItem,
     UnaryOp,
-    walk_expression,
 )
 from repro.sql.executor import (
     ExecutionStats,
     Executor,
     ExpressionEvaluator,
-    _combine_scalar,
     aggregate_evaluator,
 )
 from repro.sql.functions import apply_aggregate_segments, is_string_array
@@ -75,6 +73,9 @@ from repro.sql.planner import (
     LogicalPlan,
     MaterializedNode,
     SortNode,
+    aggregate_item_leaves,
+    evaluate_aggregate_item,
+    group_key_index,
     ivm_template,
 )
 from repro.storage.catalog import Catalog
@@ -255,21 +256,17 @@ class MaterializedView:
         # One maintained state per distinct aggregate call.
         states: dict[str, _AggState] = {}
         for item in template.aggregate.items:
-            for expr in walk_expression(item.expression):
-                if not isinstance(expr, FunctionCall):
-                    continue
-                name = expr.name.upper()
-                if name not in AGGREGATE_FUNCTIONS or str(expr) in states:
-                    continue
-                if expr.is_star:
+            for call in aggregate_item_leaves(item.expression)[0]:
+                name = call.name.upper()
+                if call.is_star or str(call) in states:
                     continue  # COUNT(*) reads the shared row counter
-                values = evaluator.evaluate(expr.args[0])
+                values = evaluator.evaluate(call.args[0])
                 if is_string_array(values):
                     if name != "COUNT":
                         return None
                 elif name in ("SUM", "AVG") and not _exactly_summable(values, n):
                     return None
-                states[str(expr)] = _AggState(name, values, n_states)
+                states[str(call)] = _AggState(name, values, n_states)
 
         return cls(
             template,
@@ -450,58 +447,45 @@ class MaterializedView:
             present = np.flatnonzero(self._count_star > 0)
         else:
             present = np.arange(1)
+
+        def shared(expr: Expression) -> list[object]:
+            keys = self._key_values[group_key_index(expr, self._aggregate.group_by)]
+            return [keys[s] for s in present]
+
         columns = [
             Column.from_values(
-                item.output_name(index), self._finalize(item.expression, present)
+                item.output_name(index),
+                evaluate_aggregate_item(
+                    item.expression,
+                    lambda call: self._aggregate_values(call, present),
+                    shared,
+                    len(present),
+                ),
             )
             for index, item in enumerate(self._aggregate.items)
         ]
         return Table(columns, name=self.table_name)
 
-    def _finalize(self, expr: Expression, present: np.ndarray) -> list[object]:
-        if isinstance(expr, FunctionCall) and expr.name.upper() in AGGREGATE_FUNCTIONS:
-            if expr.is_star:
-                return [float(c) for c in self._count_star[present]]
-            state = self._states[str(expr)]
-            counts = state.count[present]
-            name = state.name
-            if name == "COUNT":
-                return [float(c) for c in counts]
-            if name == "SUM":
-                totals = state.total[present]
-                return [
-                    None if c == 0 else float(t) for c, t in zip(counts, totals)
-                ]
-            if name == "AVG":
-                totals = state.total[present]
-                return [
-                    None if c == 0 else float(t / np.float64(c))
-                    for c, t in zip(counts, totals)
-                ]
-            extrema = state.extremum[present]
-            return [None if c == 0 else float(m) for c, m in zip(counts, extrema)]
-        if isinstance(expr, BinaryOp):
-            left = self._finalize(expr.left, present)
-            right = self._finalize(expr.right, present)
-            return [_combine_scalar(expr.op, lv, rv) for lv, rv in zip(left, right)]
-        if isinstance(expr, UnaryOp) and expr.op == "-":
-            inner = self._finalize(expr.operand, present)
-            return [None if value is None else -float(value) for value in inner]
-        if isinstance(expr, Literal):
-            return [expr.value] * len(present)
-        index = self._group_key_index(expr)
-        return [self._key_values[index][s] for s in present]
-
-    def _group_key_index(self, expr: Expression) -> int:
-        group_by = self._aggregate.group_by
-        for index, key in enumerate(group_by):
-            if str(expr) == str(key):
-                return index
-        if isinstance(expr, ColumnRef):
-            for index, key in enumerate(group_by):
-                if isinstance(key, ColumnRef) and key.name == expr.name:
-                    return index
-        raise ExecutionError(f"expression {expr} is not a group key of this view")
+    def _aggregate_values(self, call: FunctionCall, present: np.ndarray) -> list[object]:
+        """The maintained value of one aggregate call per present group."""
+        if call.is_star:
+            return [float(c) for c in self._count_star[present]]
+        state = self._states[str(call)]
+        counts = state.count[present]
+        name = state.name
+        if name == "COUNT":
+            return [float(c) for c in counts]
+        if name == "SUM":
+            totals = state.total[present]
+            return [None if c == 0 else float(t) for c, t in zip(counts, totals)]
+        if name == "AVG":
+            totals = state.total[present]
+            return [
+                None if c == 0 else float(t / np.float64(c))
+                for c, t in zip(counts, totals)
+            ]
+        extrema = state.extremum[present]
+        return [None if c == 0 else float(m) for c, m in zip(counts, extrema)]
 
 
 class IVMManager:

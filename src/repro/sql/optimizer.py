@@ -20,17 +20,15 @@ from dataclasses import dataclass
 from repro.sql.ast_nodes import (
     Between,
     BinaryOp,
-    CaseExpression,
     ColumnRef,
     Expression,
-    FunctionCall,
     InList,
     IsNull,
     Literal,
     SelectItem,
     Star,
     UnaryOp,
-    WindowFunction,
+    map_children,
     referenced_columns,
 )
 from repro.sql.planner import (
@@ -54,58 +52,22 @@ from repro.storage.statistics import ZoneMap
 
 
 def fold_constants(expr: Expression) -> Expression:
-    """Collapse literal-only sub-expressions into literals."""
+    """Collapse literal-only sub-expressions into literals.
+
+    Folds the children first, then the node itself.
+    """
+    expr = map_children(expr, fold_constants)
     if isinstance(expr, BinaryOp):
-        left = fold_constants(expr.left)
-        right = fold_constants(expr.right)
-        if isinstance(left, Literal) and isinstance(right, Literal):
-            folded = _fold_binary(expr.op, left.value, right.value)
+        if isinstance(expr.left, Literal) and isinstance(expr.right, Literal):
+            folded = _fold_binary(expr.op, expr.left.value, expr.right.value)
             if folded is not _UNFOLDABLE:
                 return Literal(folded)
-        return BinaryOp(expr.op, left, right)
-    if isinstance(expr, UnaryOp):
-        operand = fold_constants(expr.operand)
-        if isinstance(operand, Literal):
-            if expr.op == "-" and isinstance(operand.value, (int, float)):
-                return Literal(-operand.value)
-            if expr.op.upper() == "NOT" and isinstance(operand.value, bool):
-                return Literal(not operand.value)
-        return UnaryOp(expr.op, operand)
-    if isinstance(expr, FunctionCall):
-        return FunctionCall(
-            name=expr.name,
-            args=tuple(fold_constants(a) for a in expr.args),
-            distinct=expr.distinct,
-            is_star=expr.is_star,
-        )
-    if isinstance(expr, CaseExpression):
-        return CaseExpression(
-            whens=tuple(
-                (fold_constants(c), fold_constants(v)) for c, v in expr.whens
-            ),
-            default=None if expr.default is None else fold_constants(expr.default),
-        )
-    if isinstance(expr, InList):
-        return InList(
-            expr=fold_constants(expr.expr),
-            values=tuple(fold_constants(v) for v in expr.values),
-            negated=expr.negated,
-        )
-    if isinstance(expr, IsNull):
-        return IsNull(expr=fold_constants(expr.expr), negated=expr.negated)
-    if isinstance(expr, Between):
-        return Between(
-            expr=fold_constants(expr.expr),
-            low=fold_constants(expr.low),
-            high=fold_constants(expr.high),
-            negated=expr.negated,
-        )
-    if isinstance(expr, WindowFunction):
-        return WindowFunction(
-            function=fold_constants(expr.function),  # type: ignore[arg-type]
-            partition_by=tuple(fold_constants(p) for p in expr.partition_by),
-            order_by=expr.order_by,
-        )
+    elif isinstance(expr, UnaryOp) and isinstance(expr.operand, Literal):
+        value = expr.operand.value
+        if expr.op == "-" and isinstance(value, (int, float)):
+            return Literal(-value)
+        if expr.op.upper() == "NOT" and isinstance(value, bool):
+            return Literal(not value)
     return expr
 
 

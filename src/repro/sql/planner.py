@@ -9,6 +9,7 @@ Limit) with nesting only through sub-query sources.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.errors import PlanningError
@@ -32,6 +33,7 @@ from repro.sql.ast_nodes import (
     contains_window,
     referenced_columns,
 )
+from repro.sql.functions import MERGEABLE_AGGREGATES, SCALAR_ARITHMETIC, combine_scalar
 
 
 # --------------------------------------------------------------------------- #
@@ -311,31 +313,116 @@ def _collect_windows(items: tuple[SelectItem, ...]) -> list[tuple[str, WindowFun
 
 
 def _validate_aggregate_items(statement: SelectStatement) -> None:
-    """Ensure non-aggregate SELECT items appear in GROUP BY."""
-    group_exprs = {str(e) for e in statement.group_by}
-    group_names = {
-        e.name for e in statement.group_by if isinstance(e, ColumnRef)
-    }
+    """Ensure aggregate items follow the item grammar and every other
+    item appears in GROUP BY, just as in a real SQL engine."""
+    key_names = {e.name for e in statement.group_by if isinstance(e, ColumnRef)}
     for item in statement.items:
         expr = item.expression
         if isinstance(expr, Star):
             raise PlanningError("SELECT * cannot be combined with GROUP BY/aggregates")
-        if contains_aggregate(expr) or isinstance(expr, WindowFunction):
+        if isinstance(expr, WindowFunction):
             continue
-        if str(expr) in group_exprs:
+        try:
+            calls, _shared = aggregate_item_leaves(expr)
+        except PlanningError as exc:
+            raise PlanningError(f"SELECT item {item}: {exc}") from None
+        if calls or group_key_index(expr, statement.group_by) is not None:
             continue
-        if isinstance(expr, ColumnRef) and expr.name in group_names:
-            continue
-        if item.alias is not None and item.alias in {
-            e.name for e in statement.group_by if isinstance(e, ColumnRef)
-        }:
-            continue
-        # Expressions that exactly match a group-by expression by structure
-        # were covered above; anything else is an error just as in a real
-        # SQL engine.
-        raise PlanningError(
-            f"SELECT item {item} must be an aggregate or appear in GROUP BY"
-        )
+        if item.alias not in key_names:
+            raise PlanningError(
+                f"SELECT item {item} must be an aggregate or appear in GROUP BY"
+            )
+
+
+# --------------------------------------------------------------------------- #
+# Aggregate SELECT items
+# --------------------------------------------------------------------------- #
+
+
+def evaluate_aggregate_item(
+    expr: Expression,
+    aggregate: Callable[[FunctionCall], list[object]],
+    shared: Callable[[Expression], list[object]],
+    n_groups: int,
+) -> list[object]:
+    """One aggregate SELECT item's value per group.
+
+    An aggregate item is arithmetic (:data:`SCALAR_ARITHMETIC` and unary
+    minus) over aggregate calls, literals and *group-shared*
+    sub-expressions: any sub-expression without an aggregate, whose value
+    every row of a group shares.  ``aggregate(call)`` and ``shared(expr)``
+    give one value per group; the serial group-by, the partitioned merge
+    and IVM views each supply their own.  Anything else holding an
+    aggregate (a scalar function, CASE, a comparison, an aggregate inside
+    an aggregate) raises :class:`PlanningError`.
+    """
+    if isinstance(expr, FunctionCall) and expr.name.upper() in AGGREGATE_FUNCTIONS:
+        if any(map(contains_aggregate, expr.args)):
+            raise PlanningError(f"aggregate {expr} nests another aggregate")
+        return aggregate(expr)
+    if not contains_aggregate(expr):
+        if isinstance(expr, Literal):
+            return [expr.value] * n_groups
+        return shared(expr)
+    if isinstance(expr, BinaryOp) and expr.op in SCALAR_ARITHMETIC:
+        left = evaluate_aggregate_item(expr.left, aggregate, shared, n_groups)
+        right = evaluate_aggregate_item(expr.right, aggregate, shared, n_groups)
+        return [combine_scalar(expr.op, lv, rv) for lv, rv in zip(left, right)]
+    if isinstance(expr, UnaryOp) and expr.op == "-":
+        inner = evaluate_aggregate_item(expr.operand, aggregate, shared, n_groups)
+        return [None if value is None else -float(value) for value in inner]
+    raise PlanningError(
+        f"{expr} applies a non-arithmetic operation to an aggregate; "
+        "aggregates combine only through + - * / % and unary minus"
+    )
+
+
+def aggregate_item_leaves(
+    expr: Expression,
+) -> tuple[list[FunctionCall], list[Expression]]:
+    """The aggregate calls and group-shared parts of one aggregate item.
+
+    The leaves :func:`evaluate_aggregate_item` reaches, in source order;
+    raises :class:`PlanningError` where it would.
+    """
+    calls: list[FunctionCall] = []
+    shared: list[Expression] = []
+    # Zero groups: every leaf records itself and yields no values.
+    evaluate_aggregate_item(
+        expr, lambda call: calls.append(call) or [], lambda part: shared.append(part) or [], 0
+    )
+    return calls, shared
+
+
+def mergeable_call(call: FunctionCall) -> bool:
+    """Whether ``call`` has a partial state that merges exactly.
+
+    Partition partials and IVM deltas both keep such a state: a
+    :data:`MERGEABLE_AGGREGATES` call, not DISTINCT, over ``*`` or one
+    argument.
+    """
+    return (
+        call.name.upper() in MERGEABLE_AGGREGATES
+        and not call.distinct
+        and (call.is_star or (len(call.args) == 1 and not isinstance(call.args[0], Star)))
+    )
+
+
+def group_key_index(expr: Expression, group_by: tuple[Expression, ...]) -> int | None:
+    """Position of ``expr`` among the GROUP BY keys, or ``None``.
+
+    A key matches by its text, or a bare column by name (``t.g`` is the
+    key ``g``).  Every row of a group shares a key's value.
+    """
+    text = str(expr)
+    for index, key in enumerate(group_by):
+        if str(key) == text:
+            return index
+    if isinstance(expr, ColumnRef):
+        for index, key in enumerate(group_by):
+            if isinstance(key, ColumnRef) and key.name == expr.name:
+                return index
+    return None
 
 
 def _rewrite_having(predicate: Expression, items: tuple[SelectItem, ...]) -> Expression:
@@ -450,13 +537,6 @@ def partitionable_prefix(node: PlanNode) -> PartitionablePrefix | None:
 # --------------------------------------------------------------------------- #
 # Incremental view maintenance eligibility analysis
 # --------------------------------------------------------------------------- #
-
-#: Aggregates the IVM subsystem can maintain under insert/delete deltas.
-#: MIN/MAX are incrementable with a retraction fallback (deleting the
-#: current extremum forces a partial re-scan); AVG is maintained as
-#: SUM + COUNT.  See docs/IVM.md for the delta algebra.
-INCREMENTABLE_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
-
 
 @dataclass(frozen=True)
 class BrushInterval:
@@ -585,49 +665,17 @@ def _predicate_conjuncts(expr: Expression) -> list[Expression]:
     return [expr]
 
 
-def _matches_group_key(expr: Expression, aggregate: AggregateNode) -> bool:
-    """Whether ``expr`` is constant within every group of ``aggregate``."""
-    group_strs = {str(g) for g in aggregate.group_by}
-    if str(expr) in group_strs:
-        return True
-    if isinstance(expr, ColumnRef):
-        return any(
-            isinstance(g, ColumnRef) and g.name == expr.name
-            for g in aggregate.group_by
-        )
-    return False
-
-
 def _incrementable_expression(expr: Expression, aggregate: AggregateNode) -> bool:
     """Whether one SELECT-item expression is maintainable from deltas.
 
-    Leaves must be incrementable aggregate calls, literals, or
-    group-key expressions (constant per group); combinations are limited
-    to the scalar arithmetic the serial aggregate evaluator supports.
+    Its aggregate calls must be mergeable (MIN/MAX with a retraction
+    fallback, AVG as SUM + COUNT; see docs/IVM.md) and its group-shared
+    parts group keys, whose values the view keeps per group.
     """
-    if contains_window(expr):
-        return False
-    if isinstance(expr, FunctionCall) and expr.name.upper() in AGGREGATE_FUNCTIONS:
-        if expr.name.upper() not in INCREMENTABLE_AGGREGATES or expr.distinct:
-            return False
-        if expr.is_star:
-            return True
-        if len(expr.args) != 1:
-            return False
-        arg = expr.args[0]
-        return not contains_aggregate(arg) and not isinstance(arg, Star)
-    if isinstance(expr, BinaryOp):
-        return _incrementable_expression(
-            expr.left, aggregate
-        ) and _incrementable_expression(expr.right, aggregate)
-    if isinstance(expr, UnaryOp):
-        return expr.op == "-" and _incrementable_expression(expr.operand, aggregate)
-    if isinstance(expr, Literal):
-        return True
-    # A bare non-aggregate expression: safe only when it is one of the
-    # group keys (the serial executor emits each group's first-row value,
-    # which for a key expression *is* the group's key value).
-    return not contains_aggregate(expr) and _matches_group_key(expr, aggregate)
+    calls, shared = aggregate_item_leaves(expr)
+    return all(mergeable_call(call) for call in calls) and all(
+        group_key_index(part, aggregate.group_by) is not None for part in shared
+    )
 
 
 def ivm_template(plan: LogicalPlan) -> IVMTemplate | None:

@@ -27,25 +27,18 @@ value-faithful wherever it is used at all.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.errors import TokenizeError
 from repro.sql.ast_nodes import (
-    Between,
-    BinaryOp,
-    CaseExpression,
     Expression,
-    FunctionCall,
-    InList,
-    IsNull,
     Literal,
     OrderItem,
     SelectItem,
     SelectStatement,
     SubquerySource,
-    TableSource,
-    UnaryOp,
-    WindowFunction,
+    map_children,
 )
 from repro.sql.tokenizer import TokenType, tokenize
 
@@ -104,125 +97,6 @@ def _is_slot(value: object) -> bool:
     return isinstance(value, (int, float, str)) and not isinstance(value, bool)
 
 
-class _Slots:
-    """Cursor over the substitution values, with exhaustion checks."""
-
-    def __init__(self, values: list[object]) -> None:
-        self._values = values
-        self._index = 0
-
-    def next_value(self) -> object:
-        if self._index >= len(self._values):
-            raise TemplateMismatch("ran out of literal values")
-        value = self._values[self._index]
-        self._index += 1
-        return value
-
-    def exhausted(self) -> bool:
-        return self._index == len(self._values)
-
-
-def _map_expression(expr: Expression, slots: _Slots) -> Expression:
-    """Clone ``expr`` substituting each literal slot in source order."""
-    if isinstance(expr, Literal):
-        if _is_slot(expr.value):
-            value = slots.next_value()
-            if not _is_slot(value):
-                raise TemplateMismatch("non-literal value for literal slot")
-            return Literal(value)
-        return expr
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, _map_expression(expr.operand, slots))
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            expr.op,
-            _map_expression(expr.left, slots),
-            _map_expression(expr.right, slots),
-        )
-    if isinstance(expr, FunctionCall):
-        return FunctionCall(
-            expr.name,
-            tuple(_map_expression(arg, slots) for arg in expr.args),
-            distinct=expr.distinct,
-            is_star=expr.is_star,
-        )
-    if isinstance(expr, WindowFunction):
-        return WindowFunction(
-            function=_map_expression(expr.function, slots),
-            partition_by=tuple(_map_expression(e, slots) for e in expr.partition_by),
-            order_by=tuple(
-                OrderItem(_map_expression(o.expression, slots), o.descending)
-                for o in expr.order_by
-            ),
-        )
-    if isinstance(expr, CaseExpression):
-        return CaseExpression(
-            whens=tuple(
-                (_map_expression(cond, slots), _map_expression(value, slots))
-                for cond, value in expr.whens
-            ),
-            default=(
-                _map_expression(expr.default, slots)
-                if expr.default is not None
-                else None
-            ),
-        )
-    if isinstance(expr, InList):
-        return InList(
-            expr=_map_expression(expr.expr, slots),
-            values=tuple(_map_expression(v, slots) for v in expr.values),
-            negated=expr.negated,
-        )
-    if isinstance(expr, IsNull):
-        return IsNull(expr=_map_expression(expr.expr, slots), negated=expr.negated)
-    if isinstance(expr, Between):
-        return Between(
-            expr=_map_expression(expr.expr, slots),
-            low=_map_expression(expr.low, slots),
-            high=_map_expression(expr.high, slots),
-            negated=expr.negated,
-        )
-    # Star and anything else literal-free.
-    return expr
-
-
-def _map_statement(stmt: SelectStatement, slots: _Slots) -> SelectStatement:
-    """Clone ``stmt`` substituting literal slots in source (clause) order."""
-    items = tuple(
-        SelectItem(_map_expression(item.expression, slots), item.alias)
-        for item in stmt.items
-    )
-    source = stmt.source
-    if isinstance(source, SubquerySource):
-        source = SubquerySource(_map_statement(source.query, slots), source.alias)
-    elif isinstance(source, TableSource):
-        source = TableSource(source.name, source.alias)
-    where = _map_expression(stmt.where, slots) if stmt.where is not None else None
-    group_by = tuple(_map_expression(e, slots) for e in stmt.group_by)
-    having = _map_expression(stmt.having, slots) if stmt.having is not None else None
-    order_by = tuple(
-        OrderItem(_map_expression(o.expression, slots), o.descending)
-        for o in stmt.order_by
-    )
-    limit = stmt.limit
-    if limit is not None:
-        limit = _clause_integer(slots.next_value(), "LIMIT")
-    offset = stmt.offset
-    if offset is not None:
-        offset = _clause_integer(slots.next_value(), "OFFSET")
-    return SelectStatement(
-        items=items,
-        source=source,
-        where=where,
-        group_by=group_by,
-        having=having,
-        order_by=order_by,
-        limit=limit,
-        offset=offset,
-        distinct=stmt.distinct,
-    )
-
-
 def _clause_integer(value: object, clause: str) -> int:
     """Replicate the parser's ``int(float(token))`` for LIMIT/OFFSET."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -230,69 +104,53 @@ def _clause_integer(value: object, clause: str) -> int:
     return int(float(value))
 
 
-def collect_literal_values(stmt: SelectStatement) -> list[object]:
-    """The statement's substitutable literal values in clause-walk order.
+def _map_literals(stmt: SelectStatement, fn: Callable[[object], object]) -> SelectStatement:
+    """``stmt`` rebuilt with ``fn`` applied to every literal slot.
 
-    Traverses nodes in exactly the order :func:`_map_statement` visits
-    them, so collection and substitution can never disagree.
+    Slots are visited in clause order — the SELECT list, the FROM
+    sub-query, WHERE, GROUP BY, HAVING, ORDER BY, then LIMIT and OFFSET
+    — and, within an expression, in source order.  Collection and
+    substitution are both this one walk, so they cannot disagree.
     """
+
+    def expression(expr: Expression) -> Expression:
+        if isinstance(expr, Literal):
+            return Literal(fn(expr.value)) if _is_slot(expr.value) else expr
+        return map_children(expr, expression)
+
+    def optional(expr: Expression | None) -> Expression | None:
+        return None if expr is None else expression(expr)
+
+    def clause(value: int | None, name: str) -> int | None:
+        return None if value is None else _clause_integer(fn(value), name)
+
+    source = stmt.source
+    return SelectStatement(
+        items=tuple(SelectItem(expression(i.expression), i.alias) for i in stmt.items),
+        source=(
+            SubquerySource(_map_literals(source.query, fn), source.alias)
+            if isinstance(source, SubquerySource)
+            else source
+        ),
+        where=optional(stmt.where),
+        group_by=tuple(expression(e) for e in stmt.group_by),
+        having=optional(stmt.having),
+        order_by=tuple(OrderItem(expression(o.expression), o.descending) for o in stmt.order_by),
+        limit=clause(stmt.limit, "LIMIT"),
+        offset=clause(stmt.offset, "OFFSET"),
+        distinct=stmt.distinct,
+    )
+
+
+def collect_literal_values(stmt: SelectStatement) -> list[object]:
+    """The statement's substitutable literal values in clause-walk order."""
     values: list[object] = []
 
-    def walk_expr(expr: Expression) -> None:
-        if isinstance(expr, Literal):
-            if _is_slot(expr.value):
-                values.append(expr.value)
-            return
-        if isinstance(expr, UnaryOp):
-            walk_expr(expr.operand)
-        elif isinstance(expr, BinaryOp):
-            walk_expr(expr.left)
-            walk_expr(expr.right)
-        elif isinstance(expr, FunctionCall):
-            for arg in expr.args:
-                walk_expr(arg)
-        elif isinstance(expr, WindowFunction):
-            walk_expr(expr.function)
-            for e in expr.partition_by:
-                walk_expr(e)
-            for o in expr.order_by:
-                walk_expr(o.expression)
-        elif isinstance(expr, CaseExpression):
-            for cond, value in expr.whens:
-                walk_expr(cond)
-                walk_expr(value)
-            if expr.default is not None:
-                walk_expr(expr.default)
-        elif isinstance(expr, InList):
-            walk_expr(expr.expr)
-            for v in expr.values:
-                walk_expr(v)
-        elif isinstance(expr, IsNull):
-            walk_expr(expr.expr)
-        elif isinstance(expr, Between):
-            walk_expr(expr.expr)
-            walk_expr(expr.low)
-            walk_expr(expr.high)
+    def record(value: object) -> object:
+        values.append(value)
+        return value
 
-    def walk_stmt(node: SelectStatement) -> None:
-        for item in node.items:
-            walk_expr(item.expression)
-        if isinstance(node.source, SubquerySource):
-            walk_stmt(node.source.query)
-        if node.where is not None:
-            walk_expr(node.where)
-        for e in node.group_by:
-            walk_expr(e)
-        if node.having is not None:
-            walk_expr(node.having)
-        for o in node.order_by:
-            walk_expr(o.expression)
-        if node.limit is not None:
-            values.append(node.limit)
-        if node.offset is not None:
-            values.append(node.offset)
-
-    walk_stmt(stmt)
+    _map_literals(stmt, record)
     return values
 
 
@@ -331,11 +189,8 @@ def instantiate(template: PlanTemplate, values: list[object]) -> SelectStatement
     """
     if len(values) != template.n_literals:
         return None
-    slots = _Slots(values)
+    slots = iter(values)
     try:
-        stmt = _map_statement(template.statement, slots)
+        return _map_literals(template.statement, lambda _old: next(slots))
     except TemplateMismatch:
         return None
-    if not slots.exhausted():
-        return None
-    return stmt

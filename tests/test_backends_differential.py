@@ -32,6 +32,7 @@ from repro.backends import SqliteBackend, backend_names, create_backend
 from repro.backends.base import BackendCapabilities
 from repro.bench.scale import row_sort_key, values_equal
 from repro.datasets import generate_dataset
+from repro.errors import PlanningError
 from repro.rewrite.templates import QueryFragment, apply_transform
 
 settings.register_profile(
@@ -200,6 +201,12 @@ CORPUS: list[tuple[str, object, bool]] = [
         "MIN(v) AS lo, MAX(v) AS hi FROM data GROUP BY g"), False),
     ("group_by_two_keys", _plain(
         "SELECT g, b, COUNT(*) AS n, SUM(w) AS s FROM data GROUP BY g, b"), False),
+    # Aggregate-free operators in an aggregate query are group-shared
+    # values, not arithmetic over aggregate results.
+    ("group_by_concat", _plain(
+        "SELECT g || 'z' AS k, COUNT(*) AS n FROM data GROUP BY g || 'z'"), False),
+    ("group_by_comparison", _plain(
+        "SELECT g, v > 50 AS big, COUNT(*) AS n FROM data GROUP BY g, v > 50"), False),
     ("having", _plain(
         "SELECT g, COUNT(*) AS n FROM data GROUP BY g HAVING COUNT(*) > 5"), False),
     ("count_distinct", _plain("SELECT COUNT(DISTINCT g) AS n FROM data"), False),
@@ -278,6 +285,25 @@ def test_corpus_never_hashes_a_stored_string_column(backends, monkeypatch):
         embedded.query_rows(builder(embedded.capabilities))
     assert seen, "numeric keys (b, bin0, n) still factorize"
     assert all(dtype != object for dtype in seen)
+
+
+#: Aggregates under a scalar function, COALESCE, CASE and a comparison:
+#: outside the embedded engine's aggregate-item grammar (arithmetic over
+#: aggregates), so it refuses them when planning; SQLite answers them.
+NESTED_AGGREGATE_ITEMS = (
+    "ROUND(AVG(v), 1)",
+    "COALESCE(SUM(v), 0)",
+    "CASE WHEN COUNT(*) > 1 THEN 'many' ELSE 'one' END",
+    "SUM(v) > 1",
+)
+
+
+@pytest.mark.parametrize("item", NESTED_AGGREGATE_ITEMS)
+def test_aggregate_under_non_arithmetic_is_a_planning_error(backends, item):
+    sql = f"SELECT g, {item} AS nested FROM data GROUP BY g"
+    with pytest.raises(PlanningError, match=r"SELECT item .* AS nested"):
+        backends["embedded"].query_rows(sql)
+    assert len(backends["sqlite"].query_rows(sql)) == 5
 
 
 def test_order_limit_respects_limit(backends):

@@ -59,6 +59,15 @@ _ALL_AGGREGATES = (
     "COUNT(*) AS n, SUM(v) AS s, AVG(v) AS mean, MIN(v) AS lo, MAX(v) AS hi"
 )
 
+#: SELECT lists the embedded trajectories draw from: bare aggregates, and
+#: arithmetic over them.
+_ITEMS = st.sampled_from(
+    [
+        _ALL_AGGREGATES,
+        "-SUM(v) AS neg, SUM(v) / COUNT(*) AS ratio, MAX(v) - MIN(v) + 1 AS span",
+    ]
+)
+
 
 def _ordered(thresholds: list[int], order: str) -> list[int]:
     if order == "asc":
@@ -88,11 +97,11 @@ def _assert_differential(queries: list[str], rows: list[dict], backend: str = "e
 # --------------------------------------------------------------------------- #
 
 
-@given(rows=_rows, thresholds=_thresholds, order=_order)
-def test_brush_trajectory_differential(rows, thresholds, order):
+@given(rows=_rows, thresholds=_thresholds, order=_order, items=_ITEMS)
+def test_brush_trajectory_differential(rows, thresholds, order, items):
     """One-sided brush sweeps: IVM rows == re-scan rows at every step."""
     queries = [
-        f"SELECT g, {_ALL_AGGREGATES} FROM t WHERE b >= {t} GROUP BY g"
+        f"SELECT g, {items} FROM t WHERE b >= {t} GROUP BY g"
         for t in _ordered(thresholds, order)
     ]
     metrics = _assert_differential(queries, rows)
@@ -100,11 +109,13 @@ def test_brush_trajectory_differential(rows, thresholds, order):
     assert metrics["ivm_hits"] >= len(queries) - 2
 
 
-@given(rows=_rows, thresholds=_thresholds, order=_order, width=st.integers(1, 10))
-def test_brush_interval_differential(rows, thresholds, order, width):
+@given(
+    rows=_rows, thresholds=_thresholds, order=_order, width=st.integers(1, 10), items=_ITEMS
+)
+def test_brush_interval_differential(rows, thresholds, order, width, items):
     """Two-sided (BETWEEN) brushes, including empty and refilled windows."""
     queries = [
-        f"SELECT g, {_ALL_AGGREGATES} FROM t "
+        f"SELECT g, {items} FROM t "
         f"WHERE b BETWEEN {t} AND {t + width} GROUP BY g"
         for t in _ordered(thresholds, order)
     ]
@@ -112,12 +123,10 @@ def test_brush_interval_differential(rows, thresholds, order, width):
     assert metrics["ivm_hits"] >= len(queries) - 2
 
 
-@given(rows=_rows, thresholds=_thresholds)
-def test_global_aggregate_differential(rows, thresholds):
+@given(rows=_rows, thresholds=_thresholds, items=_ITEMS)
+def test_global_aggregate_differential(rows, thresholds, items):
     """No GROUP BY: the view emits exactly one row even over empty brushes."""
-    queries = [
-        f"SELECT {_ALL_AGGREGATES} FROM t WHERE b >= {t}" for t in thresholds
-    ]
+    queries = [f"SELECT {items} FROM t WHERE b >= {t}" for t in thresholds]
     metrics = _assert_differential(queries, rows)
     assert metrics["ivm_hits"] >= len(queries) - 2
 

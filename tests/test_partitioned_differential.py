@@ -1,6 +1,6 @@
 """Partitioned vs flat differential over the backend corpus.
 
-Runs every query of the 29-query backend corpus (plus its hypothesis
+Runs every query of the backend corpus (plus its hypothesis
 shapes) on two embedded engines holding identical data — one flat, one
 partitioned — and asserts row-identical results through the same comparison contract the
 cross-backend suite enforces (values, ordering, NULL placement).
@@ -101,6 +101,8 @@ PARTITION_QUERIES = (
     "SELECT DISTINCT g FROM t",
     "SELECT g, v FROM t WHERE v BETWEEN -100 AND 100 ORDER BY v DESC, g ASC LIMIT 7",
     "SELECT g, SUM(v) + COUNT(*) AS combo FROM t GROUP BY g",
+    "SELECT g, -SUM(v) AS neg, SUM(v) / COUNT(*) AS ratio, MAX(v) - MIN(v) + 1 AS span "
+    "FROM t GROUP BY g",
 )
 
 

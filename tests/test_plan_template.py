@@ -15,6 +15,7 @@ import pytest
 
 from repro.backends import create_backend
 from repro.sql import Database
+from repro.sql.ast_nodes import children, map_children, walk_expression
 from repro.sql.parser import parse_sql
 from repro.sql.template import (
     build_template,
@@ -192,3 +193,61 @@ def test_instantiate_rejects_wrong_value_count():
     template = build_template(parse_sql(sql), values)
     assert template is not None
     assert instantiate(template, [1, 2]) is None
+
+
+# --------------------------------------------------------------------------- #
+# The one child traversal
+# --------------------------------------------------------------------------- #
+
+#: One statement holding every expression node kind: CASE with ELSE, IN,
+#: BETWEEN, IS NULL, unary minus, a window with PARTITION BY and ORDER
+#: BY, a function call, a FROM sub-query, and LIMIT/OFFSET.
+EVERY_NODE_SQL = (
+    "SELECT CASE WHEN v > 1 THEN 'hi' WHEN v < -2 THEN 'lo' ELSE 'mid' END AS band, "
+    "-v AS neg, ROUND(v * 2.5, 1) AS r, "
+    "SUM(v + 3) OVER (PARTITION BY g || 'x' ORDER BY w - 4 DESC) AS running "
+    "FROM (SELECT g, v, w FROM t WHERE w IN (5, 6.5, 'seven')) AS sub "
+    "WHERE v BETWEEN -8 AND 9 AND g IS NOT NULL AND g <> 'z' "
+    "ORDER BY r LIMIT 10 OFFSET 2"
+)
+
+
+def _every_expression(stmt):
+    """Every top-level expression of ``stmt`` and its sub-query."""
+    source = stmt.source
+    inner = _every_expression(source.query) if hasattr(source, "query") else []
+    exprs = [item.expression for item in stmt.items] + inner
+    exprs += [stmt.where] + list(stmt.group_by) + [o.expression for o in stmt.order_by]
+    return [expr for expr in exprs if expr is not None]
+
+
+def test_children_are_what_map_children_visits():
+    kinds = set()
+    for top in _every_expression(parse_sql(EVERY_NODE_SQL)):
+        for node in walk_expression(top):
+            kinds.add(type(node).__name__)
+            visited = []
+
+            def record(child, visited=visited):
+                visited.append(child)
+                return child
+
+            assert map_children(node, record) == node
+            assert list(children(node)) == visited
+    assert kinds >= {
+        "CaseExpression", "InList", "Between", "IsNull", "UnaryOp", "BinaryOp",
+        "WindowFunction", "FunctionCall", "Literal", "ColumnRef",
+    }
+
+
+def test_substitute_then_collect_returns_the_substituted_values():
+    _shape, values = template_shape(EVERY_NODE_SQL)
+    template = build_template(parse_sql(EVERY_NODE_SQL), values)
+    assert template is not None
+    assert collect_literal_values(template.statement) == values
+    replaced = [
+        value + 100 if isinstance(value, (int, float)) else value + "!" for value in values
+    ]
+    statement = instantiate(template, replaced)
+    assert statement is not None
+    assert collect_literal_values(statement) == replaced

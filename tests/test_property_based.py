@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.enumerator import PlanEnumerator
@@ -319,6 +319,10 @@ def _histogram_spec(maxbins_value: int = 8) -> dict:
 
 @settings(max_examples=15)
 @given(rows=rows_strategy, maxbins=st.integers(min_value=2, max_value=30))
+# Extent [0, 0.85] at 17 bins: step 0.05, stop 0.8500000000000001, and
+# w = 0.85 computes a bin start of stop itself, which the client moves
+# into the last bin; the server's bin SQL must do the same.
+@example(rows=[{"v": 1.0, "w": w, "g": "a"} for w in (0, 0, 0, 0, 0.85)], maxbins=17)
 def test_every_enumerated_plan_is_valid_and_equivalent(rows, maxbins):
     """All enumerated plans validate and produce identical renderer input."""
     spec = parse_spec_dict(_histogram_spec(maxbins))

@@ -70,6 +70,28 @@ def test_bin_and_aggregate_merge_into_one_block():
     assert "FLOOR" in sql and "GROUP BY bin0" in sql and "COUNT(*)" in sql
 
 
+@pytest.mark.parametrize(("extent", "maxbins"), [((0.0, 0.85), 17), ((-10.0, 0.0), 10)])
+def test_bin_sql_matches_client_bins_at_the_domain_end(extent, maxbins):
+    """Float rounding floors some values just below ``stop`` onto it; the
+    client moves those into the last bin, and so must the server."""
+    import math
+
+    from repro.dataflow.transforms.bin import bin_start, compute_bins, last_bin_threshold
+
+    start, stop, step = compute_bins(extent, maxbins)
+    edge = last_bin_threshold(start, stop, step)
+    values = [start, math.nextafter(edge, -math.inf), edge, extent[1], stop, stop + step]
+    db = Database(ivm=False)
+    db.register_rows("t", [{"w": value} for value in values])
+    fragment = apply_transform(
+        QueryFragment.for_table("t"),
+        {"type": "bin"},
+        {"field": "w", "maxbins": maxbins, "extent": list(extent), "as": ["bin0", "bin1"]},
+    )
+    server = [row["bin0"] for row in db.query_rows(fragment.to_sql())]
+    assert server == [bin_start(value, start, stop, step) for value in values]
+
+
 def test_bin_requires_extent():
     fragment = QueryFragment.for_table("flights")
     with pytest.raises(RewriteError):
