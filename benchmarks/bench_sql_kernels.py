@@ -2,7 +2,8 @@
 
 Times the factorize/lexsort kernels directly against the retained naive
 reference implementations, plus the end-to-end group-by / distinct /
-order-by queries they power.  The recorded BENCH json is the per-PR
+order-by queries they power and the crossfilter's brush-filter query,
+whose range WHERE exercises the predicate masks.  The recorded BENCH json is the per-PR
 record of the kernel speedup (vectorized vs reference) and of absolute
 query latency at a fixed scale.
 
@@ -62,6 +63,22 @@ def test_bench_orderby_query(benchmark, flights_db):
         flights_db.execute, "SELECT * FROM flights ORDER BY delay DESC, carrier"
     )
     assert result.num_rows == N_ROWS
+
+
+#: The crossfilter's histogram query: a 6-conjunct brush WHERE over three
+#: numeric fields, then a CASE-binned GROUP BY, as the rewriter emits it.
+BRUSH_FILTER_SQL = (
+    "SELECT CASE WHEN distance >= 4600.0 THEN 4400.0 WHEN distance < 0.0 THEN 0.0 "
+    "ELSE FLOOR((distance - 0.0) / 200.0) * 200.0 + 0.0 END AS bin0, COUNT(*) AS count "
+    "FROM flights WHERE (((((distance >= 800.0) AND (distance <= 2200.0)) "
+    "AND ((air_time >= 100.0) AND (air_time <= 300.0))) "
+    "AND ((dep_delay >= 20.0) AND (dep_delay <= 150.0)))) GROUP BY bin0"
+)
+
+
+def test_bench_brush_filter_query(benchmark, flights_db):
+    result = benchmark(flights_db.execute, BRUSH_FILTER_SQL)
+    assert result.num_rows > 0
 
 
 def test_bench_groupby_kernel_vectorized(benchmark, key_arrays):

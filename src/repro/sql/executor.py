@@ -1,14 +1,19 @@
 """Physical execution of logical plans over columnar tables.
 
-The executor evaluates expressions in a vectorised fashion: every
+The executor evaluates expressions in a vectorised fashion: every value
 expression evaluates to a numpy array aligned with the input table's rows.
-Boolean results are float arrays holding 0.0/1.0/NaN, implementing SQL's
-three-valued logic (NaN = unknown); predicates keep only rows that evaluate
-to exactly 1.0.
+Predicates evaluate to a pair of boolean masks, ``(true, unknown)``, that
+carries SQL's three-valued logic: a row is TRUE, UNKNOWN (NULL), or FALSE
+when it is in neither mask, and ``unknown`` is ``None`` when no row is
+UNKNOWN.  AND, OR and NOT are bitwise operations on the masks; a filter
+keeps the rows of ``true``.  Only a predicate used as a value (``SELECT
+v > 2 AS f``) is converted, in one place, to 1.0 / 0.0 / NaN.
 """
 
 from __future__ import annotations
 
+import fnmatch
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -115,96 +120,121 @@ def _broadcast_literal(value: object, n_rows: int) -> np.ndarray:
     return out
 
 
-def _compare_arrays(op: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Comparison with NULL-propagation, for both numeric and string arrays."""
-    n = len(left)
-    result = np.full(n, np.nan, dtype=np.float64)
+#: A predicate's value over the rows: ``(true, unknown)`` boolean masks,
+#: disjoint, with ``unknown`` ``None`` when no row is UNKNOWN.  A row in
+#: neither mask is FALSE.
+Truth = tuple[np.ndarray, "np.ndarray | None"]
+
+_COMPARISONS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _known(true: np.ndarray, unknown: np.ndarray) -> Truth:
+    """``(true, unknown)``, with an all-False ``unknown`` dropped to ``None``."""
+    return true, unknown if unknown.any() else None
+
+
+def _not_false(truth: Truth) -> np.ndarray:
+    """The rows that are TRUE or UNKNOWN."""
+    true, unknown = truth
+    return true if unknown is None else true | unknown
+
+
+def _truth_and(left: Truth, right: Truth) -> Truth:
+    """Kleene AND: FALSE dominates, then UNKNOWN, then TRUE."""
+    true = left[0] & right[0]
+    if left[1] is None and right[1] is None:
+        return true, None
+    return _known(true, _not_false(left) & _not_false(right) & ~true)
+
+
+def _truth_or(left: Truth, right: Truth) -> Truth:
+    """Kleene OR: TRUE dominates, then UNKNOWN, then FALSE."""
+    true = left[0] | right[0]
+    if left[1] is None and right[1] is None:
+        return true, None
+    return _known(true, (_not_false(left) | _not_false(right)) & ~true)
+
+
+def _truth_not(truth: Truth) -> Truth:
+    """Kleene NOT: TRUE and FALSE swap, UNKNOWN stays."""
+    true, unknown = truth
+    if unknown is None:
+        return ~true, None
+    return ~(true | unknown), unknown
+
+
+def _truth_values(truth: Truth) -> np.ndarray:
+    """A predicate as a value: 1.0 TRUE, 0.0 FALSE, NaN UNKNOWN."""
+    true, unknown = truth
+    if unknown is None:
+        return true.astype(np.float64)
+    return np.where(unknown, np.nan, true.astype(np.float64))
+
+
+def _value_truth(values: np.ndarray) -> Truth:
+    """A value used as a predicate: exactly 1.0 is TRUE, exactly 0.0 is
+    FALSE, anything else (NULL, other numbers, strings) is UNKNOWN."""
+    true = values == 1.0
+    return _known(true, ~(true | (values == 0.0)))
+
+
+def _compare(op: str, left: np.ndarray, right: np.ndarray) -> Truth:
+    """Comparison with NULL-propagation, for both numeric and string arrays.
+
+    A numeric comparison is one ufunc; NULLs are checked once, and only
+    a row with a NULL operand is UNKNOWN.
+    """
+    compare = _COMPARISONS[op]
     if is_string_array(left) or is_string_array(right):
-        left_obj = left if is_string_array(left) else left.astype(object)
-        right_obj = right if is_string_array(right) else right.astype(object)
-        for i in range(n):
-            lv, rv = left_obj[i], right_obj[i]
-            if lv is None or rv is None or _is_nan(lv) or _is_nan(rv):
-                continue
-            result[i] = 1.0 if _compare_python(op, lv, rv) else 0.0
-        return result
-    valid = ~(np.isnan(left) | np.isnan(right))
-    lv = left[valid]
-    rv = right[valid]
-    if op == "=":
-        cmp = lv == rv
-    elif op == "<>":
-        cmp = lv != rv
-    elif op == "<":
-        cmp = lv < rv
-    elif op == "<=":
-        cmp = lv <= rv
-    elif op == ">":
-        cmp = lv > rv
-    elif op == ">=":
-        cmp = lv >= rv
-    else:  # pragma: no cover - parser restricts operators
-        raise ExecutionError(f"unsupported comparison operator {op!r}")
-    result[valid] = cmp.astype(np.float64)
-    return result
+        return _per_row(left, right, lambda lv, rv: compare(*_comparable(lv, rv)))
+    true = compare(left, right)
+    nulls = np.isnan(left)
+    nulls |= np.isnan(right)
+    if not nulls.any():
+        return true, None
+    # NaN compares False except under ``<>``; a NULL row is never TRUE.
+    return true & ~nulls, nulls
+
+
+def _comparable(left: object, right: object) -> tuple[object, object]:
+    """A number meets a string as text."""
+    if isinstance(left, (int, float)) != isinstance(right, (int, float)):
+        return str(left), str(right)
+    return left, right
+
+
+def _like(value: object, pattern: object) -> bool:
+    """SQL LIKE on non-NULL values: case-sensitive, ``%`` any run, ``_`` one character."""
+    return fnmatch.fnmatchcase(str(value), str(pattern).replace("%", "*").replace("_", "?"))
+
+
+def _per_row(left: np.ndarray, right: np.ndarray, test) -> Truth:
+    """``test(l, r)`` row by row over Python values; a row with a NULL
+    operand, numeric NaN included, is UNKNOWN."""
+    n = len(left)
+    true = np.zeros(n, dtype=bool)
+    unknown = np.zeros(n, dtype=bool)
+    for i, (lv, rv) in enumerate(zip(_objects(left), _objects(right))):
+        if lv is None or rv is None or _is_nan(lv) or _is_nan(rv):
+            unknown[i] = True
+        else:
+            true[i] = test(lv, rv)
+    return _known(true, unknown)
+
+
+def _objects(values: np.ndarray) -> np.ndarray:
+    return values if is_string_array(values) else values.astype(object)
 
 
 def _is_nan(value: object) -> bool:
     return isinstance(value, float) and np.isnan(value)
-
-
-def _compare_python(op: str, left: object, right: object) -> bool:
-    left_cmp, right_cmp = left, right
-    if isinstance(left, (int, float)) != isinstance(right, (int, float)):
-        left_cmp, right_cmp = str(left), str(right)
-    if op == "=":
-        return left_cmp == right_cmp
-    if op == "<>":
-        return left_cmp != right_cmp
-    if op == "<":
-        return left_cmp < right_cmp
-    if op == "<=":
-        return left_cmp <= right_cmp
-    if op == ">":
-        return left_cmp > right_cmp
-    if op == ">=":
-        return left_cmp >= right_cmp
-    raise ExecutionError(f"unsupported comparison operator {op!r}")
-
-
-def _logical_and(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    # Three-valued AND: false dominates, then unknown, then true.
-    result = np.full(len(left), np.nan, dtype=np.float64)
-    false_mask = (left == 0.0) | (right == 0.0)
-    true_mask = (left == 1.0) & (right == 1.0)
-    result[false_mask] = 0.0
-    result[true_mask] = 1.0
-    return result
-
-
-def _logical_or(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    result = np.full(len(left), np.nan, dtype=np.float64)
-    true_mask = (left == 1.0) | (right == 1.0)
-    false_mask = (left == 0.0) & (right == 0.0)
-    result[true_mask] = 1.0
-    result[false_mask] = 0.0
-    return result
-
-
-def _like_to_bool(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    import fnmatch
-
-    n = len(left)
-    result = np.full(n, np.nan, dtype=np.float64)
-    left_obj = left if is_string_array(left) else left.astype(object)
-    right_obj = right if is_string_array(right) else right.astype(object)
-    for i in range(n):
-        value, pattern = left_obj[i], right_obj[i]
-        if value is None or pattern is None:
-            continue
-        glob = str(pattern).replace("%", "*").replace("_", "?")
-        result[i] = 1.0 if fnmatch.fnmatch(str(value), glob) else 0.0
-    return result
 
 
 class ExpressionEvaluator:
@@ -227,6 +257,9 @@ class ExpressionEvaluator:
             return self._column_values(expr.name)
         if isinstance(expr, Star):
             raise ExecutionError("'*' is only valid directly in the SELECT list or COUNT(*)")
+        predicate = self._predicate(expr)
+        if predicate is not None:
+            return _truth_values(predicate)
         if isinstance(expr, UnaryOp):
             return self._evaluate_unary(expr)
         if isinstance(expr, BinaryOp):
@@ -235,15 +268,21 @@ class ExpressionEvaluator:
             return self._evaluate_function(expr)
         if isinstance(expr, CaseExpression):
             return self._evaluate_case(expr)
-        if isinstance(expr, InList):
-            return self._evaluate_in(expr)
-        if isinstance(expr, IsNull):
-            return self._evaluate_is_null(expr)
-        if isinstance(expr, Between):
-            return self._evaluate_between(expr)
         if isinstance(expr, WindowFunction):
             raise ExecutionError("window functions must be evaluated by WindowNode")
         raise ExecutionError(f"cannot evaluate expression {expr!r}")
+
+    def truth(self, expr: Expression) -> Truth:
+        """``expr`` evaluated as a predicate: its ``(true, unknown)`` masks.
+
+        Comparisons, AND, OR, NOT, BETWEEN, IN, IS NULL and LIKE build
+        the masks directly; any other expression is evaluated as a value
+        and read by :func:`_value_truth`.
+        """
+        predicate = self._predicate(expr)
+        if predicate is not None:
+            return predicate
+        return _value_truth(self.evaluate(expr))
 
     def column(self, expr: Expression) -> Column:
         """``expr`` evaluated to a :class:`Column`.
@@ -268,43 +307,62 @@ class ExpressionEvaluator:
             f"unknown column {name!r}; available: {self._table.column_names()}"
         )
 
+    def _predicate(self, expr: Expression) -> Truth | None:
+        """The masks of a predicate node, or ``None`` for a value node."""
+        if isinstance(expr, BinaryOp):
+            op = expr.op.upper()
+            if op == "AND":
+                return _truth_and(self.truth(expr.left), self.truth(expr.right))
+            if op == "OR":
+                return _truth_or(self.truth(expr.left), self.truth(expr.right))
+            if op in _COMPARISONS:
+                return _compare(op, self.evaluate(expr.left), self.evaluate(expr.right))
+            if op == "LIKE":
+                return _per_row(self.evaluate(expr.left), self.evaluate(expr.right), _like)
+            return None
+        if isinstance(expr, UnaryOp):
+            if expr.op.upper() == "NOT":
+                return _truth_not(self.truth(expr.operand))
+            return None
+        if isinstance(expr, IsNull):
+            nulls = null_mask(self.evaluate(expr.expr))
+            return (~nulls if expr.negated else nulls), None
+        if isinstance(expr, Between):
+            value = self.evaluate(expr.expr)
+            truth = _truth_and(
+                _compare(">=", value, self.evaluate(expr.low)),
+                _compare("<=", value, self.evaluate(expr.high)),
+            )
+        elif isinstance(expr, InList):
+            # ``x IN (a, b)`` is ``x = a OR x = b``.
+            value = self.evaluate(expr.expr)
+            truth = (np.zeros(len(value), dtype=bool), None)
+            for candidate in expr.values:
+                truth = _truth_or(truth, _compare("=", value, self.evaluate(candidate)))
+        else:
+            return None
+        return _truth_not(truth) if expr.negated else truth
+
     def _evaluate_unary(self, expr: UnaryOp) -> np.ndarray:
+        if expr.op != "-":
+            raise ExecutionError(f"unsupported unary operator {expr.op!r}")
         operand = self.evaluate(expr.operand)
-        if expr.op == "-":
-            if is_string_array(operand):
-                raise ExecutionError("cannot negate a string expression")
-            return -operand
-        if expr.op.upper() == "NOT":
-            result = np.full(len(operand), np.nan, dtype=np.float64)
-            result[operand == 1.0] = 0.0
-            result[operand == 0.0] = 1.0
-            return result
-        raise ExecutionError(f"unsupported unary operator {expr.op!r}")
+        if is_string_array(operand):
+            raise ExecutionError("cannot negate a string expression")
+        return -operand
 
     def _evaluate_binary(self, expr: BinaryOp) -> np.ndarray:
         op = expr.op.upper()
         left = self.evaluate(expr.left)
         right = self.evaluate(expr.right)
-        if op == "AND":
-            return _logical_and(left, right)
-        if op == "OR":
-            return _logical_or(left, right)
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return _compare_arrays(op, left, right)
-        if op == "LIKE":
-            return _like_to_bool(left, right)
         if op == "||":
             return self._concat(left, right)
         return self._arithmetic(op, left, right)
 
     @staticmethod
     def _concat(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        n = len(left)
-        out = np.empty(n, dtype=object)
-        left_obj = left if is_string_array(left) else left.astype(object)
-        right_obj = right if is_string_array(right) else right.astype(object)
-        for i in range(n):
-            lv, rv = left_obj[i], right_obj[i]
+        out = np.empty(len(left), dtype=object)
+        for i, (lv, rv) in enumerate(zip(_objects(left), _objects(right))):
             if lv is None or rv is None or _is_nan(lv) or _is_nan(rv):
                 out[i] = None
             else:
@@ -343,75 +401,23 @@ class ExpressionEvaluator:
         return apply_scalar_function(name, args)
 
     def _evaluate_case(self, expr: CaseExpression) -> np.ndarray:
-        n = self._table.num_rows
-        branch_values = [
-            (self.evaluate(cond), self.evaluate(value)) for cond, value in expr.whens
-        ]
+        conditions = [self.truth(cond)[0] for cond, _value in expr.whens]
+        values = [self.evaluate(value) for _cond, value in expr.whens]
         default = (
             self.evaluate(expr.default)
             if expr.default is not None
-            else _broadcast_literal(None, n)
+            else _broadcast_literal(None, self._table.num_rows)
         )
-        any_string = is_string_array(default) or any(
-            is_string_array(v) for _, v in branch_values
-        )
-        if any_string:
-            out = np.empty(n, dtype=object)
-            default_obj = default if is_string_array(default) else default.astype(object)
-            out[:] = [None if _is_nan(v) else v for v in default_obj]
-            taken = np.zeros(n, dtype=bool)
-            for cond, value in branch_values:
-                value_obj = value if is_string_array(value) else value.astype(object)
-                select = (cond == 1.0) & ~taken
-                for i in np.where(select)[0]:
-                    v = value_obj[i]
-                    out[i] = None if _is_nan(v) else v
-                taken |= select
-            return out
-        out = default.astype(np.float64, copy=True)
-        taken = np.zeros(n, dtype=bool)
-        for cond, value in branch_values:
-            select = (cond == 1.0) & ~taken
-            out[select] = value[select]
-            taken |= select
-        return out
+        if is_string_array(default) or any(map(is_string_array, values)):
+            values = [_object_values(value) for value in values]
+            default = _object_values(default)
+        # The first TRUE condition picks its branch, as CASE does.
+        return np.select(conditions, values, default)
 
-    def _evaluate_in(self, expr: InList) -> np.ndarray:
-        values = self.evaluate(expr.expr)
-        candidates = [self.evaluate(v) for v in expr.values]
-        n = len(values)
-        result = np.zeros(n, dtype=np.float64)
-        nulls = null_mask(values)
-        for candidate in candidates:
-            result = np.maximum(result, _compare_arrays("=", values, candidate))
-        result = np.where(nulls, np.nan, result)
-        if expr.negated:
-            flipped = np.full(n, np.nan, dtype=np.float64)
-            flipped[result == 1.0] = 0.0
-            flipped[result == 0.0] = 1.0
-            return flipped
-        return result
 
-    def _evaluate_is_null(self, expr: IsNull) -> np.ndarray:
-        values = self.evaluate(expr.expr)
-        mask = null_mask(values)
-        if expr.negated:
-            return (~mask).astype(np.float64)
-        return mask.astype(np.float64)
-
-    def _evaluate_between(self, expr: Between) -> np.ndarray:
-        value = self.evaluate(expr.expr)
-        low = self.evaluate(expr.low)
-        high = self.evaluate(expr.high)
-        ge = _compare_arrays(">=", value, low)
-        le = _compare_arrays("<=", value, high)
-        result = _logical_and(ge, le)
-        if expr.negated:
-            flipped = np.full(len(result), np.nan, dtype=np.float64)
-            flipped[result == 1.0] = 0.0
-            flipped[result == 0.0] = 1.0
-            return flipped
-        return result
+def _object_values(values: np.ndarray) -> np.ndarray:
+    """``values`` as an object array with every NULL as ``None``."""
+    return np.array([None if _is_nan(v) else v for v in values.tolist()], dtype=object)
 
 
 def _array_to_column(name: str, values: np.ndarray) -> Column:
@@ -566,9 +572,8 @@ class Executor:
     @staticmethod
     def _apply_filter(node: FilterNode, table: Table) -> Table:
         """Row-local filter application (shared by serial and morsel paths)."""
-        evaluator = ExpressionEvaluator(table)
-        mask_values = evaluator.evaluate(node.predicate)
-        return table.filter(mask_values == 1.0)
+        true, _unknown = ExpressionEvaluator(table).truth(node.predicate)
+        return table.filter(true)
 
     def _execute_project(self, node: ProjectNode, stats: ExecutionStats) -> Table:
         table = self._execute_node(node.child, stats)

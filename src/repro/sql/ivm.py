@@ -208,12 +208,12 @@ class MaterializedView:
         evaluator = aggregate_evaluator(template.aggregate.items, table)
 
         # Static conjuncts: the WHERE clause minus the brush.  A row is in
-        # the view's domain iff every conjunct evaluates to exactly 1.0 —
-        # identical to the serial filter's three-valued `mask == 1.0`.
+        # the view's domain iff every conjunct is TRUE — the serial
+        # filter's rule, read from the same ``truth`` masks.
         domain = np.ones(n, dtype=bool)
         static_evaluator = ExpressionEvaluator(table)
         for conjunct in template.static_conjuncts:
-            domain &= static_evaluator.evaluate(conjunct) == 1.0
+            domain &= static_evaluator.truth(conjunct)[0]
 
         domain_rows = np.flatnonzero(domain)
         order = np.argsort(brush.values[domain_rows], kind="stable")

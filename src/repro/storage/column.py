@@ -1,9 +1,9 @@
 """Typed columns backed by numpy arrays.
 
 Columns are the unit of storage in the SQL engine.  Numeric columns use
-float64 arrays with ``nan`` encoding SQL ``NULL``.  Boolean columns are
-stored as float64 (0.0/1.0/nan) so that three-valued logic composes with
-the numeric kernels.
+float64 arrays with ``nan`` encoding SQL ``NULL``.  Boolean columns (a
+predicate used as a value) are stored as float64 (0.0/1.0/nan), so they
+group, sort and aggregate with the numeric kernels.
 
 String columns whose non-NULL values are all ``str`` are
 **dictionary-encoded**: a narrow unsigned ``codes`` array indexes one

@@ -249,6 +249,10 @@ CORPUS: list[tuple[str, object, bool]] = [
         "SELECT w, g LIKE 'A%' AS upper_a, UPPER(g) LIKE 'a%' AS mixed, "
         "g LIKE '_' AS one_char, UPPER(g) LIKE 'B' AS exact FROM data "
         "WHERE g NOT LIKE 'C%'"), False),
+    # A numeric NULL under LIKE is UNKNOWN, not the text 'nan'.
+    ("like_numeric_null", _plain("SELECT w FROM data WHERE v LIKE 'n%'"), False),
+    ("or_like_numeric_null", _plain(
+        "SELECT w FROM data WHERE (v > 1) OR (v LIKE '%a%')"), False),
 ]
 
 

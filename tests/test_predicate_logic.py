@@ -1,0 +1,315 @@
+"""Three-valued logic differential: random predicate trees under NULL.
+
+Hypothesis draws predicate trees — AND, OR, NOT, comparisons, [NOT]
+BETWEEN, [NOT] IN, IS [NOT] NULL and [NOT] LIKE — over nullable numeric
+columns ``v`` / ``u`` and a nullable string column ``s``.  Every tree runs
+
+* in WHERE, on the embedded engine over a flat and a partitioned copy of
+  the table and on sqlite, whose rows must be ``==``;
+* as a projected value (``SELECT (pred) AS p``), on the same three, whose
+  values must also match a pure-Python Kleene oracle (TRUE 1, FALSE 0,
+  UNKNOWN NULL);
+* as a static conjunct beside an IVM brush, with IVM on and off.
+"""
+
+from __future__ import annotations
+
+import operator
+import re
+from collections.abc import Callable
+from dataclasses import dataclass
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.backends import create_backend
+from repro.sql import Database
+
+NUMBERS = (-1.0, 0.0, 0.5, 1.0, 2.0)
+STRINGS = ("a", "b", "ab", "B")
+#: LIKE patterns over ``s``: LIKE is case-sensitive on both backends.
+STRING_PATTERNS = ("a%", "%b", "_", "a_", "%", "B%", "%a%")
+#: LIKE patterns over a numeric column that match the same rows however a
+#: backend renders a number as text; ``n%`` / ``%a%`` would match the
+#: text 'nan' if a numeric NULL were not UNKNOWN.
+NUMBER_PATTERNS = ("%", "_%", "n%", "%a%")
+
+COMPARISONS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+Row = dict[str, object]
+Truth = bool | None
+
+
+# --------------------------------------------------------------------------- #
+# The Kleene oracle
+# --------------------------------------------------------------------------- #
+
+
+def kleene_and(left: Truth, right: Truth) -> Truth:
+    if left is False or right is False:
+        return False
+    if left is None or right is None:
+        return None
+    return True
+
+
+def kleene_or(left: Truth, right: Truth) -> Truth:
+    if left is True or right is True:
+        return True
+    if left is None or right is None:
+        return None
+    return False
+
+
+def kleene_not(value: Truth) -> Truth:
+    return None if value is None else not value
+
+
+def compare(op: str, left: object, right: object) -> Truth:
+    if left is None or right is None:
+        return None
+    return COMPARISONS[op](left, right)
+
+
+def like(value: object, pattern: str) -> Truth:
+    if value is None:
+        return None
+    regex = "".join(
+        ".*" if char == "%" else "." if char == "_" else re.escape(char) for char in pattern
+    )
+    return re.fullmatch(regex, str(value), flags=re.DOTALL) is not None
+
+
+def test_oracle_truth_tables():
+    """The oracle itself: SQL's AND / OR / NOT tables over TRUE, FALSE, NULL."""
+    values = (True, False, None)
+    assert [[kleene_and(a, b) for b in values] for a in values] == [
+        [True, False, None],
+        [False, False, False],
+        [None, False, None],
+    ]
+    assert [[kleene_or(a, b) for b in values] for a in values] == [
+        [True, True, True],
+        [True, False, None],
+        [True, None, None],
+    ]
+    assert [kleene_not(a) for a in values] == [False, True, None]
+
+
+# --------------------------------------------------------------------------- #
+# Predicate trees
+# --------------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class Predicate:
+    """One predicate tree: its SQL text and its oracle over a row."""
+
+    sql: str
+    truth: Callable[[Row], Truth]
+
+    def __repr__(self) -> str:
+        return self.sql
+
+
+def _literal(value: object) -> str:
+    if value is None:
+        return "NULL"
+    if isinstance(value, str):
+        return f"'{value}'"
+    return repr(value)
+
+
+def _negated(negate: bool, predicate: Predicate) -> Predicate:
+    if not negate:
+        return predicate
+    return Predicate(predicate.sql, lambda row: kleene_not(predicate.truth(row)))
+
+
+numbers = st.one_of(st.none(), st.sampled_from(NUMBERS))
+strings = st.one_of(st.none(), st.sampled_from(STRINGS))
+comparison_ops = st.sampled_from(sorted(COMPARISONS))
+
+
+@st.composite
+def numeric_comparisons(draw) -> Predicate:
+    column = draw(st.sampled_from(("v", "u")))
+    op = draw(comparison_ops)
+    if draw(st.booleans()):
+        other = "u" if column == "v" else "v"
+        return Predicate(
+            f"{column} {op} {other}", lambda row: compare(op, row[column], row[other])
+        )
+    value = draw(numbers)
+    return Predicate(f"{column} {op} {_literal(value)}", lambda row: compare(op, row[column], value))
+
+
+@st.composite
+def string_comparisons(draw) -> Predicate:
+    op = draw(comparison_ops)
+    value = draw(strings)
+    return Predicate(f"s {op} {_literal(value)}", lambda row: compare(op, row["s"], value))
+
+
+@st.composite
+def betweens(draw) -> Predicate:
+    column = draw(st.sampled_from(("v", "u")))
+    low, high = draw(numbers), draw(numbers)
+    negate = draw(st.booleans())
+    keyword = "NOT BETWEEN" if negate else "BETWEEN"
+
+    def truth(row: Row) -> Truth:
+        value = row[column]
+        return kleene_and(compare(">=", value, low), compare("<=", value, high))
+
+    return _negated(
+        negate, Predicate(f"{column} {keyword} {_literal(low)} AND {_literal(high)}", truth)
+    )
+
+
+@st.composite
+def in_lists(draw) -> Predicate:
+    column, values = draw(st.sampled_from((("v", numbers), ("u", numbers), ("s", strings))))
+    candidates = draw(st.lists(values, min_size=1, max_size=3))
+    negate = draw(st.booleans())
+    keyword = "NOT IN" if negate else "IN"
+
+    def truth(row: Row) -> Truth:
+        result: Truth = False
+        for candidate in candidates:
+            result = kleene_or(result, compare("=", row[column], candidate))
+        return result
+
+    rendered = ", ".join(map(_literal, candidates))
+    return _negated(negate, Predicate(f"{column} {keyword} ({rendered})", truth))
+
+
+@st.composite
+def null_tests(draw) -> Predicate:
+    column = draw(st.sampled_from(("v", "u", "s")))
+    negate = draw(st.booleans())
+    keyword = "IS NOT NULL" if negate else "IS NULL"
+    return Predicate(
+        f"{column} {keyword}", lambda row: (row[column] is None) != negate
+    )
+
+
+@st.composite
+def likes(draw) -> Predicate:
+    column, patterns = draw(
+        st.sampled_from((("s", STRING_PATTERNS), ("v", NUMBER_PATTERNS), ("u", NUMBER_PATTERNS)))
+    )
+    pattern = draw(st.sampled_from(patterns))
+    negate = draw(st.booleans())
+    keyword = "NOT LIKE" if negate else "LIKE"
+    return _negated(
+        negate,
+        Predicate(f"{column} {keyword} '{pattern}'", lambda row: like(row[column], pattern)),
+    )
+
+
+def _combine(children: st.SearchStrategy[Predicate]) -> st.SearchStrategy[Predicate]:
+    def conjunction(pair: tuple[Predicate, Predicate]) -> Predicate:
+        left, right = pair
+        return Predicate(
+            f"({left.sql}) AND ({right.sql})",
+            lambda row: kleene_and(left.truth(row), right.truth(row)),
+        )
+
+    def disjunction(pair: tuple[Predicate, Predicate]) -> Predicate:
+        left, right = pair
+        return Predicate(
+            f"({left.sql}) OR ({right.sql})",
+            lambda row: kleene_or(left.truth(row), right.truth(row)),
+        )
+
+    def negation(child: Predicate) -> Predicate:
+        return Predicate(f"NOT ({child.sql})", lambda row: kleene_not(child.truth(row)))
+
+    pairs = st.tuples(children, children)
+    return st.one_of(pairs.map(conjunction), pairs.map(disjunction), children.map(negation))
+
+
+predicates = st.recursive(
+    st.one_of(
+        numeric_comparisons(), string_comparisons(), betweens(), in_lists(), null_tests(), likes()
+    ),
+    _combine,
+    max_leaves=6,
+)
+
+rows_strategy = st.lists(
+    st.fixed_dictionaries({"v": numbers, "u": numbers, "s": strings}), min_size=1, max_size=12
+)
+
+
+# --------------------------------------------------------------------------- #
+# The differential
+# --------------------------------------------------------------------------- #
+
+COLUMNS = ["i", "b", "k", "v", "u", "s"]
+
+
+def _table(rows: list[Row]) -> list[Row]:
+    """The drawn rows with a unique row id ``i``, a brush column ``b`` and
+    a NULL-free group key ``k``."""
+    return [
+        {"i": float(i), "b": float(i % 4), "k": "xy"[i % 2], **row} for i, row in enumerate(rows)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=rows_strategy, predicate=predicates)
+def test_predicates_identical_across_backends_and_oracle(rows, predicate):
+    table = _table(rows)
+    embedded = Database()
+    embedded.register_rows("t", table, column_order=COLUMNS)
+    embedded.register_rows("tp", table, column_order=COLUMNS)
+    embedded.repartition("tp", 3)
+    sqlite = create_backend("sqlite")
+    sqlite.register_rows("t", table, column_order=COLUMNS)
+    try:
+        where = f"SELECT i FROM {{table}} WHERE {predicate.sql} ORDER BY i"
+        projected = f"SELECT i, ({predicate.sql}) AS p FROM {{table}} ORDER BY i"
+        truths = [predicate.truth(row) for row in table]
+        for sql, want in (
+            (where, [{"i": row["i"]} for row, truth in zip(table, truths) if truth]),
+            (projected, [
+                {"i": row["i"], "p": None if truth is None else float(truth)}
+                for row, truth in zip(table, truths)
+            ]),
+        ):
+            assert sqlite.query_rows(sql.format(table="t")) == want, sql
+            assert embedded.query_rows(sql.format(table="t")) == want, sql
+            assert embedded.query_rows(sql.format(table="tp")) == want, sql
+    finally:
+        embedded.close()
+        sqlite.close()
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=rows_strategy, predicate=predicates)
+def test_predicate_as_ivm_static_conjunct(rows, predicate):
+    """The IVM view's domain reads the same TRUE mask as the filter."""
+    table = _table(rows)
+    with_ivm, without_ivm = Database(), Database(ivm=False)
+    for database in (with_ivm, without_ivm):
+        database.register_rows("t", table, column_order=COLUMNS)
+    try:
+        for low in (0, 1, 2, 0):
+            sql = (
+                f"SELECT k, COUNT(*) AS n, COUNT(v) AS nv, MAX(v) AS hi FROM t "
+                f"WHERE b >= {low} AND ({predicate.sql}) GROUP BY k"
+            )
+            assert with_ivm.query_rows(sql) == without_ivm.query_rows(sql), sql
+        assert with_ivm.stats()["ivm_hits"] >= 1
+    finally:
+        with_ivm.close()
+        without_ivm.close()
