@@ -3,7 +3,8 @@
 Times the factorize/lexsort kernels directly against the retained naive
 reference implementations, plus the end-to-end group-by / distinct /
 order-by queries they power and the crossfilter's brush-filter query,
-whose range WHERE exercises the predicate masks.  The recorded BENCH json is the per-PR
+whose range WHERE exercises the predicate masks, and the plan path that
+query takes on each new brush step.  The recorded BENCH json is the per-PR
 record of the kernel speedup (vectorized vs reference) and of absolute
 query latency at a fixed scale.
 
@@ -12,6 +13,8 @@ dictionary codes (what a stored string column hands the executor) and by
 re-factorizing its object array (what every query paid before columns
 were dictionary-encoded, and what computed string keys still pay).
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -79,6 +82,24 @@ BRUSH_FILTER_SQL = (
 def test_bench_brush_filter_query(benchmark, flights_db):
     result = benchmark(flights_db.execute, BRUSH_FILTER_SQL)
     assert result.num_rows > 0
+
+
+def test_bench_plan_template_hit(benchmark, flights_db):
+    """``SQLBackend.plan`` on brush steps that differ only in a literal:
+    each call misses the exact-text level and is answered by the template
+    level (lex once, clone the statement, re-plan, re-optimise)."""
+    steps = itertools.count()
+
+    def next_step():
+        bound = f"distance >= {800 + next(steps)}.5"
+        return flights_db.plan(BRUSH_FILTER_SQL.replace("distance >= 800.0", bound))
+
+    next_step()  # parse the shape once, outside the timed calls
+    before = flights_db.metrics.snapshot()
+    benchmark(next_step)
+    after = flights_db.metrics.snapshot()
+    assert after["queries_parsed"] == before["queries_parsed"]
+    assert after["plan_template_hits"] > before["plan_template_hits"]
 
 
 def test_bench_groupby_kernel_vectorized(benchmark, key_arrays):

@@ -186,7 +186,7 @@ class _ExprParser:
         token = self._peek()
         if token.ttype is ExprTokenType.NUMBER:
             self._advance()
-            return NumberNode(float(token.value))
+            return NumberNode(token.number)
         if token.ttype is ExprTokenType.STRING:
             self._advance()
             return StringNode(token.value)

@@ -1,4 +1,7 @@
-"""Tokenizer for the Vega expression language."""
+"""Tokenizer for the Vega expression language.
+
+The one place a number's text becomes a value (:attr:`ExprToken.number`).
+"""
 
 from __future__ import annotations
 
@@ -27,11 +30,12 @@ _PUNCTUATION = "()[],."
 
 @dataclass(frozen=True)
 class ExprToken:
-    """A single token with source position."""
+    """A single token with source position; ``number`` is a NUMBER's value."""
 
     ttype: ExprTokenType
     value: str
     position: int
+    number: float | None = None
 
 
 def tokenize_expression(text: str) -> list[ExprToken]:
@@ -74,7 +78,13 @@ def tokenize_expression(text: str) -> list[ExprToken]:
                     j += 1
                 while j < n and text[j].isdigit():
                     j += 1
-            tokens.append(ExprToken(ExprTokenType.NUMBER, text[i:j], i))
+            try:
+                number = float(text[i:j])
+            except ValueError:
+                raise ExpressionParseError(
+                    f"malformed number {text[i:j]!r} at position {i} in {text!r}"
+                ) from None
+            tokens.append(ExprToken(ExprTokenType.NUMBER, text[i:j], i, number))
             i = j
             continue
         if ch.isalpha() or ch in "_$":

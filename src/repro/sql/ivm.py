@@ -68,7 +68,6 @@ from repro.sql.executor import (
 from repro.sql.functions import apply_aggregate_segments, is_string_array
 from repro.sql.planner import (
     AggregateNode,
-    BrushInterval,
     IVMTemplate,
     LogicalPlan,
     MaterializedNode,
@@ -80,6 +79,7 @@ from repro.sql.planner import (
 )
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
+from repro.storage.statistics import RangeInterval
 from repro.storage.table import Table, group_segments
 
 if TYPE_CHECKING:
@@ -199,7 +199,7 @@ class MaterializedView:
     def build(cls, template: IVMTemplate, table: Table) -> "MaterializedView | None":
         """Materialize the view, or ``None`` when the data is ineligible."""
         n = table.num_rows
-        brush = table.column(template.brush_column)
+        brush = table.column(template.interval.column)
         if not brush.is_numeric():
             return None
 
@@ -283,7 +283,7 @@ class MaterializedView:
     # ------------------------------------------------------------------ #
     # Brush positions
     # ------------------------------------------------------------------ #
-    def positions(self, interval: BrushInterval) -> tuple[int, int]:
+    def positions(self, interval: RangeInterval) -> tuple[int, int]:
         """Map a brush interval to a ``[a, b)`` slice of the sorted tile.
 
         NaN brush values sort last and are excluded by the ``n_valid``
@@ -307,7 +307,7 @@ class MaterializedView:
     # ------------------------------------------------------------------ #
     # Delta maintenance
     # ------------------------------------------------------------------ #
-    def maintain(self, interval: BrushInterval) -> tuple[int, int, int]:
+    def maintain(self, interval: RangeInterval) -> tuple[int, int, int]:
         """Advance the state to ``interval``.
 
         Returns ``(delta_rows, fallbacks, fallback_rows)`` — the rows

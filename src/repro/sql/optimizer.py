@@ -42,8 +42,11 @@ from repro.sql.planner import (
     SortNode,
     SubqueryNode,
     WindowNode,
+    conjuncts,
+    numeric_literal,
+    range_interval,
 )
-from repro.storage.statistics import ZoneMap
+from repro.storage.statistics import RangeInterval, ZoneMap
 
 
 # --------------------------------------------------------------------------- #
@@ -247,22 +250,6 @@ def _filter_can_enter_subquery(predicate: Expression, subquery: SubqueryNode) ->
 # --------------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
-class PruningInterval:
-    """``column ∈ [low, high]`` implied by a conjunct (None = unbounded).
-
-    Any comparison also implies ``column IS NOT NULL`` (a NULL operand
-    makes the predicate unknown, which a filter drops), which is how an
-    interval conjunct prunes NULL-only partitions.
-    """
-
-    column: str
-    low: float | None = None
-    high: float | None = None
-    low_inclusive: bool = True
-    high_inclusive: bool = True
-
-
-@dataclass(frozen=True)
 class PruningNullCheck:
     """``column IS [NOT] NULL`` conjunct (``negated`` = IS NOT NULL)."""
 
@@ -270,89 +257,68 @@ class PruningNullCheck:
     negated: bool = False
 
 
-PruningConjunct = PruningInterval | PruningNullCheck
+PruningConjunct = RangeInterval | PruningNullCheck
+
+_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
 
 
-def _literal_number(expr: Expression) -> float | None:
-    if isinstance(expr, Literal) and isinstance(expr.value, (int, float)) and not isinstance(
-        expr.value, bool
-    ):
-        return float(expr.value)
-    return None
+def _implied_conjunct(predicate: Expression) -> PruningConjunct | None:
+    """What a conjunct that is not an exact range still implies.
 
-
-def _comparison_conjunct(op: str, left: Expression, right: Expression) -> PruningConjunct | None:
-    column: str | None = None
-    bound: float | None = None
-    if isinstance(left, ColumnRef):
-        column, bound = left.name, _literal_number(right)
-    elif isinstance(right, ColumnRef):
-        column, bound = right.name, _literal_number(left)
-        op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-    if column is None:
+    A comparison of a bare column with any literal (``<>``, a string, a
+    NULL) implies the column is not NULL; a BETWEEN with one literal bound
+    bounds that side; an IN over numeric literals lies within their
+    envelope, and over any literals implies NOT NULL.
+    """
+    if isinstance(predicate, BinaryOp) and predicate.op in _COMPARISONS:
+        left, right = predicate.left, predicate.right
+        if (isinstance(left, ColumnRef) and isinstance(right, Literal)) or (
+            isinstance(right, ColumnRef) and isinstance(left, Literal)
+        ):
+            column = left if isinstance(left, ColumnRef) else right
+            return PruningNullCheck(column.name, negated=True)
         return None
-    if bound is None:
-        # A comparison against a string literal (or any non-numeric
-        # literal) still implies the column is not NULL.
-        if isinstance(right, Literal) or isinstance(left, Literal):
-            return PruningNullCheck(column, negated=True)
-        return None
-    if op == "=":
-        return PruningInterval(column, bound, bound)
-    if op == "<":
-        return PruningInterval(column, None, bound, high_inclusive=False)
-    if op == "<=":
-        return PruningInterval(column, None, bound)
-    if op == ">":
-        return PruningInterval(column, bound, None, low_inclusive=False)
-    if op == ">=":
-        return PruningInterval(column, bound, None)
-    if op == "<>":
-        # Cannot bound the value, but NULL still never satisfies it.
-        return PruningNullCheck(column, negated=True)
+    if isinstance(predicate, Between) and not predicate.negated:
+        if not isinstance(predicate.expr, ColumnRef):
+            return None
+        low = numeric_literal(predicate.low)
+        high = numeric_literal(predicate.high)
+        if low is None and high is None:
+            return None
+        # Open-ended on a non-literal side: only the literal bound prunes.
+        return RangeInterval(predicate.expr.name, low, high)
+    if isinstance(predicate, InList) and not predicate.negated:
+        if not isinstance(predicate.expr, ColumnRef):
+            return None
+        bounds = [numeric_literal(v) for v in predicate.values]
+        if not bounds or any(b is None for b in bounds):
+            # Mixed/string lists: membership still implies NOT NULL when
+            # every element is a literal.
+            if predicate.values and all(isinstance(v, Literal) for v in predicate.values):
+                return PruningNullCheck(predicate.expr.name, negated=True)
+            return None
+        return RangeInterval(predicate.expr.name, min(bounds), max(bounds))
+    if isinstance(predicate, IsNull) and isinstance(predicate.expr, ColumnRef):
+        return PruningNullCheck(predicate.expr.name, negated=predicate.negated)
     return None
 
 
 def pruning_conjuncts(predicate: Expression) -> list[PruningConjunct]:
     """Partition-prunable conjuncts of ``predicate`` (conservative).
 
-    Only conjuncts of the form *bare column vs literal* are extracted:
-    comparisons, non-negated BETWEEN (non-literal bounds leave that side
-    open), non-negated IN over numeric literals, and IS [NOT] NULL.
-    Disjunctions, negations and any predicate over a computed expression
-    contribute nothing — those cannot prune.
+    Each conjunct contributes its exact range
+    (:func:`~repro.sql.planner.range_interval`, shared with IVM brush
+    detection) or else what it implies about a bare column
+    (:func:`_implied_conjunct`).  Disjunctions, negations and any
+    predicate over a computed expression contribute nothing — those
+    cannot prune.
     """
-    if isinstance(predicate, BinaryOp):
-        op = predicate.op.upper()
-        if op == "AND":
-            return pruning_conjuncts(predicate.left) + pruning_conjuncts(predicate.right)
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            conjunct = _comparison_conjunct(op, predicate.left, predicate.right)
-            return [conjunct] if conjunct is not None else []
-        return []
-    if isinstance(predicate, Between) and not predicate.negated:
-        if not isinstance(predicate.expr, ColumnRef):
-            return []
-        low = _literal_number(predicate.low)
-        high = _literal_number(predicate.high)
-        if low is None and high is None:
-            return []
-        # Open-ended on a non-literal side: only the literal bound prunes.
-        return [PruningInterval(predicate.expr.name, low, high)]
-    if isinstance(predicate, InList) and not predicate.negated:
-        if not isinstance(predicate.expr, ColumnRef):
-            return []
-        bounds = [_literal_number(v) for v in predicate.values]
-        if not bounds or any(b is None for b in bounds):
-            # Mixed/string lists: membership still implies NOT NULL when
-            # every element is a literal.
-            if predicate.values and all(isinstance(v, Literal) for v in predicate.values):
-                return [PruningNullCheck(predicate.expr.name, negated=True)]
-            return []
-        return [PruningInterval(predicate.expr.name, min(bounds), max(bounds))]
-    if isinstance(predicate, IsNull) and isinstance(predicate.expr, ColumnRef):
-        return [PruningNullCheck(predicate.expr.name, negated=predicate.negated)]
-    return []
+    found: list[PruningConjunct] = []
+    for conjunct in conjuncts(predicate):
+        implied = range_interval(conjunct) or _implied_conjunct(conjunct)
+        if implied is not None:
+            found.append(implied)
+    return found
 
 
 def _zone_may_satisfy(zone_map: ZoneMap, conjunct: PruningConjunct) -> bool:
@@ -363,9 +329,7 @@ def _zone_may_satisfy(zone_map: ZoneMap, conjunct: PruningConjunct) -> bool:
         if conjunct.negated:
             return zone.non_null > 0
         return zone.null_count > 0
-    return zone.may_contain_range(
-        conjunct.low, conjunct.high, conjunct.low_inclusive, conjunct.high_inclusive
-    )
+    return zone.may_contain_range(conjunct)
 
 
 def prune_partitions(
@@ -403,6 +367,5 @@ __all__ = [
     "fold_constants",
     "pruning_conjuncts",
     "prune_partitions",
-    "PruningInterval",
     "PruningNullCheck",
 ]

@@ -174,10 +174,7 @@ class _Parser:
         if token.ttype is not TokenType.NUMBER:
             raise self._error(f"expected integer after {clause}")
         self._advance()
-        try:
-            return int(float(token.value))
-        except ValueError as exc:  # pragma: no cover - tokenizer guarantees numeric
-            raise self._error(f"invalid integer {token.value!r}") from exc
+        return int(token.number)
 
     def _parse_source(self):
         if self._match_punct("("):
@@ -335,10 +332,7 @@ class _Parser:
 
         if token.ttype is TokenType.NUMBER:
             self._advance()
-            value = float(token.value)
-            if value.is_integer() and "." not in token.value and "e" not in token.value.lower():
-                return Literal(int(value))
-            return Literal(value)
+            return Literal(token.number)
 
         if token.ttype is TokenType.STRING:
             self._advance()
@@ -473,8 +467,18 @@ def parse_sql(sql: str) -> SelectStatement:
 
     Raises
     ------
+    TokenizeError
+        If the text does not tokenize.
     ParseError
         If the text is not a valid statement in the supported subset.
     """
-    tokens = tokenize(sql)
+    return parse_tokens(tokenize(sql), sql)
+
+
+def parse_tokens(tokens: list[Token], sql: str) -> SelectStatement:
+    """Parse the token list of ``sql`` (see :func:`tokenize`).
+
+    For callers that already lexed the text; ``sql`` only feeds error
+    messages.
+    """
     return _Parser(tokens, sql).parse_statement()

@@ -5,12 +5,17 @@ planner (the engine for execution, the sqlite backend for IVM
 interception), holding two LRU levels of :data:`PLAN_CACHE_ENTRIES`
 each under one lock:
 
-* **exact** — whitespace-normalised SQL text → :class:`LogicalPlan`;
-  a re-issued query skips tokenize → parse → plan → optimise entirely,
+* **exact** — the raw SQL text → :class:`LogicalPlan`; a re-issued
+  query skips tokenize → parse → plan → optimise entirely (one dict
+  lookup),
 * **template** — literal-stripped token shape →
   :class:`~repro.sql.template.PlanTemplate`; a query that differs from
-  an earlier one only in literal values (the next brush step) skips the
-  parse and re-plans from the cloned statement.
+  an earlier one only in literal values (the next brush step) or in the
+  whitespace between tokens skips the parse and re-plans from the cloned
+  statement.
+
+An exact-level miss lexes the text once: that one token list gives the
+shape key, the literal values and, on a template miss, the parse.
 
 Hits, misses and full parses are counted into the owning backend's
 :class:`~repro.sql.engine.EngineMetrics`.
@@ -24,9 +29,10 @@ from typing import TYPE_CHECKING, Any
 
 from repro.sql.ast_nodes import SelectStatement
 from repro.sql.optimizer import optimize_plan
-from repro.sql.parser import parse_sql
+from repro.sql.parser import parse_tokens
 from repro.sql.planner import LogicalPlan, build_logical_plan
-from repro.sql.template import PlanTemplate, build_template, instantiate, template_shape
+from repro.sql.template import PlanTemplate, build_template, instantiate, token_shape
+from repro.sql.tokenizer import tokenize
 
 if TYPE_CHECKING:
     from repro.sql.engine import EngineMetrics
@@ -35,32 +41,6 @@ _MISSING = object()
 
 #: Entry cap of each LRU level.
 PLAN_CACHE_ENTRIES = 256
-
-
-def normalize_sql(sql: str) -> str:
-    """Collapse insignificant whitespace so equivalent query texts share a key.
-
-    Whitespace inside quoted string literals (single- or double-quoted,
-    both accepted by the tokenizer) is preserved; runs of whitespace
-    elsewhere collapse to one space.  Used as the prepared-plan cache key
-    so interactive clients re-issuing the same query with different
-    formatting still hit the cache.
-    """
-    out: list[str] = []
-    quote: str | None = None
-    for ch in sql:
-        if ch == quote:
-            quote = None
-            out.append(ch)
-        elif quote is None and ch in ("'", '"'):
-            quote = ch
-            out.append(ch)
-        elif quote is None and ch.isspace():
-            if out and out[-1] != " ":
-                out.append(" ")
-        else:
-            out.append(ch)
-    return "".join(out).strip()
 
 
 class PlanCache:
@@ -95,16 +75,16 @@ class PlanCache:
         never invalidate cached entries.  Compilation of a missed plan
         happens *outside* the lock — two threads racing on the same new
         query may both compile it, which is wasted work but never wrong
-        (last insert wins).  Parse errors propagate and are not cached.
+        (last insert wins).  Tokenize and parse errors propagate and are
+        not cached.
         """
-        key = normalize_sql(sql)
-        cached = self._lookup(self._plans, key)
+        cached = self._lookup(self._plans, sql)
         if cached is not _MISSING:
             self._metrics.add(plan_cache_hits=1)
             return cached
         self._metrics.add(plan_cache_misses=1)
         plan = optimize_plan(build_logical_plan(self._statement(sql)))
-        self._store(self._plans, key, plan)
+        self._store(self._plans, sql, plan)
         return plan
 
     def _statement(self, sql: str) -> SelectStatement:
@@ -120,11 +100,8 @@ class PlanCache:
         optimisation still run per query — constant folding and pushdown
         see the real literals.
         """
-        shaped = template_shape(sql)
-        if shaped is None:
-            self._metrics.add(queries_parsed=1)
-            return parse_sql(sql)
-        shape_key, values = shaped
+        tokens = tokenize(sql)
+        shape_key, values = token_shape(tokens)
         template = self._lookup(self._templates, shape_key)
         if template is not _MISSING and template is not None:
             statement = instantiate(template, values)
@@ -132,7 +109,7 @@ class PlanCache:
                 self._metrics.add(plan_template_hits=1)
                 return statement
         self._metrics.add(plan_template_misses=1, queries_parsed=1)
-        statement = parse_sql(sql)
+        statement = parse_tokens(tokens, sql)
         if template is _MISSING:
             self._store(self._templates, shape_key, build_template(statement, values))
         return statement

@@ -34,6 +34,7 @@ from repro.sql.ast_nodes import (
     referenced_columns,
 )
 from repro.sql.functions import MERGEABLE_AGGREGATES, SCALAR_ARITHMETIC, combine_scalar
+from repro.storage.statistics import RangeInterval
 
 
 # --------------------------------------------------------------------------- #
@@ -535,33 +536,68 @@ def partitionable_prefix(node: PlanNode) -> PartitionablePrefix | None:
 
 
 # --------------------------------------------------------------------------- #
-# Incremental view maintenance eligibility analysis
+# Range analysis of WHERE conjuncts
+#
+# The one reading of ``column op literal`` ranges out of a WHERE clause:
+# ivm_template takes its brush from it, and the optimizer's zone-map
+# pruning (repro.sql.optimizer.pruning_conjuncts) adds to it only what the
+# remaining, non-range conjuncts imply.
 # --------------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class BrushInterval:
-    """A one-dimensional selection ``[low, high]`` on the brush column.
+_FLIPPED_COMPARISONS = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
 
-    ``None`` bounds are unbounded.  The interval is the intersection of
-    every range conjunct on the brush column, so a contradictory WHERE
-    clause yields an interval whose :meth:`is_empty` is true.
+
+def numeric_literal(expr: Expression) -> float | None:
+    """The float value of a numeric (non-boolean) literal, else ``None``."""
+    if isinstance(expr, Literal) and isinstance(expr.value, (int, float)):
+        if isinstance(expr.value, bool):
+            return None
+        return float(expr.value)
+    return None
+
+
+def conjuncts(expr: Expression) -> list[Expression]:
+    """Flatten a top-level AND tree into its conjuncts."""
+    if isinstance(expr, BinaryOp) and expr.op == "AND":
+        return conjuncts(expr.left) + conjuncts(expr.right)
+    return [expr]
+
+
+def range_interval(expr: Expression) -> RangeInterval | None:
+    """The range a conjunct is exactly equivalent to, else ``None``.
+
+    Matches numeric ``column op literal`` and ``literal op column``
+    comparisons (``=``, ``<``, ``<=``, ``>``, ``>=``) and ``column BETWEEN
+    literal AND literal`` on a bare column — the shapes a 1-D brush emits.
     """
+    if isinstance(expr, Between) and not expr.negated:
+        if not isinstance(expr.expr, ColumnRef):
+            return None
+        low = numeric_literal(expr.low)
+        high = numeric_literal(expr.high)
+        if low is None or high is None:
+            return None
+        return RangeInterval(expr.expr.name, low, high)
+    if not isinstance(expr, BinaryOp) or expr.op not in _FLIPPED_COMPARISONS:
+        return None
+    column, op, value = None, expr.op, None
+    if isinstance(expr.left, ColumnRef):
+        column, value = expr.left.name, numeric_literal(expr.right)
+    elif isinstance(expr.right, ColumnRef):
+        column, value = expr.right.name, numeric_literal(expr.left)
+        op = _FLIPPED_COMPARISONS[op]
+    if column is None or value is None:
+        return None
+    if op == "=":
+        return RangeInterval(column, value, value)
+    if op in (">", ">="):
+        return RangeInterval(column, low=value, low_inclusive=op == ">=")
+    return RangeInterval(column, high=value, high_inclusive=op == "<=")
 
-    low: float | None = None
-    high: float | None = None
-    low_inclusive: bool = True
-    high_inclusive: bool = True
 
-    def is_empty(self) -> bool:
-        """Whether no value can satisfy the interval."""
-        if self.low is None or self.high is None:
-            return False
-        if self.low > self.high:
-            return True
-        return self.low == self.high and not (
-            self.low_inclusive and self.high_inclusive
-        )
-
+# --------------------------------------------------------------------------- #
+# Incremental view maintenance eligibility analysis
+# --------------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
 class IVMTemplate:
@@ -577,8 +613,9 @@ class IVMTemplate:
     """
 
     table_name: str
-    brush_column: str
-    interval: BrushInterval
+    #: The brush: the intersection of every range conjunct on its column,
+    #: so a contradictory WHERE clause yields an empty interval.
+    interval: RangeInterval
     #: Conjuncts that do not move with the brush, evaluated once per view.
     static_conjuncts: tuple[Expression, ...]
     aggregate: AggregateNode
@@ -595,74 +632,9 @@ class IVMTemplate:
             f"{item.expression}|{item.alias or ''}" for item in self.aggregate.items
         )
         return (
-            f"{self.table_name}§brush={self.brush_column}"
+            f"{self.table_name}§brush={self.interval.column}"
             f"§static={static}§group={group}§items={items}"
         )
-
-
-def _numeric_literal(expr: Expression) -> float | None:
-    """The float value of a numeric (non-boolean) literal, else ``None``."""
-    if isinstance(expr, Literal) and isinstance(expr.value, (int, float)):
-        if isinstance(expr.value, bool):
-            return None
-        return float(expr.value)
-    return None
-
-
-_FLIPPED_COMPARISONS = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
-
-
-def _range_conjunct(expr: Expression) -> tuple[str, BrushInterval] | None:
-    """Match ``column <op> literal`` / ``BETWEEN`` range constraints.
-
-    Returns ``(column, interval)`` for simple numeric range comparisons
-    on a bare column — the shapes a 1-D brush emits — and ``None`` for
-    everything else (those conjuncts are static).
-    """
-    if isinstance(expr, Between) and not expr.negated:
-        if not isinstance(expr.expr, ColumnRef):
-            return None
-        low = _numeric_literal(expr.low)
-        high = _numeric_literal(expr.high)
-        if low is None or high is None:
-            return None
-        return expr.expr.name, BrushInterval(low=low, high=high)
-    if not isinstance(expr, BinaryOp) or expr.op not in _FLIPPED_COMPARISONS:
-        return None
-    column, op, value = None, expr.op, None
-    if isinstance(expr.left, ColumnRef):
-        column, value = expr.left.name, _numeric_literal(expr.right)
-    elif isinstance(expr.right, ColumnRef):
-        column, value = expr.right.name, _numeric_literal(expr.left)
-        op = _FLIPPED_COMPARISONS[op]
-    if column is None or value is None:
-        return None
-    if op == "=":
-        return column, BrushInterval(low=value, high=value)
-    if op in (">", ">="):
-        return column, BrushInterval(low=value, low_inclusive=op == ">=")
-    return column, BrushInterval(high=value, high_inclusive=op == "<=")
-
-
-def _intersect_intervals(a: BrushInterval, b: BrushInterval) -> BrushInterval:
-    low, low_inc = a.low, a.low_inclusive
-    if b.low is not None and (low is None or b.low > low):
-        low, low_inc = b.low, b.low_inclusive
-    elif b.low is not None and b.low == low:
-        low_inc = low_inc and b.low_inclusive
-    high, high_inc = a.high, a.high_inclusive
-    if b.high is not None and (high is None or b.high < high):
-        high, high_inc = b.high, b.high_inclusive
-    elif b.high is not None and b.high == high:
-        high_inc = high_inc and b.high_inclusive
-    return BrushInterval(low, high, low_inc, high_inc)
-
-
-def _predicate_conjuncts(expr: Expression) -> list[Expression]:
-    """Flatten a top-level AND tree into its conjuncts."""
-    if isinstance(expr, BinaryOp) and expr.op == "AND":
-        return _predicate_conjuncts(expr.left) + _predicate_conjuncts(expr.right)
-    return [expr]
 
 
 def _incrementable_expression(expr: Expression, aggregate: AggregateNode) -> bool:
@@ -708,30 +680,26 @@ def ivm_template(plan: LogicalPlan) -> IVMTemplate | None:
     if not isinstance(where, FilterNode) or not isinstance(where.child, ScanNode):
         return None
     scan = where.child
-    brush_column: str | None = None
-    interval = BrushInterval()
+    brush: RangeInterval | None = None
     static: list[Expression] = []
-    for conjunct in _predicate_conjuncts(where.predicate):
-        matched = _range_conjunct(conjunct)
-        if matched is None:
+    for conjunct in conjuncts(where.predicate):
+        interval = range_interval(conjunct)
+        if interval is None:
             static.append(conjunct)
-            continue
-        column, conjunct_interval = matched
-        if brush_column is None:
-            brush_column = column
-        if column == brush_column:
-            interval = _intersect_intervals(interval, conjunct_interval)
+        elif brush is None:
+            brush = interval
+        elif interval.column == brush.column:
+            brush = brush.intersect(interval)
         else:
             # Range constraints on a second column: a 2-D brush.  The
             # first column stays the tile dimension; the others fold
             # into the static conjuncts (a new view per distinct value).
             static.append(conjunct)
-    if brush_column is None:
+    if brush is None:
         return None
     return IVMTemplate(
         table_name=scan.table_name,
-        brush_column=brush_column,
-        interval=interval,
+        interval=brush,
         static_conjuncts=tuple(static),
         aggregate=aggregate,
         suffix=tuple(suffix),

@@ -5,10 +5,13 @@ bounds changed — at 200k rows the IVM fast path is parse-dominated, so
 the tokenizer/parser run per brush step costs more than answering the
 query.  A plan template removes the parser from that loop:
 
-1. the query is tokenized (cheap) and its **shape key** computed by
-   replacing every NUMBER/STRING token with ``?``;
+1. the query's **shape key** is computed from the plan cache's one token
+   list of it (:func:`token_shape`) by replacing every NUMBER/STRING
+   token with ``?``; the literal values are the ones the lexer converted,
+   the same values the parser puts in ``Literal`` nodes;
 2. on a shape hit, the cached parsed statement is cloned with the new
-   token literals substituted in source order — no parsing;
+   token literals substituted in source order — no parsing; on a miss
+   the same token list is parsed, so the text is lexed once either way;
 3. the cloned statement re-runs planning + optimization, so constant
    folding and filter pushdown still see the *actual* literals.
 
@@ -40,7 +43,7 @@ from repro.sql.ast_nodes import (
     SubquerySource,
     map_children,
 )
-from repro.sql.tokenizer import TokenType, tokenize
+from repro.sql.tokenizer import Token, TokenType, tokenize
 
 
 class TemplateMismatch(Exception):
@@ -55,36 +58,32 @@ class PlanTemplate:
     n_literals: int
 
 
-def _number_value(text: str) -> object:
-    """Convert a NUMBER token exactly as the parser's ``_parse_primary``."""
-    value = float(text)
-    if value.is_integer() and "." not in text and "e" not in text.lower():
-        return int(value)
-    return value
-
-
-def template_shape(sql: str) -> tuple[str, list[object]] | None:
+def token_shape(tokens: list[Token]) -> tuple[str, list[object]]:
     """Shape key (literals stripped to ``?``) + literal values, in order.
 
-    Returns ``None`` when the text does not tokenize — such queries go
-    straight to the parser, whose error message carries positions.
+    The key joins token texts with single spaces, so two texts that differ
+    only in whitespace between tokens share it.
     """
-    try:
-        tokens = tokenize(sql)
-    except TokenizeError:
-        return None
     shape: list[str] = []
     values: list[object] = []
     for token in tokens:
         if token.ttype is TokenType.NUMBER:
             shape.append("?")
-            values.append(_number_value(token.value))
+            values.append(token.number)
         elif token.ttype is TokenType.STRING:
             shape.append("?")
             values.append(token.value)
         elif token.ttype is not TokenType.EOF:
             shape.append(token.value)
     return " ".join(shape), values
+
+
+def template_shape(sql: str) -> tuple[str, list[object]] | None:
+    """:func:`token_shape` of SQL text, or ``None`` when it does not tokenize."""
+    try:
+        return token_shape(tokenize(sql))
+    except TokenizeError:
+        return None
 
 
 def _is_slot(value: object) -> bool:
@@ -98,10 +97,10 @@ def _is_slot(value: object) -> bool:
 
 
 def _clause_integer(value: object, clause: str) -> int:
-    """Replicate the parser's ``int(float(token))`` for LIMIT/OFFSET."""
+    """Replicate the parser's ``int(token.number)`` for LIMIT/OFFSET."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TemplateMismatch(f"{clause} slot got non-numeric value {value!r}")
-    return int(float(value))
+    return int(value)
 
 
 def _map_literals(stmt: SelectStatement, fn: Callable[[object], object]) -> SelectStatement:

@@ -3,12 +3,15 @@
 Turns SQL text into a flat list of :class:`Token` objects.  The tokenizer
 is deliberately small: it supports the lexical forms that appear in queries
 emitted by the VegaPlus query rewriter and hand-written benchmark queries.
+It is also the one place a number's text becomes a value
+(:attr:`Token.number`): the parser and the plan-template shape key both
+read that value.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import TokenizeError
 
@@ -42,13 +45,17 @@ _SINGLE_CHAR_OPERATORS = "+-*/%=<>"
 _PUNCTUATION = "(),."
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token with its source position (for error messages)."""
+class Token(NamedTuple):
+    """One lexical token with its source position (for error messages).
+
+    ``number`` is a NUMBER token's value: an ``int`` when the text has no
+    ``.`` or exponent, else a ``float``; ``None`` for every other token.
+    """
 
     ttype: TokenType
     value: str
     position: int
+    number: int | float | None = None
 
     def is_keyword(self, *names: str) -> bool:
         """Whether this token is one of the given keywords."""
@@ -64,7 +71,8 @@ def tokenize(sql: str) -> list[Token]:
     Raises
     ------
     TokenizeError
-        If an unexpected character or an unterminated string is found.
+        If an unexpected character, an unterminated string or a malformed
+        number (``1e``, ``1e+``) is found.
     """
     tokens: list[Token] = []
     i = 0
@@ -143,7 +151,15 @@ def _read_number(sql: str, start: int) -> tuple[Token, int]:
                 i += 1
         else:
             break
-    return Token(TokenType.NUMBER, sql[start:i], start), i
+    text = sql[start:i]
+    try:
+        value = float(text)
+    except ValueError:
+        raise TokenizeError(
+            f"malformed number {text!r} at position {start}", position=start
+        ) from None
+    number = int(value) if value.is_integer() and not seen_dot and not seen_exp else value
+    return Token(TokenType.NUMBER, text, start, number), i
 
 
 def _read_word(sql: str, start: int) -> tuple[Token, int]:

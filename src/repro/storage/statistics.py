@@ -152,6 +152,46 @@ class CardinalityFeedback:
 
 
 @dataclass(frozen=True)
+class RangeInterval:
+    """``column ∈ [low, high]``, each bound open or closed (``None`` = unbounded).
+
+    The one range type of the engine: the IVM brush of a crossfilter query
+    and the zone-map pruning conjuncts are both read from WHERE clauses
+    into it (:func:`repro.sql.planner.range_interval`).  A range
+    comparison also implies ``column IS NOT NULL`` (a NULL operand makes
+    the predicate unknown, which a filter drops).
+    """
+
+    column: str
+    low: float | None = None
+    high: float | None = None
+    low_inclusive: bool = True
+    high_inclusive: bool = True
+
+    def is_empty(self) -> bool:
+        """Whether no value can satisfy the interval."""
+        if self.low is None or self.high is None:
+            return False
+        return self.low > self.high or (
+            self.low == self.high and not (self.low_inclusive and self.high_inclusive)
+        )
+
+    def intersect(self, other: RangeInterval) -> RangeInterval:
+        """The tighter bound of each side (this interval's column)."""
+        low, low_inc = self.low, self.low_inclusive
+        if other.low is not None and (low is None or other.low > low):
+            low, low_inc = other.low, other.low_inclusive
+        elif other.low is not None and other.low == low:
+            low_inc = low_inc and other.low_inclusive
+        high, high_inc = self.high, self.high_inclusive
+        if other.high is not None and (high is None or other.high < high):
+            high, high_inc = other.high, other.high_inclusive
+        elif other.high is not None and other.high == high:
+            high_inc = high_inc and other.high_inclusive
+        return RangeInterval(self.column, low, high, low_inc, high_inc)
+
+
+@dataclass(frozen=True)
 class ColumnZone:
     """Pruning summary of one column within one partition.
 
@@ -170,48 +210,39 @@ class ColumnZone:
         """Number of non-NULL values in this partition's column slice."""
         return self.num_rows - self.null_count
 
-    def may_contain_range(
-        self,
-        low: float | None,
-        high: float | None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> bool:
-        """Whether any row of this zone *may* satisfy a range predicate.
+    def may_contain_range(self, interval: RangeInterval) -> bool:
+        """Whether any row of this zone *may* satisfy ``interval``.
 
         Conservative: returns True whenever pruning cannot be proven safe
         (unknown bounds, string columns).  A comparison never matches a
         NULL (three-valued logic), so a slice with no non-NULL values is
         always prunable.
         """
-        if self.non_null == 0:
+        if self.non_null == 0 or interval.is_empty():
             return False
-        if low is not None and high is not None:
-            if low > high or (low == high and not (low_inclusive and high_inclusive)):
-                return False
         if self.minimum is None or self.maximum is None:
             return True
+        low, high = interval.low, interval.high
         if low is not None and (
-            self.maximum < low or (self.maximum == low and not low_inclusive)
+            self.maximum < low or (self.maximum == low and not interval.low_inclusive)
         ):
             return False
         if high is not None and (
-            self.minimum > high or (self.minimum == high and not high_inclusive)
+            self.minimum > high or (self.minimum == high and not interval.high_inclusive)
         ):
             return False
         return True
 
-    def range_fraction(self, low: float | None, high: float | None) -> float:
-        """Estimated fraction of this zone's rows inside ``[low, high]``.
+    def range_fraction(self, interval: RangeInterval) -> float:
+        """Estimated fraction of this zone's rows inside ``interval``.
 
         Assumes uniformity *within* the zone's own span — far tighter than
         whole-table uniformity when the data is clustered (time-ordered
         arrival), which is exactly when partitioning pays off.
         """
-        if self.num_rows == 0 or self.non_null == 0:
+        if self.num_rows == 0 or not self.may_contain_range(interval):
             return 0.0
-        if not self.may_contain_range(low, high):
-            return 0.0
+        low, high = interval.low, interval.high
         base = self.non_null / self.num_rows
         if self.minimum is None or self.maximum is None:
             return base * 0.3
@@ -267,6 +298,7 @@ def zone_maps_range_rows(
     zone excludes the range contribute zero — so the estimate directly
     reflects zone-map pruning.
     """
+    interval = RangeInterval(column, low, high)
     known = False
     rows = 0.0
     for zone_map in zone_maps:
@@ -274,7 +306,7 @@ def zone_maps_range_rows(
         if zone is None:
             continue
         known = True
-        rows += zone.num_rows * zone.range_fraction(low, high)
+        rows += zone.num_rows * zone.range_fraction(interval)
     return rows if known else None
 
 

@@ -34,6 +34,8 @@ from repro.bench.scale import row_sort_key, values_equal
 from repro.datasets import generate_dataset
 from repro.errors import PlanningError
 from repro.rewrite.templates import QueryFragment, apply_transform
+from repro.sql.template import template_shape
+from repro.sql.tokenizer import tokenize
 
 settings.register_profile(
     "repro-diff", deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=15
@@ -265,6 +267,34 @@ def test_corpus_query_identical_across_backends(backends, name, builder, is_orde
         for backend_name, backend in backends.items()
     }
     assert_identical_results(sql_by_backend, backends, ordered=is_ordered)
+
+
+_SPACES = st.sampled_from([" ", "   ", "\n", "\t", " \n\t "])
+
+
+@settings(max_examples=4)
+@pytest.mark.parametrize(
+    ("name", "builder", "is_ordered"), CORPUS, ids=[c[0] for c in CORPUS]
+)
+@given(data=st.data())
+def test_corpus_whitespace_variant_shares_the_parse(backends, name, builder, is_ordered, data):
+    """Re-spacing a query between tokens (never inside a string) keeps its
+    template shape and its rows, and is never parsed again."""
+    backend = backends["embedded"]
+    sql = builder(backend.capabilities)
+    tokens = tokenize(sql)
+    pieces = [data.draw(st.one_of(st.just(""), _SPACES))]
+    for token, following in zip(tokens, tokens[1:]):
+        raw = sql[token.position:following.position]
+        text = raw.rstrip()
+        spaced = len(text) < len(raw)
+        pieces += [text, data.draw(_SPACES if spaced else st.one_of(st.just(""), _SPACES))]
+    variant = "".join(pieces)
+    assert template_shape(variant)[0] == template_shape(sql)[0]
+    expected = backend.execute(sql).to_rows()
+    parsed = backend.metrics.snapshot()["queries_parsed"]
+    assert backend.execute(variant).to_rows() == expected
+    assert backend.metrics.snapshot()["queries_parsed"] == parsed
 
 
 def test_corpus_never_hashes_a_stored_string_column(backends, monkeypatch):

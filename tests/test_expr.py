@@ -1,5 +1,7 @@
 """Tests for the Vega expression language: parsing, evaluation, SQL translation."""
 
+import re
+
 import pytest
 
 from repro.errors import ExpressionError, ExpressionParseError, ExpressionTranslationError
@@ -73,6 +75,22 @@ def test_parse_errors():
         parse_expression("a ? b")
     with pytest.raises(ExpressionParseError):
         parse_expression("(a + b")
+
+
+@pytest.mark.parametrize(
+    ("text", "number", "position"),
+    [("1e", "1e", 0), ("datum.x > 1e+", "1e+", 10), ("2 * .5E-", ".5E-", 4)],
+)
+def test_malformed_number_is_a_positioned_parse_error(text, number, position):
+    message = f"malformed number {number!r} at position {position}"
+    with pytest.raises(ExpressionParseError, match=re.escape(message)):
+        parse_expression(text)
+
+
+def test_number_literals_take_the_lexer_value():
+    node = parse_expression("datum.x * 1.5e-3 + 2")
+    assert node.left.right.value == 0.0015
+    assert node.right.value == 2.0
 
 
 def test_parse_is_memoised_on_the_source_string_but_errors_are_not(monkeypatch):

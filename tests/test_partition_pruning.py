@@ -11,7 +11,6 @@ import pytest
 from repro.sql.engine import Database
 from repro.sql.executor import Executor
 from repro.sql.optimizer import (
-    PruningInterval,
     PruningNullCheck,
     optimize_plan,
     prune_partitions,
@@ -27,6 +26,7 @@ from repro.sql.planner import (
     partitionable_prefix,
 )
 from repro.storage import Catalog, PartitionedTable, Table, compute_zone_map
+from repro.storage.statistics import RangeInterval
 
 
 def _predicate(sql_where: str):
@@ -45,33 +45,33 @@ def _predicate(sql_where: str):
 
 class TestPruningConjuncts:
     def test_comparisons_both_directions(self):
-        assert pruning_conjuncts(_predicate("x >= 10")) == [PruningInterval("x", 10.0, None)]
-        assert pruning_conjuncts(_predicate("10 >= x")) == [PruningInterval("x", None, 10.0)]
+        assert pruning_conjuncts(_predicate("x >= 10")) == [RangeInterval("x", 10.0, None)]
+        assert pruning_conjuncts(_predicate("10 >= x")) == [RangeInterval("x", None, 10.0)]
         assert pruning_conjuncts(_predicate("x < 5")) == [
-            PruningInterval("x", None, 5.0, high_inclusive=False)
+            RangeInterval("x", None, 5.0, high_inclusive=False)
         ]
-        assert pruning_conjuncts(_predicate("x = 3")) == [PruningInterval("x", 3.0, 3.0)]
+        assert pruning_conjuncts(_predicate("x = 3")) == [RangeInterval("x", 3.0, 3.0)]
 
     def test_conjunction_collects_both_sides(self):
         conjuncts = pruning_conjuncts(_predicate("x >= 10 AND y < 2 AND g = 'a'"))
-        assert PruningInterval("x", 10.0, None) in conjuncts
-        assert PruningInterval("y", None, 2.0, high_inclusive=False) in conjuncts
+        assert RangeInterval("x", 10.0, None) in conjuncts
+        assert RangeInterval("y", None, 2.0, high_inclusive=False) in conjuncts
         # String equality cannot bound the value but implies NOT NULL.
         assert PruningNullCheck("g", negated=True) in conjuncts
 
     def test_between_and_open_ended_between(self):
         assert pruning_conjuncts(_predicate("x BETWEEN 3 AND 7")) == [
-            PruningInterval("x", 3.0, 7.0)
+            RangeInterval("x", 3.0, 7.0)
         ]
         # Open-ended BETWEEN: a non-literal bound leaves that side open.
         assert pruning_conjuncts(_predicate("x BETWEEN 3 AND y")) == [
-            PruningInterval("x", 3.0, None)
+            RangeInterval("x", 3.0, None)
         ]
         assert pruning_conjuncts(_predicate("x NOT BETWEEN 3 AND 7")) == []
 
     def test_in_list_and_null_checks(self):
         assert pruning_conjuncts(_predicate("x IN (5, 1, 3)")) == [
-            PruningInterval("x", 1.0, 5.0)
+            RangeInterval("x", 1.0, 5.0)
         ]
         assert pruning_conjuncts(_predicate("g IN ('a', 'b')")) == [
             PruningNullCheck("g", negated=True)
@@ -87,7 +87,7 @@ class TestPruningConjuncts:
         assert pruning_conjuncts(_predicate("x NOT IN (1, 2)")) == []
         # But analysable conjuncts survive next to unanalysable ones.
         assert pruning_conjuncts(_predicate("(x > 5 OR y < 2) AND z >= 1")) == [
-            PruningInterval("z", 1.0, None)
+            RangeInterval("z", 1.0, None)
         ]
 
     def test_computed_columns_never_prune(self):
@@ -117,22 +117,22 @@ def _zone_maps():
 class TestPrunePartitions:
     def test_range_pruning(self):
         zone_maps = _zone_maps()
-        assert prune_partitions(zone_maps, [PruningInterval("t", 12.0, 14.0)]) == [1]
-        assert prune_partitions(zone_maps, [PruningInterval("t", None, 9.0)]) == [0]
-        assert prune_partitions(zone_maps, [PruningInterval("t", 100.0, None)]) == []
+        assert prune_partitions(zone_maps, [RangeInterval("t", 12.0, 14.0)]) == [1]
+        assert prune_partitions(zone_maps, [RangeInterval("t", None, 9.0)]) == [0]
+        assert prune_partitions(zone_maps, [RangeInterval("t", 100.0, None)]) == []
         assert prune_partitions(zone_maps, []) == [0, 1, 2]
 
     def test_null_only_partition_pruned_by_comparison(self):
         zone_maps = _zone_maps()
         # v is entirely NULL in partition 0: no comparison can match there.
-        assert prune_partitions(zone_maps, [PruningInterval("v", None, None)]) == [1, 2]
+        assert prune_partitions(zone_maps, [RangeInterval("v", None, None)]) == [1, 2]
         assert prune_partitions(zone_maps, [PruningNullCheck("v", negated=True)]) == [1, 2]
 
     def test_is_null_keeps_only_partitions_with_nulls(self):
         assert prune_partitions(_zone_maps(), [PruningNullCheck("v")]) == [0, 2]
 
     def test_unknown_columns_keep_everything(self):
-        assert prune_partitions(_zone_maps(), [PruningInterval("q", 0.0, 1.0)]) == [0, 1, 2]
+        assert prune_partitions(_zone_maps(), [RangeInterval("q", 0.0, 1.0)]) == [0, 1, 2]
 
 
 # --------------------------------------------------------------------------- #

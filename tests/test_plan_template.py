@@ -154,6 +154,39 @@ def test_clear_plan_cache_drops_templates(db):
     assert db.metrics.snapshot()["queries_parsed"] == 2.0
 
 
+def test_plan_lexes_once_per_exact_level_miss(db, monkeypatch):
+    """The one token list feeds the shape key, the literals and the parse."""
+    import repro.sql.parser
+    import repro.sql.plancache
+    import repro.sql.template
+
+    calls = []
+    for module in (repro.sql.plancache, repro.sql.parser, repro.sql.template):
+        lex = module.tokenize
+        monkeypatch.setattr(
+            module, "tokenize", lambda sql, lex=lex: calls.append(sql) or lex(sql)
+        )
+
+    def lexes(sql: str) -> int:
+        before = len(calls)
+        db.plan(sql)
+        return len(calls) - before
+
+    sql = "SELECT g, COUNT(*) AS n FROM t WHERE v >= {} GROUP BY g"
+    aliased = 'SELECT g AS "k", COUNT(*) AS n FROM t WHERE v >= {} GROUP BY g'
+    before = db.metrics.snapshot()
+    assert lexes(sql.format(1)) == 1  # template miss: parsed from the token list
+    assert lexes(sql.format(1)) == 0  # exact-level hit
+    assert lexes(sql.format(2)) == 1  # template hit
+    assert lexes(sql.format(2).replace(" ", "  ")) == 1  # whitespace variant
+    assert lexes(aliased.format(1)) == 1  # unsafe shape, negatively cached
+    assert lexes(aliased.format(2)) == 1  # ... parses again
+    after = db.metrics.snapshot()
+    assert after["plan_cache_hits"] - before["plan_cache_hits"] == 1
+    assert after["plan_template_hits"] - before["plan_template_hits"] == 2
+    assert after["queries_parsed"] - before["queries_parsed"] == 3
+
+
 # --------------------------------------------------------------------------- #
 # Unit level: shape extraction, build-time verification, substitution
 # --------------------------------------------------------------------------- #

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import ParseError, TokenizeError
+from repro.backends import create_backend
+from repro.errors import ExecutionError, ParseError, ReproError, TokenizeError
 from repro.sql.ast_nodes import (
     Between,
     BinaryOp,
@@ -46,6 +47,38 @@ def test_tokenize_scientific_number():
     tokens = tokenize("SELECT 1.5e-3 FROM t")
     numbers = [t for t in tokens if t.ttype is TokenType.NUMBER]
     assert numbers[0].value == "1.5e-3"
+
+
+def test_tokenize_converts_numbers_once():
+    numbers = [t.number for t in tokenize("SELECT 7, 1.0, 2e3, .5, 1E2 FROM t LIMIT 3")
+               if t.ttype is TokenType.NUMBER]
+    assert numbers == [7, 1.0, 2000.0, 0.5, 100.0, 3]
+    assert [type(n) for n in numbers] == [int, float, float, float, float, int]
+
+
+@pytest.mark.parametrize(
+    ("sql", "position"), [("SELECT a FROM t WHERE b > 1e", 26), ("SELECT 1e+ FROM t", 7)]
+)
+def test_tokenize_malformed_number_raises(sql, position):
+    with pytest.raises(TokenizeError, match="malformed number") as excinfo:
+        tokenize(sql)
+    assert excinfo.value.position == position
+    with pytest.raises(TokenizeError):
+        parse_sql(sql)
+
+
+@pytest.mark.parametrize(("backend", "error"), [("embedded", TokenizeError), ("sqlite", ExecutionError)])
+def test_backends_report_malformed_number_as_typed_error(backend, error):
+    """sqlite gets the text after the embedded planner declines it, and
+    reports it as its own "unrecognized token"."""
+    db = create_backend(backend)
+    try:
+        db.register_rows("t", [{"a": 1, "b": 2}])
+        with pytest.raises(error) as excinfo:
+            db.execute("SELECT a FROM t WHERE b > 1e")
+        assert isinstance(excinfo.value, ReproError)
+    finally:
+        db.close()
 
 
 def test_tokenize_unterminated_string_raises():

@@ -14,7 +14,7 @@ from repro.storage import (
     Table,
     compute_zone_map,
 )
-from repro.storage.statistics import zone_maps_range_rows
+from repro.storage.statistics import RangeInterval, zone_maps_range_rows
 
 
 def _table(n: int = 100) -> Table:
@@ -135,27 +135,27 @@ class TestZoneMaps:
         zone_map = compute_zone_map(Table.from_columns({"x": [None, None]}))
         zone = zone_map.column("x")
         assert zone.minimum is None and zone.non_null == 0
-        assert not zone.may_contain_range(0.0, 10.0)
-        assert not zone.may_contain_range(None, None)
+        assert not zone.may_contain_range(RangeInterval("t", 0.0, 10.0))
+        assert not zone.may_contain_range(RangeInterval("t", None, None))
 
     def test_may_contain_range_boundaries(self):
         zone = ColumnZone(num_rows=10, null_count=0, minimum=10.0, maximum=20.0)
-        assert zone.may_contain_range(None, None)
-        assert zone.may_contain_range(20.0, None)
-        assert not zone.may_contain_range(20.0, None, low_inclusive=False)
-        assert zone.may_contain_range(None, 10.0)
-        assert not zone.may_contain_range(None, 10.0, high_inclusive=False)
-        assert not zone.may_contain_range(21.0, None)
-        assert not zone.may_contain_range(None, 9.0)
+        assert zone.may_contain_range(RangeInterval("t", None, None))
+        assert zone.may_contain_range(RangeInterval("t", 20.0, None))
+        assert not zone.may_contain_range(RangeInterval("t", 20.0, None, low_inclusive=False))
+        assert zone.may_contain_range(RangeInterval("t", None, 10.0))
+        assert not zone.may_contain_range(RangeInterval("t", None, 10.0, high_inclusive=False))
+        assert not zone.may_contain_range(RangeInterval("t", 21.0, None))
+        assert not zone.may_contain_range(RangeInterval("t", None, 9.0))
         # Empty interval (low > high) can never match.
-        assert not zone.may_contain_range(15.0, 12.0)
+        assert not zone.may_contain_range(RangeInterval("t", 15.0, 12.0))
 
     def test_range_fraction_uses_zone_span(self):
         zone = ColumnZone(num_rows=100, null_count=0, minimum=0.0, maximum=100.0)
-        assert zone.range_fraction(0.0, 50.0) == pytest.approx(0.5)
-        assert zone.range_fraction(200.0, 300.0) == 0.0
+        assert zone.range_fraction(RangeInterval("t", 0.0, 50.0)) == pytest.approx(0.5)
+        assert zone.range_fraction(RangeInterval("t", 200.0, 300.0)) == 0.0
         nullish = ColumnZone(num_rows=100, null_count=50, minimum=0.0, maximum=100.0)
-        assert nullish.range_fraction(None, None) == pytest.approx(0.5)
+        assert nullish.range_fraction(RangeInterval("t", None, None)) == pytest.approx(0.5)
 
     def test_zone_maps_range_rows_sums_partitions(self):
         table = PartitionedTable.from_table(_table(100), target_rows=25)
