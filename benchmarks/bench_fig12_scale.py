@@ -2,8 +2,8 @@
 
 Beyond the paper: the reproduction's storage tier splits tables into
 horizontal row-range partitions with per-partition zone maps, and the
-embedded engine executes scan → filter → project → partial-aggregate
-partition by partition over the partitions that survive zone-map pruning.
+embedded engine's scan reads only the partitions that survive zone-map
+pruning; every operator above the scan is the one a flat table runs.
 This sweep measures throughput as a function of **data scale × partition
 count** — the muBench-style axes — on the crossfilter query mix a
 filtered dashboard actually sends (grouped aggregates, extents, DISTINCT
@@ -11,16 +11,17 @@ over a sliding date window).
 
 Each point runs the identical mix twice: once on a flat table (the
 pre-partitioning engine), once partitioned, and the partitioned rows
-must match the flat rows query for query.  The committed BENCH summary
+must ``==`` the flat rows, in order, query for query.  The committed BENCH summary
 records the partitioned leg's p50/p95, the zone-map pruning rate, and
 the speedup over serial.
 
-Correctness gates: partitioned results are row-identical to serial
+Correctness gates: partitioned results equal serial ones exactly
 everywhere; at full workload scale the embedded backend must prune
 (pruning rate > 0) and finish the mix at least 2x faster than serial on
 the largest scale point.  (The reduced-scale CI smoke run keeps the
 identity and pruning gates but not the speedup floor — at a few
-thousand rows per query, fixed per-query overheads dominate both legs.)
+thousand rows per query, fixed per-query overheads dominate both legs;
+CI runs the full-scale headline point as a step of its own.)
 
 Backends without the ``partitioning`` capability (sqlite) run both legs
 flat, so their entries track pure data scaling on the same mix.

@@ -12,6 +12,12 @@ The string-key cell groups the same ``origin`` column twice — by its
 dictionary codes (what a stored string column hands the executor) and by
 re-factorizing its object array (what every query paid before columns
 were dictionary-encoded, and what computed string keys still pay).
+
+The two partitioned cells track both sides of the one grouping kernel on
+a date-sorted, 16-partition table: a GROUP BY over every partition
+(where per-partition grouping used to win on cache locality) and the
+same GROUP BY under a 5 % date window, whose scan prunes to one or two
+partitions.  See docs/STORAGE.md, "Why no pool exists".
 """
 
 import itertools
@@ -32,6 +38,7 @@ from repro.storage.column import factorize_array
 from repro.storage.table import group_segments
 
 N_ROWS = scaled_size(50_000, floor=5_000)
+PARTITIONED_ROWS = scaled_size(1_000_000)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +107,40 @@ def test_bench_plan_template_hit(benchmark, flights_db):
     after = flights_db.metrics.snapshot()
     assert after["queries_parsed"] == before["queries_parsed"]
     assert after["plan_template_hits"] > before["plan_template_hits"]
+
+
+PARTITIONED_GROUPBY_SQL = (
+    "SELECT carrier, COUNT(*) AS n, AVG(delay) AS d, SUM(distance) AS s FROM flights"
+)
+
+
+@pytest.fixture(scope="module")
+def partitioned_flights():
+    """A date-sorted flights table in 16 partitions, and its 5 % date
+    window's WHERE clause."""
+    rows = generate_dataset("flights", PARTITIONED_ROWS, seed=0)
+    rows.sort(key=lambda row: row["date"])
+    low, span = rows[0]["date"], rows[-1]["date"] - rows[0]["date"]
+    window = f"WHERE date >= {low + 0.30 * span:.0f} AND date < {low + 0.35 * span:.0f}"
+    database = Database()
+    database.register_rows("flights", rows)
+    database.repartition("flights", -(-PARTITIONED_ROWS // 16))
+    return database, window
+
+
+def test_bench_partitioned_groupby_unpruned(benchmark, partitioned_flights):
+    database, _window = partitioned_flights
+    result = benchmark(database.execute, f"{PARTITIONED_GROUPBY_SQL} GROUP BY carrier")
+    assert result.stats.partitions_scanned == 16
+    assert result.stats.partitions_pruned == 0
+
+
+def test_bench_partitioned_groupby_window(benchmark, partitioned_flights):
+    database, window = partitioned_flights
+    result = benchmark(database.execute, f"{PARTITIONED_GROUPBY_SQL} {window} GROUP BY carrier")
+    assert result.num_rows > 0
+    assert result.stats.partitions_scanned <= 2
+    assert result.stats.partitions_pruned >= 14
 
 
 def test_bench_groupby_kernel_vectorized(benchmark, key_arrays):

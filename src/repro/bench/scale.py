@@ -9,8 +9,8 @@ Two things live here:
 * the **scale sweep driver** for ``benchmarks/bench_fig12_scale.py`` —
   rows × partitions over a crossfilter-style query mix on the flights
   dataset, run once against a flat engine and once against a partitioned
-  engine (zone-map pruning + per-partition partial aggregation), with the
-  partitioned results asserted row-identical to the flat ones.
+  engine (zone-map pruning at the scan), with the partitioned rows
+  asserted ``==`` to the flat ones.
 
 The sweep loads the data *time-ordered* (sorted by the ``date`` column),
 which is how dashboard fact tables actually arrive; that clustering is
@@ -98,8 +98,8 @@ def headline_point() -> ScalePoint:
 def scale_queries(date_low: float, date_high: float) -> list[str]:
     """The crossfilter query mix over a ``date`` span (dialect-neutral).
 
-    Four interaction windows × four query shapes: grouped aggregates
-    (decomposable partial-merge path), a BETWEEN variant, an extent-style
+    Four interaction windows × four query shapes: grouped aggregates,
+    a BETWEEN variant, an extent-style
     global aggregate, and a DISTINCT — the server-side shapes the
     rewriter emits for a filtered dashboard.
     """
@@ -166,9 +166,9 @@ class ScaleRunResult:
 def values_equal(a: object, b: object) -> bool:
     """Result-value equality: floats to tolerance, everything else exact.
 
-    The single definition of the row-identity contract — shared by the
-    scale sweep's correctness gate and the differential test suites, so
-    every consumer enforces the same notion of "row-identical".
+    The row-identity contract between engines that may sum in different
+    orders — the cross-backend differential suite and the plan-space
+    test share it, so they enforce the same notion of "row-identical".
     """
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         return math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=1e-9)
@@ -215,9 +215,9 @@ def run_scale_point(
 ) -> ScaleRunResult:
     """Measure one sweep point: flat vs partitioned.
 
-    Both legs run the same query mix over identical (time-ordered) data;
-    the partitioned leg's rows are compared against the flat leg's for
-    every query.  Backends without the ``partitioning`` capability run
+    Both legs run the same query mix over identical (time-ordered) data
+    on the same backend, so the partitioned leg's rows must ``==`` the
+    flat leg's, in order, for every query.  Backends without the ``partitioning`` capability run
     the second leg flat too (the sweep then measures pure data scaling).
     """
     rows = generate_dataset("flights", n_rows, seed=seed)
@@ -246,7 +246,7 @@ def run_scale_point(
         for sql in queries:
             serial_rows = serial.execute(sql).to_rows()
             partitioned_rows = partitioned_backend.execute(sql).to_rows()
-            if not rows_match(serial_rows, partitioned_rows):
+            if partitioned_rows != serial_rows:
                 result.matches_serial = False
                 result.mismatched_queries.append(sql)
 

@@ -310,8 +310,8 @@ class Database(SQLBackend):
 
         The table is split into contiguous chunks of about
         ``target_rows`` rows; per-partition zone maps are computed lazily
-        by the catalog, and queries over the table run partition by
-        partition with zone-map pruning from then on.
+        by the catalog, and from then on a filter directly above a scan
+        of the table skips the partitions its zone maps rule out.
         """
         table = PartitionedTable.from_table(self.table(name), target_rows)
         self.register_table(name, table, replace=True)

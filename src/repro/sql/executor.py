@@ -39,7 +39,6 @@ from repro.sql.ast_nodes import (
 )
 from repro.sql.functions import (
     AGGREGATE_KERNELS,
-    aggregate_segment_arrays,
     apply_aggregate,
     apply_aggregate_segments,
     apply_scalar_function,
@@ -54,17 +53,13 @@ from repro.sql.planner import (
     LimitNode,
     LogicalPlan,
     MaterializedNode,
-    PartitionablePrefix,
     PlanNode,
     ProjectNode,
     ScanNode,
     SortNode,
     SubqueryNode,
     WindowNode,
-    aggregate_item_leaves,
     evaluate_aggregate_item,
-    mergeable_call,
-    partitionable_prefix,
 )
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column, ColumnType, factorize_array, sort_rank_key
@@ -87,14 +82,15 @@ class ExecutionStats:
     groups_formed: int = 0
     rows_sorted: int = 0
     rows_deduplicated: int = 0
-    #: Partitioned-execution counters: partitions actually scanned,
-    #: partitions skipped by zone-map pruning, and morsel tasks run.
+    #: Scans of a partitioned table: partitions read and partitions
+    #: skipped by zone-map pruning.  ``morsel_tasks`` (and
+    #: ``morsel_tasks_inline``, always equal to it) counts the partitions
+    #: read once more; both remain because benchmarks/e2e reports
+    #: ``sql.morsel_tasks`` and derives ``sql.morsel_inline_share`` from
+    #: the pair.
     partitions_scanned: int = 0
     partitions_pruned: int = 0
     morsel_tasks: int = 0
-    #: Always equal to ``morsel_tasks`` (every task runs on the calling
-    #: thread); kept because benchmarks/e2e derives
-    #: ``sql.morsel_inline_share`` from the pair.
     morsel_tasks_inline: int = 0
 
     def record(self, node_rows: int) -> None:
@@ -462,6 +458,12 @@ def scan_columns(table: Table, scan: ScanNode) -> Table:
     return table.select(names or table.column_names()[:1])
 
 
+def _filter(table: Table, predicate: Expression) -> Table:
+    """The rows of ``table`` for which ``predicate`` is TRUE."""
+    true, _unknown = ExpressionEvaluator(table).truth(predicate)
+    return table.filter(true)
+
+
 def _segment_firsts(column: Column, order: np.ndarray, starts: np.ndarray) -> Column:
     """``column``'s value at the first row of every group segment.
 
@@ -473,24 +475,6 @@ def _segment_firsts(column: Column, order: np.ndarray, starts: np.ndarray) -> Co
     return column.take(order[starts])
 
 
-def _segment_aggregate(
-    name: str, aggregate: str, ordered: np.ndarray, starts: np.ndarray, ends: np.ndarray
-) -> Column:
-    """One aggregate's value per group segment as a column.
-
-    Numeric input reduces in one ``reduceat`` pass straight into a
-    float64 column; inputs without a batch kernel (strings, an empty
-    partition) reduce per segment.
-    """
-    reduced = aggregate_segment_arrays(aggregate, ordered, starts, ends)
-    if reduced is not None:
-        return Column(name, reduced, ColumnType.NUMERIC)
-    return Column.from_values(
-        name,
-        [apply_aggregate(aggregate, ordered[start:end]) for start, end in zip(starts, ends)],
-    )
-
-
 # --------------------------------------------------------------------------- #
 # Plan execution
 # --------------------------------------------------------------------------- #
@@ -499,14 +483,11 @@ def _segment_aggregate(
 class Executor:
     """Executes logical plans against a :class:`Catalog`.
 
-    Plans over a :class:`~repro.storage.table.PartitionedTable` execute
-    their ``Scan → Filter → Project`` prefix (plus partial aggregation
-    and per-partition DISTINCT) morsel-style: zone maps prune partitions
-    the pushed-down predicates provably cannot match, the surviving
-    partitions are scanned one after another on the calling thread, and
-    the merge steps are row-identical to flat execution by construction
-    (partitions are contiguous row ranges, so concatenation in partition
-    order reproduces the flat operator output exactly).
+    Every operator has one implementation, run over whole tables.  A
+    :class:`~repro.storage.table.PartitionedTable` differs only at the
+    scan: the filter directly above it prunes partitions by zone map,
+    and the scan hands the operators above it the flat filter's rows in
+    the flat order, so results are identical to a flat table's.
     """
 
     def __init__(self, catalog: Catalog) -> None:
@@ -531,18 +512,12 @@ class Executor:
 
     # -------------------------------------------------------------- #
     def _execute_node(self, node: PlanNode, stats: ExecutionStats) -> Table:
-        partitioned = self._try_partitioned(node, stats)
-        if partitioned is not None:
-            return partitioned
         if isinstance(node, MaterializedNode):
             table: Table = node.table
             stats.record(table.num_rows)
             return table
         if isinstance(node, ScanNode):
-            table = scan_columns(self._catalog.get(node.table_name), node)
-            stats.rows_scanned += table.num_rows
-            stats.record(table.num_rows)
-            return table
+            return self._scan(node, None, stats)
         if isinstance(node, SubqueryNode):
             table = self._execute_node(node.plan, stats)
             stats.record(table.num_rows)
@@ -563,27 +538,54 @@ class Executor:
             return self._execute_distinct(node, stats)
         raise ExecutionError(f"unsupported plan node {type(node).__name__}")
 
+    def _scan(
+        self, node: ScanNode, predicate: Expression | None, stats: ExecutionStats
+    ) -> Table:
+        """The scanned table's rows, filtered by ``predicate`` if given.
+
+        A partitioned table is pruned first: the predicate's range
+        conjuncts meet the zone maps of this very table object (asked
+        for by object, not by name, so a replace racing this query
+        cannot pair its partitions with another table's maps), and a
+        pruned partition provably holds no matching row.  Adjacent kept
+        partitions merge into one row range; each range is narrowed to
+        the plan's columns, filtered, and the matches concatenate in row
+        order — the flat filter's rows, in the flat order.
+        """
+        table = self._catalog.get(node.table_name)
+        narrowed = scan_columns(table, node)
+        ranges = [(0, table.num_rows)]
+        if isinstance(table, PartitionedTable):
+            kept = range(table.num_partitions)
+            conjuncts = [] if predicate is None else pruning_conjuncts(predicate)
+            if conjuncts:
+                kept = prune_partitions(self._catalog.zone_maps_of(table), conjuncts)
+            stats.partitions_scanned += len(kept)
+            stats.partitions_pruned += table.num_partitions - len(kept)
+            stats.morsel_tasks += len(kept)
+            stats.morsel_tasks_inline += len(kept)
+            ranges = table.row_ranges(kept) or [(0, 0)]
+        if ranges == [(0, table.num_rows)]:
+            parts = [narrowed]
+        else:
+            parts = [narrowed.slice(start, end - start) for start, end in ranges]
+        scanned = sum(part.num_rows for part in parts)
+        stats.rows_scanned += scanned
+        stats.record(scanned)
+        if predicate is not None:
+            parts = [_filter(part, predicate) for part in parts]
+        return parts[0] if len(parts) == 1 else Table.concat_all(parts)
+
     def _execute_filter(self, node: FilterNode, stats: ExecutionStats) -> Table:
-        table = self._execute_node(node.child, stats)
-        result = self._apply_filter(node, table)
+        if isinstance(node.child, ScanNode):
+            result = self._scan(node.child, node.predicate, stats)
+        else:
+            result = _filter(self._execute_node(node.child, stats), node.predicate)
         stats.record(result.num_rows)
         return result
-
-    @staticmethod
-    def _apply_filter(node: FilterNode, table: Table) -> Table:
-        """Row-local filter application (shared by serial and morsel paths)."""
-        true, _unknown = ExpressionEvaluator(table).truth(node.predicate)
-        return table.filter(true)
 
     def _execute_project(self, node: ProjectNode, stats: ExecutionStats) -> Table:
         table = self._execute_node(node.child, stats)
-        result = self._apply_project(node, table)
-        stats.record(result.num_rows)
-        return result
-
-    @staticmethod
-    def _apply_project(node: ProjectNode, table: Table) -> Table:
-        """Row-local projection (shared by serial and morsel paths)."""
         evaluator = ExpressionEvaluator(table)
         columns: list[Column] = []
         used_names: set[str] = set()
@@ -614,16 +616,12 @@ class Executor:
                 name = f"{name}_{index}"
             columns.append(column.rename(name))
             used_names.add(name)
-        return Table(columns, name=table.name)
+        result = Table(columns, name=table.name)
+        stats.record(result.num_rows)
+        return result
 
     def _execute_aggregate(self, node: AggregateNode, stats: ExecutionStats) -> Table:
         table = self._execute_node(node.child, stats)
-        return self._aggregate_table(node, table, stats)
-
-    def _aggregate_table(
-        self, node: AggregateNode, table: Table, stats: ExecutionStats
-    ) -> Table:
-        """Serial aggregation of an already-materialised input table."""
         evaluator = aggregate_evaluator(node.items, table)
         n = table.num_rows
         group_codes = [evaluator.column(expr).group_codes() for expr in node.group_by]
@@ -763,173 +761,6 @@ class Executor:
         stats.record(result.num_rows)
         return result
 
-    # -------------------------------------------------------------- #
-    # Partitioned execution
-    # -------------------------------------------------------------- #
-    def _try_partitioned(self, node: PlanNode, stats: ExecutionStats) -> Table | None:
-        """Execute ``node`` partition by partition when its shape allows it.
-
-        Returns ``None`` (caller falls through to serial execution) when
-        the node is not rooted in a partitionable prefix over a
-        :class:`PartitionedTable` with more than one partition.
-        """
-        if isinstance(node, AggregateNode):
-            prefix = partitionable_prefix(node.child)
-            table = self._prefix_table(prefix)
-            if table is None:
-                return None
-            return self._morsel_aggregate(node, prefix, table, stats)
-        if isinstance(node, DistinctNode):
-            prefix = partitionable_prefix(node.child)
-            table = self._prefix_table(prefix)
-            if table is None:
-                return None
-            return self._morsel_distinct(node, prefix, table, stats)
-        if isinstance(node, (FilterNode, ProjectNode, SubqueryNode)):
-            prefix = partitionable_prefix(node)
-            if prefix is None or not prefix.nodes:
-                return None
-            table = self._prefix_table(prefix)
-            if table is None:
-                return None
-            return self._chain_merged(prefix, table, stats)
-        return None
-
-    def _prefix_table(self, prefix: PartitionablePrefix | None) -> PartitionedTable | None:
-        """The prefix's base table, when it is usefully partitioned."""
-        if prefix is None or not self._catalog.has(prefix.scan.table_name):
-            return None
-        table = self._catalog.get(prefix.scan.table_name)
-        if isinstance(table, PartitionedTable) and table.num_partitions > 1:
-            return table
-        return None
-
-    def _morsel_partitions(
-        self, prefix: PartitionablePrefix, table: PartitionedTable, stats: ExecutionStats
-    ) -> list[Table]:
-        """The partition views of ``table`` surviving zone-map pruning.
-
-        Pruning intersects the prefix's scan-adjacent predicates with the
-        zone maps of ``table`` itself — asked for by table object, not by
-        name, so a replace racing this query cannot pair the old
-        partitions with the new table's maps.  A pruned partition
-        provably holds no satisfying row, so skipping it cannot change
-        results.  When everything is pruned a single zero-row view
-        stands in, so downstream merges keep the correct schema.
-        """
-        conjuncts = []
-        for predicate in prefix.scan_filters:
-            conjuncts.extend(pruning_conjuncts(predicate))
-        total = table.num_partitions
-        if conjuncts:
-            kept = prune_partitions(self._catalog.zone_maps_of(table), conjuncts)
-        else:
-            kept = list(range(total))
-        stats.partitions_scanned += len(kept)
-        stats.partitions_pruned += total - len(kept)
-        scanned = scan_columns(table, prefix.scan)
-        parts = [scanned.partition(index) for index in kept]
-        stats.rows_scanned += sum(part.num_rows for part in parts)
-        if not parts:
-            parts = [scanned.slice(0, 0)]
-        stats.morsel_tasks += len(parts)
-        stats.morsel_tasks_inline += len(parts)
-        return parts
-
-    @staticmethod
-    def _run_chain(prefix: PartitionablePrefix, table: Table) -> Table:
-        """Apply the prefix's row-local operators to one partition."""
-        current = table
-        for chain_node in reversed(prefix.nodes):
-            if isinstance(chain_node, FilterNode):
-                current = Executor._apply_filter(chain_node, current)
-            elif isinstance(chain_node, ProjectNode):
-                current = Executor._apply_project(chain_node, current)
-            # SubqueryNode is the identity on rows.
-        return current
-
-    def _record_chain(
-        self, prefix: PartitionablePrefix, rows: int, stats: ExecutionStats
-    ) -> None:
-        """Account the chain's operators (scan + chain nodes) once each."""
-        for _ in range(len(prefix.nodes) + 1):
-            stats.record(rows)
-
-    def _chain_merged(
-        self, prefix: PartitionablePrefix, table: PartitionedTable, stats: ExecutionStats
-    ) -> Table:
-        """The prefix's rows over the surviving partitions, in partition order."""
-        merged = Table.concat_all(
-            [
-                self._run_chain(prefix, part)
-                for part in self._morsel_partitions(prefix, table, stats)
-            ]
-        )
-        self._record_chain(prefix, merged.num_rows, stats)
-        return merged
-
-    def _morsel_distinct(
-        self,
-        node: DistinctNode,
-        prefix: PartitionablePrefix,
-        table: PartitionedTable,
-        stats: ExecutionStats,
-    ) -> Table:
-        """Per-partition DISTINCT, then a global DISTINCT over the merge.
-
-        Correct because ``distinct(concat(distinct(p_i))) ==
-        distinct(concat(p_i))`` and first-occurrence order survives: each
-        partition keeps its first occurrences in row order, partitions
-        concatenate in row order, and the final pass keeps the global
-        first of each duplicate set.
-        """
-        deduped: list[Table] = []
-        for part in self._morsel_partitions(prefix, table, stats):
-            chained = self._run_chain(prefix, part)
-            stats.rows_deduplicated += chained.num_rows
-            deduped.append(chained.take(chained.distinct_indices()))
-        merged = Table.concat_all(deduped)
-        self._record_chain(prefix, merged.num_rows, stats)
-        result = merged.take(merged.distinct_indices())
-        stats.record(result.num_rows)
-        return result
-
-    def _morsel_aggregate(
-        self,
-        node: AggregateNode,
-        prefix: PartitionablePrefix,
-        table: PartitionedTable,
-        stats: ExecutionStats,
-    ) -> Table:
-        """Per-partition aggregation with a partial-state merge.
-
-        Mergeable aggregates (COUNT/SUM/MIN/MAX, AVG as sum+count)
-        compute per-partition partial states with the same ``reduceat``
-        kernels the serial path uses, then merge by re-grouping the
-        partials on the raw key values and combining states (counts and
-        sums add, mins/maxes reduce again).  Queries with aggregates that
-        have no mergeable partial state (MEDIAN, STDDEV, VARIANCE,
-        DISTINCT aggregates) still prune and run the scan/filter/project
-        prefix per partition, and aggregate the merged rows in one pass.
-        """
-        specs = _decompose_aggregate_items(node)
-        if specs is None:
-            return self._aggregate_table(node, self._chain_merged(prefix, table, stats), stats)
-        agg_specs, first_specs = specs
-        chained_rows = 0
-        partials: list[Table] = []
-        for part in self._morsel_partitions(prefix, table, stats):
-            chained = self._run_chain(prefix, part)
-            chained_rows += chained.num_rows
-            partials.append(_aggregate_partials(node, chained, agg_specs, first_specs))
-        stats.rows_grouped += chained_rows
-        self._record_chain(prefix, chained_rows, stats)
-        merged = Table.concat_all(partials)
-        result = _merge_aggregate_partials(node, merged, agg_specs, first_specs)
-        stats.groups_formed += result.num_rows
-        stats.record(result.num_rows)
-        return result
-
 
 # --------------------------------------------------------------------------- #
 # Group-by / order-by / distinct kernels
@@ -1044,143 +875,3 @@ def _sort_indices(
         return np.arange(table.num_rows, dtype=np.int64)
     codes = [evaluator.column(key.expression).group_codes() for key in keys]
     return sort_codes(codes, [key.descending for key in keys])
-
-
-# --------------------------------------------------------------------------- #
-# Partial aggregation (per-partition GROUP BY)
-#
-# A mergeable aggregate (``functions.MERGEABLE_AGGREGATES``) has a
-# per-partition partial state that merges into the exact global value:
-# COUNT and SUM add, MIN and MAX reduce again, AVG carries (sum, count).
-# The partial tables use reserved ``__key_i`` / ``__agg_j`` /
-# ``__first_j`` columns — keys as the partition's own columns gathered at
-# each group's first row (codes into the table's shared dictionary for
-# strings), partial states as float64 arrays — and the merge re-groups
-# them with the same kernels the serial path uses, so merged groups come
-# out in the identical deterministic order (numbers < strings < NULL).
-# String keys decode once, in the final result.
-# --------------------------------------------------------------------------- #
-
-def _decompose_aggregate_items(
-    node: AggregateNode,
-) -> tuple[list[tuple[str, FunctionCall]], list[tuple[str, Expression]]] | None:
-    """The node's distinct aggregate calls and group-shared parts, or
-    ``None`` when some call has no mergeable partial state (the caller
-    then aggregates the merged rows serially)."""
-    aggregates: dict[str, FunctionCall] = {}
-    firsts: dict[str, Expression] = {}
-    for item in node.items:
-        calls, shared = aggregate_item_leaves(item.expression)
-        if not all(mergeable_call(call) for call in calls):
-            return None
-        aggregates.update((str(call), call) for call in calls)
-        firsts.update((str(part), part) for part in shared)
-    return list(aggregates.items()), list(firsts.items())
-
-
-def _aggregate_partials(
-    node: AggregateNode,
-    table: Table,
-    agg_specs: list[tuple[str, FunctionCall]],
-    first_specs: list[tuple[str, Expression]],
-) -> Table:
-    """One partition's partial-aggregation state table.
-
-    One row per local group, holding the group-key values, each
-    aggregate's partial state, and the group's first value of every
-    group-shared expression.
-    """
-    evaluator = aggregate_evaluator(node.items, table)
-    key_columns = [evaluator.column(expr) for expr in node.group_by]
-    order, starts, ends = group_segments(
-        [column.group_codes() for column in key_columns], table.num_rows
-    )
-
-    columns = [
-        _segment_firsts(column, order, starts).rename(f"__key_{index}")
-        for index, column in enumerate(key_columns)
-    ]
-    for index, (_key, call) in enumerate(agg_specs):
-        name = call.name.upper()
-        if call.is_star:
-            sizes = (ends - starts).astype(np.float64)
-            columns.append(Column(f"__agg_{index}", sizes, ColumnType.NUMERIC))
-            continue
-        ordered = evaluator.evaluate(call.args[0])[order]
-        if name == "AVG":
-            columns.append(_segment_aggregate(f"__agg_{index}", "SUM", ordered, starts, ends))
-            columns.append(
-                _segment_aggregate(f"__agg_{index}_count", "COUNT", ordered, starts, ends)
-            )
-        else:
-            columns.append(_segment_aggregate(f"__agg_{index}", name, ordered, starts, ends))
-    for index, (_key, expr) in enumerate(first_specs):
-        columns.append(
-            _segment_firsts(evaluator.column(expr), order, starts).rename(f"__first_{index}")
-        )
-    return Table(columns, name=table.name)
-
-
-#: Combine kernel per aggregate: how partial states merge into the total.
-_COMBINE_KERNELS = {"COUNT": "SUM", "SUM": "SUM", "MIN": "MIN", "MAX": "MAX"}
-
-
-def _merge_aggregate_partials(
-    node: AggregateNode,
-    merged: Table,
-    agg_specs: list[tuple[str, FunctionCall]],
-    first_specs: list[tuple[str, Expression]],
-) -> Table:
-    """Merge per-partition partial states into the final aggregate table."""
-    key_codes = [
-        merged.column(f"__key_{index}").group_codes()
-        for index in range(len(node.group_by))
-    ]
-    order, starts, ends = group_segments(key_codes, merged.num_rows)
-    n_groups = len(starts)
-
-    agg_finals: dict[str, list[object]] = {}
-    for index, (key, call) in enumerate(agg_specs):
-        name = call.name.upper()
-        partial = merged.column(f"__agg_{index}").values[order]
-        if call.is_star or name == "COUNT":
-            combined = apply_aggregate_segments("SUM", partial, starts, ends)
-            agg_finals[key] = [0.0 if value is None else float(value) for value in combined]
-        elif name == "AVG":
-            sums = apply_aggregate_segments("SUM", partial, starts, ends)
-            counts = apply_aggregate_segments(
-                "SUM", merged.column(f"__agg_{index}_count").values[order], starts, ends
-            )
-            agg_finals[key] = [
-                None if not count else float(total) / float(count)
-                for total, count in zip(sums, counts)
-            ]
-        else:
-            agg_finals[key] = apply_aggregate_segments(
-                _COMBINE_KERNELS[name], partial, starts, ends
-            )
-
-    # The merged group's first value is its first partial's (partials
-    # concatenate in partition order and the sort is stable).
-    firsts = {
-        key: _segment_firsts(merged.column(f"__first_{index}"), order, starts)
-        for index, (key, _expr) in enumerate(first_specs)
-    }
-
-    # A group-shared item (a key, typically) is its first-value column as
-    # is — string keys stay codes until the result is read.
-    columns = [
-        firsts[str(item.expression)].rename(item.output_name(index))
-        if str(item.expression) in firsts
-        else Column.from_values(
-            item.output_name(index),
-            evaluate_aggregate_item(
-                item.expression,
-                lambda call: agg_finals[str(call)],
-                lambda part: firsts[str(part)].to_pylist(),
-                n_groups,
-            ),
-        )
-        for index, item in enumerate(node.items)
-    ]
-    return Table(columns, name=merged.name)

@@ -324,8 +324,8 @@ def apply_aggregate(name: str, values: np.ndarray, distinct: bool = False) -> ob
 
 #: Aggregates with a ``reduceat``-based batch kernel over group segments
 #: and a partial state that merges exactly: COUNT and SUM add, MIN and MAX
-#: reduce again, AVG carries (sum, count).  The partitioned merge and IVM
-#: maintain exactly these.
+#: reduce again, AVG carries (sum, count).  IVM views maintain exactly
+#: these.
 MERGEABLE_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
 

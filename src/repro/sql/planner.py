@@ -352,8 +352,8 @@ def evaluate_aggregate_item(
     minus) over aggregate calls, literals and *group-shared*
     sub-expressions: any sub-expression without an aggregate, whose value
     every row of a group shares.  ``aggregate(call)`` and ``shared(expr)``
-    give one value per group; the serial group-by, the partitioned merge
-    and IVM views each supply their own.  Anything else holding an
+    give one value per group; the group-by operator and IVM views each
+    supply their own.  Anything else holding an
     aggregate (a scalar function, CASE, a comparison, an aggregate inside
     an aggregate) raises :class:`PlanningError`.
     """
@@ -398,7 +398,7 @@ def aggregate_item_leaves(
 def mergeable_call(call: FunctionCall) -> bool:
     """Whether ``call`` has a partial state that merges exactly.
 
-    Partition partials and IVM deltas both keep such a state: a
+    IVM views keep such a state per group and merge deltas into it: a
     :data:`MERGEABLE_AGGREGATES` call, not DISTINCT, over ``*`` or one
     argument.
     """
@@ -456,83 +456,6 @@ def _rewrite_having(predicate: Expression, items: tuple[SelectItem, ...]) -> Exp
         return expr
 
     return rewrite(predicate)
-
-
-# --------------------------------------------------------------------------- #
-# Partition-parallel prefix analysis
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class PartitionablePrefix:
-    """A ``Scan → (Filter|Project|Subquery)*`` chain rooted at one node.
-
-    The chain's operators are all *row-local*: applying them to each
-    horizontal partition of the scanned table and concatenating the
-    results (in partition order) is row-identical to applying them to the
-    whole table, because filters and projections never look across rows.
-    This is the unit of partitioned execution.
-
-    ``scan_filters`` holds the predicates of the chain's filters that sit
-    *directly above the scan* — no projection or sub-query boundary in
-    between, so every column they reference is a base column of the
-    scanned table.  Only these predicates are safe inputs for zone-map
-    partition pruning; a predicate above a projection may reference a
-    computed column whose values the base table's zone maps know nothing
-    about.
-    """
-
-    scan: ScanNode
-    #: Chain nodes from the scan upward (excluding the scan itself).
-    nodes: tuple[PlanNode, ...]
-    #: Predicates applying directly to base-table rows (pruning-safe).
-    scan_filters: tuple[Expression, ...]
-
-
-def partitionable_prefix(node: PlanNode) -> PartitionablePrefix | None:
-    """Match the partition-parallel prefix ending at ``node``.
-
-    Returns ``None`` when the subtree under ``node`` contains anything
-    that is not row-local (aggregation, windows, sorts, limits) or when
-    a projection computes window columns (those require a WindowNode
-    below, which already breaks the chain).
-    """
-    chain: list[PlanNode] = []
-    current: PlanNode = node
-    while True:
-        if isinstance(current, ScanNode):
-            break
-        if isinstance(current, FilterNode):
-            chain.append(current)
-            current = current.child
-            continue
-        if isinstance(current, ProjectNode):
-            if any(
-                not isinstance(item.expression, Star)
-                and (contains_window(item.expression) or contains_aggregate(item.expression))
-                for item in current.items
-            ):
-                return None
-            chain.append(current)
-            current = current.child
-            continue
-        if isinstance(current, SubqueryNode):
-            chain.append(current)
-            current = current.plan
-            continue
-        return None
-    scan = current
-    # Walk the chain bottom-up (it is collected top-down): filters below
-    # the first projection/sub-query boundary apply to raw scan rows.
-    scan_filters: list[Expression] = []
-    for chain_node in reversed(chain):
-        if isinstance(chain_node, FilterNode):
-            scan_filters.append(chain_node.predicate)
-        else:
-            break
-    return PartitionablePrefix(
-        scan=scan, nodes=tuple(chain), scan_filters=tuple(scan_filters)
-    )
 
 
 # --------------------------------------------------------------------------- #

@@ -281,10 +281,10 @@ class Table:
         one table share a dictionary and just concatenate codes; others
         re-encode into the merged dictionary); any other string
         occurrence promotes the merged column to the object
-        representation (NULLs become ``None``).  This is the merge
-        primitive of partitioned execution: per-partition results come
-        back as k tables and a pairwise ``concat`` chain would copy the
-        growing prefix k-1 times.
+        representation (NULLs become ``None``).  The scan of a
+        partitioned table joins its filtered row ranges with it; a
+        pairwise ``concat`` chain would copy the growing prefix k-1
+        times.
         """
         if not tables:
             raise ValueError("concat_all requires at least one table")
@@ -356,17 +356,16 @@ class PartitionedTable(Table):
 
     Behaves exactly like a :class:`Table` everywhere (same columns, same
     rows, same operations — derived tables come back unpartitioned); the
-    partitioning is extra structure the executor exploits: each partition
-    is a zero-copy row-range view the executor scans on its own,
-    and the catalog attaches a zone map (per-column min/max/null-count,
-    see :mod:`repro.storage.statistics`) to each partition so range
+    partitioning is extra structure the executor's scan exploits: the
+    catalog attaches a zone map (per-column min/max/null-count, see
+    :mod:`repro.storage.statistics`) to each partition so range
     predicates can skip partitions before scanning them.
 
     Partitions are *horizontal* and *ordered*: partition ``i`` holds rows
     ``boundaries[i]:boundaries[i + 1]`` of the original row order, so
-    concatenating the partitions in index order reproduces the table
-    exactly — the invariant every merge step of partitioned execution
-    relies on.
+    the rows of the kept partitions, in index order, are the table's rows
+    in the table's order — which is why a pruned scan returns exactly the
+    rows, and the order, a flat scan does.
     """
 
     def __init__(
@@ -385,7 +384,7 @@ class PartitionedTable(Table):
                 f"partition boundaries must run 0..{n}, got {bounds}"
             )
         # A zero-row table is one (empty) partition; otherwise partitions
-        # must be non-empty so zone maps and morsel tasks stay meaningful.
+        # must be non-empty so every zone map describes some rows.
         if n == 0:
             bounds = [0, 0]
         elif any(b >= c for b, c in zip(bounds, bounds[1:])):
@@ -430,6 +429,18 @@ class PartitionedTable(Table):
         """Row count of partition ``index``."""
         start, end = self._boundaries[index], self._boundaries[index + 1]
         return end - start
+
+    def row_ranges(self, indices: Sequence[int]) -> list[tuple[int, int]]:
+        """``(start, end)`` row ranges covering partitions ``indices``
+        (ascending), with adjacent partitions merged into one range."""
+        ranges: list[tuple[int, int]] = []
+        for index in indices:
+            start, end = self._boundaries[index], self._boundaries[index + 1]
+            if ranges and ranges[-1][1] == start:
+                ranges[-1] = (ranges[-1][0], end)
+            else:
+                ranges.append((start, end))
+        return ranges
 
     def partition(self, index: int) -> Table:
         """Partition ``index`` as a zero-copy :class:`Table` view.

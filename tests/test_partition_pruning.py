@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sql.ast_nodes import ColumnRef, OrderItem
 from repro.sql.engine import Database
-from repro.sql.executor import Executor
+from repro.sql.executor import ExecutionStats, Executor
 from repro.sql.optimizer import (
     PruningNullCheck,
     optimize_plan,
@@ -18,12 +19,13 @@ from repro.sql.optimizer import (
 )
 from repro.sql.parser import parse_sql
 from repro.sql.planner import (
+    AggregateNode,
     FilterNode,
     ProjectNode,
     ScanNode,
+    SortNode,
     SubqueryNode,
     build_logical_plan,
-    partitionable_prefix,
 )
 from repro.storage import Catalog, PartitionedTable, Table, compute_zone_map
 from repro.storage.statistics import RangeInterval
@@ -136,52 +138,115 @@ class TestPrunePartitions:
 
 
 # --------------------------------------------------------------------------- #
-# Predicate pushdown (the pass that feeds pruning)
+# Predicate pushdown: only the filter directly above a scan prunes
 # --------------------------------------------------------------------------- #
+
+
+def _plan(sql: str):
+    return optimize_plan(build_logical_plan(parse_sql(sql)))
+
+
+def _nodes(node):
+    """``node`` and every node below it, top-down."""
+    yield node
+    for child in node.children():
+        yield from _nodes(child)
+
+
+def _scan_filters(root) -> list[FilterNode]:
+    """The filters under ``root`` that sit directly above a scan."""
+    return [
+        node
+        for node in _nodes(root)
+        if isinstance(node, FilterNode) and isinstance(node.child, ScanNode)
+    ]
+
+
+def _flat_rows(db: Database, sql: str) -> list[dict]:
+    """``sql``'s rows over a flat copy of ``db``'s ``data`` table."""
+    flat = Database()
+    flat.register_rows("data", db.execute("SELECT * FROM data").to_rows())
+    return flat.query_rows(sql)
 
 
 class TestPredicatePushdown:
     def test_filter_pushes_below_passthrough_projection(self):
-        plan = optimize_plan(
-            build_logical_plan(parse_sql("SELECT x, y FROM (SELECT * FROM t) AS s WHERE x > 1"))
-        )
-        # The filter must reach the scan inside the subquery.
-        prefix = partitionable_prefix(plan.root)
-        assert prefix is not None
-        assert isinstance(prefix.scan, ScanNode)
-        assert len(prefix.scan_filters) == 1
+        sql = "SELECT t, v FROM (SELECT * FROM data) AS s WHERE t >= 150 AND t < 250"
+        plan = _plan(sql)
+        # The filter reaches the scan inside the sub-query ...
+        subquery = next(n for n in _nodes(plan.root) if isinstance(n, SubqueryNode))
+        assert len(_scan_filters(subquery.plan)) == 1
+        # ... so the scan prunes down to the two partitions of t in [150, 250).
+        db = _partitioned_db()
+        result = db.execute(sql)
+        assert result.to_rows() == _flat_rows(db, sql)
+        assert result.num_rows == 100
+        assert (result.stats.partitions_scanned, result.stats.partitions_pruned) == (2, 8)
 
     def test_filter_blocked_by_computed_alias(self):
-        plan = optimize_plan(
-            build_logical_plan(
-                parse_sql("SELECT x + 1 AS z FROM (SELECT x + 1 AS z FROM t) AS s WHERE z > 1")
-            )
-        )
-        prefix = partitionable_prefix(plan.root)
-        assert prefix is not None
+        sql = "SELECT z FROM (SELECT t + 1 AS z FROM data) AS s WHERE z > 900"
+        plan = _plan(sql)
         # The filter references the computed alias: it stays above the
-        # projection and must NOT be treated as scan-adjacent.
-        assert prefix.scan_filters == ()
+        # projection, so no filter sits on the scan and nothing prunes.
+        assert any(isinstance(n, FilterNode) for n in _nodes(plan.root))
+        assert _scan_filters(plan.root) == []
+        db = _partitioned_db()
+        result = db.execute(sql)
+        assert result.num_rows == 100
+        assert (result.stats.partitions_scanned, result.stats.partitions_pruned) == (10, 0)
 
     def test_prefix_stops_at_aggregates(self):
-        plan = optimize_plan(
-            build_logical_plan(parse_sql("SELECT g, COUNT(*) AS n FROM t GROUP BY g"))
-        )
-        assert partitionable_prefix(plan.root) is None
-        # ... but the aggregate's child is a (bare-scan) prefix.
-        aggregate = plan.root
-        prefix = partitionable_prefix(aggregate.child)
-        assert prefix is not None and prefix.nodes == ()
+        """HAVING filters the aggregate's output and never prunes the scan."""
+        sql = "SELECT g, MIN(t) AS lo FROM data GROUP BY g HAVING MIN(t) >= 1"
+        plan = _plan(sql)
+        assert isinstance(plan.root, FilterNode)
+        assert isinstance(plan.root.child, AggregateNode)
+        assert isinstance(plan.root.child.child, ScanNode)
+        db = _partitioned_db()
+        result = db.execute(sql)
+        assert result.to_rows() == [{"g": "b", "lo": 1.0}, {"g": "c", "lo": 2.0}]
+        assert (result.stats.partitions_scanned, result.stats.partitions_pruned) == (10, 0)
 
     def test_prefix_walks_subqueries(self):
-        plan = optimize_plan(
-            build_logical_plan(parse_sql("SELECT * FROM (SELECT x FROM t WHERE x > 2) AS s"))
-        )
-        prefix = partitionable_prefix(plan.root)
-        assert prefix is not None
-        assert any(isinstance(n, SubqueryNode) for n in prefix.nodes)
-        assert any(isinstance(n, ProjectNode) for n in prefix.nodes)
-        assert len(prefix.scan_filters) == 1
+        sql = "SELECT * FROM (SELECT t FROM data WHERE t > 2 AND t < 300) AS s"
+        plan = _plan(sql)
+        assert any(isinstance(n, SubqueryNode) for n in _nodes(plan.root))
+        assert any(isinstance(n, ProjectNode) for n in _nodes(plan.root))
+        assert len(_scan_filters(plan.root)) == 1
+        db = _partitioned_db()
+        result = db.execute(sql)
+        assert result.to_rows() == _flat_rows(db, sql)
+        assert (result.stats.partitions_scanned, result.stats.partitions_pruned) == (3, 7)
+
+    def test_non_adjacent_partitions_scan_as_two_ranges(self):
+        """Kept partitions 0-1 and 5-6 are two row ranges; the rows and
+        their order are the flat filter's."""
+        rows = [
+            {"i": float(i), "k": 0.0 if i // 100 in (0, 1, 5, 6) else 1.0, "g": "abc"[i % 3]}
+            for i in range(1000)
+        ]
+        db = Database()
+        db.register_rows("data", rows)
+        db.repartition("data", 100)
+        assert db.catalog.get("data").row_ranges([0, 1, 5, 6]) == [(0, 200), (500, 700)]
+        for sql in (
+            "SELECT i, g FROM data WHERE k = 0",
+            "SELECT g, COUNT(*) AS n, SUM(i) AS s FROM data WHERE k = 0 GROUP BY g",
+            "SELECT DISTINCT g FROM data WHERE k <= 0",
+        ):
+            result = db.execute(sql)
+            assert result.to_rows() == _flat_rows(db, sql), sql
+            assert (result.stats.partitions_scanned, result.stats.partitions_pruned) == (4, 6)
+            assert result.stats.rows_scanned == 400
+
+    def test_sort_over_bare_scan_counts_partitions(self):
+        db = _partitioned_db()
+        sort = SortNode(ScanNode("data"), keys=(OrderItem(ColumnRef("t"), descending=True),))
+        stats = ExecutionStats()
+        table = Executor(db.catalog).execute_subtree(sort, stats)
+        assert table.column("t").to_pylist() == [float(i) for i in reversed(range(1000))]
+        assert (stats.partitions_scanned, stats.partitions_pruned) == (10, 0)
+        assert stats.morsel_tasks == stats.morsel_tasks_inline == 10
 
 
 # --------------------------------------------------------------------------- #

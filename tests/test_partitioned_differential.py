@@ -2,12 +2,13 @@
 
 Runs every query of the backend corpus (plus its hypothesis
 shapes) on two embedded engines holding identical data — one flat, one
-partitioned — and asserts row-identical results through the same comparison contract the
-cross-backend suite enforces (values, ordering, NULL placement).
+partitioned — and asserts the results are exactly equal: every value
+with its type (float sums to the last bit), the column order and the
+row order, also for queries without ORDER BY.
 
-This is the correctness gate of the partitioned execution refactor: the
-pruning pass and every merge step (concat, partial-aggregate combine,
-per-partition DISTINCT, post-merge sort) must be invisible in results.
+Partitioning changes only which rows the scan reads: the operators above
+it are the flat ones over the flat filter's rows in the flat order, so
+anything short of ``==`` here is a bug.
 """
 
 from __future__ import annotations
@@ -20,11 +21,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from test_backends_differential import (
-    CORPUS,
-    _mixed_rows,
-    assert_identical_results,
-)
+from test_backends_differential import CORPUS, _mixed_rows
 
 from repro.datasets import generate_dataset
 from repro.sql import Database
@@ -44,6 +41,19 @@ def _engine_pair(
     return {"serial": serial, "partitioned": partitioned}
 
 
+def _typed(rows: list[dict]) -> list[list[tuple]]:
+    """Each row as ``(column, type, value)`` triples in column order."""
+    return [[(name, type(value), value) for name, value in row.items()] for row in rows]
+
+
+def assert_exactly_equal(engines: dict[str, Database], sql: str) -> None:
+    """The partitioned engine's rows ``==`` the flat engine's: value,
+    type, column order and row order."""
+    flat = engines["serial"].query_rows(sql)
+    partitioned = engines["partitioned"].query_rows(sql)
+    assert _typed(partitioned) == _typed(flat), sql
+
+
 @pytest.fixture(scope="module")
 def engines():
     """The corpus tables, flat vs partitioned."""
@@ -56,19 +66,13 @@ def engines():
     )
 
 
-@pytest.mark.parametrize(
-    ("name", "builder", "is_ordered"), CORPUS, ids=[c[0] for c in CORPUS]
-)
-def test_corpus_query_identical_partitioned(engines, name, builder, is_ordered):
-    sql_by_engine = {
-        engine_name: builder(engine.capabilities)
-        for engine_name, engine in engines.items()
-    }
-    assert_identical_results(sql_by_engine, engines, ordered=is_ordered)
+@pytest.mark.parametrize("builder", [c[1] for c in CORPUS], ids=[c[0] for c in CORPUS])
+def test_corpus_query_identical_partitioned(engines, builder):
+    assert_exactly_equal(engines, builder(engines["serial"].capabilities))
 
 
 def test_partitioned_engine_actually_partitions(engines):
-    """The differential is only meaningful if morsels actually run."""
+    """The differential is only meaningful if the scan reads partitions."""
     before = engines["partitioned"].stats()
     engines["partitioned"].query_rows("SELECT g, COUNT(*) AS n FROM data GROUP BY g")
     after = engines["partitioned"].stats()
@@ -90,8 +94,8 @@ row_strategy = st.fixed_dictionaries(
     }
 )
 
-#: Queries stressing every merge step: filter chains, decomposable and
-#: non-decomposable aggregates, DISTINCT, ORDER BY + LIMIT.
+#: Every operator over a pruned scan: filter chains, mergeable and other
+#: aggregates, DISTINCT, ORDER BY + LIMIT.
 PARTITION_QUERIES = (
     "SELECT * FROM t WHERE v > 0 AND w < 100",
     "SELECT g, COUNT(*) AS n, SUM(v) AS s, AVG(v) AS a, MIN(v) AS lo, MAX(v) AS hi "
@@ -113,16 +117,15 @@ PARTITION_QUERIES = (
 def test_random_tables_identical_partitioned(rows, target_rows):
     engines = _engine_pair({"t": (rows, ["v", "w", "g"])}, target_rows=target_rows)
     for sql in PARTITION_QUERIES:
-        assert_identical_results(dict.fromkeys(engines, sql), engines, ordered=False)
+        assert_exactly_equal(engines, sql)
 
 
 @given(rows=st.lists(row_strategy, min_size=1, max_size=30), descending=st.booleans())
 def test_random_order_by_identical_partitioned(rows, descending):
-    """Positional comparison: the merge must preserve stable sort order."""
+    """The sort over a pruned, filtered scan is stable in flat row order."""
     engines = _engine_pair({"t": (rows, ["v", "w", "g"])}, target_rows=5)
     direction = "DESC" if descending else "ASC"
-    sql = f"SELECT v, g FROM t WHERE w >= -1e6 ORDER BY v {direction}"
-    assert_identical_results(dict.fromkeys(engines, sql), engines, ordered=True)
+    assert_exactly_equal(engines, f"SELECT v, g FROM t WHERE w >= -1e6 ORDER BY v {direction}")
 
 
 def test_partition_boundary_rows_not_lost():
@@ -130,35 +133,31 @@ def test_partition_boundary_rows_not_lost():
     rows = [{"t": float(i), "v": float(i)} for i in range(100)]
     engines = _engine_pair({"t": (rows, ["t", "v"])}, target_rows=10)
     for bound in (9.0, 10.0, 50.0, 99.0):
-        sql = f"SELECT COUNT(*) AS n FROM t WHERE t >= {bound}"
-        assert_identical_results(dict.fromkeys(engines, sql), engines, ordered=True)
+        assert_exactly_equal(engines, f"SELECT COUNT(*) AS n FROM t WHERE t >= {bound}")
     deltas = engines["partitioned"].query_rows(
         "SELECT COUNT(*) AS n FROM t WHERE t = 10"
     )
     assert deltas == [{"n": 1}]
 
 
-def test_float_merge_tolerance_is_tight():
-    """Partial-sum merges agree with serial sums to float tolerance."""
+def test_partitioned_float_sums_are_bit_identical():
+    """SUM and AVG over a partitioned table equal the flat ones exactly."""
     rng = np.random.default_rng(11)
     rows = [{"g": "ab"[i % 2], "v": float(rng.normal(0, 1e6))} for i in range(5000)]
     engines = _engine_pair({"t": (rows, ["g", "v"])}, target_rows=500)
-    serial = engines["serial"].query_rows("SELECT g, SUM(v) AS s, AVG(v) AS a FROM t GROUP BY g")
-    partitioned = engines["partitioned"].query_rows(
-        "SELECT g, SUM(v) AS s, AVG(v) AS a FROM t GROUP BY g"
-    )
-    for row_a, row_b in zip(serial, partitioned):
-        assert row_a["g"] == row_b["g"]
-        assert np.isclose(row_a["s"], row_b["s"], rtol=1e-9)
-        assert np.isclose(row_a["a"], row_b["a"], rtol=1e-9)
+    sql = "SELECT g, SUM(v) AS s, AVG(v) AS a FROM t GROUP BY g"
+    serial = engines["serial"].query_rows(sql)
+    partitioned = engines["partitioned"].query_rows(sql)
+    assert partitioned == serial
+    assert all(isinstance(row["s"], float) for row in partitioned)
 
 
 def test_partitioned_execution_starts_nothing():
     """Partitions are scanned on the calling thread: no thread, no process.
 
     The shape that used to be handed to a worker pool — several
-    surviving partitions of at least 8,192 rows each — through all three
-    partitioned operators (grouped aggregate, DISTINCT, row-local chain).
+    surviving partitions of at least 8,192 rows each — under a grouped
+    aggregate, a DISTINCT and a bare filter.
     """
     rows = [{"t": float(i), "g": "abcd"[i % 4], "v": float(i % 97)} for i in range(40_000)]
     engines = _engine_pair({"t": (rows, ["t", "g", "v"])}, target_rows=10_000)
@@ -169,7 +168,7 @@ def test_partitioned_execution_starts_nothing():
         "SELECT DISTINCT g FROM t WHERE t >= 10000",
         "SELECT t, v FROM t WHERE t >= 10000 AND v < 3",
     ):
-        assert_identical_results(dict.fromkeys(engines, sql), engines, ordered=False)
+        assert_exactly_equal(engines, sql)
     # Three of the four 10,000-row partitions survive each query.
     assert engines["partitioned"].stats()["partitions_scanned"] == 9
     assert threading.active_count() == threads
