@@ -6,7 +6,8 @@ Reproduces the workflow of Section 5.3 on a small scale:
    collect labelled training data (plan vectors + measured latencies),
 2. train the RankSVM and Random Forest pairwise comparators,
 3. report their held-out pairwise accuracy against the heuristic and
-   random baselines (the shape of Table 2),
+   random baselines, judged on every measured pair of the same
+   interaction episodes (the shape of Table 4),
 4. inspect the RankSVM weights / forest importances — the signal the paper
    distils into the heuristic model's rules,
 5. use the trained comparator inside a VegaPlusSystem.
@@ -20,9 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Database, VegaPlusSystem
+from repro import VegaPlusSystem
+from repro.bench.experiments import fit_models
 from repro.bench.harness import BenchmarkHarness
-from repro.core.comparators import train_comparator
 from repro.core.encoder import feature_names
 
 
@@ -38,31 +39,19 @@ def main() -> None:
         all_measurements.append((template_name, configuration, measurements))
         print(f"  {template_name}: {len(measurements)} plans executed")
 
-    # Build one pair dataset across both templates.
-    import numpy as _np
-    from repro.core.comparators import PairDataset
-
-    parts = [harness.interaction_dataset(m) for _, _, m in all_measurements]
-    dataset = PairDataset(
-        differences=_np.vstack([p.differences for p in parts]),
-        labels=_np.concatenate([p.labels for p in parts]),
-        latency_gaps=_np.concatenate([p.latency_gaps for p in parts]),
-    )
-    print(f"\nTraining on {len(dataset)} plan pairs")
-
-    reports = {}
-    for kind in ("ranksvm", "random_forest", "heuristic", "random"):
-        reports[kind] = train_comparator(kind, dataset, seed=0)
-        print(f"  {kind:<14} pairwise accuracy = {reports[kind].test_accuracy:.3f}")
+    models = fit_models([m for _, _, m in all_measurements], use_interactions=True, seed=0)
+    print("\nPairwise accuracy over the interaction episodes:")
+    for label, (_comparator, accuracy) in models.items():
+        print(f"  {label:<14} {accuracy:.3f}")
 
     # What did the models learn?  (This is where the heuristic rules come from.)
     names = feature_names()
-    weights = reports["ranksvm"].comparator.feature_weights()
+    weights = models["RankSVM"][0].feature_weights()
     top = np.argsort(-np.abs(weights))[:5]
     print("\nMost influential RankSVM features (|weight|):")
     for index in top:
         print(f"  {names[index]:<28} {weights[index]:+.3f}")
-    importances = reports["random_forest"].comparator.feature_importances()
+    importances = models["Random Forest"][0].feature_importances()
     top = np.argsort(-importances)[:5]
     print("Most important Random Forest features:")
     for index in top:
@@ -72,7 +61,7 @@ def main() -> None:
     template_name, configuration, _ = all_measurements[0]
     system = VegaPlusSystem(
         configuration.spec, configuration.database,
-        comparator=reports["random_forest"].comparator,
+        comparator=models["Random Forest"][0],
     )
     session = configuration.sessions[0]
     system.optimize(anticipated_interactions=session)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from repro.core.enumerator import PlanEnumerator
-from repro.core.system import InteractionResult, VegaPlusSystem
+from repro.core.system import VegaPlusSystem
 from repro.net.channel import NetworkModel
 from repro.net.serialize import Codec, JsonCodec
 from repro.backends import SQLBackend
@@ -52,9 +52,3 @@ class VegaNativeSystem(VegaPlusSystem):
     ):
         """Native Vega has no optimizer; the all-client plan is already set."""
         return None
-
-    def run_session(
-        self, interactions: Sequence[Mapping[str, object]]
-    ) -> list[InteractionResult]:
-        """Initial render followed by interactions, all client-side."""
-        return super().run_session(interactions)

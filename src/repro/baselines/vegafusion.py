@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from repro.core.enumerator import PlanEnumerator
-from repro.core.system import InteractionResult, VegaPlusSystem
+from repro.core.system import VegaPlusSystem
 from repro.net.channel import NetworkModel
 from repro.net.serialize import ArrowCodec, Codec
 from repro.backends import SQLBackend
@@ -51,9 +51,3 @@ class VegaFusionSystem(VegaPlusSystem):
     ):
         """VegaFusion always offloads; there is nothing to optimize."""
         return None
-
-    def run_session(
-        self, interactions: Sequence[Mapping[str, object]]
-    ) -> list[InteractionResult]:
-        """Initial render followed by interactions, all offloaded."""
-        return super().run_session(interactions)

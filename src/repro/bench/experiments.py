@@ -20,18 +20,19 @@ import numpy as np
 from repro.baselines import VegaFusionSystem, VegaNativeSystem
 from repro.bench.harness import BenchmarkHarness, PlanMeasurement
 from repro.bench.reporting import format_table
-from repro.bench.templates import all_templates, get_template, template_names
+from repro.bench.templates import all_templates, template_names
 from repro.bench.workload import WorkloadGenerator
 from repro.core.comparators import (
     HeuristicComparator,
     PlanComparator,
     RandomComparator,
-    RandomForestComparator,
-    RankSVMComparator,
     build_pair_dataset,
+    pairwise_outcomes,
+    stack_pair_datasets,
     train_comparator,
 )
 from repro.core.consolidation import consolidate_session
+from repro.core.encoder import PlanVector
 from repro.core.enumerator import PlanEnumerator
 from repro.vega.spec import parse_spec_dict
 
@@ -49,10 +50,6 @@ DEFAULT_MODEL_TEMPLATES: tuple[str, ...] = (
     "heatmap_bar",
     "overview_detail",
 )
-
-#: Comparator kinds evaluated in the model-comparison tables.
-MODEL_KINDS: tuple[str, ...] = ("ranksvm", "random_forest", "heuristic", "random")
-
 
 # --------------------------------------------------------------------------- #
 # Table 1 — template characteristics and enumeration space
@@ -161,92 +158,59 @@ def collect_measurements(
 
 
 def _fit_models_for_size(
-    measurement_set: MeasurementSet,
-    size: int,
+    measurement_set: MeasurementSet, size: int, use_interactions: bool, seed: int = 0
+) -> dict[str, tuple[PlanComparator, float]]:
+    """:func:`fit_models` on one size's measurements."""
+    groups = list(_grouped_by_template(measurement_set, size).values())
+    return fit_models(groups, use_interactions, seed)
+
+
+def fit_models(
+    groups: Sequence[Sequence[PlanMeasurement]],
     use_interactions: bool,
-    harness: BenchmarkHarness,
     seed: int = 0,
 ) -> dict[str, tuple[PlanComparator, float]]:
-    """Train/evaluate every comparator kind on one size's measurements.
+    """The four comparators of Tables 2–5 and their pairwise accuracy.
 
-    Returns ``kind -> (comparator, test accuracy)``.
+    ``groups`` holds one list of plan measurements per template; a
+    template with fewer than two plans has no pairs and is skipped.  The
+    learned models (RankSVM, Random Forest) train on the pairs of every
+    group's labelled episodes (the initial render alone, or every
+    interaction episode too) and report their held-out accuracy; the
+    heuristic and random comparators are judged on every measured pair of
+    the same episodes.  Returns ``comparator name -> (comparator,
+    accuracy)``.
     """
-    differences = []
-    labels = []
-    gaps = []
-    for measurements in _grouped_by_template(measurement_set, size).values():
-        if len(measurements) < 2:
-            continue
-        if use_interactions:
-            dataset = harness.interaction_dataset(measurements)
-        else:
-            dataset = harness.initial_render_dataset(measurements)
-        differences.append(dataset.differences)
-        labels.append(dataset.labels)
-        gaps.append(dataset.latency_gaps)
-    if not differences:
-        raise ValueError(f"no measurements available for size {size}")
-    from repro.core.comparators import PairDataset
-
-    combined = PairDataset(
-        differences=np.vstack(differences),
-        labels=np.concatenate(labels),
-        latency_gaps=np.concatenate(gaps),
-    )
+    episodes = [
+        episode
+        for measurements in groups
+        if len(measurements) >= 2
+        for episode in _episodes(measurements, use_interactions)
+    ]
+    if not episodes:
+        raise ValueError("no measurements to fit models on")
+    dataset = stack_pair_datasets([build_pair_dataset(*episode) for episode in episodes])
     out: dict[str, tuple[PlanComparator, float]] = {}
-    for kind in MODEL_KINDS:
-        report = train_comparator(kind, combined, seed=seed)
-        accuracy = report.test_accuracy
-        if kind in ("heuristic", "random"):
-            # Rule-based models compare full plan vectors, not difference
-            # vectors, so evaluate them directly on the measured vectors.
-            accuracy = _rule_model_accuracy(
-                report.comparator, measurement_set, size, use_interactions, harness
-            )
-        out[kind] = (report.comparator, accuracy)
+    for kind in ("ranksvm", "random_forest"):
+        report = train_comparator(kind, dataset, seed=seed)
+        out[report.comparator.name] = (report.comparator, report.test_accuracy)
+    for comparator in (HeuristicComparator(), RandomComparator(seed=seed)):
+        outcomes = [
+            predicted == truth
+            for vectors, latencies in episodes
+            for predicted, truth, _, _ in pairwise_outcomes(comparator, vectors, latencies)
+        ]
+        out[comparator.name] = (comparator, float(np.mean(outcomes)))
     return out
 
 
-def _rule_model_accuracy(
-    comparator: PlanComparator,
-    measurement_set: MeasurementSet,
-    size: int,
-    use_interactions: bool,
-    harness: BenchmarkHarness,
-) -> float:
-    """Pairwise accuracy of a training-free comparator on measured vectors."""
-    from repro.core.encoder import normalize_cardinalities
-
-    correct = 0
-    total = 0
-    for measurements in _grouped_by_template(measurement_set, size).values():
-        if len(measurements) < 2:
-            continue
-        if use_interactions:
-            episodes = harness.episode_vector_matrix(measurements)
-            episode_latencies = [
-                [m.sessions[0].episode_seconds[e] for m in measurements]
-                for e in range(len(episodes))
-            ]
-        else:
-            vectors, latencies = harness.initial_render_vectors(measurements)
-            episodes = [vectors]
-            episode_latencies = [latencies]
-        for vectors, latencies in zip(episodes, episode_latencies):
-            # Rule-based comparators reason about raw row counts
-            # (wants_normalized=False); learned models about the
-            # log-normalised features they were trained on.
-            if comparator.wants_normalized:
-                encoded = normalize_cardinalities(list(vectors))
-            else:
-                encoded = list(vectors)
-            for i in range(len(encoded)):
-                for j in range(i + 1, len(encoded)):
-                    truth = 1 if latencies[i] < latencies[j] else 0
-                    if comparator.compare(encoded[i], encoded[j]) == truth:
-                        correct += 1
-                    total += 1
-    return correct / total if total else 0.0
+def _episodes(
+    measurements: Sequence[PlanMeasurement], use_interactions: bool
+) -> list[tuple[list[PlanVector], list[float]]]:
+    """The labelled episodes one template's measurements contribute."""
+    if use_interactions:
+        return BenchmarkHarness.interaction_episodes(measurements)
+    return [BenchmarkHarness.initial_render_vectors(measurements)]
 
 
 def _grouped_by_template(
@@ -303,11 +267,9 @@ def table2(
         title="Table 2: pairwise accuracy (initial rendering)"
     )
     for size in sizes:
-        models = _fit_models_for_size(
-            measurement_set, size, use_interactions=False, harness=harness, seed=seed
-        )
-        for kind, (_comparator, accuracy) in models.items():
-            result.accuracy.setdefault(_model_label(kind), {})[size] = accuracy
+        models = _fit_models_for_size(measurement_set, size, use_interactions=False, seed=seed)
+        for label, (_comparator, accuracy) in models.items():
+            result.accuracy.setdefault(label, {})[size] = accuracy
     return result
 
 
@@ -355,19 +317,16 @@ def table3(
         title="Table 3: initial-render latency of selected plans (s)"
     )
     for size in sizes:
-        models = _fit_models_for_size(
-            measurement_set, size, use_interactions=False, harness=harness, seed=seed
-        )
-        totals: dict[str, float] = {_model_label(k): 0.0 for k in models}
+        models = _fit_models_for_size(measurement_set, size, use_interactions=False, seed=seed)
+        totals: dict[str, float] = {label: 0.0 for label in models}
         optimal_total = 0.0
         for measurements in _grouped_by_template(measurement_set, size).values():
             vectors, latencies = harness.initial_render_vectors(measurements)
             if len(vectors) < 2:
                 continue
             optimal_total += min(latencies)
-            for kind, (comparator, _accuracy) in models.items():
-                pick = comparator.select_best(vectors)
-                totals[_model_label(kind)] += latencies[pick]
+            for label, (comparator, _accuracy) in models.items():
+                totals[label] += latencies[comparator.select_best(vectors)]
         for label, value in totals.items():
             result.seconds.setdefault(label, {})[size] = value
         result.seconds.setdefault("optimal", {})[size] = optimal_total
@@ -395,11 +354,9 @@ def table4(
         title="Table 4: pairwise accuracy (interaction episodes)"
     )
     for size in sizes:
-        models = _fit_models_for_size(
-            measurement_set, size, use_interactions=True, harness=harness, seed=seed
-        )
-        for kind, (_comparator, accuracy) in models.items():
-            result.accuracy.setdefault(_model_label(kind), {})[size] = accuracy
+        models = _fit_models_for_size(measurement_set, size, use_interactions=True, seed=seed)
+        for label, (_comparator, accuracy) in models.items():
+            result.accuracy.setdefault(label, {})[size] = accuracy
     return result
 
 
@@ -456,14 +413,13 @@ def table5(
         episodes = harness.episode_vector_matrix(measurements)
         session_latency = [m.sessions[0].total_seconds for m in measurements]
         pair_data = harness.interaction_dataset(measurements)
-        comparators: dict[str, PlanComparator] = {}
-        for kind in ("ranksvm", "random_forest", "heuristic"):
-            comparators[_model_label(kind)] = train_comparator(
-                kind, pair_data, seed=seed
-            ).comparator
-        for label, comparator in comparators.items():
+        comparators: list[PlanComparator] = [
+            train_comparator(kind, pair_data, seed=seed).comparator
+            for kind in ("ranksvm", "random_forest")
+        ]
+        for comparator in [*comparators, HeuristicComparator()]:
             decision = consolidate_session(comparator, episodes)
-            result.seconds.setdefault(label, {})[size] = session_latency[
+            result.seconds.setdefault(comparator.name, {})[size] = session_latency[
                 decision.best_plan_index
             ]
         result.seconds.setdefault("optimal", {})[size] = min(session_latency)
@@ -568,27 +524,19 @@ def figure7(
     harness = harness or BenchmarkHarness(seed=seed)
     if measurement_set is None:
         measurement_set = collect_measurements(harness, templates, [size], dataset)
-    models = _fit_models_for_size(
-        measurement_set, size, use_interactions=False, harness=harness, seed=seed
-    )
+    models = _fit_models_for_size(measurement_set, size, use_interactions=False, seed=seed)
     edges = list(np.linspace(0.0, 1.0, n_bins + 1))
     result = Figure7Result(bins=edges)
-    for kind, (comparator, _accuracy) in models.items():
+    for label, (comparator, _accuracy) in models.items():
         errors: list[float] = []
         for measurements in _grouped_by_template(measurement_set, size).values():
             vectors, latencies = harness.initial_render_vectors(measurements)
-            for i in range(len(vectors)):
-                for j in range(i + 1, len(vectors)):
-                    truth = 1 if latencies[i] < latencies[j] else 0
-                    predicted = comparator.compare(vectors[i], vectors[j])
-                    if predicted == truth:
-                        continue
-                    worse = max(latencies[i], latencies[j])
-                    better = min(latencies[i], latencies[j])
-                    if worse <= 0:
-                        continue
+            for predicted, truth, first, second in pairwise_outcomes(
+                comparator, vectors, latencies
+            ):
+                worse, better = max(first, second), min(first, second)
+                if predicted != truth and worse > 0:
                     errors.append((worse - better) / worse)
-        label = _model_label(kind)
         histogram, _ = np.histogram(errors, bins=edges)
         result.histograms[label] = [int(c) for c in histogram]
         result.mean_scaled_error[label] = float(np.mean(errors)) if errors else 0.0
@@ -801,12 +749,3 @@ def _fresh_system(configuration, harness: BenchmarkHarness, comparator: PlanComp
         codec=harness.codec,
         enable_cache=harness.enable_cache,
     )
-
-
-def _model_label(kind: str) -> str:
-    return {
-        "ranksvm": "RankSVM",
-        "random_forest": "Random Forest",
-        "heuristic": "heuristic",
-        "random": "random",
-    }.get(kind, kind)

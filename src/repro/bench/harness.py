@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.backends import SQLBackend, create_backend
 from repro.bench.workload import WorkloadGenerator
-from repro.core.comparators import PairDataset, build_pair_dataset
+from repro.core.comparators import PairDataset, build_pair_dataset, stack_pair_datasets
 from repro.core.encoder import PlanEncoder, PlanVector
 from repro.core.enumerator import PlanEnumerator
 from repro.core.plan import ExecutionPlan
@@ -319,33 +319,31 @@ class BenchmarkHarness:
             latencies.append(measurement.mean_initial_seconds())
         return vectors, latencies
 
-    def interaction_dataset(
-        self, measurements: Sequence[PlanMeasurement]
-    ) -> PairDataset:
+    @staticmethod
+    def interaction_dataset(measurements: Sequence[PlanMeasurement]) -> PairDataset:
         """Pairwise training data built from every interaction episode."""
-        all_vectors: list[PlanVector] = []
-        all_latencies: list[float] = []
-        datasets: list[PairDataset] = []
-        n_episodes = min(
-            len(m.sessions[0].episode_seconds) for m in measurements if m.sessions
-        )
-        for episode in range(n_episodes):
-            vectors = []
-            latencies = []
-            for measurement in measurements:
-                session = measurement.sessions[0]
-                vectors.append(session.episode_vectors[episode])
-                latencies.append(session.episode_seconds[episode])
-            if len(vectors) >= 2:
-                datasets.append(build_pair_dataset(vectors, latencies))
-            all_vectors.extend(vectors)
-            all_latencies.extend(latencies)
+        datasets = [
+            build_pair_dataset(vectors, latencies)
+            for vectors, latencies in BenchmarkHarness.interaction_episodes(measurements)
+            if len(vectors) >= 2
+        ]
         if not datasets:
             raise BenchmarkError("no interaction episodes to build pairs from")
-        differences = np.vstack([d.differences for d in datasets])
-        labels = np.concatenate([d.labels for d in datasets])
-        gaps = np.concatenate([d.latency_gaps for d in datasets])
-        return PairDataset(differences=differences, labels=labels, latency_gaps=gaps)
+        return stack_pair_datasets(datasets)
+
+    @staticmethod
+    def interaction_episodes(
+        measurements: Sequence[PlanMeasurement],
+    ) -> list[tuple[list[PlanVector], list[float]]]:
+        """Per episode (initial render first), every plan's vector and latency."""
+        sessions = [m.sessions[0] for m in measurements]
+        return [
+            (
+                [session.episode_vectors[e] for session in sessions],
+                [session.episode_seconds[e] for session in sessions],
+            )
+            for e in range(min(len(session.episode_seconds) for session in sessions))
+        ]
 
     @staticmethod
     def episode_vector_matrix(

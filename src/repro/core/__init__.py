@@ -6,14 +6,13 @@ Pipeline (Section 5):
    client/server partitionings ("execution plans") of a specification,
    respecting data dependencies and SQL-rewritability.
 2. :class:`~repro.core.encoder.PlanEncoder` — encode each plan as a feature
-   vector of operator-type counts and per-type output cardinalities
-   (min-max normalised).
+   vector of operator-type counts and per-type output cardinalities (raw
+   row counts).
 3. :mod:`~repro.core.comparators` — pairwise plan comparators: the naive
    learned models (RankSVM, Random Forest), the heuristic rule model and
-   the random baseline.
+   the random baseline; each maps raw vectors to its own features.
 4. :mod:`~repro.core.consolidation` — combine per-interaction decisions
-   into one plan for a whole exploration session, incrementally as the
-   episodes arrive.
+   into one plan for a whole exploration session.
 5. :class:`~repro.core.optimizer.VegaPlusOptimizer` and
    :class:`~repro.core.system.VegaPlusSystem` — the user-facing facade that
    ties enumeration, encoding, comparison and execution together; the plan
@@ -31,11 +30,7 @@ from repro.core.comparators import (
     RandomComparator,
     train_comparator,
 )
-from repro.core.consolidation import (
-    IncrementalConsolidator,
-    consolidate_session,
-    SessionDecision,
-)
+from repro.core.consolidation import consolidate_session, SessionDecision
 from repro.core.optimizer import VegaPlusOptimizer, OptimizationResult
 from repro.core.system import VegaPlusSystem, InteractionResult
 
@@ -52,7 +47,6 @@ __all__ = [
     "HeuristicComparator",
     "RandomComparator",
     "train_comparator",
-    "IncrementalConsolidator",
     "consolidate_session",
     "SessionDecision",
     "VegaPlusOptimizer",

@@ -13,6 +13,12 @@ selects a best plan from a candidate set:
   learned models' feature weights; no training required.
 * :class:`RandomComparator` — sanity-check baseline picking randomly.
 
+Every entry point takes raw :class:`PlanVector` s, cardinalities in rows.
+Each comparator maps them to its own features exactly once: the learned
+models to :func:`learned_features` (cardinalities on the log scale they
+are trained on), the heuristic to its four rule keys over raw row counts.
+No caller decides how a comparator sees its input.
+
 Best-plan selection, ranking and session consolidation all go through two
 batch methods: :meth:`PlanComparator.costs` (one score per plan, when the
 model has a cost function) and :meth:`PlanComparator.wins` (the round-robin
@@ -20,26 +26,67 @@ tournament).  The base ``wins`` is the literal pairwise loop; the
 deterministic comparators override it with :func:`_round_robin`, which
 judges each *distinct* pair of vectors once, in vectorised blocks.
 
-``train_comparator`` builds the labelled pair dataset
-``(v_i - v_j, y)`` from executed plan vectors and latencies, fits the
-requested model and reports its held-out pairwise accuracy.
+:func:`build_pair_dataset` builds the labelled pairs ``(f_i - f_j, y)``
+of learned features that :func:`train_comparator` fits a learned model
+on; :func:`pairwise_outcomes` is the one walk that judges any comparator
+on measured pairs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.encoder import PlanVector, normalize_cardinalities
+from repro.core.encoder import FEATURE_OPERATOR_TYPES, PlanVector
 from repro.errors import ModelError, OptimizationError
 from repro.ml import RandomForestClassifier, RankSVM, accuracy_score, train_test_split
 
 
 # --------------------------------------------------------------------------- #
-# Pair dataset construction
+# Learned features and pair datasets
 # --------------------------------------------------------------------------- #
+
+
+#: Cardinality normalisation ceiling: the paper's largest benchmark
+#: tables are 10 M rows, so ``log1p(card) / log1p(1e7)`` lands in [0, 1]
+#: for every realistic cardinality (larger values clamp to 1).
+CARDINALITY_LOG_CAP = 1e7
+
+
+def normalize_cardinalities(cardinalities: np.ndarray) -> np.ndarray:
+    """Compress cardinalities to [0, 1] on an absolute log scale.
+
+    Each cardinality becomes ``log1p(card) / log1p(1e7)``, clamped to 1;
+    zero (and below) stays zero.  Unlike the earlier per-candidate-set
+    min-max scaling, the mapping is *set-independent*: a vector encodes
+    identically whatever candidates it is grouped with, so (a) a small
+    plan space cannot squash every non-zero cardinality to 1.0 (with three
+    candidates, min-max over {0, small, huge} made "small" and "huge"
+    nearly indistinguishable — fatal for a comparator that must notice a
+    drifted workload), and (b) training pairs collected across episodes,
+    sessions and data sizes stay mutually comparable.  The log tames the
+    orders-of-magnitude spread the paper's min-max normalisation was
+    addressing.
+    """
+    values = np.asarray(cardinalities, dtype=np.float64)
+    scaled = np.minimum(np.log1p(np.maximum(values, 0.0)) / np.log1p(CARDINALITY_LOG_CAP), 1.0)
+    return np.where(values <= 0.0, 0.0, scaled)
+
+
+def learned_features(vectors: Sequence[PlanVector]) -> np.ndarray:
+    """The learned models' feature matrix, one row per vector.
+
+    ``to_array()`` of every vector — operator counts as they are (small
+    integers), cardinalities through :func:`normalize_cardinalities`.
+    Training pairs and every learned comparator read this one map.
+    """
+    n_types = len(FEATURE_OPERATOR_TYPES)
+    features = np.array([v.to_array() for v in vectors], dtype=np.float64)
+    features = features.reshape(len(vectors), 2 * n_types)
+    features[:, n_types:] = normalize_cardinalities(features[:, n_types:])
+    return features
 
 
 @dataclass
@@ -48,19 +95,15 @@ class PairDataset:
 
     differences: np.ndarray
     labels: np.ndarray
-    #: Per-pair latency gap |t_i - t_j| (used for error analysis, Figure 7).
-    latency_gaps: np.ndarray
 
     def __len__(self) -> int:
         return len(self.labels)
 
 
 def build_pair_dataset(
-    vectors: Sequence[PlanVector],
-    latencies: Sequence[float],
-    normalize: bool = True,
+    vectors: Sequence[PlanVector], latencies: Sequence[float]
 ) -> PairDataset:
-    """Build all ordered pairs ``(i, j), i < j`` with labels.
+    """Build all ordered pairs ``(i, j), i < j`` of learned features with labels.
 
     Label ``1`` means the first plan of the pair is faster, matching the
     paper's ``y = 1 iff latency(v_i) < latency(v_j)``.
@@ -69,20 +112,42 @@ def build_pair_dataset(
         raise OptimizationError("vectors and latencies must align")
     if len(vectors) < 2:
         raise OptimizationError("need at least two plans to build pairs")
-    encoded = normalize_cardinalities(list(vectors)) if normalize else list(vectors)
-    arrays = _feature_matrix(encoded)
+    features = learned_features(vectors)
     seconds = np.asarray(latencies, dtype=np.float64)
-    first, second = np.triu_indices(len(arrays), k=1)
+    first, second = np.triu_indices(len(features), k=1)
     return PairDataset(
-        differences=arrays[first] - arrays[second],
+        differences=features[first] - features[second],
         labels=(seconds[first] < seconds[second]).astype(int),
-        latency_gaps=np.abs(seconds[first] - seconds[second]),
     )
 
 
-def _feature_matrix(vectors: Sequence[PlanVector]) -> np.ndarray:
-    """``to_array()`` of every vector, stacked row-wise."""
-    return np.array([v.to_array() for v in vectors], dtype=np.float64)
+def stack_pair_datasets(parts: Sequence[PairDataset]) -> PairDataset:
+    """One dataset holding the pairs of ``parts``, in order."""
+    return PairDataset(
+        differences=np.vstack([part.differences for part in parts]),
+        labels=np.concatenate([part.labels for part in parts]),
+    )
+
+
+def pairwise_outcomes(
+    comparator: PlanComparator,
+    vectors: Sequence[PlanVector],
+    latencies: Sequence[float],
+) -> Iterator[tuple[int, int, float, float]]:
+    """Judge every measured pair ``i < j`` with ``comparator.compare``.
+
+    Yields ``(predicted, truth, latency_i, latency_j)`` per pair, ``i``
+    outer and ``j`` inner; ``predicted`` and ``truth`` are 1 when the
+    first plan is predicted, respectively measured, to be faster.
+    """
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            yield (
+                comparator.compare(vectors[i], vectors[j]),
+                int(latencies[i] < latencies[j]),
+                latencies[i],
+                latencies[j],
+            )
 
 
 #: Upper bound on the pair judgements one :func:`_round_robin` block holds
@@ -145,16 +210,10 @@ def _round_robin(
 
 
 class PlanComparator:
-    """Interface: pairwise comparison and best-plan selection."""
+    """Interface: pairwise comparison and best-plan selection over raw vectors."""
 
     #: Short name used in benchmark reports ("RankSVM", "heuristic", ...).
     name = "abstract"
-
-    #: Whether this comparator expects log-normalised cardinality features
-    #: (the learned models are trained on them).  Rule-based comparators
-    #: reason about real row counts and set this to False, so decision
-    #: paths hand them raw vectors.
-    wants_normalized = True
 
     def compare(self, first: PlanVector, second: PlanVector) -> int:
         """1 when ``first`` is predicted faster than ``second``, else 0."""
@@ -207,7 +266,21 @@ class PlanComparator:
         return order.tolist()
 
 
-class RankSVMComparator(PlanComparator):
+class _LearnedComparator(PlanComparator):
+    """A model trained on pair differences of :func:`learned_features` rows."""
+
+    model: RankSVM | RandomForestClassifier
+
+    def fit(self, dataset: PairDataset) -> "_LearnedComparator":
+        """Train the underlying model on a pair dataset."""
+        self.model.fit(dataset.differences, dataset.labels)
+        return self
+
+    def compare(self, first: PlanVector, second: PlanVector) -> int:
+        return self.model.predict_pair(*learned_features([first, second]))
+
+
+class RankSVMComparator(_LearnedComparator):
     """Naive learned comparator backed by the linear RankSVM."""
 
     name = "RankSVM"
@@ -215,26 +288,18 @@ class RankSVMComparator(PlanComparator):
     def __init__(self, model: RankSVM | None = None) -> None:
         self.model = model or RankSVM()
 
-    def fit(self, dataset: PairDataset) -> "RankSVMComparator":
-        """Train the underlying RankSVM on a pair dataset."""
-        self.model.fit(dataset.differences, dataset.labels)
-        return self
-
-    def compare(self, first: PlanVector, second: PlanVector) -> int:
-        return self.model.predict_pair(first.to_array(), second.to_array())
-
     def cost(self, vector: PlanVector) -> float:
-        return float(self.model.cost(vector.to_array())[0])
+        return float(self.costs([vector])[0])
 
     def costs(self, vectors: Sequence[PlanVector]) -> np.ndarray:
-        return self.model.cost(_feature_matrix(vectors))
+        return self.model.cost(learned_features(vectors))
 
     def feature_weights(self) -> np.ndarray:
         """Learned weights — inspected to derive the heuristic rules."""
         return self.model.feature_weights()
 
 
-class RandomForestComparator(PlanComparator):
+class RandomForestComparator(_LearnedComparator):
     """Naive learned comparator backed by the Random Forest."""
 
     name = "Random Forest"
@@ -242,16 +307,8 @@ class RandomForestComparator(PlanComparator):
     def __init__(self, model: RandomForestClassifier | None = None) -> None:
         self.model = model or RandomForestClassifier(n_estimators=25, max_depth=8)
 
-    def fit(self, dataset: PairDataset) -> "RandomForestComparator":
-        """Train the forest on a pair dataset."""
-        self.model.fit(dataset.differences, dataset.labels)
-        return self
-
-    def compare(self, first: PlanVector, second: PlanVector) -> int:
-        return self.model.predict_pair(first.to_array(), second.to_array())
-
     def wins(self, vectors: Sequence[PlanVector]) -> np.ndarray:
-        return _round_robin(_feature_matrix(vectors), self._first_beats)
+        return _round_robin(learned_features(vectors), self._first_beats)
 
     def _first_beats(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         differences = first[:, None, :] - second[None, :, :]
@@ -282,10 +339,6 @@ class HeuristicComparator(PlanComparator):
 
     name = "heuristic"
 
-    #: The rules compare real row-count ratios (rule 1's ``alpha``), so
-    #: decision paths must hand this comparator raw cardinalities.
-    wants_normalized = False
-
     def __init__(self, alpha: float = 1.5, cardinality_epsilon: float = 1e-9) -> None:
         if alpha < 1.0:
             raise OptimizationError("alpha must be >= 1")
@@ -306,6 +359,8 @@ class HeuristicComparator(PlanComparator):
         return 1
 
     def wins(self, vectors: Sequence[PlanVector]) -> np.ndarray:
+        # The four rule keys are this comparator's features: raw row counts,
+        # since rule 1 compares cardinality ratios against ``alpha``.
         keys = np.array(
             [
                 (
@@ -414,71 +469,30 @@ def train_comparator(
     test_fraction: float = 0.4,
     seed: int = 0,
 ) -> TrainingReport:
-    """Train a comparator of the requested ``kind`` and report accuracy.
+    """Fit a learned comparator of ``kind`` and report its pairwise accuracy.
 
-    ``kind`` is one of ``"ranksvm"``, ``"random_forest"``, ``"heuristic"``
-    or ``"random"`` (the last two need no training; accuracy is evaluated
-    on the full dataset's pairs for reporting).
+    ``kind`` is ``"ranksvm"`` or ``"random_forest"``; the model trains on
+    a ``1 - test_fraction`` split of ``dataset``'s pairs and is scored on
+    the rest.  The heuristic and random comparators need no training:
+    build them directly and judge them with :func:`pairwise_outcomes`.
     """
     kind = kind.lower().replace(" ", "_").replace("-", "_")
     if kind in ("ranksvm", "svm"):
-        comparator: PlanComparator = RankSVMComparator(RankSVM(seed=seed))
+        comparator: _LearnedComparator = RankSVMComparator(RankSVM(seed=seed))
     elif kind in ("random_forest", "rf", "forest"):
         comparator = RandomForestComparator(
             RandomForestClassifier(n_estimators=25, max_depth=8, seed=seed)
         )
-    elif kind == "heuristic":
-        comparator = HeuristicComparator()
-    elif kind == "random":
-        comparator = RandomComparator(seed=seed)
     else:
-        raise OptimizationError(f"unknown comparator kind {kind!r}")
+        raise OptimizationError(f"unknown learned comparator kind {kind!r}")
 
-    if isinstance(comparator, (RankSVMComparator, RandomForestComparator)):
-        x_train, x_test, y_train, y_test = train_test_split(
-            dataset.differences, dataset.labels, test_fraction=test_fraction, seed=seed
-        )
-        train_subset = PairDataset(
-            differences=x_train, labels=y_train, latency_gaps=np.zeros(len(y_train))
-        )
-        comparator.fit(train_subset)
-        train_accuracy = accuracy_score(y_train, comparator.model.predict(x_train))
-        test_accuracy = accuracy_score(y_test, comparator.model.predict(x_test))
-    else:
-        # Rule-based / random models: evaluate directly on the pair labels.
-        predictions = _predict_pairs_from_differences(comparator, dataset)
-        train_accuracy = test_accuracy = accuracy_score(dataset.labels, predictions)
-
+    x_train, x_test, y_train, y_test = train_test_split(
+        dataset.differences, dataset.labels, test_fraction=test_fraction, seed=seed
+    )
+    comparator.fit(PairDataset(differences=x_train, labels=y_train))
     return TrainingReport(
         comparator=comparator,
-        train_accuracy=train_accuracy,
-        test_accuracy=test_accuracy,
+        train_accuracy=accuracy_score(y_train, comparator.model.predict(x_train)),
+        test_accuracy=accuracy_score(y_test, comparator.model.predict(x_test)),
         n_pairs=len(dataset),
     )
-
-
-def _predict_pairs_from_differences(
-    comparator: PlanComparator, dataset: PairDataset
-) -> np.ndarray:
-    """Evaluate a non-learned comparator on difference vectors.
-
-    Difference vectors lose the individual plan vectors, so rebuild two
-    synthetic vectors per pair: the difference against the zero vector.
-    This preserves the relative feature values the rules inspect.
-    """
-    from repro.core.encoder import FEATURE_OPERATOR_TYPES
-
-    predictions = []
-    n_types = len(FEATURE_OPERATOR_TYPES)
-    for diff in dataset.differences:
-        first = PlanVector(plan_id=0)
-        second = PlanVector(plan_id=1)
-        for index, op_type in enumerate(FEATURE_OPERATOR_TYPES):
-            delta_count = diff[index]
-            delta_card = diff[n_types + index]
-            first.counts[op_type] = max(delta_count, 0.0)
-            second.counts[op_type] = max(-delta_count, 0.0)
-            first.cardinalities[op_type] = max(delta_card, 0.0)
-            second.cardinalities[op_type] = max(-delta_card, 0.0)
-        predictions.append(comparator.compare(first, second))
-    return np.array(predictions)

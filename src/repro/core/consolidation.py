@@ -12,11 +12,10 @@ those per-episode judgements into a single plan choice for the session:
 * episode weights are configurable, e.g. to downweight the initial
   rendering or emphasise the immediate next interactions.
 
-Consolidation is *incremental*: an :class:`IncrementalConsolidator`
-accumulates per-plan scores episode by episode and can report the current
-best plan after every :meth:`~IncrementalConsolidator.add_episode`.
-:func:`consolidate_session`, the one-shot API the optimizer calls, is
-built on top of it.
+Which of the two scores a session gets is a property of the comparator:
+its :meth:`~repro.core.comparators.PlanComparator.costs` is ``None`` or
+it is not.  The optimizer decides once per session, so
+:func:`consolidate_session` folds every episode in one call.
 """
 
 from __future__ import annotations
@@ -45,78 +44,24 @@ class SessionDecision:
         return np.argsort(scores if self.score_kind == "cost" else -scores).tolist()
 
 
-class IncrementalConsolidator:
-    """Accumulates per-episode plan judgements into a running decision.
-
-    Episodes arrive one at a time (``add_episode``); after each, the
-    current consolidated decision is available from :meth:`decision`.
-    Scoring matches :func:`consolidate_session` exactly: summed weighted
-    costs when the comparator exposes a cost function, weighted round-
-    robin win counts otherwise.  The score kind is decided by the *first*
-    episode and pinned — a comparator whose cost function appears later
-    cannot retroactively change the accumulated score semantics.
-    """
-
-    def __init__(self, comparator: PlanComparator, n_plans: int) -> None:
-        if n_plans <= 0:
-            raise OptimizationError("consolidation requires at least one plan")
-        self.comparator = comparator
-        self.n_plans = n_plans
-        self.n_episodes = 0
-        self._scores = np.zeros(n_plans, dtype=np.float64)
-        self._score_kind: str | None = None
-
-    # -------------------------------------------------------------- #
-    def add_episode(
-        self, vectors: Sequence[PlanVector], weight: float = 1.0
-    ) -> SessionDecision:
-        """Fold one episode's per-plan vectors in; returns the new decision."""
-        if len(vectors) != self.n_plans:
-            raise OptimizationError(
-                f"episode covers {len(vectors)} plans, consolidator expects {self.n_plans}"
-            )
-        costs = self.comparator.costs(vectors)
-        if self._score_kind is None:
-            self._score_kind = "cost" if costs is not None else "wins"
-        if self._score_kind == "wins":
-            self._scores += weight * self.comparator.wins(vectors)
-        elif costs is None:
-            raise OptimizationError("comparator stopped providing costs mid-consolidation")
-        else:
-            self._scores += weight * costs
-        self.n_episodes += 1
-        return self.decision()
-
-    def decision(self) -> SessionDecision:
-        """The consolidated decision over all episodes folded in so far."""
-        if self._score_kind is None:
-            raise OptimizationError("no episodes consolidated yet")
-        if self._score_kind == "cost":
-            best = int(np.argmin(self._scores))
-        else:
-            best = int(np.argmax(self._scores))
-        return SessionDecision(
-            best_plan_index=best,
-            per_plan_score=list(self._scores),
-            score_kind=self._score_kind,
-        )
-
-
 def consolidate_session(
     comparator: PlanComparator,
     episode_vectors: Sequence[Sequence[PlanVector]],
     episode_weights: Sequence[float] | Mapping[int, float] | None = None,
 ) -> SessionDecision:
-    """Pick one plan for a whole session (one-shot consolidation).
+    """Pick one plan for a whole session.
+
+    Scores are the weighted sum of per-episode ``costs()`` when the
+    comparator has a cost function, else of per-episode ``wins()``.
 
     Parameters
     ----------
     comparator:
         The trained (or rule-based) plan comparator.
     episode_vectors:
-        ``episode_vectors[e][p]`` is the vector of plan ``p`` during episode
-        ``e`` (episode 0 = initial rendering).  All episodes must cover the
-        same plans in the same order.
+        ``episode_vectors[e][p]`` is the raw vector of plan ``p`` during
+        episode ``e`` (episode 0 = initial rendering).  All episodes must
+        cover the same plans in the same order.
     episode_weights:
         Optional per-episode weights (sequence aligned with episodes or a
         mapping from episode index).  Defaults to uniform weights.
@@ -124,14 +69,24 @@ def consolidate_session(
     if not episode_vectors:
         raise OptimizationError("consolidation requires at least one episode")
     n_plans = len(episode_vectors[0])
+    if n_plans == 0:
+        raise OptimizationError("consolidation requires at least one plan")
     for episode in episode_vectors:
         if len(episode) != n_plans:
             raise OptimizationError("all episodes must cover the same candidate plans")
     weights = _resolve_weights(episode_weights, len(episode_vectors))
-    consolidator = IncrementalConsolidator(comparator, n_plans)
-    for episode, weight in zip(episode_vectors, weights):
-        consolidator.add_episode(episode, weight)
-    return consolidator.decision()
+    score_kind = "cost"
+    scores = [comparator.costs(episode) for episode in episode_vectors]
+    if scores[0] is None:
+        score_kind = "wins"
+        scores = [comparator.wins(episode) for episode in episode_vectors]
+    total = np.zeros(n_plans, dtype=np.float64)
+    for weight, score in zip(weights, scores):
+        total += weight * score
+    best = np.argmin(total) if score_kind == "cost" else np.argmax(total)
+    return SessionDecision(
+        best_plan_index=int(best), per_plan_score=list(total), score_kind=score_kind
+    )
 
 
 def _resolve_weights(

@@ -2,13 +2,13 @@
 
 A plan vector concatenates, for a fixed list of operator types, (a) the
 count of operators of that type in the plan's dataflow and (b) the sum of
-their output cardinalities.  Cardinalities span orders of magnitude, so
-they are compressed to [0, 1] on an absolute log scale before training /
-comparison (see :func:`normalize_cardinalities` for why the paper's
-min-max-per-candidate-set scaling was replaced).  Structural features are
-deliberately omitted — the paper
-argues the single-threaded, loop-free client runtime makes operator-type
-distribution plus cardinalities sufficient for *pairwise* discrimination.
+their output cardinalities, in rows.  Each comparator maps these raw
+vectors to its own features (the learned models compress cardinalities
+to an absolute log scale, see
+:func:`repro.core.comparators.normalize_cardinalities`).  Structural
+features are deliberately omitted — the paper argues the single-threaded,
+loop-free client runtime makes operator-type distribution plus
+cardinalities sufficient for *pairwise* discrimination.
 
 Two encoding modes are provided:
 
@@ -114,53 +114,6 @@ def feature_names() -> list[str]:
     return [f"count_{t}" for t in FEATURE_OPERATOR_TYPES] + [
         f"cardinality_{t}" for t in FEATURE_OPERATOR_TYPES
     ]
-
-
-#: Cardinality normalisation ceiling: the paper's largest benchmark
-#: tables are 10 M rows, so ``log1p(card) / log1p(1e7)`` lands in [0, 1]
-#: for every realistic cardinality (larger values clamp to 1).
-CARDINALITY_LOG_CAP = 1e7
-
-
-def normalize_cardinality(value: float) -> float:
-    """One cardinality on the absolute log scale (order-preserving)."""
-    if value <= 0.0:
-        return 0.0
-    return float(min(np.log1p(value) / np.log1p(CARDINALITY_LOG_CAP), 1.0))
-
-
-def normalize_cardinalities(vectors: list[PlanVector]) -> list[PlanVector]:
-    """Compress cardinality features to [0, 1] on an absolute log scale.
-
-    Counts are left untouched (they are already small integers); each
-    cardinality becomes ``log1p(card) / log1p(1e7)``.  Unlike the
-    earlier per-candidate-set min-max scaling, the mapping is
-    *set-independent*: a vector encodes identically whatever candidates
-    it is grouped with, so (a) a small plan space cannot squash every
-    non-zero cardinality to 1.0 (with three candidates, min-max over
-    {0, small, huge} made "small" and "huge" nearly indistinguishable —
-    fatal for a comparator that must notice a drifted workload), and
-    (b) training pairs collected across episodes, sessions and data
-    sizes stay mutually comparable.  The log tames the orders-of-
-    magnitude spread the paper's min-max normalisation was addressing.
-    """
-    if not vectors:
-        return []
-    normalised: list[PlanVector] = []
-    for vector in vectors:
-        scaled = {
-            op_type: normalize_cardinality(value)
-            for op_type, value in vector.cardinalities.items()
-        }
-        normalised.append(
-            PlanVector(
-                plan_id=vector.plan_id,
-                counts=dict(vector.counts),
-                cardinalities=scaled,
-                episode=vector.episode,
-            )
-        )
-    return normalised
 
 
 @dataclass(frozen=True)

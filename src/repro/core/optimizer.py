@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.core.comparators import HeuristicComparator, PlanComparator
 from repro.core.consolidation import SessionDecision, consolidate_session
-from repro.core.encoder import (
-    OperatorRecord,
-    PlanEncoder,
-    PlanVector,
-    fold_records,
-    normalize_cardinalities,
-)
+from repro.core.encoder import OperatorRecord, PlanEncoder, PlanVector, fold_records
 from repro.core.enumerator import PlanEnumerator
 from repro.core.plan import ExecutionPlan
 from repro.errors import OptimizationError
@@ -154,7 +148,6 @@ class VegaPlusOptimizer:
         self,
         plans: Sequence[ExecutionPlan],
         anticipated_interactions: Sequence[Mapping[str, object]] | None = None,
-        normalize: bool | None = None,
     ) -> list[list[PlanVector]]:
         """Encode every candidate, optionally once per anticipated interaction.
 
@@ -164,27 +157,19 @@ class VegaPlusOptimizer:
         re-evaluates).  Every vector equals
         ``encoder.encode_estimated(self.build(plan))`` restricted likewise,
         but candidates are not built one by one — see :class:`_PlanSpace`.
-
-        ``normalize`` controls whether cardinalities are log-normalised;
-        the default follows the configured comparator's
-        ``wants_normalized`` flag (learned models train on normalised
-        features, rule-based models reason about raw row counts).
+        Vectors carry raw cardinalities: the comparator maps them to its
+        own features.
         """
         if not plans:
             raise OptimizationError("no candidate plans to encode")
-        if normalize is None:
-            normalize = self.comparator.wants_normalized
-        scale = normalize_cardinalities if normalize else list
         space = _PlanSpace(self.rewriter, self.encoder)
         records = [space.records(plan) for plan in plans]
         changed_per_episode = [None, *(set(i) for i in anticipated_interactions or [])]
         return [
-            scale(
-                [
-                    fold_records(plan_records, plan.plan_id, episode, changed)
-                    for plan, plan_records in zip(plans, records)
-                ]
-            )
+            [
+                fold_records(plan_records, plan.plan_id, episode, changed)
+                for plan, plan_records in zip(plans, records)
+            ]
             for episode, changed in enumerate(changed_per_episode)
         ]
 

@@ -11,22 +11,20 @@ scikit-learn:
 * :class:`~repro.ml.decision_tree.DecisionTreeClassifier` and
   :class:`~repro.ml.random_forest.RandomForestClassifier` — CART trees with
   Gini impurity and a bootstrap-aggregated forest.
-* :mod:`~repro.ml.preprocessing` — min-max scaling and train/test splits.
-* :mod:`~repro.ml.metrics` — accuracy and confusion counts.
+* :mod:`~repro.ml.preprocessing` — train/test splits.
+* :mod:`~repro.ml.metrics` — accuracy.
 """
 
-from repro.ml.preprocessing import MinMaxScaler, train_test_split
+from repro.ml.preprocessing import train_test_split
 from repro.ml.ranksvm import RankSVM
 from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.ml.random_forest import RandomForestClassifier
-from repro.ml.metrics import accuracy_score, confusion_counts
+from repro.ml.metrics import accuracy_score
 
 __all__ = [
-    "MinMaxScaler",
     "train_test_split",
     "RankSVM",
     "DecisionTreeClassifier",
     "RandomForestClassifier",
     "accuracy_score",
-    "confusion_counts",
 ]

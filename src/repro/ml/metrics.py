@@ -16,17 +16,3 @@ def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     if len(y_true) == 0:
         return 0.0
     return float(np.mean(y_true == y_pred))
-
-
-def confusion_counts(y_true: np.ndarray, y_pred: np.ndarray) -> dict[str, int]:
-    """Binary confusion-matrix counts (labels are 0/1)."""
-    y_true = np.asarray(y_true).astype(int)
-    y_pred = np.asarray(y_pred).astype(int)
-    if len(y_true) != len(y_pred):
-        raise ModelError("y_true and y_pred must have the same length")
-    return {
-        "true_positive": int(np.sum((y_true == 1) & (y_pred == 1))),
-        "true_negative": int(np.sum((y_true == 0) & (y_pred == 0))),
-        "false_positive": int(np.sum((y_true == 0) & (y_pred == 1))),
-        "false_negative": int(np.sum((y_true == 1) & (y_pred == 0))),
-    }

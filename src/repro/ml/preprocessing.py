@@ -1,44 +1,10 @@
-"""Feature preprocessing: scaling and dataset splitting."""
+"""Feature preprocessing: dataset splitting."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.errors import ModelError
-
-
-class MinMaxScaler:
-    """Scales each feature to the [0, 1] range.
-
-    The paper applies a min-max normaliser to the cardinality features of
-    plan vectors because cardinalities span several orders of magnitude.
-    """
-
-    def __init__(self) -> None:
-        self.minimum_: np.ndarray | None = None
-        self.maximum_: np.ndarray | None = None
-
-    def fit(self, features: np.ndarray) -> "MinMaxScaler":
-        """Learn per-feature minima and maxima."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2:
-            raise ModelError("MinMaxScaler expects a 2-D feature matrix")
-        self.minimum_ = features.min(axis=0)
-        self.maximum_ = features.max(axis=0)
-        return self
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        """Scale ``features`` with the learned ranges (constants map to 0)."""
-        if self.minimum_ is None or self.maximum_ is None:
-            raise ModelError("MinMaxScaler.transform called before fit")
-        features = np.asarray(features, dtype=np.float64)
-        span = self.maximum_ - self.minimum_
-        safe_span = np.where(span == 0, 1.0, span)
-        return (features - self.minimum_) / safe_span
-
-    def fit_transform(self, features: np.ndarray) -> np.ndarray:
-        """Fit and transform in one call."""
-        return self.fit(features).transform(features)
 
 
 def train_test_split(

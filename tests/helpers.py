@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.core.encoder import PlanVector, _operator_type
+import numpy as np
+
+from repro.core.encoder import FEATURE_OPERATOR_TYPES, PlanVector, _operator_type
 from repro.storage.resultset import ResultSet
 from repro.storage.table import Table
 
@@ -35,3 +37,12 @@ def reference_vector(encoder, built, plan_id, episode=0, interaction=None):
             vector.cardinalities.get(op_type, 0.0) + estimates.get(operator.id, 0.0)
         )
     return vector
+
+
+def scaled_by_hand(vector: PlanVector) -> np.ndarray:
+    """``vector.to_array()`` with every cardinality on the learned log scale."""
+    row = vector.to_array()
+    for index in range(len(FEATURE_OPERATOR_TYPES), len(row)):
+        if row[index] > 0.0:
+            row[index] = min(np.log1p(row[index]) / np.log1p(1e7), 1.0)
+    return row

@@ -13,16 +13,14 @@ from repro.core.comparators import (
     RandomForestComparator,
     RankSVMComparator,
     build_pair_dataset,
+    pairwise_outcomes,
     train_comparator,
 )
-from repro.core.consolidation import (
-    IncrementalConsolidator,
-    consolidate_session,
-    downweight_initial_render,
-)
-from repro.core.encoder import FEATURE_OPERATOR_TYPES, PlanVector, normalize_cardinalities
+from repro.core.consolidation import consolidate_session, downweight_initial_render
+from repro.core.encoder import FEATURE_OPERATOR_TYPES, PlanVector
 from repro.errors import OptimizationError
 from repro.ml import RandomForestClassifier, RankSVM
+from helpers import scaled_by_hand
 
 
 def make_vectors(cardinalities):
@@ -40,10 +38,13 @@ def make_vectors(cardinalities):
 
 def test_build_pair_dataset_labels_and_gaps():
     vectors = make_vectors([10, 1000])
-    dataset = build_pair_dataset(vectors, [0.1, 2.0], normalize=False)
+    dataset = build_pair_dataset(vectors, [0.1, 2.0])
     assert len(dataset) == 1
     assert dataset.labels[0] == 1  # first plan is faster
-    assert dataset.latency_gaps[0] == pytest.approx(1.9)
+    # The pair's feature gap is between learned features: log-scaled rows.
+    assert dataset.differences[0].tolist() == (
+        scaled_by_hand(vectors[0]) - scaled_by_hand(vectors[1])
+    ).tolist()
 
 
 def test_build_pair_dataset_requires_two_plans():
@@ -134,7 +135,7 @@ def test_ranksvm_comparator_learns_cardinality_rule():
     vectors, latencies = synthetic_training_set()
     dataset = build_pair_dataset(vectors, latencies)
     comparator = RankSVMComparator().fit(dataset)
-    best = comparator.select_best(normalize_cardinalities(vectors))
+    best = comparator.select_best(vectors)
     assert latencies[best] <= sorted(latencies)[2]  # among the fastest plans
     assert comparator.cost(vectors[best]) is not None
     assert comparator.feature_weights().shape[0] == len(vectors[0].to_array())
@@ -144,11 +145,10 @@ def test_random_forest_comparator_learns_and_votes():
     vectors, latencies = synthetic_training_set()
     dataset = build_pair_dataset(vectors, latencies)
     comparator = RandomForestComparator().fit(dataset)
-    normalized = normalize_cardinalities(vectors)
-    best = comparator.select_best(normalized)
+    best = comparator.select_best(vectors)
     assert latencies[best] <= sorted(latencies)[3]
-    assert comparator.cost(normalized[0]) is None  # rank-only model
-    ranking = comparator.rank(normalized)
+    assert comparator.cost(vectors[0]) is None  # rank-only model
+    ranking = comparator.rank(vectors)
     assert len(ranking) == len(vectors)
     assert ranking[0] == best
 
@@ -156,15 +156,64 @@ def test_random_forest_comparator_learns_and_votes():
 def test_train_comparator_reports_accuracy():
     vectors, latencies = synthetic_training_set(n_plans=16)
     dataset = build_pair_dataset(vectors, latencies)
-    for kind in ("ranksvm", "random_forest", "heuristic", "random"):
+    for kind in ("ranksvm", "random_forest"):
         report = train_comparator(kind, dataset, seed=0)
         assert 0.0 <= report.test_accuracy <= 1.0
         assert report.n_pairs == len(dataset)
     svm = train_comparator("ranksvm", dataset, seed=0)
-    rnd = train_comparator("random", dataset, seed=0)
-    assert svm.test_accuracy > rnd.test_accuracy
-    with pytest.raises(OptimizationError):
-        train_comparator("neural", dataset)
+    outcomes = list(pairwise_outcomes(RandomComparator(seed=0), vectors, latencies))
+    random_accuracy = np.mean([predicted == truth for predicted, truth, _, _ in outcomes])
+    assert svm.test_accuracy > random_accuracy
+    # Training-free comparators are built directly, not trained.
+    for kind in ("heuristic", "random", "neural"):
+        with pytest.raises(OptimizationError):
+            train_comparator(kind, dataset)
+
+
+def test_pairwise_outcomes_walk_every_pair_in_order():
+    vectors = make_vectors([300, 10, 20])
+    latencies = [0.3, 0.1, 0.2]
+    outcomes = list(pairwise_outcomes(HeuristicComparator(), vectors, latencies))
+    assert outcomes == [(0, 0, 0.3, 0.1), (0, 0, 0.3, 0.2), (1, 1, 0.1, 0.2)]
+
+
+@pytest.mark.parametrize("kind", ["ranksvm", "random_forest"])
+def test_learned_comparators_scale_raw_vectors_themselves(kind):
+    vectors, latencies = synthetic_training_set()
+    comparator = train_comparator(kind, build_pair_dataset(vectors, latencies)).comparator
+    later, _ = synthetic_training_set(seed=1)
+    model = comparator.model
+    n = len(vectors)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def literal_wins(episode):
+        rows = [scaled_by_hand(vector) for vector in episode]
+        wins = np.zeros(n)
+        for i, j in pairs:
+            wins[i if model.predict_pair(rows[i], rows[j]) == 1 else j] += 1
+        return wins
+
+    rows = [scaled_by_hand(vector) for vector in vectors]
+    assert [comparator.compare(vectors[i], vectors[j]) for i, j in pairs] == [
+        model.predict_pair(rows[i], rows[j]) for i, j in pairs
+    ]
+    wins = literal_wins(vectors)
+    assert comparator.wins(vectors).tolist() == wins.tolist()
+    if kind == "ranksvm":
+        costs = model.cost(np.array(rows))
+        later_costs = model.cost(np.array([scaled_by_hand(vector) for vector in later]))
+        assert comparator.costs(vectors).tolist() == costs.tolist()
+        assert [comparator.cost(vector) for vector in vectors] == costs.tolist()
+        assert comparator.select_best(vectors) == int(np.argmin(costs))
+        assert comparator.rank(vectors) == np.argsort(costs).tolist()
+        session = costs + later_costs
+    else:
+        assert comparator.costs(vectors) is None
+        assert comparator.select_best(vectors) == int(np.argmax(wins))
+        assert comparator.rank(vectors) == np.argsort(-wins).tolist()
+        session = wins + literal_wins(later)
+    decision = consolidate_session(comparator, [vectors, later])
+    assert decision.per_plan_score == session.tolist()
 
 
 # --------------------------------------------------------------------------- #
@@ -224,7 +273,6 @@ def test_heuristic_wins_equal_the_pairwise_loop(vectors):
 @given(plan_vector_lists())
 @_differential
 def test_random_forest_wins_equal_the_pairwise_loop(vectors):
-    vectors = normalize_cardinalities(vectors)
     assert _FOREST.wins(vectors).tolist() == PlanComparator.wins(_FOREST, vectors).tolist()
     assert _FOREST.select_best(vectors) == int(np.argmax(PlanComparator.wins(_FOREST, vectors)))
 
@@ -254,7 +302,6 @@ def test_round_robin_blocks_do_not_change_the_result(monkeypatch):
 @given(plan_vector_lists())
 @_differential
 def test_ranksvm_batch_costs_match_per_vector_cost(vectors):
-    vectors = normalize_cardinalities(vectors)
     single = np.array([_SVM.cost(v) for v in vectors])
     batch = _SVM.costs(vectors)
     # Equal vectors tie exactly wherever they sit in the batch, so ties
@@ -295,10 +342,10 @@ def test_consolidation_costs_each_vector_once_per_episode():
             return vector.total_cardinality
 
     vectors = make_vectors([5, 1, 3])
-    consolidator = IncrementalConsolidator(CountingCost(), 3)
-    assert consolidator.add_episode(vectors).best_plan_index == 1
+    assert consolidate_session(CountingCost(), [vectors]).best_plan_index == 1
     assert calls == [0, 1, 2]
-    consolidator.add_episode(vectors)
+    calls.clear()
+    consolidate_session(CountingCost(), [vectors, vectors])
     assert calls == [0, 1, 2, 0, 1, 2]
 
 
@@ -353,7 +400,7 @@ def test_consolidation_validation_errors():
 
 
 def _vdt_cost_comparator():
-    """A fitted RankSVM whose cost is exactly the vdt cardinality."""
+    """A fitted RankSVM whose cost is the vdt cardinality on the learned log scale."""
     model = RankSVM()
     weights = np.zeros(2 * len(FEATURE_OPERATOR_TYPES))
     weights[len(FEATURE_OPERATOR_TYPES) + FEATURE_OPERATOR_TYPES.index("vdt")] = 1.0
@@ -362,49 +409,35 @@ def _vdt_cost_comparator():
 
 
 def test_incremental_matches_one_shot_cost_kind():
+    """One call scores what summing each episode's costs as it arrives does."""
     comparator = _vdt_cost_comparator()
     episodes = [make_vectors([5.0, 1.0, 3.0]), make_vectors([2.0, 4.0, 1.0])]
     one_shot = consolidate_session(comparator, episodes)
-    incremental = IncrementalConsolidator(comparator, 3)
+    running = np.zeros(3)
     for episode in episodes:
-        decision = incremental.add_episode(episode)
-    assert decision.best_plan_index == one_shot.best_plan_index
-    assert decision.score_kind == one_shot.score_kind == "cost"
-    assert np.allclose(decision.per_plan_score, one_shot.per_plan_score)
+        running += comparator.costs(episode)
+    assert one_shot.score_kind == "cost"
+    assert one_shot.per_plan_score == running.tolist()
+    assert one_shot.best_plan_index == int(np.argmin(running))
 
 
 def test_incremental_matches_one_shot_wins_kind():
     comparator = HeuristicComparator()
     episodes = [make_vectors([50.0, 1.0, 30.0]), make_vectors([40.0, 2.0, 20.0])]
     one_shot = consolidate_session(comparator, episodes, episode_weights=[1.0, 2.0])
-    incremental = IncrementalConsolidator(comparator, 3)
-    incremental.add_episode(episodes[0], weight=1.0)
-    incremental.add_episode(episodes[1], weight=2.0)
-    decision = incremental.decision()
-    assert decision.best_plan_index == one_shot.best_plan_index
-    assert decision.score_kind == one_shot.score_kind == "wins"
-    assert np.allclose(decision.per_plan_score, one_shot.per_plan_score)
+    running = 1.0 * comparator.wins(episodes[0]) + 2.0 * comparator.wins(episodes[1])
+    assert one_shot.score_kind == "wins"
+    assert one_shot.per_plan_score == running.tolist()
+    assert one_shot.best_plan_index == int(np.argmax(running))
 
 
 def test_incremental_decision_revisable_as_episodes_arrive():
     comparator = _vdt_cost_comparator()
-    incremental = IncrementalConsolidator(comparator, 2)
-    first = incremental.add_episode(make_vectors([1.0, 10.0]))
-    assert first.best_plan_index == 0
-    # Overwhelming later evidence flips the running decision.
-    flipped = incremental.add_episode(make_vectors([100.0, 1.0]))
-    assert flipped.best_plan_index == 1
-
-
-def test_incremental_consolidator_guards():
-    comparator = HeuristicComparator()
-    with pytest.raises(OptimizationError):
-        IncrementalConsolidator(comparator, 0)
-    incremental = IncrementalConsolidator(comparator, 2)
-    with pytest.raises(OptimizationError):
-        incremental.decision()
-    with pytest.raises(OptimizationError):
-        incremental.add_episode(make_vectors([1.0, 2.0, 3.0]))
+    first = make_vectors([1.0, 10.0])
+    assert consolidate_session(comparator, [first]).best_plan_index == 0
+    # Overwhelming later evidence flips the decision.
+    later = make_vectors([100.0, 1.0])
+    assert consolidate_session(comparator, [first, later]).best_plan_index == 1
 
 
 def test_downweight_initial_render_weights():

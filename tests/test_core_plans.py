@@ -15,13 +15,8 @@ from repro.core import (
     VegaPlusOptimizer,
     VegaPlusSystem,
 )
-from repro.core.encoder import (
-    FEATURE_OPERATOR_TYPES,
-    PlanVector,
-    feature_names,
-    normalize_cardinalities,
-    vdt_shape_key,
-)
+from repro.core.comparators import learned_features, normalize_cardinalities
+from repro.core.encoder import FEATURE_OPERATOR_TYPES, PlanVector, feature_names, vdt_shape_key
 from repro.datasets import generate_dataset
 from repro.errors import OptimizationError
 from repro.expr import parser as expr_parser
@@ -165,14 +160,7 @@ def test_plan_vector_array_layout():
 
 
 def test_normalize_cardinalities_log_scale():
-    vectors = [
-        PlanVector(plan_id=0, cardinalities={"vdt": 0.0}),
-        PlanVector(plan_id=1, cardinalities={"vdt": 50.0}),
-        PlanVector(plan_id=2, cardinalities={"vdt": 100.0}),
-        PlanVector(plan_id=3, cardinalities={"vdt": 1e7}),
-        PlanVector(plan_id=4, cardinalities={"vdt": 1e9}),
-    ]
-    scaled = [v.cardinalities["vdt"] for v in normalize_cardinalities(vectors)]
+    scaled = normalize_cardinalities(np.array([0.0, 50.0, 100.0, 1e7, 1e9])).tolist()
     # Zero stays zero, larger cardinalities map to strictly larger values,
     # everything lands in [0, 1] and the cap clamps.
     assert scaled[0] == 0.0
@@ -180,9 +168,10 @@ def test_normalize_cardinalities_log_scale():
     assert all(0.0 <= value <= 1.0 for value in scaled)
     assert scaled[4] == 1.0
     # Set-independence: a vector encodes the same alone as in a group.
-    alone = normalize_cardinalities([vectors[1]])[0]
-    assert alone.cardinalities["vdt"] == scaled[1]
-    assert normalize_cardinalities([]) == []
+    vectors = [PlanVector(plan_id=i, cardinalities={"vdt": c}) for i, c in enumerate([50.0, 1e9])]
+    vdt = len(FEATURE_OPERATOR_TYPES) + FEATURE_OPERATOR_TYPES.index("vdt")
+    assert learned_features(vectors[:1])[0, vdt] == learned_features(vectors)[0, vdt] == scaled[1]
+    assert learned_features([]).shape == (0, 2 * len(FEATURE_OPERATOR_TYPES))
 
 
 def test_encoder_measured_vs_estimated(spec, flights_db):
@@ -235,7 +224,7 @@ def assert_same_vector(got, want):
 
 def assert_plan_space_matches_builds(optimizer, interactions):
     plans = optimizer.enumerate_plans()
-    episodes = optimizer.encode_candidates(plans, interactions, normalize=False)
+    episodes = optimizer.encode_candidates(plans, interactions)
     assert len(episodes) == 1 + len(interactions)
     for index, plan in enumerate(plans):
         built = optimizer.build(plan)
@@ -364,7 +353,7 @@ def test_plan_space_reads_zone_maps_and_feedback_like_a_build(template_rows):
             backend.repartition("flights", 400)
         optimizer = VegaPlusOptimizer(spec, MiddlewareServer(backend), feedback=feedback)
         plans = assert_plan_space_matches_builds(optimizer, interactions)
-        vectors = optimizer.encode_candidates(plans, normalize=False)[0]
+        vectors = optimizer.encode_candidates(plans)[0]
         backend.close()
         return optimizer, plans, vectors
 

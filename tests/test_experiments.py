@@ -5,6 +5,7 @@ every table/figure runner produces structurally correct output and that
 the headline qualitative findings hold on miniature inputs.
 """
 
+import numpy as np
 import pytest
 
 from repro.bench.experiments import (
@@ -15,12 +16,17 @@ from repro.bench.experiments import (
     figure7,
     figure8,
     figure9,
+    fit_models,
     table2,
     table3,
     table4,
     table5,
 )
-from repro.bench.harness import BenchmarkHarness
+from repro.bench.harness import BenchmarkHarness, PlanMeasurement, SessionMeasurement
+from repro.core.comparators import train_comparator
+from repro.core.encoder import PlanVector
+from repro.core.plan import ExecutionPlan
+from helpers import scaled_by_hand
 
 SIZES = (800, 1600)
 TEMPLATES = ("interactive_histogram", "heatmap_bar")
@@ -130,3 +136,97 @@ def test_figure9_scaling_series(harness):
     vegaplus_series = result.series("VegaPlus", "initial_seconds")
     assert len(vegaplus_series) == 2
     assert DEFAULT_MODEL_TEMPLATES  # sanity: default config exposed
+
+
+# --------------------------------------------------------------------------- #
+# Learned-model picks read log-scaled features, not raw row counts
+# --------------------------------------------------------------------------- #
+
+
+def hand_built_measurements(n_plans=10, n_episodes=3, seed=1):
+    """Plans whose latency is the log of a VDT cardinality spanning five
+    orders of magnitude plus a fixed cost per client filter.  Fed raw row
+    counts, a model fitted on log-scaled features lets the cardinality
+    drown the filter count.  The seed is one where every raw pick below
+    differs from the scaled one; the test asserts that it does."""
+    rng = np.random.default_rng(seed)
+    measurements = []
+    for plan_id in range(n_plans):
+        session = SessionMeasurement(plan=ExecutionPlan.from_mapping({"a": plan_id}, plan_id))
+        for episode in range(n_episodes):
+            vdt = 10.0 ** rng.uniform(1, 6)
+            filters = float(rng.integers(0, 4))
+            session.episode_vectors.append(
+                PlanVector(
+                    plan_id=plan_id,
+                    counts={"vdt": 1.0, "filter": filters},
+                    cardinalities={"vdt": vdt},
+                    episode=episode,
+                )
+            )
+            latency = 0.01 * np.log1p(vdt) + 0.05 * filters + rng.normal(0, 0.002)
+            session.episode_seconds.append(float(latency))
+        measurements.append(PlanMeasurement(plan=session.plan, sessions=[session]))
+    return measurements
+
+
+def session_scores(comparator, episodes, features):
+    """Consolidated scores with every vector mapped by ``features`` first."""
+    model = comparator.model
+    total = np.zeros(len(episodes[0]))
+    for vectors in episodes:
+        rows = np.array([features(vector) for vector in vectors])
+        if hasattr(model, "cost"):
+            total -= model.cost(rows)
+            continue
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                total[i if model.predict_pair(rows[i], rows[j]) == 1 else j] += 1
+    return total
+
+
+def pick(comparator, episodes, features):
+    return int(np.argmax(session_scores(comparator, episodes, features)))
+
+
+def raw(vector):
+    return vector.to_array()
+
+
+def test_tables_3_and_5_and_figure7_pick_on_scaled_features():
+    measurements = hand_built_measurements()
+    measurement_set = MeasurementSet(per_template_size={("hand_built", 100): measurements})
+    vectors, latencies = BenchmarkHarness.initial_render_vectors(measurements)
+    models = fit_models([measurements], use_interactions=False)
+
+    selected = table3(sizes=(100,), measurement_set=measurement_set).seconds
+    errors = figure7(size=100, measurement_set=measurement_set).mean_scaled_error
+    for label in ("RankSVM", "Random Forest"):
+        comparator = models[label][0]
+        scaled = pick(comparator, [vectors], scaled_by_hand)
+        assert scaled != pick(comparator, [vectors], raw)
+        assert selected[label][100] == latencies[scaled]
+        mistakes = [
+            (max(a, b) - min(a, b)) / max(a, b)
+            for i, a in enumerate(latencies)
+            for j, b in enumerate(latencies[i + 1 :], start=i + 1)
+            if comparator.model.predict_pair(scaled_by_hand(vectors[i]), scaled_by_hand(vectors[j]))
+            != int(a < b)
+        ]
+        assert errors[label] == (float(np.mean(mistakes)) if mistakes else 0.0)
+
+    class HandBuiltHarness(BenchmarkHarness):
+        def configure(self, *args, **kwargs):
+            return None
+
+        def measure_plans(self, *args, **kwargs):
+            return measurements
+
+    consolidated = table5(sizes=(100,), harness=HandBuiltHarness()).seconds
+    episodes = BenchmarkHarness.episode_vector_matrix(measurements)
+    pairs = BenchmarkHarness.interaction_dataset(measurements)
+    for kind, label in (("ranksvm", "RankSVM"), ("random_forest", "Random Forest")):
+        comparator = train_comparator(kind, pairs).comparator
+        scaled = pick(comparator, episodes, scaled_by_hand)
+        assert scaled != pick(comparator, episodes, raw)
+        assert consolidated[label][100] == measurements[scaled].sessions[0].total_seconds

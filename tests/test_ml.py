@@ -6,11 +6,9 @@ import pytest
 from repro.errors import ModelError
 from repro.ml import (
     DecisionTreeClassifier,
-    MinMaxScaler,
     RandomForestClassifier,
     RankSVM,
     accuracy_score,
-    confusion_counts,
     train_test_split,
 )
 
@@ -33,25 +31,6 @@ def make_linear_pairs(n: int = 400, seed: int = 0):
 # --------------------------------------------------------------------------- #
 
 
-def test_minmax_scaler_scales_to_unit_range():
-    data = np.array([[0.0, 10.0], [5.0, 20.0], [10.0, 30.0]])
-    scaled = MinMaxScaler().fit_transform(data)
-    assert scaled.min() == 0.0 and scaled.max() == 1.0
-
-
-def test_minmax_scaler_constant_feature_maps_to_zero():
-    data = np.array([[1.0, 5.0], [1.0, 6.0]])
-    scaled = MinMaxScaler().fit_transform(data)
-    assert np.all(scaled[:, 0] == 0.0)
-
-
-def test_minmax_scaler_errors():
-    with pytest.raises(ModelError):
-        MinMaxScaler().transform(np.zeros((2, 2)))
-    with pytest.raises(ModelError):
-        MinMaxScaler().fit(np.zeros(3))
-
-
 def test_train_test_split_proportions():
     features = np.arange(100).reshape(50, 2)
     labels = np.arange(50)
@@ -68,13 +47,6 @@ def test_metrics():
     y_true = np.array([1, 0, 1, 1])
     y_pred = np.array([1, 0, 0, 1])
     assert accuracy_score(y_true, y_pred) == 0.75
-    counts = confusion_counts(y_true, y_pred)
-    assert counts == {
-        "true_positive": 2,
-        "true_negative": 1,
-        "false_positive": 0,
-        "false_negative": 1,
-    }
     with pytest.raises(ModelError):
         accuracy_score(y_true, y_pred[:-1])
 
@@ -251,26 +223,6 @@ def test_train_test_split_guards():
         train_test_split(features, np.array([0, 1]), test_fraction=1.0)
 
 
-def test_minmax_scaler_constant_and_nan_features():
-    scaler = MinMaxScaler()
-    features = np.array([[1.0, np.nan, 5.0], [1.0, 2.0, 10.0]])
-    scaled = scaler.fit_transform(features)
-    # Constant features map to 0 (not NaN/inf) ...
-    assert np.all(scaled[:, 0] == 0.0)
-    # ... NaN inputs propagate as NaN rather than crashing ...
-    assert np.isnan(scaled[0, 1])
-    # ... and regular features land in [0, 1].
-    assert scaled[0, 2] == 0.0 and scaled[1, 2] == 1.0
-
-
-def test_minmax_scaler_requires_fit_and_2d():
-    scaler = MinMaxScaler()
-    with pytest.raises(ModelError):
-        scaler.transform(np.zeros((1, 2)))
-    with pytest.raises(ModelError):
-        scaler.fit(np.zeros(3))
-
-
 # --------------------------------------------------------------------------- #
 # Metrics edges
 # --------------------------------------------------------------------------- #
@@ -283,16 +235,3 @@ def test_accuracy_score_edges():
     assert accuracy_score(ones, np.zeros(5)) == 0.0
     with pytest.raises(ModelError):
         accuracy_score(np.array([1]), np.array([1, 0]))
-
-
-def test_confusion_counts_single_class():
-    y = np.ones(4)
-    counts = confusion_counts(y, y)
-    assert counts == {
-        "true_positive": 4,
-        "true_negative": 0,
-        "false_positive": 0,
-        "false_negative": 0,
-    }
-    with pytest.raises(ModelError):
-        confusion_counts(np.array([1]), np.array([1, 0]))
