@@ -4,7 +4,8 @@ Times the factorize/lexsort kernels directly against the retained naive
 reference implementations, plus the end-to-end group-by / distinct /
 order-by queries they power and the crossfilter's brush-filter query,
 whose range WHERE exercises the predicate masks, and the plan path that
-query takes on each new brush step.  The recorded BENCH json is the per-PR
+query takes on each new brush step: as raw text (the template cell) and
+as the rewriter's prepared statement (the prepared cell).  The recorded BENCH json is the per-PR
 record of the kernel speedup (vectorized vs reference) and of absolute
 query latency at a fixed scale.
 
@@ -27,6 +28,7 @@ import pytest
 
 from repro.bench.scale import scaled_size
 from repro.datasets.generators import generate_dataset
+from repro.rewrite.templates import QueryFragment, apply_transform
 from repro.sql import Database
 from repro.sql.executor import (
     group_rows_reference,
@@ -34,6 +36,7 @@ from repro.sql.executor import (
     sort_indices_reference,
     sort_indices_vectorized,
 )
+from repro.sql.tokenizer import PreparedSQL
 from repro.storage.column import factorize_array
 from repro.storage.table import group_segments
 
@@ -104,6 +107,48 @@ def test_bench_plan_template_hit(benchmark, flights_db):
     next_step()  # parse the shape once, outside the timed calls
     before = flights_db.metrics.snapshot()
     benchmark(next_step)
+    after = flights_db.metrics.snapshot()
+    assert after["queries_parsed"] == before["queries_parsed"]
+    assert after["plan_template_hits"] > before["plan_template_hits"]
+
+
+def _prepared_brush_steps(count: int) -> list:
+    """``count`` brush steps of the crossfilter histogram query as the
+    rewriter emits it (:class:`~repro.sql.tokenizer.PreparedSQL`: filter
+    over three brushes, CASE bin, COUNT), each with a new distance brush."""
+    brushes = " && ".join(
+        f"(datum.{field} >= {field}_lo && datum.{field} <= {field}_hi)"
+        for field in ("distance", "air_time", "dep_delay")
+    )
+    steps = []
+    for step in range(count):
+        signals = {
+            "distance_lo": 800.0 + step + 0.5, "distance_hi": 2200.0,
+            "air_time_lo": 100.0, "air_time_hi": 300.0,
+            "dep_delay_lo": 20.0, "dep_delay_hi": 150.0,
+        }
+        fragment = QueryFragment.for_table("flights")
+        for definition, params in (
+            ({"type": "filter"}, {"expr": brushes, "_signals": signals}),
+            ({"type": "bin"}, {"field": "distance", "maxbins": 25, "extent": [50.0, 4500.0]}),
+            ({"type": "aggregate"}, {"groupby": ["bin0"], "ops": ["count"], "as": ["count"]}),
+        ):
+            fragment = apply_transform(fragment, definition, params)
+        steps.append(fragment.to_sql())
+    return steps
+
+
+def test_bench_plan_prepared_hit(benchmark, flights_db):
+    """``SQLBackend.plan`` on the rewriter's brush steps: each call misses
+    the exact-text level and is answered by the shape level — one lookup
+    and a bind of the six brush values and the bin's numbers; nothing is
+    lexed or parsed."""
+    steps = _prepared_brush_steps(2_001)
+    assert all(isinstance(sql, PreparedSQL) for sql in steps)
+    flights_db.plan(steps[0])  # plan the shape once, outside the timed calls
+    queries = iter(steps[1:])
+    before = flights_db.metrics.snapshot()
+    benchmark.pedantic(lambda: flights_db.plan(next(queries)), rounds=len(steps) - 1)
     after = flights_db.metrics.snapshot()
     assert after["queries_parsed"] == before["queries_parsed"]
     assert after["plan_template_hits"] > before["plan_template_hits"]

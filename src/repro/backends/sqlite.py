@@ -52,6 +52,7 @@ from repro.errors import ExecutionError, ReproError
 from repro.sql.engine import SQLBackend
 from repro.sql.executor import ExecutionStats
 from repro.sql.planner import LogicalPlan
+from repro.sql.tokenizer import PreparedSQL
 from repro.storage.sqlite_adapter import load_table, quote_identifier, table_from_cursor
 from repro.storage.table import Table
 
@@ -222,11 +223,19 @@ class SqliteBackend(SQLBackend):
     def _prepare(self, sql: str) -> LogicalPlan | None:
         """The embedded plan IVM is asked about, or ``None`` when IVM is
         off or the embedded parser cannot read the text (sqlite-only
-        syntax) — SQLite then answers it untouched."""
+        syntax) — SQLite then answers it untouched.
+
+        The dialect clauses never sit inside a slot, so a
+        :class:`~repro.sql.tokenizer.PreparedSQL` keeps its shape, stripped
+        the same way, and is bound without lexing.
+        """
         if self.ivm is None:
             return None
+        stripped = _strip_dialect(sql)
+        if type(sql) is PreparedSQL:
+            stripped = PreparedSQL(stripped, _strip_dialect(sql.shape), sql.values)
         try:
-            return self.plan(_strip_dialect(sql))
+            return self.plan(stripped)
         except ReproError:
             return None
 

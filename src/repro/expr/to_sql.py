@@ -5,10 +5,15 @@ an AST and generating a SQL WHERE clause, noting that when an equivalent
 SQL predicate is not found, VegaPlus falls back to native execution in
 Vega.  :func:`to_sql` raises :class:`ExpressionTranslationError` in that
 case; :func:`is_translatable` wraps that check for the rewriter.
+
+The SQL comes back as a :class:`~repro.sql.tokenizer.PreparedSQL`: each
+inlined signal value is a slot of its shape, so the engine plans the
+shape once and binds later values without reading the text.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 
 from repro.errors import ExpressionTranslationError
@@ -26,6 +31,7 @@ from repro.expr.nodes import (
     UnaryNode,
 )
 from repro.expr.parser import parse_expression
+from repro.sql.tokenizer import PreparedSQL, literal_shape
 
 #: Vega expression functions with a direct SQL scalar-function equivalent.
 _FUNCTION_MAP = {
@@ -74,23 +80,47 @@ def _format_value(value: object) -> str:
     return f"'{escaped}'"
 
 
+#: One piece of compiled SQL: constant text, or the signal ``(name,
+#: member)`` whose current value is inlined there (``member`` is ``None``
+#: for a bare signal reference).
+_Part = str | tuple[str, str | None]
+
+
 def to_sql(
     expression: ExprNode | str,
     signals: Mapping[str, object] | None = None,
-) -> str:
+) -> PreparedSQL:
     """Translate a Vega expression into SQL text.
 
     ``datum.<field>`` becomes a bare column reference; signal references
     are substituted with their current values from ``signals`` (the
     rewriter re-translates when signals change, so values are inlined).
+    The text is a :class:`~repro.sql.tokenizer.PreparedSQL` whose slots are
+    those signal values: text and shape come from one pass over the
+    expression's compiled pieces (compiled once per expression string).
 
     Raises
     ------
     ExpressionTranslationError
         If the expression uses a construct with no SQL equivalent.
     """
-    node = parse_expression(expression) if isinstance(expression, str) else expression
-    return _translate(node, dict(signals or {}))
+    if isinstance(expression, str):
+        parts = _compiled(expression)
+    else:
+        parts = _merge(_translate(expression))
+    signals = signals or {}
+    texts: list[str] = []
+    shapes: list[str] = []
+    values: list[object] = []
+    for part in parts:
+        if type(part) is str:
+            texts.append(part)
+            shapes.append(part)
+            continue
+        text = _format_value(_signal_value(part, signals))
+        texts.append(text)
+        shapes.append(literal_shape(text, values))
+    return PreparedSQL("".join(texts), "".join(shapes), values)
 
 
 def is_translatable(
@@ -104,91 +134,115 @@ def is_translatable(
     return True
 
 
-def _translate(node: ExprNode, signals: dict[str, object]) -> str:
-    if isinstance(node, NumberNode):
-        return _format_value(node.value)
-    if isinstance(node, StringNode):
-        return _format_value(node.value)
-    if isinstance(node, BooleanNode):
-        return _format_value(node.value)
+@functools.lru_cache(maxsize=1024)
+def _compiled(expression: str) -> tuple[_Part, ...]:
+    """The compiled pieces of an expression string, memoised (as its parse
+    is): a dashboard re-translates the same filters every interaction."""
+    return _merge(_translate(parse_expression(expression)))
+
+
+def _merge(parts: list[_Part]) -> tuple[_Part, ...]:
+    """``parts`` with adjacent constant text joined."""
+    merged: list[_Part] = []
+    for part in parts:
+        if type(part) is str and merged and type(merged[-1]) is str:
+            merged[-1] += part
+        else:
+            merged.append(part)
+    return tuple(merged)
+
+
+def _signal_value(part: tuple[str, str | None], signals: Mapping[str, object]) -> object:
+    name, member = part
+    if name not in signals:
+        if member is None:
+            raise ExpressionTranslationError(
+                f"signal {name!r} has no bound value at rewrite time"
+            )
+        raise ExpressionTranslationError(
+            f"member access {name}.{member} cannot be translated to SQL"
+        )
+    value = signals[name]
+    if member is None:
+        return value
+    if isinstance(value, Mapping) and member in value:
+        return value[member]
+    raise ExpressionTranslationError(f"signal member {name}.{member} is not available")
+
+
+def _translate(node: ExprNode) -> list[_Part]:
+    if isinstance(node, (NumberNode, StringNode, BooleanNode)):
+        return [_format_value(node.value)]
     if isinstance(node, NullNode):
-        return "NULL"
+        return ["NULL"]
     if isinstance(node, IdentifierNode):
         if node.name == "datum":
             raise ExpressionTranslationError(
                 "bare 'datum' reference has no SQL equivalent"
             )
-        if node.name in signals:
-            return _format_value(signals[node.name])
-        raise ExpressionTranslationError(
-            f"signal {node.name!r} has no bound value at rewrite time"
-        )
+        return [(node.name, None)]
     if isinstance(node, MemberNode):
         if isinstance(node.obj, IdentifierNode) and node.obj.name == "datum":
-            return _quote_column(node.member)
-        if isinstance(node.obj, IdentifierNode) and node.obj.name in signals:
-            value = signals[node.obj.name]
-            if isinstance(value, Mapping) and node.member in value:
-                return _format_value(value[node.member])
-            raise ExpressionTranslationError(
-                f"signal member {node.obj.name}.{node.member} is not available"
-            )
+            return [_quote_column(node.member)]
+        if isinstance(node.obj, IdentifierNode):
+            return [(node.obj.name, node.member)]
         raise ExpressionTranslationError(
             f"member access {node} cannot be translated to SQL"
         )
     if isinstance(node, UnaryNode):
-        inner = _translate(node.operand, signals)
+        inner = _translate(node.operand)
         if node.op == "!":
-            return f"NOT ({inner})"
+            return ["NOT (", *inner, ")"]
         if node.op == "-":
-            return f"-({inner})"
+            return ["-(", *inner, ")"]
         raise ExpressionTranslationError(f"unary operator {node.op!r} not supported in SQL")
     if isinstance(node, BinaryNode):
-        return _translate_binary(node, signals)
+        return _translate_binary(node)
     if isinstance(node, ConditionalNode):
-        test = _translate(node.test, signals)
-        consequent = _translate(node.consequent, signals)
-        alternate = _translate(node.alternate, signals)
-        return f"CASE WHEN {test} THEN {consequent} ELSE {alternate} END"
+        return _case(node.test, node.consequent, node.alternate)
     if isinstance(node, CallNode):
-        return _translate_call(node, signals)
+        return _translate_call(node)
     raise ExpressionTranslationError(f"cannot translate expression node {node!r}")
 
 
-def _translate_binary(node: BinaryNode, signals: dict[str, object]) -> str:
+def _case(test: ExprNode, consequent: ExprNode, alternate: ExprNode) -> list[_Part]:
+    return [
+        "CASE WHEN ", *_translate(test),
+        " THEN ", *_translate(consequent),
+        " ELSE ", *_translate(alternate), " END",
+    ]
+
+
+def _is_null(operand: ExprNode, negated: bool) -> list[_Part]:
+    return [*_translate(operand), f" IS {'NOT ' if negated else ''}NULL"]
+
+
+def _translate_binary(node: BinaryNode) -> list[_Part]:
     # Equality against null becomes IS NULL / IS NOT NULL.
     if node.op in ("==", "!="):
         if isinstance(node.right, NullNode):
-            column = _translate(node.left, signals)
-            return f"{column} IS {'NOT ' if node.op == '!=' else ''}NULL"
+            return _is_null(node.left, node.op == "!=")
         if isinstance(node.left, NullNode):
-            column = _translate(node.right, signals)
-            return f"{column} IS {'NOT ' if node.op == '!=' else ''}NULL"
+            return _is_null(node.right, node.op == "!=")
     try:
         sql_op = _BINARY_MAP[node.op]
     except KeyError as exc:
         raise ExpressionTranslationError(
             f"operator {node.op!r} has no SQL equivalent"
         ) from exc
-    left = _translate(node.left, signals)
-    right = _translate(node.right, signals)
-    return f"({left} {sql_op} {right})"
+    return ["(", *_translate(node.left), f" {sql_op} ", *_translate(node.right), ")"]
 
 
-def _translate_call(node: CallNode, signals: dict[str, object]) -> str:
+def _translate_call(node: CallNode) -> list[_Part]:
     name = node.name.lower()
     if name == "isvalid":
         if len(node.args) != 1:
             raise ExpressionTranslationError("isValid() requires one argument")
-        inner = _translate(node.args[0], signals)
-        return f"{inner} IS NOT NULL"
+        return _is_null(node.args[0], True)
     if name == "if":
         if len(node.args) != 3:
             raise ExpressionTranslationError("if() requires three arguments")
-        test = _translate(node.args[0], signals)
-        consequent = _translate(node.args[1], signals)
-        alternate = _translate(node.args[2], signals)
-        return f"CASE WHEN {test} THEN {consequent} ELSE {alternate} END"
+        return _case(*node.args)
     if name in ("min", "max"):
         raise ExpressionTranslationError(
             f"{node.name}() over per-row arguments has no portable SQL equivalent"
@@ -204,8 +258,11 @@ def _translate_call(node: CallNode, signals: dict[str, object]) -> str:
         raise ExpressionTranslationError(
             f"function {node.name!r} has no SQL equivalent"
         ) from exc
-    args = ", ".join(_translate(arg, signals) for arg in node.args)
-    return f"{sql_name}({args})"
+    parts: list[_Part] = [f"{sql_name}("]
+    for index, arg in enumerate(node.args):
+        parts += [", "] if index else []
+        parts += _translate(arg)
+    return [*parts, ")"]
 
 
 def _quote_column(name: str) -> str:

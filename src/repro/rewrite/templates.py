@@ -13,14 +13,16 @@ flattening into readable SQL.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
 from repro.backends import EMBEDDED_CAPABILITIES, BackendCapabilities
 from repro.errors import ExpressionTranslationError, RewriteError
-from repro.expr import to_sql
 from repro.dataflow.transforms.bin import bin_start, compute_bins, last_bin_threshold
 from repro.dataflow.transforms.timeunit import UNIT_SECONDS
+from repro.expr.to_sql import to_sql
+from repro.sql.tokenizer import PreparedSQL, literal_shape
 
 #: Transform types the rewriter can translate to SQL.
 REWRITABLE_TRANSFORMS = frozenset(
@@ -102,26 +104,31 @@ class QueryFragment:
     def nest(self, alias: str = "sub") -> "QueryFragment":
         """Wrap the current fragment as the sub-query source of a new block."""
         return QueryFragment(
-            source=f"({self.to_sql()}) AS {alias}",
+            source=_concat("(", self.to_sql(), f") AS {alias}"),
             source_is_subquery=True,
             dialect=self.dialect,
         )
 
     def to_sql(self) -> str:
-        """Render the fragment as SQL text."""
-        items = ", ".join(self.select_items) if self.select_items else "*"
-        sql = f"SELECT {items} FROM {self.source}"
+        """Render the fragment as SQL text.
+
+        Pieces that carry slots (translated filters, bin numbers)
+        make the result a :class:`~repro.sql.tokenizer.PreparedSQL`, its
+        shape rendered in the same pass; otherwise it is plain text.
+        """
+        parts = ["SELECT ", *_joined(", ", self.select_items or ["*"]), " FROM ", self.source]
         if self.where:
-            sql += " WHERE " + " AND ".join(f"({p})" for p in self.where)
+            parts += [" WHERE (", *_joined(") AND (", self.where), ")"]
         if self.group_by:
-            sql += " GROUP BY " + ", ".join(self.group_by)
+            parts.append(" GROUP BY " + ", ".join(self.group_by))
         if self.order_by:
-            sql += " ORDER BY " + ", ".join(
-                self._render_order_item(item) for item in self.order_by
+            parts.append(
+                " ORDER BY "
+                + ", ".join(self._render_order_item(item) for item in self.order_by)
             )
         if self.limit is not None:
-            sql += f" LIMIT {self.limit}"
-        return sql
+            parts.append(f" LIMIT {self.limit}")
+        return _concat(*parts)
 
     def _render_order_item(self, item: str) -> str:
         """One ORDER BY key with the dialect's NULL-placement clause."""
@@ -221,29 +228,45 @@ def _apply_bin(fragment: QueryFragment, params: Mapping) -> QueryFragment:
         raise RewriteError(
             "bin transform needs a resolved 'extent' parameter before SQL generation"
         )
-    start, stop, step = compute_bins((float(extent[0]), float(extent[1])), maxbins)
     out_names = params.get("as") or ["bin0", "bin1"]
     bin0 = out_names[0]
     bin1 = out_names[1] if len(out_names) > 1 else "bin1"
     if not fragment.can_add_projection() or fragment.select_items:
         fragment = fragment.nest()
+    result = replace(fragment)
+    low, high = float(extent[0]), float(extent[1])
+    result.select_items = ["*", *_bin_items(column, low, high, maxbins, bin0, bin1)]
+    return result
+
+
+@functools.lru_cache(maxsize=256)
+def _bin_items(
+    column: str, low: float, high: float, maxbins: int, bin0: str, bin1: str
+) -> tuple[str, str]:
+    """The ``bin0`` and ``bin1`` SELECT items of binning ``column`` over
+    ``[low, high]`` into at most ``maxbins`` bins.  Memoised: a dashboard
+    renders the same bins on every interaction, and the threshold is a
+    bisection."""
+    start, stop, step = compute_bins((low, high), maxbins)
+    threshold, last = last_bin_threshold(start, stop, step), bin_start(stop, start, stop, step)
     # Mirror the client-side bin transform (``bin_start``) exactly: values
     # below the domain clamp into the first bin, and values from the
-    # threshold up land in the last bin (not a new one).
-    floor_expr = f"FLOOR(({column} - {start}) / {step}) * {step} + {start}"
-    bin_expr = (
-        f"CASE WHEN {column} >= {last_bin_threshold(start, stop, step)} "
-        f"THEN {bin_start(stop, start, stop, step)} "
-        f"WHEN {column} < {start} THEN {start} "
-        f"ELSE {floor_expr} END"
+    # threshold up land in the last bin (not a new one).  The numbers are
+    # slots, so bins over a new extent bind into the same shape plan.
+    bin_expr = _concat(
+        f"CASE WHEN {column} >= ", _slot(threshold), " THEN ", _slot(last),
+        f" WHEN {column} < ", _slot(start), " THEN ", _slot(start),
+        f" ELSE FLOOR(({column} - ", _slot(start), ") / ", _slot(step), ") * ",
+        _slot(step), " + ", _slot(start), " END",
     )
-    result = replace(fragment)
-    result.select_items = [
-        "*",
-        f"{bin_expr} AS {bin0}",
-        f"{bin_expr} + {step} AS {bin1}",
-    ]
-    return result
+    return _concat(bin_expr, f" AS {bin0}"), _concat(bin_expr, " + ", _slot(step), f" AS {bin1}")
+
+
+def _slot(value: float) -> PreparedSQL:
+    """``value`` rendered as one slot of a prepared statement."""
+    text = format(value)
+    values: list[object] = []
+    return PreparedSQL(text, literal_shape(text, values), values)
 
 
 def _apply_aggregate(fragment: QueryFragment, params: Mapping) -> QueryFragment:
@@ -265,7 +288,7 @@ def _apply_aggregate(fragment: QueryFragment, params: Mapping) -> QueryFragment:
     for group_field in groupby:
         if group_field in select_aliases:
             group_exprs.append(group_field)
-            items.append(select_aliases[group_field] + f" AS {group_field}")
+            items.append(_concat(select_aliases[group_field], f" AS {group_field}"))
         else:
             group_exprs.append(group_field)
             items.append(group_field)
@@ -391,8 +414,32 @@ def _apply_timeunit(fragment: QueryFragment, params: Mapping) -> QueryFragment:
 # --------------------------------------------------------------------------- #
 
 
+def _concat(*parts: str) -> str:
+    """The SQL pieces joined, as a :class:`PreparedSQL` when any piece is one."""
+    text = "".join(parts)
+    if PreparedSQL not in map(type, parts):
+        return text
+    shape = "".join(getattr(part, "shape", part) for part in parts)
+    values = [value for part in parts for value in getattr(part, "values", ())]
+    return PreparedSQL(text, shape, values)
+
+
+def _joined(separator: str, pieces: Sequence[str]) -> list[str]:
+    """``pieces`` with ``separator`` between them, for :func:`_concat`."""
+    joined: list[str] = []
+    for piece in pieces:
+        if joined:
+            joined.append(separator)
+        joined.append(piece)
+    return joined
+
+
 def _aliases_of(select_items: Sequence[str]) -> dict[str, str]:
-    """Map alias → expression for items of the form ``<expr> AS <alias>``."""
+    """Map alias → expression for items of the form ``<expr> AS <alias>``.
+
+    The `` AS <alias>`` tail holds no slot, so a prepared item's shape
+    loses the same tail.
+    """
     aliases: dict[str, str] = {}
     for item in select_items:
         lowered = item.lower()
@@ -400,10 +447,14 @@ def _aliases_of(select_items: Sequence[str]) -> dict[str, str]:
         position = lowered.rfind(marker)
         if position == -1:
             continue
-        expression = item[:position].strip()
         alias = item[position + len(marker):].strip()
-        if alias.isidentifier():
-            aliases[alias] = expression
+        if not alias.isidentifier():
+            continue
+        expression = item[:position]
+        if type(item) is PreparedSQL:
+            tail = len(item) - position
+            expression = PreparedSQL(expression, item.shape[:-tail], item.values)
+        aliases[alias] = expression
     return aliases
 
 

@@ -119,7 +119,10 @@ class VegaDBMSTransform(Operator):
 
         The fragment carries the middleware backend's capabilities, so
         the rendered SQL is dialect-correct for whichever backend will
-        execute it (NULL-ordering clauses, window frames).
+        execute it (NULL-ordering clauses, window frames).  When signal
+        values fill holes the query is a
+        :class:`~repro.sql.tokenizer.PreparedSQL`, whose shape the engine
+        planned at the first evaluation and now only binds.
         """
         fragment = QueryFragment.for_table(self.table, dialect=self.middleware.capabilities)
         signal_values = context.signals()

@@ -34,6 +34,17 @@ class Literal:
 
 
 @dataclass(frozen=True)
+class Parameter:
+    """The ``index``-th ``?`` slot of a prepared statement's shape.
+
+    Only the plan cache's shape-level plans hold one; binding replaces it
+    with the :class:`Literal` of the slot's value before execution.
+    """
+
+    index: int
+
+
+@dataclass(frozen=True)
 class ColumnRef:
     """Reference to a column, optionally qualified with a table alias."""
 
@@ -174,6 +185,7 @@ class Between:
 
 Expression = Union[
     Literal,
+    Parameter,
     ColumnRef,
     Star,
     UnaryOp,
@@ -295,7 +307,7 @@ class SelectStatement:
 
 
 #: Nodes without sub-expressions.
-_LEAVES = (Literal, ColumnRef, Star)
+_LEAVES = (Literal, Parameter, ColumnRef, Star)
 
 
 def children(expr: Expression) -> tuple[Expression, ...]:

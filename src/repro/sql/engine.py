@@ -224,12 +224,12 @@ class SQLBackend:
     def plan(self, sql: str) -> LogicalPlan:
         """Parse and optimise ``sql`` through the :class:`PlanCache`, so
         repeated interactive queries (crossfilter, overview+detail) skip
-        the parse, or the whole tokenize → parse → plan → optimise
-        pipeline."""
+        the whole tokenize → parse → plan → optimise pipeline: a re-issued
+        text is a lookup, a known shape with new values a bind."""
         return self._plans.plan(sql)
 
     def clear_plan_cache(self) -> None:
-        """Drop all cached prepared plans and plan templates."""
+        """Drop all cached plans and shape plans."""
         self._plans.clear()
 
     def execute(self, sql: str) -> QueryResult:

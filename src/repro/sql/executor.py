@@ -237,12 +237,19 @@ class ExpressionEvaluator:
     """Vectorised evaluator of expressions against a table.
 
     ``alias_values`` optionally maps output aliases to already-computed
-    arrays, which lets GROUP BY / ORDER BY refer to SELECT-list aliases.
+    arrays, which lets GROUP BY / ORDER BY refer to SELECT-list aliases;
+    ``item_values`` maps them by ``id`` of the item's expression, for :meth:`column`.
     """
 
-    def __init__(self, table: Table, alias_values: dict[str, np.ndarray] | None = None) -> None:
+    def __init__(
+        self,
+        table: Table,
+        alias_values: dict[str, np.ndarray] | None = None,
+        item_values: dict[int, np.ndarray] | None = None,
+    ) -> None:
         self._table = table
         self._aliases = alias_values or {}
+        self._items = item_values or {}
 
     def evaluate(self, expr: Expression) -> np.ndarray:
         """Evaluate ``expr`` to an array aligned with the table's rows."""
@@ -291,7 +298,8 @@ class ExpressionEvaluator:
         """
         if isinstance(expr, ColumnRef) and self._table.has_column(expr.name):
             return self._table.column(expr.name)
-        return _array_to_column(str(expr), self.evaluate(expr))
+        values = self._items.get(id(expr))
+        return _array_to_column(str(expr), self.evaluate(expr) if values is None else values)
 
     # -------------------------------------------------------------- #
     def _column_values(self, name: str) -> np.ndarray:
@@ -427,19 +435,22 @@ def aggregate_evaluator(items: Sequence[SelectItem], table: Table) -> Expression
 
     GROUP BY may name a SELECT alias (``SELECT FLOOR(x) AS b ... GROUP BY
     b``); the non-aggregate aliased items are evaluated up front so the
-    grouping expressions can refer to them.
+    grouping expressions can refer to them, and each is evaluated once:
+    the item's own output column reuses its array.
     """
     evaluator = ExpressionEvaluator(table)
     alias_arrays: dict[str, np.ndarray] = {}
+    item_arrays: dict[int, np.ndarray] = {}
     for item in items:
         if item.alias and not contains_aggregate(item.expression) and not isinstance(
             item.expression, (Star, WindowFunction)
         ):
             try:
-                alias_arrays[item.alias] = evaluator.evaluate(item.expression)
+                values = evaluator.evaluate(item.expression)
             except ExecutionError:
                 continue
-    return ExpressionEvaluator(table, alias_values=alias_arrays)
+            alias_arrays[item.alias] = item_arrays[id(item.expression)] = values
+    return ExpressionEvaluator(table, alias_values=alias_arrays, item_values=item_arrays)
 
 
 def scan_columns(table: Table, scan: ScanNode) -> Table:

@@ -8,13 +8,12 @@ order (Section 2 of the paper):
 
 * constant folding of literal-only expressions,
 * filter pushdown through projections and sub-queries,
-* merging adjacent filters into one conjunction,
-* removal of trivial LIMIT/OFFSET and empty projections.
+* merging adjacent filters into one conjunction.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.sql.ast_nodes import (
@@ -57,9 +56,15 @@ from repro.storage.statistics import RangeInterval, ZoneMap
 def fold_constants(expr: Expression) -> Expression:
     """Collapse literal-only sub-expressions into literals.
 
-    Folds the children first, then the node itself.
+    Folds the children first, then the node itself.  A
+    :class:`~repro.sql.ast_nodes.Parameter` is not a literal, so folding
+    stops below any node that holds one; binding the slot folds it then.
     """
-    expr = map_children(expr, fold_constants)
+    return fold_node(map_children(expr, fold_constants))
+
+
+def fold_node(expr: Expression) -> Expression:
+    """``expr`` as one literal when its (already folded) children allow."""
     if isinstance(expr, BinaryOp):
         if isinstance(expr.left, Literal) and isinstance(expr.right, Literal):
             folded = _fold_binary(expr.op, expr.left.value, expr.right.value)
@@ -128,54 +133,38 @@ def _fold_binary(op: str, left: object, right: object) -> object:
 
 def optimize_plan(plan: LogicalPlan) -> LogicalPlan:
     """Apply all rewrite rules to ``plan`` and return the optimised plan."""
-    root = _optimize_node(plan.root)
+    root = map_expressions(plan.root, fold_constants)
     root = _push_filters(root)
     root = _merge_filters(root)
-    return LogicalPlan(root=root, statement=plan.statement)
+    return LogicalPlan(root=root)
 
 
-def _optimize_node(node: PlanNode) -> PlanNode:
-    """Bottom-up pass: fold constants inside every expression-bearing node."""
+def map_expressions(node: PlanNode, fn: Callable[[Expression], Expression]) -> PlanNode:
+    """``node``'s tree rebuilt with ``fn`` applied to every filter predicate,
+    projection/aggregate item and key and window function: the expressions
+    constant folding rewrites (sort keys keep theirs)."""
     if isinstance(node, FilterNode):
-        return FilterNode(
-            child=_optimize_node(node.child),
-            predicate=fold_constants(node.predicate),
+        return FilterNode(map_expressions(node.child, fn), fn(node.predicate))
+    if isinstance(node, (ProjectNode, AggregateNode)):
+        child = map_expressions(node.child, fn)
+        items = tuple(
+            item if isinstance(item.expression, Star) else SelectItem(fn(item.expression), item.alias)
+            for item in node.items
         )
-    if isinstance(node, ProjectNode):
-        return ProjectNode(
-            child=_optimize_node(node.child),
-            items=tuple(
-                SelectItem(fold_constants(i.expression), i.alias)
-                if not isinstance(i.expression, Star)
-                else i
-                for i in node.items
-            ),
-        )
-    if isinstance(node, AggregateNode):
-        return AggregateNode(
-            child=_optimize_node(node.child),
-            group_by=tuple(fold_constants(e) for e in node.group_by),
-            items=tuple(
-                SelectItem(fold_constants(i.expression), i.alias)
-                if not isinstance(i.expression, Star)
-                else i
-                for i in node.items
-            ),
-        )
+        if isinstance(node, ProjectNode):
+            return ProjectNode(child, items)
+        return AggregateNode(child, tuple(fn(key) for key in node.group_by), items)
     if isinstance(node, WindowNode):
-        return WindowNode(child=_optimize_node(node.child), windows=node.windows)
+        windows = tuple((name, fn(window)) for name, window in node.windows)
+        return WindowNode(map_expressions(node.child, fn), windows)
     if isinstance(node, SortNode):
-        return SortNode(child=_optimize_node(node.child), keys=node.keys)
+        return SortNode(map_expressions(node.child, fn), node.keys)
     if isinstance(node, LimitNode):
-        if node.limit is None and not node.offset:
-            return _optimize_node(node.child)
-        return LimitNode(
-            child=_optimize_node(node.child), limit=node.limit, offset=node.offset
-        )
+        return LimitNode(map_expressions(node.child, fn), node.limit, node.offset)
     if isinstance(node, DistinctNode):
-        return DistinctNode(child=_optimize_node(node.child))
+        return DistinctNode(map_expressions(node.child, fn))
     if isinstance(node, SubqueryNode):
-        return SubqueryNode(plan=_optimize_node(node.plan), alias=node.alias)
+        return SubqueryNode(map_expressions(node.plan, fn), node.alias)
     return node
 
 
@@ -353,7 +342,9 @@ def _merge_filters(node: PlanNode) -> PlanNode:
     if isinstance(node, FilterNode):
         child = _merge_filters(node.child)
         if isinstance(child, FilterNode):
-            merged = BinaryOp("AND", node.predicate, child.predicate)
+            # Folded like every other predicate node, so a bound shape
+            # plan (which re-folds each node holding a slot) matches.
+            merged = fold_node(BinaryOp("AND", node.predicate, child.predicate))
             return _merge_filters(FilterNode(child=child.child, predicate=merged))
         return FilterNode(child=child, predicate=node.predicate)
     for attr in ("child", "plan"):
@@ -365,6 +356,8 @@ def _merge_filters(node: PlanNode) -> PlanNode:
 __all__ = [
     "optimize_plan",
     "fold_constants",
+    "fold_node",
+    "map_expressions",
     "pruning_conjuncts",
     "prune_partitions",
     "PruningNullCheck",

@@ -17,7 +17,7 @@ Grammar (informal)::
     additive    := multiplicative ((+|-|'||') multiplicative)*
     multiplicative := unary ((*|/|%) unary)*
     unary       := - unary | primary
-    primary     := literal | case | function | column | ( expr )
+    primary     := literal | ? | case | function | column | ( expr )
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.sql.ast_nodes import (
     IsNull,
     Literal,
     OrderItem,
+    Parameter,
     SelectItem,
     SelectStatement,
     Star,
@@ -55,6 +56,7 @@ class _Parser:
         self._tokens = tokens
         self._pos = 0
         self._sql = sql
+        self._parameters = 0
 
     # -------------------------------------------------------------- #
     # Cursor helpers
@@ -337,6 +339,11 @@ class _Parser:
         if token.ttype is TokenType.STRING:
             self._advance()
             return Literal(token.value)
+
+        if token.ttype is TokenType.PARAMETER:
+            self._advance()
+            self._parameters += 1
+            return Parameter(self._parameters - 1)
 
         if token.is_keyword("NULL"):
             self._advance()

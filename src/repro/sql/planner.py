@@ -174,10 +174,9 @@ class MaterializedNode(PlanNode):
 
 @dataclass
 class LogicalPlan:
-    """Wrapper pairing the root node with the originating statement."""
+    """Wrapper around the root node of a plan."""
 
     root: PlanNode
-    statement: SelectStatement
 
 
 # --------------------------------------------------------------------------- #
@@ -189,7 +188,7 @@ def build_logical_plan(statement: SelectStatement) -> LogicalPlan:
     """Construct the logical plan for a parsed statement."""
     root = _plan_query(statement)
     _record_scan_columns(root, None)
-    return LogicalPlan(root=root, statement=statement)
+    return LogicalPlan(root=root)
 
 
 def _plan_query(statement: SelectStatement) -> PlanNode:
@@ -248,7 +247,7 @@ def _plan_query(statement: SelectStatement) -> PlanNode:
     if statement.order_by and not sorted_below_projection:
         node = SortNode(child=node, keys=statement.order_by)
 
-    if statement.limit is not None or statement.offset is not None:
+    if statement.limit is not None or statement.offset:
         node = LimitNode(child=node, limit=statement.limit, offset=statement.offset)
 
     return node

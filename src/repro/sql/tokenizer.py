@@ -3,14 +3,16 @@
 Turns SQL text into a flat list of :class:`Token` objects.  The tokenizer
 is deliberately small: it supports the lexical forms that appear in queries
 emitted by the VegaPlus query rewriter and hand-written benchmark queries.
-It is also the one place a number's text becomes a value
-(:attr:`Token.number`): the parser and the plan-template shape key both
-read that value.
+It is also the one place a literal's text becomes a value
+(:attr:`Token.number`): the parser, the plan cache's shape key and the
+rewriter's prepared statements (:class:`PreparedSQL`, whose shape has a
+``?`` token, :attr:`TokenType.PARAMETER`, per slot) all read that value.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from repro.errors import TokenizeError
@@ -25,6 +27,7 @@ class TokenType(enum.Enum):
     STRING = "string"
     OPERATOR = "operator"
     PUNCTUATION = "punctuation"
+    PARAMETER = "parameter"
     EOF = "eof"
 
 
@@ -111,6 +114,10 @@ def tokenize(sql: str) -> list[Token]:
             tokens.append(Token(TokenType.PUNCTUATION, ch, i))
             i += 1
             continue
+        if ch == "?":
+            tokens.append(Token(TokenType.PARAMETER, ch, i))
+            i += 1
+            continue
         raise TokenizeError(f"unexpected character {ch!r} at position {i}", position=i)
     tokens.append(Token(TokenType.EOF, "", n))
     return tokens
@@ -171,3 +178,50 @@ def _read_word(sql: str, start: int) -> tuple[Token, int]:
     if upper in KEYWORDS:
         return Token(TokenType.KEYWORD, upper, start), i
     return Token(TokenType.IDENTIFIER, word, start), i
+
+
+class PreparedSQL(str):
+    """SQL text that also carries its prepared-statement form.
+
+    The string itself is the query text, so result caches, frames, spans
+    and backends that only read text see no difference.  ``shape`` is
+    the same text with ``?`` in place of each slot's literal and
+    ``values`` the slot values in order (:func:`literal_shape`).  String
+    operations return plain ``str``.
+    """
+
+    shape: str
+    values: tuple[object, ...]
+
+    def __new__(cls, text: str, shape: str, values: Sequence[object] = ()) -> PreparedSQL:
+        prepared = super().__new__(cls, text)
+        prepared.shape = shape
+        prepared.values = tuple(values)
+        return prepared
+
+    def __reduce__(self):
+        return PreparedSQL, (str(self), self.shape, self.values)
+
+
+def literal_shape(text: str, values: list[object]) -> str:
+    """The shape of one rendered literal: ``?``, with the value the lexer
+    reads from ``text`` appended to ``values``; ``text`` itself when it is
+    no single string or number (``NULL``, ``TRUE``, ``nan``).
+
+    A leading minus is folded into the value, as constant folding folds
+    the text's ``-`` into its literal, so a value crossing zero keeps its
+    shape.
+    """
+    negative = text[:1] == "-"
+    if text[negative:negative + 1].isdigit():
+        token, end = _read_number(text, int(negative))
+        value = -token.number if negative else token.number
+    elif text[:1] == "'":
+        token, end = _read_string(text, 0, "'")
+        value = token.value
+    else:
+        return text
+    if end != len(text):
+        return text
+    values.append(value)
+    return "?"

@@ -23,6 +23,8 @@ with NULLs, duplicates and empty inputs.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,12 +32,23 @@ from hypothesis import strategies as st
 
 from repro.backends import SqliteBackend, backend_names, create_backend
 from repro.backends.base import BackendCapabilities
+from repro.backends.sqlite import _strip_dialect
 from repro.bench.scale import row_sort_key, values_equal
 from repro.datasets import generate_dataset
 from repro.errors import PlanningError
 from repro.rewrite.templates import QueryFragment, apply_transform
-from repro.sql.template import template_shape
+from repro.sql.ast_nodes import Literal
+from repro.sql.optimizer import optimize_plan
+from repro.sql.parser import parse_sql
+from repro.sql.planner import build_logical_plan
+from repro.sql.plancache import token_shape
 from repro.sql.tokenizer import tokenize
+
+
+def _shape(sql: str) -> tuple[str, list[object]]:
+    """The plan cache's shape key and slot values of raw ``sql``."""
+    key, values, _slotted = token_shape(tokenize(sql))
+    return key, values
 
 settings.register_profile(
     "repro-diff", deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=15
@@ -269,6 +282,41 @@ def test_corpus_query_identical_across_backends(backends, name, builder, is_orde
     assert_identical_results(sql_by_backend, backends, ordered=is_ordered)
 
 
+def _literals(value: object) -> list[tuple[type, object]]:
+    """``(type, value)`` of every literal under a plan, in a fixed order."""
+    if isinstance(value, Literal):
+        return [(type(value.value), value.value)]
+    if isinstance(value, (list, tuple)):
+        return [found for item in value for found in _literals(item)]
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return [found for field in fields for found in _literals(getattr(value, field.name))]
+    return []
+
+
+def assert_plan_is_the_parse(backend, sql: str) -> None:
+    """``backend.plan(sql)`` equals the optimised plan parsed from ``sql``,
+    node for node and literal type for literal type."""
+    bound = backend.plan(sql)
+    fresh = optimize_plan(build_logical_plan(parse_sql(sql)))
+    assert bound == fresh, sql
+    assert _literals(bound) == _literals(fresh), sql
+
+
+@pytest.mark.parametrize(
+    ("name", "builder", "is_ordered"), CORPUS, ids=[c[0] for c in CORPUS]
+)
+def test_corpus_bound_plan_is_the_parse(backends, name, builder, is_ordered):
+    """Every corpus query, on each backend's dialect, is planned by binding
+    its shape's plan (one parse: the shape), and equals its text's plan."""
+    for backend in backends.values():
+        sql = _strip_dialect(builder(backend.capabilities))
+        backend.clear_plan_cache()
+        parsed = backend.metrics.snapshot()["queries_parsed"]
+        assert_plan_is_the_parse(backend, sql)
+        assert backend.metrics.snapshot()["queries_parsed"] == parsed + 1
+
+
 _SPACES = st.sampled_from([" ", "   ", "\n", "\t", " \n\t "])
 
 
@@ -290,11 +338,12 @@ def test_corpus_whitespace_variant_shares_the_parse(backends, name, builder, is_
         spaced = len(text) < len(raw)
         pieces += [text, data.draw(_SPACES if spaced else st.one_of(st.just(""), _SPACES))]
     variant = "".join(pieces)
-    assert template_shape(variant)[0] == template_shape(sql)[0]
+    assert _shape(variant)[0] == _shape(sql)[0]
     expected = backend.execute(sql).to_rows()
     parsed = backend.metrics.snapshot()["queries_parsed"]
     assert backend.execute(variant).to_rows() == expected
     assert backend.metrics.snapshot()["queries_parsed"] == parsed
+    assert_plan_is_the_parse(backend, variant)
 
 
 def test_corpus_never_hashes_a_stored_string_column(backends, monkeypatch):

@@ -1,12 +1,12 @@
-"""Plan-template cache: parse once per query shape, substitute literals.
+"""Plan cache shape level: plan once per query shape, bind the values.
 
 The headline contract is the parse-count pin: a crossfilter brush
 sequence (same SQL text, different literal bounds each step) parses
-exactly once, and every subsequent step is answered by cloning the
-cached statement with the new literals.  Everything else here guards
-the safety rails — shapes whose token literals don't correspond 1:1 to
-AST literal slots (quoted aliases, truncating LIMIT floats) must be
-negatively cached and keep parsing, never produce wrong results.
+exactly once, and every subsequent step binds its values into the
+cached shape plan.  Everything else here guards the safety rails — a
+literal the planner reads outside an expression (an alias, a LIMIT
+count) stays in the shape key, and a shape that cannot be planned with
+open slots is planned from each query's text: never a wrong plan.
 """
 
 from __future__ import annotations
@@ -16,13 +16,22 @@ import pytest
 from repro.backends import create_backend
 from repro.sql import Database
 from repro.sql.ast_nodes import children, map_children, walk_expression
+from repro.sql.optimizer import optimize_plan
 from repro.sql.parser import parse_sql
-from repro.sql.template import (
-    build_template,
-    collect_literal_values,
-    instantiate,
-    template_shape,
-)
+from repro.sql.planner import build_logical_plan
+from repro.sql.plancache import prepare, token_shape
+from repro.sql.tokenizer import PreparedSQL, tokenize
+
+
+def _shape(sql: str) -> tuple[str, list[object]]:
+    """The plan cache's shape key and slot values of raw ``sql``."""
+    key, values, _slotted = token_shape(tokenize(sql))
+    return key, values
+
+
+def fresh_plan(sql: str):
+    """The optimised plan of ``sql`` parsed from its text, no cache."""
+    return optimize_plan(build_logical_plan(parse_sql(sql)))
 
 
 @pytest.fixture()
@@ -117,23 +126,27 @@ def test_template_results_match_fresh_parse(db):
     assert db.metrics.snapshot()["plan_template_hits"] > 0
 
 
-def test_quoted_alias_shape_is_negative_cached(db):
-    """A double-quoted alias is a STRING token but not a literal slot."""
+def test_quoted_alias_stays_in_shape_key(db):
+    """A double-quoted alias is a STRING token but not an expression: it
+    keys the shape, and the WHERE literal is the slot."""
     first = db.query_rows('SELECT v + 1 AS "bumped" FROM t WHERE v < 3 ORDER BY v')
-    second = db.query_rows('SELECT v + 2 AS "bumped" FROM t WHERE v < 3 ORDER BY v')
+    second = db.query_rows('SELECT v + 1 AS "bumped" FROM t WHERE v < 4 ORDER BY v')
+    other = db.query_rows('SELECT v + 1 AS "other" FROM t WHERE v < 3 ORDER BY v')
     assert [row["bumped"] for row in first] == [1.0, 2.0, 3.0]
-    assert [row["bumped"] for row in second] == [2.0, 3.0, 4.0]
+    assert [row["bumped"] for row in second] == [1.0, 2.0, 3.0, 4.0]
+    assert [row["other"] for row in other] == [1.0, 2.0, 3.0]
     snapshot = db.metrics.snapshot()
-    assert snapshot["plan_template_hits"] == 0.0
+    assert snapshot["plan_template_hits"] == 1.0
     assert snapshot["queries_parsed"] == 2.0
 
 
-def test_fractional_limit_shape_is_negative_cached(db):
-    """LIMIT 5.5 truncates to 5 in the parser — not substitutable."""
-    assert len(db.query_rows("SELECT v FROM t ORDER BY v LIMIT 5.5")) == 5
-    assert len(db.query_rows("SELECT v FROM t ORDER BY v LIMIT 6.5")) == 6
+def test_limit_count_stays_in_shape_key(db):
+    """LIMIT 5.5 truncates to 5 in the parser: the count keys the shape."""
+    assert len(db.query_rows("SELECT v FROM t WHERE v > 1 ORDER BY v LIMIT 5.5")) == 5
+    assert len(db.query_rows("SELECT v FROM t WHERE v > 1 ORDER BY v LIMIT 6.5")) == 6
+    assert len(db.query_rows("SELECT v FROM t WHERE v > 2 ORDER BY v LIMIT 6.5")) == 6
     snapshot = db.metrics.snapshot()
-    assert snapshot["plan_template_hits"] == 0.0
+    assert snapshot["plan_template_hits"] == 1.0
     assert snapshot["queries_parsed"] == 2.0
 
 
@@ -158,10 +171,9 @@ def test_plan_lexes_once_per_exact_level_miss(db, monkeypatch):
     """The one token list feeds the shape key, the literals and the parse."""
     import repro.sql.parser
     import repro.sql.plancache
-    import repro.sql.template
 
     calls = []
-    for module in (repro.sql.plancache, repro.sql.parser, repro.sql.template):
+    for module in (repro.sql.plancache, repro.sql.parser):
         lex = module.tokenize
         monkeypatch.setattr(
             module, "tokenize", lambda sql, lex=lex: calls.append(sql) or lex(sql)
@@ -174,58 +186,106 @@ def test_plan_lexes_once_per_exact_level_miss(db, monkeypatch):
 
     sql = "SELECT g, COUNT(*) AS n FROM t WHERE v >= {} GROUP BY g"
     aliased = 'SELECT g AS "k", COUNT(*) AS n FROM t WHERE v >= {} GROUP BY g'
+    having = "SELECT g, COUNT(*) AS n FROM t WHERE v >= {} GROUP BY g HAVING COUNT(*) > 2"
     before = db.metrics.snapshot()
-    assert lexes(sql.format(1)) == 1  # template miss: parsed from the token list
+    assert lexes(sql.format(1)) == 1  # shape miss: parsed from the token list
     assert lexes(sql.format(1)) == 0  # exact-level hit
-    assert lexes(sql.format(2)) == 1  # template hit
+    assert lexes(sql.format(2)) == 1  # shape hit
     assert lexes(sql.format(2).replace(" ", "  ")) == 1  # whitespace variant
-    assert lexes(aliased.format(1)) == 1  # unsafe shape, negatively cached
-    assert lexes(aliased.format(2)) == 1  # ... parses again
+    assert lexes(aliased.format(1)) == 1  # the alias keys the shape
+    assert lexes(aliased.format(2)) == 1  # ... and the shape hits
+    assert lexes(having.format(1)) == 1  # HAVING literals key the shape too
+    assert lexes(having.format(2)) == 1
+    # A prepared query brings its shape: lexed once on the shape miss (to
+    # parse it), never on a hit.
+    shape = "SELECT g, COUNT(*) AS n FROM t WHERE v >= ? GROUP BY g"
+    assert lexes(PreparedSQL(sql.format(3), shape, [3])) == 1
+    assert lexes(PreparedSQL(sql.format(4), shape, [4])) == 0
     after = db.metrics.snapshot()
     assert after["plan_cache_hits"] - before["plan_cache_hits"] == 1
-    assert after["plan_template_hits"] - before["plan_template_hits"] == 2
-    assert after["queries_parsed"] - before["queries_parsed"] == 3
+    assert after["plan_template_hits"] - before["plan_template_hits"] == 5
+    assert after["queries_parsed"] - before["queries_parsed"] == 4
 
 
 # --------------------------------------------------------------------------- #
-# Unit level: shape extraction, build-time verification, substitution
+# Unit level: shape extraction, shape plans, binding
 # --------------------------------------------------------------------------- #
 
 
 def test_template_shape_strips_literals():
-    shape, values = template_shape("SELECT a FROM t WHERE b > 5 AND c = 'x'")
+    shape, values = _shape("SELECT a FROM t WHERE b > 5 AND c = 'x'")
     assert "?" in shape and "5" not in shape and "'x'" not in shape
     assert values == [5, "x"]
-    same_shape, other_values = template_shape("SELECT a FROM t WHERE b > 9 AND c = 'y'")
+    same_shape, other_values = _shape("SELECT a FROM t WHERE b > 9 AND c = 'y'")
     assert same_shape == shape
     assert other_values == [9, "y"]
 
 
 def test_build_and_instantiate_round_trip():
-    sql = "SELECT a, SUM(b) AS s FROM t WHERE b >= 10 AND b < 20 GROUP BY a LIMIT 3"
-    _shape, values = template_shape(sql)
-    template = build_template(parse_sql(sql), values)
-    assert template is not None
-    replaced = instantiate(template, [100, 200, 7])
-    assert replaced is not None
-    assert collect_literal_values(replaced) == [100, 200, 7]
-    # The original statement is untouched (templates are reused shared state).
-    assert collect_literal_values(template.statement) == values
+    """``prepare`` builds a shape's plan once; ``bind`` instantiates it per
+    query, equal to the plan parsed from that query's text, and leaves the
+    shared shape plan as it was."""
+    text = "SELECT a, SUM(b) AS s FROM t WHERE b >= {} AND b < {} GROUP BY a LIMIT 3"
+    shape, values = _shape(text.format(10, 20))
+    prepared = prepare(shape)
+    assert prepared is not None and prepared.slots == 2 == len(values)
+    snapshot = repr(prepared.plan)
+    assert prepared.bind([10, 20]) == fresh_plan(text.format(10, 20))
+    assert prepared.bind([100, -200]) == fresh_plan(text.format(100, -200))
+    assert repr(prepared.plan) == snapshot
 
 
-def test_build_rejects_misaligned_shapes():
-    sql = 'SELECT a AS "label" FROM t WHERE b > 5'
-    _shape, values = template_shape(sql)
-    assert values == ["label", 5]
-    assert build_template(parse_sql(sql), values) is None
+def test_build_rejects_misaligned_shapes(db):
+    """A slot where the grammar reads no expression (an alias, a LIMIT
+    count) cannot be prepared; a query bringing such a shape is planned
+    from its text, and so is a shape with a slot in HAVING."""
+    assert prepare("SELECT a AS ? FROM t") is None
+    assert prepare("SELECT a FROM t LIMIT ?") is None
+    assert prepare("SELECT a, COUNT(*) AS n FROM t GROUP BY a HAVING COUNT(*) > ?") is None
+    sql = "SELECT v FROM t WHERE v < 3 ORDER BY v LIMIT 2"
+    rows = db.query_rows(PreparedSQL(sql, "SELECT v FROM t WHERE v < 3 ORDER BY v LIMIT ?", [2]))
+    assert rows == [{"v": 0.0}, {"v": 1.0}]
+    snapshot = db.metrics.snapshot()
+    assert snapshot["plan_template_hits"] == 0.0
+    assert snapshot["queries_parsed"] == 2.0  # the shape, then the text
 
 
-def test_instantiate_rejects_wrong_value_count():
-    sql = "SELECT a FROM t WHERE b > 5"
-    _shape, values = template_shape(sql)
-    template = build_template(parse_sql(sql), values)
-    assert template is not None
-    assert instantiate(template, [1, 2]) is None
+def test_select_slots_bind_unless_the_shape_has_having(db):
+    """A slot may sit in a SELECT list, inside a window function too, and
+    binds there like a WHERE slot; beside HAVING it is declined, because
+    the planner matches HAVING terms to SELECT items by their text."""
+    assert prepare("SELECT g, COUNT(*) AS n FROM t WHERE v > ? GROUP BY g HAVING COUNT(*) > 2")
+    assert prepare("SELECT g, w * ? AS h, COUNT(*) AS n FROM t GROUP BY g, w HAVING w * 2 > 5") is None
+    text = "SELECT v, SUM(v * {}) OVER (PARTITION BY g ORDER BY v) AS s FROM t WHERE v < 6 ORDER BY v"
+    shape = text.format("?")
+    for factor in (2, 3, 2.5):
+        sql = text.format(factor)
+        assert db.plan(PreparedSQL(sql, shape, [factor])) == fresh_plan(sql)
+        running = [0, 1, 2, 4, 6, 9]  # per-g running sums of v = 0..5
+        assert db.query_rows(PreparedSQL(sql, shape, [factor])) == [
+            {"v": float(v), "s": float(total * factor)} for v, total in enumerate(running)
+        ]
+    snapshot = db.metrics.snapshot()
+    assert snapshot["queries_parsed"] == 1.0
+    assert snapshot["plan_template_hits"] == 2.0  # bound for 3 and 2.5
+
+
+def test_instantiate_rejects_wrong_value_count(db):
+    """A value count that does not match the shape's slots is never bound:
+    the query is planned from its text instead."""
+    sql = "SELECT COUNT(*) AS n FROM t WHERE v > 5"
+    shape = "SELECT COUNT(*) AS n FROM t WHERE v > ?"
+    assert db.query_rows(PreparedSQL(sql, shape, [5])) == [{"n": 94}]
+    wrong = "SELECT COUNT(*) AS n FROM t WHERE v > 50"
+    assert db.query_rows(PreparedSQL(wrong, shape, [50, 7])) == [{"n": 49}]
+    assert db.plan(PreparedSQL(wrong + " ", shape, [50, 7])) == fresh_plan(wrong)
+
+
+def test_raw_question_mark_is_an_unbound_parameter(db):
+    from repro.errors import ParseError
+
+    with pytest.raises(ParseError, match="unbound parameter"):
+        db.query_rows("SELECT v FROM t WHERE v > ?")
 
 
 # --------------------------------------------------------------------------- #
@@ -273,14 +333,23 @@ def test_children_are_what_map_children_visits():
     }
 
 
-def test_substitute_then_collect_returns_the_substituted_values():
-    _shape, values = template_shape(EVERY_NODE_SQL)
-    template = build_template(parse_sql(EVERY_NODE_SQL), values)
-    assert template is not None
-    assert collect_literal_values(template.statement) == values
+def test_bind_matches_the_parse_of_the_substituted_text():
+    """Every WHERE literal of a statement holding every node kind, bound
+    with new values, gives the plan of the text with those values."""
+    shape, values = _shape(EVERY_NODE_SQL)
+    assert values == [5, 6.5, "seven", 8, 9, "z"]
+    prepared = prepare(shape)
+    assert prepared is not None
     replaced = [
         value + 100 if isinstance(value, (int, float)) else value + "!" for value in values
     ]
-    statement = instantiate(template, replaced)
-    assert statement is not None
-    assert collect_literal_values(statement) == replaced
+    text = EVERY_NODE_SQL
+    for old, new in (
+        ("(5, 6.5, 'seven')", "(105, 106.5, 'seven!')"),
+        ("-8 AND 9", "-108 AND 109"),
+        ("'z'", "'z!'"),
+    ):
+        text = text.replace(old, new)
+    assert _shape(text) == (shape, replaced)
+    assert prepared.bind(replaced) == fresh_plan(text)
+    assert prepared.bind(values) == fresh_plan(EVERY_NODE_SQL)

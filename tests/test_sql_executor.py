@@ -126,6 +126,32 @@ def test_group_by_expression_alias(db):
     assert [r["bucket"] for r in result] == [0, 1, 2]
 
 
+def test_aliased_group_key_is_evaluated_once(db, monkeypatch):
+    """A CASE bin grouped through its alias is evaluated once per query:
+    the grouping reads the alias array and the output column reuses it."""
+    from repro.sql.executor import ExpressionEvaluator
+
+    calls = []
+    evaluate_case = ExpressionEvaluator._evaluate_case
+    monkeypatch.setattr(
+        ExpressionEvaluator,
+        "_evaluate_case",
+        lambda self, expr: calls.append(expr) or evaluate_case(self, expr),
+    )
+    sql = (
+        "SELECT CASE WHEN weight >= 4 THEN 4 WHEN weight < 0 THEN 0 "
+        "ELSE FLOOR(weight / 2) * 2 END AS bin0, COUNT(*) AS n, SUM(value) AS s "
+        "FROM tiny GROUP BY bin0 ORDER BY bin0"
+    )
+    result = rows(db, sql)
+    assert len(calls) == 1
+    assert result == [
+        {"bin0": 0, "n": 1, "s": 10.0},
+        {"bin0": 2, "n": 2, "s": 50.0},
+        {"bin0": 4, "n": 2, "s": 50.0},
+    ]
+
+
 def test_having_filters_groups(db):
     result = rows(
         db,

@@ -88,7 +88,7 @@ def test_tokenize_unterminated_string_raises():
 
 def test_tokenize_unexpected_character_raises():
     with pytest.raises(TokenizeError) as excinfo:
-        tokenize("SELECT a ? b FROM t")
+        tokenize("SELECT a @ b FROM t")
     assert excinfo.value.position is not None
 
 
