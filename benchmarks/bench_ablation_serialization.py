@@ -4,13 +4,16 @@ Two cells:
 
 * **Arrow-like vs JSON codec** (Section 4: "To further reduce network
   transfer costs, VegaPlus encodes query results using the binary Apache
-  Arrow format") — the same all-client plan under both cost models.
+  Arrow format") — the same all-client plan under both cost models.  The
+  codecs differ only in the *modelled* network and serialisation
+  seconds, so the cell asserts on those and on payload bytes; the wall
+  totals, dominated by measured client compute, are recorded.
 * **Columnar vs row-dict transport** — the real serialize+decode cost of
   shipping one large ``SELECT *`` result through the shard wire protocol
-  as a :class:`~repro.storage.resultset.ResultSet` (numeric columns ride
-  the frame's out-of-band buffer section as raw float64 buffers) versus
-  as the equivalent ``list[dict]`` (every cell boxed and pickled
-  in-band).  The measured ratio lands in the results DB as
+  as the result :class:`~repro.storage.table.Table` (numeric columns
+  ride the frame's out-of-band buffer section as raw float64 buffers,
+  string columns as codes plus the dictionary entries they use) versus as the equivalent ``list[dict]`` (every cell boxed and
+  pickled in-band).  The measured ratio lands in the results DB as
   ``transport_speedup``; at full ``REPRO_BENCH_SCALE`` the columnar path
   must be at least 3x cheaper.
 """
@@ -19,7 +22,7 @@ import time
 
 from repro.bench.scale import bench_scale, scaled_size
 from repro.core.enumerator import PlanEnumerator
-from repro.core.system import VegaPlusSystem
+from repro.core.system import LatencyBreakdown, VegaPlusSystem
 from repro.net.serialize import (
     FRAME_HEADER_BYTES,
     ArrowCodec,
@@ -28,12 +31,11 @@ from repro.net.serialize import (
     encode_frame,
     frame_section_lengths,
 )
-from repro.storage.resultset import ResultSet
 
 SIZE = 20_000
 
 
-def _initial_render_seconds(configuration, harness, codec) -> float:
+def _initial_render(configuration, harness, codec) -> LatencyBreakdown:
     system = VegaPlusSystem(
         configuration.spec,
         configuration.database,
@@ -42,7 +44,12 @@ def _initial_render_seconds(configuration, harness, codec) -> float:
         enable_cache=False,
     )
     system.use_plan(PlanEnumerator(configuration.spec).all_client_plan())
-    return system.initialize().total_seconds
+    return system.initialize().breakdown
+
+
+def _modelled_seconds(breakdown: LatencyBreakdown) -> float:
+    """The codec-dependent part of a pass: modelled transfer + (de)serialisation."""
+    return breakdown.network_seconds + breakdown.serialization_seconds
 
 
 def test_arrow_vs_json_serialization(benchmark, harness):
@@ -50,22 +57,35 @@ def test_arrow_vs_json_serialization(benchmark, harness):
         "interactive_histogram", "flights", SIZE, interactions_per_session=0
     )
 
-    arrow_seconds = benchmark.pedantic(
-        _initial_render_seconds,
+    arrow_pass = benchmark.pedantic(
+        _initial_render,
         args=(configuration, harness, ArrowCodec()),
         rounds=1,
         iterations=1,
     )
-    json_seconds = _initial_render_seconds(configuration, harness, JsonCodec())
+    json_pass = _initial_render(configuration, harness, JsonCodec())
 
-    flights = ResultSet.from_table(configuration.database.table("flights"))
+    flights = configuration.database.table("flights")
     arrow_bytes = ArrowCodec().estimate_result(flights).payload_bytes
     json_bytes = JsonCodec().estimate_result(flights).payload_bytes
 
-    print(f"\nArrow codec: {arrow_seconds * 1000:8.1f} ms, payload {arrow_bytes:>12,} bytes")
-    print(f"JSON codec:  {json_seconds * 1000:8.1f} ms, payload {json_bytes:>12,} bytes")
+    benchmark.extra_info["arrow_total_seconds"] = arrow_pass.total_seconds
+    benchmark.extra_info["json_total_seconds"] = json_pass.total_seconds
+    benchmark.extra_info["arrow_modelled_seconds"] = _modelled_seconds(arrow_pass)
+    benchmark.extra_info["json_modelled_seconds"] = _modelled_seconds(json_pass)
+    benchmark.extra_info["arrow_payload_bytes"] = arrow_bytes
+    benchmark.extra_info["json_payload_bytes"] = json_bytes
+    for name, breakdown, payload in (("Arrow", arrow_pass, arrow_bytes), ("JSON", json_pass, json_bytes)):
+        print(
+            f"\n{name + ' codec:':12} {breakdown.total_seconds * 1000:8.1f} ms total, "
+            f"{_modelled_seconds(breakdown) * 1000:8.1f} ms modelled, payload {payload:>12,} bytes"
+        )
+    # The gap the cell claims is modelled, so it is asserted there: the
+    # measured client compute in both totals is the same plan's and only
+    # adds noise (on a loaded 2-core machine the totals once read 321.6 ms
+    # for Arrow against 310.7 ms for JSON).
     assert json_bytes > arrow_bytes
-    assert json_seconds > arrow_seconds
+    assert _modelled_seconds(json_pass) > _modelled_seconds(arrow_pass)
 
 
 # --------------------------------------------------------------------------- #
@@ -91,7 +111,7 @@ def _best_of(fn, message, repeats: int = 5) -> float:
 
 
 def test_columnar_vs_rows_transport(benchmark, harness):
-    """The tentpole gate: ResultSet frames vs row-dict frames.
+    """The transport gate: result-table frames vs row-dict frames.
 
     ``SELECT *`` over the scaled flights table is the largest, widest
     result class the serving tier ships.  Both legs run the identical
@@ -103,23 +123,21 @@ def test_columnar_vs_rows_transport(benchmark, harness):
     configuration = harness.configure(
         "interactive_histogram", "flights", n_rows, interactions_per_session=0
     )
-    result = configuration.database.execute("SELECT * FROM flights")
-    rset = result.result_set()
-    rows = result.to_rows()
+    table = configuration.database.execute("SELECT * FROM flights").table
+    rows = table.to_rows()
 
     columnar_seconds = benchmark.pedantic(
-        _best_of, args=(_wire_roundtrip, rset), rounds=1, iterations=1
+        _best_of, args=(_wire_roundtrip, table), rounds=1, iterations=1
     )
     rows_seconds = _best_of(_wire_roundtrip, rows)
     speedup = rows_seconds / columnar_seconds if columnar_seconds > 0 else 0.0
 
-    decoded = _wire_roundtrip(rset)
-    assert decoded.equals(rset)
-    assert decoded.rows() == rows
+    decoded = _wire_roundtrip(table)
+    assert decoded.to_rows() == rows
 
     benchmark.extra_info["backend"] = configuration.database.name
     benchmark.extra_info["n_rows"] = n_rows
-    benchmark.extra_info["n_columns"] = rset.num_columns
+    benchmark.extra_info["n_columns"] = table.num_columns
     benchmark.extra_info["columnar_seconds"] = columnar_seconds
     benchmark.extra_info["rows_seconds"] = rows_seconds
     benchmark.extra_info["transport_speedup"] = speedup
@@ -127,7 +145,7 @@ def test_columnar_vs_rows_transport(benchmark, harness):
     print(
         f"\ncolumnar frame: {columnar_seconds * 1000:8.2f} ms   "
         f"row dicts: {rows_seconds * 1000:8.2f} ms   "
-        f"speedup {speedup:5.1f}x  ({n_rows:,} rows x {rset.num_columns} cols)"
+        f"speedup {speedup:5.1f}x  ({n_rows:,} rows x {table.num_columns} cols)"
     )
     assert speedup > 1.0
     if bench_scale() >= 1.0:

@@ -10,11 +10,12 @@ this repository, so LRU is a measured choice: on the benchmark's
 Zipf-distributed dashboard refreshes it serves more requests from the
 server cache than insertion order does.
 
-Entries hold columnar :class:`~repro.storage.resultset.ResultSet`
-batches — row dicts never materialise on a cache hit unless a final
-consumer asks.  ``payload_bytes`` should be the **exact** size of the
-stored result (:attr:`ResultSet.nbytes`), so the byte accounting charges
-on insertion exactly what eviction later frees.  Entries are never
+Entries hold the columnar :class:`~repro.storage.table.Table` the
+backend returned — row dicts never materialise on a cache hit unless a
+final consumer asks, and then once per entry.  ``payload_bytes``
+should be the **exact** size of the stored result
+(:attr:`Table.nbytes`), so the byte accounting charges on insertion
+exactly what eviction later frees.  Entries are never
 overwritten in place: the first result stored under a key stays until
 eviction or :meth:`QueryCache.clear` (which a table replacement
 triggers), so an entry's bytes enter and leave the count exactly once.
@@ -30,7 +31,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.storage.resultset import ResultSet
+from repro.storage.table import Table
 
 #: Entries of a client-side cache (the middleware's built-in one and each
 #: session's own).
@@ -68,7 +69,7 @@ class CacheEntry:
     """One cached query result."""
 
     query: str
-    result: ResultSet
+    result: Table
     payload_bytes: int
 
 
@@ -110,7 +111,7 @@ class QueryCache:
         with self._lock:
             return self._entries.get(query)
 
-    def put(self, query: str, result: ResultSet, payload_bytes: int) -> bool:
+    def put(self, query: str, result: Table, payload_bytes: int) -> bool:
         """Insert a result; returns True when it was actually cached.
 
         ``payload_bytes`` is the exact size charged to the byte count

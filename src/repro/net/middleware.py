@@ -38,7 +38,7 @@ from repro.backends.base import BackendCapabilities
 from repro.net.cache import CLIENT_CACHE_ENTRIES, SERVER_CACHE_ENTRIES, QueryCache
 from repro.net.channel import NetworkModel
 from repro.net.serialize import ArrowCodec, Codec, PayloadEstimate
-from repro.storage.resultset import ResultSet
+from repro.storage.table import Table
 
 if TYPE_CHECKING:  # avoids a runtime repro.net ↔ repro.server cycle
     from repro.server.scheduler import RequestScheduler
@@ -49,13 +49,13 @@ class QueryResponse:
     """What the client receives for one SQL request.
 
     The payload is columnar end to end: :attr:`result` is the
-    :class:`~repro.storage.resultset.ResultSet` as executed/cached —
-    row dicts only materialise when a consumer reads :attr:`rows`
-    (lazily, cached on the result set itself).
+    :class:`~repro.storage.table.Table` the backend returned, as
+    executed or cached — row dicts only materialise when a consumer
+    reads :attr:`rows` (once, cached on the table itself).
     """
 
     sql: str
-    result: ResultSet
+    result: Table
     payload_bytes: int
     server_seconds: float
     network_seconds: float
@@ -70,7 +70,7 @@ class QueryResponse:
     @property
     def rows(self) -> list[dict]:
         """The canonical row-dict view (materialised on first access)."""
-        return self.result.rows()
+        return self.result.to_rows()
 
     @property
     def num_rows(self) -> int:
@@ -92,7 +92,7 @@ class QueryResponse:
 class _ExecutionOutcome:
     """Backend-side result shared by all coalesced requesters."""
 
-    result: ResultSet
+    result: Table
     server_seconds: float = 0.0
     #: Codec cost model of a fresh execution; ``None`` when the in-flight
     #: check found the result already published to the server cache.
@@ -223,7 +223,7 @@ class MiddlewareServer:
         self,
         sql: str,
         key: str,
-        result: ResultSet,
+        result: Table,
         client_cache: QueryCache | None,
         network: NetworkModel,
         coalesced: bool = False,
@@ -278,13 +278,13 @@ class MiddlewareServer:
         result = self.database.execute(sql)
         with self._stats_lock:
             self.queries_executed += 1
-        rset = result.result_set()
+        table = result.table
         if self.enable_cache:
             # Exact resident bytes, not the codec's wire estimate: the
             # byte count must charge what eviction later frees.
-            self.server_cache.put(key, rset, rset.nbytes)
+            self.server_cache.put(key, table, table.nbytes)
         return _ExecutionOutcome(
-            rset, result.elapsed_seconds, self.codec.estimate_result(rset)
+            table, result.elapsed_seconds, self.codec.estimate_result(table)
         )
 
     # ------------------------------------------------------------------ #

@@ -4,7 +4,7 @@ VegaPlus reduces network transfer cost by encoding query results with the
 binary Apache Arrow format instead of JSON (Section 4).  We model the two
 codecs' payload sizes (and the CPU cost of encoding/decoding) without
 materialising giant byte strings: sizes are computed from a columnar
-:class:`~repro.storage.resultset.ResultSet` — exactly for the columnar
+:class:`~repro.storage.table.Table` result — exactly for the columnar
 codec, from a head-row sample for the text codec — which keeps benchmarks
 fast while preserving the relative JSON/Arrow gap.
 
@@ -21,8 +21,9 @@ The buffer section carries pickle protocol-5 **out-of-band buffers**
 (``pickle.dumps(..., buffer_callback=...)`` on the way out,
 ``pickle.loads(..., buffers=...)`` on the way in): a columnar result's
 float64 column arrays travel as raw bytes, never re-encoded cell by
-cell.  Messages without out-of-band buffers have an empty buffer
-section, which keeps control traffic (pings, stats) compact.  The
+cell.  Messages without out-of-band buffers have an
+empty buffer section, which keeps control traffic (pings, stats)
+compact.  The
 gateway and its worker processes are two halves of one program, so
 pickle is the honest codec and the explicit lengths make message
 boundaries — and torn streams — detectable on a byte stream.
@@ -39,7 +40,7 @@ import socket
 import struct
 from dataclasses import dataclass
 
-from repro.storage.resultset import ResultSet
+from repro.storage.table import Table
 
 #: Number of rows sampled when estimating per-row payload size.
 _SAMPLE_ROWS = 50
@@ -78,11 +79,12 @@ class WireProtocolError(RuntimeError):
 def encode_frame(message: object) -> bytes:
     """One wire frame: header + protocol-5 pickle + out-of-band buffers.
 
-    Numeric column arrays inside ``message`` (e.g. a
-    :class:`~repro.storage.resultset.ResultSet`) are exported through
+    Numeric arrays inside ``message`` (the float64 columns of a result
+    :class:`~repro.storage.table.Table`) are exported through
     ``buffer_callback`` as raw buffers in the frame's buffer section —
-    the pickle payload holds only their metadata.  Object/string columns
-    pickle in-band automatically.
+    the pickle payload holds only their metadata.  Encoded string
+    columns (code bytes plus the dictionary entries they use) and object
+    columns pickle in-band.
     """
     buffers: list[pickle.PickleBuffer] = []
     payload = pickle.dumps(message, protocol=5, buffer_callback=buffers.append)
@@ -257,7 +259,7 @@ class Codec:
     #: Human-readable codec name.
     name = "abstract"
 
-    def estimate_result(self, result: ResultSet) -> PayloadEstimate:
+    def estimate_result(self, result: Table) -> PayloadEstimate:
         """Estimate the payload of a columnar result without exploding it."""
         raise NotImplementedError
 
@@ -276,10 +278,10 @@ class JsonCodec(Codec):
     encode_seconds_per_byte = 1.0 / 300e6
     decode_seconds_per_byte = 1.0 / 150e6
 
-    def estimate_result(self, result: ResultSet) -> PayloadEstimate:
+    def estimate_result(self, result: Table) -> PayloadEstimate:
         """Scale the JSON size of the head rows (cheap: only the sample
         is materialised) to the full row count."""
-        sample = result.head_rows(_SAMPLE_ROWS)
+        sample = result.slice(0, _SAMPLE_ROWS).to_rows()
         if not sample:
             return PayloadEstimate(0, 2, 0.0, 0.0)
         per_row = len(json.dumps(sample, default=str)) / len(sample)
@@ -308,10 +310,10 @@ class ArrowCodec(Codec):
     #: Fixed per-message framing overhead (schema + record batch headers).
     framing_bytes = 512
 
-    def estimate_result(self, result: ResultSet) -> PayloadEstimate:
-        """Exact O(columns) estimate: the codec is columnar, so the
-        result's own byte accounting *is* the Arrow payload size
-        (``nbytes + framing_bytes``)."""
+    def estimate_result(self, result: Table) -> PayloadEstimate:
+        """Exact estimate: the codec is columnar, so the result's own
+        byte accounting *is* the Arrow payload size (``nbytes +
+        framing_bytes``)."""
         payload = result.nbytes + self.framing_bytes
         return PayloadEstimate(
             num_rows=result.num_rows,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.backends import EMBEDDED_CAPABILITIES, BackendCapabilities
 from repro.errors import ExpressionTranslationError, RewriteError
@@ -150,11 +150,13 @@ def apply_transform(
     definition: Mapping,
     params: Mapping,
 ) -> QueryFragment:
-    """Fold one transform into ``fragment``.
+    """Fold one transform into ``fragment``, in place.
 
-    ``definition`` is the raw transform definition (for its type) and
-    ``params`` are the *resolved* parameters (signals and upstream operator
-    values already substituted).  Raises :class:`RewriteError` when the
+    Returns the fragment to continue from: ``fragment`` itself, or the
+    new outer block when the transform had to nest it.  ``definition``
+    is the raw transform definition (for its type) and ``params`` are
+    the *resolved* parameters (signals and upstream operator values
+    already substituted).  Raises :class:`RewriteError` when the
     transform type is not rewritable.
     """
     transform_type = definition.get("type")
@@ -205,19 +207,17 @@ def _apply_filter(fragment: QueryFragment, params: Mapping) -> QueryFragment:
         raise RewriteError(f"filter expression has no SQL equivalent: {exc}") from exc
     if not fragment.can_add_predicate():
         fragment = fragment.nest()
-    result = replace(fragment)
-    result.where = fragment.where + [predicate]
-    return result
+    fragment.where.append(predicate)
+    return fragment
 
 
 def _apply_extent(fragment: QueryFragment, params: Mapping) -> QueryFragment:
     column = params["field"]
     if fragment.aggregated or fragment.select_items:
         fragment = fragment.nest()
-    result = replace(fragment)
-    result.select_items = [f"MIN({column}) AS min_val", f"MAX({column}) AS max_val"]
-    result.aggregated = True
-    return result
+    fragment.select_items = [f"MIN({column}) AS min_val", f"MAX({column}) AS max_val"]
+    fragment.aggregated = True
+    return fragment
 
 
 def _apply_bin(fragment: QueryFragment, params: Mapping) -> QueryFragment:
@@ -233,10 +233,9 @@ def _apply_bin(fragment: QueryFragment, params: Mapping) -> QueryFragment:
     bin1 = out_names[1] if len(out_names) > 1 else "bin1"
     if not fragment.can_add_projection() or fragment.select_items:
         fragment = fragment.nest()
-    result = replace(fragment)
     low, high = float(extent[0]), float(extent[1])
-    result.select_items = ["*", *_bin_items(column, low, high, maxbins, bin0, bin1)]
-    return result
+    fragment.select_items = ["*", *_bin_items(column, low, high, maxbins, bin0, bin1)]
+    return fragment
 
 
 @functools.lru_cache(maxsize=256)
@@ -307,11 +306,10 @@ def _apply_aggregate(fragment: QueryFragment, params: Mapping) -> QueryFragment:
             items.append(f"COUNT(DISTINCT {agg_field}) AS {name}")
         else:
             items.append(f"{sql_func}({agg_field}) AS {name}")
-    result = replace(fragment)
-    result.select_items = items
-    result.group_by = group_exprs
-    result.aggregated = True
-    return result
+    fragment.select_items = items
+    fragment.group_by = group_exprs
+    fragment.aggregated = True
+    return fragment
 
 
 def _apply_collect(fragment: QueryFragment, params: Mapping) -> QueryFragment:
@@ -330,9 +328,8 @@ def _apply_collect(fragment: QueryFragment, params: Mapping) -> QueryFragment:
     for index, sort_field in enumerate(fields):
         direction = "DESC" if index < len(orders) and str(orders[index]).lower().startswith("desc") else "ASC"
         keys.append(f"{sort_field} {direction}")
-    result = replace(fragment)
-    result.order_by = fragment.order_by + keys
-    return result
+    fragment.order_by.extend(keys)
+    return fragment
 
 
 def _apply_project(fragment: QueryFragment, params: Mapping) -> QueryFragment:
@@ -342,12 +339,11 @@ def _apply_project(fragment: QueryFragment, params: Mapping) -> QueryFragment:
         as_names = as_names + fields[len(as_names):]
     if not fragment.can_add_projection() or fragment.select_items:
         fragment = fragment.nest()
-    result = replace(fragment)
-    result.select_items = [
+    fragment.select_items = [
         column if column == alias else f"{column} AS {alias}"
         for column, alias in zip(fields, as_names)
     ]
-    return result
+    return fragment
 
 
 def _apply_stack(fragment: QueryFragment, params: Mapping) -> QueryFragment:
@@ -382,9 +378,8 @@ def _apply_stack(fragment: QueryFragment, params: Mapping) -> QueryFragment:
         frame = dialect.window_frame_clause()
     over = " ".join(over_parts)
     window = f"SUM({field_name}) OVER ({over}{frame}) AS {y1}"
-    inner = replace(fragment)
-    inner.select_items = ["*", window]
-    outer = inner.nest(alias="stacked")
+    fragment.select_items = ["*", window]
+    outer = fragment.nest(alias="stacked")
     outer.select_items = ["*", f"{y1} - {field_name} AS {y0}"]
     return outer
 
@@ -404,9 +399,8 @@ def _apply_timeunit(fragment: QueryFragment, params: Mapping) -> QueryFragment:
     if not fragment.can_add_projection() or fragment.select_items:
         fragment = fragment.nest()
     expr = f"FLOOR({column} / {step}) * {step}"
-    result = replace(fragment)
-    result.select_items = ["*", f"{expr} AS {unit0}", f"{expr} + {step} AS {unit1}"]
-    return result
+    fragment.select_items = ["*", f"{expr} AS {unit0}", f"{expr} + {step} AS {unit1}"]
+    return fragment
 
 
 # --------------------------------------------------------------------------- #

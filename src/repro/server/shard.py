@@ -192,9 +192,9 @@ def _shard_worker_main(shard_index: int, spec: ShardSpec, conn: socket.socket) -
         try:
             response = manager.execute(str(request["session_id"]), request["sql"])
             # The response crosses the wire as the middleware built it:
-            # the columnar result's numeric buffers ride the frame's
-            # out-of-band section, so the worker never materialises row
-            # dicts for transport.
+            # the result table's numeric buffers ride the frame's
+            # out-of-band section and its strings stay encoded, so the worker never
+            # materialises row dicts for transport.
             reply({"request_id": request_id, "ok": True, "response": response})
         except BaseException as exc:  # must answer or the caller waits forever
             fail(request_id, exc)

@@ -22,7 +22,6 @@ from repro.sql.ivm import IVMManager
 from repro.sql.plancache import PlanCache
 from repro.sql.planner import LogicalPlan
 from repro.storage.catalog import Catalog
-from repro.storage.resultset import ResultSet
 from repro.storage.statistics import TableStatistics
 from repro.storage.table import PartitionedTable, Table
 
@@ -42,21 +41,8 @@ class QueryResult:
         return self.table.num_rows
 
     def to_rows(self) -> list[dict[str, object]]:
-        """Result as a list of row dictionaries."""
+        """Result as a list of row dictionaries (cached on the table)."""
         return self.table.to_rows()
-
-    def result_set(self) -> ResultSet:
-        """The result as a zero-copy columnar :class:`ResultSet` (cached).
-
-        Shares the result table's numpy arrays — no rows are
-        materialised.  This is what the serving path transports; row
-        dicts only exist once a final consumer calls ``rows()`` on it.
-        """
-        rset = getattr(self, "_result_set", None)
-        if rset is None:
-            rset = ResultSet.from_table(self.table)
-            self._result_set = rset
-        return rset
 
 
 #: :class:`ExecutionStats` fields summed into the counter of the same name.

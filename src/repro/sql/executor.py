@@ -175,10 +175,15 @@ def _truth_values(truth: Truth) -> np.ndarray:
 
 
 def _value_truth(values: np.ndarray) -> Truth:
-    """A value used as a predicate: exactly 1.0 is TRUE, exactly 0.0 is
-    FALSE, anything else (NULL, other numbers, strings) is UNKNOWN."""
-    true = values == 1.0
-    return _known(true, ~(true | (values == 0.0)))
+    """A value used as a predicate: NULL is UNKNOWN, 0 is FALSE and every
+    other number is TRUE, as in SQLite and the client's truthiness; a
+    string is UNKNOWN."""
+    if values.dtype == object:
+        values = np.array(
+            [v if isinstance(v, (int, float)) else np.nan for v in values], dtype=np.float64
+        )
+    unknown = np.isnan(values)
+    return _known((values != 0.0) & ~unknown, unknown)
 
 
 def _compare(op: str, left: np.ndarray, right: np.ndarray) -> Truth:

@@ -150,6 +150,24 @@ def factorize_array(values: np.ndarray) -> tuple[np.ndarray, list[object]]:
     return remap[raw_codes] if len(raw_uniques) else raw_codes, [raw_uniques[c] for c in order]
 
 
+def _load_column(
+    name: str, data: np.ndarray | bytes, entries: tuple[str, ...] | None = None
+) -> "Column":
+    """Unpickle hook (see ``Column.__reduce__``).
+
+    A float64 array is a numeric column and an object array a plain
+    string column; bytes are the codes of an encoded column over
+    ``entries``.
+    """
+    if entries is None:
+        ctype = ColumnType.NUMERIC if data.dtype == np.float64 else ColumnType.STRING
+        return Column._of(name, ctype, data)
+    dictionary = np.empty(len(entries), dtype=object)
+    dictionary[:] = entries
+    codes = np.frombuffer(data, dtype=code_dtype(len(entries)))
+    return Column.from_codes(name, codes, dictionary)
+
+
 def infer_column_type(values: Iterable[object]) -> ColumnType:
     """Infer the storage type from a sample of Python values.
 
@@ -301,10 +319,30 @@ class Column:
         return f"Column({self.name!r}, {self.ctype.value}, n={len(self)})"
 
     def __reduce__(self):
-        # Encoded columns cross process boundaries decoded: a filtered or
-        # aggregated column may reference a handful of entries of a large
-        # shared dictionary, and the constructor re-encodes compactly.
-        return (Column, (self.name, self.values, self.ctype))
+        # A column pickles its storage, never the decoded object view.
+        # Numeric values go as one contiguous float64 array (an
+        # out-of-band buffer under pickle protocol 5).  An encoded column
+        # goes as code bytes plus a tuple of only the entries they use: a
+        # filtered column may use a handful of a large shared dictionary,
+        # and two array headers cost a small result more than its strings.
+        # Loading hashes no string.
+        if self.codes is None:
+            values = self._values
+            if self.ctype is ColumnType.NUMERIC:
+                values = np.ascontiguousarray(values)
+            return (_load_column, (self.name, values))
+        codes, dictionary = self.codes, self.dictionary
+        used = np.zeros(len(dictionary) + 1, dtype=bool)
+        used[codes] = True
+        if not used[:-1].all():
+            # Renumber the used entries in order (the dictionary stays
+            # sorted); NULL becomes the new dictionary's length.
+            dictionary = dictionary[used[:-1]]
+            remap = np.cumsum(used) - 1
+            remap[-1] = len(dictionary)
+            codes = remap[codes]
+        codes = codes.astype(code_dtype(len(dictionary)), copy=False)
+        return (_load_column, (self.name, codes.tobytes(), tuple(dictionary)))
 
     def is_numeric(self) -> bool:
         """Whether the column stores numeric data."""
@@ -366,14 +404,3 @@ class Column:
     def to_pylist(self) -> list[object]:
         """Convert to a list of Python values (``None`` for NULL)."""
         return canonical_pylist(self.values)
-
-    def nbytes(self) -> int:
-        """Approximate in-memory size, used by the serialization models."""
-        if self.ctype is ColumnType.NUMERIC:
-            return int(self._values.nbytes)
-        if self.codes is not None:
-            lengths = np.fromiter(
-                map(len, self.dictionary), dtype=np.int64, count=len(self.dictionary)
-            )
-            return int(np.append(lengths, 1)[self.codes].sum())
-        return int(sum(len(str(v)) if v is not None else 1 for v in self._values))

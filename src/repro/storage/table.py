@@ -3,6 +3,18 @@
 A :class:`Table` is an ordered mapping of column names to :class:`Column`
 objects, all of equal length.  Tables are immutable: every operation
 returns a new table that shares column data where possible.
+
+A table is also the one currency of query results, from the executor
+through both cache tiers and the shard wire to the client:
+
+* **rows** — :meth:`Table.to_rows` is the canonical row view (NaN becomes
+  ``None``, integral floats render as ``int``), materialised once per
+  table and cached on it, so a cache hit hands out the same list;
+* **bytes** — :attr:`Table.nbytes` is the exact payload in the Arrow
+  layout, the number cache byte counts charge and the columnar codec
+  sends;
+* **wire** — a pickled table carries only its columns (see
+  ``Column.__reduce__``), never its caches.
 """
 
 from __future__ import annotations
@@ -118,6 +130,11 @@ class Table:
         Optional table name (set when registered in a catalog).
     """
 
+    #: The cached row view and byte count (see :meth:`to_rows` and
+    #: :attr:`nbytes`); pickling drops both.
+    _rows: list[dict[str, object]] | None = None
+    _nbytes: int | None = None
+
     def __init__(self, columns: Sequence[Column], name: str = "") -> None:
         lengths = {len(col) for col in columns}
         if len(lengths) > 1:
@@ -216,6 +233,12 @@ class Table:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Table({self.name!r}, rows={self.num_rows}, cols={self.column_names()})"
 
+    def __getstate__(self) -> dict[str, object]:
+        """Pickle the columns and the name (and partition bounds), not the caches."""
+        return {
+            key: value for key, value in self.__dict__.items() if key not in ("_rows", "_nbytes")
+        }
+
     # ------------------------------------------------------------------ #
     # Row-wise and column-wise transformation
     # ------------------------------------------------------------------ #
@@ -311,18 +334,43 @@ class Table:
     # Conversion
     # ------------------------------------------------------------------ #
     def to_rows(self) -> list[dict[str, object]]:
-        """Materialise the table as a list of row dictionaries."""
-        names = self.column_names()
-        pylists = [self._columns[n].to_pylist() for n in names]
-        return [dict(zip(names, row)) for row in zip(*pylists)]
+        """The canonical row dictionaries, materialised once and cached.
+
+        Every caller of one table shares the list: read it, do not
+        mutate it.
+        """
+        if self._rows is None:
+            names = self.column_names()
+            pylists = [self._columns[n].to_pylist() for n in names]
+            self._rows = [dict(zip(names, row)) for row in zip(*pylists)]
+        return self._rows
 
     def to_columns(self) -> dict[str, list[object]]:
         """Materialise the table as a mapping of name -> Python values."""
         return {name: col.to_pylist() for name, col in self._columns.items()}
 
+    @property
     def nbytes(self) -> int:
-        """Approximate in-memory size in bytes."""
-        return sum(col.nbytes() for col in self.columns())
+        """Exact payload bytes in the Arrow layout, computed once.
+
+        8 bytes per number; a string costs its UTF-8 length plus a 4-byte
+        offset, a NULL string the offset only.  Cache byte counts charge
+        this, so eviction frees exactly what insertion charged.
+        """
+        if self._nbytes is None:
+            self._nbytes = sum(map(_payload_bytes, self._columns.values()))
+        return self._nbytes
+
+
+def _payload_bytes(column: Column) -> int:
+    """One column's share of :attr:`Table.nbytes`."""
+    if column.ctype is ColumnType.NUMERIC:
+        return 8 * len(column)
+    if column.codes is not None:
+        lengths = [len(value.encode()) + 4 for value in column.dictionary]
+        lengths.append(4)
+        return int(np.asarray(lengths, dtype=np.int64)[column.codes].sum())
+    return sum(4 if value is None else len(str(value).encode()) + 4 for value in column.values)
 
 
 def _concat_columns(parts: Sequence[Column]) -> Column:

@@ -2,18 +2,9 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.core.encoder import FEATURE_OPERATOR_TYPES, PlanVector, _operator_type
-from repro.storage.resultset import ResultSet
-from repro.storage.table import Table
-
-
-def result_set(rows: Sequence[dict] = ()) -> ResultSet:
-    """A small columnar result — what caches store and codecs estimate."""
-    return ResultSet.from_table(Table.from_rows(list(rows)))
 
 
 def reference_vector(encoder, built, plan_id, episode=0, interaction=None):

@@ -268,6 +268,11 @@ CORPUS: list[tuple[str, object, bool]] = [
     ("like_numeric_null", _plain("SELECT w FROM data WHERE v LIKE 'n%'"), False),
     ("or_like_numeric_null", _plain(
         "SELECT w FROM data WHERE (v > 1) OR (v LIKE '%a%')"), False),
+    # A number used as a predicate: NULL is UNKNOWN, 0 FALSE, any other TRUE.
+    # (``w`` holds one 0 and many other numbers, ``v`` holds NULLs.)
+    ("value_as_predicate", _plain("SELECT w FROM data WHERE w"), False),
+    ("not_value_as_predicate", _plain("SELECT w FROM data WHERE NOT w"), False),
+    ("arithmetic_as_predicate", _plain("SELECT w FROM data WHERE v + 1.5"), False),
 ]
 
 

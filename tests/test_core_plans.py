@@ -325,6 +325,39 @@ def test_every_plan_renders_the_same_marks(template_name, invariance_backend):
                 assert rows_match(got[name], rows), (plans[index].plan_id, step, name)
 
 
+@pytest.mark.parametrize("backend_name", backend_names())
+def test_numeric_field_as_filter_renders_the_same_marks(backend_name):
+    """``filter datum.delay`` keeps every row whose delay is a non-zero
+    number, whichever side evaluates it: 0 and NULL drop, 0.5 and -2 stay."""
+    backend = create_backend(backend_name)
+    delays = [("A", 0.0), ("A", 1.0), ("B", 5.0), ("B", -2.0), ("C", None), ("C", 0.5)]
+    backend.register_rows(
+        "flights", [{"carrier": carrier, "delay": delay} for carrier, delay in delays]
+    )
+    spec = {
+        "data": [
+            {"name": "source", "table": "flights"},
+            {
+                "name": "counts",
+                "source": "source",
+                "transform": [
+                    {"type": "filter", "expr": "datum.delay"},
+                    {"type": "aggregate", "groupby": ["carrier"], "ops": ["count"], "as": ["n"]},
+                ],
+            },
+        ],
+        "marks": [{"type": "rect", "from": {"data": "counts"}}],
+    }
+    enumerator = PlanEnumerator(parse_spec_dict(spec))
+    want = [{"carrier": "A", "n": 1}, {"carrier": "B", "n": 2}, {"carrier": "C", "n": 1}]
+    for plan in (enumerator.all_client_plan(), enumerator.all_server_plan()):
+        system = VegaPlusSystem(spec, backend)
+        system.use_plan(plan)
+        system.initialize()
+        assert rows_match(system.dataset("counts"), want), plan.plan_id
+    backend.close()
+
+
 def crossfilter_instance():
     fields = {"field_a": "distance", "field_b": "air_time", "field_c": "dep_delay"}
     return WorkloadGenerator(seed=0).instantiate("crossfilter", "flights", fields=fields)

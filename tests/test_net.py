@@ -2,7 +2,6 @@
 
 import pytest
 
-from helpers import result_set
 from repro.net import (
     ArrowCodec,
     JsonCodec,
@@ -11,11 +10,12 @@ from repro.net import (
     QueryCache,
 )
 from repro.net.cache import MAX_CACHED_RESULT_BYTES, SERVER_CACHE_ENTRIES
+from repro.storage.table import Table
 
 
 ROWS = [{"a": float(i), "b": f"value-{i}"} for i in range(200)]
-RESULT = result_set(ROWS)
-EMPTY = result_set()
+RESULT = Table.from_rows(ROWS)
+EMPTY = Table.from_rows([])
 
 
 # --------------------------------------------------------------------------- #
@@ -32,7 +32,7 @@ def test_json_payload_larger_than_arrow():
 
 def test_codec_payload_scales_with_rows():
     codec = ArrowCodec()
-    small = codec.estimate_result(result_set(ROWS[:10])).payload_bytes
+    small = codec.estimate_result(Table.from_rows(ROWS[:10])).payload_bytes
     large = codec.estimate_result(RESULT).payload_bytes
     # Per-row payload grows 20x (framing overhead is constant).
     assert large - codec.framing_bytes > (small - codec.framing_bytes) * 15
@@ -96,8 +96,8 @@ def test_network_preset_transfer_math(preset, rtt, bandwidth):
 def test_cache_hit_miss_statistics():
     cache = QueryCache(max_entries=4)
     assert cache.get("q1") is None
-    cache.put("q1", result_set(ROWS[:5]), payload_bytes=100)
-    assert cache.get("q1").result.rows() == ROWS[:5]
+    cache.put("q1", Table.from_rows(ROWS[:5]), payload_bytes=100)
+    assert cache.get("q1").result.to_rows() == ROWS[:5]
     assert cache.stats.hits == 1
     assert cache.stats.misses == 1
     assert cache.stats.hit_rate == pytest.approx(0.5)

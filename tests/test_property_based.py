@@ -27,7 +27,6 @@ from repro.sql.executor import (
 from repro.storage.table import Table
 from repro.dataflow.transforms.bin import compute_bins, nice_bin_step
 from repro.expr import evaluate, is_translatable, to_sql
-from helpers import result_set
 from repro.net.cache import QueryCache
 from repro.rewrite import SpecRewriter
 from repro.net import MiddlewareServer
@@ -279,7 +278,7 @@ def test_cache_never_exceeds_capacity_and_counts_consistently(queries, capacity)
     cache = QueryCache(max_entries=capacity)
     for query in queries:
         if cache.get(query) is None:
-            cache.put(query, result=result_set(), payload_bytes=10)
+            cache.put(query, result=Table.from_rows([]), payload_bytes=10)
         assert len(cache) <= capacity
     stats = cache.stats
     assert stats.hits + stats.misses == len(queries)
@@ -397,7 +396,7 @@ def test_arrow_payload_monotone_in_rows(n_rows):
     from repro.net.serialize import ArrowCodec
 
     rows = [{"a": float(i), "b": "x" * 5} for i in range(n_rows)]
-    smaller = ArrowCodec().estimate_result(result_set(rows[: n_rows // 2]))
-    larger = ArrowCodec().estimate_result(result_set(rows))
+    smaller = ArrowCodec().estimate_result(Table.from_rows(rows[: n_rows // 2]))
+    larger = ArrowCodec().estimate_result(Table.from_rows(rows))
     assert larger.payload_bytes >= smaller.payload_bytes
     assert larger.encode_seconds >= 0 and larger.decode_seconds >= 0

@@ -1,14 +1,16 @@
-"""Columnar result sets and their out-of-band wire transport.
+"""Result tables and their out-of-band wire transport.
 
-The tentpole contract of the columnar result path:
+The executor's :class:`~repro.storage.table.Table` is what caches,
+frames and clients carry.  The contract of that result path:
 
-* ``ResultSet.rows()`` is byte-identical to ``Table.to_rows()`` of the
-  originating table (the canonical row view),
-* ``ResultSet.nbytes`` is exact — cache byte counts charge on insert
+* ``Table.to_rows()`` is the canonical row view, materialised once per
+  result and cached on it — never on a catalog table,
+* ``Table.nbytes`` is exact — cache byte counts charge on insert
   exactly what eviction frees,
-* a ResultSet survives the wire protocol round trip (protocol-5 pickle
-  with numeric columns as out-of-band raw buffers) for every column
-  shape: empty results, all-NULL columns, string/object columns,
+* a table survives the wire protocol round trip (protocol-5 pickle with
+  numeric columns as out-of-band raw buffers, encoded string columns as
+  code bytes plus the entries they use) for every column shape: empty results, all-NULL columns, string/object columns;
+  its caches never cross the wire, and loading hashes no string,
 * a torn or internally inconsistent buffer section raises
   :class:`WireProtocolError` — never a hang, never silent truncation.
 """
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net import MiddlewareServer
 from repro.net.cache import MAX_CACHED_RESULT_BYTES, QueryCache
 from repro.net.serialize import (
     FRAME_HEADER_BYTES,
@@ -34,8 +37,8 @@ from repro.net.serialize import (
     recv_frame,
 )
 from repro.sql import Database
+from repro.storage import column as column_module
 from repro.storage.column import Column, ColumnType
-from repro.storage.resultset import ResultSet
 from repro.storage.table import Table
 
 
@@ -47,10 +50,11 @@ def _wire_roundtrip(message: object) -> object:
     return decode_frame_sections(frame[FRAME_HEADER_BYTES:payload_end], frame[payload_end:])
 
 
-# --------------------------------------------------------------------------- #
-# Canonical row view and byte accounting
-# --------------------------------------------------------------------------- #
-def test_rows_matches_table_to_rows_exactly():
+def _numeric(name: str, values) -> Column:
+    return Column(name, np.asarray(values, dtype=np.float64), ColumnType.NUMERIC)
+
+
+def _database() -> Database:
     database = Database()
     database.register_rows(
         "t",
@@ -61,74 +65,77 @@ def test_rows_matches_table_to_rows_exactly():
         ],
         column_order=["g", "v", "w"],
     )
+    return database
+
+
+# --------------------------------------------------------------------------- #
+# Canonical row view and byte accounting
+# --------------------------------------------------------------------------- #
+def test_rows_matches_table_to_rows_exactly():
+    database = _database()
     result = database.execute("SELECT * FROM t")
-    rset = result.result_set()
-    assert rset.rows() == result.to_rows()
+    rows = result.to_rows()
     # Integral floats render as int, NaN as None — the to_rows contract.
-    assert rset.rows()[0] == {"g": "a", "v": 1, "w": None}
-    assert rset.head_rows(2) == result.to_rows()[:2]
-    assert rset.num_rows == 3 and rset.num_columns == 3
+    assert rows == [
+        {"g": "a", "v": 1, "w": None},
+        {"g": None, "v": 2.5, "w": 0},
+        {"g": "b", "v": None, "w": 7},
+    ]
+    # Computed once per result, cached on it — and never on the catalog
+    # table, whose columns the scan shares.
+    assert result.table.to_rows() is rows
+    catalog_table = database.table("t")
+    assert result.table is not catalog_table
+    assert catalog_table._rows is None
+    assert result.table.num_rows == 3 and result.table.num_columns == 3
 
 
 def test_from_table_is_zero_copy_and_nbytes_is_exact():
-    table = Table(
-        [
-            Column("v", np.array([1.0, np.nan, 3.0]), ColumnType.NUMERIC),
-            Column("s", np.array(["ab", None, "cdé"], dtype=object), ColumnType.STRING),
-        ]
+    database = Database()
+    database.register_rows(
+        "t", [{"v": 1.0, "s": "ab"}, {"v": None, "s": None}, {"v": 3.0, "s": "cdé"}]
     )
-    rset = ResultSet.from_table(table)
-    # Zero copy: the numeric array is the table's own buffer.
-    assert rset.arrays[0] is table.columns()[0].values
+    result = database.execute("SELECT * FROM t").table
+    # Zero copy: the scan's columns are the catalog table's own.
+    assert result.column("v") is database.table("t").column("v")
     # Exact bytes: 3 float64 values + utf-8 lengths with 4-byte offsets
-    # ("ab"=2+4, NULL=4, "cdé"=4+4).
-    assert rset.nbytes == 3 * 8 + (2 + 4) + 4 + (4 + 4)
-    masks = rset.null_masks()
-    assert masks["v"].tolist() == [False, True, False]
-    assert masks["s"].tolist() == [False, True, False]
+    # ("ab"=2+4, NULL=4, "cdé"=4+4) — for the encoded column and for its
+    # plain object twin alike.
+    assert result.nbytes == 3 * 8 + (2 + 4) + 4 + (4 + 4)
+    twin = Column("s", np.array(["ab", None, "cdé"], dtype=object), ColumnType.STRING)
+    twin.codes = twin.dictionary = None
+    assert Table([result.column("v"), twin]).nbytes == result.nbytes
+    assert result.column("v").null_mask().tolist() == [False, True, False]
+    assert result.column("s").null_mask().tolist() == [False, True, False]
 
 
 def test_equality_is_canonical():
-    a = ResultSet(["v"], [np.array([1.0, np.nan])], [ColumnType.NUMERIC])
-    b = ResultSet(["v"], [np.array([1.0, np.nan])], [ColumnType.NUMERIC])
-    c = ResultSet(["v"], [np.array([1.0, 2.0])], [ColumnType.NUMERIC])
-    assert a == b  # NaN == NaN under the NULL encoding
-    assert a != c
-    # A numeric column boxed as objects equals its float64 twin.
-    boxed = ResultSet(["v"], [np.array([1.0, None], dtype=object)], [ColumnType.STRING])
-    assert boxed.equals(a) and a.equals(boxed)
+    a = Table([_numeric("v", [1.0, np.nan])])
+    b = Table([_numeric("v", [1.0, np.nan])])
+    c = Table([_numeric("v", [1.0, 2.0])])
+    assert a.to_rows() == b.to_rows()  # NaN == NaN under the NULL encoding
+    assert a.to_rows() != c.to_rows()
+    # A numeric column boxed as objects has its float64 twin's rows.
+    boxed = Table([Column("v", np.array([1.0, None], dtype=object), ColumnType.STRING)])
+    assert boxed.to_rows() == a.to_rows()
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError, match="ragged"):
-        ResultSet(
-            ["a", "b"],
-            [np.array([1.0]), np.array([1.0, 2.0])],
-            [ColumnType.NUMERIC, ColumnType.NUMERIC],
-        )
-    with pytest.raises(ValueError, match="mismatched"):
-        ResultSet(["a"], [], [])
+    with pytest.raises(ValueError, match="differing lengths"):
+        Table([_numeric("a", [1.0]), _numeric("b", [1.0, 2.0])])
+    with pytest.raises(ValueError, match="duplicate"):
+        Table([_numeric("a", [1.0]), _numeric("a", [2.0])])
 
 
 # --------------------------------------------------------------------------- #
 # Wire round trips (hypothesis over column shapes)
 # --------------------------------------------------------------------------- #
-_numeric_cols = st.lists(
-    st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False, width=32)),
-    max_size=20,
-)
-_string_cols = st.lists(
-    st.one_of(st.none(), st.sampled_from(["", "a", "bb", "ccc", "naïve"])), max_size=20
-)
-
-
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n_rows=st.integers(min_value=0, max_value=20))
 def test_resultset_wire_roundtrip_property(data, n_rows):
-    names, arrays, ctypes = [], [], []
+    columns = []
     n_cols = data.draw(st.integers(min_value=0, max_value=4))
     for index in range(n_cols):
-        names.append(f"c{index}")
         if data.draw(st.booleans()):
             values = data.draw(
                 st.lists(
@@ -140,10 +147,7 @@ def test_resultset_wire_roundtrip_property(data, n_rows):
                     max_size=n_rows,
                 )
             )
-            arrays.append(
-                np.array([np.nan if v is None else v for v in values], dtype=np.float64)
-            )
-            ctypes.append(ColumnType.NUMERIC)
+            columns.append(_numeric(f"c{index}", [np.nan if v is None else v for v in values]))
         else:
             values = data.draw(
                 st.lists(
@@ -152,57 +156,101 @@ def test_resultset_wire_roundtrip_property(data, n_rows):
                     max_size=n_rows,
                 )
             )
-            arrays.append(np.array(values, dtype=object))
-            ctypes.append(ColumnType.STRING)
-    rset = ResultSet(names, arrays, ctypes)
-    decoded = _wire_roundtrip({"ok": True, "result": rset})["result"]
-    assert isinstance(decoded, ResultSet)
-    assert decoded.equals(rset)
-    assert decoded.rows() == rset.rows()
-    assert decoded.nbytes == rset.nbytes
+            columns.append(
+                Column(f"c{index}", np.array(values, dtype=object), ColumnType.STRING)
+            )
+    table = Table(columns)
+    decoded = _wire_roundtrip({"ok": True, "result": table})["result"]
+    assert isinstance(decoded, Table)
+    assert decoded.column_names() == table.column_names()
+    assert [c.ctype for c in decoded.columns()] == [c.ctype for c in table.columns()]
+    assert decoded.to_rows() == table.to_rows()
+    assert decoded.nbytes == table.nbytes
 
 
 def test_wire_roundtrip_edge_shapes():
     cases = [
-        ResultSet([], [], []),  # zero columns
-        ResultSet(["v"], [np.array([], dtype=np.float64)], [ColumnType.NUMERIC]),
-        ResultSet(["s"], [np.array([], dtype=object)], [ColumnType.STRING]),
-        ResultSet(  # all-NULL columns of both types
-            ["v", "s"],
-            [np.full(5, np.nan), np.array([None] * 5, dtype=object)],
-            [ColumnType.NUMERIC, ColumnType.STRING],
+        Table([]),  # zero columns
+        Table([_numeric("v", [])]),
+        Table([Column("s", np.array([], dtype=object), ColumnType.STRING)]),
+        Table(  # all-NULL columns of both types
+            [
+                _numeric("v", np.full(5, np.nan)),
+                Column("s", np.array([None] * 5, dtype=object), ColumnType.STRING),
+            ]
         ),
+        # A mixed-object column stays in the object representation.
+        Table([Column("m", np.array(["a", 2.5, None], dtype=object), ColumnType.STRING)]),
     ]
-    for rset in cases:
-        decoded = _wire_roundtrip(rset)
-        assert decoded.equals(rset)
-        assert decoded.rows() == rset.rows()
+    for table in cases:
+        decoded = _wire_roundtrip(table)
+        assert decoded.to_rows() == table.to_rows()
+        assert decoded.nbytes == table.nbytes
+        for got, want in zip(decoded.columns(), table.columns()):
+            assert (got.codes is None) == (want.codes is None)
 
 
 def test_wire_roundtrip_preserves_noncontiguous_input():
     # A strided slice (e.g. a column of a 2-D array) must still export as
     # one contiguous out-of-band buffer.
     grid = np.arange(20, dtype=np.float64).reshape(10, 2)
-    rset = ResultSet(["v"], [grid[:, 1]], [ColumnType.NUMERIC])
-    assert rset.arrays[0].flags["C_CONTIGUOUS"]
-    decoded = _wire_roundtrip(rset)
-    assert decoded.arrays[0].tolist() == grid[:, 1].tolist()
+    table = Table([_numeric("v", grid[:, 1])])
+    assert not table.column("v").values.flags["C_CONTIGUOUS"]
+    frame = encode_frame(table)
+    assert frame_section_lengths(frame[:FRAME_HEADER_BYTES])[1] >= 10 * 8
+    decoded = _wire_roundtrip(table)
+    assert decoded.column("v").values.tolist() == grid[:, 1].tolist()
 
 
 def test_row_cache_does_not_cross_the_wire():
-    rset = ResultSet(["v"], [np.array([1.0, 2.0])], [ColumnType.NUMERIC])
-    rset.rows()  # populate the lazy row cache
-    frame_with_cache = encode_frame(rset)
-    fresh = ResultSet(["v"], [np.array([1.0, 2.0])], [ColumnType.NUMERIC])
+    table = Table([_numeric("v", [1.0, 2.0])])
+    table.to_rows()  # populate the row cache
+    assert table.nbytes == 16  # and the byte count
+    frame_with_cache = encode_frame(table)
+    fresh = Table([_numeric("v", [1.0, 2.0])])
     assert len(frame_with_cache) == len(encode_frame(fresh))
+    decoded = _wire_roundtrip(table)
+    assert decoded._rows is None and decoded._nbytes is None
+
+
+def test_filtered_encoded_column_ships_only_the_entries_it_uses():
+    big = Column.from_values("s", [f"key-{i:04d}" for i in range(1000)] + [None])
+    picked = big.take(np.tile([7, 1000, 7, 512], 500))
+    assert picked.dictionary is big.dictionary
+    decoded_form = Column("s", picked.values, ColumnType.STRING)
+    decoded_form.codes = decoded_form.dictionary = None
+    frame = encode_frame(Table([picked]))
+    assert len(frame) < len(encode_frame(Table([decoded_form])))
+    loaded = _wire_roundtrip(Table([picked])).column("s")
+    assert loaded.to_pylist() == picked.to_pylist()
+    assert loaded.dictionary.tolist() == ["key-0007", "key-0512"]
+    assert loaded.codes[:4].tolist() == [0, 2, 0, 1]  # NULL = len(dictionary)
+
+
+def test_loading_a_frame_hashes_no_string(monkeypatch):
+    database = _database()
+    frame = encode_frame(database.execute("SELECT g, COUNT(*) AS n FROM t GROUP BY g").table)
+    calls = []
+    original = column_module.encode_strings
+
+    def counting(values):
+        calls.append(len(values))
+        return original(values)
+
+    monkeypatch.setattr(column_module, "encode_strings", counting)
+    payload_length, _ = frame_section_lengths(frame[:FRAME_HEADER_BYTES])
+    payload_end = FRAME_HEADER_BYTES + payload_length
+    loaded = decode_frame_sections(frame[FRAME_HEADER_BYTES:payload_end], frame[payload_end:])
+    assert loaded.column("g").codes is not None
+    assert loaded.to_rows() == [{"g": "a", "n": 1}, {"g": "b", "n": 1}, {"g": None, "n": 1}]
+    assert calls == []
 
 
 # --------------------------------------------------------------------------- #
 # Torn and corrupt buffer sections
 # --------------------------------------------------------------------------- #
 def test_torn_buffer_section_raises_not_hangs():
-    rset = ResultSet(["v"], [np.arange(64, dtype=np.float64)], [ColumnType.NUMERIC])
-    frame = encode_frame(rset)
+    frame = encode_frame(Table([_numeric("v", np.arange(64))]))
     payload_length, section_length = frame_section_lengths(frame[:FRAME_HEADER_BYTES])
     assert section_length > 0
     left, right = socket.socketpair()
@@ -229,8 +277,8 @@ def test_torn_buffer_section_raises_not_hangs():
 
 
 def test_inconsistent_buffer_section_is_protocol_error():
-    rset = ResultSet(["v"], [np.arange(8, dtype=np.float64)], [ColumnType.NUMERIC])
-    frame = bytearray(encode_frame(rset))
+    table = Table([_numeric("v", np.arange(8))])
+    frame = bytearray(encode_frame(table))
     payload_length, section_length = frame_section_lengths(
         bytes(frame[:FRAME_HEADER_BYTES])
     )
@@ -247,7 +295,7 @@ def test_inconsistent_buffer_section_is_protocol_error():
             bytes(frame[FRAME_HEADER_BYTES:section_start]), b"\x00\x00"
         )
     # Trailing garbage after the last declared buffer.
-    original = encode_frame(rset)
+    original = encode_frame(table)
     with pytest.raises(WireProtocolError, match="trailing"):
         decode_frame_sections(
             original[FRAME_HEADER_BYTES:section_start],
@@ -257,8 +305,7 @@ def test_inconsistent_buffer_section_is_protocol_error():
 
 def test_missing_buffers_for_out_of_band_payload_is_protocol_error():
     # The payload references out-of-band buffers that never arrive.
-    rset = ResultSet(["v"], [np.arange(8, dtype=np.float64)], [ColumnType.NUMERIC])
-    frame = encode_frame(rset)
+    frame = encode_frame(Table([_numeric("v", np.arange(8))]))
     payload_length, _ = frame_section_lengths(frame[:FRAME_HEADER_BYTES])
     with pytest.raises(WireProtocolError):
         decode_frame_sections(
@@ -269,10 +316,8 @@ def test_missing_buffers_for_out_of_band_payload_is_protocol_error():
 # --------------------------------------------------------------------------- #
 # Cache byte accounting with columnar entries
 # --------------------------------------------------------------------------- #
-def _batch(value: float, n_rows: int) -> ResultSet:
-    return ResultSet(
-        ["v"], [np.full(n_rows, value, dtype=np.float64)], [ColumnType.NUMERIC]
-    )
+def _batch(value: float, n_rows: int) -> Table:
+    return Table([_numeric("v", np.full(n_rows, value))])
 
 
 def test_cache_bytes_equal_sum_of_resident_entries_after_mixed_sequence():
@@ -306,7 +351,20 @@ def test_cache_entry_rows_materialise_lazily_and_payload_is_exact():
     cache.put("q", batch, batch.nbytes)
     entry = cache.get("q")
     assert entry.payload_bytes == batch.nbytes == 32
-    assert entry.result.rows() == [{"v": 1.5}] * 4
+    assert entry.result._rows is None
+    assert entry.result.to_rows() == [{"v": 1.5}] * 4
     # The columnar codec's estimate is the documented formula, exactly.
     codec = ArrowCodec()
     assert codec.estimate_result(batch).payload_bytes == batch.nbytes + codec.framing_bytes
+
+
+def test_client_cache_hit_reuses_the_materialised_rows():
+    middleware = MiddlewareServer(_database())
+    sql = "SELECT g, v FROM t"
+    first = middleware.execute(sql)
+    assert first.cache_level is None
+    rows = first.rows
+    hit = middleware.execute(sql)
+    assert hit.cache_level == "client"
+    assert hit.result is first.result
+    assert hit.rows is rows

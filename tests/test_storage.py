@@ -95,7 +95,7 @@ def test_column_take_and_filter():
 def test_column_rename_and_nbytes():
     column = Column.from_values("x", [1.0, 2.0])
     assert column.rename("y").name == "y"
-    assert column.nbytes() == 16
+    assert Table([column]).nbytes == 16
 
 
 def test_numpy_booleans_are_numeric():
@@ -110,12 +110,12 @@ def test_numpy_booleans_are_numeric():
 
 def test_object_column_nan_is_null_everywhere():
     """Grouping always put a NaN inside an object array in the NULL group;
-    null_mask / to_pylist / nbytes must agree with it."""
+    null_mask / to_pylist / the byte rule must agree with it."""
     encoded = Column("x", np.array(["a", float("nan")], dtype=object), ColumnType.STRING)
     mixed = Column("x", np.array(["a", 2.5, float("nan")], dtype=object), ColumnType.STRING)
     assert encoded.null_mask().tolist() == [False, True]
     assert encoded.to_pylist() == ["a", None]
-    assert encoded.nbytes() == 2
+    assert Table([encoded]).nbytes == (1 + 4) + 4
     assert mixed.codes is None
     assert mixed.null_mask().tolist() == [False, False, True]
     assert mixed.to_pylist() == ["a", 2.5, None]
@@ -171,7 +171,7 @@ def test_dictionary_round_trip_equals_object_representation():
     assert column.values.dtype == object
     assert column.to_pylist() == twin.to_pylist() == values
     assert column.null_mask().tolist() == twin.null_mask().tolist()
-    assert column.nbytes() == twin.nbytes()
+    assert Table([column]).nbytes == Table([twin]).nbytes
     assert len(column) == len(values)
     assert column.group_codes().tolist() == twin.group_codes().tolist()
     assert column.factorize()[1] == twin.factorize()[1] == ["", "apple", "pear", None]
@@ -233,7 +233,7 @@ def test_all_null_and_empty_string_columns():
     assert all_null.to_pylist() == [None, None]
     assert all_null.factorize()[1] == [None]
     empty = Column("s", np.array([], dtype=object), ColumnType.STRING)
-    assert len(empty) == 0 and empty.to_pylist() == [] and empty.nbytes() == 0
+    assert len(empty) == 0 and empty.to_pylist() == [] and Table([empty]).nbytes == 0
     assert empty.null_mask().tolist() == []
     assert Table([empty]).distinct_indices().tolist() == []
     assert Table.concat_all([Table([empty]), Table([all_null])]).to_columns() == {
