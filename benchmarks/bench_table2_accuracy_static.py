@@ -17,6 +17,6 @@ def test_table2_pairwise_accuracy_initial_rendering(
     )
     print("\n" + str(result))
     for size in bench_sizes:
-        assert 0.3 <= result.accuracy["random"][size] <= 0.7
-        assert result.accuracy["Random Forest"][size] > result.accuracy["random"][size]
-        assert result.accuracy["RankSVM"][size] > result.accuracy["random"][size]
+        assert 0.3 <= result.by_model["random"][size] <= 0.7
+        assert result.by_model["Random Forest"][size] > result.by_model["random"][size]
+        assert result.by_model["RankSVM"][size] > result.by_model["random"][size]

@@ -25,14 +25,14 @@ def test_table3_selected_plan_latency(benchmark, harness, measurement_set, bench
     )
     print("\n" + str(result))
     largest = bench_sizes[-1]
-    optimal = result.seconds["optimal"][largest]
+    optimal = result.by_model["optimal"][largest]
     for model in ("RankSVM", "Random Forest", "heuristic"):
-        assert result.seconds[model][largest] >= optimal - 1e-9
+        assert result.by_model[model][largest] >= optimal - 1e-9
         # Learned/heuristic picks stay within a small factor of optimal.
-        assert result.seconds[model][largest] <= optimal * 20
+        assert result.by_model[model][largest] <= optimal * 20
     # The random model is markedly worse than the informed models.
-    best_informed = min(result.seconds[m][largest] for m in ("RankSVM", "Random Forest", "heuristic"))
-    assert result.seconds["random"][largest] >= best_informed
+    best_informed = min(result.by_model[m][largest] for m in ("RankSVM", "Random Forest", "heuristic"))
+    assert result.by_model["random"][largest] >= best_informed
 
 
 #: Alternating timed repetitions per plan in the feedback cell.  Single

@@ -19,6 +19,6 @@ def test_table4_pairwise_accuracy_interactions(
     )
     print("\n" + str(result))
     largest = bench_sizes[-1]
-    assert 0.3 <= result.accuracy["random"][largest] <= 0.7
-    assert result.accuracy["Random Forest"][largest] > result.accuracy["random"][largest]
-    assert result.accuracy["RankSVM"][largest] > result.accuracy["random"][largest]
+    assert 0.3 <= result.by_model["random"][largest] <= 0.7
+    assert result.by_model["Random Forest"][largest] > result.by_model["random"][largest]
+    assert result.by_model["RankSVM"][largest] > result.by_model["random"][largest]

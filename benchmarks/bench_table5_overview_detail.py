@@ -25,8 +25,8 @@ def test_table5_consolidated_session_latency(benchmark, harness):
     )
     print("\n" + str(result))
     for size in sizes:
-        optimal = result.seconds["optimal"][size]
-        assert result.seconds["RankSVM"][size] >= optimal - 1e-9
-        assert result.seconds["Random Forest"][size] >= optimal - 1e-9
+        optimal = result.by_model["optimal"][size]
+        assert result.by_model["RankSVM"][size] >= optimal - 1e-9
+        assert result.by_model["Random Forest"][size] >= optimal - 1e-9
         # Learned models stay within a reasonable factor of the optimum.
-        assert result.seconds["Random Forest"][size] <= optimal * 25
+        assert result.by_model["Random Forest"][size] <= optimal * 25

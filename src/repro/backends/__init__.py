@@ -3,10 +3,10 @@
 The paper's middleware talks to a real DBMS (PostgreSQL / DuckDB); this
 package is the reproduction's equivalent seam.  Every backend is a
 :class:`SQLBackend` — one front door owning the catalog, plan cache, IVM
-and metrics — and describes its dialect with
-:class:`BackendCapabilities`, which the rewrite layer consults while
-generating SQL (NULL-ordering clauses, window frames, supported
-functions).  Two backends ship today:
+and metrics — and reads the same SQL text: the rewrite layer states the
+result contract in it (``NULLS LAST`` / ``NULLS FIRST`` on sort keys,
+``ROWS UNBOUNDED PRECEDING`` on running windows), so no backend has a
+dialect of its own.  Two backends ship today:
 
 * ``"embedded"`` — :class:`~repro.sql.engine.Database`, the in-process
   columnar engine (:mod:`repro.sql`), the default and the semantic
@@ -23,9 +23,8 @@ Construct one directly, or by name::
 
 from __future__ import annotations
 
-from repro.backends.base import BackendCapabilities
-from repro.backends.sqlite import SQLITE_CAPABILITIES, SqliteBackend
-from repro.sql.engine import EMBEDDED_CAPABILITIES, Database, SQLBackend
+from repro.backends.sqlite import SqliteBackend
+from repro.sql.engine import Database, SQLBackend
 
 #: Registry of constructible backends by name.
 BACKENDS: dict[str, type[SQLBackend]] = {
@@ -52,10 +51,7 @@ def create_backend(name: str, **kwargs: object) -> SQLBackend:
 
 __all__ = [
     "BACKENDS",
-    "BackendCapabilities",
-    "EMBEDDED_CAPABILITIES",
     "SQLBackend",
-    "SQLITE_CAPABILITIES",
     "SqliteBackend",
     "backend_names",
     "create_backend",

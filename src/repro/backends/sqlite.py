@@ -6,15 +6,14 @@ SQLite's own parser/planner/executor, which makes it a true cross-check
 for the embedded engine (the differential suite runs the shared query
 corpus through both and asserts identical results).
 
-Dialect shims applied to reach the shared semantics:
+Both engines read one SQL text.  The rewrite layer writes the result
+contract into it — ``NULLS LAST`` under ASC and ``NULLS FIRST`` under
+DESC (SQLite natively sorts NULL smallest), and ``ROWS UNBOUNDED
+PRECEDING`` on running window aggregates (SQLite defaults to the RANGE
+frame, which gives peer rows one running total) — and the embedded
+parser accepts exactly those clauses.  What SQLite still lacks is
+supplied here:
 
-* ``NULLS LAST`` / ``NULLS FIRST`` are emitted by the SQL generator
-  (driven by :data:`SQLITE_CAPABILITIES`) because SQLite natively sorts
-  NULL smallest, while the contract is NULL last under ASC / first under
-  DESC,
-* running window aggregates get an explicit ``ROWS UNBOUNDED PRECEDING``
-  frame because SQLite defaults to the RANGE frame, which assigns peer
-  rows the same running total,
 * ``MEDIAN`` / ``STDDEV`` / ``VARIANCE`` are registered as Python
   aggregate UDFs matching the embedded kernels (median interpolates
   between the middle two values; stddev/variance are sample statistics
@@ -41,33 +40,17 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import re
 import sqlite3
 import threading
 
 import numpy as np
 
-from repro.backends.base import BackendCapabilities
 from repro.errors import ExecutionError, ReproError
 from repro.sql.engine import SQLBackend
 from repro.sql.executor import ExecutionStats
 from repro.sql.planner import LogicalPlan
-from repro.sql.tokenizer import PreparedSQL
 from repro.storage.sqlite_adapter import load_table, quote_identifier, table_from_cursor
 from repro.storage.table import Table
-
-#: Dialect description of SQLite (3.30+ for the NULLS ordering clause).
-#: Concurrency comes from per-thread connections over one shared-cache
-#: in-memory database, so parallel reads never share a connection object.
-SQLITE_CAPABILITIES = BackendCapabilities(
-    name="sqlite",
-    supports_window_functions=True,
-    supports_nulls_ordering_clause=True,
-    nulls_sort_largest=False,
-    default_window_frame_is_rows=False,
-    thread_safe=True,
-    connection_strategy="per-thread",
-)
 
 #: Scalar math functions registered as UDFs when the build lacks them.
 _SCALAR_FALLBACKS: dict[str, tuple[int, object]] = {
@@ -85,24 +68,6 @@ def _round(value: float | None, digits: float | None = 0) -> float | None:
     if value is None:
         return None
     return float(np.round(float(value), 0 if digits is None else int(digits)))
-
-
-#: Clauses the SQL generator adds for this dialect; stripped before the
-#: embedded planner sees the text (it has no such syntax).
-_DIALECT_CLAUSES = (" NULLS LAST", " NULLS FIRST", " ROWS UNBOUNDED PRECEDING")
-
-#: Quoted literals (single- or double-quoted, as the tokenizer accepts);
-#: splitting on them leaves the text outside quotes at even indices.
-_QUOTED = re.compile(r"""('[^']*'|"[^"]*")""")
-
-
-def _strip_dialect(sql: str) -> str:
-    """``sql`` without the dialect clauses, quoted literals left intact."""
-    parts = _QUOTED.split(sql)
-    for index in range(0, len(parts), 2):
-        for clause in _DIALECT_CLAUSES:
-            parts[index] = parts[index].replace(clause, "")
-    return "".join(parts)
 
 
 class _NumpyAggregate:
@@ -160,7 +125,6 @@ class SqliteBackend(SQLBackend):
     """
 
     name = "sqlite"
-    capabilities = SQLITE_CAPABILITIES
     strict_ivm = True
 
     #: Distinguishes the shared-cache URI of each live backend instance.
@@ -224,18 +188,11 @@ class SqliteBackend(SQLBackend):
         """The embedded plan IVM is asked about, or ``None`` when IVM is
         off or the embedded parser cannot read the text (sqlite-only
         syntax) — SQLite then answers it untouched.
-
-        The dialect clauses never sit inside a slot, so a
-        :class:`~repro.sql.tokenizer.PreparedSQL` keeps its shape, stripped
-        the same way, and is bound without lexing.
         """
         if self.ivm is None:
             return None
-        stripped = _strip_dialect(sql)
-        if type(sql) is PreparedSQL:
-            stripped = PreparedSQL(stripped, _strip_dialect(sql.shape), sql.values)
         try:
-            return self.plan(stripped)
+            return self.plan(sql)
         except ReproError:
             return None
 

@@ -224,31 +224,39 @@ def _grouped_by_template(
 
 
 # --------------------------------------------------------------------------- #
-# Table 2 — pairwise accuracy on initial rendering
+# Tables 2-5 share one result shape: model → size → value
 # --------------------------------------------------------------------------- #
 
 
 @dataclass
-class ModelAccuracyResult:
-    """Accuracy of every model per data size (Tables 2 and 4)."""
+class BySizeResult:
+    """One value per model and data size (Tables 2-5): a pairwise
+    accuracy, or the seconds of the plan the model selects."""
 
-    accuracy: dict[str, dict[int, float]] = field(default_factory=dict)
-    title: str = "Model prediction accuracy"
-
-    def rows(self) -> list[list[object]]:
-        sizes = sorted({s for by_size in self.accuracy.values() for s in by_size})
-        return [
-            [model] + [round(self.accuracy[model].get(size, float("nan")), 3) for size in sizes]
-            for model in self.accuracy
-        ]
+    title: str
+    #: Digits :meth:`rows` rounds each value to.
+    digits: int = 4
+    by_model: dict[str, dict[int, float]] = field(default_factory=dict)
 
     def sizes(self) -> list[int]:
-        return sorted({s for by_size in self.accuracy.values() for s in by_size})
+        return sorted({s for by_size in self.by_model.values() for s in by_size})
+
+    def rows(self) -> list[list[object]]:
+        sizes = self.sizes()
+        return [
+            [model] + [round(by_size.get(size, float("nan")), self.digits) for size in sizes]
+            for model, by_size in self.by_model.items()
+        ]
 
     def __str__(self) -> str:
         return format_table(
             ["model"] + [str(s) for s in self.sizes()], self.rows(), title=self.title
         )
+
+
+# --------------------------------------------------------------------------- #
+# Table 2 — pairwise accuracy on initial rendering
+# --------------------------------------------------------------------------- #
 
 
 def table2(
@@ -258,47 +266,22 @@ def table2(
     seed: int = 0,
     measurement_set: MeasurementSet | None = None,
     harness: BenchmarkHarness | None = None,
-) -> ModelAccuracyResult:
+) -> BySizeResult:
     """Reproduce Table 2: pairwise accuracy on initial-rendering pairs."""
     harness = harness or BenchmarkHarness(seed=seed)
     if measurement_set is None:
         measurement_set = collect_measurements(harness, templates, sizes, dataset)
-    result = ModelAccuracyResult(
-        title="Table 2: pairwise accuracy (initial rendering)"
-    )
+    result = BySizeResult("Table 2: pairwise accuracy (initial rendering)", digits=3)
     for size in sizes:
         models = _fit_models_for_size(measurement_set, size, use_interactions=False, seed=seed)
         for label, (_comparator, accuracy) in models.items():
-            result.accuracy.setdefault(label, {})[size] = accuracy
+            result.by_model.setdefault(label, {})[size] = accuracy
     return result
 
 
 # --------------------------------------------------------------------------- #
 # Table 3 — latency of the plan each model selects (initial rendering)
 # --------------------------------------------------------------------------- #
-
-
-@dataclass
-class SelectedLatencyResult:
-    """Execution time of model-selected plans vs the optimal plan."""
-
-    seconds: dict[str, dict[int, float]] = field(default_factory=dict)
-    title: str = "Selected-plan execution time (seconds)"
-
-    def rows(self) -> list[list[object]]:
-        sizes = sorted({s for by_size in self.seconds.values() for s in by_size})
-        return [
-            [model] + [round(self.seconds[model].get(size, float("nan")), 4) for size in sizes]
-            for model in self.seconds
-        ]
-
-    def sizes(self) -> list[int]:
-        return sorted({s for by_size in self.seconds.values() for s in by_size})
-
-    def __str__(self) -> str:
-        return format_table(
-            ["model"] + [str(s) for s in self.sizes()], self.rows(), title=self.title
-        )
 
 
 def table3(
@@ -308,14 +291,12 @@ def table3(
     seed: int = 0,
     measurement_set: MeasurementSet | None = None,
     harness: BenchmarkHarness | None = None,
-) -> SelectedLatencyResult:
+) -> BySizeResult:
     """Reproduce Table 3: initial-render latency of each model's chosen plan."""
     harness = harness or BenchmarkHarness(seed=seed)
     if measurement_set is None:
         measurement_set = collect_measurements(harness, templates, sizes, dataset)
-    result = SelectedLatencyResult(
-        title="Table 3: initial-render latency of selected plans (s)"
-    )
+    result = BySizeResult("Table 3: initial-render latency of selected plans (s)")
     for size in sizes:
         models = _fit_models_for_size(measurement_set, size, use_interactions=False, seed=seed)
         totals: dict[str, float] = {label: 0.0 for label in models}
@@ -328,8 +309,8 @@ def table3(
             for label, (comparator, _accuracy) in models.items():
                 totals[label] += latencies[comparator.select_best(vectors)]
         for label, value in totals.items():
-            result.seconds.setdefault(label, {})[size] = value
-        result.seconds.setdefault("optimal", {})[size] = optimal_total
+            result.by_model.setdefault(label, {})[size] = value
+        result.by_model.setdefault("optimal", {})[size] = optimal_total
     return result
 
 
@@ -345,47 +326,22 @@ def table4(
     seed: int = 0,
     measurement_set: MeasurementSet | None = None,
     harness: BenchmarkHarness | None = None,
-) -> ModelAccuracyResult:
+) -> BySizeResult:
     """Reproduce Table 4: pairwise accuracy over interaction episodes."""
     harness = harness or BenchmarkHarness(seed=seed)
     if measurement_set is None:
         measurement_set = collect_measurements(harness, templates, sizes, dataset)
-    result = ModelAccuracyResult(
-        title="Table 4: pairwise accuracy (interaction episodes)"
-    )
+    result = BySizeResult("Table 4: pairwise accuracy (interaction episodes)", digits=3)
     for size in sizes:
         models = _fit_models_for_size(measurement_set, size, use_interactions=True, seed=seed)
         for label, (_comparator, accuracy) in models.items():
-            result.accuracy.setdefault(label, {})[size] = accuracy
+            result.by_model.setdefault(label, {})[size] = accuracy
     return result
 
 
 # --------------------------------------------------------------------------- #
 # Table 5 — session latency of consolidated plan choices (overview+detail)
 # --------------------------------------------------------------------------- #
-
-
-@dataclass
-class ConsolidationResult:
-    """Average per-session latency of consolidated plan selections."""
-
-    seconds: dict[str, dict[int, float]] = field(default_factory=dict)
-    title: str = "Consolidated session latency (seconds)"
-
-    def rows(self) -> list[list[object]]:
-        sizes = sorted({s for by_size in self.seconds.values() for s in by_size})
-        return [
-            [model] + [round(self.seconds[model].get(size, float("nan")), 4) for size in sizes]
-            for model in self.seconds
-        ]
-
-    def sizes(self) -> list[int]:
-        return sorted({s for by_size in self.seconds.values() for s in by_size})
-
-    def __str__(self) -> str:
-        return format_table(
-            ["model"] + [str(s) for s in self.sizes()], self.rows(), title=self.title
-        )
 
 
 def table5(
@@ -395,12 +351,10 @@ def table5(
     interactions_per_session: int = 5,
     seed: int = 0,
     harness: BenchmarkHarness | None = None,
-) -> ConsolidationResult:
+) -> BySizeResult:
     """Reproduce Table 5: session latency of each model's consolidated plan."""
     harness = harness or BenchmarkHarness(seed=seed)
-    result = ConsolidationResult(
-        title=f"Table 5: per-session latency for template {template_name!r} (s)"
-    )
+    result = BySizeResult(f"Table 5: per-session latency for template {template_name!r} (s)")
     for size in sizes:
         configuration = harness.configure(
             template_name,
@@ -419,10 +373,10 @@ def table5(
         ]
         for comparator in [*comparators, HeuristicComparator()]:
             decision = consolidate_session(comparator, episodes)
-            result.seconds.setdefault(comparator.name, {})[size] = session_latency[
+            result.by_model.setdefault(comparator.name, {})[size] = session_latency[
                 decision.best_plan_index
             ]
-        result.seconds.setdefault("optimal", {})[size] = min(session_latency)
+        result.by_model.setdefault("optimal", {})[size] = min(session_latency)
     return result
 
 

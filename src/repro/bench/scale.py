@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backends import SQLBackend, create_backend
+from repro.backends import Database, SQLBackend, create_backend
 from repro.datasets.generators import generate_dataset
 from repro.storage.column import sort_rank_key
 
@@ -132,7 +132,7 @@ class ScaleRunResult:
     backend: str
     n_rows: int
     partitions: int
-    #: Whether the backend actually partitioned (capability-gated).
+    #: Whether the backend actually partitioned (the embedded engine only).
     partitioned: bool
     serial_seconds: list[float] = field(default_factory=list)
     partitioned_seconds: list[float] = field(default_factory=list)
@@ -217,8 +217,9 @@ def run_scale_point(
 
     Both legs run the same query mix over identical (time-ordered) data
     on the same backend, so the partitioned leg's rows must ``==`` the
-    flat leg's, in order, for every query.  Backends without the ``partitioning`` capability run
-    the second leg flat too (the sweep then measures pure data scaling).
+    flat leg's, in order, for every query.  Backends other than the
+    embedded engine (the only one with ``repartition``) run the second
+    leg flat too (the sweep then measures pure data scaling).
     """
     rows = generate_dataset("flights", n_rows, seed=seed)
     rows.sort(key=lambda row: row["date"])
@@ -229,7 +230,7 @@ def run_scale_point(
     serial.register_rows("flights", rows)
     partitioned_backend = _build_backend(backend)
     partitioned_backend.register_rows("flights", rows)
-    partitioned = bool(partitioned_backend.capabilities.partitioning) and partitions > 1
+    partitioned = isinstance(partitioned_backend, Database) and partitions > 1
     if partitioned:
         partitioned_backend.repartition("flights", max(1, n_rows // partitions))
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.core.plan import ExecutionPlan
 from repro.errors import OptimizationError
-from repro.rewrite.templates import transform_supports_sql
+from repro.rewrite.templates import rewritable_prefix
 from repro.vega.spec import DataEntry, VegaSpec
 
 
@@ -44,15 +44,6 @@ class PlanEnumerator:
         self.max_plans = max_plans
 
     # ------------------------------------------------------------------ #
-    def rewritable_prefix(self, entry: DataEntry) -> int:
-        """Longest prefix of ``entry``'s transforms that is SQL-rewritable."""
-        prefix = 0
-        for transform in entry.transforms:
-            if not transform_supports_sql(transform.get("type", "")):
-                break
-            prefix += 1
-        return prefix
-
     def entry_options(self, entry: DataEntry, parent_fully_server: bool) -> list[int]:
         """Valid split points for one entry given its parent's state."""
         if entry.values is not None:
@@ -61,7 +52,7 @@ class PlanEnumerator:
             return [0]
         if entry.source is None and entry.table is None:
             return [0]
-        return list(range(0, self.rewritable_prefix(entry) + 1))
+        return list(range(0, rewritable_prefix(entry.transforms) + 1))
 
     def enumerate(self) -> list[ExecutionPlan]:
         """All valid execution plans, each with a stable ``plan_id``."""

@@ -94,9 +94,6 @@ class Operator:
         upstream operator outputs at evaluation time.
     """
 
-    #: Whether the VegaPlus rewriter knows how to express this operator in SQL.
-    supports_sql = False
-
     def __init__(self, name: str, params: dict | None = None) -> None:
         self.id = next(_operator_ids)
         self.name = name

@@ -80,8 +80,6 @@ class AggregateTransform(Operator):
         for ``count``), and optional output names.
     """
 
-    supports_sql = True
-
     def __init__(self, params: dict | None = None) -> None:
         super().__init__(name="aggregate", params=params)
         ops = self.params.get("ops") or ["count"]
@@ -134,8 +132,6 @@ class JoinAggregateTransform(Operator):
     Each row gains the aggregate values of its group, e.g. the group total
     used to compute a percentage-of-total encoding.
     """
-
-    supports_sql = False
 
     def __init__(self, params: dict | None = None) -> None:
         super().__init__(name="joinaggregate", params=params)

@@ -98,8 +98,6 @@ class BinTransform(Operator):
         Output field names, default ``["bin0", "bin1"]``.
     """
 
-    supports_sql = True
-
     def __init__(self, params: dict | None = None) -> None:
         super().__init__(name="bin", params=params)
         if not self.params.get("field"):

@@ -12,8 +12,6 @@ class CollectTransform(Operator):
     or ``{"field": [...], "order": [...]}`` for multi-key sorts.
     """
 
-    supports_sql = True
-
     def __init__(self, params: dict | None = None) -> None:
         super().__init__(name="collect", params=params)
 

@@ -19,8 +19,6 @@ class ExtentTransform(Operator):
     — the name under which Vega exposes the result, kept for provenance.
     """
 
-    supports_sql = True
-
     def __init__(self, params: dict | None = None) -> None:
         super().__init__(name="extent", params=params)
         if not self.params.get("field"):

@@ -16,8 +16,6 @@ class FilterTransform(Operator):
     registry at evaluation time.
     """
 
-    supports_sql = True
-
     def __init__(self, params: dict | None = None) -> None:
         super().__init__(name="filter", params=params)
         expr = self.params.get("expr")

@@ -14,8 +14,6 @@ class FormulaTransform(Operator):
     the name of the derived field.
     """
 
-    supports_sql = True
-
     def __init__(self, params: dict | None = None) -> None:
         super().__init__(name="formula", params=params)
         expr = self.params.get("expr")

@@ -13,8 +13,6 @@ class ProjectTransform(Operator):
     optional parallel list of output names.
     """
 
-    supports_sql = True
-
     def __init__(self, params: dict | None = None) -> None:
         super().__init__(name="project", params=params)
         if not self.params.get("fields"):

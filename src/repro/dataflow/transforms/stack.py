@@ -28,8 +28,6 @@ class StackTransform(Operator):
         Output field names, default ``["y0", "y1"]``.
     """
 
-    supports_sql = True
-
     def __init__(self, params: dict | None = None) -> None:
         super().__init__(name="stack", params=params)
         if not self.params.get("field"):

@@ -35,8 +35,6 @@ class TimeUnitTransform(Operator):
     ``["unit0", "unit1"]``.
     """
 
-    supports_sql = True
-
     def __init__(self, params: dict | None = None) -> None:
         super().__init__(name="timeunit", params=params)
         if not self.params.get("field"):

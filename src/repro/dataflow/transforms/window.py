@@ -24,8 +24,6 @@ class WindowTransform(Operator):
         ``{"field": ..., "order": ...}`` ordering within each partition.
     """
 
-    supports_sql = True
-
     def __init__(self, params: dict | None = None) -> None:
         super().__init__(name="window", params=params)
         for op in self.params.get("ops") or []:

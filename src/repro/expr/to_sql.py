@@ -192,7 +192,9 @@ def _translate(node: ExprNode) -> list[_Part]:
     if isinstance(node, UnaryNode):
         inner = _translate(node.operand)
         if node.op == "!":
-            return ["NOT (", *inner, ")"]
+            # The client's ``!`` makes a NULL or otherwise falsy operand
+            # true, where SQL's ``NOT UNKNOWN`` would drop the row.
+            return ["CASE WHEN ", *inner, " THEN FALSE ELSE TRUE END"]
         if node.op == "-":
             return ["-(", *inner, ")"]
         raise ExpressionTranslationError(f"unary operator {node.op!r} not supported in SQL")

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.backends import SQLBackend
-from repro.backends.base import BackendCapabilities
 from repro.net.cache import CLIENT_CACHE_ENTRIES, SERVER_CACHE_ENTRIES, QueryCache
 from repro.net.channel import NetworkModel
 from repro.net.serialize import ArrowCodec, Codec, PayloadEstimate
@@ -139,11 +138,6 @@ class MiddlewareServer:
         self.database.catalog.add_invalidation_listener(self.invalidate_table)
 
     # ------------------------------------------------------------------ #
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        """Capabilities of the configured backend (drives SQL generation)."""
-        return self.database.capabilities
-
     def cache_key(self, sql: str) -> str:
         """Cache key for ``sql``: namespaced by backend name."""
         return f"{self.database.name}::{sql}"

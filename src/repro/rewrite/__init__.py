@@ -17,7 +17,7 @@ from repro.rewrite.templates import (
     QueryFragment,
     build_fragment_for_transforms,
     REWRITABLE_TRANSFORMS,
-    transform_supports_sql,
+    rewritable_prefix,
 )
 from repro.rewrite.vdt import VegaDBMSTransform
 from repro.rewrite.rewriter import SpecRewriter, RewrittenDataflow
@@ -26,7 +26,7 @@ __all__ = [
     "QueryFragment",
     "build_fragment_for_transforms",
     "REWRITABLE_TRANSFORMS",
-    "transform_supports_sql",
+    "rewritable_prefix",
     "VegaDBMSTransform",
     "SpecRewriter",
     "RewrittenDataflow",

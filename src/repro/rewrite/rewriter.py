@@ -27,7 +27,7 @@ from repro.errors import OptimizationError, SpecError
 from repro.dataflow import Dataflow, Operator, create_transform
 from repro.dataflow.transforms import _convert_param
 from repro.net.middleware import MiddlewareServer
-from repro.rewrite.templates import transform_supports_sql
+from repro.rewrite.templates import rewritable_prefix
 from repro.rewrite.vdt import VegaDBMSTransform
 from repro.vega.spec import DataEntry, VegaSpec
 
@@ -90,21 +90,6 @@ class SpecRewriter:
                 self._children.setdefault(entry.source, []).append(entry.name)
 
     # ------------------------------------------------------------------ #
-    def max_server_prefix(self, entry: DataEntry) -> int:
-        """Longest rewritable prefix of an entry's transform chain.
-
-        Consults the middleware backend's capabilities, so a transform
-        the target backend cannot execute (e.g. ``stack`` on a backend
-        without window functions) stays on the client.
-        """
-        capabilities = self.middleware.capabilities
-        prefix = 0
-        for transform in entry.transforms:
-            if not transform_supports_sql(transform.get("type", ""), capabilities):
-                break
-            prefix += 1
-        return prefix
-
     def validate_assignment(self, assignment: Mapping[str, int]) -> None:
         """Check that ``assignment`` is a legal partitioning for this spec."""
         states: dict[str, bool] = {}
@@ -114,7 +99,7 @@ class SpecRewriter:
                 raise OptimizationError(
                     f"entry {entry.name!r}: split {split} out of range 0..{len(entry.transforms)}"
                 )
-            if split > self.max_server_prefix(entry):
+            if split > rewritable_prefix(entry.transforms):
                 raise OptimizationError(
                     f"entry {entry.name!r}: transform {split - 1} is not rewritable to SQL"
                 )

@@ -9,6 +9,13 @@ is wrapped as a sub-query and a new block starts — this implements the
 paper's recursive rewriting of multiple transforms into one nested query,
 while the single-block composition plays the role of its rule-based
 flattening into readable SQL.
+
+The text is the same for every backend: it states the result contract
+itself, so no backend needs a dialect of its own.  Sort keys carry their
+NULL placement (``x ASC NULLS LAST``, ``x DESC NULLS FIRST``) and running
+window sums their frame (``ROWS UNBOUNDED PRECEDING``) — the embedded
+engine's native behaviour, which SQLite and PostgreSQL reach only when
+told.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ import functools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-from repro.backends import EMBEDDED_CAPABILITIES, BackendCapabilities
 from repro.errors import ExpressionTranslationError, RewriteError
 from repro.dataflow.transforms.bin import bin_start, compute_bins, last_bin_threshold
 from repro.dataflow.transforms.timeunit import UNIT_SECONDS
@@ -28,12 +34,6 @@ from repro.sql.tokenizer import PreparedSQL, literal_shape
 REWRITABLE_TRANSFORMS = frozenset(
     {"filter", "extent", "bin", "aggregate", "collect", "project", "stack", "timeunit"}
 )
-
-#: Transform types that compile to window functions (backend-dependent).
-_WINDOW_TRANSFORMS = frozenset({"stack"})
-
-#: Transform types whose generated SQL calls FLOOR (backend-dependent).
-_FLOOR_TRANSFORMS = frozenset({"bin", "timeunit"})
 
 #: Vega aggregate op name → SQL aggregate function.
 _AGG_SQL = {
@@ -50,35 +50,20 @@ _AGG_SQL = {
 }
 
 
-def transform_supports_sql(
-    transform_type: str, capabilities: BackendCapabilities | None = None
-) -> bool:
-    """Whether a transform type can be offloaded to the DBMS.
-
-    With ``capabilities`` the answer is backend-specific: a ``stack``
-    needs window functions, and ``bin``/``timeunit`` need ``FLOOR``.
-    Without, the answer is dialect-agnostic (used by the enumerator,
-    which sizes the plan space before a backend is chosen).
-    """
-    if transform_type not in REWRITABLE_TRANSFORMS:
-        return False
-    if capabilities is None:
-        return True
-    if transform_type in _WINDOW_TRANSFORMS and not capabilities.supports_window_functions:
-        return False
-    if transform_type in _FLOOR_TRANSFORMS and not capabilities.supports_scalar("FLOOR"):
-        return False
-    return True
+def rewritable_prefix(transforms: Sequence[Mapping]) -> int:
+    """Length of the longest prefix of ``transforms`` that can be
+    offloaded to the DBMS: the most transforms a server split may take."""
+    prefix = 0
+    for transform in transforms:
+        if transform.get("type") not in REWRITABLE_TRANSFORMS:
+            break
+        prefix += 1
+    return prefix
 
 
 @dataclass
 class QueryFragment:
-    """A single-block SQL query under construction.
-
-    ``dialect`` carries the target backend's capabilities so rendering
-    can add the clauses that backend needs to reach the shared semantics
-    (``NULLS LAST`` on ascending sort keys, explicit ROWS window frames).
-    """
+    """A single-block SQL query under construction."""
 
     source: str
     source_is_subquery: bool = False
@@ -90,23 +75,18 @@ class QueryFragment:
     #: True once GROUP BY / aggregates are present: later per-row transforms
     #: must nest rather than compose.
     aggregated: bool = False
-    #: Capabilities of the backend this SQL targets.
-    dialect: BackendCapabilities = EMBEDDED_CAPABILITIES
 
     # -------------------------------------------------------------- #
     @classmethod
-    def for_table(
-        cls, table: str, dialect: BackendCapabilities = EMBEDDED_CAPABILITIES
-    ) -> "QueryFragment":
+    def for_table(cls, table: str) -> "QueryFragment":
         """Start a fragment scanning a base table."""
-        return cls(source=table, dialect=dialect)
+        return cls(source=table)
 
     def nest(self, alias: str = "sub") -> "QueryFragment":
         """Wrap the current fragment as the sub-query source of a new block."""
         return QueryFragment(
             source=_concat("(", self.to_sql(), f") AS {alias}"),
             source_is_subquery=True,
-            dialect=self.dialect,
         )
 
     def to_sql(self) -> str:
@@ -122,18 +102,10 @@ class QueryFragment:
         if self.group_by:
             parts.append(" GROUP BY " + ", ".join(self.group_by))
         if self.order_by:
-            parts.append(
-                " ORDER BY "
-                + ", ".join(self._render_order_item(item) for item in self.order_by)
-            )
+            parts.append(" ORDER BY " + ", ".join(map(_order_key, self.order_by)))
         if self.limit is not None:
             parts.append(f" LIMIT {self.limit}")
         return _concat(*parts)
-
-    def _render_order_item(self, item: str) -> str:
-        """One ORDER BY key with the dialect's NULL-placement clause."""
-        descending = item.upper().endswith(" DESC")
-        return item + self.dialect.order_nulls_suffix(descending)
 
     # -------------------------------------------------------------- #
     def can_add_predicate(self) -> bool:
@@ -183,10 +155,9 @@ def build_fragment_for_transforms(
     table: str,
     transforms: Sequence[Mapping],
     resolved_params: Sequence[Mapping],
-    dialect: BackendCapabilities = EMBEDDED_CAPABILITIES,
 ) -> QueryFragment:
     """Batch a chain of transforms over ``table`` into one fragment."""
-    fragment = QueryFragment.for_table(table, dialect=dialect)
+    fragment = QueryFragment.for_table(table)
     for definition, params in zip(transforms, resolved_params):
         fragment = apply_transform(fragment, definition, params)
     return fragment
@@ -295,10 +266,6 @@ def _apply_aggregate(fragment: QueryFragment, params: Mapping) -> QueryFragment:
         sql_func = _AGG_SQL.get(op)
         if sql_func is None:
             raise RewriteError(f"aggregate op {op!r} has no SQL equivalent")
-        if not fragment.dialect.supports_aggregate(sql_func):
-            raise RewriteError(
-                f"backend {fragment.dialect.name!r} does not support aggregate {sql_func}"
-            )
         name = _aggregate_output_name(op, agg_field, index, as_names)
         if op == "count" and agg_field is None:
             items.append(f"COUNT(*) AS {name}")
@@ -357,27 +324,19 @@ def _apply_stack(fragment: QueryFragment, params: Mapping) -> QueryFragment:
     y0 = out_names[0]
     y1 = out_names[1] if len(out_names) > 1 else "y1"
 
-    dialect = fragment.dialect
-    if not dialect.supports_window_functions:
-        raise RewriteError(
-            f"backend {dialect.name!r} does not support window functions; "
-            "the stack transform cannot be offloaded"
-        )
     if fragment.aggregated or fragment.select_items:
         fragment = fragment.nest()
     over_parts = []
     if groupby:
         over_parts.append("PARTITION BY " + ", ".join(groupby))
-    frame = ""
     if sort_fields:
-        nulls = dialect.order_nulls_suffix(descending=False)
-        over_parts.append("ORDER BY " + ", ".join(f + nulls for f in sort_fields))
         # Running sums must use the ROWS frame everywhere: under the
         # standard's default RANGE frame, peer rows (equal sort keys)
         # would share one cumulative value and stacked bars would overlap.
-        frame = dialect.window_frame_clause()
+        keys = ", ".join(f"{sort_field} NULLS LAST" for sort_field in sort_fields)
+        over_parts.append(f"ORDER BY {keys} ROWS UNBOUNDED PRECEDING")
     over = " ".join(over_parts)
-    window = f"SUM({field_name}) OVER ({over}{frame}) AS {y1}"
+    window = f"SUM({field_name}) OVER ({over}) AS {y1}"
     fragment.select_items = ["*", window]
     outer = fragment.nest(alias="stacked")
     outer.select_items = ["*", f"{y1} - {field_name} AS {y0}"]
@@ -416,6 +375,11 @@ def _concat(*parts: str) -> str:
     shape = "".join(getattr(part, "shape", part) for part in parts)
     values = [value for part in parts for value in getattr(part, "values", ())]
     return PreparedSQL(text, shape, values)
+
+
+def _order_key(item: str) -> str:
+    """One ``<key> ASC|DESC`` ORDER BY item with its NULL placement."""
+    return item + (" NULLS FIRST" if item.endswith(" DESC") else " NULLS LAST")
 
 
 def _joined(separator: str, pieces: Sequence[str]) -> list[str]:

@@ -68,8 +68,6 @@ class VegaDBMSTransform(Operator):
         ``value_kind="extent"`` to enable this.
     """
 
-    supports_sql = True
-
     def __init__(
         self,
         table: str,
@@ -117,14 +115,12 @@ class VegaDBMSTransform(Operator):
     def build_sql(self, params: dict, context: EvaluationContext) -> str:
         """Build the batched SQL query with all parameter holes filled.
 
-        The fragment carries the middleware backend's capabilities, so
-        the rendered SQL is dialect-correct for whichever backend will
-        execute it (NULL-ordering clauses, window frames).  When signal
-        values fill holes the query is a
-        :class:`~repro.sql.tokenizer.PreparedSQL`, whose shape the engine
-        planned at the first evaluation and now only binds.
+        The text is the same for every backend.  When signal values fill
+        holes the query is a :class:`~repro.sql.tokenizer.PreparedSQL`,
+        whose shape the engine planned at the first evaluation and now
+        only binds.
         """
-        fragment = QueryFragment.for_table(self.table, dialect=self.middleware.capabilities)
+        fragment = QueryFragment.for_table(self.table)
         signal_values = context.signals()
         resolved_list = params.get("_resolved_transforms")
         if not isinstance(resolved_list, list) or len(resolved_list) != len(self.transforms):

@@ -33,10 +33,10 @@ belongs to one thread at a time (:meth:`SessionManager.execute` is the
 entry point that enforces it for callers that cannot promise it, by
 serialising per session id); everything shared underneath (server
 cache, scheduler, plan cache, engine metrics, backends) is internally
-locked.  Backends advertise their concurrency model via
-:attr:`~repro.backends.base.BackendCapabilities.thread_safe` and
-``connection_strategy``; ``SessionManager.for_backend`` enforces the
-flag before admitting more than one concurrent execution.
+locked.  Every backend may be executed from many threads: the embedded
+engine reads immutable column arrays under internally locked shared
+state, and the sqlite backend opens one connection per thread over one
+shared in-memory database.
 """
 
 from repro.server.scheduler import (

@@ -11,8 +11,8 @@ server cache, one scheduler and one backend.
 
 A :class:`ClientSession` offers the slice of the middleware API the
 rewrite layer and :class:`VegaPlusSystem` use (``execute`` /
-``capabilities`` / ``database``), so a full :class:`VegaPlusSystem` can
-be built *per session* on top of the shared serving runtime::
+``database``), so a full :class:`VegaPlusSystem` can be built *per
+session* on top of the shared serving runtime::
 
     manager = SessionManager.for_backend(backend, max_workers=8)
     session = manager.create_session("alice", network=NetworkModel.wan())
@@ -31,8 +31,6 @@ import itertools
 import threading
 
 from repro.backends import SQLBackend
-from repro.backends.base import BackendCapabilities
-from repro.errors import BenchmarkError
 from repro.net.cache import CLIENT_CACHE_ENTRIES, QueryCache
 from repro.net.channel import NetworkModel
 from repro.net.middleware import MiddlewareServer, QueryResponse
@@ -72,11 +70,6 @@ class ClientSession:
         """The shared server-side backend."""
         return self.middleware.database
 
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        """The shared backend's dialect description."""
-        return self.middleware.capabilities
-
     def execute(self, sql: str) -> QueryResponse:
         """Serve ``sql`` through the shared middleware with *this*
         session's client cache and network profile."""
@@ -113,20 +106,9 @@ class SessionManager:
         network: NetworkModel | None = None,
     ) -> "SessionManager":
         """Build a full serving runtime (scheduler + middleware) around
-        ``database`` and return its session manager.
-
-        Refuses backends that do not declare thread-safe execution when
-        more than one concurrent execution is admitted — overlapping
-        threads on an unsafe backend corrupt results silently.
-        """
+        ``database`` and return its session manager."""
         scheduler = RequestScheduler(max_workers=max_workers)
         middleware = MiddlewareServer(database, network=network, scheduler=scheduler)
-        capabilities = middleware.capabilities
-        if max_workers > 1 and not capabilities.thread_safe:
-            raise BenchmarkError(
-                f"backend {capabilities.name!r} does not declare thread-safe "
-                "execution; use max_workers=1 or a thread-safe backend"
-            )
         return cls(middleware)
 
     # ------------------------------------------------------------------ #

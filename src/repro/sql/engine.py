@@ -16,7 +16,6 @@ import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from repro.backends.base import BackendCapabilities
 from repro.sql.executor import ExecutionStats, Executor
 from repro.sql.ivm import IVMManager
 from repro.sql.plancache import PlanCache
@@ -107,9 +106,9 @@ class SQLBackend:
 
     Registration, lookups, planning through the :class:`PlanCache`, the
     IVM attempt, :class:`QueryResult` assembly and metrics live here.  A
-    backend sets :attr:`name` and :attr:`capabilities` and implements
-    :meth:`_rescan`; one that keeps its own copy of the data also
-    overrides :meth:`_load` / :meth:`_unload`.
+    backend sets :attr:`name` and implements :meth:`_rescan`; one that
+    keeps its own copy of the data also overrides :meth:`_load` /
+    :meth:`_unload`.  Every backend reads the same SQL text.
 
     Every backend must honour the result contract pinned by
     ``tests/test_backends_differential.py``: NULL sorts last under ``ASC``
@@ -129,8 +128,6 @@ class SQLBackend:
 
     #: Short identifier used in cache keys, benchmark output and logs.
     name: str
-    #: The backend's dialect/feature description.
-    capabilities: BackendCapabilities
     #: Whether IVM applies the extra eligibility rules that keep maintained
     #: results bit-identical to an engine other than the embedded one.
     strict_ivm = False
@@ -260,33 +257,17 @@ class SQLBackend:
         """Release backend resources (nothing to release by default)."""
 
 
-#: Dialect description of the embedded engine.  Concurrent execution is
-#: safe because the engine's shared mutable state (plan-cache LRU, metrics
-#: counters, catalog registry) is internally locked; query execution
-#: itself only reads the immutable column arrays.
-EMBEDDED_CAPABILITIES = BackendCapabilities(
-    name="embedded",
-    supports_window_functions=True,
-    supports_nulls_ordering_clause=False,
-    nulls_sort_largest=True,
-    default_window_frame_is_rows=True,
-    thread_safe=True,
-    connection_strategy="shared",
-    partitioning=True,
-)
-
-
 class Database(SQLBackend):
     """An embedded, in-memory analytical SQL database: the default backend.
 
-    It is the semantic reference for the differential suite — its dialect
-    needs no NULL-ordering or window-frame shims because the engine was
-    built to the shared contract (numbers < strings < NULL, NULL last
-    under ASC / first under DESC, ROWS-frame running aggregates).
+    It is the semantic reference for the differential suite: the engine
+    was built to the shared contract (numbers < strings < NULL, NULL last
+    under ASC / first under DESC, ROWS-frame running aggregates), so the
+    ``NULLS`` and ``ROWS`` clauses the rewrite layer writes only restate
+    what it does anyway.
     """
 
     name = "embedded"
-    capabilities = EMBEDDED_CAPABILITIES
 
     def _rescan(self, sql: str, plan: LogicalPlan) -> tuple[Table, ExecutionStats]:
         return Executor(self.catalog).execute(plan)

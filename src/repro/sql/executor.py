@@ -564,9 +564,9 @@ class Executor:
         for by object, not by name, so a replace racing this query
         cannot pair its partitions with another table's maps), and a
         pruned partition provably holds no matching row.  Adjacent kept
-        partitions merge into one row range; each range is narrowed to
-        the plan's columns, filtered, and the matches concatenate in row
-        order — the flat filter's rows, in the flat order.
+        partitions merge into one row range; one range is a zero-copy
+        slice, several are taken in row order, and the filter runs once
+        over the kept rows — the flat filter's rows, in the flat order.
         """
         table = self._catalog.get(node.table_name)
         narrowed = scan_columns(table, node)
@@ -582,15 +582,17 @@ class Executor:
             stats.morsel_tasks_inline += len(kept)
             ranges = table.row_ranges(kept) or [(0, 0)]
         if ranges == [(0, table.num_rows)]:
-            parts = [narrowed]
+            kept_rows = narrowed
+        elif len(ranges) == 1:
+            (start, end), = ranges
+            kept_rows = narrowed.slice(start, end - start)
         else:
-            parts = [narrowed.slice(start, end - start) for start, end in ranges]
-        scanned = sum(part.num_rows for part in parts)
-        stats.rows_scanned += scanned
-        stats.record(scanned)
-        if predicate is not None:
-            parts = [_filter(part, predicate) for part in parts]
-        return parts[0] if len(parts) == 1 else Table.concat_all(parts)
+            kept_rows = narrowed.take(
+                np.concatenate([np.arange(start, end) for start, end in ranges])
+            )
+        stats.rows_scanned += kept_rows.num_rows
+        stats.record(kept_rows.num_rows)
+        return kept_rows if predicate is None else _filter(kept_rows, predicate)
 
     def _execute_filter(self, node: FilterNode, stats: ExecutionStats) -> Table:
         if isinstance(node.child, ScanNode):

@@ -8,7 +8,7 @@ Grammar (informal)::
                    [ORDER BY order (, order)*] [LIMIT n] [OFFSET n]
     source      := identifier [AS alias] | ( select ) [AS alias]
     item        := * | expr [AS alias]
-    order       := expr [ASC | DESC]
+    order       := expr [ASC] [NULLS LAST] | expr DESC [NULLS FIRST]
     expr        := or_expr
     or_expr     := and_expr (OR and_expr)*
     and_expr    := not_expr (AND not_expr)*
@@ -18,6 +18,15 @@ Grammar (informal)::
     multiplicative := unary ((*|/|%) unary)*
     unary       := - unary | primary
     primary     := literal | ? | case | function | column | ( expr )
+    window      := function OVER ( [PARTITION BY expr (, expr)*]
+                   [ORDER BY order (, order)* [ROWS UNBOUNDED PRECEDING]] )
+
+``NULLS``/``FIRST``/``LAST``/``UNBOUNDED``/``PRECEDING`` are read by
+spelling where the grammar expects them and are reserved nowhere else, so
+columns and aliases may carry those names.  They only restate what the
+engine does anyway: NULL sorts last under ASC and first under DESC, and a
+running window aggregate is framed by rows.  The opposite placement and
+any other frame raise :class:`~repro.errors.ParseError`.
 """
 
 from __future__ import annotations
@@ -94,6 +103,17 @@ class _Parser:
             self._advance()
             return True
         return False
+
+    def _match_word(self, word: str) -> bool:
+        token = self._peek()
+        if token.ttype is TokenType.IDENTIFIER and token.value.upper() == word:
+            self._advance()
+            return True
+        return False
+
+    def _expect_word(self, word: str) -> None:
+        if not self._match_word(word):
+            raise self._error(f"expected {word}")
 
     def _match_punct(self, value: str) -> bool:
         token = self._peek()
@@ -223,11 +243,11 @@ class _Parser:
 
     def _parse_order_item(self) -> OrderItem:
         expr = self._parse_expression()
-        descending = False
-        if self._match_keyword("DESC"):
-            descending = True
-        else:
+        descending = self._match_keyword("DESC")
+        if not descending:
             self._match_keyword("ASC")
+        if self._match_word("NULLS"):
+            self._expect_word("FIRST" if descending else "LAST")
         return OrderItem(expression=expr, descending=descending)
 
     # -------------------------------------------------------------- #
@@ -461,6 +481,9 @@ class _Parser:
             order_by.append(self._parse_order_item())
             while self._match_punct(","):
                 order_by.append(self._parse_order_item())
+            if self._match_keyword("ROWS"):
+                self._expect_word("UNBOUNDED")
+                self._expect_word("PRECEDING")
         self._expect_punct(")")
         return WindowFunction(
             function=call,

@@ -290,42 +290,6 @@ class Table:
         stop = None if length is None else offset + length
         return Table([col.slice(offset, stop) for col in self.columns()], name=self.name)
 
-    def concat(self, other: "Table") -> "Table":
-        """Append ``other``'s rows; both tables must share the same columns."""
-        return Table.concat_all([self, other])
-
-    @staticmethod
-    def concat_all(tables: Sequence["Table"]) -> "Table":
-        """Concatenate many tables in one pass (no O(k) intermediate copies).
-
-        All tables must share the same column names in the same order.  A
-        column is kept numeric when it is numeric in every input, and
-        dictionary-encoded when it is encoded in every input (parts of
-        one table share a dictionary and just concatenate codes; others
-        re-encode into the merged dictionary); any other string
-        occurrence promotes the merged column to the object
-        representation (NULLs become ``None``).  The scan of a
-        partitioned table joins its filtered row ranges with it; a
-        pairwise ``concat`` chain would copy the growing prefix k-1
-        times.
-        """
-        if not tables:
-            raise ValueError("concat_all requires at least one table")
-        first = tables[0]
-        names = first.column_names()
-        for other in tables[1:]:
-            if other.column_names() != names:
-                raise ValueError(
-                    "cannot concat tables with different columns: "
-                    f"{names} vs {other.column_names()}"
-                )
-        if len(tables) == 1:
-            return Table(first.columns(), name=first.name)
-        cols = [
-            _concat_columns([table.column(name) for table in tables]) for name in names
-        ]
-        return Table(cols, name=first.name)
-
     def renamed(self, name: str) -> "Table":
         """Return this table under another name (same class, shared data)."""
         return Table(self.columns(), name=name)
@@ -371,32 +335,6 @@ def _payload_bytes(column: Column) -> int:
         lengths.append(4)
         return int(np.asarray(lengths, dtype=np.int64)[column.codes].sum())
     return sum(4 if value is None else len(str(value).encode()) + 4 for value in column.values)
-
-
-def _concat_columns(parts: Sequence[Column]) -> Column:
-    """Concatenate same-named columns of several tables (see ``concat_all``)."""
-    name = parts[0].name
-    if all(part.ctype is ColumnType.NUMERIC for part in parts):
-        return Column(name, np.concatenate([part.values for part in parts]), ColumnType.NUMERIC)
-    if all(part.codes is not None for part in parts):
-        dictionary = parts[0].dictionary
-        if all(part.dictionary is dictionary for part in parts):
-            return Column.from_codes(
-                name, np.concatenate([part.codes for part in parts]), dictionary
-            )
-        # Different dictionaries: merge them (still sorted), then remap
-        # each part's codes — its NULL code included — into the merged one.
-        merged = np.unique(np.concatenate([part.dictionary for part in parts]))
-        dtype = code_dtype(len(merged))
-        remapped = [
-            np.append(np.searchsorted(merged, part.dictionary), len(merged)).astype(dtype)[
-                part.codes
-            ]
-            for part in parts
-        ]
-        return Column.from_codes(name, np.concatenate(remapped), merged)
-    values = np.concatenate([np.asarray(part.to_pylist(), dtype=object) for part in parts])
-    return Column(name, values, ColumnType.STRING)
 
 
 class PartitionedTable(Table):

@@ -12,10 +12,11 @@ asserts row-identical results:
   engines genuinely differ, e.g. GROUP BY output order),
 * **NULL placement** — NULL/NaN round-trips as ``None`` everywhere.
 
-Queries with dialect differences (NULLS clauses, window frames) are
-generated through the production SQL builders (:class:`QueryFragment`
-with the target backend's capabilities) so the corpus exercises exactly
-the SQL the rewrite layer would send to each backend.
+Every backend reads the same text.  Sort keys state their NULL
+placement (``ASC NULLS LAST``, ``DESC NULLS FIRST``) and the running
+window comes from the production stack builder (:class:`QueryFragment`,
+which writes ``ROWS UNBOUNDED PRECEDING``), so the corpus exercises
+exactly the SQL the rewrite layer sends.
 
 A hypothesis section re-runs core query shapes over randomized tables
 with NULLs, duplicates and empty inputs.
@@ -31,8 +32,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import SqliteBackend, backend_names, create_backend
-from repro.backends.base import BackendCapabilities
-from repro.backends.sqlite import _strip_dialect
 from repro.bench.scale import row_sort_key, values_equal
 from repro.datasets import generate_dataset
 from repro.errors import PlanningError
@@ -104,15 +103,9 @@ _values_equal = values_equal
 _row_key = row_sort_key
 
 
-def assert_identical_results(
-    sql_by_backend: dict[str, str],
-    backends: dict[str, object],
-    ordered: bool,
-) -> None:
-    """Run each backend's SQL and assert the results are identical."""
-    results = {}
-    for name, backend in backends.items():
-        results[name] = backend.query_rows(sql_by_backend[name])
+def assert_identical_results(sql: str, backends: dict[str, object], ordered: bool) -> None:
+    """Run ``sql`` on each backend and assert the results are identical."""
+    results = {name: backend.query_rows(sql) for name, backend in backends.items()}
     names = sorted(results)
     reference_name, others = names[0], names[1:]
     reference = results[reference_name]
@@ -121,11 +114,11 @@ def assert_identical_results(
         label = f"{reference_name} vs {other_name}"
         assert len(reference) == len(other), (
             f"{label}: row counts differ ({len(reference)} vs {len(other)}) "
-            f"for {sql_by_backend[reference_name]!r}"
+            f"for {sql!r}"
         )
         if reference:
             assert list(reference[0]) == list(other[0]), (
-                f"{label}: column names differ for {sql_by_backend[reference_name]!r}"
+                f"{label}: column names differ for {sql!r}"
             )
         left, right = reference, other
         if not ordered:
@@ -136,155 +129,105 @@ def assert_identical_results(
                 assert _values_equal(row_a[column], row_b[column]), (
                     f"{label}: row {index} column {column!r}: "
                     f"{row_a[column]!r} != {row_b[column]!r} "
-                    f"for {sql_by_backend[reference_name]!r}"
+                    f"for {sql!r}"
                 )
 
 
-def _plain(sql: str):
-    """A corpus query whose text is identical across dialects."""
-    return lambda capabilities: sql
-
-
-def _ordered(base: str, keys: list[tuple[str, bool]]):
-    """A corpus query with dialect-aware NULL placement on its sort keys."""
-
-    def build(capabilities: BackendCapabilities) -> str:
-        rendered = ", ".join(
-            f"{key} {'DESC' if descending else 'ASC'}"
-            + capabilities.order_nulls_suffix(descending)
-            for key, descending in keys
-        )
-        return f"{base} ORDER BY {rendered}"
-
-    return build
-
-
-def _stack(capabilities: BackendCapabilities) -> str:
+def _stack_sql() -> str:
     """The stack transform's window query via the production builder."""
-    fragment = QueryFragment.for_table("data", dialect=capabilities)
     fragment = apply_transform(
-        fragment,
+        QueryFragment.for_table("data"),
         {"type": "stack"},
         {"field": "w", "groupby": ["g"], "sort": {"field": "w"}, "as": ["y0", "y1"]},
     )
     return fragment.to_sql()
 
 
-def _rank_null_peers(capabilities: BackendCapabilities) -> str:
-    """``RANK()`` over keys with tied NULLs, NULL placement forced in OVER."""
-    asc = capabilities.order_nulls_suffix(False)
-    desc = capabilities.order_nulls_suffix(True)
-    return (
-        f"SELECT w, RANK() OVER (ORDER BY g ASC{asc}) AS r, "
-        f"RANK() OVER (ORDER BY g DESC{desc}, v ASC{asc}) AS r_desc, "
-        f"RANK() OVER (PARTITION BY b ORDER BY g ASC{asc}) AS r_part FROM data"
-    )
-
-
 # --------------------------------------------------------------------------- #
 # The shared corpus
 # --------------------------------------------------------------------------- #
 
-#: (identifier, dialect-aware SQL builder, results are position-compared).
-CORPUS: list[tuple[str, object, bool]] = [
-    ("scan", _plain("SELECT * FROM data"), False),
-    ("filter_numeric", _plain("SELECT g, v FROM data WHERE v > 40 AND v <= 80"), False),
-    ("filter_string", _plain("SELECT g, w FROM data WHERE g = 'a' OR g = 'b'"), False),
-    ("filter_null", _plain("SELECT w FROM data WHERE v IS NULL"), False),
-    ("filter_not_null", _plain("SELECT w FROM data WHERE v IS NOT NULL AND g IS NOT NULL"), False),
-    ("filter_in_between", _plain(
-        "SELECT w FROM data WHERE g IN ('a', 'c') AND v BETWEEN 30 AND 70"), False),
-    ("projection_arithmetic", _plain(
-        "SELECT v + w AS total, v * 2 AS doubled, -v AS negated, w - v AS gap FROM data"), False),
-    ("case_when", _plain(
-        "SELECT CASE WHEN v IS NULL THEN 'missing' WHEN v > 50 THEN 'high' "
-        "ELSE 'low' END AS band, w FROM data"), False),
-    ("scalar_functions", _plain(
-        "SELECT ABS(v - 50) AS a, FLOOR(w / 10) AS f, SQRT(w) AS s, "
-        "COALESCE(v, -1) AS c FROM data"), False),
+#: (identifier, SQL, results are position-compared).
+CORPUS: list[tuple[str, str, bool]] = [
+    ("scan", "SELECT * FROM data", False),
+    ("filter_numeric", "SELECT g, v FROM data WHERE v > 40 AND v <= 80", False),
+    ("filter_string", "SELECT g, w FROM data WHERE g = 'a' OR g = 'b'", False),
+    ("filter_null", "SELECT w FROM data WHERE v IS NULL", False),
+    ("filter_not_null", "SELECT w FROM data WHERE v IS NOT NULL AND g IS NOT NULL", False),
+    ("filter_in_between", "SELECT w FROM data WHERE g IN ('a', 'c') AND v BETWEEN 30 AND 70", False),
+    ("projection_arithmetic", "SELECT v + w AS total, v * 2 AS doubled, -v AS negated, w - v AS gap FROM data", False),
+    ("case_when", "SELECT CASE WHEN v IS NULL THEN 'missing' WHEN v > 50 THEN 'high' "
+        "ELSE 'low' END AS band, w FROM data", False),
+    ("scalar_functions", "SELECT ABS(v - 50) AS a, FLOOR(w / 10) AS f, SQRT(w) AS s, "
+        "COALESCE(v, -1) AS c FROM data", False),
     # w is a multiple of 1.75, so w / 3.5 and w / 7.0 land on exact ties:
     # ROUND must round them to even on every backend, as the client does.
-    ("math_function_ties", _plain(
-        "SELECT ROUND(w / 3.5) AS r, ROUND(-w / 3.5) AS r_neg, ROUND(w / 7.0, 1) AS r1, "
+    ("math_function_ties", "SELECT ROUND(w / 3.5) AS r, ROUND(-w / 3.5) AS r_neg, ROUND(w / 7.0, 1) AS r1, "
         "CEIL(-w / 3.5) AS c, LN(w + 1) AS l, EXP(w / 100) AS e, "
-        "POWER(w / 3.5, 2) AS p FROM data"), False),
-    ("string_functions", _plain(
-        "SELECT UPPER(g) AS u, LOWER(g) AS l, LENGTH(g) AS n, g || '_x' AS tagged FROM data"),
+        "POWER(w / 3.5, 2) AS p FROM data", False),
+    ("string_functions", "SELECT UPPER(g) AS u, LOWER(g) AS l, LENGTH(g) AS n, g || '_x' AS tagged FROM data",
      False),
-    ("group_by_aggregates", _plain(
-        "SELECT g, COUNT(*) AS n, COUNT(v) AS n_v, SUM(v) AS s, AVG(v) AS a, "
-        "MIN(v) AS lo, MAX(v) AS hi FROM data GROUP BY g"), False),
-    ("group_by_two_keys", _plain(
-        "SELECT g, b, COUNT(*) AS n, SUM(w) AS s FROM data GROUP BY g, b"), False),
+    ("group_by_aggregates", "SELECT g, COUNT(*) AS n, COUNT(v) AS n_v, SUM(v) AS s, AVG(v) AS a, "
+        "MIN(v) AS lo, MAX(v) AS hi FROM data GROUP BY g", False),
+    ("group_by_two_keys", "SELECT g, b, COUNT(*) AS n, SUM(w) AS s FROM data GROUP BY g, b", False),
     # Aggregate-free operators in an aggregate query are group-shared
     # values, not arithmetic over aggregate results.
-    ("group_by_concat", _plain(
-        "SELECT g || 'z' AS k, COUNT(*) AS n FROM data GROUP BY g || 'z'"), False),
-    ("group_by_comparison", _plain(
-        "SELECT g, v > 50 AS big, COUNT(*) AS n FROM data GROUP BY g, v > 50"), False),
-    ("having", _plain(
-        "SELECT g, COUNT(*) AS n FROM data GROUP BY g HAVING COUNT(*) > 5"), False),
-    ("count_distinct", _plain("SELECT COUNT(DISTINCT g) AS n FROM data"), False),
-    ("distinct", _plain("SELECT DISTINCT g, b FROM data"), False),
-    ("statistics_aggregates", _plain(
-        "SELECT MEDIAN(v) AS med, STDDEV(v) AS sd, VARIANCE(v) AS var FROM data"), False),
-    ("extent", _plain("SELECT MIN(v) AS min_val, MAX(v) AS max_val FROM data"), False),
-    ("bin_shape", _plain(
-        "SELECT CASE WHEN w >= 200 THEN 180 WHEN w < 0 THEN 0 "
+    ("group_by_concat", "SELECT g || 'z' AS k, COUNT(*) AS n FROM data GROUP BY g || 'z'", False),
+    ("group_by_comparison", "SELECT g, v > 50 AS big, COUNT(*) AS n FROM data GROUP BY g, v > 50", False),
+    ("having", "SELECT g, COUNT(*) AS n FROM data GROUP BY g HAVING COUNT(*) > 5", False),
+    ("count_distinct", "SELECT COUNT(DISTINCT g) AS n FROM data", False),
+    ("distinct", "SELECT DISTINCT g, b FROM data", False),
+    ("statistics_aggregates", "SELECT MEDIAN(v) AS med, STDDEV(v) AS sd, VARIANCE(v) AS var FROM data", False),
+    ("extent", "SELECT MIN(v) AS min_val, MAX(v) AS max_val FROM data", False),
+    ("bin_shape", "SELECT CASE WHEN w >= 200 THEN 180 WHEN w < 0 THEN 0 "
         "ELSE FLOOR((w - 0) / 20.0) * 20.0 + 0 END AS bin0, COUNT(*) AS count "
-        "FROM data GROUP BY bin0"), False),
-    ("timeunit_shape", _plain(
-        "SELECT FLOOR(w / 60.0) * 60.0 AS unit0, FLOOR(w / 60.0) * 60.0 + 60.0 AS unit1 "
-        "FROM data"), False),
-    ("subquery_over_aggregate", _plain(
-        "SELECT g, n FROM (SELECT g, COUNT(*) AS n FROM data GROUP BY g) AS sub "
-        "WHERE n > 3"), False),
-    ("empty_result", _plain("SELECT * FROM data WHERE v > 1e9"), False),
-    ("aggregate_of_empty", _plain(
-        "SELECT COUNT(*) AS n, SUM(v) AS s, AVG(v) AS a FROM data WHERE v > 1e9"), False),
+        "FROM data GROUP BY bin0", False),
+    ("timeunit_shape", "SELECT FLOOR(w / 60.0) * 60.0 AS unit0, FLOOR(w / 60.0) * 60.0 + 60.0 AS unit1 "
+        "FROM data", False),
+    ("subquery_over_aggregate", "SELECT g, n FROM (SELECT g, COUNT(*) AS n FROM data GROUP BY g) AS sub "
+        "WHERE n > 3", False),
+    ("empty_result", "SELECT * FROM data WHERE v > 1e9", False),
+    ("aggregate_of_empty", "SELECT COUNT(*) AS n, SUM(v) AS s, AVG(v) AS a FROM data WHERE v > 1e9", False),
     # Ordered entries: position-compared, including NULL placement.
-    ("order_asc_nulls", _ordered("SELECT v FROM data", [("v", False)]), True),
-    ("order_desc_nulls", _ordered("SELECT v FROM data", [("v", True)]), True),
-    ("order_string_nulls", _ordered("SELECT g FROM data", [("g", False)]), True),
-    ("order_multi_key", _ordered(
-        "SELECT g, v, w FROM data", [("g", False), ("v", True), ("w", False)]), True),
-    ("order_limit", _ordered("SELECT w, g FROM data", [("w", True)]), True),
-    ("order_group_rollup", _ordered(
-        "SELECT g, COUNT(*) AS n FROM (SELECT * FROM data) AS sub GROUP BY g",
-        [("n", True), ("g", False)]), True),
-    ("flights_rollup", _ordered(
-        "SELECT carrier, COUNT(*) AS n, AVG(delay) AS avg_delay, SUM(distance) AS total "
-        "FROM flights GROUP BY carrier", [("n", True), ("carrier", False)]), True),
-    # Window query through the production stack builder (ROWS frame shim).
-    ("stack_window", _stack, False),
+    ("order_asc_nulls", "SELECT v FROM data ORDER BY v ASC NULLS LAST", True),
+    ("order_desc_nulls", "SELECT v FROM data ORDER BY v DESC NULLS FIRST", True),
+    ("order_string_nulls", "SELECT g FROM data ORDER BY g ASC NULLS LAST", True),
+    ("order_multi_key",
+     "SELECT g, v, w FROM data "
+     "ORDER BY g ASC NULLS LAST, v DESC NULLS FIRST, w ASC NULLS LAST", True),
+    ("order_limit", "SELECT w, g FROM data ORDER BY w DESC NULLS FIRST", True),
+    ("order_group_rollup",
+     "SELECT g, COUNT(*) AS n FROM (SELECT * FROM data) AS sub GROUP BY g "
+     "ORDER BY n DESC NULLS FIRST, g ASC NULLS LAST", True),
+    ("flights_rollup",
+     "SELECT carrier, COUNT(*) AS n, AVG(delay) AS avg_delay, SUM(distance) AS total "
+     "FROM flights GROUP BY carrier ORDER BY n DESC NULLS FIRST, carrier ASC NULLS LAST",
+     True),
+    # Window query through the production stack builder (ROWS frame).
+    ("stack_window", _stack_sql(), False),
     # g has tied keys and tied NULLs: NULL keys are RANK peers.
-    ("rank_null_peers", _rank_null_peers, False),
+    ("rank_null_peers",
+     "SELECT w, RANK() OVER (ORDER BY g ASC NULLS LAST) AS r, "
+     "RANK() OVER (ORDER BY g DESC NULLS FIRST, v ASC NULLS LAST) AS r_desc, "
+     "RANK() OVER (PARTITION BY b ORDER BY g ASC NULLS LAST) AS r_part FROM data", False),
     # LIKE is case-sensitive on every backend (sqlite folds case by default).
-    ("like_case", _plain(
-        "SELECT w, g LIKE 'A%' AS upper_a, UPPER(g) LIKE 'a%' AS mixed, "
+    ("like_case", "SELECT w, g LIKE 'A%' AS upper_a, UPPER(g) LIKE 'a%' AS mixed, "
         "g LIKE '_' AS one_char, UPPER(g) LIKE 'B' AS exact FROM data "
-        "WHERE g NOT LIKE 'C%'"), False),
+        "WHERE g NOT LIKE 'C%'", False),
     # A numeric NULL under LIKE is UNKNOWN, not the text 'nan'.
-    ("like_numeric_null", _plain("SELECT w FROM data WHERE v LIKE 'n%'"), False),
-    ("or_like_numeric_null", _plain(
-        "SELECT w FROM data WHERE (v > 1) OR (v LIKE '%a%')"), False),
+    ("like_numeric_null", "SELECT w FROM data WHERE v LIKE 'n%'", False),
+    ("or_like_numeric_null", "SELECT w FROM data WHERE (v > 1) OR (v LIKE '%a%')", False),
     # A number used as a predicate: NULL is UNKNOWN, 0 FALSE, any other TRUE.
     # (``w`` holds one 0 and many other numbers, ``v`` holds NULLs.)
-    ("value_as_predicate", _plain("SELECT w FROM data WHERE w"), False),
-    ("not_value_as_predicate", _plain("SELECT w FROM data WHERE NOT w"), False),
-    ("arithmetic_as_predicate", _plain("SELECT w FROM data WHERE v + 1.5"), False),
+    ("value_as_predicate", "SELECT w FROM data WHERE w", False),
+    ("not_value_as_predicate", "SELECT w FROM data WHERE NOT w", False),
+    ("arithmetic_as_predicate", "SELECT w FROM data WHERE v + 1.5", False),
 ]
 
 
-@pytest.mark.parametrize(
-    ("name", "builder", "is_ordered"), CORPUS, ids=[c[0] for c in CORPUS]
-)
-def test_corpus_query_identical_across_backends(backends, name, builder, is_ordered):
-    sql_by_backend = {
-        backend_name: builder(backend.capabilities)
-        for backend_name, backend in backends.items()
-    }
-    assert_identical_results(sql_by_backend, backends, ordered=is_ordered)
+@pytest.mark.parametrize(("name", "sql", "is_ordered"), CORPUS, ids=[c[0] for c in CORPUS])
+def test_corpus_query_identical_across_backends(backends, name, sql, is_ordered):
+    assert_identical_results(sql, backends, ordered=is_ordered)
 
 
 def _literals(value: object) -> list[tuple[type, object]]:
@@ -308,14 +251,11 @@ def assert_plan_is_the_parse(backend, sql: str) -> None:
     assert _literals(bound) == _literals(fresh), sql
 
 
-@pytest.mark.parametrize(
-    ("name", "builder", "is_ordered"), CORPUS, ids=[c[0] for c in CORPUS]
-)
-def test_corpus_bound_plan_is_the_parse(backends, name, builder, is_ordered):
-    """Every corpus query, on each backend's dialect, is planned by binding
-    its shape's plan (one parse: the shape), and equals its text's plan."""
+@pytest.mark.parametrize(("name", "sql", "is_ordered"), CORPUS, ids=[c[0] for c in CORPUS])
+def test_corpus_bound_plan_is_the_parse(backends, name, sql, is_ordered):
+    """Every corpus query, on each backend, is planned by binding its
+    shape's plan (one parse: the shape), and equals its text's plan."""
     for backend in backends.values():
-        sql = _strip_dialect(builder(backend.capabilities))
         backend.clear_plan_cache()
         parsed = backend.metrics.snapshot()["queries_parsed"]
         assert_plan_is_the_parse(backend, sql)
@@ -326,15 +266,12 @@ _SPACES = st.sampled_from([" ", "   ", "\n", "\t", " \n\t "])
 
 
 @settings(max_examples=4)
-@pytest.mark.parametrize(
-    ("name", "builder", "is_ordered"), CORPUS, ids=[c[0] for c in CORPUS]
-)
+@pytest.mark.parametrize(("name", "sql", "is_ordered"), CORPUS, ids=[c[0] for c in CORPUS])
 @given(data=st.data())
-def test_corpus_whitespace_variant_shares_the_parse(backends, name, builder, is_ordered, data):
+def test_corpus_whitespace_variant_shares_the_parse(backends, name, sql, is_ordered, data):
     """Re-spacing a query between tokens (never inside a string) keeps its
     template shape and its rows, and is never parsed again."""
     backend = backends["embedded"]
-    sql = builder(backend.capabilities)
     tokens = tokenize(sql)
     pieces = [data.draw(st.one_of(st.just(""), _SPACES))]
     for token, following in zip(tokens, tokens[1:]):
@@ -369,8 +306,8 @@ def test_corpus_never_hashes_a_stored_string_column(backends, monkeypatch):
     monkeypatch.setattr(executor_module, "factorize_array", recording)
     embedded = backends["embedded"]
     assert embedded.table("data").column("g").codes is not None
-    for _name, builder, _ordered_flag in CORPUS:
-        embedded.query_rows(builder(embedded.capabilities))
+    for _name, sql, _ordered_flag in CORPUS:
+        embedded.query_rows(sql)
     assert seen, "numeric keys (b, bin0, n) still factorize"
     assert all(dtype != object for dtype in seen)
 
@@ -395,10 +332,9 @@ def test_aggregate_under_non_arithmetic_is_a_planning_error(backends, item):
 
 
 def test_order_limit_respects_limit(backends):
-    """LIMIT composes with dialect-aware ORDER BY on every backend."""
+    """LIMIT composes with ORDER BY on every backend."""
     for backend in backends.values():
-        suffix = backend.capabilities.order_nulls_suffix(descending=True)
-        rows = backend.query_rows(f"SELECT w FROM data ORDER BY w DESC{suffix} LIMIT 5")
+        rows = backend.query_rows("SELECT w FROM data ORDER BY w DESC NULLS FIRST LIMIT 5")
         values = [r["w"] for r in rows]
         assert len(values) == 5
         assert values == sorted(values, reverse=True)
@@ -420,8 +356,7 @@ row_strategy = st.fixed_dictionaries(
 
 rows_strategy = st.lists(row_strategy, min_size=0, max_size=30)
 
-#: Query shapes the property test replays on random tables (all are
-#: dialect-identical or fully determined, so no builder is needed).
+#: Query shapes the property test replays on random tables.
 PROPERTY_QUERIES = (
     "SELECT * FROM t WHERE v > 0",
     "SELECT g, COUNT(*) AS n, SUM(v) AS s, MIN(v) AS lo, MAX(v) AS hi FROM t GROUP BY g",
@@ -440,7 +375,7 @@ def test_random_tables_identical_across_backends(rows):
         backend.register_rows("t", rows, column_order=["v", "w", "g"])
         backends[name] = backend
     for sql in PROPERTY_QUERIES:
-        assert_identical_results(dict.fromkeys(backends, sql), backends, ordered=False)
+        assert_identical_results(sql, backends, ordered=False)
     for backend in backends.values():
         backend.close()
 
@@ -453,15 +388,8 @@ def test_random_order_by_null_placement(rows, descending):
         backend = create_backend(name)
         backend.register_rows("t", rows, column_order=["v", "w", "g"])
         backends[name] = backend
-    direction = "DESC" if descending else "ASC"
-    sql_by_backend = {
-        name: (
-            f"SELECT v FROM t ORDER BY v {direction}"
-            + backend.capabilities.order_nulls_suffix(descending)
-        )
-        for name, backend in backends.items()
-    }
-    assert_identical_results(sql_by_backend, backends, ordered=True)
+    placement = "DESC NULLS FIRST" if descending else "ASC NULLS LAST"
+    assert_identical_results(f"SELECT v FROM t ORDER BY v {placement}", backends, ordered=True)
     for backend in backends.values():
         backend.close()
 
@@ -483,18 +411,6 @@ def test_create_backend_rejects_unknown_options(name):
     for option in ("no_such_option", "plan_cache_size", "ivm_config"):
         with pytest.raises(TypeError):
             create_backend(name, **{option: 1})
-
-
-def test_capabilities_drive_dialect_clauses():
-    embedded = create_backend("embedded").capabilities
-    sqlite = create_backend("sqlite").capabilities
-    assert embedded.order_nulls_suffix(descending=False) == ""
-    assert sqlite.order_nulls_suffix(descending=False) == " NULLS LAST"
-    assert sqlite.order_nulls_suffix(descending=True) == " NULLS FIRST"
-    assert embedded.window_frame_clause() == ""
-    assert sqlite.window_frame_clause() == " ROWS UNBOUNDED PRECEDING"
-    assert embedded.supports_aggregate("median")
-    assert sqlite.supports_aggregate("STDDEV")
 
 
 def test_backend_metrics_and_table_management():

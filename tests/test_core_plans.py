@@ -21,7 +21,7 @@ from repro.datasets import generate_dataset
 from repro.errors import OptimizationError
 from repro.expr import parser as expr_parser
 from repro.net import MiddlewareServer
-from repro.rewrite import SpecRewriter
+from repro.rewrite import SpecRewriter, rewritable_prefix
 from repro.storage.statistics import CardinalityFeedback
 from repro.vega.spec import parse_spec_dict
 from helpers import reference_vector
@@ -93,7 +93,7 @@ def test_enumerator_blocks_after_unsupported_transform(flights_db):
     )
     enumerator = PlanEnumerator(spec)
     # joinaggregate is not rewritable, so the server prefix stops at 1.
-    assert enumerator.rewritable_prefix(spec.data_entry("derived")) == 1
+    assert rewritable_prefix(spec.data_entry("derived").transforms) == 1
     assert len(enumerator.enumerate()) == 2
 
 
@@ -325,36 +325,82 @@ def test_every_plan_renders_the_same_marks(template_name, invariance_backend):
                 assert rows_match(got[name], rows), (plans[index].plan_id, step, name)
 
 
+@pytest.fixture(scope="module")
+def both_backends():
+    rows = generate_dataset("flights", 500, seed=11)
+    backends = {name: create_backend(name) for name in backend_names()}
+    for backend in backends.values():
+        backend.register_rows("flights", rows)
+    yield backends
+    for backend in backends.values():
+        backend.close()
+
+
+@pytest.mark.parametrize("template_name", template_names())
+def test_every_plan_sends_one_sql_text_to_every_backend(template_name, both_backends):
+    """The rewrite layer states the NULL-placement and window-frame
+    contract in the SQL itself, so no VDT's text depends on the backend.
+
+    Every plan of a template with at most 50 plans, a seeded sample of 24
+    otherwise (crossfilter has hundreds)."""
+    instance = WorkloadGenerator(seed=0).instantiate(template_name, "flights")
+    plans = PlanEnumerator(parse_spec_dict(instance.spec)).enumerate()
+    if len(plans) > 50:
+        picked = np.random.default_rng(0).choice(len(plans), size=24, replace=False)
+        plans = [plans[index] for index in sorted(picked)]
+    for plan in plans:
+        texts = {}
+        for name, backend in both_backends.items():
+            system = VegaPlusSystem(instance.spec, backend)
+            system.use_plan(plan)
+            system.initialize()
+            texts[name] = [str(vdt.last_sql) for vdt in system.rewritten.vdts]
+        assert texts["embedded"] == texts["sqlite"], plan.plan_id
+
+
+#: Filter expression → carrier → rows kept, whichever side evaluates it.
+#: ``!`` of a NULL or falsy operand is true on the client, so the server
+#: must keep those rows too.
+NUMERIC_FILTERS = {
+    "datum.delay": {"A": 1, "B": 2, "C": 1},
+    "!datum.delay": {"A": 1, "C": 1},
+    "!(datum.delay > 3)": {"A": 2, "B": 1, "C": 2},
+}
+
+
 @pytest.mark.parametrize("backend_name", backend_names())
 def test_numeric_field_as_filter_renders_the_same_marks(backend_name):
     """``filter datum.delay`` keeps every row whose delay is a non-zero
-    number, whichever side evaluates it: 0 and NULL drop, 0.5 and -2 stay."""
+    number, whichever side evaluates it: 0 and NULL drop, 0.5 and -2 stay;
+    its negations keep the complement."""
     backend = create_backend(backend_name)
     delays = [("A", 0.0), ("A", 1.0), ("B", 5.0), ("B", -2.0), ("C", None), ("C", 0.5)]
     backend.register_rows(
         "flights", [{"carrier": carrier, "delay": delay} for carrier, delay in delays]
     )
-    spec = {
-        "data": [
-            {"name": "source", "table": "flights"},
-            {
-                "name": "counts",
-                "source": "source",
-                "transform": [
-                    {"type": "filter", "expr": "datum.delay"},
-                    {"type": "aggregate", "groupby": ["carrier"], "ops": ["count"], "as": ["n"]},
-                ],
-            },
-        ],
-        "marks": [{"type": "rect", "from": {"data": "counts"}}],
-    }
-    enumerator = PlanEnumerator(parse_spec_dict(spec))
-    want = [{"carrier": "A", "n": 1}, {"carrier": "B", "n": 2}, {"carrier": "C", "n": 1}]
-    for plan in (enumerator.all_client_plan(), enumerator.all_server_plan()):
-        system = VegaPlusSystem(spec, backend)
-        system.use_plan(plan)
-        system.initialize()
-        assert rows_match(system.dataset("counts"), want), plan.plan_id
+    for expr, want in NUMERIC_FILTERS.items():
+        spec = {
+            "data": [
+                {"name": "source", "table": "flights"},
+                {
+                    "name": "counts",
+                    "source": "source",
+                    "transform": [
+                        {"type": "filter", "expr": expr},
+                        {"type": "aggregate", "groupby": ["carrier"], "ops": ["count"],
+                         "as": ["n"]},
+                    ],
+                },
+            ],
+            "marks": [{"type": "rect", "from": {"data": "counts"}}],
+        }
+        enumerator = PlanEnumerator(parse_spec_dict(spec))
+        want_rows = [{"carrier": carrier, "n": n} for carrier, n in want.items()]
+        for plan in (enumerator.all_client_plan(), enumerator.all_server_plan()):
+            system = VegaPlusSystem(spec, backend)
+            system.use_plan(plan)
+            system.initialize()
+            assert rows_match(system.dataset("counts"), want_rows), (expr, plan.plan_id)
     backend.close()
 
 

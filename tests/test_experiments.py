@@ -46,41 +46,41 @@ def measurements(harness) -> MeasurementSet:
 
 def test_table2_accuracy_shape_and_random_baseline(harness, measurements):
     result = table2(sizes=SIZES, measurement_set=measurements, harness=harness)
-    assert set(result.accuracy) == {"RankSVM", "Random Forest", "heuristic", "random"}
+    assert set(result.by_model) == {"RankSVM", "Random Forest", "heuristic", "random"}
     assert result.sizes() == list(SIZES)
-    for by_size in result.accuracy.values():
+    for by_size in result.by_model.values():
         for accuracy in by_size.values():
             assert 0.0 <= accuracy <= 1.0
     # The random model must hover around 0.5; learned models must beat it.
     for size in SIZES:
-        assert 0.2 <= result.accuracy["random"][size] <= 0.8
-        assert result.accuracy["Random Forest"][size] >= result.accuracy["random"][size]
+        assert 0.2 <= result.by_model["random"][size] <= 0.8
+        assert result.by_model["Random Forest"][size] >= result.by_model["random"][size]
     assert "Table 2" in str(result)
 
 
 def test_table3_selected_latency_bounded_by_optimal(harness, measurements):
     result = table3(sizes=SIZES, measurement_set=measurements, harness=harness)
-    assert "optimal" in result.seconds
-    for model, by_size in result.seconds.items():
+    assert "optimal" in result.by_model
+    for model, by_size in result.by_model.items():
         for size, seconds in by_size.items():
-            assert seconds >= result.seconds["optimal"][size] - 1e-9
+            assert seconds >= result.by_model["optimal"][size] - 1e-9
     assert "Table 3" in str(result)
 
 
 def test_table4_interactive_accuracy(harness, measurements):
     result = table4(sizes=SIZES, measurement_set=measurements, harness=harness)
-    assert set(result.accuracy) == {"RankSVM", "Random Forest", "heuristic", "random"}
+    assert set(result.by_model) == {"RankSVM", "Random Forest", "heuristic", "random"}
     for size in SIZES:
-        assert result.accuracy["RankSVM"][size] >= 0.4
+        assert result.by_model["RankSVM"][size] >= 0.4
 
 
 def test_table5_consolidation(harness):
     result = table5(
         sizes=(800,), template_name="overview_detail", interactions_per_session=3, harness=harness
     )
-    assert "optimal" in result.seconds
+    assert "optimal" in result.by_model
     for model in ("RankSVM", "Random Forest", "heuristic"):
-        assert result.seconds[model][800] >= result.seconds["optimal"][800] - 1e-9
+        assert result.by_model[model][800] >= result.by_model["optimal"][800] - 1e-9
     assert "Table 5" in str(result)
 
 
@@ -199,7 +199,7 @@ def test_tables_3_and_5_and_figure7_pick_on_scaled_features():
     vectors, latencies = BenchmarkHarness.initial_render_vectors(measurements)
     models = fit_models([measurements], use_interactions=False)
 
-    selected = table3(sizes=(100,), measurement_set=measurement_set).seconds
+    selected = table3(sizes=(100,), measurement_set=measurement_set).by_model
     errors = figure7(size=100, measurement_set=measurement_set).mean_scaled_error
     for label in ("RankSVM", "Random Forest"):
         comparator = models[label][0]
@@ -222,7 +222,7 @@ def test_tables_3_and_5_and_figure7_pick_on_scaled_features():
         def measure_plans(self, *args, **kwargs):
             return measurements
 
-    consolidated = table5(sizes=(100,), harness=HandBuiltHarness()).seconds
+    consolidated = table5(sizes=(100,), harness=HandBuiltHarness()).by_model
     episodes = BenchmarkHarness.episode_vector_matrix(measurements)
     pairs = BenchmarkHarness.interaction_dataset(measurements)
     for kind, label in (("ranksvm", "RankSVM"), ("random_forest", "Random Forest")):

@@ -66,9 +66,9 @@ def engines():
     )
 
 
-@pytest.mark.parametrize("builder", [c[1] for c in CORPUS], ids=[c[0] for c in CORPUS])
-def test_corpus_query_identical_partitioned(engines, builder):
-    assert_exactly_equal(engines, builder(engines["serial"].capabilities))
+@pytest.mark.parametrize("sql", [c[1] for c in CORPUS], ids=[c[0] for c in CORPUS])
+def test_corpus_query_identical_partitioned(engines, sql):
+    assert_exactly_equal(engines, sql)
 
 
 def test_partitioned_engine_actually_partitions(engines):

@@ -65,8 +65,8 @@ def test_brush_sequence_parses_once(db):
 def test_sqlite_brush_sequence_parses_once():
     """The sqlite backend plans its IVM interception through the same
     :class:`PlanCache`: brush steps differing only in literals parse once
-    (it used to re-parse every new literal), and dialect clauses the
-    embedded parser does not know are stripped before the lookup."""
+    (it used to re-parse every new literal), and the ``NULLS LAST`` the
+    rewrite layer writes for both engines is read by the embedded parser."""
     backend = create_backend("sqlite")
     backend.register_rows(
         "t", [{"g": "ab"[i % 2], "v": float(i)} for i in range(100)], column_order=["g", "v"]

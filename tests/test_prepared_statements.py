@@ -88,9 +88,8 @@ def test_interactions_lex_and_parse_only_new_shapes(template_name, backend, monk
     plan = backend.plan
 
     def planned(sql):
-        # A VDT's SQL with slots reaches planning with its shape (sqlite
-        # strips its dialect clauses from both first); SQL without slots
-        # is plain text, its own shape.
+        # A VDT's SQL with slots reaches planning with its shape; SQL
+        # without slots is plain text, its own shape.
         planned_in_interactions.append(sql)
         shape = sql.shape if type(sql) is PreparedSQL else sql
         if shape not in shapes:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import OptimizationError, RewriteError
 from repro.net import MiddlewareServer
-from repro.rewrite import SpecRewriter, transform_supports_sql
+from repro.rewrite import REWRITABLE_TRANSFORMS, SpecRewriter
 from repro.rewrite.templates import QueryFragment, apply_transform, build_fragment_for_transforms
 from repro.sql import Database
 from repro.vega.spec import parse_spec_dict
@@ -133,7 +133,10 @@ def test_stack_uses_window_function():
         [{"field": "delay", "groupby": ["carrier"], "sort": {"field": "distance"}}],
     )
     sql = fragment.to_sql()
-    assert "SUM(delay) OVER (PARTITION BY carrier ORDER BY distance)" in sql
+    assert (
+        "SUM(delay) OVER (PARTITION BY carrier "
+        "ORDER BY distance NULLS LAST ROWS UNBOUNDED PRECEDING)"
+    ) in sql
     assert "y1 - delay AS y0" in sql
 
 
@@ -148,8 +151,8 @@ def test_timeunit_builder():
 
 
 def test_unsupported_transform_rejected():
-    assert transform_supports_sql("aggregate")
-    assert not transform_supports_sql("joinaggregate")
+    assert "aggregate" in REWRITABLE_TRANSFORMS
+    assert "joinaggregate" not in REWRITABLE_TRANSFORMS
     with pytest.raises(RewriteError):
         apply_transform(QueryFragment.for_table("t"), {"type": "joinaggregate"}, {})
 

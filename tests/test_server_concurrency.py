@@ -440,18 +440,6 @@ def test_vega_plus_system_requires_database_or_middleware(histogram_spec):
         VegaPlusSystem(histogram_spec)
 
 
-def test_for_backend_refuses_unsafe_backend_with_pool(flights_db, monkeypatch):
-    from repro.backends.base import BackendCapabilities
-
-    unsafe = BackendCapabilities(name="unsafe", thread_safe=False)
-    monkeypatch.setattr(Database, "capabilities", property(lambda self: unsafe))
-    with pytest.raises(BenchmarkError, match="thread-safe"):
-        SessionManager.for_backend(flights_db, max_workers=4)
-    # A single worker is always allowed.
-    serial = SessionManager.for_backend(flights_db, max_workers=1)
-    serial.shutdown()
-
-
 # --------------------------------------------------------------------------- #
 # Concurrency stress: results must equal the serial baseline
 # --------------------------------------------------------------------------- #
@@ -577,13 +565,6 @@ def test_sqlite_backend_close_prevents_new_connections(flights_rows):
     thread = threading.Thread(target=use)
     thread.start()
     thread.join()
-
-
-def test_capabilities_declare_concurrency_contract():
-    embedded = create_backend("embedded").capabilities
-    sqlite = create_backend("sqlite").capabilities
-    assert embedded.thread_safe and embedded.connection_strategy == "shared"
-    assert sqlite.thread_safe and sqlite.connection_strategy == "per-thread"
 
 
 def test_middleware_serve_is_client_state_free(flights_db):

@@ -20,7 +20,9 @@ from repro.sql.ast_nodes import (
     contains_aggregate,
     referenced_columns,
 )
+from repro.sql.optimizer import optimize_plan
 from repro.sql.parser import parse_sql
+from repro.sql.planner import build_logical_plan
 from repro.sql.tokenizer import TokenType, tokenize
 
 
@@ -169,6 +171,47 @@ def test_parse_window_function():
     assert expr.order_by[0].expression == ColumnRef("y")
 
 
+@pytest.mark.parametrize(
+    ("restated", "bare"),
+    [
+        ("SELECT a FROM t ORDER BY a ASC NULLS LAST, b DESC NULLS FIRST",
+         "SELECT a FROM t ORDER BY a ASC, b DESC"),
+        ("SELECT a FROM t ORDER BY a nulls last", "SELECT a FROM t ORDER BY a"),
+        ("SELECT SUM(x) OVER (PARTITION BY g ORDER BY y NULLS LAST "
+         "ROWS UNBOUNDED PRECEDING) AS total FROM t",
+         "SELECT SUM(x) OVER (PARTITION BY g ORDER BY y) AS total FROM t"),
+        ("SELECT RANK() OVER (ORDER BY y DESC NULLS FIRST) AS r FROM t",
+         "SELECT RANK() OVER (ORDER BY y DESC) AS r FROM t"),
+    ],
+)
+def test_restated_null_placement_and_frame_plan_like_the_bare_text(restated, bare):
+    """The clauses the rewrite layer writes for every backend restate the
+    engine's own contract: NULL last under ASC, first under DESC, running
+    windows framed by rows."""
+    assert parse_sql(restated) == parse_sql(bare)
+    assert optimize_plan(build_logical_plan(parse_sql(restated))) == optimize_plan(
+        build_logical_plan(parse_sql(bare))
+    )
+
+
+def test_nulls_first_last_stay_usable_as_names():
+    stmt = parse_sql(
+        "SELECT first AS last, nulls, last AS nulls FROM t ORDER BY nulls NULLS LAST, first DESC"
+    )
+    assert [item.alias for item in stmt.items] == ["last", None, "nulls"]
+    assert [item.expression for item in stmt.items] == [
+        ColumnRef("first"), ColumnRef("nulls"), ColumnRef("last")
+    ]
+    assert [(o.expression, o.descending) for o in stmt.order_by] == [
+        (ColumnRef("nulls"), False), (ColumnRef("first"), True)
+    ]
+    db = create_backend("embedded")
+    db.register_rows("t", [{"first": 1.0, "last": None, "nulls": 2.0}])
+    assert db.query_rows("SELECT first AS nulls FROM t ORDER BY last NULLS LAST") == [
+        {"nulls": 1.0}
+    ]
+
+
 def test_parse_count_distinct_and_star():
     stmt = parse_sql("SELECT COUNT(DISTINCT a), COUNT(*) FROM t")
     first = stmt.items[0].expression
@@ -201,6 +244,18 @@ def test_parse_errors():
         parse_sql("SELECT a FROM t LIMIT x")
     with pytest.raises(ParseError):
         parse_sql("SELECT a FROM t extra garbage ,")
+    # Only the engine's own NULL placement and frame may be restated.
+    for sql in (
+        "SELECT a FROM t ORDER BY a ASC NULLS FIRST",
+        "SELECT a FROM t ORDER BY a NULLS FIRST",
+        "SELECT a FROM t ORDER BY a DESC NULLS LAST",
+        "SELECT a FROM t ORDER BY a NULLS",
+        "SELECT SUM(x) OVER (ORDER BY y RANGE UNBOUNDED PRECEDING) AS s FROM t",
+        "SELECT SUM(x) OVER (ORDER BY y ROWS BETWEEN 1 PRECEDING AND CURRENT ROW) AS s FROM t",
+        "SELECT SUM(x) OVER (PARTITION BY g ROWS UNBOUNDED PRECEDING) AS s FROM t",
+    ):
+        with pytest.raises(ParseError):
+            parse_sql(sql)
 
 
 def test_statement_round_trips_through_str():

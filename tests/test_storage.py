@@ -206,26 +206,6 @@ def test_dictionary_filter_take_slice_share_the_dictionary():
     assert table.slice(1, 2).to_rows() == [{"s": "a", "n": 2}, {"s": None, "n": 3}]
 
 
-def test_concat_all_same_dictionary_concatenates_codes():
-    column = Column.from_values("s", ["b", "a", None, "c"])
-    parts = [Table([column.slice(0, 2)]), Table([column.slice(2, 4)])]
-    merged = Table.concat_all(parts).column("s")
-    assert merged.dictionary is column.dictionary
-    assert merged.codes.tolist() == column.codes.tolist()
-
-
-def test_concat_all_different_dictionaries_reencodes():
-    left = Table([Column.from_values("s", ["m", None, "z"])])
-    right = Table([Column.from_values("s", ["a", "m", "q", None])])
-    merged = Table.concat_all([left, right]).column("s")
-    assert merged.dictionary.tolist() == ["a", "m", "q", "z"]
-    assert merged.to_pylist() == ["m", None, "z", "a", "m", "q", None]
-    assert merged.null_mask().tolist() == [False, True, False, False, False, False, True]
-    # A numeric (all-NULL) part promotes through the object path, as before.
-    nulls = Table([Column.from_values("s", [None, None])])
-    assert Table.concat_all([left, nulls]).to_columns() == {"s": ["m", None, "z", None, None]}
-
-
 def test_all_null_and_empty_string_columns():
     all_null = Column("s", np.array([None, None], dtype=object), ColumnType.STRING)
     assert all_null.codes.tolist() == [0, 0] and len(all_null.dictionary) == 0
@@ -236,9 +216,6 @@ def test_all_null_and_empty_string_columns():
     assert len(empty) == 0 and empty.to_pylist() == [] and Table([empty]).nbytes == 0
     assert empty.null_mask().tolist() == []
     assert Table([empty]).distinct_indices().tolist() == []
-    assert Table.concat_all([Table([empty]), Table([all_null])]).to_columns() == {
-        "s": [None, None]
-    }
 
 
 def test_mixed_type_string_columns_stay_unencoded():
@@ -303,15 +280,6 @@ def test_table_with_column_and_rename(tiny_table_rows):
     renamed = table.rename_columns({"value": "v"})
     assert "v" in renamed.column_names()
     assert "value" not in renamed.column_names()
-
-
-def test_table_concat_and_mismatch(tiny_table_rows):
-    table = Table.from_rows(tiny_table_rows)
-    combined = table.concat(table)
-    assert combined.num_rows == 10
-    other = Table.from_columns({"different": [1]})
-    with pytest.raises(ValueError):
-        table.concat(other)
 
 
 def test_table_missing_column_error(tiny_table_rows):

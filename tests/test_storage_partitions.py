@@ -1,4 +1,4 @@
-"""Partitioned storage: PartitionedTable, concat_all, zone maps, catalog."""
+"""Partitioned storage: PartitionedTable, zone maps, catalog."""
 
 from __future__ import annotations
 
@@ -44,8 +44,8 @@ class TestPartitionedTable:
     def test_partitions_concatenate_back_to_the_table(self):
         base = _table(57)
         table = PartitionedTable.from_table(base, target_rows=10)
-        merged = Table.concat_all(table.partitions())
-        assert merged.to_rows() == base.to_rows()
+        merged = [row for part in table.partitions() for row in part.to_rows()]
+        assert merged == base.to_rows()
 
     def test_partition_views_are_zero_copy(self):
         table = PartitionedTable.from_table(_table(40), target_rows=10)
@@ -82,39 +82,6 @@ class TestPartitionedTable:
             PartitionedTable(base.columns(), boundaries=[0, 5, 5, 10])
         with pytest.raises(ValueError):
             PartitionedTable.from_table(base, target_rows=0)
-
-
-# --------------------------------------------------------------------------- #
-# Table.concat_all
-# --------------------------------------------------------------------------- #
-
-
-class TestConcatAll:
-    def test_matches_pairwise_concat(self):
-        pieces = [_table(10), _table(3), _table(7)]
-        pairwise = pieces[0].concat(pieces[1]).concat(pieces[2])
-        assert Table.concat_all(pieces).to_rows() == pairwise.to_rows()
-
-    def test_single_and_empty_inputs(self):
-        table = _table(5)
-        assert Table.concat_all([table]).to_rows() == table.to_rows()
-        with pytest.raises(ValueError):
-            Table.concat_all([])
-
-    def test_mixed_numeric_and_string_pieces_promote(self):
-        numeric = Table.from_columns({"x": [1.0, 2.0]})
-        stringy = Table.from_columns({"x": ["a", None]})
-        merged = Table.concat_all([numeric, stringy, numeric])
-        assert merged.column("x").to_pylist() == [1, 2, "a", None, 1, 2]
-
-    def test_zero_row_pieces_keep_schema(self):
-        table = _table(4)
-        merged = Table.concat_all([table.slice(0, 0), table, table.slice(0, 0)])
-        assert merged.to_rows() == table.to_rows()
-
-    def test_column_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Table.concat_all([_table(2), Table.from_columns({"x": [1]})])
 
 
 # --------------------------------------------------------------------------- #
