@@ -27,6 +27,18 @@ supplied here:
 * NaN is stored as NULL on load — SQLite has no NaN, and NaN *is* the
   embedded engine's NULL encoding.
 
+Physical design: each table is loaded with an index on every column
+:func:`~repro.storage.statistics.sorted_columns` names (NULL-free,
+numeric, never decreasing in storage order), so a range filter on one
+becomes an index range search.  Entries of such an index run in
+``(value, rowid)`` order, which for a sorted column is rowid order: an
+unordered query and an ascending ``ORDER BY`` return rows in the order
+a full scan does (a descending one scans the index backwards, which
+reverses its ties; tie order is outside the result contract).  No other
+column is indexed: this SQLite build has no STAT4, so it would use any
+usable index for any range, and an index on an unsorted column makes a
+wide range slower than a scan.
+
 Concurrency: ``sqlite3`` connections must not be shared across threads,
 so the backend keeps **one connection per thread** over a single
 shared-cache in-memory database (``file:...?mode=memory&cache=shared``).
@@ -49,7 +61,13 @@ from repro.errors import ExecutionError, ReproError
 from repro.sql.engine import SQLBackend
 from repro.sql.executor import ExecutionStats
 from repro.sql.planner import LogicalPlan
-from repro.storage.sqlite_adapter import load_table, quote_identifier, table_from_cursor
+from repro.storage.sqlite_adapter import (
+    create_index_sql,
+    load_table,
+    quote_identifier,
+    table_from_cursor,
+)
+from repro.storage.statistics import sorted_columns
 from repro.storage.table import Table
 
 #: Scalar math functions registered as UDFs when the build lacks them.
@@ -177,7 +195,11 @@ class SqliteBackend(SQLBackend):
     # What differs from the front door
     # ------------------------------------------------------------------ #
     def _load(self, name: str, table: Table) -> None:
-        load_table(self.connection, name, table, replace=True)
+        connection = self.connection
+        load_table(connection, name, table, replace=True)
+        for column in sorted_columns(table):
+            connection.execute(create_index_sql(name, column))
+        connection.commit()
 
     def _unload(self, name: str) -> None:
         connection = self.connection

@@ -336,10 +336,13 @@ def _apply_stack(fragment: QueryFragment, params: Mapping) -> QueryFragment:
         keys = ", ".join(f"{sort_field} NULLS LAST" for sort_field in sort_fields)
         over_parts.append(f"ORDER BY {keys} ROWS UNBOUNDED PRECEDING")
     over = " ".join(over_parts)
-    window = f"SUM({field_name}) OVER ({over}) AS {y1}"
+    # The client stacks a NULL extent as 0: without COALESCE, y0 of a NULL
+    # row would be NULL, and sqlite's SUM over an all-NULL prefix NULL.
+    extent = f"COALESCE({field_name}, 0)"
+    window = f"SUM({extent}) OVER ({over}) AS {y1}"
     fragment.select_items = ["*", window]
     outer = fragment.nest(alias="stacked")
-    outer.select_items = ["*", f"{y1} - {field_name} AS {y0}"]
+    outer.select_items = ["*", f"{y1} - {extent} AS {y0}"]
     return outer
 
 

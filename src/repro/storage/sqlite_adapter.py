@@ -12,7 +12,10 @@ These adapters move data across that boundary in column-major fashion:
 * **read**: a cursor's row tuples are transposed back into per-column
   value lists and rebuilt as typed :class:`Column` objects, so results
   round-trip through the same ``to_pylist`` normalisation (integral
-  floats render as ints, NULL as ``None``) as embedded-engine results.
+  floats render as ints, NULL as ``None``) as embedded-engine results,
+* **index**: :func:`create_index_sql` is the DDL of the indexes the
+  backend derives from the data
+  (:func:`~repro.storage.statistics.sorted_columns`).
 """
 
 from __future__ import annotations
@@ -45,6 +48,15 @@ def create_table_sql(name: str, table: Table) -> str:
         f"{quote_identifier(col.name)} {sqlite_type_of(col)}" for col in table.columns()
     )
     return f"CREATE TABLE {quote_identifier(name)} ({columns})"
+
+
+def create_index_sql(name: str, column: str) -> str:
+    """``CREATE INDEX`` statement for ``column`` of table ``name``.
+
+    The index is named ``<table>.<column>``; ``DROP TABLE`` drops it.
+    """
+    index = quote_identifier(f"{name}.{column}")
+    return f"CREATE INDEX {index} ON {quote_identifier(name)} ({quote_identifier(column)})"
 
 
 def column_to_bindings(column: Column) -> np.ndarray:

@@ -310,6 +310,26 @@ def zone_maps_range_rows(
     return rows if known else None
 
 
+def sorted_columns(table: Table) -> list[str]:
+    """Names of the NULL-free numeric columns whose values never decrease
+    in storage order.
+
+    These are exactly the columns whose zone ranges come in order under
+    any partitioning (each partition's minimum is at least the previous
+    one's maximum), so a range predicate on one selects a contiguous run
+    of rows — flat tables included, which carry no zone maps.  The
+    sqlite backend indexes them when a table loads.
+    """
+    names = []
+    for column in table.columns():
+        if not column.is_numeric():
+            continue
+        values = column.values
+        if not np.isnan(values).any() and np.all(values[1:] >= values[:-1]):
+            names.append(column.name)
+    return names
+
+
 def compute_column_statistics(column: Column, sample_limit: int = 100_000) -> ColumnStatistics:
     """Compute statistics for one column.
 

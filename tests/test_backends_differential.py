@@ -9,7 +9,9 @@ asserts row-identical results:
 * **order** — compared positionally when the query has an ORDER BY
   (including NULL placement: last under ASC, first under DESC); as
   multisets otherwise (SQL leaves the order unspecified and the two
-  engines genuinely differ, e.g. GROUP BY output order),
+  engines genuinely differ, e.g. GROUP BY output order) — except the
+  row-preserving entries named in ``STORAGE_ORDER``, which return rows
+  in storage order on every backend, an index range search included,
 * **NULL placement** — NULL/NaN round-trips as ``None`` everywhere.
 
 Every backend reads the same text.  Sort keys state their NULL
@@ -60,12 +62,18 @@ settings.load_profile("repro-diff")
 # --------------------------------------------------------------------------- #
 
 
+#: Column order of the ``data`` table.
+DATA_COLUMNS = ["g", "v", "w", "b", "k"]
+
+
 def _mixed_rows(n: int = 120, seed: int = 11) -> list[dict[str, object]]:
     """Rows with NULLs in both a numeric and a string column.
 
     ``w`` is unique (a shuffled permutation scaled to floats) so ORDER BY
     ``w`` induces a total order — the engines do not promise a stable
-    sort, so ordered corpus entries must be fully determined.
+    sort, so ordered corpus entries must be fully determined.  ``k``
+    never decreases and holds no NULL, so the sqlite backend indexes it;
+    each of its values is shared by three rows.
     """
     rng = np.random.default_rng(seed)
     w_values = rng.permutation(n) * 1.75
@@ -73,19 +81,31 @@ def _mixed_rows(n: int = 120, seed: int = 11) -> list[dict[str, object]]:
     for i in range(n):
         v = None if rng.random() < 0.15 else float(np.round(rng.normal(50, 20), 3))
         g = None if rng.random() < 0.1 else str(rng.choice(["a", "b", "c", "d"]))
-        rows.append({"g": g, "v": v, "w": float(w_values[i]), "b": float(i % 2)})
+        rows.append(
+            {"g": g, "v": v, "w": float(w_values[i]), "b": float(i % 2), "k": float(i // 3)}
+        )
     return rows
+
+
+def _flights_rows() -> list[dict[str, object]]:
+    """300 flights in date order, as the scan benchmarks load them, so
+    the sqlite backend indexes ``date``."""
+    return sorted(generate_dataset("flights", 300, seed=5), key=lambda row: row["date"])
+
+
+#: A date window over a fifth of :func:`_flights_rows`.
+_DATE_LOW, _DATE_HIGH = (_flights_rows()[i]["date"] for i in (100, 160))
 
 
 @pytest.fixture(scope="module")
 def backends() -> dict[str, object]:
     """Both backends with the same two tables registered."""
     mixed = _mixed_rows()
-    flights = generate_dataset("flights", 300, seed=5)
+    flights = _flights_rows()
     built = {}
     for name in backend_names():
         backend = create_backend(name)
-        backend.register_rows("data", mixed, column_order=["g", "v", "w", "b"])
+        backend.register_rows("data", mixed, column_order=DATA_COLUMNS)
         backend.register_rows("flights", flights)
         built[name] = backend
     return built
@@ -222,12 +242,36 @@ CORPUS: list[tuple[str, str, bool]] = [
     ("value_as_predicate", "SELECT w FROM data WHERE w", False),
     ("not_value_as_predicate", "SELECT w FROM data WHERE NOT w", False),
     ("arithmetic_as_predicate", "SELECT w FROM data WHERE v + 1.5", False),
+    # Range windows on the columns the sqlite backend indexes (data.k,
+    # flights.date): answered by an index range search there.
+    ("index_window", "SELECT g, v, w, k FROM data WHERE k >= 5 AND k < 20", False),
+    ("index_window_grouped",
+     "SELECT g, COUNT(*) AS n, SUM(w) AS s, AVG(v) AS a FROM data "
+     "WHERE k BETWEEN 5 AND 20 GROUP BY g", False),
+    # k ties in threes: ties keep storage order on both sides.
+    ("index_order_ties", "SELECT k, w FROM data WHERE k >= 10 ORDER BY k ASC NULLS LAST", True),
+    ("date_window_rollup",
+     "SELECT carrier, COUNT(*) AS n, AVG(delay) AS avg_delay FROM flights "
+     f"WHERE date >= {_DATE_LOW!r} AND date < {_DATE_HIGH!r} "
+     "GROUP BY carrier ORDER BY carrier ASC NULLS LAST", True),
+    ("date_window_rows",
+     "SELECT date, dep_delay, carrier, distance FROM flights "
+     f"WHERE date >= {_DATE_LOW!r} AND date < {_DATE_HIGH!r}", False),
 ]
+
+#: Corpus entries without ORDER BY whose rows keep storage order on every
+#: backend (no GROUP BY, DISTINCT or window reorders them), so they are
+#: also compared position by position — an index range search included.
+STORAGE_ORDER = (
+    "scan", "filter_numeric", "filter_string", "filter_null", "filter_not_null",
+    "filter_in_between", "projection_arithmetic", "case_when", "timeunit_shape",
+    "like_case", "value_as_predicate", "index_window", "date_window_rows",
+)
 
 
 @pytest.mark.parametrize(("name", "sql", "is_ordered"), CORPUS, ids=[c[0] for c in CORPUS])
 def test_corpus_query_identical_across_backends(backends, name, sql, is_ordered):
-    assert_identical_results(sql, backends, ordered=is_ordered)
+    assert_identical_results(sql, backends, ordered=is_ordered or name in STORAGE_ORDER)
 
 
 def _literals(value: object) -> list[tuple[type, object]]:
@@ -435,3 +479,70 @@ def test_sqlite_registration_survives_replace_and_requery():
     backend.register_rows("t", [{"x": 5.0}, {"x": 6.0}], replace=True)
     assert backend.query_rows("SELECT COUNT(*) AS n FROM t") == [{"n": 2}]
     assert backend.table_statistics("t").num_rows == 2
+
+
+# --------------------------------------------------------------------------- #
+# The sqlite backend's physical design
+# --------------------------------------------------------------------------- #
+
+
+def _indexed_columns(backend: SqliteBackend, table: str) -> list[str]:
+    """The columns sqlite holds an index on, read from its own catalog."""
+    connection = backend.connection
+    columns = []
+    for _seq, index, *_rest in connection.execute(f'PRAGMA index_list("{table}")'):
+        columns += [row[2] for row in connection.execute(f'PRAGMA index_info("{index}")')]
+    return sorted(columns)
+
+
+def _query_plan(backend: SqliteBackend, sql: str) -> str:
+    return " | ".join(row[-1] for row in backend.connection.execute(f"EXPLAIN QUERY PLAN {sql}"))
+
+
+def test_sqlite_indexes_exactly_the_sorted_null_free_numeric_columns(backends):
+    """Only a column that never decreases and holds no NULL is indexed:
+    ``date`` of the date-ordered flights, ``k`` of ``data``.  ``distance``
+    (unsorted), ``v`` (NULLs), ``g`` and ``carrier`` (strings) are not."""
+    sqlite = backends["sqlite"]
+    assert _indexed_columns(sqlite, "flights") == ["date"]
+    assert _indexed_columns(sqlite, "data") == ["k"]
+    assert "USING INDEX" in _query_plan(
+        sqlite,
+        "SELECT carrier, COUNT(*) AS n, AVG(delay) AS avg_delay FROM flights "
+        f"WHERE date >= {_DATE_LOW!r} AND date < {_DATE_HIGH!r} GROUP BY carrier "
+        "ORDER BY carrier ASC NULLS LAST",
+    )
+    assert "USING INDEX" not in _query_plan(
+        sqlite,
+        "SELECT origin, COUNT(*) AS n FROM flights WHERE distance <= 2500.0 "
+        "GROUP BY origin ORDER BY origin ASC NULLS LAST",
+    )
+
+
+def test_sqlite_skips_a_sorted_column_holding_a_null():
+    backend = SqliteBackend()
+    rows = [{"x": 1.0, "y": 1.0}, {"x": 2.0, "y": 2.0}, {"x": None, "y": 3.0}]
+    backend.register_rows("t", rows)
+    assert _indexed_columns(backend, "t") == ["y"]
+    backend.close()
+
+
+def test_sqlite_replace_with_unsorted_rows_drops_the_index():
+    """Re-registering a table re-derives its design: once ``k`` is no
+    longer sorted it has no index, and every backend still answers ``==``."""
+    built = {name: create_backend(name) for name in backend_names()}
+    for backend in built.values():
+        backend.register_rows("data", _mixed_rows(), column_order=DATA_COLUMNS)
+    assert _indexed_columns(built["sqlite"], "data") == ["k"]
+    unsorted = _mixed_rows()[::-1]
+    for backend in built.values():
+        backend.register_rows("data", unsorted, column_order=DATA_COLUMNS, replace=True)
+    assert _indexed_columns(built["sqlite"], "data") == []
+    for sql in (
+        "SELECT g, v, w, k FROM data WHERE k >= 5 AND k < 20",
+        "SELECT k, w FROM data WHERE k >= 10 ORDER BY k ASC NULLS LAST",
+        "SELECT * FROM data",
+    ):
+        assert built["sqlite"].query_rows(sql) == built["embedded"].query_rows(sql), sql
+    for backend in built.values():
+        backend.close()

@@ -404,6 +404,41 @@ def test_numeric_field_as_filter_renders_the_same_marks(backend_name):
     backend.close()
 
 
+@pytest.mark.parametrize("backend_name", backend_names())
+def test_stack_over_a_null_extent_renders_the_same_marks(backend_name):
+    """The client stacks a NULL extent as 0, so the NULL row sits on top
+    of the row before it (y0 = y1 = 2) whichever side runs the stack."""
+    backend = create_backend(backend_name)
+    backend.register_rows(
+        "bars",
+        [{"g": "a", "k": k, "v": v} for k, v in ((1.0, 2.0), (2.0, None), (3.0, 5.0))],
+    )
+    spec = {
+        "data": [
+            {"name": "source", "table": "bars"},
+            {
+                "name": "stacked",
+                "source": "source",
+                "transform": [
+                    {"type": "stack", "field": "v", "groupby": ["g"], "sort": {"field": "k"}},
+                ],
+            },
+        ],
+        "marks": [{"type": "rect", "from": {"data": "stacked"}}],
+    }
+    enumerator = PlanEnumerator(parse_spec_dict(spec))
+    seen = []
+    for plan in (enumerator.all_client_plan(), enumerator.all_server_plan()):
+        system = VegaPlusSystem(spec, backend)
+        system.use_plan(plan)
+        system.initialize()
+        seen.append(system.dataset("stacked"))
+    client, server = seen
+    assert client == server
+    assert [(row["y0"], row["y1"]) for row in server] == [(0, 2), (2, 2), (2, 7)]
+    backend.close()
+
+
 def crossfilter_instance():
     fields = {"field_a": "distance", "field_b": "air_time", "field_c": "dep_delay"}
     return WorkloadGenerator(seed=0).instantiate("crossfilter", "flights", fields=fields)

@@ -21,9 +21,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from test_backends_differential import CORPUS, _mixed_rows
+from test_backends_differential import CORPUS, DATA_COLUMNS, _flights_rows, _mixed_rows
 
-from repro.datasets import generate_dataset
 from repro.sql import Database
 
 
@@ -59,8 +58,8 @@ def engines():
     """The corpus tables, flat vs partitioned."""
     return _engine_pair(
         {
-            "data": (_mixed_rows(), ["g", "v", "w", "b"]),
-            "flights": (generate_dataset("flights", 300, seed=5), None),
+            "data": (_mixed_rows(), DATA_COLUMNS),
+            "flights": (_flights_rows(), None),
         },
         target_rows=40,
     )

@@ -134,10 +134,10 @@ def test_stack_uses_window_function():
     )
     sql = fragment.to_sql()
     assert (
-        "SUM(delay) OVER (PARTITION BY carrier "
+        "SUM(COALESCE(delay, 0)) OVER (PARTITION BY carrier "
         "ORDER BY distance NULLS LAST ROWS UNBOUNDED PRECEDING)"
     ) in sql
-    assert "y1 - delay AS y0" in sql
+    assert "y1 - COALESCE(delay, 0) AS y0" in sql
 
 
 def test_timeunit_builder():

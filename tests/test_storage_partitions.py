@@ -14,7 +14,7 @@ from repro.storage import (
     Table,
     compute_zone_map,
 )
-from repro.storage.statistics import RangeInterval, zone_maps_range_rows
+from repro.storage.statistics import RangeInterval, sorted_columns, zone_maps_range_rows
 
 
 def _table(n: int = 100) -> Table:
@@ -131,6 +131,18 @@ class TestZoneMaps:
         rows = zone_maps_range_rows(zone_maps, "t", 0.0, 24.0)
         assert rows == pytest.approx(24.0, abs=3.0)
         assert zone_maps_range_rows(zone_maps, "missing", 0.0, 1.0) is None
+
+    def test_sorted_columns_are_those_whose_zones_come_in_order(self):
+        """A NULL-free numeric column that never decreases: its zones come
+        in order under any partitioning.  ``v`` holds NULLs, ``g`` is text,
+        and a single decrease disqualifies a column."""
+        assert sorted_columns(_table(100)) == ["t"]
+        ties = Table.from_columns({"a": [1.0, 1.0, 2.0], "b": [1.0, 3.0, 2.0]})
+        assert sorted_columns(ties) == ["a"]
+        partitioned = PartitionedTable.from_table(_table(100), target_rows=7)
+        zones = [compute_zone_map(part).column("t") for part in partitioned.partitions()]
+        assert all(z.maximum <= nxt.minimum for z, nxt in zip(zones, zones[1:]))
+        assert sorted_columns(partitioned) == ["t"]
 
 
 # --------------------------------------------------------------------------- #

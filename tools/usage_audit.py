@@ -6,6 +6,7 @@ Usage::
     python tools/usage_audit.py record --into DIR --label NAME -- CMD ...
     python tools/usage_audit.py report --from DIR [--json OUT]
     python tools/usage_audit.py all --into DIR [--json tools/usage_audit.json]
+    python tools/usage_audit.py check [--json tools/usage_audit.json]
 
 ``record`` runs ``CMD`` with a ``sitecustomize`` profile hook on the
 path: ``sys.setprofile`` and ``threading.setprofile`` note the first call
@@ -28,7 +29,12 @@ record order) that reached it.
 at ``--seconds 2 --scale 0.3``, the four ``examples/``, every
 ``benchmarks/bench_*.py`` on both backends at ``REPRO_BENCH_SCALE=0.25``
 with ``--benchmark-disable``, and tier-1 as ``tests`` — then reports.
-It takes tens of minutes on two cores.  Standard library only.
+It takes tens of minutes on two cores.
+
+``check`` runs nothing: it reads the committed baseline and fails when a
+def it names (in ``first_run``, ``tests_only`` or ``nothing``) no longer
+exists under ``src/repro``, so a deletion cannot leave the baseline
+stale.  It takes seconds.  Standard library only.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
+BASELINE = ROOT / "tools" / "usage_audit.json"
 TESTS_LABEL = "tests"
 
 _HOOK = '''\
@@ -178,6 +185,16 @@ def report(into: Path, json_out: Path | None = None) -> dict[str, object]:
     return summary
 
 
+def check(baseline: Path) -> list[str]:
+    """Defs named in ``baseline`` that no longer exist; prints each."""
+    data = json.loads(baseline.read_text())
+    named = set(data["first_run"]) | set(data["tests_only"]) | set(data["nothing"])
+    stale = sorted(named - {entry["key"] for entry in _defs()})
+    for key in stale:
+        print(f"usage_audit: {baseline.name} names {key}, which no longer exists")
+    return stale
+
+
 def run_set() -> list[tuple[str, list[str], dict[str, str]]]:
     """``(label, command, extra env)`` of every run the audit records."""
     python = sys.executable
@@ -213,6 +230,8 @@ def main(argv: list[str] | None = None) -> int:
     every = commands.add_parser("all", help="record the whole run set, then report")
     every.add_argument("--into", type=Path, required=True)
     every.add_argument("--json", type=Path)
+    chk = commands.add_parser("check", help="fail on baseline names with no def")
+    chk.add_argument("--json", type=Path, default=BASELINE)
     args = parser.parse_args(argv)
 
     if args.command == "record":
@@ -221,6 +240,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "report":
         report(args.into, args.json)
         return 0
+    if args.command == "check":
+        return 1 if check(args.json) else 0
     failed = []
     for label, command, extra in run_set():
         env = {**os.environ, **extra}
