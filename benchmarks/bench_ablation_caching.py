@@ -34,7 +34,7 @@ def _run_session(configuration, harness, enable_cache: bool):
     )
     system.use_plan(PlanEnumerator(configuration.spec).all_server_plan())
     system.run_session(SESSION)
-    return system.session_seconds(), system.middleware.queries_executed
+    return system.session_seconds(), system.middleware.stats.queries_executed
 
 
 def test_cache_on_vs_off(benchmark, harness):
@@ -47,7 +47,7 @@ def test_cache_on_vs_off(benchmark, harness):
     )
     uncached_seconds, uncached_queries = _run_session(configuration, harness, False)
 
-    print(f"\ncache on:  {cached_seconds * 1000:8.1f} ms, {cached_queries} DBMS queries")
-    print(f"cache off: {uncached_seconds * 1000:8.1f} ms, {uncached_queries} DBMS queries")
+    print(f"\ncache on:  {cached_seconds * 1000:8.1f} ms, {cached_queries:.0f} DBMS queries")
+    print(f"cache off: {uncached_seconds * 1000:8.1f} ms, {uncached_queries:.0f} DBMS queries")
     assert cached_queries < uncached_queries
     assert cached_seconds <= uncached_seconds * 1.1

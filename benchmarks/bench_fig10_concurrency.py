@@ -87,4 +87,5 @@ def test_figure10_concurrent_sessions(benchmark, backend_name, scenario):
     if scenario == "cold_start_burst":
         # Eight identical dashboards: most submissions share a flight or
         # hit a cache; definitely more than none.
-        assert result.scheduler["coalesced"] + result.statistics["server_hit_rate"] > 0
+        stack = result.statistics
+        assert stack["scheduler"]["coalesced"] + stack["server_cache"]["hit_rate"] > 0

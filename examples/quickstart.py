@@ -58,7 +58,12 @@ def main() -> None:
     for row in histogram[:3]:
         print(f"  {row}")
     print(f"\nTotal session latency: {system.session_seconds() * 1000:.1f} ms")
-    print(f"Cache statistics: {system.cache_statistics()}")
+    middleware = system.middleware
+    print(
+        f"Cache hit rates: client {middleware.client_cache.stats.hit_rate:.2f}, "
+        f"server {middleware.server_cache.stats.hit_rate:.2f}; "
+        f"backend executions: {middleware.stats.queries_executed:.0f}"
+    )
 
 
 if __name__ == "__main__":

@@ -19,6 +19,8 @@ This package re-implements the full stack in Python:
 * :mod:`repro.net` - the middleware, caches, codecs and network model,
 * :mod:`repro.server` - the concurrent serving runtime (per-client
   sessions, single-flight request scheduler, admission statistics),
+* :mod:`repro.metrics` - the one counter type every layer counts with,
+  and the merge of several stacks' counters,
 * :mod:`repro.ml` - from-scratch RankSVM and Random Forest,
 * :mod:`repro.core` - the VegaPlus optimizer (enumeration, encoding,
   pairwise comparators, session consolidation) and the end-to-end system,

@@ -44,8 +44,6 @@ from repro.backends import create_backend
 from repro.datasets.generators import generate_dataset
 from repro.errors import BenchmarkError
 from repro.net.channel import NetworkModel
-from repro.net.middleware import MiddlewareServer
-from repro.server.scheduler import RequestScheduler
 from repro.server.session import SessionManager
 
 #: Percentile levels reported by latency summaries.
@@ -187,14 +185,11 @@ class ConcurrencyResult:
     latencies: list[float] = field(default_factory=list)
     #: p50/p95/p99 over :attr:`latencies`.
     percentiles: dict[str, float] = field(default_factory=dict)
-    #: Scheduler counters (submitted/executed/coalesced/...).
-    scheduler: dict[str, float] = field(default_factory=dict)
-    #: Cache + runtime statistics from the session manager.
+    #: The serving stack's counters after the run
+    #: (:meth:`SessionManager.snapshot`).
     statistics: dict[str, object] = field(default_factory=dict)
     #: Distinct SQL strings in the workload.
     unique_queries: int = 0
-    #: Backend executions observed by the middleware.
-    queries_executed: int = 0
     #: True when every concurrent response matched the serial baseline.
     matches_serial: bool = False
     #: Queries whose concurrent rows differed from the serial rows.
@@ -203,7 +198,12 @@ class ConcurrencyResult:
     @property
     def coalescing_rate(self) -> float:
         """Fraction of scheduler submissions served by a shared flight."""
-        return float(self.scheduler.get("coalescing_rate", 0.0))
+        return self.statistics["scheduler"]["coalescing_rate"]
+
+    @property
+    def queries_executed(self) -> int:
+        """Backend executions the middleware ran."""
+        return int(self.statistics["queries_executed"])
 
     @property
     def requests(self) -> int:
@@ -238,9 +238,7 @@ def run_scenario(
     unique_queries = sorted({sql for session in sessions_sql for sql in session})
     serial_rows = {sql: database.execute(sql).to_rows() for sql in unique_queries}
 
-    scheduler = RequestScheduler(max_workers=max_workers)
-    middleware = MiddlewareServer(database, network=network, scheduler=scheduler)
-    manager = SessionManager(middleware)
+    manager = SessionManager.for_backend(database, max_workers=max_workers, network=network)
     result = ConcurrencyResult(
         scenario=scenario,
         backend=database.name,
@@ -282,7 +280,7 @@ def run_scenario(
         for thread in threads:
             thread.join()
         result.wall_seconds = time.perf_counter() - start
-        manager_stats = manager.statistics()
+        result.statistics = manager.snapshot()
     finally:
         manager.shutdown()
         database.close()
@@ -293,9 +291,6 @@ def run_scenario(
         ) from errors[0]
 
     result.percentiles = latency_percentiles(result.latencies)
-    result.scheduler = scheduler.snapshot()
-    result.statistics = manager_stats
-    result.queries_executed = middleware.queries_executed
     result.mismatched_queries = sorted(set(mismatches))
     result.matches_serial = not mismatches
     return result

@@ -19,7 +19,7 @@ This module drives both serving tiers through one async interface:
   the **same** request handler a shard worker runs
   (:meth:`SessionManager.execute`) behind the **same**
   :class:`~repro.server.shard.AdmissionController` as the gateway, and
-  reports the same :func:`~repro.server.shard.serving_summary`, so fig14
+  reports the same :func:`~repro.server.shard.tier_stats`, so fig14
   compares execution models over shared code, not two implementations,
 * :class:`~repro.server.shard.AsyncGateway` — the sharded tier.
 
@@ -48,7 +48,7 @@ from repro.server.shard import (
     AsyncGateway,
     ShardSpec,
     TableSpec,
-    serving_summary,
+    tier_stats,
 )
 
 #: Tier names accepted by :func:`run_serving_point`.
@@ -122,9 +122,7 @@ class ThreadedTier:
 
     async def stats(self) -> dict[str, object]:
         """Same shape as :meth:`AsyncGateway.stats` with one 'shard'."""
-        worker = self._running().statistics()
-        worker["shard"] = 0
-        return {"serving": serving_summary([worker], self.admission), "shards": [worker]}
+        return tier_stats([self._running().snapshot()], self.admission)
 
     async def close(self) -> None:
         manager, self._manager = self._manager, None

@@ -215,69 +215,6 @@ class VegaPlusSystem:
         """Total end-to-end latency across all recorded passes."""
         return sum(result.total_seconds for result in self.history)
 
-    @property
-    def server(self) -> MiddlewareServer:
-        """The middleware itself, also when the system runs over a session."""
-        if isinstance(self.middleware, MiddlewareServer):
-            return self.middleware
-        return self.middleware.middleware
-
-    def cache_statistics(self) -> dict[str, object]:
-        """Cache behaviour of the middleware."""
-        return self.server.cache_statistics()
-
-    def stats(self) -> dict[str, object]:
-        """One merged snapshot of every subsystem this system touches.
-
-        Combines the backend's :class:`~repro.sql.engine.EngineMetrics`,
-        the middleware/session cache statistics, the scheduler's admission
-        counters (when a scheduler is attached) and the cardinality
-        feedback store's counters (when one is attached).  Backends that
-        report partitioned-execution counters additionally get a
-        ``partitioning`` section (partitions scanned vs pruned by zone
-        maps, the derived pruning rate, and morsel tasks run), and
-        backends with IVM counters get an ``ivm`` section (views
-        maintained, hits, delta rows vs re-scan rows avoided, MIN/MAX
-        retraction fallbacks, invalidations).
-        """
-        engine = self.database.stats()
-        stats: dict[str, object] = {
-            "plan": self.describe_plan(),
-            "episodes": len(self.history),
-            "session_seconds": self.session_seconds(),
-            "engine": engine,
-            "cache": self.cache_statistics(),
-        }
-        if "partitions_scanned" in engine:
-            scanned = float(engine.get("partitions_scanned", 0.0))
-            pruned = float(engine.get("partitions_pruned", 0.0))
-            considered = scanned + pruned
-            stats["partitioning"] = {
-                "partitions_scanned": scanned,
-                "partitions_pruned": pruned,
-                "pruning_rate": pruned / considered if considered else 0.0,
-                "morsel_tasks": float(engine.get("morsel_tasks", 0.0)),
-            }
-        if "ivm_hits" in engine:
-            delta = float(engine.get("ivm_delta_rows", 0.0))
-            avoided = float(engine.get("ivm_rescan_rows_avoided", 0.0))
-            considered = delta + avoided
-            stats["ivm"] = {
-                "views": float(engine.get("ivm_views", 0.0)),
-                "hits": float(engine.get("ivm_hits", 0.0)),
-                "delta_rows": delta,
-                "rescan_rows_avoided": avoided,
-                "delta_fraction": delta / considered if considered else 0.0,
-                "fallbacks": float(engine.get("ivm_fallbacks", 0.0)),
-                "fallback_rows": float(engine.get("ivm_fallback_rows", 0.0)),
-                "invalidations": float(engine.get("ivm_invalidations", 0.0)),
-            }
-        if self.server.scheduler is not None:
-            stats["scheduler"] = self.server.scheduler.snapshot()
-        if self.feedback is not None:
-            stats["feedback"] = self.feedback.snapshot()
-        return stats
-
     def describe_plan(self) -> str:
         """Human-readable description of the selected plan."""
         if self.plan is None:

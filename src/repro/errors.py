@@ -92,7 +92,8 @@ class OverloadError(ServingError):
     The explicit overload signal of the gateway: past the configured
     inflight limit and queue depth, requests fail fast with this error
     instead of queueing unboundedly — callers are expected to back off
-    and retry.  Shed counts are reported in ``stats()["serving"]``.
+    and retry.  Shed counts are reported in
+    ``stats()["serving"]["admission"]``.
     """
 
 

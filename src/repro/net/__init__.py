@@ -16,7 +16,7 @@ This package models the parts that are not Python compute:
 
 from repro.net.serialize import JsonCodec, ArrowCodec, Codec
 from repro.net.channel import NetworkModel, TransferCost
-from repro.net.cache import QueryCache, CacheStatistics
+from repro.net.cache import QueryCache
 from repro.net.middleware import MiddlewareServer, QueryResponse
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "NetworkModel",
     "TransferCost",
     "QueryCache",
-    "CacheStatistics",
     "MiddlewareServer",
     "QueryResponse",
 ]

@@ -31,6 +31,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.metrics import Counters
 from repro.storage.table import Table
 
 #: Entries of a client-side cache (the middleware's built-in one and each
@@ -41,27 +42,6 @@ SERVER_CACHE_ENTRIES = 128
 #: Results larger than this are never cached ("to avoid the cached entity
 #: being too large, we set a threshold for the size of the query result").
 MAX_CACHED_RESULT_BYTES = 2_000_000
-
-
-@dataclass
-class CacheStatistics:
-    """Hit/miss and byte counters of one cache."""
-
-    hits: int = 0
-    misses: int = 0
-    insertions: int = 0
-    evictions: int = 0
-    rejected_too_large: int = 0
-    #: Payload bytes currently held across all entries.
-    current_bytes: int = 0
-    #: Payload bytes freed by evictions so far.
-    evicted_bytes: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 @dataclass
@@ -90,7 +70,12 @@ class QueryCache:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         self.name = name
-        self.stats = CacheStatistics()
+        #: ``current_bytes`` is the payload held now, ``evicted_bytes`` the
+        #: payload evictions have freed so far.
+        self.stats = Counters(
+            "hits", "misses", "insertions", "evictions", "rejected_too_large",
+            "current_bytes", "evicted_bytes",
+        )
         self._lock = threading.RLock()
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
 
@@ -100,10 +85,10 @@ class QueryCache:
         with self._lock:
             entry = self._entries.get(query)
             if entry is None:
-                self.stats.misses += 1
+                self.stats.add(misses=1)
                 return None
             self._entries.move_to_end(query)
-            self.stats.hits += 1
+            self.stats.add(hits=1)
             return entry
 
     def peek(self, query: str) -> CacheEntry | None:
@@ -120,27 +105,25 @@ class QueryCache:
         """
         with self._lock:
             if payload_bytes > MAX_CACHED_RESULT_BYTES:
-                self.stats.rejected_too_large += 1
+                self.stats.add(rejected_too_large=1)
                 return False
             if query in self._entries:
                 return False
             self._entries[query] = CacheEntry(
                 query=query, result=result, payload_bytes=payload_bytes
             )
-            self.stats.insertions += 1
-            self.stats.current_bytes += payload_bytes
+            self.stats.add(insertions=1, current_bytes=payload_bytes)
             if len(self._entries) > self.max_entries:
                 _, evicted = self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                self.stats.current_bytes -= evicted.payload_bytes
-                self.stats.evicted_bytes += evicted.payload_bytes
+                freed = evicted.payload_bytes
+                self.stats.add(evictions=1, current_bytes=-freed, evicted_bytes=freed)
             return True
 
     def clear(self) -> None:
         """Drop all entries (hit/miss statistics are preserved)."""
         with self._lock:
             self._entries.clear()
-            self.stats.current_bytes = 0
+            self.stats.add(current_bytes=-self.stats.current_bytes)
 
     def __len__(self) -> int:
         with self._lock:
@@ -150,4 +133,4 @@ class QueryCache:
     def total_bytes(self) -> int:
         """Summed payload bytes of the entries currently cached."""
         with self._lock:
-            return self.stats.current_bytes
+            return int(self.stats.current_bytes)

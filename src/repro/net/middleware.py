@@ -29,11 +29,11 @@ table never leaves stale results behind.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.backends import SQLBackend
+from repro.metrics import Counters
 from repro.net.cache import CLIENT_CACHE_ENTRIES, SERVER_CACHE_ENTRIES, QueryCache
 from repro.net.channel import NetworkModel
 from repro.net.serialize import ArrowCodec, Codec, PayloadEstimate
@@ -133,8 +133,9 @@ class MiddlewareServer:
         self.scheduler = scheduler
         self.client_cache = QueryCache(CLIENT_CACHE_ENTRIES, name="client")
         self.server_cache = QueryCache(SERVER_CACHE_ENTRIES, name="server")
-        self.queries_executed = 0
-        self._stats_lock = threading.Lock()
+        #: Backend executions this middleware ran (coalesced and cached
+        #: requests run none).
+        self.stats = Counters("queries_executed")
         self.database.catalog.add_invalidation_listener(self.invalidate_table)
 
     # ------------------------------------------------------------------ #
@@ -270,8 +271,7 @@ class MiddlewareServer:
             if published is not None:
                 return _ExecutionOutcome(published.result)
         result = self.database.execute(sql)
-        with self._stats_lock:
-            self.queries_executed += 1
+        self.stats.add(queries_executed=1)
         table = result.table
         if self.enable_cache:
             # Exact resident bytes, not the codec's wire estimate: the
@@ -294,17 +294,3 @@ class MiddlewareServer:
         is dropped rather than guessing which ones read ``name``.
         """
         self.reset_caches()
-
-    def cache_statistics(self) -> dict[str, object]:
-        """Summary of cache (and scheduler) behaviour for reporting."""
-        stats: dict[str, object] = {
-            "client_hit_rate": self.client_cache.stats.hit_rate,
-            "server_hit_rate": self.server_cache.stats.hit_rate,
-            "client_entries": len(self.client_cache),
-            "server_entries": len(self.server_cache),
-            "server_cache_bytes": self.server_cache.total_bytes,
-            "queries_executed": self.queries_executed,
-        }
-        if self.scheduler is not None:
-            stats["scheduler"] = self.scheduler.snapshot()
-        return stats

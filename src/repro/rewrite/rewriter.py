@@ -59,7 +59,7 @@ class RewrittenDataflow:
 
     def bytes_transferred(self) -> int:
         """Total payload bytes fetched from the server so far."""
-        return sum(vdt.cost_log.bytes_transferred for vdt in self.vdts)
+        return int(sum(vdt.cost_log.bytes_transferred for vdt in self.vdts))
 
 
 @dataclass

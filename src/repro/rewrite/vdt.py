@@ -11,43 +11,12 @@ emits the result rows for propagation downstream (Section 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.dataflow.operator import EvaluationContext, Operator, OperatorResult
 from repro.errors import RewriteError
 from repro.expr import parse_expression, referenced_signals
-from repro.net.middleware import MiddlewareServer, QueryResponse
+from repro.metrics import Counters
+from repro.net.middleware import MiddlewareServer
 from repro.rewrite.templates import QueryFragment, apply_transform
-
-
-@dataclass
-class VDTCostLog:
-    """Running non-client cost totals of one VDT across evaluations.
-
-    Updated once per response; the responses themselves (and their
-    results) are not kept.
-    """
-
-    #: Total DBMS execution time.
-    server_seconds: float = 0.0
-    #: Total modelled transfer time.
-    network_seconds: float = 0.0
-    #: Total modelled encode/decode time.
-    serialization_seconds: float = 0.0
-    #: Total payload bytes fetched from the server (cache hits excluded).
-    bytes_transferred: int = 0
-    #: Number of requests served by either cache level.
-    cache_hits: int = 0
-
-    def record(self, response: QueryResponse) -> None:
-        """Add one response's costs to the totals."""
-        self.server_seconds += response.server_seconds
-        self.network_seconds += response.network_seconds
-        self.serialization_seconds += response.serialization_seconds
-        if response.from_cache:
-            self.cache_hits += 1
-        else:
-            self.bytes_transferred += response.payload_bytes
 
 
 class VegaDBMSTransform(Operator):
@@ -81,7 +50,14 @@ class VegaDBMSTransform(Operator):
         self.transforms = [dict(t) for t in transforms]
         self.middleware = middleware
         self.value_kind = value_kind
-        self.cost_log = VDTCostLog()
+        #: Non-client cost totals across evaluations, one update per
+        #: response (the responses themselves are not kept):
+        #: ``bytes_transferred`` excludes cache hits, ``cache_hits``
+        #: counts responses either cache level served.
+        self.cost_log = Counters(
+            "server_seconds", "network_seconds", "serialization_seconds",
+            "bytes_transferred", "cache_hits",
+        )
         self.last_sql: str | None = None
         # ``transforms`` and ``params`` are private copies, so the signals
         # they reference are fixed at construction.
@@ -105,7 +81,14 @@ class VegaDBMSTransform(Operator):
         sql = self.build_sql(params, context)
         self.last_sql = sql
         response = self.middleware.execute(sql)
-        self.cost_log.record(response)
+        hit = response.from_cache
+        self.cost_log.add(
+            server_seconds=response.server_seconds,
+            network_seconds=response.network_seconds,
+            serialization_seconds=response.serialization_seconds,
+            cache_hits=int(hit),
+            bytes_transferred=0 if hit else response.payload_bytes,
+        )
         rows = response.rows
         value = None
         if self.value_kind == "extent":

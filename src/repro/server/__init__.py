@@ -41,7 +41,6 @@ shared in-memory database.
 
 from repro.server.scheduler import (
     RequestScheduler,
-    SchedulerStats,
     SingleFlightOutcome,
 )
 from repro.server.session import ClientSession, SessionManager
@@ -58,7 +57,6 @@ __all__ = [
     "AsyncGateway",
     "ClientSession",
     "RequestScheduler",
-    "SchedulerStats",
     "SessionManager",
     "ShardSpec",
     "SingleFlightOutcome",

@@ -31,54 +31,9 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
+from repro.metrics import Counters
+
 T = TypeVar("T")
-
-
-@dataclass
-class SchedulerStats:
-    """Admission and coalescing counters of one scheduler.
-
-    Mutated only under the owning scheduler's lock.  For a consistent
-    copy use :meth:`RequestScheduler.snapshot`, which takes that lock;
-    reading the fields directly may straddle an in-progress update
-    (e.g. a wait time landed but not yet attributed).
-    """
-
-    #: Total ``run()`` calls (leaders + followers).
-    submitted: int = 0
-    #: Executions actually run (leaders).
-    executed: int = 0
-    #: Requests that attached to an in-flight execution (followers).
-    coalesced: int = 0
-    #: Executions that raised (their leaders and followers all re-raise).
-    failed: int = 0
-    #: Highest number of distinct keys in flight at once.
-    peak_in_flight: int = 0
-    #: Summed wall-clock seconds callers spent in ``run()`` (admission
-    #: wait + execution + result wait).
-    total_wait_seconds: float = 0.0
-
-    @property
-    def coalescing_rate(self) -> float:
-        """Fraction of submissions served by somebody else's execution."""
-        return self.coalesced / self.submitted if self.submitted else 0.0
-
-    @property
-    def mean_wait_seconds(self) -> float:
-        """Average end-to-end wait per submission."""
-        return self.total_wait_seconds / self.submitted if self.submitted else 0.0
-
-    def snapshot(self) -> dict[str, float]:
-        """Flat copy of the counters for reporting."""
-        return {
-            "submitted": float(self.submitted),
-            "executed": float(self.executed),
-            "coalesced": float(self.coalesced),
-            "failed": float(self.failed),
-            "peak_in_flight": float(self.peak_in_flight),
-            "coalescing_rate": self.coalescing_rate,
-            "mean_wait_seconds": self.mean_wait_seconds,
-        }
 
 
 @dataclass(frozen=True)
@@ -107,7 +62,14 @@ class RequestScheduler:
         if max_workers <= 0:
             raise ValueError("max_workers must be positive")
         self.max_workers = max_workers
-        self.stats = SchedulerStats()
+        #: ``submitted`` = ``executed`` (leaders) + ``coalesced``
+        #: (followers), each pair added in one update; ``failed``
+        #: executions re-raise in every caller; ``total_wait_seconds``
+        #: sums each caller's time in :meth:`run`.
+        self.stats = Counters(
+            "submitted", "executed", "coalesced", "failed",
+            "peak_in_flight", "total_wait_seconds",
+        )
         self._slots = threading.BoundedSemaphore(max_workers)
         self._lock = threading.Lock()
         self._in_flight: dict[str, Future] = {}
@@ -124,24 +86,20 @@ class RequestScheduler:
         with self._lock:
             if self._closed:
                 raise RuntimeError("scheduler is shut down")
-            self.stats.submitted += 1
             future = self._in_flight.get(key)
             coalesced = future is not None
             if coalesced:
-                self.stats.coalesced += 1
+                self.stats.add(submitted=1, coalesced=1)
             else:
                 future = Future()
                 self._in_flight[key] = future
-                self.stats.executed += 1
-                self.stats.peak_in_flight = max(
-                    self.stats.peak_in_flight, len(self._in_flight)
-                )
+                self.stats.add(submitted=1, executed=1)
+                self.stats.peak(peak_in_flight=len(self._in_flight))
         try:
             value = future.result() if coalesced else self._lead(key, fn, future)
         finally:
             wait = time.perf_counter() - start
-            with self._lock:
-                self.stats.total_wait_seconds += wait
+            self.stats.add(total_wait_seconds=wait)
         return SingleFlightOutcome(value=value, coalesced=coalesced, wait_seconds=wait)
 
     def _lead(self, key: str, fn: Callable[[], T], future: Future) -> T:
@@ -161,7 +119,7 @@ class RequestScheduler:
                 value = fn()
         except BaseException as exc:
             with self._lock:
-                self.stats.failed += 1
+                self.stats.add(failed=1)
                 self._in_flight.pop(key, None)
             future.set_exception(exc)
             raise
@@ -177,11 +135,8 @@ class RequestScheduler:
             return len(self._in_flight)
 
     def snapshot(self) -> dict[str, float]:
-        """A consistent copy of the counters, taken under the scheduler
-        lock — a reader can never observe a submission whose wait time
-        has landed but whose coalesced/executed attribution has not."""
-        with self._lock:
-            return self.stats.snapshot()
+        """A consistent copy of the counters (see :attr:`stats`)."""
+        return self.stats.snapshot()
 
     def shutdown(self) -> dict[str, float]:
         """Stop admitting new requests and return :meth:`snapshot`.
@@ -192,4 +147,4 @@ class RequestScheduler:
         """
         with self._lock:
             self._closed = True
-            return self.stats.snapshot()
+        return self.stats.snapshot()

@@ -31,6 +31,7 @@ import itertools
 import threading
 
 from repro.backends import SQLBackend
+from repro.metrics import merge
 from repro.net.cache import CLIENT_CACHE_ENTRIES, QueryCache
 from repro.net.channel import NetworkModel
 from repro.net.middleware import MiddlewareServer, QueryResponse
@@ -171,20 +172,23 @@ class SessionManager:
             return len(self._sessions)
 
     # ------------------------------------------------------------------ #
-    def statistics(self) -> dict[str, object]:
-        """Aggregate view: shared tiers plus per-session summaries."""
+    def snapshot(self) -> dict[str, object]:
+        """The counters of this serving stack, in the form
+        :func:`repro.metrics.merge` combines across the stacks of a tier:
+        sessions and their requests, the middleware's counters, both cache
+        levels (every session's client cache merged) and the scheduler's."""
         with self._lock:
-            sessions = dict(self._sessions)
-        stats: dict[str, object] = self.middleware.cache_statistics()
-        client_hits = sum(session.cache.stats.hits for session in sessions.values())
-        client_lookups = client_hits + sum(
-            session.cache.stats.misses for session in sessions.values()
-        )
-        stats["client_hit_rate"] = client_hits / client_lookups if client_lookups else 0.0
-        stats["client_entries"] = sum(len(session.cache) for session in sessions.values())
-        stats["sessions"] = len(sessions)
-        stats["requests"] = sum(session.requests for session in sessions.values())
-        return stats
+            sessions = list(self._sessions.values())
+        stack: dict[str, object] = {
+            "sessions": len(sessions),
+            "requests": sum(session.requests for session in sessions),
+            **self.middleware.stats.snapshot(),
+            "server_cache": self.middleware.server_cache.stats.snapshot(),
+            "client_cache": merge(session.cache.stats.snapshot() for session in sessions),
+        }
+        if self.middleware.scheduler is not None:
+            stack["scheduler"] = self.middleware.scheduler.snapshot()
+        return stack
 
     def shutdown(self) -> dict[str, float] | None:
         """Close the scheduler's admission (if any) and drop all sessions.

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from repro.backends import SQLBackend, create_backend
 from repro.datasets.generators import generate_dataset
 from repro.errors import BenchmarkError, OverloadError, ShardError
+from repro.metrics import Counters, merge
 from repro.net.channel import NetworkModel
 from repro.net.middleware import QueryResponse
 from repro.net.serialize import (
@@ -199,12 +200,6 @@ def _shard_worker_main(shard_index: int, spec: ShardSpec, conn: socket.socket) -
         except BaseException as exc:  # must answer or the caller waits forever
             fail(request_id, exc)
 
-    def worker_stats() -> dict[str, object]:
-        stats = manager.statistics()
-        stats["shard"] = shard_index
-        stats["pid"] = os.getpid()
-        return stats
-
     try:
         while True:
             try:
@@ -220,10 +215,10 @@ def _shard_worker_main(shard_index: int, spec: ShardSpec, conn: socket.socket) -
                 if operation == "ping":
                     reply({"request_id": request_id, "ok": True, "pid": os.getpid()})
                 elif operation == "stats":
-                    reply({"request_id": request_id, "ok": True, "stats": worker_stats()})
+                    reply({"request_id": request_id, "ok": True, "stats": manager.snapshot()})
                 elif operation == "shutdown":
                     handler_pool.shutdown(wait=True)
-                    reply({"request_id": request_id, "ok": True, "stats": worker_stats()})
+                    reply({"request_id": request_id, "ok": True, "stats": manager.snapshot()})
                     break
                 else:
                     raise ValueError(f"unknown shard operation {operation!r}")
@@ -242,9 +237,9 @@ def _shard_worker_main(shard_index: int, spec: ShardSpec, conn: socket.socket) -
 class AdmissionController:
     """Bounded-inflight, bounded-queue admission with explicit shedding.
 
-    Lives on the event loop, so plain counters suffice (no locks).  A
-    request either runs immediately (``inflight < max_inflight``), waits
-    in a bounded queue, or is **shed** with
+    Lives on the event loop, so its checks and updates never interleave.
+    A request either runs immediately (``inflight < max_inflight``),
+    waits in a bounded queue, or is **shed** with
     :class:`~repro.errors.OverloadError` when both bounds are hit —
     overload degrades into fast failures rather than unbounded latency.
     The same controller fronts the threaded baseline tier in
@@ -258,97 +253,64 @@ class AdmissionController:
         self.max_inflight = max_inflight
         self.max_queue_depth = max_queue_depth
         self._semaphore = asyncio.Semaphore(max_inflight)
-        self.submitted = 0
-        self.admitted = 0
-        self.shed = 0
-        self.completed = 0
-        self.failed = 0
-        self.inflight = 0
-        self.queued = 0
-        self.peak_inflight = 0
-        self.peak_queued = 0
+        #: ``submitted`` = ``admitted`` + ``shed``; an admitted request
+        #: ends ``completed`` or ``failed``.  ``inflight`` and ``queued``
+        #: are the requests running and waiting now.
+        self.stats = Counters(
+            "submitted", "admitted", "shed", "completed", "failed",
+            "inflight", "queued", "peak_inflight", "peak_queued",
+        )
 
     async def acquire(self) -> None:
         """Admit the calling request or raise :class:`OverloadError`."""
-        self.submitted += 1
-        if self.inflight >= self.max_inflight and self.queued >= self.max_queue_depth:
-            self.shed += 1
+        stats = self.stats
+        inflight, queued = stats.inflight, stats.queued
+        if inflight >= self.max_inflight and queued >= self.max_queue_depth:
+            stats.add(submitted=1, shed=1)
             raise OverloadError(
-                f"request shed: {self.inflight} inflight (max {self.max_inflight}) "
-                f"and {self.queued} queued (max {self.max_queue_depth})"
+                f"request shed: {inflight:.0f} inflight (max {self.max_inflight}) "
+                f"and {queued:.0f} queued (max {self.max_queue_depth})"
             )
-        self.queued += 1
-        self.peak_queued = max(self.peak_queued, self.queued)
+        stats.add(submitted=1, queued=1)
+        stats.peak(peak_queued=queued + 1)
         try:
             await self._semaphore.acquire()
         finally:
-            self.queued -= 1
-        self.inflight += 1
-        self.peak_inflight = max(self.peak_inflight, self.inflight)
-        self.admitted += 1
+            stats.add(queued=-1)
+        stats.add(admitted=1, inflight=1)
+        stats.peak(peak_inflight=stats.inflight)
 
     def release(self, ok: bool = True) -> None:
         """Retire an admitted request (pair with a successful acquire)."""
-        self.inflight -= 1
-        if ok:
-            self.completed += 1
-        else:
-            self.failed += 1
+        self.stats.add(inflight=-1, **{"completed" if ok else "failed": 1})
         self._semaphore.release()
 
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "max_inflight": self.max_inflight,
-            "max_queue_depth": self.max_queue_depth,
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "completed": self.completed,
-            "failed": self.failed,
-            "inflight": self.inflight,
-            "queued": self.queued,
-            "peak_inflight": self.peak_inflight,
-            "peak_queued": self.peak_queued,
-            "shed_rate": self.shed / self.submitted if self.submitted else 0.0,
-        }
 
-
-def serving_summary(
-    per_shard: Sequence[dict[str, object]], admission: AdmissionController
+def tier_stats(
+    stacks: Sequence[dict[str, object] | BaseException], admission: AdmissionController
 ) -> dict[str, object]:
-    """The ``stats()["serving"]`` aggregate of a serving tier.
+    """``stats()`` of a serving tier from one ``SessionManager.snapshot()``
+    per serving stack — N for the sharded gateway, one for the threaded
+    tier — or the error of a stack that did not answer.
 
-    ``per_shard`` holds one ``SessionManager.statistics()`` dict per
-    serving stack — N for the sharded gateway, one for the threaded tier —
-    or ``{"shard": i, "error": ...}`` for a stack that did not answer.
-    Sessions/requests/executions are summed over the live stacks, their
-    single-flight scheduler counters merged, and the admission snapshot
-    (including the shed count) embedded.
+    ``"shards"`` lists each stack's snapshot (``{"shard": i, "error": ...}``
+    for a failed one); ``"serving"`` merges the live ones
+    (:func:`repro.metrics.merge`) and adds the admission counters.
     """
-    live = [stats for stats in per_shard if "error" not in stats]
-
-    def total(key: str) -> int:
-        return int(sum(float(stats.get(key, 0) or 0) for stats in live))
-
-    scheduler: dict[str, float] = {}
-    for stats in live:
-        for key, value in (stats.get("scheduler") or {}).items():
-            scheduler[key] = scheduler.get(key, 0.0) + float(value)
-    if scheduler:
-        submitted = scheduler.get("submitted", 0.0)
-        scheduler["coalescing_rate"] = (
-            scheduler.get("coalesced", 0.0) / submitted if submitted else 0.0
-        )
-    return {
-        "n_shards": len(per_shard),
+    live = [stack for stack in stacks if not isinstance(stack, BaseException)]
+    serving = {
+        "n_shards": len(stacks),
         "live_shards": len(live),
-        "sessions": total("sessions"),
-        "requests": total("requests"),
-        "queries_executed": total("queries_executed"),
-        "scheduler": scheduler,
-        "admission": admission.snapshot(),
-        "shed": admission.shed,
+        **merge(live),
+        "admission": admission.stats.snapshot(),
     }
+    shards = [
+        {"shard": index, "error": str(stack)}
+        if isinstance(stack, BaseException)
+        else {"shard": index, **stack}
+        for index, stack in enumerate(stacks)
+    ]
+    return {"serving": serving, "shards": shards}
 
 
 # --------------------------------------------------------------------------- #
@@ -543,19 +505,16 @@ class AsyncGateway:
         return response
 
     async def stats(self) -> dict[str, object]:
-        """Cross-shard aggregate under ``"serving"`` (see
-        :func:`serving_summary`) plus per-shard detail under ``"shards"``."""
+        """Every shard's counters merged under ``"serving"`` and listed
+        under ``"shards"`` (see :func:`tier_stats`)."""
         replies = await asyncio.gather(
             *(self._call(handle.index, {"op": "stats"}) for handle in self._shards),
             return_exceptions=True,
         )
-        per_shard: list[dict[str, object]] = [
-            {"shard": handle.index, "error": str(reply)}
-            if isinstance(reply, BaseException)
-            else reply["stats"]
-            for handle, reply in zip(self._shards, replies)
-        ]
-        return {"serving": serving_summary(per_shard, self.admission), "shards": per_shard}
+        return tier_stats(
+            [reply if isinstance(reply, BaseException) else reply["stats"] for reply in replies],
+            self.admission,
+        )
 
     # ------------------------------------------------------------------ #
     async def close(self) -> dict[str, object] | None:

@@ -3,19 +3,20 @@
 :class:`SQLBackend` is the server-side seam the middleware, optimizer and
 benchmarks talk to.  It owns, once for every backend, the catalog of
 registered tables, the prepared-plan cache, the optional incremental
-view maintenance (:mod:`repro.sql.ivm`) and the cumulative
-:class:`EngineMetrics`.  :class:`Database`, the ``"embedded"`` backend and
-the public entry point of :mod:`repro.sql`, adds only its numpy re-scan
-(tokenize → parse → plan → optimise → execute) and ``repartition``.
+view maintenance (:mod:`repro.sql.ivm`) and the cumulative engine
+:class:`~repro.metrics.Counters`.  :class:`Database`, the ``"embedded"``
+backend and the public entry point of :mod:`repro.sql`, adds only its
+numpy re-scan (tokenize → parse → plan → optimise → execute) and
+``repartition``.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
+from repro.metrics import Counters
 from repro.sql.executor import ExecutionStats, Executor
 from repro.sql.ivm import IVMManager
 from repro.sql.plancache import PlanCache
@@ -57,48 +58,25 @@ _STATS_COUNTERS = (
 )
 
 
-class EngineMetrics:
-    """Cumulative engine-level counters across all executed queries.
-
-    Counters are updated under an internal lock so backends serving
-    concurrent sessions (:mod:`repro.server`) never lose increments to
-    read-modify-write races.
-    """
-
-    #: Every counter, in snapshot order.
-    COUNTERS = (
-        "queries_executed",
-        "execution_seconds",
-        "rows_returned",
-        "plan_cache_hits",
-        "plan_cache_misses",
-        "plan_template_hits",
-        "plan_template_misses",
-        "queries_parsed",
-        *_STATS_COUNTERS,
-        "ivm_views",
-        "ivm_hits",
-        "ivm_delta_rows",
-        "ivm_rescan_rows_avoided",
-        "ivm_fallbacks",
-        "ivm_fallback_rows",
-        "ivm_invalidations",
-    )
-
-    def __init__(self) -> None:
-        self._counts = dict.fromkeys(self.COUNTERS, 0.0)
-        self._lock = threading.Lock()
-
-    def add(self, **deltas: float) -> None:
-        """Add each delta to the counter it is named after."""
-        with self._lock:
-            for name, delta in deltas.items():
-                self._counts[name] += delta
-
-    def snapshot(self) -> dict[str, float]:
-        """Current counter values as a flat mapping (for delta reporting)."""
-        with self._lock:
-            return dict(self._counts)
+#: Every engine counter, in snapshot order.
+ENGINE_COUNTERS = (
+    "queries_executed",
+    "execution_seconds",
+    "rows_returned",
+    "plan_cache_hits",
+    "plan_cache_misses",
+    "plan_template_hits",
+    "plan_template_misses",
+    "queries_parsed",
+    *_STATS_COUNTERS,
+    "ivm_views",
+    "ivm_hits",
+    "ivm_delta_rows",
+    "ivm_rescan_rows_avoided",
+    "ivm_fallbacks",
+    "ivm_fallback_rows",
+    "ivm_invalidations",
+)
 
 
 class SQLBackend:
@@ -137,7 +115,7 @@ class SQLBackend:
         #: table-replacement events).
         self.catalog = Catalog()
         #: Cumulative counters; the benchmarks diff ``metrics.snapshot()``.
-        self.metrics = EngineMetrics()
+        self.metrics = Counters(*ENGINE_COUNTERS)
         self._plans = PlanCache(self.metrics)
         #: The IVM view manager (``None`` when disabled).
         self.ivm: IVMManager | None = (

@@ -41,11 +41,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ReproError
+from repro.metrics import Counters
 from repro.sql.ast_nodes import (
     AGGREGATE_FUNCTIONS,
     Between,
@@ -81,9 +81,6 @@ from repro.storage.catalog import Catalog
 from repro.storage.column import Column
 from repro.storage.statistics import RangeInterval
 from repro.storage.table import Table, group_segments
-
-if TYPE_CHECKING:
-    from repro.sql.engine import EngineMetrics
 
 #: Largest magnitude at which consecutive float64 integers stay distinct.
 _EXACT_LIMIT = float(2**53)
@@ -508,7 +505,7 @@ class IVMManager:
     """
 
     def __init__(
-        self, catalog: Catalog, metrics: EngineMetrics, strict: bool = False
+        self, catalog: Catalog, metrics: Counters, strict: bool = False
     ) -> None:
         self._catalog = catalog
         self._metrics = metrics

@@ -28,7 +28,7 @@ does not plan with open slots is cached as such (``None``), and its
 queries are parsed from their text.
 
 Hits, misses and parses are counted into the owning backend's
-:class:`~repro.sql.engine.EngineMetrics`.
+:attr:`~repro.sql.engine.SQLBackend.metrics`.
 """
 
 from __future__ import annotations
@@ -37,17 +37,15 @@ import threading
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.errors import ParseError, ReproError
+from repro.metrics import Counters
 from repro.sql.ast_nodes import Expression, Literal, Parameter, map_children, walk_expression
 from repro.sql.optimizer import fold_node, map_expressions, optimize_plan
 from repro.sql.parser import parse_tokens
 from repro.sql.planner import LogicalPlan, PlanNode, build_logical_plan
 from repro.sql.tokenizer import PreparedSQL, Token, TokenType, tokenize
-
-if TYPE_CHECKING:
-    from repro.sql.engine import EngineMetrics
 
 _MISSING = object()
 
@@ -59,7 +57,7 @@ class PlanCache:
     """Two-level LRU of prepared plans (see the module docstring);
     ``metrics`` receives the hit/miss/parse counts."""
 
-    def __init__(self, metrics: EngineMetrics) -> None:
+    def __init__(self, metrics: Counters) -> None:
         self._metrics = metrics
         self._plans: OrderedDict[str, LogicalPlan] = OrderedDict()
         self._shapes: OrderedDict[str, PreparedPlan | None] = OrderedDict()

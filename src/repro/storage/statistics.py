@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.metrics import Counters
 from repro.storage.column import Column
 from repro.storage.table import Table
 
@@ -99,6 +100,8 @@ class CardinalityFeedback:
     def __init__(self) -> None:
         self._shapes: dict[str, _ShapeObservation] = {}
         self._lock = threading.Lock()
+        #: Distinct shapes seen and observations recorded.
+        self.stats = Counters("shapes_tracked", "observations")
 
     # -------------------------------------------------------------- #
     def observe(self, shape_key: str, actual_rows: float) -> None:
@@ -108,9 +111,11 @@ class CardinalityFeedback:
             entry = self._shapes.get(shape_key)
             if entry is None:
                 self._shapes[shape_key] = _ShapeObservation(rows, 1)
+                self.stats.add(shapes_tracked=1, observations=1)
                 return
             entry.ewma_rows = FEEDBACK_ALPHA * rows + (1.0 - FEEDBACK_ALPHA) * entry.ewma_rows
             entry.observations += 1
+            self.stats.add(observations=1)
 
     def correct(self, shape_key: str, estimated_rows: float) -> float:
         """Blend a static estimate with the observed EWMA for this shape.
@@ -131,19 +136,6 @@ class CardinalityFeedback:
         with self._lock:
             entry = self._shapes.get(shape_key)
             return None if entry is None else entry.ewma_rows
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._shapes)
-
-    def snapshot(self) -> dict[str, float]:
-        """Flat counters for reporting."""
-        with self._lock:
-            observations = sum(e.observations for e in self._shapes.values())
-            return {
-                "shapes_tracked": float(len(self._shapes)),
-                "observations": float(observations),
-            }
 
 
 # --------------------------------------------------------------------------- #

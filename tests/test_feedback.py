@@ -32,10 +32,8 @@ def test_cardinality_feedback_ewma_and_blend():
     for _ in range(50):
         feedback.observe("hot", 300.0)
     assert feedback.correct("hot", 1.0) == pytest.approx(300.0, rel=0.05)
-    assert len(feedback) == 2
-    snapshot = feedback.snapshot()
-    assert snapshot["shapes_tracked"] == 2.0
-    assert snapshot["observations"] == 52.0
+    assert feedback.stats.shapes_tracked == 2
+    assert feedback.stats.observations == 52
 
 
 def test_cardinality_feedback_thread_safety():
@@ -52,7 +50,8 @@ def test_cardinality_feedback_thread_safety():
         t.start()
     for t in threads:
         t.join()
-    assert feedback.snapshot()["observations"] == float(n_threads * per_thread)
+    assert feedback.stats.observations == n_threads * per_thread
+    assert feedback.stats.shapes_tracked == 4
 
 
 # --------------------------------------------------------------------------- #
@@ -94,7 +93,7 @@ def test_warmed_feedback_moves_the_overview_detail_pick():
     warming = VegaPlusSystem(config.spec, config.database, feedback=feedback)
     assert warming.optimize(session).plan == cold  # an empty store changes nothing
     warming.run_session(session)
-    assert len(feedback) > 0
+    assert feedback.stats.shapes_tracked > 0
 
     warmed = VegaPlusSystem(config.spec, config.database, feedback=feedback)
     warmed_plan = warmed.optimize(session).plan

@@ -9,7 +9,7 @@ comparing an IVM-enabled engine against an IVM-disabled one row for row
 at every step, on every backend.
 
 Also covered: the MIN/MAX retraction fallback (with pinned
-:class:`~repro.sql.engine.EngineMetrics` counters), catalog invalidation
+:attr:`~repro.sql.engine.SQLBackend.metrics` counters), catalog invalidation
 on re-register/drop, suffix replay (HAVING / ORDER BY / LIMIT) and
 eligibility negatives.
 """
@@ -21,7 +21,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import backend_names, create_backend
-from repro.core.system import VegaPlusSystem
 from repro.sql import Database
 from repro.sql.ivm import MAX_VIEWS, IVMManager
 from repro.sql.parser import parse_sql
@@ -439,18 +438,6 @@ def test_view_key_excludes_brush_literals():
     base = "SELECT g, COUNT(*) AS n FROM t WHERE b >= {} GROUP BY g"
     assert key(base.format(1)) == key(base.format(2))
     assert key(base.format(1)) == key(base.format(1) + " ORDER BY g")
-
-
-# --------------------------------------------------------------------------- #
-# System-level reporting
-# --------------------------------------------------------------------------- #
-
-
-def test_system_stats_report_ivm_section(histogram_spec, flights_db):
-    system = VegaPlusSystem(histogram_spec, flights_db)
-    stats = system.stats()
-    assert "ivm" in stats
-    assert set(stats["ivm"]) >= {"views", "hits", "delta_fraction", "invalidations"}
 
 
 # --------------------------------------------------------------------------- #

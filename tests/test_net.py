@@ -234,9 +234,8 @@ def test_middleware_cache_levels(middleware):
     assert second.cache_level == "client"
     assert second.server_seconds == 0
     assert second.network_seconds == 0
-    stats = middleware.cache_statistics()
-    assert stats["queries_executed"] == 1
-    assert stats["client_hit_rate"] > 0
+    assert middleware.stats.queries_executed == 1
+    assert middleware.client_cache.stats.hit_rate > 0
 
 
 def test_middleware_server_cache_after_client_reset(middleware):
@@ -254,7 +253,7 @@ def test_middleware_cache_disabled(flights_db):
     middleware.execute(sql)
     response = middleware.execute(sql)
     assert not response.from_cache
-    assert middleware.queries_executed == 2
+    assert middleware.stats.queries_executed == 2
 
 
 def test_middleware_server_cache_evicts_least_recently_used(middleware):

@@ -253,7 +253,7 @@ def test_sessions_have_isolated_client_caches(manager):
     assert again.cache_level == "client"  # alice's own cache
     assert other.cache_level == "server"  # bob pays the round trip once
     assert other.rows == first.rows
-    assert manager.middleware.queries_executed == 1
+    assert manager.middleware.stats.queries_executed == 1
 
 
 def test_sessions_carry_their_own_network_profiles(manager):
@@ -296,11 +296,13 @@ def test_session_manager_statistics(manager):
     session = manager.create_session("s")
     for _ in range(4):
         session.execute(SQL)
-    stats = manager.statistics()
+    stats = manager.snapshot()
     assert stats["sessions"] == 1
     assert stats["requests"] == 4
-    assert stats["client_hit_rate"] == pytest.approx(3 / 4)
+    assert stats["client_cache"]["hit_rate"] == pytest.approx(3 / 4)
     assert stats["queries_executed"] == 1
+    assert stats["server_cache"]["misses"] == 1
+    assert stats["scheduler"]["submitted"] == 1
 
 
 @pytest.mark.parametrize("backend_name", backend_names())
@@ -457,7 +459,7 @@ def test_concurrent_run_matches_serial_baseline(backend, scenario):
         max_workers=4,
     )
     assert result.matches_serial, result.mismatched_queries
-    stats = result.scheduler
+    stats = result.statistics["scheduler"]
     assert stats["submitted"] == stats["executed"] + stats["coalesced"]
     # Single-flight + publish-before-retire: each distinct query reaches
     # the backend at most once while it stays cached.

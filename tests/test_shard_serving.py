@@ -144,7 +144,7 @@ def test_admission_controller_sheds_past_both_bounds():
         admission.release(ok=True)
         await queued
         admission.release(ok=False)
-        return admission.snapshot()
+        return admission.stats.snapshot()
 
     snapshot = asyncio.run(scenario())
     assert snapshot["submitted"] == 3
@@ -208,7 +208,7 @@ def test_gateway_serves_row_identical_results_across_shards():
     assert serving["n_shards"] == 2
     assert serving["sessions"] == 6
     assert serving["requests"] == 6
-    assert serving["shed"] == 0
+    assert serving["admission"]["shed"] == 0
     # Per-shard session counts are the routing function's partition.
     by_shard = {s["shard"]: s["sessions"] for s in stats["shards"]}
     for shard in range(2):
@@ -237,6 +237,33 @@ def test_gateway_coalesces_identical_queries_within_a_shard():
     assert serving["requests"] == 6
     scheduler = serving["scheduler"]
     assert scheduler["submitted"] >= 1
+
+
+def test_gateway_serving_counters_merge_the_shards():
+    """``serving`` is the shards' counters merged: counts sum, the peak is
+    the highest shard's, and the mean wait is the total wait over all
+    submissions, not the sum of the per-shard means."""
+    session_ids = [f"user-{i}" for i in range(8)]
+    assert {shard_for(sid, 2) for sid in session_ids} == {0, 1}
+
+    async def scenario():
+        async with AsyncGateway(SPEC, n_shards=2) as gateway:
+            await asyncio.gather(*(gateway.execute(sid, SQL) for sid in session_ids))
+            return await gateway.stats()
+
+    stats = asyncio.run(scenario())
+    serving, shards = stats["serving"], stats["shards"]
+    for key in ("sessions", "requests", "queries_executed"):
+        assert serving[key] == sum(shard[key] for shard in shards)
+    assert serving["requests"] == len(session_ids)
+    schedulers = [shard["scheduler"] for shard in shards]
+    assert all(scheduler["submitted"] > 0 for scheduler in schedulers)
+    submitted = sum(scheduler["submitted"] for scheduler in schedulers)
+    waited = sum(s["mean_wait_seconds"] * s["submitted"] for s in schedulers)
+    merged = serving["scheduler"]
+    assert merged["submitted"] == submitted
+    assert merged["mean_wait_seconds"] == pytest.approx(waited / submitted)
+    assert merged["peak_in_flight"] == max(s["peak_in_flight"] for s in schedulers)
 
 
 def test_gateway_failed_request_is_typed_and_session_keeps_serving():
@@ -284,7 +311,6 @@ def test_gateway_overload_sheds_with_distinct_error_and_counts():
     assert shed, "tiny admission budget never shed"
     assert served, "admission shed everything"
     serving = stats["serving"]
-    assert serving["shed"] == len(shed)
     assert serving["admission"]["shed"] == len(shed)
     assert serving["admission"]["completed"] == len(served)
 
@@ -352,7 +378,7 @@ def test_open_loop_requests_interleave_sessions_round_robin():
 
 SERVING_KEYS = {
     "n_shards", "live_shards", "sessions", "requests", "queries_executed",
-    "scheduler", "admission", "shed",
+    "scheduler", "server_cache", "client_cache", "admission",
 }
 
 
@@ -441,7 +467,7 @@ def test_open_loop_point_rows_identical_and_accounted(tier):
     p = point.percentiles
     assert 0.0 < p["p50"] <= p["p95"] <= p["p99"]
     assert len(point.latencies) == 12
-    assert point.serving["shed"] == 0
+    assert point.serving["admission"]["shed"] == 0
     assert saturation_throughput([point], tier) == point.throughput_rps
 
 
@@ -461,7 +487,7 @@ def test_open_loop_overload_is_shed_not_hung():
     assert point.shed > 0
     assert point.failed == 0
     assert point.completed + point.shed == point.n_requests
-    assert point.serving["shed"] == point.shed
+    assert point.serving["admission"]["shed"] == point.shed
     assert point.matches_serial, point.mismatched_queries
 
 
