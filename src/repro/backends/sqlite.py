@@ -15,9 +15,9 @@ parser accepts exactly those clauses.  What SQLite still lacks is
 supplied here:
 
 * ``MEDIAN`` / ``STDDEV`` / ``VARIANCE`` are registered as Python
-  aggregate UDFs matching the embedded kernels (median interpolates
-  between the middle two values; stddev/variance are sample statistics
-  with NULL below two inputs),
+  aggregate UDFs that reduce through the embedded engine's own kernel
+  (median interpolates between the middle two values; stddev/variance
+  are sample statistics with NULL below two inputs),
 * math scalar functions (``FLOOR``, ``CEIL``, ...) are registered as UDFs
   only when the linked SQLite build lacks them
   (``SQLITE_ENABLE_MATH_FUNCTIONS`` is common but not guaranteed),
@@ -49,6 +49,7 @@ pins the in-memory database alive for the backend's lifetime.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -60,6 +61,7 @@ import numpy as np
 from repro.errors import ExecutionError, ReproError
 from repro.sql.engine import SQLBackend
 from repro.sql.executor import ExecutionStats
+from repro.sql.functions import aggregate_segments
 from repro.sql.planner import LogicalPlan
 from repro.storage.sqlite_adapter import (
     create_index_sql,
@@ -88,37 +90,22 @@ def _round(value: float | None, digits: float | None = 0) -> float | None:
     return float(np.round(float(value), 0 if digits is None else int(digits)))
 
 
-class _NumpyAggregate:
-    """Base for UDF aggregates that collect values and reduce with numpy."""
+class _KernelAggregate:
+    """A UDF aggregate that collects its non-NULL values and reduces them
+    through the engine's kernel, :func:`~repro.sql.functions.aggregate_segments`."""
 
-    def __init__(self) -> None:
+    def __init__(self, name: str) -> None:
+        self.name = name
         self.values: list[float] = []
 
     def step(self, value: object) -> None:
-        if value is None:
-            return
-        self.values.append(float(value))
+        if value is not None:
+            self.values.append(float(value))
 
-
-class _Median(_NumpyAggregate):
     def finalize(self) -> float | None:
-        if not self.values:
-            return None
-        return float(np.median(self.values))
-
-
-class _Stddev(_NumpyAggregate):
-    def finalize(self) -> float | None:
-        if len(self.values) < 2:
-            return None
-        return float(np.std(self.values, ddof=1))
-
-
-class _Variance(_NumpyAggregate):
-    def finalize(self) -> float | None:
-        if len(self.values) < 2:
-            return None
-        return float(np.var(self.values, ddof=1))
+        values = np.asarray(self.values, dtype=np.float64)
+        (result,) = aggregate_segments(self.name, values, [0], [len(values)])
+        return None if np.isnan(result) else float(result)
 
 
 class SqliteBackend(SQLBackend):
@@ -251,9 +238,8 @@ class SqliteBackend(SQLBackend):
         default; the embedded engine, like the SQL standard, does not.
         """
         connection.execute("PRAGMA case_sensitive_like = ON")
-        connection.create_aggregate("MEDIAN", 1, _Median)
-        connection.create_aggregate("STDDEV", 1, _Stddev)
-        connection.create_aggregate("VARIANCE", 1, _Variance)
+        for name in ("MEDIAN", "STDDEV", "VARIANCE"):
+            connection.create_aggregate(name, 1, functools.partial(_KernelAggregate, name))
         connection.create_function("ROUND", 1, _round, deterministic=True)
         connection.create_function("ROUND", 2, _round, deterministic=True)
         for function_name, (arity, impl) in _SCALAR_FALLBACKS.items():

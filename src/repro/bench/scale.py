@@ -164,11 +164,14 @@ class ScaleRunResult:
 
 
 def values_equal(a: object, b: object) -> bool:
-    """Result-value equality: floats to tolerance, everything else exact.
+    """Result-value equality: floats to 1e-9, everything else exact.
 
-    The row-identity contract between engines that may sum in different
-    orders — the cross-backend differential suite and the plan-space
-    test share it, so they enforce the same notion of "row-identical".
+    The row-identity contract between engines that sum in different
+    orders: SQLite 3.40's ``SUM`` adds one value at a time, the embedded
+    engine's kernel pairwise.  The cross-backend differential suite and
+    the plan-space test's sqlite leg share it.  Plans on the embedded
+    backend need no tolerance: the client runtime and the engine reduce
+    through one kernel, so their rows compare with ``==``.
     """
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         return math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=1e-9)

@@ -4,68 +4,101 @@
 statistics per group (one output row per group).  ``joinaggregate``
 computes the same statistics but joins them back onto every input row
 (Vega uses it for normalised/percent-of-total encodings).
+
+Both reduce through the SQL engine's kernel,
+:func:`~repro.sql.functions.aggregate_segments`, over each field's values
+held as a :class:`~repro.storage.column.Column` holds them (numbers as
+float64 with NaN = NULL, strings as objects).  An aggregate therefore has
+the same bits whether a plan runs it here or in the DBMS.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
+
+import numpy as np
 
 from repro.dataflow.operator import EvaluationContext, Operator, OperatorResult
 from repro.errors import DataflowError
+from repro.sql.functions import aggregate_segments, none_for_null
+from repro.storage.column import Column
 
-#: Aggregate operations supported by the client-side runtime.
-SUPPORTED_OPS = ("count", "sum", "mean", "average", "min", "max", "median", "stdev", "variance", "distinct")
-
-
-def _aggregate_values(op: str, values: list[float]) -> float | None:
-    if op == "count":
-        return float(len(values))
-    if not values:
-        return None
-    if op == "sum":
-        return float(sum(values))
-    if op in ("mean", "average"):
-        return float(sum(values) / len(values))
-    if op == "min":
-        return float(min(values))
-    if op == "max":
-        return float(max(values))
-    if op == "median":
-        ordered = sorted(values)
-        mid = len(ordered) // 2
-        if len(ordered) % 2 == 1:
-            return float(ordered[mid])
-        return float((ordered[mid - 1] + ordered[mid]) / 2)
-    if op == "distinct":
-        return float(len(set(values)))
-    if op in ("stdev", "variance"):
-        if len(values) < 2:
-            return None
-        mean = sum(values) / len(values)
-        variance = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-        return float(variance) if op == "variance" else float(math.sqrt(variance))
-    raise DataflowError(f"unsupported aggregate op {op!r}")
+#: Vega aggregate op → (SQL aggregate, DISTINCT): what the client runtime
+#: reduces and what the rewriter emits for it.
+AGGREGATE_OPS: dict[str, tuple[str, bool]] = {
+    "count": ("COUNT", False),
+    "sum": ("SUM", False),
+    "mean": ("AVG", False),
+    "average": ("AVG", False),
+    "min": ("MIN", False),
+    "max": ("MAX", False),
+    "median": ("MEDIAN", False),
+    "stdev": ("STDDEV", False),
+    "variance": ("VARIANCE", False),
+    "distinct": ("COUNT", True),
+}
 
 
-def _numeric(values: list[object]) -> list[float]:
-    return [
-        float(v)
-        for v in values
-        if isinstance(v, (int, float)) and not isinstance(v, bool)
-    ]
-
-
-def _group_key(row: dict[str, object], groupby: Sequence[str]) -> tuple:
-    return tuple(row.get(field) for field in groupby)
-
-
-def _output_name(op: str, field: str | None, index: int, as_names: Sequence[str] | None) -> str:
+def aggregate_output_name(
+    op: str, field: str | None, index: int, as_names: Sequence[str] | None
+) -> str:
+    """The output field of the ``index``-th op, on the client and in SQL."""
     if as_names and index < len(as_names) and as_names[index]:
         return str(as_names[index])
     if op == "count" and not field:
         return "count"
     return f"{op}_{field}"
+
+
+def _check_ops(ops: Sequence[str]) -> None:
+    for op in ops:
+        if op not in AGGREGATE_OPS:
+            raise DataflowError(
+                f"unsupported aggregate op {op!r}; supported: {tuple(AGGREGATE_OPS)}"
+            )
+
+
+def _aggregate(
+    source: list[dict[str, object]], params: dict
+) -> tuple[list[tuple], list[int], list[dict[str, object]]]:
+    """Group ``source`` and reduce every op over the groups.
+
+    Returns the group keys in first-seen order, each source row's group
+    index, and each group's output fields.  One kernel call per op.
+    """
+    groupby: list[str] = list(params.get("groupby") or [])
+    ops: list[str] = list(params.get("ops") or ["count"])
+    fields: list[str | None] = list(params.get("fields") or [])
+    fields += [None] * (len(ops) - len(fields))
+    as_names: list[str] | None = params.get("as")
+
+    # Without groupby there is one group even over no rows, as in SQL.
+    index: dict[tuple, int] = {} if groupby else {(): 0}
+    group_of = [
+        index.setdefault(tuple(row.get(field) for field in groupby), len(index))
+        for row in source
+    ]
+    groups = np.asarray(group_of, dtype=np.int64)
+    order = np.argsort(groups, kind="stable")
+    sizes = np.bincount(groups, minlength=len(index))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+
+    aggregates: list[dict[str, object]] = [{} for _ in index]
+    grouped: dict[str, np.ndarray] = {}  # each field's values in group order
+    for position, (op, field) in enumerate(zip(ops, fields)):
+        if op == "count" and field is None:
+            reduced = sizes.astype(np.float64)
+        else:
+            if field not in grouped:
+                column = Column.from_values(field, [row.get(field) for row in source])
+                grouped[field] = column.values[order]
+            function, distinct = AGGREGATE_OPS[op]
+            reduced = aggregate_segments(function, grouped[field], starts, ends, distinct)
+        name = aggregate_output_name(op, field, position, as_names)
+        for out, value in zip(aggregates, none_for_null(reduced)):
+            out[name] = value
+    return list(index), group_of, aggregates
 
 
 class AggregateTransform(Operator):
@@ -82,12 +115,7 @@ class AggregateTransform(Operator):
 
     def __init__(self, params: dict | None = None) -> None:
         super().__init__(name="aggregate", params=params)
-        ops = self.params.get("ops") or ["count"]
-        for op in ops:
-            if op not in SUPPORTED_OPS:
-                raise DataflowError(
-                    f"unsupported aggregate op {op!r}; supported: {SUPPORTED_OPS}"
-                )
+        _check_ops(self.params.get("ops") or ["count"])
 
     def evaluate(
         self,
@@ -96,34 +124,10 @@ class AggregateTransform(Operator):
         context: EvaluationContext,
     ) -> OperatorResult:
         groupby: list[str] = list(params.get("groupby") or [])
-        ops: list[str] = list(params.get("ops") or ["count"])
-        fields: list[str | None] = list(params.get("fields") or [None] * len(ops))
-        as_names: list[str] | None = params.get("as")
-        if len(fields) < len(ops):
-            fields = fields + [None] * (len(ops) - len(fields))
-
-        groups: dict[tuple, list[dict[str, object]]] = {}
-        order: list[tuple] = []
-        for row in source:
-            key = _group_key(row, groupby)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
-
-        out_rows: list[dict[str, object]] = []
-        for key in order:
-            rows = groups[key]
-            out: dict[str, object] = {field: value for field, value in zip(groupby, key)}
-            for index, (op, field) in enumerate(zip(ops, fields)):
-                name = _output_name(op, field, index, as_names)
-                if op == "count" and field is None:
-                    out[name] = float(len(rows))
-                else:
-                    values = _numeric([r.get(field) for r in rows])
-                    out[name] = _aggregate_values(op, values)
-            out_rows.append(out)
-        return OperatorResult(rows=out_rows)
+        keys, _, aggregates = _aggregate(source, params)
+        return OperatorResult(
+            rows=[{**dict(zip(groupby, key)), **out} for key, out in zip(keys, aggregates)]
+        )
 
 
 class JoinAggregateTransform(Operator):
@@ -135,6 +139,7 @@ class JoinAggregateTransform(Operator):
 
     def __init__(self, params: dict | None = None) -> None:
         super().__init__(name="joinaggregate", params=params)
+        _check_ops(self.params.get("ops") or ["count"])
 
     def evaluate(
         self,
@@ -142,32 +147,7 @@ class JoinAggregateTransform(Operator):
         params: dict,
         context: EvaluationContext,
     ) -> OperatorResult:
-        groupby: list[str] = list(params.get("groupby") or [])
-        ops: list[str] = list(params.get("ops") or ["count"])
-        fields: list[str | None] = list(params.get("fields") or [None] * len(ops))
-        as_names: list[str] | None = params.get("as")
-        if len(fields) < len(ops):
-            fields = fields + [None] * (len(ops) - len(fields))
-
-        groups: dict[tuple, list[dict[str, object]]] = {}
-        for row in source:
-            groups.setdefault(_group_key(row, groupby), []).append(row)
-
-        aggregates: dict[tuple, dict[str, object]] = {}
-        for key, rows in groups.items():
-            out: dict[str, object] = {}
-            for index, (op, field) in enumerate(zip(ops, fields)):
-                name = _output_name(op, field, index, as_names)
-                if op == "count" and field is None:
-                    out[name] = float(len(rows))
-                else:
-                    values = _numeric([r.get(field) for r in rows])
-                    out[name] = _aggregate_values(op, values)
-            aggregates[key] = out
-
-        out_rows = []
-        for row in source:
-            merged = dict(row)
-            merged.update(aggregates[_group_key(row, groupby)])
-            out_rows.append(merged)
-        return OperatorResult(rows=out_rows)
+        _, group_of, aggregates = _aggregate(source, params)
+        return OperatorResult(
+            rows=[{**row, **aggregates[group]} for row, group in zip(source, group_of)]
+        )

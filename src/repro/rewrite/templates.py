@@ -25,6 +25,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import ExpressionTranslationError, RewriteError
+from repro.dataflow.transforms.aggregate import AGGREGATE_OPS, aggregate_output_name
 from repro.dataflow.transforms.bin import bin_start, compute_bins, last_bin_threshold
 from repro.dataflow.transforms.timeunit import UNIT_SECONDS
 from repro.expr.to_sql import to_sql
@@ -34,20 +35,6 @@ from repro.sql.tokenizer import PreparedSQL, literal_shape
 REWRITABLE_TRANSFORMS = frozenset(
     {"filter", "extent", "bin", "aggregate", "collect", "project", "stack", "timeunit"}
 )
-
-#: Vega aggregate op name → SQL aggregate function.
-_AGG_SQL = {
-    "count": "COUNT",
-    "sum": "SUM",
-    "mean": "AVG",
-    "average": "AVG",
-    "min": "MIN",
-    "max": "MAX",
-    "median": "MEDIAN",
-    "stdev": "STDDEV",
-    "variance": "VARIANCE",
-    "distinct": "COUNT",
-}
 
 
 def rewritable_prefix(transforms: Sequence[Mapping]) -> int:
@@ -263,16 +250,15 @@ def _apply_aggregate(fragment: QueryFragment, params: Mapping) -> QueryFragment:
             group_exprs.append(group_field)
             items.append(group_field)
     for index, (op, agg_field) in enumerate(zip(ops, fields)):
-        sql_func = _AGG_SQL.get(op)
-        if sql_func is None:
+        if op not in AGGREGATE_OPS:
             raise RewriteError(f"aggregate op {op!r} has no SQL equivalent")
-        name = _aggregate_output_name(op, agg_field, index, as_names)
+        sql_func, distinct = AGGREGATE_OPS[op]
+        name = aggregate_output_name(op, agg_field, index, as_names)
         if op == "count" and agg_field is None:
             items.append(f"COUNT(*) AS {name}")
-        elif op == "distinct":
-            items.append(f"COUNT(DISTINCT {agg_field}) AS {name}")
         else:
-            items.append(f"{sql_func}({agg_field}) AS {name}")
+            argument = f"DISTINCT {agg_field}" if distinct else agg_field
+            items.append(f"{sql_func}({argument}) AS {name}")
     fragment.select_items = items
     fragment.group_by = group_exprs
     fragment.aggregated = True
@@ -417,13 +403,3 @@ def _aliases_of(select_items: Sequence[str]) -> dict[str, str]:
             expression = PreparedSQL(expression, item.shape[:-tail], item.values)
         aliases[alias] = expression
     return aliases
-
-
-def _aggregate_output_name(
-    op: str, field_name: str | None, index: int, as_names: Sequence[str] | None
-) -> str:
-    if as_names and index < len(as_names) and as_names[index]:
-        return str(as_names[index])
-    if op == "count" and not field_name:
-        return "count"
-    return f"{op}_{field_name}"

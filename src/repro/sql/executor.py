@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.sql.ast_nodes import (
+    AGGREGATE_FUNCTIONS,
     Between,
     BinaryOp,
     CaseExpression,
@@ -38,11 +39,10 @@ from repro.sql.ast_nodes import (
     contains_aggregate,
 )
 from repro.sql.functions import (
-    AGGREGATE_KERNELS,
-    apply_aggregate,
-    apply_aggregate_segments,
+    aggregate_segments,
     apply_scalar_function,
     is_string_array,
+    none_for_null,
     null_mask,
 )
 from repro.sql.optimizer import prune_partitions, pruning_conjuncts
@@ -401,7 +401,7 @@ class ExpressionEvaluator:
 
     def _evaluate_function(self, expr: FunctionCall) -> np.ndarray:
         name = expr.name.upper()
-        if name in AGGREGATE_KERNELS:
+        if name in AGGREGATE_FUNCTIONS:
             raise ExecutionError(
                 f"aggregate function {name} cannot be evaluated per-row; "
                 "it must appear in an aggregate query"
@@ -655,8 +655,8 @@ class Executor:
             if not call.args:
                 raise ExecutionError(f"aggregate {call.name} requires an argument")
             values = evaluator.evaluate(call.args[0])
-            return apply_aggregate_segments(
-                call.name, values[order], starts, ends, call.distinct
+            return none_for_null(
+                aggregate_segments(call.name, values[order], starts, ends, call.distinct)
             )
 
         def shared(expr: Expression) -> list[object]:
@@ -752,8 +752,9 @@ class Executor:
                     raise ExecutionError(f"unsupported window function {name}")
                 out[ordered_global] = cumulative
             else:
-                total = apply_aggregate(name, ordered_values)
-                out[ordered_global] = np.nan if total is None else float(total)
+                out[ordered_global] = aggregate_segments(
+                    name, ordered_values, [0], [len(ordered_values)]
+                )[0]
         return out
 
     def _execute_sort(self, node: SortNode, stats: ExecutionStats) -> Table:

@@ -1,9 +1,9 @@
-"""Scalar and aggregate function kernels for the SQL executor.
+"""Scalar function kernels and the one aggregate kernel.
 
 Scalar kernels operate on numpy arrays (vectorised) and propagate NULLs
-(``nan`` for numeric arrays, ``None`` inside object arrays).  Aggregate
-kernels reduce one numpy array to a single Python value, skipping NULLs as
-SQL requires.
+(``nan`` for numeric arrays, ``None`` inside object arrays).
+:func:`aggregate_segments` reduces group segments of one array, skipping
+NULLs as SQL requires.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.errors import ExecutionError
+from repro.sql.ast_nodes import AGGREGATE_FUNCTIONS
 
 # --------------------------------------------------------------------------- #
 # Helpers
@@ -212,195 +213,113 @@ def apply_scalar_function(name: str, args: Sequence[np.ndarray]) -> np.ndarray:
 # Aggregate functions
 # --------------------------------------------------------------------------- #
 
-
-def _non_null(values: np.ndarray) -> np.ndarray:
-    mask = null_mask(values)
-    return values[~mask]
-
-
-def _agg_count(values: np.ndarray, distinct: bool) -> float:
-    present = _non_null(values)
-    if distinct:
-        if is_string_array(present):
-            return float(len(set(present.tolist())))
-        return float(np.unique(present).size)
-    return float(len(present))
-
-
-def _agg_sum(values: np.ndarray, distinct: bool) -> float | None:
-    present = _non_null(values)
-    if is_string_array(present):
-        raise ExecutionError("SUM requires a numeric argument")
-    if distinct:
-        present = np.unique(present)
-    if present.size == 0:
-        return None
-    return float(present.sum())
-
-
-def _agg_avg(values: np.ndarray, distinct: bool) -> float | None:
-    present = _non_null(values)
-    if is_string_array(present):
-        raise ExecutionError("AVG requires a numeric argument")
-    if distinct:
-        present = np.unique(present)
-    if present.size == 0:
-        return None
-    return float(present.mean())
-
-
-def _agg_min(values: np.ndarray, distinct: bool) -> object:
-    present = _non_null(values)
-    if present.size == 0:
-        return None
-    if is_string_array(present):
-        return min(present.tolist())
-    return float(present.min())
-
-
-def _agg_max(values: np.ndarray, distinct: bool) -> object:
-    present = _non_null(values)
-    if present.size == 0:
-        return None
-    if is_string_array(present):
-        return max(present.tolist())
-    return float(present.max())
-
-
-def _agg_median(values: np.ndarray, distinct: bool) -> float | None:
-    present = _non_null(values)
-    if is_string_array(present):
-        raise ExecutionError("MEDIAN requires a numeric argument")
-    if distinct:
-        present = np.unique(present)
-    if present.size == 0:
-        return None
-    return float(np.median(present))
-
-
-def _agg_stddev(values: np.ndarray, distinct: bool) -> float | None:
-    present = _non_null(values)
-    if is_string_array(present):
-        raise ExecutionError("STDDEV requires a numeric argument")
-    if distinct:
-        present = np.unique(present)
-    if present.size < 2:
-        return None
-    return float(present.std(ddof=1))
-
-
-def _agg_variance(values: np.ndarray, distinct: bool) -> float | None:
-    present = _non_null(values)
-    if is_string_array(present):
-        raise ExecutionError("VARIANCE requires a numeric argument")
-    if distinct:
-        present = np.unique(present)
-    if present.size < 2:
-        return None
-    return float(present.var(ddof=1))
-
-
-#: Registry of aggregate functions by (upper-case) name.
-AGGREGATE_KERNELS: dict[str, Callable[[np.ndarray, bool], object]] = {
-    "COUNT": _agg_count,
-    "SUM": _agg_sum,
-    "AVG": _agg_avg,
-    "MIN": _agg_min,
-    "MAX": _agg_max,
-    "MEDIAN": _agg_median,
-    "STDDEV": _agg_stddev,
-    "VARIANCE": _agg_variance,
-}
-
-
-def apply_aggregate(name: str, values: np.ndarray, distinct: bool = False) -> object:
-    """Apply the aggregate ``name`` to a value array, skipping NULLs."""
-    try:
-        kernel = AGGREGATE_KERNELS[name.upper()]
-    except KeyError as exc:
-        raise ExecutionError(f"unknown aggregate function {name!r}") from exc
-    return kernel(values, distinct)
-
-
-#: Aggregates with a ``reduceat``-based batch kernel over group segments
-#: and a partial state that merges exactly: COUNT and SUM add, MIN and MAX
+#: Aggregates with a ``reduceat`` batch form over group segments and a
+#: partial state that merges exactly: COUNT and SUM add, MIN and MAX
 #: reduce again, AVG carries (sum, count).  IVM views maintain exactly
 #: these.
 MERGEABLE_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
 
-def aggregate_segment_arrays(
-    name: str, values: np.ndarray, starts: np.ndarray, ends: np.ndarray
-) -> np.ndarray | None:
-    """One float64 per ``values[starts[g]:ends[g]]`` segment, NaN = NULL.
+def aggregate_segments(
+    name: str,
+    values: np.ndarray,
+    starts: Sequence[int],
+    ends: Sequence[int],
+    distinct: bool = False,
+) -> np.ndarray:
+    """Reduce every ``values[starts[g]:ends[g]]`` segment, skipping NULLs.
 
-    The batch kernel behind :func:`apply_aggregate_segments`: the common
-    numeric aggregates reduce all segments in one ``numpy.reduceat``
-    pass over the group-sorted ``values``.  Returns ``None`` when the
-    input has no batch form (string values, order-statistic aggregates,
-    segments that do not tile ``values``) — callers then reduce segment
-    by segment.
+    The one aggregate kernel: the executor's groups and window totals,
+    IVM deltas, sqlite's MEDIAN/STDDEV/VARIANCE and the client's
+    ``aggregate``/``joinaggregate`` all reduce here, so a value does not
+    depend on which of them computed it.  ``values`` is a column's array
+    in group-sorted order (float64 with NaN = NULL, or objects with
+    ``None`` = NULL).  Returns one value per segment: float64 with NaN =
+    NULL, or objects with ``None`` = NULL for MIN/MAX over strings.
+
+    COUNT/SUM/AVG/MIN/MAX over numbers reduce all segments in one
+    ``numpy.reduceat`` pass when the segments tile ``values`` (grouping
+    always produces that); everything else — DISTINCT, MEDIAN, STDDEV,
+    VARIANCE, strings, gapped segments — reduces segment by segment.
     """
     upper = name.upper()
+    if upper not in AGGREGATE_FUNCTIONS:
+        raise ExecutionError(f"unknown aggregate function {name!r}")
+    starts, ends = np.asarray(starts), np.asarray(ends)
+    strings = is_string_array(values)
+    if strings and len(starts) and upper not in ("COUNT", "MIN", "MAX"):
+        raise ExecutionError(f"{upper} requires a numeric argument")
     batchable = (
-        not is_string_array(values)
+        not distinct
+        and not strings
         and upper in MERGEABLE_AGGREGATES
         and len(values) > 0
         and len(starts) > 0
         # reduceat(values, starts) reduces values[starts[g]:starts[g+1]],
-        # so the fast path requires the segments to tile ``values`` exactly
-        # (which grouping always produces); anything gapped, overlapping,
-        # or empty-segmented falls back to the per-segment kernels.
+        # so the batch form requires the segments to tile ``values``
+        # exactly; anything gapped, overlapping, or empty-segmented
+        # reduces segment by segment.
         and bool(starts[0] == 0)
         and bool(ends[-1] == len(values))
-        and bool(np.array_equal(np.asarray(starts[1:]), np.asarray(ends[:-1])))
-        and bool(np.all(np.asarray(starts) < np.asarray(ends)))
+        and bool(np.array_equal(starts[1:], ends[:-1]))
+        and bool(np.all(starts < ends))
     )
-    if not batchable:
-        return None
-    nan_mask = np.isnan(values)
-    counts = np.add.reduceat((~nan_mask).astype(np.float64), starts)
-    if upper == "COUNT":
-        return counts
-    if upper in ("SUM", "AVG"):
-        reduced = np.add.reduceat(np.where(nan_mask, 0.0, values), starts)
-        if upper == "AVG":
-            with np.errstate(invalid="ignore", divide="ignore"):
-                reduced = reduced / counts
-    elif upper == "MIN":
-        reduced = np.minimum.reduceat(np.where(nan_mask, np.inf, values), starts)
-    else:
-        reduced = np.maximum.reduceat(np.where(nan_mask, -np.inf, values), starts)
-    return np.where(counts == 0, np.nan, reduced)
+    if batchable:
+        nan_mask = np.isnan(values)
+        counts = np.add.reduceat((~nan_mask).astype(np.float64), starts)
+        if upper == "COUNT":
+            return counts
+        if upper in ("SUM", "AVG"):
+            reduced = np.add.reduceat(np.where(nan_mask, 0.0, values), starts)
+            if upper == "AVG":
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    reduced = reduced / counts
+        elif upper == "MIN":
+            reduced = np.minimum.reduceat(np.where(nan_mask, np.inf, values), starts)
+        else:
+            reduced = np.maximum.reduceat(np.where(nan_mask, -np.inf, values), starts)
+        return np.where(counts == 0, np.nan, reduced)
+    objects = strings and upper != "COUNT"
+    out = np.full(len(starts), None if objects else np.nan, dtype=object if objects else np.float64)
+    for index, (start, end) in enumerate(zip(starts, ends)):
+        segment = values[start:end]
+        present = segment[~null_mask(segment)]
+        if distinct:
+            present = (
+                np.array(list(set(present.tolist())), dtype=object)
+                if strings
+                else np.unique(present)
+            )
+        if upper == "COUNT":
+            out[index] = len(present)
+        elif len(present) >= (2 if upper in ("STDDEV", "VARIANCE") else 1):
+            out[index] = _reduce_segment(upper, present)
+    return out
 
 
-def apply_aggregate_segments(
-    name: str,
-    values: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    distinct: bool = False,
-) -> list[object]:
-    """Apply an aggregate to every ``values[starts[g]:ends[g]]`` segment.
+def _reduce_segment(name: str, present: np.ndarray) -> object:
+    """One segment's non-NULL values reduced by a non-COUNT aggregate."""
+    if name == "SUM":
+        return present.sum()
+    if name == "AVG":
+        return present.mean()
+    if name == "MIN":
+        return present.min()
+    if name == "MAX":
+        return present.max()
+    if name == "MEDIAN":
+        return np.median(present)
+    if name == "STDDEV":
+        return present.std(ddof=1)
+    return present.var(ddof=1)
 
-    ``values`` must already be in group-sorted order.  The list form of
-    :func:`aggregate_segment_arrays` (``None`` for NULL); string inputs,
-    DISTINCT, and order-statistic aggregates fall back to the
-    per-segment scalar kernels (still evaluated over pre-sliced
-    segments, never re-materialised tables).
-    """
-    upper = name.upper()
-    if upper not in AGGREGATE_KERNELS:
-        raise ExecutionError(f"unknown aggregate function {name!r}")
-    reduced = None if distinct else aggregate_segment_arrays(upper, values, starts, ends)
-    if reduced is None:
-        return [
-            apply_aggregate(upper, values[start:end], distinct)
-            for start, end in zip(starts, ends)
-        ]
-    out = reduced.tolist()
-    for index in np.flatnonzero(np.isnan(reduced)):
-        out[index] = None
+
+def none_for_null(values: np.ndarray) -> list[object]:
+    """Aggregate results as Python values, ``None`` for NULL."""
+    out = values.tolist()
+    if not is_string_array(values):
+        for index in np.flatnonzero(np.isnan(values)):
+            out[index] = None
     return out
 
 

@@ -16,8 +16,8 @@ column's value.  Any brush interval then maps to one contiguous slice of
 that tile via binary search, and moving the brush from ``[a0, b0)`` to
 ``[a1, b1)`` yields at most two entering and two leaving contiguous row
 ranges.  Each delta range is factorized into group segments and merged
-into the materialized per-group state through the same ``reduceat``
-kernels the serial executor uses:
+into the materialized per-group state through the same kernel the serial
+executor uses (:func:`~repro.sql.functions.aggregate_segments`):
 
 * ``COUNT`` / ``COUNT(*)`` — add/subtract per-group counts,
 * ``SUM`` / ``AVG`` — add/subtract per-group sums (AVG = sum + count),
@@ -65,7 +65,7 @@ from repro.sql.executor import (
     ExpressionEvaluator,
     aggregate_evaluator,
 )
-from repro.sql.functions import apply_aggregate_segments, is_string_array
+from repro.sql.functions import aggregate_segments, is_string_array
 from repro.sql.planner import (
     AggregateNode,
     IVMTemplate,
@@ -361,7 +361,7 @@ class MaterializedView:
     ) -> None:
         """Merge one delta row set into the state with the given sign.
 
-        Deltas reduce through :func:`apply_aggregate_segments` — the same
+        Deltas reduce through :func:`aggregate_segments` — the same
         kernel the serial executor uses — so per-segment sums/counts are
         computed identically; the exact-integer eligibility rule then
         makes the running add/subtract bit-identical to a full re-scan.
@@ -373,26 +373,13 @@ class MaterializedView:
         self._count_star[touched] += sign * (ends - starts)
         for key, state in self._states.items():
             values = state.values[rows][order]
-            counts = np.asarray(
-                apply_aggregate_segments("COUNT", values, starts, ends),
-                dtype=np.float64,
-            ).astype(np.int64)
+            counts = aggregate_segments("COUNT", values, starts, ends).astype(np.int64)
             if state.total is not None:
-                sums = apply_aggregate_segments("SUM", values, starts, ends)
-                state.total[touched] += sign * np.asarray(
-                    [0.0 if s is None else s for s in sums], dtype=np.float64
-                )
+                sums = aggregate_segments("SUM", values, starts, ends)
+                state.total[touched] += sign * np.where(np.isnan(sums), 0.0, sums)
             if state.extremum is not None:
                 merge = np.fmin if state.name == "MIN" else np.fmax
-                segment = np.asarray(
-                    [
-                        np.nan if value is None else value
-                        for value in apply_aggregate_segments(
-                            state.name, values, starts, ends
-                        )
-                    ],
-                    dtype=np.float64,
-                )
+                segment = aggregate_segments(state.name, values, starts, ends)
                 if sign > 0:
                     state.extremum[touched] = merge(state.extremum[touched], segment)
                 elif refresh is not None:
@@ -423,11 +410,7 @@ class MaterializedView:
         order, starts, ends = group_segments([codes], len(rows))
         touched = codes[order[starts]]
         values = state.values[rows][order]
-        segment = apply_aggregate_segments(state.name, values, starts, ends)
-        state.extremum[touched] = np.asarray(
-            [np.nan if value is None else value for value in segment],
-            dtype=np.float64,
-        )
+        state.extremum[touched] = aggregate_segments(state.name, values, starts, ends)
 
     # ------------------------------------------------------------------ #
     # Result assembly
@@ -454,7 +437,7 @@ class MaterializedView:
                 item.output_name(index),
                 evaluate_aggregate_item(
                     item.expression,
-                    lambda call: self._aggregate_values(call, present),
+                    lambda call: self._maintained(call, present),
                     shared,
                     len(present),
                 ),
@@ -463,7 +446,7 @@ class MaterializedView:
         ]
         return Table(columns, name=self.table_name)
 
-    def _aggregate_values(self, call: FunctionCall, present: np.ndarray) -> list[object]:
+    def _maintained(self, call: FunctionCall, present: np.ndarray) -> list[object]:
         """The maintained value of one aggregate call per present group."""
         if call.is_star:
             return [float(c) for c in self._count_star[present]]

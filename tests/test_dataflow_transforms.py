@@ -1,11 +1,15 @@
 """Tests for the client-side Vega transforms."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dataflow import Dataflow, create_transform
 from repro.dataflow.operator import EvaluationContext
+from repro.dataflow.transforms.aggregate import AGGREGATE_OPS
 from repro.dataflow.transforms.bin import compute_bins, nice_bin_step
 from repro.errors import DataflowError, SpecError
+from repro.sql import Database
 
 
 def run_transform(definition, rows, signals=None):
@@ -113,6 +117,53 @@ def test_aggregate_global_group():
 def test_aggregate_rejects_unknown_op():
     with pytest.raises(DataflowError):
         create_transform({"type": "aggregate", "ops": ["frobnicate"]})
+
+
+def test_joinaggregate_rejects_unknown_op():
+    with pytest.raises(DataflowError):
+        create_transform({"type": "joinaggregate", "ops": ["bogus"], "fields": ["value"]})
+
+
+#: Ops a string field takes; the others require numbers on both sides.
+_STRING_OPS = ("count", "distinct", "min", "max")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["p", "q"]),
+            st.one_of(st.none(), st.floats(-1e6, 1e6, allow_nan=False)),
+            st.one_of(st.none(), st.sampled_from(["a", "b", "c"])),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_client_aggregate_equals_the_engine_bit_for_bit(rows):
+    """Every client op over floats with NULLs, and the string ops over
+    strings, equals embedded ``SELECT op(x) ... GROUP BY g`` exactly:
+    the same values, NULLs and sign bits, whichever side reduces."""
+    data = [{"g": g, "x": x, "s": s} for g, x, s in rows]
+    db = Database()
+    db.register_rows("t", data)
+    for op, (function, distinct) in AGGREGATE_OPS.items():
+        for field in ("x", "s") if op in _STRING_OPS else ("x",):
+            client = run_transform(
+                {"type": "aggregate", "groupby": ["g"], "ops": [op], "fields": [field], "as": ["y"]},
+                data,
+            ).rows
+            argument = f"DISTINCT {field}" if distinct else field
+            table = db.execute(f"SELECT g, {function}({argument}) AS y FROM t GROUP BY g").table
+            server = dict(zip(table.column("g").values.tolist(), table.column("y").values))
+            got = [row["y"] for row in client]
+            want = np.array([server[row["g"]] for row in client], dtype=table.column("y").values.dtype)
+            if want.dtype == object:
+                assert got == want.tolist(), (op, field)
+            else:
+                got = np.array([np.nan if value is None else value for value in got])
+                assert np.array_equal(got, want, equal_nan=True), (op, field)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (op, field)
 
 
 def test_joinaggregate_keeps_all_rows():

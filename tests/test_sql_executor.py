@@ -319,17 +319,18 @@ def test_plan_cache_survives_table_replacement(db):
     assert db.metrics.snapshot()["plan_cache_hits"] >= 1
 
 
-def test_apply_aggregate_segments_honours_gapped_segments():
+def test_aggregate_segments_honours_gapped_segments():
     import numpy as np
 
-    from repro.sql.functions import apply_aggregate_segments
+    from repro.sql.functions import aggregate_segments
 
     values = np.array([1.0, 2.0, 3.0])
     starts, ends = np.array([0, 2]), np.array([1, 3])
-    # Non-contiguous segments must skip the reduceat fast path (which would
+    # Non-contiguous segments must skip the reduceat batch form (which would
     # fold row 1 into the first group) and honour ends exactly.
-    assert apply_aggregate_segments("SUM", values, starts, ends) == [1.0, 3.0]
-    assert apply_aggregate_segments("COUNT", values, starts, ends) == [1.0, 1.0]
+    assert aggregate_segments("SUM", values, starts, ends).tolist() == [1.0, 3.0]
+    assert aggregate_segments("COUNT", values, starts, ends).tolist() == [1.0, 1.0]
+    assert aggregate_segments("MAX", values, starts, ends).tolist() == [1.0, 3.0]
 
 
 def test_order_by_string_nulls_deterministic():
