@@ -30,7 +30,7 @@ from repro.bench.scale import scaled_size
 from repro.datasets.generators import generate_dataset
 from repro.rewrite.templates import QueryFragment, apply_transform
 from repro.sql import Database
-from repro.sql.executor import (
+from repro.bench.reference import (
     group_rows_reference,
     group_rows_vectorized,
     sort_indices_reference,

@@ -23,7 +23,10 @@ Contents:
   (``runs`` + ``task_results``) and the trajectory-aware comparison
   engine behind ``tools/benchdb.py`` and the CI regression gate;
 * :mod:`repro.bench.reporting` — small helpers to format result tables,
-  run listings and trajectory comparisons.
+  run listings and trajectory comparisons;
+* :mod:`repro.bench.reference` — naive row-at-a-time group / sort /
+  distinct, the reference the engine's kernels are tested and timed
+  against.
 """
 
 from repro.bench.workload import InteractionWorkload, WorkloadGenerator, TemplateInstance

@@ -4,7 +4,8 @@ Section 4 of the paper describes parsing the filter expression string into
 an AST and generating a SQL WHERE clause, noting that when an equivalent
 SQL predicate is not found, VegaPlus falls back to native execution in
 Vega.  :func:`to_sql` raises :class:`ExpressionTranslationError` in that
-case; :func:`is_translatable` wraps that check for the rewriter.
+case; :func:`compiles` asks it before any signal is bound, so the plan
+enumerator offers the server only expressions it can render.
 
 The SQL comes back as a :class:`~repro.sql.tokenizer.PreparedSQL`: each
 inlined signal value is a slot of its shape, so the engine plans the
@@ -16,7 +17,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Mapping
 
-from repro.errors import ExpressionTranslationError
+from repro.errors import ExpressionError, ExpressionTranslationError
 from repro.expr.nodes import (
     BinaryNode,
     BooleanNode,
@@ -134,6 +135,19 @@ def is_translatable(
     return True
 
 
+def compiles(expression: object) -> bool:
+    """Whether an expression string has an SQL form once its signals are
+    bound: its memoised compile succeeds.  The plan enumerator asks this
+    before it offers a plan whose SQL holds the expression."""
+    if not isinstance(expression, str):
+        return False
+    try:
+        _compiled(expression)
+    except ExpressionError:
+        return False
+    return True
+
+
 @functools.lru_cache(maxsize=1024)
 def _compiled(expression: str) -> tuple[_Part, ...]:
     """The compiled pieces of an expression string, memoised (as its parse
@@ -219,6 +233,10 @@ def _is_null(operand: ExprNode, negated: bool) -> list[_Part]:
     return [*_translate(operand), f" IS {'NOT ' if negated else ''}NULL"]
 
 
+#: Expression nodes whose value is never NULL.
+_CONSTANTS = (NumberNode, StringNode, BooleanNode)
+
+
 def _translate_binary(node: BinaryNode) -> list[_Part]:
     # Equality against null becomes IS NULL / IS NOT NULL.
     if node.op in ("==", "!="):
@@ -226,6 +244,8 @@ def _translate_binary(node: BinaryNode) -> list[_Part]:
             return _is_null(node.left, node.op == "!=")
         if isinstance(node.left, NullNode):
             return _is_null(node.right, node.op == "!=")
+    if node.op == "!=":
+        return _not_equal(node.left, node.right)
     try:
         sql_op = _BINARY_MAP[node.op]
     except KeyError as exc:
@@ -233,6 +253,25 @@ def _translate_binary(node: BinaryNode) -> list[_Part]:
             f"operator {node.op!r} has no SQL equivalent"
         ) from exc
     return ["(", *_translate(node.left), f" {sql_op} ", *_translate(node.right), ")"]
+
+
+def _not_equal(left: ExprNode, right: ExprNode) -> list[_Part]:
+    """The client's ``null != 0`` is true, where SQL's ``NULL <> 0`` is
+    UNKNOWN: against a constant, a NULL operand keeps the row.  Between
+    two operands that may both be NULL it is declined, as ``null != null``
+    is false."""
+    if isinstance(right, _CONSTANTS):
+        operand = left
+    elif isinstance(left, _CONSTANTS):
+        operand = right
+    else:
+        raise ExpressionTranslationError(
+            "'!=' between two operands that may be null has no SQL equivalent"
+        )
+    return [
+        "(", *_translate(left), " <> ", *_translate(right),
+        " OR ", *_translate(operand), " IS NULL)",
+    ]
 
 
 def _translate_call(node: CallNode) -> list[_Part]:

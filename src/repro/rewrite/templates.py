@@ -28,7 +28,7 @@ from repro.errors import ExpressionTranslationError, RewriteError
 from repro.dataflow.transforms.aggregate import AGGREGATE_OPS, aggregate_output_name
 from repro.dataflow.transforms.bin import bin_start, compute_bins, last_bin_threshold
 from repro.dataflow.transforms.timeunit import UNIT_SECONDS
-from repro.expr.to_sql import to_sql
+from repro.expr.to_sql import compiles, to_sql
 from repro.sql.tokenizer import PreparedSQL, literal_shape
 
 #: Transform types the rewriter can translate to SQL.
@@ -39,10 +39,16 @@ REWRITABLE_TRANSFORMS = frozenset(
 
 def rewritable_prefix(transforms: Sequence[Mapping]) -> int:
     """Length of the longest prefix of ``transforms`` that can be
-    offloaded to the DBMS: the most transforms a server split may take."""
+    offloaded to the DBMS: the most transforms a server split may take.
+
+    A transform counts when its type is rewritable and, for a filter,
+    when its expression :func:`~repro.expr.to_sql.compiles`, so no plan
+    is offered that the rewriter cannot render."""
     prefix = 0
     for transform in transforms:
         if transform.get("type") not in REWRITABLE_TRANSFORMS:
+            break
+        if transform.get("type") == "filter" and not compiles(transform.get("expr")):
             break
         prefix += 1
     return prefix

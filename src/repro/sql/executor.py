@@ -5,9 +5,16 @@ expression evaluates to a numpy array aligned with the input table's rows.
 Predicates evaluate to a pair of boolean masks, ``(true, unknown)``, that
 carries SQL's three-valued logic: a row is TRUE, UNKNOWN (NULL), or FALSE
 when it is in neither mask, and ``unknown`` is ``None`` when no row is
-UNKNOWN.  AND, OR and NOT are bitwise operations on the masks; a filter
-keeps the rows of ``true``.  Only a predicate used as a value (``SELECT
-v > 2 AS f``) is converted, in one place, to 1.0 / 0.0 / NaN.
+UNKNOWN.  AND, OR and NOT are bitwise operations on the masks.  Only a
+predicate used as a value (``SELECT v > 2 AS f``) is converted, in one
+place, to 1.0 / 0.0 / NaN.
+
+A WHERE or HAVING clause takes one shorter path.  At its top level an
+UNKNOWN row drops as a FALSE one does, so each top-level conjunct needs
+only its TRUE mask; a ``column op number`` conjunct compares the column
+with a Python float (no literal is broadcast to a column), any other
+reads the TRUE mask of the Kleene masks above.  The conjuncts' masks AND
+in place and the table is gathered once, by the surviving row ids.
 """
 
 from __future__ import annotations
@@ -59,10 +66,12 @@ from repro.sql.planner import (
     SortNode,
     SubqueryNode,
     WindowNode,
+    column_comparison,
+    conjuncts,
     evaluate_aggregate_item,
 )
 from repro.storage.catalog import Catalog
-from repro.storage.column import Column, ColumnType, factorize_array, sort_rank_key
+from repro.storage.column import Column, ColumnType
 from repro.storage.table import PartitionedTable, Table, group_segments, sort_codes
 
 
@@ -292,6 +301,27 @@ class ExpressionEvaluator:
             return predicate
         return _value_truth(self.evaluate(expr))
 
+    def true_mask(self, expr: Expression) -> np.ndarray:
+        """The rows where ``expr`` is TRUE: a top-level conjunct's mask,
+        where an UNKNOWN row drops as a FALSE one does.
+
+        ``column op number``, either way round, is one ufunc against a
+        Python float.  NaN compares False, so only ``<>`` masks the
+        column's NULLs out, and only when it holds one.  Any other
+        expression takes the TRUE mask of :meth:`truth`.
+        """
+        comparison = column_comparison(expr)
+        values = None if comparison is None else self._column_values(comparison[0])
+        if values is None or values.dtype != np.float64:
+            return self.truth(expr)[0]
+        _name, op, value = comparison
+        true = _COMPARISONS[op](values, value)
+        if op == "<>":
+            nulls = np.isnan(values)
+            if nulls.any():
+                true &= ~nulls
+        return true
+
     def column(self, expr: Expression) -> Column:
         """``expr`` evaluated to a :class:`Column`.
 
@@ -475,9 +505,19 @@ def scan_columns(table: Table, scan: ScanNode) -> Table:
 
 
 def _filter(table: Table, predicate: Expression) -> Table:
-    """The rows of ``table`` for which ``predicate`` is TRUE."""
-    true, _unknown = ExpressionEvaluator(table).truth(predicate)
-    return table.filter(true)
+    """The rows of ``table`` for which ``predicate`` is TRUE.
+
+    Each top-level conjunct gives its :meth:`~ExpressionEvaluator.true_mask`
+    over every row, with no early exit, so the error a query raises does
+    not depend on what an earlier conjunct kept.  The masks AND in place
+    and the rows are gathered once.
+    """
+    evaluator = ExpressionEvaluator(table)
+    keep = None
+    for conjunct in conjuncts(predicate):
+        true = evaluator.true_mask(conjunct)
+        keep = true if keep is None else np.logical_and(keep, true, out=keep)
+    return table.take(np.flatnonzero(keep))
 
 
 def _segment_firsts(column: Column, order: np.ndarray, starts: np.ndarray) -> Column:
@@ -782,94 +822,8 @@ class Executor:
 
 
 # --------------------------------------------------------------------------- #
-# Group-by / order-by / distinct kernels
-#
-# The vectorized kernels are the production path; the *_reference variants
-# retain the naive row-at-a-time implementations and exist solely so the
-# property-based differential tests can check the kernels against them.
-# Both paths share one deterministic ordering: numbers < strings < NULL
-# (``sort_rank_key``), with ORDER BY treating NULL as the largest value
-# (last under ASC, first under DESC — PostgreSQL semantics).
+# Rank and sort kernels
 # --------------------------------------------------------------------------- #
-
-
-def _normalise_group_value(value: object) -> object:
-    """NULL-normalise one grouping value (NaN and None collapse to None)."""
-    if value is None:
-        return None
-    if isinstance(value, (float, np.floating)) and np.isnan(value):
-        return None
-    return value
-
-
-def group_rows_vectorized(group_arrays: Sequence[np.ndarray], n: int) -> list[np.ndarray]:
-    """Vectorized grouping: factorized codes + one stable sort of the codes.
-
-    Returns each group's row indices (ascending within a group) with the
-    groups themselves in deterministic key order.
-    """
-    codes = [factorize_array(arr)[0] for arr in group_arrays]
-    order, starts, ends = group_segments(codes, n)
-    return [order[start:end] for start, end in zip(starts, ends)]
-
-
-def group_rows_reference(group_arrays: Sequence[np.ndarray], n: int) -> list[np.ndarray]:
-    """Naive reference grouping: a dict of normalised key tuples."""
-    normalised: list[list[object]] = []
-    for arr in group_arrays:
-        if is_string_array(arr):
-            normalised.append([_normalise_group_value(v) for v in arr])
-        else:
-            normalised.append([None if np.isnan(v) else float(v) for v in arr])
-    keys: dict[tuple, list[int]] = {}
-    for i in range(n):
-        key = tuple(col[i] for col in normalised)
-        keys.setdefault(key, []).append(i)
-    ordered = sorted(keys.items(), key=lambda kv: _group_sort_key(kv[0]))
-    return [np.array(indices, dtype=np.int64) for _, indices in ordered]
-
-
-def sort_indices_vectorized(
-    key_arrays: Sequence[np.ndarray], descending: Sequence[bool], n: int
-) -> np.ndarray:
-    """Stable multi-key sort via one stable sort over factorized codes.
-
-    Factorized codes already order uniques by the deterministic rank with
-    NULL largest, so DESC simply mirrors the codes (putting NULLs first).
-    """
-    if not key_arrays:
-        return np.arange(n, dtype=np.int64)
-    return sort_codes([factorize_array(values)[0] for values in key_arrays], descending)
-
-
-def sort_indices_reference(
-    key_arrays: Sequence[np.ndarray], descending: Sequence[bool], n: int
-) -> np.ndarray:
-    """Naive reference sort: repeated stable Python sorts, least key first."""
-    indices = list(range(n))
-    for values, desc in reversed(list(zip(key_arrays, descending))):
-        indices.sort(
-            key=lambda i: sort_rank_key(_normalise_group_value(values[i])),
-            reverse=desc,
-        )
-    return np.array(indices, dtype=np.int64)
-
-
-def distinct_indices_reference(table: Table) -> np.ndarray:
-    """Naive reference DISTINCT: first occurrence of each materialised row."""
-    seen: set[tuple] = set()
-    keep: list[int] = []
-    for index, row in enumerate(table.to_rows()):
-        key = tuple(sorted(row.items(), key=lambda kv: kv[0]))
-        if key not in seen:
-            seen.add(key)
-            keep.append(index)
-    return np.array(keep, dtype=np.int64)
-
-
-def _group_sort_key(key: tuple) -> tuple:
-    """Deterministic ordering of group keys with mixed types and NULLs."""
-    return tuple(sort_rank_key(value) for value in key)
 
 
 def _rank_values(codes: list[np.ndarray], sort_order: np.ndarray) -> np.ndarray:

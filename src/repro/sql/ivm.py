@@ -206,11 +206,11 @@ class MaterializedView:
 
         # Static conjuncts: the WHERE clause minus the brush.  A row is in
         # the view's domain iff every conjunct is TRUE — the serial
-        # filter's rule, read from the same ``truth`` masks.
+        # filter's rule, read from the same top-level ``true_mask``.
         domain = np.ones(n, dtype=bool)
         static_evaluator = ExpressionEvaluator(table)
         for conjunct in template.static_conjuncts:
-            domain &= static_evaluator.truth(conjunct)[0]
+            domain &= static_evaluator.true_mask(conjunct)
 
         domain_rows = np.flatnonzero(domain)
         order = np.argsort(brush.values[domain_rows], kind="stable")

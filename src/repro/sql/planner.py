@@ -466,7 +466,7 @@ def _rewrite_having(predicate: Expression, items: tuple[SelectItem, ...]) -> Exp
 # remaining, non-range conjuncts imply.
 # --------------------------------------------------------------------------- #
 
-_FLIPPED_COMPARISONS = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
+_FLIPPED_COMPARISONS = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
 
 
 def numeric_literal(expr: Expression) -> float | None:
@@ -475,6 +475,19 @@ def numeric_literal(expr: Expression) -> float | None:
         if isinstance(expr.value, bool):
             return None
         return float(expr.value)
+    return None
+
+
+def column_comparison(expr: Expression) -> tuple[str, str, float] | None:
+    """``(column, op, number)`` of a ``column op number`` comparison, with
+    ``number op column`` read the other way round (``2 < x`` is ``x > 2``);
+    ``None`` for any other expression."""
+    if not isinstance(expr, BinaryOp) or expr.op not in _FLIPPED_COMPARISONS:
+        return None
+    if isinstance(expr.left, ColumnRef) and (value := numeric_literal(expr.right)) is not None:
+        return expr.left.name, expr.op, value
+    if isinstance(expr.right, ColumnRef) and (value := numeric_literal(expr.left)) is not None:
+        return expr.right.name, _FLIPPED_COMPARISONS[expr.op], value
     return None
 
 
@@ -500,16 +513,10 @@ def range_interval(expr: Expression) -> RangeInterval | None:
         if low is None or high is None:
             return None
         return RangeInterval(expr.expr.name, low, high)
-    if not isinstance(expr, BinaryOp) or expr.op not in _FLIPPED_COMPARISONS:
+    comparison = column_comparison(expr)
+    if comparison is None or comparison[1] == "<>":
         return None
-    column, op, value = None, expr.op, None
-    if isinstance(expr.left, ColumnRef):
-        column, value = expr.left.name, numeric_literal(expr.right)
-    elif isinstance(expr.right, ColumnRef):
-        column, value = expr.right.name, numeric_literal(expr.left)
-        op = _FLIPPED_COMPARISONS[op]
-    if column is None or value is None:
-        return None
+    column, op, value = comparison
     if op == "=":
         return RangeInterval(column, value, value)
     if op in (">", ">="):

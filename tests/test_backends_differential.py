@@ -336,7 +336,6 @@ def test_corpus_never_hashes_a_stored_string_column(backends, monkeypatch):
     """GROUP BY / DISTINCT / ORDER BY / PARTITION BY over a bare string
     column run on the column's dictionary codes: across the whole corpus
     ``factorize_array`` only ever sees numeric keys."""
-    import repro.sql.executor as executor_module
     import repro.storage.column as column_module
 
     seen: list[np.dtype] = []
@@ -347,7 +346,6 @@ def test_corpus_never_hashes_a_stored_string_column(backends, monkeypatch):
         return real(values)
 
     monkeypatch.setattr(column_module, "factorize_array", recording)
-    monkeypatch.setattr(executor_module, "factorize_array", recording)
     embedded = backends["embedded"]
     assert embedded.table("data").column("g").codes is not None
     for _name, sql, _ordered_flag in CORPUS:

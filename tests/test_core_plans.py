@@ -375,12 +375,16 @@ def test_every_plan_sends_one_sql_text_to_every_backend(template_name, both_back
 
 
 #: Filter expression → carrier → rows kept, whichever side evaluates it.
-#: ``!`` of a NULL or falsy operand is true on the client, so the server
-#: must keep those rows too.
+#: ``!`` of a NULL or falsy operand is true on the client, and so is
+#: ``null != 0``, so the server must keep those rows too.
 NUMERIC_FILTERS = {
     "datum.delay": {"A": 1, "B": 2, "C": 1},
     "!datum.delay": {"A": 1, "C": 1},
     "!(datum.delay > 3)": {"A": 2, "B": 1, "C": 2},
+    "datum.delay != 0": {"A": 1, "B": 2, "C": 2},
+    "datum.delay !== 0": {"A": 1, "B": 2, "C": 2},
+    "0 != datum.delay": {"A": 1, "B": 2, "C": 2},
+    "!(datum.delay != 0)": {"A": 1},
 }
 
 
@@ -388,7 +392,8 @@ NUMERIC_FILTERS = {
 def test_numeric_field_as_filter_renders_the_same_marks(backend_name):
     """``filter datum.delay`` keeps every row whose delay is a non-zero
     number, whichever side evaluates it: 0 and NULL drop, 0.5 and -2 stay;
-    its negations keep the complement."""
+    its negations keep the complement.  ``!=`` keeps the NULL row.  The
+    all-server plan runs the filter in SQL."""
     backend = create_backend(backend_name)
     delays = [("A", 0.0), ("A", 1.0), ("B", 5.0), ("B", -2.0), ("C", None), ("C", 0.5)]
     backend.register_rows(
@@ -412,7 +417,9 @@ def test_numeric_field_as_filter_renders_the_same_marks(backend_name):
         }
         enumerator = PlanEnumerator(parse_spec_dict(spec))
         want_rows = [{"carrier": carrier, "n": n} for carrier, n in want.items()]
-        for plan in (enumerator.all_client_plan(), enumerator.all_server_plan()):
+        server = enumerator.all_server_plan()
+        assert dict(server.assignment)["counts"] == 2, expr
+        for plan in (enumerator.all_client_plan(), server):
             system = VegaPlusSystem(spec, backend)
             system.use_plan(plan)
             system.initialize()
@@ -525,6 +532,86 @@ def test_stack_over_a_null_extent_renders_the_same_marks(backend_name):
     client, server = seen
     assert client == server
     assert [(row["y0"], row["y1"]) for row in server] == [(0, 2), (2, 2), (2, 7)]
+    backend.close()
+
+
+def filter_count_spec(expr):
+    """``filter expr`` then ``count`` by ``g`` over the table ``data``."""
+    return {
+        "data": [
+            {"name": "source", "table": "data"},
+            {
+                "name": "counts",
+                "source": "source",
+                "transform": [
+                    {"type": "filter", "expr": expr},
+                    {"type": "aggregate", "groupby": ["g"], "ops": ["count"], "as": ["n"]},
+                ],
+            },
+        ],
+        "marks": [{"type": "rect", "from": {"data": "counts"}}],
+    }
+
+
+def test_not_equal_between_two_fields_stays_on_the_client():
+    """``null != null`` is false on the client and has no one SQL
+    spelling, so the filter is not offered to the server."""
+    spec = parse_spec_dict(filter_count_spec("datum.x != datum.y"))
+    assert rewritable_prefix(spec.data_entry("counts").transforms) == 0
+
+
+@pytest.mark.parametrize("backend_name", backend_names())
+def test_untranslatable_filter_is_never_offered_to_the_server(backend_name):
+    """A filter with no SQL form (``min`` over per-row arguments) keeps
+    the whole entry on the client: the optimizer's plan initialises."""
+    backend = create_backend(backend_name)
+    backend.register_rows(
+        "data",
+        [{"g": g, "x": x, "y": y} for g, x, y in (("a", 1.0, 2.0), ("a", -1.0, 3.0), ("b", 2.0, 5.0))],
+    )
+    spec = filter_count_spec("min(datum.x, datum.y) > 0")
+    system = VegaPlusSystem(spec, backend)
+    system.optimize()
+    system.initialize()
+    got = sorted(system.dataset("counts"), key=lambda row: row["g"])
+    assert got == [{"g": "a", "n": 1}, {"g": "b", "n": 1}]
+    assert rewritable_prefix(parse_spec_dict(spec).data_entry("counts").transforms) == 0
+    backend.close()
+
+
+#: The SQL the all-server crossfilter sends for one interaction.  Its
+#: brushes use only ``>=``, ``<=`` and ``&&``, so no rendering rule for
+#: other operators may change it.
+CROSSFILTER_WHERE = (
+    "WHERE (((((distance >= 200) AND (distance <= 1500.5)) AND ((air_time >= 20) AND "
+    "(air_time <= 600))) AND ((dep_delay >= -10) AND (dep_delay <= 60)))) GROUP BY bin0"
+)
+CROSSFILTER_SQL = [
+    "SELECT CASE WHEN distance >= 4600.0 THEN 4400.0 WHEN distance < 0.0 THEN 0.0 ELSE "
+    "FLOOR((distance - 0.0) / 200.0) * 200.0 + 0.0 END AS bin0, COUNT(*) AS count FROM flights "
+    + CROSSFILTER_WHERE,
+    "SELECT CASE WHEN air_time >= 600.0 THEN 575.0 WHEN air_time < 0.0 THEN 0.0 ELSE "
+    "FLOOR((air_time - 0.0) / 25.0) * 25.0 + 0.0 END AS bin0, COUNT(*) AS count FROM flights "
+    + CROSSFILTER_WHERE,
+    "SELECT CASE WHEN dep_delay >= 300.0 THEN 280.0 WHEN dep_delay < -40.0 THEN -40.0 ELSE "
+    "FLOOR((dep_delay - -40.0) / 20.0) * 20.0 + -40.0 END AS bin0, COUNT(*) AS count FROM flights "
+    + CROSSFILTER_WHERE,
+]
+
+
+def test_crossfilter_sql_text_is_pinned(template_rows):
+    backend = create_backend("embedded")
+    backend.register_rows("flights", template_rows)
+    sent = []
+    execute = backend.execute
+    backend.execute = lambda sql: sent.append(str(sql)) or execute(sql)
+    spec = crossfilter_instance().spec
+    system = VegaPlusSystem(spec, backend)
+    system.use_plan(PlanEnumerator(parse_spec_dict(spec)).all_server_plan())
+    system.initialize()
+    sent.clear()
+    system.interact({"brush_a_lo": 200, "brush_a_hi": 1500.5, "brush_c_lo": -10, "brush_c_hi": 60})
+    assert sent == CROSSFILTER_SQL
     backend.close()
 
 

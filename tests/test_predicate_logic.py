@@ -2,7 +2,9 @@
 
 Hypothesis draws predicate trees — AND, OR, NOT, comparisons, [NOT]
 BETWEEN, [NOT] IN, IS [NOT] NULL and [NOT] LIKE — over nullable numeric
-columns ``v`` / ``u`` and a nullable string column ``s``.  Every tree runs
+columns ``v`` / ``u`` and a nullable string column ``s``.  Comparisons
+put a literal on either side, and the literal may be NULL, TRUE / FALSE
+or, against a numeric column, string text.  Every tree runs
 
 * in WHERE, on the embedded engine over a flat and a partitioned copy of
   the table and on sqlite, whose rows must be ``==``;
@@ -10,16 +12,21 @@ columns ``v`` / ``u`` and a nullable string column ``s``.  Every tree runs
   values must also match a pure-Python Kleene oracle (TRUE 1, FALSE 0,
   UNKNOWN NULL);
 * as a static conjunct beside an IVM brush, with IVM on and off.
+
+WHERE clauses of 2–8 top-level conjuncts, each a leaf or a tree, run
+the same WHERE differential: the executor evaluates those conjunct by
+conjunct, with scalar operands.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import create_backend
@@ -75,6 +82,9 @@ def kleene_not(value: Truth) -> Truth:
 def compare(op: str, left: object, right: object) -> Truth:
     if left is None or right is None:
         return None
+    if isinstance(left, str) != isinstance(right, str):
+        # A number sorts before any text; no drawn string looks numeric.
+        left, right = isinstance(left, str), isinstance(right, str)
     return COMPARISONS[op](left, right)
 
 
@@ -122,6 +132,8 @@ class Predicate:
 def _literal(value: object) -> str:
     if value is None:
         return "NULL"
+    if isinstance(value, bool):
+        return "TRUE" if value else "FALSE"
     if isinstance(value, str):
         return f"'{value}'"
     return repr(value)
@@ -135,19 +147,34 @@ def _negated(negate: bool, predicate: Predicate) -> Predicate:
 
 numbers = st.one_of(st.none(), st.sampled_from(NUMBERS))
 strings = st.one_of(st.none(), st.sampled_from(STRINGS))
+#: What a numeric column is compared with: mostly a number or NULL, else
+#: TRUE (1), FALSE (0) or string text.
+numeric_operands = st.one_of(numbers, numbers, numbers, st.booleans(), st.sampled_from(STRINGS))
 comparison_ops = st.sampled_from(sorted(COMPARISONS))
 
 
 @st.composite
 def numeric_comparisons(draw) -> Predicate:
+    if draw(st.booleans()):
+        return draw(scalar_comparisons())
     column = draw(st.sampled_from(("v", "u")))
     op = draw(comparison_ops)
-    if draw(st.booleans()):
-        other = "u" if column == "v" else "v"
+    other = "u" if column == "v" else "v"
+    return Predicate(f"{column} {op} {other}", lambda row: compare(op, row[column], row[other]))
+
+
+@st.composite
+def scalar_comparisons(draw) -> Predicate:
+    """A numeric column against a literal, the literal on either side."""
+    column = draw(st.sampled_from(("v", "u")))
+    return _scalar(column, draw(comparison_ops), draw(numeric_operands), draw(st.booleans()))
+
+
+def _scalar(column: str, op: str, value: object, literal_first: bool) -> Predicate:
+    if literal_first:
         return Predicate(
-            f"{column} {op} {other}", lambda row: compare(op, row[column], row[other])
+            f"{_literal(value)} {op} {column}", lambda row: compare(op, value, row[column])
         )
-    value = draw(numbers)
     return Predicate(f"{column} {op} {_literal(value)}", lambda row: compare(op, row[column], value))
 
 
@@ -155,6 +182,8 @@ def numeric_comparisons(draw) -> Predicate:
 def string_comparisons(draw) -> Predicate:
     op = draw(comparison_ops)
     value = draw(strings)
+    if draw(st.booleans()):
+        return Predicate(f"{_literal(value)} {op} s", lambda row: compare(op, value, row["s"]))
     return Predicate(f"s {op} {_literal(value)}", lambda row: compare(op, row["s"], value))
 
 
@@ -237,13 +266,25 @@ def _combine(children: st.SearchStrategy[Predicate]) -> st.SearchStrategy[Predic
     return st.one_of(pairs.map(conjunction), pairs.map(disjunction), children.map(negation))
 
 
-predicates = st.recursive(
-    st.one_of(
-        numeric_comparisons(), string_comparisons(), betweens(), in_lists(), null_tests(), likes()
-    ),
-    _combine,
-    max_leaves=6,
+leaves = st.one_of(
+    numeric_comparisons(), string_comparisons(), betweens(), in_lists(), null_tests(), likes()
 )
+predicates = st.recursive(leaves, _combine, max_leaves=6)
+
+
+def _conjunction(parts: list[Predicate]) -> Predicate:
+    return Predicate(
+        " AND ".join(f"({part.sql})" for part in parts),
+        lambda row: functools.reduce(kleene_and, (part.truth(row) for part in parts)),
+    )
+
+
+#: WHERE clauses of 2–8 top-level conjuncts, mostly scalar comparisons.
+conjunctions = st.lists(
+    st.one_of(scalar_comparisons(), scalar_comparisons(), scalar_comparisons(), leaves, predicates),
+    min_size=2,
+    max_size=8,
+).map(_conjunction)
 
 rows_strategy = st.lists(
     st.fixed_dictionaries({"v": numbers, "u": numbers, "s": strings}), min_size=1, max_size=12
@@ -268,6 +309,36 @@ def _table(rows: list[Row]) -> list[Row]:
 @settings(max_examples=60, deadline=None)
 @given(rows=rows_strategy, predicate=predicates)
 def test_predicates_identical_across_backends_and_oracle(rows, predicate):
+    _assert_identical_across_backends_and_oracle(rows, predicate)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=rows_strategy, predicate=conjunctions)
+@example(
+    # A NULL ``v`` must not pass ``v <> 1.0``, and ``0.5 < u`` is ``u > 0.5``
+    # (not ``u >= 0.5``): the second row sits on that edge.
+    rows=[
+        {"v": None, "u": 2.0, "s": "a"},
+        {"v": 2.0, "u": 0.5, "s": "a"},
+        {"v": 0.5, "u": 1.0, "s": None},
+        {"v": 1.0, "u": 2.0, "s": "b"},
+    ],
+    predicate=_conjunction([_scalar("v", "<>", 1.0, False), _scalar("u", "<", 0.5, True)]),
+)
+@example(
+    # ``0.0 <= u`` is ``u >= 0.0``: the second row sits on that edge.
+    rows=[
+        {"v": None, "u": 1.0, "s": "a"},
+        {"v": 0.5, "u": 0.0, "s": "b"},
+        {"v": 2.0, "u": None, "s": "b"},
+    ],
+    predicate=_conjunction([_scalar("v", "<>", 1.0, True), _scalar("u", "<=", 0.0, True)]),
+)
+def test_top_level_conjunctions_identical_across_backends_and_oracle(rows, predicate):
+    _assert_identical_across_backends_and_oracle(rows, predicate)
+
+
+def _assert_identical_across_backends_and_oracle(rows: list[Row], predicate: Predicate) -> None:
     table = _table(rows)
     embedded = Database()
     embedded.register_rows("t", table, column_order=COLUMNS)

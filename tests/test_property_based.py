@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.enumerator import PlanEnumerator
-from repro.sql.executor import (
+from repro.bench.reference import (
     distinct_indices_reference,
     group_rows_reference,
     group_rows_vectorized,

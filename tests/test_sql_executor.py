@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import CatalogError, ExecutionError, PlanningError
 from repro.sql import Database
-from repro.sql.executor import (
+from repro.bench.reference import (
     distinct_indices_reference,
     group_rows_reference,
     sort_indices_reference,
@@ -67,6 +67,26 @@ def test_where_in_list_and_string_equality(db):
 def test_where_between_and_not(db):
     assert len(rows(db, "SELECT * FROM tiny WHERE value BETWEEN 20 AND 30")) == 2
     assert len(rows(db, "SELECT * FROM tiny WHERE NOT value > 20")) == 2
+
+
+def test_where_scalar_comparisons_either_way_round(db):
+    """``number op column`` reads as ``column op number`` flipped, and only
+    ``<>`` needs the NULL row masked out."""
+    assert len(rows(db, "SELECT * FROM tiny WHERE 20 < value")) == 2
+    assert len(rows(db, "SELECT * FROM tiny WHERE 20 >= value AND value >= 20")) == 1
+    assert len(rows(db, "SELECT * FROM tiny WHERE value <> 20")) == 3
+    assert len(rows(db, "SELECT * FROM tiny WHERE 20 <> value AND weight <> 5")) == 2
+
+
+def test_where_error_does_not_depend_on_earlier_conjuncts(db):
+    """Every conjunct is evaluated over every row: one that keeps nothing
+    does not hide a later conjunct's error."""
+    with pytest.raises(ExecutionError, match="requires numeric operands"):
+        rows(db, "SELECT * FROM tiny WHERE value > 99 AND category + 1 > 0")
+    db.register_rows("tiny_parts", db.table("tiny").to_rows())
+    db.repartition("tiny_parts", 2)
+    with pytest.raises(ExecutionError, match="requires numeric operands"):
+        rows(db, "SELECT * FROM tiny_parts WHERE value > 99 AND category + 1 > 0")
 
 
 def test_arithmetic_and_scalar_functions(db):
