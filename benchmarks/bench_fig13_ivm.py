@@ -2,27 +2,25 @@
 
 Beyond the paper: crossfilter brush sequences are the dominant
 interaction pattern of the paper's dashboards, and re-executing the full
-aggregate query on every brush move costs O(table) per interaction.  The
-IVM subsystem (:mod:`repro.sql.ivm`) maintains a materialized group-by
-view instead, applying deltas only for the rows entering/leaving the
-brushed interval — O(delta) per interaction.  This sweep slides a
-10%-wide brush in 5% steps across ``dep_delay`` at several data scales
-and times every step twice on the same backend kind: IVM enabled vs IVM
-disabled.
+aggregate query on every brush move filters the whole table each time.
+The IVM subsystem (:mod:`repro.sql.ivm`) builds a prefiltered index tile
+per query shape instead, and answers each move by aggregating only the
+rows inside the brushed interval.  This sweep slides a 10%-wide brush in
+5% steps across ``dep_delay`` at several data scales and times every
+step twice on the same backend kind: IVM enabled vs IVM disabled.
 
-Two query kinds per point, because the delta algebra splits there:
-``decomposable`` (COUNT/SUM/AVG — exact retraction, pure O(delta)) and
-``extrema`` (MIN/MAX — retraction falls back to re-scanning the affected
-groups' in-range rows, O(delta + window)).
+Two query kinds per point: ``decomposable`` (COUNT/SUM/AVG) and
+``extrema`` (MIN/MAX).  Both aggregate the brush window through the
+executor's own operators, so neither ever re-scans part of a view.
 
 Correctness gates: the IVM leg's rows are **exactly equal** (``==``, no
 float tolerance — eligibility rules guarantee bit-identity) to the
 re-scan leg's at every step, on every backend, at every scale.
 Acceptance gate: at full workload scale the embedded backend's
 decomposable sweep must show a ≥5x p95 win over re-scan on the largest
-point — brush-move latency scales with the delta, not the table.  (The
-reduced-scale CI smoke keeps the identity gate but not the speedup
-floor: at a few thousand rows, fixed per-query overheads dominate.)
+point.  (The reduced-scale CI smoke keeps the identity gate but not the
+speedup floor: at a few thousand rows, fixed per-query overheads
+dominate.)
 """
 
 import pytest
@@ -79,13 +77,13 @@ def test_figure13_ivm_brush_sweep(benchmark, backend_name, point, query_kind):
         name: round(value, 1) for name, value in result.ivm_metrics.items()
     }
 
-    # Maintenance must never change results — and the maintained path
-    # must actually have engaged (one hit per measured step).
+    # A view must never change results — and it must actually have
+    # answered (one hit per measured step).
     assert result.matches_rescan, result.mismatched_queries
     assert result.ivm_metrics["ivm_hits"] >= result.steps * REPEATS
 
     if query_kind == "decomposable":
-        # Exact retraction: no extremum fallback re-scans may occur.
+        # No partial re-scan of a view may occur.
         assert result.ivm_metrics["ivm_fallbacks"] == 0
 
     if (

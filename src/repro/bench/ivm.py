@@ -1,28 +1,27 @@
 """Brush-trajectory driver for incremental view maintenance (Figure 13).
 
-Measures the claim behind :mod:`repro.sql.ivm`: once a crossfilter view
-is materialized, a brush move costs **O(delta)** — proportional to the
-rows entering/leaving the brushed interval — while re-executing the SQL
-costs **O(table)**.  The driver slides a fixed-width brush across the
-``dep_delay`` dimension of the flights dataset and runs every step twice
-on the *same* backend kind: once with IVM enabled (the maintenance path)
-and once with IVM disabled (the plain re-scan path), asserting the two
-result tables **exactly equal** at every step — the IVM eligibility
-rules only admit query shapes whose maintained results are bit-identical
-to re-execution, so the comparison here is ``==`` on rows, not
+Measures the claim behind :mod:`repro.sql.ivm`: once a crossfilter
+view's index tile is built, a brush move costs two binary searches, one
+gather of the rows the brush selects and one aggregate over them —
+proportional to the brush *window*, with no pass over the table and no
+re-evaluation of the static conjuncts — while re-executing the SQL
+filters the whole table.  The driver slides a fixed-width brush across
+the ``dep_delay`` dimension of the flights dataset and runs every step
+twice on the *same* backend kind: once with IVM enabled and once with
+IVM disabled (the plain re-scan path), asserting the two result tables
+**exactly equal** at every step — the IVM eligibility rules only admit
+query shapes whose results from a view are bit-identical to
+re-execution, so the comparison here is ``==`` on rows, not
 tolerance-based.
 
-Two query kinds, because the delta algebra splits there:
+Two query kinds, one per aggregate family:
 
 * ``decomposable`` — COUNT(*), SUM and AVG over the integer-valued
-  ``distance`` column.  These retract exactly (subtract what leaves), so
-  a brush step costs pure O(delta); this is the kind the ≥5x headline
-  gate measures.
-* ``extrema`` — MIN/MAX over ``delay``.  Extrema cannot retract: when
-  the brush slides past a group's current extremum the view re-scans the
-  in-range rows of the affected groups (the retraction fallback), so a
-  step costs O(delta + brush window) — still independent of table size,
-  but with a larger constant the sweep reports separately.
+  ``distance`` column (exact sums, so their bits do not depend on row
+  order); this is the kind the ≥5x headline gate measures.
+* ``extrema`` — MIN/MAX over ``delay``.  A step costs what a
+  ``decomposable`` step costs: the view has no per-step state, so a
+  brush that slides past a group's extremum needs nothing special.
 """
 
 from __future__ import annotations
@@ -106,9 +105,8 @@ def brush_trajectory(
     """Sliding-brush intervals covering ``[span_low, span_high]``.
 
     Monotone left-to-right: consecutive windows overlap by
-    ``width_fraction - step_fraction`` of the span, so each step's delta
-    is the ``step_fraction`` slice entering plus the one leaving —
-    exactly the O(delta) regime IVM is built for.
+    ``width_fraction - step_fraction`` of the span, so each step
+    aggregates a ``width_fraction`` slice of the data.
     """
     span = span_high - span_low
     width = width_fraction * span
@@ -133,7 +131,7 @@ class IVMRunResult:
     ivm_seconds: list[float] = field(default_factory=list)
     #: Per-step latency of the IVM-disabled backend (plain re-scan).
     rescan_seconds: list[float] = field(default_factory=list)
-    #: IVM metric deltas over the measured passes (hits, delta rows, ...).
+    #: IVM counter differences over the measured passes (hits, window rows, ...).
     ivm_metrics: dict[str, float] = field(default_factory=dict)
     #: True when every IVM result was exactly equal to the re-scan result.
     matches_rescan: bool = True
@@ -160,7 +158,7 @@ class IVMRunResult:
 
     @property
     def delta_fraction(self) -> float:
-        """Delta rows touched as a fraction of the rows a re-scan reads."""
+        """Window rows aggregated as a fraction of the rows a re-scan reads."""
         touched = self.ivm_metrics.get("ivm_delta_rows", 0.0)
         avoided = self.ivm_metrics.get("ivm_rescan_rows_avoided", 0.0)
         total = touched + avoided
@@ -174,7 +172,7 @@ def run_ivm_trajectory(
     repeats: int = 3,
     seed: int = 7,
 ) -> IVMRunResult:
-    """Measure one sweep size: IVM maintenance vs plain re-execution.
+    """Measure one sweep size: answers from a view vs plain re-execution.
 
     Two backends of the same kind over identical data — one with IVM on,
     one with IVM off — replay the same sliding-brush trajectory.  The
@@ -188,8 +186,7 @@ def run_ivm_trajectory(
     queries = [brush_query(low, high, kind=query_kind) for low, high in trajectory]
 
     # Every step shares one view key, so the warm pass builds the view
-    # (on its REGISTER_AFTER-th step) and every measured step runs the
-    # maintenance path.
+    # (on its REGISTER_AFTER-th step) and every measured step is a hit.
     ivm_backend: SQLBackend = create_backend(backend)
     rescan_backend: SQLBackend = create_backend(backend, ivm=False)
     result = IVMRunResult(

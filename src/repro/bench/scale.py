@@ -204,7 +204,7 @@ def rows_match(left: list[dict[str, object]], right: list[dict[str, object]]) ->
 def _build_backend(backend: str) -> SQLBackend:
     # IVM stays off on both legs: the sweep measures scan execution
     # (flat vs partitioned), and the repeated query mix would otherwise
-    # be answered from maintained views on both sides, compressing the
+    # be answered from IVM views on both sides, compressing the
     # ratio toward 1.  The IVM axis has its own sweep (repro.bench.ivm).
     return create_backend(backend, ivm=False)
 

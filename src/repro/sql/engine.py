@@ -99,14 +99,14 @@ class SQLBackend:
     ----------
     ivm:
         When True (default) eligible crossfilter-style queries are
-        answered by incrementally maintained materialized views (see
+        answered from prefiltered index tiles built per query shape (see
         :mod:`repro.sql.ivm`); results are bit-identical to a full
         re-scan by construction.
     """
 
     #: Short identifier used in cache keys, benchmark output and logs.
     name: str
-    #: Whether IVM applies the extra eligibility rules that keep maintained
+    #: Whether IVM applies the extra eligibility rules that keep a view's
     #: results bit-identical to an engine other than the embedded one.
     strict_ivm = False
 

@@ -559,10 +559,10 @@ class Executor:
     def execute_subtree(self, node: PlanNode, stats: ExecutionStats) -> Table:
         """Execute a plan subtree, accumulating into an existing ``stats``.
 
-        The IVM maintenance path uses this to replay a plan's suffix
+        An IVM hit uses this to run a plan's aggregate and suffix
         operators (HAVING / DISTINCT / ORDER BY / LIMIT) over a
-        :class:`~repro.sql.planner.MaterializedNode` carrying the
-        incrementally maintained aggregate rows.
+        :class:`~repro.sql.planner.MaterializedNode` carrying the rows
+        its brush selects.
         """
         return self._execute_node(node, stats)
 

@@ -215,7 +215,7 @@ def apply_scalar_function(name: str, args: Sequence[np.ndarray]) -> np.ndarray:
 
 #: Aggregates with a ``reduceat`` batch form over group segments and a
 #: partial state that merges exactly: COUNT and SUM add, MIN and MAX
-#: reduce again, AVG carries (sum, count).  IVM views maintain exactly
+#: reduce again, AVG carries (sum, count).  IVM views admit exactly
 #: these.
 MERGEABLE_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
@@ -230,7 +230,7 @@ def aggregate_segments(
     """Reduce every ``values[starts[g]:ends[g]]`` segment, skipping NULLs.
 
     The one aggregate kernel: the executor's groups and window totals,
-    IVM deltas, sqlite's MEDIAN/STDDEV/VARIANCE and the client's
+    sqlite's MEDIAN/STDDEV/VARIANCE and the client's
     ``aggregate``/``joinaggregate`` all reduce here, so a value does not
     depend on which of them computed it.  ``values`` is a column's array
     in group-sorted order (float64 with NaN = NULL, or objects with

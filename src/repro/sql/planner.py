@@ -159,13 +159,13 @@ class DistinctNode(PlanNode):
 
 @dataclass
 class MaterializedNode(PlanNode):
-    """A leaf carrying an already-computed result table.
+    """A leaf carrying an already-computed table.
 
-    The IVM maintenance path replaces an eligible plan's aggregate
-    subtree with this node so the plan's suffix operators (HAVING /
-    DISTINCT / ORDER BY / LIMIT) run unchanged over the incrementally
-    maintained aggregate rows.  ``table`` is duck-typed to avoid a
-    planner -> storage import; the executor treats it as a
+    An IVM hit replaces an eligible plan's filtered scan with this node,
+    carrying the rows the brush selects, so the plan's aggregate and
+    suffix operators (HAVING / DISTINCT / ORDER BY / LIMIT) run
+    unchanged over them.  ``table`` is duck-typed to avoid a planner ->
+    storage import; the executor treats it as a
     :class:`~repro.storage.table.Table`.
     """
 
@@ -397,9 +397,8 @@ def aggregate_item_leaves(
 def mergeable_call(call: FunctionCall) -> bool:
     """Whether ``call`` has a partial state that merges exactly.
 
-    IVM views keep such a state per group and merge deltas into it: a
-    :data:`MERGEABLE_AGGREGATES` call, not DISTINCT, over ``*`` or one
-    argument.
+    IVM views admit only such calls: a :data:`MERGEABLE_AGGREGATES`
+    call, not DISTINCT, over ``*`` or one argument.
     """
     return (
         call.name.upper() in MERGEABLE_AGGREGATES
@@ -536,12 +535,13 @@ class IVMTemplate:
     optional HAVING/DISTINCT/ORDER BY/LIMIT suffix) into the parts the
     IVM view is keyed on (table, static conjuncts, group keys, items)
     and the part that changes between interactions (the brush interval).
-    Two queries with the same :attr:`view_key` can share one
-    materialized view; only the delta between their brush intervals is
-    scanned.
+    Two queries with the same :attr:`view_key` share one view; each
+    aggregates only the rows its own brush interval selects.
     """
 
     table_name: str
+    #: The plan's scan; its recorded columns are the ones a view keeps.
+    scan: ScanNode
     #: The brush: the intersection of every range conjunct on its column,
     #: so a contradictory WHERE clause yields an empty interval.
     interval: RangeInterval
@@ -567,11 +567,11 @@ class IVMTemplate:
 
 
 def _incrementable_expression(expr: Expression, aggregate: AggregateNode) -> bool:
-    """Whether one SELECT-item expression is maintainable from deltas.
+    """Whether one SELECT-item expression is one an IVM view admits.
 
-    Its aggregate calls must be mergeable (MIN/MAX with a retraction
-    fallback, AVG as SUM + COUNT; see docs/IVM.md) and its group-shared
-    parts group keys, whose values the view keeps per group.
+    Its aggregate calls must be mergeable, the aggregates whose bits can
+    be made independent of row order (see docs/IVM.md), and its
+    group-shared parts group keys.
     """
     calls, shared = aggregate_item_leaves(expr)
     return all(mergeable_call(call) for call in calls) and all(
@@ -584,9 +584,9 @@ def ivm_template(plan: LogicalPlan) -> IVMTemplate | None:
 
     Returns ``None`` when the plan is not a single-table filtered
     aggregation, when the WHERE clause has no numeric range conjunct to
-    act as the brush, or when any SELECT item is not maintainable from
-    deltas (non-incrementable aggregate, DISTINCT aggregate, window
-    function, expression that is neither a group key nor an aggregate).
+    act as the brush, or when any SELECT item is not one a view admits
+    (a non-mergeable aggregate, DISTINCT aggregate, window function,
+    expression that is neither a group key nor an aggregate).
     """
     suffix: list[PlanNode] = []
     node = plan.root
@@ -628,6 +628,7 @@ def ivm_template(plan: LogicalPlan) -> IVMTemplate | None:
         return None
     return IVMTemplate(
         table_name=scan.table_name,
+        scan=scan,
         interval=brush,
         static_conjuncts=tuple(static),
         aggregate=aggregate,

@@ -12,7 +12,7 @@ code ``len(dictionary)``.  Because the dictionary is sorted and all
 strings share one :func:`sort_rank_key` tier, code order *is* the
 engine's deterministic group/sort order (strings ascending, NULL last),
 so grouping, DISTINCT and ORDER BY run on the codes and never hash a
-string again.  ``filter``/``take``/``slice`` move codes and share the
+string again.  ``take``/``slice`` move codes and share the
 dictionary by reference; ``values`` materialises the object view
 (``None`` = NULL) lazily for consumers that want Python strings.  A
 string column holding anything else (mixed types) keeps the plain object
@@ -357,7 +357,7 @@ class Column:
         return self._values == None  # noqa: E711 - elementwise over objects
 
     def _derive(self, index: object) -> "Column":
-        """The rows selected by ``index`` (mask, index array or slice)."""
+        """The rows selected by ``index`` (an index array or a slice)."""
         if self.codes is not None:
             return Column.from_codes(self.name, self.codes[index], self.dictionary)
         return Column._of(self.name, self.ctype, self._values[index])
@@ -365,10 +365,6 @@ class Column:
     def take(self, indices: np.ndarray) -> "Column":
         """Return a new column containing the rows at ``indices``."""
         return self._derive(indices)
-
-    def filter(self, mask: np.ndarray) -> "Column":
-        """Return a new column with only rows where ``mask`` is True."""
-        return self._derive(mask)
 
     def slice(self, start: int, stop: int | None = None) -> "Column":
         """Rows ``start:stop`` as a zero-copy view (shares the dictionary)."""

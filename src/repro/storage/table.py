@@ -257,10 +257,6 @@ class Table:
         cols = [col.rename(mapping.get(col.name, col.name)) for col in self.columns()]
         return Table(cols, name=self.name)
 
-    def filter(self, mask: np.ndarray) -> "Table":
-        """Keep rows where ``mask`` is True."""
-        return Table([col.filter(mask) for col in self.columns()], name=self.name)
-
     def take(self, indices: np.ndarray) -> "Table":
         """Reorder/subset rows by integer indices."""
         return Table([col.take(indices) for col in self.columns()], name=self.name)

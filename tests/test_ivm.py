@@ -8,19 +8,24 @@ brushes that empty out and refill — over random datasets and group keys,
 comparing an IVM-enabled engine against an IVM-disabled one row for row
 at every step, on every backend.
 
-Also covered: the MIN/MAX retraction fallback (with pinned
-:attr:`~repro.sql.engine.SQLBackend.metrics` counters), catalog invalidation
-on re-register/drop, suffix replay (HAVING / ORDER BY / LIMIT) and
-eligibility negatives.
+Also covered: brushing out a MIN/MAX is an ordinary hit (with pinned
+:attr:`~repro.sql.engine.SQLBackend.metrics` counters), concurrent
+sessions brushing one view, catalog invalidation on re-register/drop,
+suffix replay (HAVING / ORDER BY / LIMIT) and eligibility negatives.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import backend_names, create_backend
+from repro.datasets.generators import generate_dataset
 from repro.sql import Database
 from repro.sql.ivm import MAX_VIEWS, IVMManager
 from repro.sql.parser import parse_sql
@@ -228,13 +233,13 @@ def test_having_order_limit_suffix_replayed():
 
 
 # --------------------------------------------------------------------------- #
-# MIN/MAX retraction fallback (pinned metrics)
+# Brushing out an extremum (pinned metrics)
 # --------------------------------------------------------------------------- #
 
 
 def _extremum_db() -> tuple[Database, Database]:
     # v is minimal at b=0 and maximal at b=9, so a brush edge crossing
-    # either endpoint retracts the current extremum.
+    # either endpoint drops the current extremum.
     rows = [{"b": b, "v": [1, 5, 6, 7, 8, 9, 10, 11, 12, 13][b]} for b in range(10)]
     ivm_db = Database()
     plain = Database(ivm=False)
@@ -243,12 +248,14 @@ def _extremum_db() -> tuple[Database, Database]:
     return ivm_db, plain
 
 
-def test_min_retraction_triggers_partial_rescan():
-    """Brushing out the current minimum re-scans the remaining range."""
+def test_min_retraction_is_a_plain_hit():
+    """Brushing out the current minimum aggregates the window like any
+    other step: no fallback, one more hit."""
     ivm_db, plain = _extremum_db()
     sql = "SELECT MIN(v) AS lo, MAX(v) AS hi FROM t WHERE b >= {}"
     for _ in range(2):  # the second sighting builds the view
         assert ivm_db.execute(sql.format(0)).table.to_rows() == [{"lo": 1, "hi": 13}]
+    hits = ivm_db.metrics.snapshot()["ivm_hits"]
     # b=0 (v=1, the minimum) leaves; the max (b=9) stays in range.
     assert (
         ivm_db.execute(sql.format(1)).table.to_rows()
@@ -256,16 +263,16 @@ def test_min_retraction_triggers_partial_rescan():
         == [{"lo": 5, "hi": 13}]
     )
     snapshot = ivm_db.metrics.snapshot()
-    # Exactly one refreshing aggregate (MIN), re-scanning the 9 in-range rows.
-    assert snapshot["ivm_fallbacks"] == 1
-    assert snapshot["ivm_fallback_rows"] == 9
+    assert snapshot["ivm_fallbacks"] == 0
+    assert snapshot["ivm_hits"] == hits + 1
 
 
-def test_max_retraction_triggers_partial_rescan():
+def test_max_retraction_is_a_plain_hit():
     ivm_db, plain = _extremum_db()
     sql = "SELECT MIN(v) AS lo, MAX(v) AS hi FROM t WHERE b <= {}"
     for _ in range(2):
         assert ivm_db.execute(sql.format(9)).table.to_rows() == [{"lo": 1, "hi": 13}]
+    hits = ivm_db.metrics.snapshot()["ivm_hits"]
     # b=9 (v=13, the maximum) leaves; the min (b=0) stays in range.
     assert (
         ivm_db.execute(sql.format(8)).table.to_rows()
@@ -273,13 +280,13 @@ def test_max_retraction_triggers_partial_rescan():
         == [{"lo": 1, "hi": 12}]
     )
     snapshot = ivm_db.metrics.snapshot()
-    assert snapshot["ivm_fallbacks"] == 1
-    assert snapshot["ivm_fallback_rows"] == 9
+    assert snapshot["ivm_fallbacks"] == 0
+    assert snapshot["ivm_hits"] == hits + 1
 
 
 def test_emptied_brush_needs_no_fallback_rescan():
-    """Dropping every row zeroes the extremum without a re-scan, and the
-    refilled brush rebuilds it from entering rows alone."""
+    """A brush that selects nothing and then refills is answered from
+    the view at every step."""
     ivm_db, plain = _extremum_db()
     sql = "SELECT MIN(v) AS lo, MAX(v) AS hi FROM t WHERE b >= {}"
     for threshold in (0, 0, 100, 0):
@@ -290,6 +297,85 @@ def test_emptied_brush_needs_no_fallback_rescan():
     snapshot = ivm_db.metrics.snapshot()
     assert snapshot["ivm_fallbacks"] == 0
     assert snapshot["ivm_hits"] == 3
+
+
+# --------------------------------------------------------------------------- #
+# Concurrent sessions brushing one view
+# --------------------------------------------------------------------------- #
+
+_CONCURRENT_SQL = (
+    "SELECT carrier, COUNT(*) AS n, SUM(distance) AS total, AVG(distance) AS mean, "
+    "MIN(delay) AS lo, MAX(delay) AS hi FROM flights "
+    "WHERE dep_delay BETWEEN {low} AND {high} GROUP BY carrier ORDER BY carrier"
+)
+
+
+def _dep_delay_trajectory(seed: int, steps: int = 25) -> list[str]:
+    """A seeded ``dep_delay`` brush drag that reverses and jumps."""
+    rng = np.random.default_rng(seed)
+    width = float(rng.uniform(10.0, 60.0))
+    low = float(rng.uniform(-30.0, 300.0 - width))
+    direction = 1.0
+    queries = []
+    for _ in range(steps):
+        draw = rng.random()
+        if draw < 0.15:
+            low = float(rng.uniform(-30.0, 300.0 - width))  # jump
+        else:
+            if draw < 0.35:
+                direction = -direction  # reversal
+            low = min(max(low + direction * float(rng.uniform(1.0, 8.0)), -30.0), 300.0)
+        queries.append(_CONCURRENT_SQL.format(low=round(low, 2), high=round(low + width, 2)))
+    return queries
+
+
+@pytest.mark.parametrize("backend", backend_names())
+def test_concurrent_brushes_share_one_view(backend):
+    """Eight threads brush one view at once: every step's rows == a
+    re-scan's, and the shape builds exactly one view."""
+    rows = generate_dataset("flights", 3_000, seed=5)
+    trajectories = [_dep_delay_trajectory(seed) for seed in range(8)]
+    ivm_backend = create_backend(backend)
+    plain = create_backend(backend, ivm=False)
+    try:
+        for db in (ivm_backend, plain):
+            db.register_rows("flights", rows)
+        results: dict[int, list[list[dict]]] = {}
+        errors: list[Exception] = []
+        barrier = threading.Barrier(len(trajectories), timeout=30)
+
+        def replay(index: int) -> None:
+            try:
+                barrier.wait()
+                results[index] = [ivm_backend.query_rows(sql) for sql in trajectories[index]]
+            except Exception as exc:  # surfaced in the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=replay, args=(index,))
+            for index in range(len(trajectories))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        for index, queries in enumerate(trajectories):
+            for sql, got in zip(queries, results[index]):
+                assert got == plain.query_rows(sql), sql
+        snapshot = ivm_backend.metrics.snapshot()
+        assert snapshot["ivm_views"] == 1
+        assert snapshot["ivm_hits"] == sum(map(len, trajectories)) - 1
+        assert snapshot["ivm_fallbacks"] == 0
+    finally:
+        ivm_backend.close()
+        plain.close()
 
 
 # --------------------------------------------------------------------------- #

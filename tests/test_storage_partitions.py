@@ -56,7 +56,7 @@ class TestPartitionedTable:
     def test_behaves_like_a_table(self):
         table = PartitionedTable.from_table(_table(20), target_rows=6)
         assert table.column_names() == ["t", "v", "g"]
-        filtered = table.filter(table.column("t").values < 5.0)
+        filtered = table.take(np.flatnonzero(table.column("t").values < 5.0))
         assert filtered.num_rows == 5
         assert not isinstance(filtered, PartitionedTable)
 
