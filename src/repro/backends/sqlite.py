@@ -173,11 +173,6 @@ class SqliteBackend(SQLBackend):
         self._local.connection = connection
         return connection
 
-    def connection_count(self) -> int:
-        """Number of per-thread connections opened so far."""
-        with self._connections_lock:
-            return len(self._connections)
-
     # ------------------------------------------------------------------ #
     # What differs from the front door
     # ------------------------------------------------------------------ #

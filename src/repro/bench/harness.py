@@ -97,14 +97,6 @@ class PlanMeasurement:
     plan: ExecutionPlan
     sessions: list[SessionMeasurement] = field(default_factory=list)
 
-    def engine_totals(self) -> dict[str, float]:
-        """Summed server-side engine counters across this plan's sessions."""
-        totals: dict[str, float] = {}
-        for session in self.sessions:
-            for key, value in session.engine_counters.items():
-                totals[key] = totals.get(key, 0.0) + value
-        return totals
-
     def mean_initial_seconds(self) -> float:
         """Average initial-render latency across sessions."""
         if not self.sessions:
@@ -298,13 +290,6 @@ class BenchmarkHarness:
     # ------------------------------------------------------------------ #
     # Training data
     # ------------------------------------------------------------------ #
-    def initial_render_dataset(
-        self, measurements: Sequence[PlanMeasurement]
-    ) -> PairDataset:
-        """Pairwise training data from initial-rendering episodes only."""
-        vectors, latencies = self.initial_render_vectors(measurements)
-        return build_pair_dataset(vectors, latencies)
-
     @staticmethod
     def initial_render_vectors(
         measurements: Sequence[PlanMeasurement],

@@ -249,10 +249,6 @@ class ExperimentDelta:
     delta_ratio: float | None
     verdict: str
 
-    @property
-    def delta_percent(self) -> float | None:
-        return None if self.delta_ratio is None else 100.0 * self.delta_ratio
-
 
 @dataclass
 class ComparisonReport:

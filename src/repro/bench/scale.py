@@ -20,7 +20,6 @@ range, so a crossfilter window prunes most partitions outright.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -29,7 +28,6 @@ import numpy as np
 
 from repro.backends import Database, SQLBackend, create_backend
 from repro.datasets.generators import generate_dataset
-from repro.storage.column import sort_rank_key
 
 
 def bench_scale() -> float:
@@ -161,44 +159,6 @@ class ScaleRunResult:
             "p50": float(np.percentile(samples, 50)),
             "p95": float(np.percentile(samples, 95)),
         }
-
-
-def values_equal(a: object, b: object) -> bool:
-    """Result-value equality: floats to 1e-9, everything else exact.
-
-    The row-identity contract between engines that sum in different
-    orders: SQLite 3.40's ``SUM`` adds one value at a time, the embedded
-    engine's kernel pairwise.  The cross-backend differential suite and
-    the plan-space test's sqlite leg share it.  Plans on the embedded
-    backend need no tolerance: the client runtime and the engine reduce
-    through one kernel, so their rows compare with ``==``.
-    """
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=1e-9)
-    return a == b
-
-
-def row_sort_key(row: dict[str, object]) -> tuple:
-    """Canonical multiset key with float rounding, deterministic for NULLs."""
-    return tuple(
-        sort_rank_key(round(value, 6) if isinstance(value, float) else value)
-        for value in row.values()
-    )
-
-
-def rows_match(left: list[dict[str, object]], right: list[dict[str, object]]) -> bool:
-    """Multiset row equality with float tolerance (order unspecified)."""
-    if len(left) != len(right):
-        return False
-    if left and list(left[0]) != list(right[0]):
-        return False
-    left_sorted = sorted(left, key=row_sort_key)
-    right_sorted = sorted(right, key=row_sort_key)
-    for row_a, row_b in zip(left_sorted, right_sorted):
-        for column in row_a:
-            if not values_equal(row_a[column], row_b[column]):
-                return False
-    return True
 
 
 def _build_backend(backend: str) -> SQLBackend:

@@ -27,20 +27,6 @@ class InteractionWorkload:
     bound: BoundTemplate
     sessions: list[list[dict[str, object]]] = field(default_factory=list)
 
-    @property
-    def n_sessions(self) -> int:
-        """Number of sessions."""
-        return len(self.sessions)
-
-    @property
-    def interactions_per_session(self) -> int:
-        """Length of each session (0 for static templates)."""
-        return len(self.sessions[0]) if self.sessions else 0
-
-    def all_interactions(self) -> list[dict[str, object]]:
-        """Flattened list of every interaction across sessions."""
-        return [interaction for session in self.sessions for interaction in session]
-
 
 @dataclass
 class TemplateInstance:

@@ -259,12 +259,6 @@ class PlanComparator:
             return int(np.argmin(costs))
         return int(np.argmax(self.wins(vectors)))
 
-    def rank(self, vectors: Sequence[PlanVector]) -> list[int]:
-        """Indices of candidates ordered best-first."""
-        costs = self.costs(vectors)
-        order = np.argsort(costs) if costs is not None else np.argsort(-self.wins(vectors))
-        return order.tolist()
-
 
 class _LearnedComparator(PlanComparator):
     """A model trained on pair differences of :func:`learned_features` rows."""

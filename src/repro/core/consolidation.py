@@ -38,11 +38,6 @@ class SessionDecision:
     per_plan_score: list[float] = field(default_factory=list)
     score_kind: str = "cost"
 
-    def ranking(self) -> list[int]:
-        """Plan indices ordered best-first."""
-        scores = np.array(self.per_plan_score, dtype=np.float64)
-        return np.argsort(scores if self.score_kind == "cost" else -scores).tolist()
-
 
 def consolidate_session(
     comparator: PlanComparator,

@@ -91,11 +91,6 @@ class PlanVector:
         """Sum of output cardinalities across all operator types."""
         return float(sum(self.cardinalities.values()))
 
-    @property
-    def vdt_cardinality(self) -> float:
-        """Summed output cardinality of VDT operators (≈ bytes transferred)."""
-        return float(self.cardinalities.get("vdt", 0.0))
-
     def client_aggregate_count(self) -> float:
         """Number of client-side aggregation operators."""
         return float(
@@ -325,8 +320,7 @@ class PlanEncoder:
         if isinstance(operator, VegaDBMSTransform):
             return self._estimate_vdt(operator, signals)
         if isinstance(operator, SourceOperator):
-            result = operator.evaluate([], {}, _EMPTY_CONTEXT)
-            return float(len(result.rows))
+            return float(len(operator.rows))
         name = operator.name
         if name == "filter":
             return input_rows * _FALLBACK_FILTER_SELECTIVITY
@@ -557,22 +551,6 @@ def _numeric_value(node: object, signals: dict[str, object]) -> float | None:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             return float(value)
     return None
-
-
-class _NullContext:
-    """Evaluation context stub used only to read SourceOperator row counts."""
-
-    def signal(self, name: str) -> object:  # pragma: no cover - never called
-        return None
-
-    def signals(self) -> dict[str, object]:
-        return {}
-
-    def operator_value(self, operator_id: int) -> object:  # pragma: no cover
-        return None
-
-
-_EMPTY_CONTEXT = _NullContext()
 
 
 def _operator_type(operator: Operator) -> str:

@@ -51,18 +51,6 @@ class ExecutionPlan:
         """How many transforms this plan pushes to the server."""
         return sum(split for _, split in self.assignment)
 
-    def is_all_client(self) -> bool:
-        """Whether no transform is offloaded (native-Vega-like plan)."""
-        return self.total_server_transforms() == 0
-
-    def is_all_server(self, spec: VegaSpec) -> bool:
-        """Whether every rewritable transform of ``spec`` is offloaded."""
-        assignment = self.as_dict()
-        for entry in spec.data:
-            if assignment.get(entry.name, 0) < len(entry.transforms):
-                return False
-        return True
-
     def describe(self, spec: VegaSpec | None = None) -> str:
         """Human-readable description, e.g. ``binned=server[2]/client[2]``."""
         parts = []

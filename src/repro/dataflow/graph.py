@@ -24,7 +24,6 @@ from repro.errors import CycleError, DataflowError
 from repro.dataflow.operator import (
     EvaluationContext,
     Operator,
-    OperatorResult,
     SourceOperator,
 )
 from repro.dataflow.signals import SignalRegistry
@@ -39,19 +38,6 @@ class EvaluationReport:
     operator_cardinality: dict[int, int] = field(default_factory=dict)
     total_seconds: float = 0.0
 
-    def merge(self, other: "EvaluationReport") -> "EvaluationReport":
-        """Combine two reports (used when an interaction triggers several roots)."""
-        merged = EvaluationReport(
-            evaluated_operators=self.evaluated_operators + other.evaluated_operators,
-            operator_seconds={**self.operator_seconds, **other.operator_seconds},
-            operator_cardinality={
-                **self.operator_cardinality,
-                **other.operator_cardinality,
-            },
-            total_seconds=self.total_seconds + other.total_seconds,
-        )
-        return merged
-
 
 class Dataflow:
     """A directed acyclic graph of dataflow operators plus its signals."""
@@ -62,7 +48,6 @@ class Dataflow:
         self._upstream: dict[int, int | None] = {}
         self._named_operators: dict[str, Operator] = {}
         self._datasets: dict[str, int] = {}
-        self._clock = 0
         #: The graph is frozen once built, so the evaluation order and the
         #: operators each set of changed signals makes stale are computed
         #: once; every structural change (:meth:`_invalidate`) drops them.
@@ -108,9 +93,9 @@ class Dataflow:
             raise DataflowError(f"operator {operator!r} is not part of this dataflow")
         self._datasets[name] = operator.id
 
-    def declare_signal(self, name: str, value: object = None, bind: dict | None = None) -> None:
+    def declare_signal(self, name: str, value: object = None) -> None:
         """Declare an interaction signal."""
-        self.signals.declare(name, value=value, bind=bind)
+        self.signals.declare(name, value=value)
         self._invalidate()
 
     def _invalidate(self) -> None:
@@ -124,15 +109,6 @@ class Dataflow:
         """All operators in insertion order."""
         return list(self._operators.values())
 
-    def named_operator(self, name: str) -> Operator:
-        """Look up an operator by its registered name."""
-        try:
-            return self._named_operators[name]
-        except KeyError as exc:
-            raise DataflowError(
-                f"unknown operator name {name!r}; known: {sorted(self._named_operators)}"
-            ) from exc
-
     def operator_names(self) -> dict[str, Operator]:
         """Mapping of registered operator names."""
         return dict(self._named_operators)
@@ -141,20 +117,6 @@ class Dataflow:
         """The operator whose rows ``operator`` consumes, if any."""
         upstream_id = self._upstream.get(operator.id)
         return None if upstream_id is None else self._operators[upstream_id]
-
-    def downstream_of(self, operator: Operator) -> list[Operator]:
-        """Operators that consume ``operator``'s rows or output value."""
-        result = []
-        for candidate in self._operators.values():
-            if self._upstream.get(candidate.id) == operator.id:
-                result.append(candidate)
-                continue
-            for ref_name in candidate.operator_dependencies():
-                referenced = self._named_operators.get(ref_name)
-                if referenced is not None and referenced.id == operator.id:
-                    result.append(candidate)
-                    break
-        return result
 
     def dataset_names(self) -> list[str]:
         """Names of datasets exposed to the renderer."""
@@ -209,23 +171,12 @@ class Dataflow:
 
     def run(self) -> EvaluationReport:
         """Evaluate the full dataflow."""
-        self._clock += 1
         return self._evaluate(self.topological_order())
-
-    def update_signal(self, name: str, value: object) -> EvaluationReport:
-        """Update a signal and partially re-evaluate dependent operators."""
-        self._clock += 1
-        changed = self.signals.set(name, value, self._clock)
-        if not changed:
-            return EvaluationReport()
-        return self._evaluate(self._stale_order(frozenset({name})))
 
     def update_signals(self, updates: dict[str, object]) -> EvaluationReport:
         """Update several signals at once (one combined partial re-evaluation)."""
-        self._clock += 1
         changed_names = {
-            name for name, value in updates.items()
-            if self.signals.set(name, value, self._clock)
+            name for name, value in updates.items() if self.signals.set(name, value)
         }
         if not changed_names:
             return EvaluationReport()
@@ -298,7 +249,6 @@ class Dataflow:
             result = operator.evaluate(source_rows, params, context)
             elapsed = time.perf_counter() - started
             operator.last_result = results[operator.id] = result
-            operator.stamp = self._clock
             report.evaluated_operators.append(operator.id)
             report.operator_seconds[operator.id] = elapsed
             report.operator_cardinality[operator.id] = result.cardinality

@@ -98,8 +98,6 @@ class Operator:
         self.id = next(_operator_ids)
         self.name = name
         self.params = dict(params or {})
-        #: Timestamp of the last (re-)evaluation; -1 = never evaluated.
-        self.stamp = -1
         #: Last produced result (kept so downstream operators and the
         #: plan encoder can read cardinalities without re-running).
         self.last_result: OperatorResult | None = None
@@ -153,7 +151,7 @@ class SourceOperator(Operator):
 
     def __init__(self, rows: list[dict[str, object]], name: str = "source") -> None:
         super().__init__(name=name, params={})
-        self._rows = list(rows)
+        self.rows = list(rows)
 
     def evaluate(
         self,
@@ -161,7 +159,7 @@ class SourceOperator(Operator):
         params: dict,
         context: EvaluationContext,
     ) -> OperatorResult:
-        return OperatorResult(rows=list(self._rows))
+        return OperatorResult(rows=list(self.rows))
 
 
 def _collect_refs(value: object, kind: str, found: set[str]) -> None:

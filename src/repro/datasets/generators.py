@@ -11,8 +11,6 @@ runtime consumes) and can be loaded into the SQL engine via
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
 from repro.datasets.schema import DatasetSchema, FieldSpec, FieldType
@@ -188,19 +186,6 @@ class DatasetGenerator:
                     row[name] = value
             out.append(row)
         return out
-
-    def iter_rows(self, n_rows: int, chunk_size: int = 10_000) -> Iterator[dict[str, object]]:
-        """Yield rows lazily in chunks to bound peak memory."""
-        remaining = n_rows
-        offset = 0
-        while remaining > 0:
-            chunk = min(chunk_size, remaining)
-            # Derive a per-chunk seed so chunked and non-chunked generation
-            # stay deterministic even though they differ in exact values.
-            sub = DatasetGenerator(self.schema, seed=self.seed + offset)
-            yield from sub.rows(chunk)
-            remaining -= chunk
-            offset += chunk
 
     def _generate_field(
         self, spec: FieldSpec, n_rows: int, rng: np.random.Generator

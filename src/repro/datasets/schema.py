@@ -71,10 +71,6 @@ class DatasetSchema:
     name: str
     fields: list[FieldSpec] = field(default_factory=list)
 
-    def field_names(self) -> list[str]:
-        """Return the column names in declaration order."""
-        return [f.name for f in self.fields]
-
     def field(self, name: str) -> FieldSpec:
         """Return the spec for ``name`` or raise ``KeyError``."""
         for spec in self.fields:
@@ -89,11 +85,3 @@ class DatasetSchema:
     def quantitative_fields(self) -> list[str]:
         """Names of quantitative fields."""
         return [f.name for f in self.fields_of_type(FieldType.QUANTITATIVE)]
-
-    def categorical_fields(self) -> list[str]:
-        """Names of categorical fields."""
-        return [f.name for f in self.fields_of_type(FieldType.CATEGORICAL)]
-
-    def temporal_fields(self) -> list[str]:
-        """Names of temporal fields."""
-        return [f.name for f in self.fields_of_type(FieldType.TEMPORAL)]

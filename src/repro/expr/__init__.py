@@ -5,15 +5,15 @@ update expressions) are written in a JavaScript-like expression language,
 e.g. ``datum.delay > 10 && datum.delay < 30``.  This package provides:
 
 * :func:`parse_expression` — expression text → AST,
-* :class:`Evaluator` / :func:`evaluate` — AST + datum/signal scope → value,
+* :class:`Evaluator` — AST + datum/signal scope → value,
 * :func:`to_sql` — AST → SQL text (used by the query rewriter), raising
   :class:`~repro.errors.ExpressionTranslationError` when no SQL equivalent
   exists so the rewriter can fall back to client-side execution.
 """
 
 from repro.expr.parser import parse_expression
-from repro.expr.evaluator import Evaluator, evaluate
-from repro.expr.to_sql import to_sql, is_translatable
+from repro.expr.evaluator import Evaluator
+from repro.expr.to_sql import to_sql
 from repro.expr.nodes import (
     ExprNode,
     NumberNode,
@@ -26,16 +26,13 @@ from repro.expr.nodes import (
     BinaryNode,
     ConditionalNode,
     CallNode,
-    referenced_fields,
     referenced_signals,
 )
 
 __all__ = [
     "parse_expression",
     "Evaluator",
-    "evaluate",
     "to_sql",
-    "is_translatable",
     "ExprNode",
     "NumberNode",
     "StringNode",
@@ -47,6 +44,5 @@ __all__ = [
     "BinaryNode",
     "ConditionalNode",
     "CallNode",
-    "referenced_fields",
     "referenced_signals",
 ]

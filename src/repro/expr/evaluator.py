@@ -275,14 +275,3 @@ class Evaluator:
             return args[1] if _truthy(args[0]) else args[2]
         raise ExpressionError(f"unknown function {node.name!r}")
 
-
-def evaluate(
-    expression: ExprNode | str,
-    datum: Mapping[str, object] | None = None,
-    signals: Mapping[str, object] | None = None,
-) -> object:
-    """Convenience helper: parse if needed, then evaluate."""
-    from repro.expr.parser import parse_expression
-
-    node = parse_expression(expression) if isinstance(expression, str) else expression
-    return Evaluator(signals).evaluate(node, datum)

@@ -146,16 +146,6 @@ def walk(node: ExprNode):
             yield from walk(arg)
 
 
-def referenced_fields(node: ExprNode) -> set[str]:
-    """Names of data fields (``datum.<field>``) referenced by the expression."""
-    fields: set[str] = set()
-    for child in walk(node):
-        if isinstance(child, MemberNode) and isinstance(child.obj, IdentifierNode):
-            if child.obj.name == "datum":
-                fields.add(child.member)
-    return fields
-
-
 def referenced_signals(node: ExprNode) -> set[str]:
     """Names of signals referenced by the expression.
 

@@ -124,17 +124,6 @@ def to_sql(
     return PreparedSQL("".join(texts), "".join(shapes), values)
 
 
-def is_translatable(
-    expression: ExprNode | str, signals: Mapping[str, object] | None = None
-) -> bool:
-    """Whether :func:`to_sql` would succeed for this expression."""
-    try:
-        to_sql(expression, signals)
-    except ExpressionTranslationError:
-        return False
-    return True
-
-
 def compiles(expression: object) -> bool:
     """Whether an expression string has an SQL form once its signals are
     bound: its memoised compile succeeds.  The plan enumerator asks this

@@ -76,7 +76,8 @@ def _gini(labels: np.ndarray) -> float:
 
 
 class DecisionTreeClassifier:
-    """Binary classification tree.
+    """Binary classification tree: grows ``root_``.  It predicts through
+    :class:`FlatTrees`, as the random forest does with its trees.
 
     Parameters
     ----------
@@ -105,7 +106,6 @@ class DecisionTreeClassifier:
         self.max_features = max_features
         self.seed = seed
         self.root_: _TreeNode | None = None
-        self._flat: FlatTrees | None = None
         self.n_features_: int = 0
         self.feature_importances_: np.ndarray | None = None
 
@@ -124,7 +124,6 @@ class DecisionTreeClassifier:
         self._importance = np.zeros(self.n_features_, dtype=np.float64)
         rng = np.random.default_rng(self.seed)
         self.root_ = self._grow(features, labels, depth=0, rng=rng)
-        self._flat = FlatTrees([self.root_])
         total = self._importance.sum()
         self.feature_importances_ = (
             self._importance / total if total > 0 else self._importance
@@ -204,24 +203,3 @@ class DecisionTreeClassifier:
                     best_gain = gain
                     best = (int(feature), float(threshold), float(gain))
         return best
-
-    # ------------------------------------------------------------------ #
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Probability of class 1 for each sample."""
-        if self._flat is None:
-            raise ModelError("DecisionTreeClassifier.predict called before fit")
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        return self._flat.leaf_probabilities(features)[0]
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Predicted class (0/1) for each sample."""
-        return (self.predict_proba(features) >= 0.5).astype(int)
-
-    def depth(self) -> int:
-        """Actual depth of the fitted tree."""
-        def measure(node: _TreeNode | None) -> int:
-            if node is None or node.is_leaf():
-                return 0
-            return 1 + max(measure(node.left), measure(node.right))
-
-        return measure(self.root_)

@@ -128,9 +128,3 @@ class QueryCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    @property
-    def total_bytes(self) -> int:
-        """Summed payload bytes of the entries currently cached."""
-        with self._lock:
-            return int(self.stats.current_bytes)

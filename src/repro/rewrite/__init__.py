@@ -15,7 +15,6 @@ Implements Section 4 of the paper:
 
 from repro.rewrite.templates import (
     QueryFragment,
-    build_fragment_for_transforms,
     REWRITABLE_TRANSFORMS,
     rewritable_prefix,
 )
@@ -24,7 +23,6 @@ from repro.rewrite.rewriter import SpecRewriter, RewrittenDataflow
 
 __all__ = [
     "QueryFragment",
-    "build_fragment_for_transforms",
     "REWRITABLE_TRANSFORMS",
     "rewritable_prefix",
     "VegaDBMSTransform",

@@ -144,7 +144,7 @@ class SpecRewriter:
         self.validate_assignment(assignment)
         dataflow = Dataflow()
         for signal in self.spec.signals:
-            dataflow.declare_signal(signal.name, value=signal.value, bind=signal.bind)
+            dataflow.declare_signal(signal.name, value=signal.value)
 
         vdts: list[VegaDBMSTransform] = []
         states: dict[str, _EntryState] = {}

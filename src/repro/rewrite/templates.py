@@ -15,7 +15,9 @@ itself, so no backend needs a dialect of its own.  Sort keys carry their
 NULL placement (``x ASC NULLS LAST``, ``x DESC NULLS FIRST``) and running
 window sums their frame (``ROWS UNBOUNDED PRECEDING``) — the embedded
 engine's native behaviour, which SQLite and PostgreSQL reach only when
-told.
+told.  A stack's lower offset is its own window over the rows before the
+current one (``ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING``), so
+both offsets are running sums with the client's bits.
 """
 
 from __future__ import annotations
@@ -43,12 +45,17 @@ def rewritable_prefix(transforms: Sequence[Mapping]) -> int:
 
     A transform counts when its type is rewritable and, for a filter,
     when its expression :func:`~repro.expr.to_sql.compiles`, so no plan
-    is offered that the rewriter cannot render."""
+    is offered that the rewriter cannot render.  A stack counts only with
+    a sort: without one the client stacks rows in input order, which SQL
+    does not keep inside a window partition."""
     prefix = 0
     for transform in transforms:
-        if transform.get("type") not in REWRITABLE_TRANSFORMS:
+        kind = transform.get("type")
+        if kind not in REWRITABLE_TRANSFORMS:
             break
-        if transform.get("type") == "filter" and not compiles(transform.get("expr")):
+        if kind == "filter" and not compiles(transform.get("expr")):
+            break
+        if kind == "stack" and not (transform.get("sort") or {}).get("field"):
             break
         prefix += 1
     return prefix
@@ -65,8 +72,8 @@ class QueryFragment:
     group_by: list[str] = field(default_factory=list)
     order_by: list[str] = field(default_factory=list)
     limit: int | None = None
-    #: True once GROUP BY / aggregates are present: later per-row transforms
-    #: must nest rather than compose.
+    #: True once GROUP BY, aggregates or window aggregates are present:
+    #: later per-row transforms must nest rather than compose.
     aggregated: bool = False
 
     # -------------------------------------------------------------- #
@@ -75,10 +82,10 @@ class QueryFragment:
         """Start a fragment scanning a base table."""
         return cls(source=table)
 
-    def nest(self, alias: str = "sub") -> "QueryFragment":
+    def nest(self) -> "QueryFragment":
         """Wrap the current fragment as the sub-query source of a new block."""
         return QueryFragment(
-            source=_concat("(", self.to_sql(), f") AS {alias}"),
+            source=_concat("(", self.to_sql(), ") AS sub"),
             source_is_subquery=True,
         )
 
@@ -142,18 +149,6 @@ def apply_transform(
     if transform_type == "timeunit":
         return _apply_timeunit(fragment, params)
     raise RewriteError(f"transform type {transform_type!r} cannot be rewritten to SQL")
-
-
-def build_fragment_for_transforms(
-    table: str,
-    transforms: Sequence[Mapping],
-    resolved_params: Sequence[Mapping],
-) -> QueryFragment:
-    """Batch a chain of transforms over ``table`` into one fragment."""
-    fragment = QueryFragment.for_table(table)
-    for definition, params in zip(transforms, resolved_params):
-        fragment = apply_transform(fragment, definition, params)
-    return fragment
 
 
 # --------------------------------------------------------------------------- #
@@ -318,24 +313,21 @@ def _apply_stack(fragment: QueryFragment, params: Mapping) -> QueryFragment:
 
     if fragment.aggregated or fragment.select_items:
         fragment = fragment.nest()
-    over_parts = []
-    if groupby:
-        over_parts.append("PARTITION BY " + ", ".join(groupby))
-    if sort_fields:
-        # Running sums must use the ROWS frame everywhere: under the
-        # standard's default RANGE frame, peer rows (equal sort keys)
-        # would share one cumulative value and stacked bars would overlap.
-        keys = ", ".join(f"{sort_field} NULLS LAST" for sort_field in sort_fields)
-        over_parts.append(f"ORDER BY {keys} ROWS UNBOUNDED PRECEDING")
-    over = " ".join(over_parts)
-    # The client stacks a NULL extent as 0: without COALESCE, y0 of a NULL
-    # row would be NULL, and sqlite's SUM over an all-NULL prefix NULL.
-    extent = f"COALESCE({field_name}, 0)"
-    window = f"SUM({extent}) OVER ({over}) AS {y1}"
-    fragment.select_items = ["*", window]
-    outer = fragment.nest(alias="stacked")
-    outer.select_items = ["*", f"{y1} - {extent} AS {y0}"]
-    return outer
+    partition = f"PARTITION BY {', '.join(groupby)} " if groupby else ""
+    keys = ", ".join(f"{sort_field} NULLS LAST" for sort_field in sort_fields)
+    # The client stacks a NULL extent as 0, and the first row of a stack
+    # sits on 0: without the COALESCEs sqlite's SUM over an all-NULL or
+    # empty frame is NULL.  Both offsets use a ROWS frame: under the
+    # standard's default RANGE frame, peer rows (equal sort keys) would
+    # share one cumulative value and stacked bars would overlap.
+    running = f"SUM(COALESCE({field_name}, 0)) OVER ({partition}ORDER BY {keys} ROWS"
+    fragment.select_items = [
+        "*",
+        f"COALESCE({running} BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS {y0}",
+        f"{running} UNBOUNDED PRECEDING) AS {y1}",
+    ]
+    fragment.aggregated = True
+    return fragment
 
 
 def _apply_timeunit(fragment: QueryFragment, params: Mapping) -> QueryFragment:

@@ -129,11 +129,6 @@ class RequestScheduler:
         return value
 
     # ------------------------------------------------------------------ #
-    def in_flight_count(self) -> int:
-        """Distinct keys currently executing or waiting for admission."""
-        with self._lock:
-            return len(self._in_flight)
-
     def snapshot(self) -> dict[str, float]:
         """A consistent copy of the counters (see :attr:`stats`)."""
         return self.stats.snapshot()

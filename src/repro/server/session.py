@@ -162,15 +162,6 @@ class SessionManager:
             self._sessions.pop(session_id, None)
             self._session_locks.pop(session_id, None)
 
-    def session_ids(self) -> list[str]:
-        """Identifiers of the live sessions, sorted."""
-        with self._lock:
-            return sorted(self._sessions)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._sessions)
-
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict[str, object]:
         """The counters of this serving stack, in the form

@@ -112,11 +112,17 @@ class FunctionCall:
 
 @dataclass(frozen=True)
 class WindowFunction:
-    """A window function: ``func(args) OVER (PARTITION BY ... ORDER BY ...)``."""
+    """A window function: ``func(args) OVER (PARTITION BY ... ORDER BY ...)``.
+
+    With ORDER BY an aggregate runs over the frame ``ROWS UNBOUNDED
+    PRECEDING``, or, when ``before_current`` is set, ``ROWS BETWEEN
+    UNBOUNDED PRECEDING AND 1 PRECEDING``: the rows before the current one.
+    """
 
     function: FunctionCall
     partition_by: tuple["Expression", ...] = ()
     order_by: tuple["OrderItem", ...] = ()
+    before_current: bool = False
 
     def __str__(self) -> str:
         parts = []
@@ -124,6 +130,8 @@ class WindowFunction:
             parts.append("PARTITION BY " + ", ".join(str(e) for e in self.partition_by))
         if self.order_by:
             parts.append("ORDER BY " + ", ".join(str(o) for o in self.order_by))
+        if self.before_current:
+            parts.append("ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING")
         return f"{self.function} OVER ({' '.join(parts)})"
 
 
@@ -372,6 +380,7 @@ def map_children(expr: Expression, fn: Callable[[Expression], Expression]) -> Ex
             fn(expr.function),
             tuple(fn(part) for part in expr.partition_by),
             tuple(OrderItem(fn(item.expression), item.descending) for item in expr.order_by),
+            expr.before_current,
         )
     raise TypeError(f"not an expression node: {expr!r}")
 

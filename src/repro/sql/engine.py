@@ -150,20 +150,10 @@ class SQLBackend:
             name, Table.from_rows(rows, name=name, column_order=column_order), replace
         )
 
-    def register_columns(
-        self, name: str, data: Mapping[str, Sequence[object]], replace: bool = False
-    ) -> None:
-        """Register a table created from a column mapping."""
-        self.register_table(name, Table.from_columns(data, name=name), replace)
-
     def drop_table(self, name: str) -> None:
         """Remove a registered table (the backend's copy first, as above)."""
         self._unload(name)
         self.catalog.drop(name)
-
-    def table_names(self) -> list[str]:
-        """Names of registered tables."""
-        return self.catalog.table_names()
 
     def table(self, name: str) -> Table:
         """Return a registered table."""
@@ -222,10 +212,6 @@ class SQLBackend:
     ) -> tuple[Table, ExecutionStats]:
         """Answer a query IVM declined, by executing it on the backend."""
         raise NotImplementedError
-
-    def query_rows(self, sql: str) -> list[dict[str, object]]:
-        """Convenience wrapper returning the result rows directly."""
-        return self.execute(sql).to_rows()
 
     def stats(self) -> dict[str, float]:
         """Flat snapshot of the backend's cumulative engine counters."""

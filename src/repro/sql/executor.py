@@ -66,6 +66,7 @@ from repro.sql.planner import (
     SortNode,
     SubqueryNode,
     WindowNode,
+    collect_windows,
     column_comparison,
     conjuncts,
     evaluate_aggregate_item,
@@ -286,7 +287,8 @@ class ExpressionEvaluator:
         if isinstance(expr, CaseExpression):
             return self._evaluate_case(expr)
         if isinstance(expr, WindowFunction):
-            raise ExecutionError("window functions must be evaluated by WindowNode")
+            # Materialised by WindowNode under its text (collect_windows).
+            return self._column_values(str(expr))
         raise ExecutionError(f"cannot evaluate expression {expr!r}")
 
     def truth(self, expr: Expression) -> Truth:
@@ -488,17 +490,18 @@ def aggregate_evaluator(items: Sequence[SelectItem], table: Table) -> Expression
     return ExpressionEvaluator(table, alias_values=alias_arrays, item_values=item_arrays)
 
 
-def scan_columns(table: Table, scan: ScanNode) -> Table:
-    """``table`` narrowed to the columns the plan above ``scan`` reads.
+def scan_columns(table: Table, columns: frozenset[str] | None) -> Table:
+    """``table`` narrowed to ``columns`` (``None`` = all), the columns the
+    plan above a scan reads.
 
     Projection shares the column objects, so this costs nothing per row;
     what it saves is every later filter/take gathering columns nobody
     reads.  A plan that references no column at all (``COUNT(*)``) keeps
     one, so the row count survives.
     """
-    if scan.columns is None:
+    if columns is None:
         return table
-    names = [name for name in table.column_names() if name in scan.columns]
+    names = [name for name in table.column_names() if name in columns]
     if len(names) == table.num_columns:
         return table
     return table.select(names or table.column_names()[:1])
@@ -609,7 +612,7 @@ class Executor:
         over the kept rows — the flat filter's rows, in the flat order.
         """
         table = self._catalog.get(node.table_name)
-        narrowed = scan_columns(table, node)
+        narrowed = scan_columns(table, node.columns)
         ranges = [(0, table.num_rows)]
         if isinstance(table, PartitionedTable):
             kept = range(table.num_partitions)
@@ -647,15 +650,11 @@ class Executor:
         evaluator = ExpressionEvaluator(table)
         columns: list[Column] = []
         used_names: set[str] = set()
-        # Columns WindowNode materialised for this projection's explicit
-        # window items: ``*`` must not expand them (they are not source
+        # Columns WindowNode materialised for this projection's window
+        # functions: ``*`` must not expand them (they are not source
         # columns), or ``SELECT *, SUM(x) OVER (...) AS y`` would emit
         # ``y`` twice.
-        window_names = {
-            item.output_name(index)
-            for index, item in enumerate(node.items)
-            if isinstance(item.expression, WindowFunction)
-        }
+        window_names = {name for name, _window in collect_windows(node.items)}
         for index, item in enumerate(node.items):
             if isinstance(item.expression, Star):
                 for col in table.columns():
@@ -790,6 +789,13 @@ class Executor:
                     cumulative[np.isinf(cumulative)] = np.nan
                 else:
                     raise ExecutionError(f"unsupported window function {name}")
+                if window.before_current:
+                    # ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING: the
+                    # running value one row back; the first row's frame is
+                    # empty (COUNT 0, any other aggregate NULL).
+                    shifted = np.full_like(cumulative, 0.0 if name == "COUNT" else np.nan)
+                    shifted[1:] = cumulative[:-1]
+                    cumulative = shifted
                 out[ordered_global] = cumulative
             else:
                 out[ordered_global] = aggregate_segments(

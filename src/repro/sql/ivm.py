@@ -118,7 +118,7 @@ class MaterializedView:
     ) -> None:
         self.table_name = table_name
         self.base_rows = rows.num_rows
-        #: The base table narrowed to the columns the shape reads.
+        #: The base table narrowed to the columns the aggregate reads.
         self._rows = rows
         #: Row indices passing the static conjuncts, sorted by brush value.
         self._sort_idx = sort_idx
@@ -165,7 +165,7 @@ class MaterializedView:
         n_valid = int(len(sorted_values) - np.isnan(sorted_values).sum())
         return cls(
             template.table_name,
-            scan_columns(table, template.scan),
+            scan_columns(table, template.columns),
             sort_idx,
             sorted_values,
             n_valid,
@@ -236,11 +236,6 @@ class IVMManager:
         catalog.add_invalidation_listener(self.invalidate)
 
     # ------------------------------------------------------------------ #
-    def view_count(self) -> int:
-        """Number of currently materialized views."""
-        with self._lock:
-            return len(self._views)
-
     def attempt(self, plan: LogicalPlan) -> tuple[Table, ExecutionStats] | None:
         """Try to answer ``plan`` from a materialized view.
 

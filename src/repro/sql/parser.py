@@ -19,14 +19,18 @@ Grammar (informal)::
     unary       := - unary | primary
     primary     := literal | ? | case | function | column | ( expr )
     window      := function OVER ( [PARTITION BY expr (, expr)*]
-                   [ORDER BY order (, order)* [ROWS UNBOUNDED PRECEDING]] )
+                   [ORDER BY order (, order)* [frame]] )
+    frame       := ROWS UNBOUNDED PRECEDING
+                 | ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING
 
 ``NULLS``/``FIRST``/``LAST``/``UNBOUNDED``/``PRECEDING`` are read by
 spelling where the grammar expects them and are reserved nowhere else, so
 columns and aliases may carry those names.  They only restate what the
 engine does anyway: NULL sorts last under ASC and first under DESC, and a
 running window aggregate is framed by rows.  The opposite placement and
-any other frame raise :class:`~repro.errors.ParseError`.
+any other frame raise :class:`~repro.errors.ParseError`; the one other
+frame read, ending a row before the current one, is the stack
+transform's lower offset.
 """
 
 from __future__ import annotations
@@ -469,6 +473,7 @@ class _Parser:
         self._expect_punct("(")
         partition_by: list[Expression] = []
         order_by: list[OrderItem] = []
+        before_current = False
         if self._peek().is_keyword("PARTITION"):
             self._advance()
             self._expect_keyword("BY")
@@ -482,13 +487,20 @@ class _Parser:
             while self._match_punct(","):
                 order_by.append(self._parse_order_item())
             if self._match_keyword("ROWS"):
+                before_current = self._match_keyword("BETWEEN")
                 self._expect_word("UNBOUNDED")
                 self._expect_word("PRECEDING")
+                if before_current:
+                    self._expect_keyword("AND")
+                    if self._parse_integer("AND") != 1:
+                        raise self._error("expected 1 PRECEDING")
+                    self._expect_word("PRECEDING")
         self._expect_punct(")")
         return WindowFunction(
             function=call,
             partition_by=tuple(partition_by),
             order_by=tuple(order_by),
+            before_current=before_current,
         )
 
 

@@ -32,6 +32,7 @@ from repro.sql.ast_nodes import (
     contains_aggregate,
     contains_window,
     referenced_columns,
+    walk_expression,
 )
 from repro.sql.functions import MERGEABLE_AGGREGATES, SCALAR_ARITHMETIC, combine_scalar
 from repro.storage.statistics import RangeInterval
@@ -199,7 +200,7 @@ def _plan_query(statement: SelectStatement) -> PlanNode:
             raise PlanningError("aggregate functions are not allowed in WHERE")
         node = FilterNode(child=node, predicate=statement.where)
 
-    window_items = _collect_windows(statement.items)
+    window_items = collect_windows(statement.items)
     if window_items:
         node = WindowNode(child=node, windows=tuple(window_items))
 
@@ -299,16 +300,24 @@ def _record_scan_columns(node: PlanNode, needed: frozenset[str] | None) -> None:
         _record_scan_columns(child, needed)
 
 
-def _collect_windows(items: tuple[SelectItem, ...]) -> list[tuple[str, WindowFunction]]:
+def collect_windows(items: tuple[SelectItem, ...]) -> list[tuple[str, WindowFunction]]:
+    """``(column name, window)`` of every window function in ``items``.
+
+    A top-level window is materialised under its item's output name, one
+    inside an expression (``COALESCE(SUM(x) OVER (...), 0)``) under its own
+    text, which the expression evaluator reads it back by.
+    """
     windows: list[tuple[str, WindowFunction]] = []
     for index, item in enumerate(items):
         expr = item.expression
         if isinstance(expr, WindowFunction):
             windows.append((item.output_name(index), expr))
-        elif contains_window(expr) and not isinstance(expr, WindowFunction):
-            raise PlanningError(
-                "window functions may only appear as a top-level SELECT item"
-            )
+        else:
+            windows += [
+                (str(node), node)
+                for node in walk_expression(expr)
+                if isinstance(node, WindowFunction)
+            ]
     return windows
 
 
@@ -540,8 +549,9 @@ class IVMTemplate:
     """
 
     table_name: str
-    #: The plan's scan; its recorded columns are the ones a view keeps.
-    scan: ScanNode
+    #: The columns the aggregate's items and keys read: the ones a view
+    #: keeps (the brush and static conjuncts are spent at build).
+    columns: frozenset[str] | None
     #: The brush: the intersection of every range conjunct on its column,
     #: so a contradictory WHERE clause yields an empty interval.
     interval: RangeInterval
@@ -628,7 +638,7 @@ def ivm_template(plan: LogicalPlan) -> IVMTemplate | None:
         return None
     return IVMTemplate(
         table_name=scan.table_name,
-        scan=scan,
+        columns=_columns_read([item.expression for item in aggregate.items] + list(aggregate.group_by)),
         interval=brush,
         static_conjuncts=tuple(static),
         aggregate=aggregate,

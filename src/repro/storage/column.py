@@ -385,14 +385,6 @@ class Column:
             return self.codes
         return factorize_array(self._values)[0]
 
-    def factorize(self) -> tuple[np.ndarray, list[object]]:
-        """Integer codes + sorted uniques (see :func:`factorize_array`)."""
-        if self.codes is None:
-            return factorize_array(self._values)
-        present, inverse = np.unique(self.codes, return_inverse=True)
-        uniques = np.append(self.dictionary, None)[present].tolist()
-        return inverse.astype(np.int64), uniques
-
     def rename(self, name: str) -> "Column":
         """Return the same column under a different name (shared data)."""
         return Column._of(name, self.ctype, self._values, self.codes, self.dictionary)

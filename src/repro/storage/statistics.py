@@ -131,12 +131,6 @@ class CardinalityFeedback:
             weight = entry.observations / (entry.observations + FEEDBACK_CONFIDENCE)
             return (1.0 - weight) * estimated_rows + weight * entry.ewma_rows
 
-    def observed_rows(self, shape_key: str) -> float | None:
-        """The current EWMA for a shape, or ``None`` when never observed."""
-        with self._lock:
-            entry = self._shapes.get(shape_key)
-            return None if entry is None else entry.ewma_rows
-
 
 # --------------------------------------------------------------------------- #
 # Zone maps (per-partition pruning statistics)

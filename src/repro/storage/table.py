@@ -175,21 +175,6 @@ class Table:
         ]
         return cls(columns, name=name)
 
-    @classmethod
-    def from_columns(cls, data: Mapping[str, Sequence[object]], name: str = "") -> "Table":
-        """Build a table from a mapping of name -> values."""
-        columns = [Column.from_values(key, list(values)) for key, values in data.items()]
-        return cls(columns, name=name)
-
-    @classmethod
-    def empty(cls, column_names: Sequence[str], name: str = "") -> "Table":
-        """Build a zero-row table with the given column names."""
-        columns = [
-            Column(col, np.array([], dtype=np.float64), ColumnType.NUMERIC)
-            for col in column_names
-        ]
-        return cls(columns, name=name)
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -227,9 +212,6 @@ class Table:
         """All columns in order."""
         return list(self._columns.values())
 
-    def __len__(self) -> int:
-        return self.num_rows
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Table({self.name!r}, rows={self.num_rows}, cols={self.column_names()})"
 
@@ -250,11 +232,6 @@ class Table:
         """Return a table with ``column`` added or replaced."""
         cols = [c for c in self.columns() if c.name != column.name]
         cols.append(column)
-        return Table(cols, name=self.name)
-
-    def rename_columns(self, mapping: Mapping[str, str]) -> "Table":
-        """Rename columns using ``mapping`` (missing names stay unchanged)."""
-        cols = [col.rename(mapping.get(col.name, col.name)) for col in self.columns()]
         return Table(cols, name=self.name)
 
     def take(self, indices: np.ndarray) -> "Table":
@@ -304,10 +281,6 @@ class Table:
             pylists = [self._columns[n].to_pylist() for n in names]
             self._rows = [dict(zip(names, row)) for row in zip(*pylists)]
         return self._rows
-
-    def to_columns(self) -> dict[str, list[object]]:
-        """Materialise the table as a mapping of name -> Python values."""
-        return {name: col.to_pylist() for name, col in self._columns.items()}
 
     @property
     def nbytes(self) -> int:
@@ -383,10 +356,6 @@ class PartitionedTable(Table):
         boundaries = list(range(0, n, target_rows)) + [n] if n else [0, 0]
         return cls(table.columns(), name=table.name, boundaries=boundaries)
 
-    def repartition(self, target_rows: int) -> "PartitionedTable":
-        """Rebuild with a new chunk size (shares all column data)."""
-        return PartitionedTable.from_table(self, target_rows)
-
     def renamed(self, name: str) -> "PartitionedTable":
         """Rename while *preserving* the partition boundaries."""
         return PartitionedTable(self.columns(), name=name, boundaries=self._boundaries)
@@ -402,15 +371,6 @@ class PartitionedTable(Table):
     def num_partitions(self) -> int:
         """Number of row-range partitions."""
         return len(self._boundaries) - 1
-
-    def partition_bounds(self) -> list[tuple[int, int]]:
-        """``(start, end)`` row range of every partition."""
-        return list(zip(self._boundaries[:-1], self._boundaries[1:]))
-
-    def partition_num_rows(self, index: int) -> int:
-        """Row count of partition ``index``."""
-        start, end = self._boundaries[index], self._boundaries[index + 1]
-        return end - start
 
     def row_ranges(self, indices: Sequence[int]) -> list[tuple[int, int]]:
         """``(start, end)`` row ranges covering partitions ``indices``

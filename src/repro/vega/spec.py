@@ -37,11 +37,11 @@ from repro.errors import SpecError
 
 @dataclass
 class SignalSpec:
-    """A declared signal with its initial value and optional input binding."""
+    """A declared signal with its initial value.  A Vega ``bind`` (the
+    widget driving the signal) is accepted and ignored."""
 
     name: str
     value: object = None
-    bind: dict | None = None
 
 
 @dataclass
@@ -102,10 +102,6 @@ class VegaSpec:
         """Names of all data entries in pipeline order."""
         return [entry.name for entry in self.data]
 
-    def signal_names(self) -> list[str]:
-        """Names of declared signals."""
-        return [signal.name for signal in self.signals]
-
     def referenced_datasets(self) -> set[str]:
         """Data entries referenced by scales or marks.
 
@@ -129,10 +125,6 @@ class VegaSpec:
             produced |= set(entry.output_signals())
         return produced
 
-    def interaction_signal_names(self) -> set[str]:
-        """Signals driven by user interactions (declared in ``signals``)."""
-        return set(self.signal_names()) - self.operator_signal_names()
-
     def total_transforms(self) -> int:
         """Total number of declared transforms across all data entries."""
         return sum(len(entry.transforms) for entry in self.data)
@@ -147,7 +139,6 @@ def parse_spec_dict(raw: dict) -> VegaSpec:
         SignalSpec(
             name=_require_str(s, "name", "signal"),
             value=s.get("value"),
-            bind=s.get("bind"),
         )
         for s in raw.get("signals", [])
     ]

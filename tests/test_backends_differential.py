@@ -34,7 +34,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import SqliteBackend, backend_names, create_backend
-from repro.bench.scale import row_sort_key, values_equal
 from repro.datasets import generate_dataset
 from repro.errors import PlanningError
 from repro.rewrite.templates import QueryFragment, apply_transform
@@ -44,6 +43,8 @@ from repro.sql.parser import parse_sql
 from repro.sql.planner import build_logical_plan
 from repro.sql.plancache import token_shape
 from repro.sql.tokenizer import tokenize
+
+from helpers import row_sort_key, values_equal
 
 
 def _shape(sql: str) -> tuple[str, list[object]]:
@@ -116,16 +117,9 @@ def backends() -> dict[str, object]:
 # --------------------------------------------------------------------------- #
 
 
-# The row-identity contract (float tolerance + canonical multiset key)
-# lives in one place — repro.bench.scale — so the bench correctness gate
-# and this suite can never drift apart.
-_values_equal = values_equal
-_row_key = row_sort_key
-
-
 def assert_identical_results(sql: str, backends: dict[str, object], ordered: bool) -> None:
     """Run ``sql`` on each backend and assert the results are identical."""
-    results = {name: backend.query_rows(sql) for name, backend in backends.items()}
+    results = {name: backend.execute(sql).to_rows() for name, backend in backends.items()}
     names = sorted(results)
     reference_name, others = names[0], names[1:]
     reference = results[reference_name]
@@ -142,11 +136,11 @@ def assert_identical_results(sql: str, backends: dict[str, object], ordered: boo
             )
         left, right = reference, other
         if not ordered:
-            left = sorted(left, key=_row_key)
-            right = sorted(right, key=_row_key)
+            left = sorted(left, key=row_sort_key)
+            right = sorted(right, key=row_sort_key)
         for index, (row_a, row_b) in enumerate(zip(left, right)):
             for column in row_a:
-                assert _values_equal(row_a[column], row_b[column]), (
+                assert values_equal(row_a[column], row_b[column]), (
                     f"{label}: row {index} column {column!r}: "
                     f"{row_a[column]!r} != {row_b[column]!r} "
                     f"for {sql!r}"
@@ -349,7 +343,7 @@ def test_corpus_never_hashes_a_stored_string_column(backends, monkeypatch):
     embedded = backends["embedded"]
     assert embedded.table("data").column("g").codes is not None
     for _name, sql, _ordered_flag in CORPUS:
-        embedded.query_rows(sql)
+        embedded.execute(sql).to_rows()
     assert seen, "numeric keys (b, bin0, n) still factorize"
     assert all(dtype != object for dtype in seen)
 
@@ -369,14 +363,14 @@ NESTED_AGGREGATE_ITEMS = (
 def test_aggregate_under_non_arithmetic_is_a_planning_error(backends, item):
     sql = f"SELECT g, {item} AS nested FROM data GROUP BY g"
     with pytest.raises(PlanningError, match=r"SELECT item .* AS nested"):
-        backends["embedded"].query_rows(sql)
-    assert len(backends["sqlite"].query_rows(sql)) == 5
+        backends["embedded"].execute(sql).to_rows()
+    assert len(backends["sqlite"].execute(sql).to_rows()) == 5
 
 
 def test_order_limit_respects_limit(backends):
     """LIMIT composes with ORDER BY on every backend."""
     for backend in backends.values():
-        rows = backend.query_rows("SELECT w FROM data ORDER BY w DESC NULLS FIRST LIMIT 5")
+        rows = backend.execute("SELECT w FROM data ORDER BY w DESC NULLS FIRST LIMIT 5").to_rows()
         values = [r["w"] for r in rows]
         assert len(values) == 5
         assert values == sorted(values, reverse=True)
@@ -459,15 +453,15 @@ def test_backend_metrics_and_table_management():
     for name in backend_names():
         backend = create_backend(name)
         backend.register_rows("t", [{"x": 1.0}, {"x": 2.0}])
-        assert backend.table_names() == ["t"]
+        assert backend.catalog.table_names() == ["t"]
         assert backend.table("t").num_rows == 2
         assert backend.table_statistics("t").num_rows == 2
-        backend.query_rows("SELECT COUNT(*) AS n FROM t")
+        backend.execute("SELECT COUNT(*) AS n FROM t").to_rows()
         snapshot = backend.stats()
         assert snapshot["queries_executed"] == 1.0
         assert snapshot["rows_returned"] == 1.0
         backend.drop_table("t")
-        assert backend.table_names() == []
+        assert backend.catalog.table_names() == []
         backend.close()
 
 
@@ -475,7 +469,7 @@ def test_sqlite_registration_survives_replace_and_requery():
     backend = SqliteBackend()
     backend.register_rows("t", [{"x": 1.0}])
     backend.register_rows("t", [{"x": 5.0}, {"x": 6.0}], replace=True)
-    assert backend.query_rows("SELECT COUNT(*) AS n FROM t") == [{"n": 2}]
+    assert backend.execute("SELECT COUNT(*) AS n FROM t").to_rows() == [{"n": 2}]
     assert backend.table_statistics("t").num_rows == 2
 
 
@@ -541,6 +535,6 @@ def test_sqlite_replace_with_unsorted_rows_drops_the_index():
         "SELECT k, w FROM data WHERE k >= 10 ORDER BY k ASC NULLS LAST",
         "SELECT * FROM data",
     ):
-        assert built["sqlite"].query_rows(sql) == built["embedded"].query_rows(sql), sql
+        assert built["sqlite"].execute(sql).to_rows() == built["embedded"].execute(sql).to_rows(), sql
     for backend in built.values():
         backend.close()

@@ -7,9 +7,11 @@ from repro.bench import BenchmarkHarness, WorkloadGenerator, all_templates, get_
 from repro.bench.experiments import table1
 from repro.bench.reporting import format_mapping, format_table
 from repro.bench.templates.base import DashboardTemplate
+from repro.core.comparators import build_pair_dataset
 from repro.core.enumerator import PlanEnumerator
 from repro.core.system import VegaPlusSystem
 from repro.datasets.generators import get_schema
+from repro.datasets.schema import FieldType
 from repro.errors import BenchmarkError
 from repro.vega.spec import parse_spec_dict
 
@@ -82,8 +84,8 @@ def test_template_field_binding_respects_roles():
     schema = get_schema("movies")
     bound = template.bind("movies", schema, rng=np.random.default_rng(0))
     assert bound.fields["x_value"] in schema.quantitative_fields()
-    assert bound.fields["y_category"] in schema.categorical_fields()
-    assert bound.fields["bar_category"] in schema.categorical_fields()
+    assert schema.field(bound.fields["y_category"]).ftype is FieldType.CATEGORICAL
+    assert schema.field(bound.fields["bar_category"]).ftype is FieldType.CATEGORICAL
 
 
 def test_template_explicit_field_binding():
@@ -127,9 +129,7 @@ def test_workload_generator_sessions_shape():
     workload = generator.generate_workload(
         "crossfilter", "flights", n_sessions=3, interactions_per_session=5
     )
-    assert workload.n_sessions == 3
-    assert workload.interactions_per_session == 5
-    assert len(workload.all_interactions()) == 15
+    assert [len(session) for session in workload.sessions] == [5, 5, 5]
     # Crossfilter interactions are brush updates on one of three views.
     first = workload.sessions[0][0]
     assert any(key.startswith("brush_") for key in first)
@@ -177,9 +177,11 @@ def test_harness_measures_plans_and_builds_pairs():
         assert "groups_formed" in session.engine_counters
 
     # At least one candidate plan offloads grouping to the SQL backend.
-    assert any(m.engine_totals().get("groups_formed", 0) > 0 for m in measurements)
+    assert any(
+        s.engine_counters["groups_formed"] > 0 for m in measurements for s in m.sessions
+    )
 
-    pairs = harness.initial_render_dataset(measurements)
+    pairs = build_pair_dataset(*harness.initial_render_vectors(measurements))
     assert len(pairs) == 6  # C(4, 2)
     interaction_pairs = harness.interaction_dataset(measurements)
     assert len(interaction_pairs) == 24  # 4 episodes x C(4, 2)

@@ -148,9 +148,6 @@ def test_random_forest_comparator_learns_and_votes():
     best = comparator.select_best(vectors)
     assert latencies[best] <= sorted(latencies)[3]
     assert comparator.cost(vectors[0]) is None  # rank-only model
-    ranking = comparator.rank(vectors)
-    assert len(ranking) == len(vectors)
-    assert ranking[0] == best
 
 
 def test_train_comparator_reports_accuracy():
@@ -205,12 +202,10 @@ def test_learned_comparators_scale_raw_vectors_themselves(kind):
         assert comparator.costs(vectors).tolist() == costs.tolist()
         assert [comparator.cost(vector) for vector in vectors] == costs.tolist()
         assert comparator.select_best(vectors) == int(np.argmin(costs))
-        assert comparator.rank(vectors) == np.argsort(costs).tolist()
         session = costs + later_costs
     else:
         assert comparator.costs(vectors) is None
         assert comparator.select_best(vectors) == int(np.argmax(wins))
-        assert comparator.rank(vectors) == np.argsort(-wins).tolist()
         session = wins + literal_wins(later)
     decision = consolidate_session(comparator, [vectors, later])
     assert decision.per_plan_score == session.tolist()
@@ -308,18 +303,15 @@ def test_ranksvm_batch_costs_match_per_vector_cost(vectors):
     # resolve to the same plan whichever way the costs were computed.
     assert batch.tolist() == single.tolist()
     assert _SVM.select_best(vectors) == int(np.argmin(single))
-    assert _SVM.rank(vectors) == np.argsort(single).tolist()
 
 
-def test_rank_and_ranking_return_plain_ints():
+def test_best_plan_indices_are_plain_ints():
     vectors = make_vectors([500, 10, 10_000])
     for comparator in (HeuristicComparator(), _SVM, _FOREST):
-        ranking = comparator.rank(vectors)
-        assert sorted(ranking) == [0, 1, 2]
-        assert all(type(index) is int for index in ranking)
+        assert type(comparator.select_best(vectors)) is int
         decision = consolidate_session(comparator, [vectors])
-        assert all(type(index) is int for index in decision.ranking())
-    assert HeuristicComparator().rank(vectors) == [1, 0, 2]
+        assert type(decision.best_plan_index) is int
+    assert HeuristicComparator().select_best(vectors) == 1
 
 
 def test_random_comparator_keeps_its_draw_sequence_through_consolidation():
@@ -362,7 +354,7 @@ def test_consolidation_with_cost_model_sums_costs():
     decision = consolidate_session(comparator, episodes)
     assert decision.score_kind == "cost"
     assert decision.best_plan_index == comparator.select_best(vectors)
-    assert len(decision.ranking()) == 6
+    assert len(decision.per_plan_score) == 6
 
 
 def test_consolidation_with_wins_counts():

@@ -11,7 +11,6 @@ from repro.core.enumerator import PlanEnumerator
 from repro.errors import OptimizationError
 from repro.net import MiddlewareServer, NetworkModel
 from repro.storage.statistics import CardinalityFeedback
-from repro.vega.spec import parse_spec_dict
 
 
 INTERACTIONS = [{"maxbins": 30}, {"min_delay": 100}, {"maxbins": 15}]
@@ -170,7 +169,7 @@ def test_system_counters_reach_every_subsystem(histogram_spec, flights_db):
 
 def test_native_vega_is_all_client(histogram_spec, flights_db):
     system = VegaNativeSystem(histogram_spec, flights_db)
-    assert system.plan is not None and system.plan.is_all_client()
+    assert system.plan is not None and system.plan.total_server_transforms() == 0
     assert system.optimize() is None
     results = system.run_session(INTERACTIONS[:1])
     assert len(results) == 2
@@ -180,7 +179,8 @@ def test_native_vega_is_all_client(histogram_spec, flights_db):
 
 def test_vegafusion_is_all_server(histogram_spec, flights_db):
     system = VegaFusionSystem(histogram_spec, flights_db)
-    assert system.plan is not None and system.plan.is_all_server(system.spec)
+    all_server = PlanEnumerator(system.spec).all_server_plan()
+    assert system.plan is not None and system.plan.assignment == all_server.assignment
     assert system.optimize() is None
     results = system.run_session(INTERACTIONS[:1])
     assert len(results) == 2

@@ -38,22 +38,12 @@ def build_chain():
 def test_signal_registry_declare_and_update():
     registry = SignalRegistry()
     registry.declare("x", value=1)
-    assert registry.value("x") == 1
-    assert registry.set("x", 2, stamp=1) is True
-    assert registry.set("x", 2, stamp=2) is False
-    assert registry.names() == ["x"]
+    assert registry.get("x").value == 1
+    assert registry.set("x", 2) is True
+    assert registry.set("x", 2) is False
+    assert registry.values() == {"x": 2}
     with pytest.raises(DataflowError):
         registry.get("missing")
-
-
-def test_signal_listeners_fire_on_change():
-    registry = SignalRegistry()
-    registry.declare("x", value=0)
-    seen = []
-    registry.on_update("x", lambda s: seen.append(s.value))
-    registry.set("x", 5, stamp=1)
-    registry.set("x", 5, stamp=2)
-    assert seen == [5]
 
 
 # --------------------------------------------------------------------------- #
@@ -81,7 +71,7 @@ def test_topological_order_respects_dependencies():
 def test_partial_reevaluation_on_signal_update():
     dataflow, source, extent, bin_op, aggregate = build_chain()
     dataflow.run()
-    report = dataflow.update_signal("maxbins", 20)
+    report = dataflow.update_signals({"maxbins": 20})
     evaluated = set(report.evaluated_operators)
     # Only bin (depends on maxbins) and its dependents re-run.
     assert bin_op.id in evaluated
@@ -94,7 +84,7 @@ def test_partial_reevaluation_on_signal_update():
 def test_unchanged_signal_triggers_nothing():
     dataflow, *_ = build_chain()
     dataflow.run()
-    report = dataflow.update_signal("maxbins", 5)
+    report = dataflow.update_signals({"maxbins": 5})
     assert report.evaluated_operators == []
 
 
@@ -121,10 +111,7 @@ def test_evaluation_order_is_computed_once_and_dropped_when_the_graph_changes(mo
     full = dataflow.run()
     assert full.evaluated_operators == [source.id, extent.id, bin_op.id, aggregate.id]
     for bins in (7, 9, 11, 13):
-        if bins == 13:
-            report = dataflow.update_signal("maxbins", bins)
-        else:
-            report = dataflow.update_signals({"maxbins": bins})
+        report = dataflow.update_signals({"maxbins": bins})
         assert report.evaluated_operators == [bin_op.id, aggregate.id]
         assert set(report.operator_seconds) == set(report.operator_cardinality) == {
             bin_op.id,
@@ -210,22 +197,10 @@ def test_param_ref_validation():
         ParamRef(kind="bogus", name="x")
 
 
-def test_downstream_and_upstream_lookup():
+def test_upstream_lookup():
     dataflow, source, extent, bin_op, aggregate = build_chain()
     assert dataflow.upstream_of(extent) is source
-    downstream_ids = {op.id for op in dataflow.downstream_of(extent)}
-    assert bin_op.id in downstream_ids
-
-
-def test_report_merge():
-    dataflow, *_ = build_chain()
-    first = dataflow.run()
-    second = dataflow.update_signal("maxbins", 9)
-    merged = first.merge(second)
-    assert merged.total_seconds == pytest.approx(first.total_seconds + second.total_seconds)
-    assert len(merged.evaluated_operators) == len(first.evaluated_operators) + len(
-        second.evaluated_operators
-    )
+    assert dataflow.upstream_of(source) is None
 
 
 def test_custom_operator_subclass_runs():

@@ -21,7 +21,7 @@ def test_available_datasets_lists_all_five():
 def test_generate_dataset_row_count_and_columns():
     rows = generate_dataset("flights", 100, seed=1)
     assert len(rows) == 100
-    assert set(rows[0]) == set(flights_schema().field_names())
+    assert set(rows[0]) == {spec.name for spec in flights_schema().fields}
 
 
 def test_generate_dataset_is_deterministic():
@@ -74,12 +74,6 @@ def test_categorical_skew_most_common_first():
     assert counts[first_category] == max(counts.values())
 
 
-def test_iter_rows_total_count():
-    generator = DatasetGenerator(get_schema("stocks"), seed=1)
-    rows = list(generator.iter_rows(2500, chunk_size=1000))
-    assert len(rows) == 2500
-
-
 def test_columns_returns_numpy_arrays():
     generator = DatasetGenerator(flights_schema(), seed=1)
     columns = generator.columns(10)
@@ -97,7 +91,7 @@ def test_schema_field_lookup_and_types():
     schema = flights_schema()
     assert schema.field("carrier").ftype is FieldType.CATEGORICAL
     assert "delay" in schema.quantitative_fields()
-    assert "date" in schema.temporal_fields()
+    assert schema.field("date").ftype is FieldType.TEMPORAL
     with pytest.raises(KeyError):
         schema.field("nope")
 
@@ -119,4 +113,4 @@ def test_dataset_schema_field_names_order():
             FieldSpec("y", FieldType.QUANTITATIVE, 0, 1),
         ],
     )
-    assert schema.field_names() == ["x", "y"]
+    assert [spec.name for spec in schema.fields] == ["x", "y"]

@@ -25,7 +25,7 @@ def test_cardinality_feedback_ewma_and_blend():
     feedback.observe("k", 100.0)
     feedback.observe("k", 200.0)
     ewma = FEEDBACK_ALPHA * 200.0 + (1.0 - FEEDBACK_ALPHA) * 100.0
-    assert feedback.observed_rows("k") == pytest.approx(ewma)
+    assert feedback._shapes["k"].ewma_rows == pytest.approx(ewma)
     weight = 2 / (2 + FEEDBACK_CONFIDENCE)
     assert feedback.correct("k", 10.0) == pytest.approx((1 - weight) * 10.0 + weight * ewma)
     # A heavily observed shape is trusted almost entirely.

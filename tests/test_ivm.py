@@ -347,7 +347,7 @@ def test_concurrent_brushes_share_one_view(backend):
         def replay(index: int) -> None:
             try:
                 barrier.wait()
-                results[index] = [ivm_backend.query_rows(sql) for sql in trajectories[index]]
+                results[index] = [ivm_backend.execute(sql).to_rows() for sql in trajectories[index]]
             except Exception as exc:  # surfaced in the main thread
                 errors.append(exc)
 
@@ -368,7 +368,7 @@ def test_concurrent_brushes_share_one_view(backend):
         assert not errors, errors
         for index, queries in enumerate(trajectories):
             for sql, got in zip(queries, results[index]):
-                assert got == plain.query_rows(sql), sql
+                assert got == plain.execute(sql).to_rows(), sql
         snapshot = ivm_backend.metrics.snapshot()
         assert snapshot["ivm_views"] == 1
         assert snapshot["ivm_hits"] == sum(map(len, trajectories)) - 1
@@ -393,7 +393,7 @@ def test_reregister_invalidates_views_and_statistics():
     sql = "SELECT g, COUNT(*) AS n, SUM(v) AS s FROM t WHERE b >= {} GROUP BY g"
     db.execute(sql.format(0))
     db.execute(sql.format(2))
-    assert db.ivm.view_count() == 1
+    assert len(db.ivm._views) == 1
     assert db.table_statistics("t").num_rows == 4
 
     db.register_rows(
@@ -401,7 +401,7 @@ def test_reregister_invalidates_views_and_statistics():
     )
     # The stale view is gone, the statistics cache re-derives from the new
     # table, and the next brush answers from the new data.
-    assert db.ivm.view_count() == 0
+    assert len(db.ivm._views) == 0
     assert db.metrics.snapshot()["ivm_invalidations"] == 1
     assert db.table_statistics("t").num_rows == 3
     fresh = Database(ivm=False)
@@ -418,9 +418,9 @@ def test_drop_table_invalidates_views():
     db.register_rows("t", _brush_rows([1, 2, 3]), column_order=["g", "v", "b"])
     db.execute("SELECT g, COUNT(*) AS n FROM t WHERE b >= 1 GROUP BY g")
     db.execute("SELECT g, COUNT(*) AS n FROM t WHERE b >= 2 GROUP BY g")
-    assert db.ivm.view_count() == 1
+    assert len(db.ivm._views) == 1
     db.drop_table("t")
-    assert db.ivm.view_count() == 0
+    assert len(db.ivm._views) == 0
     assert db.metrics.snapshot()["ivm_invalidations"] == 1
 
 
@@ -431,11 +431,11 @@ def test_sqlite_reregister_invalidates_views():
         sql = "SELECT g, COUNT(*) AS n FROM t WHERE b >= {} GROUP BY g ORDER BY g"
         backend.execute(sql.format(0))
         backend.execute(sql.format(2))
-        assert backend.ivm.view_count() == 1
+        assert len(backend.ivm._views) == 1
         backend.register_rows(
             "t", _brush_rows([5, 6]), replace=True, column_order=["g", "v", "b"]
         )
-        assert backend.ivm.view_count() == 0
+        assert len(backend.ivm._views) == 0
         plain = create_backend("sqlite", ivm=False)
         try:
             plain.register_rows("t", _brush_rows([5, 6]), column_order=["g", "v", "b"])
@@ -468,7 +468,7 @@ def test_sqlite_ivm_leaves_dialect_words_in_string_literals():
         for backend in (ivm_backend, plain):
             backend.register_rows("t", rows, column_order=["g", "b"])
         for sql in queries:
-            assert ivm_backend.query_rows(sql) == plain.query_rows(sql), sql
+            assert ivm_backend.execute(sql).to_rows() == plain.execute(sql).to_rows(), sql
         assert ivm_backend.stats()["ivm_hits"] == len(queries) - 1
     finally:
         ivm_backend.close()
@@ -512,6 +512,20 @@ def test_template_requires_range_predicate():
         parse_sql("SELECT g, COUNT(*) AS n FROM t WHERE g = 'a' GROUP BY g")
     )
     assert ivm_template(plan) is None
+
+
+def test_view_keeps_only_the_columns_its_aggregate_reads():
+    """The brush and the static conjuncts are spent when the tile is
+    built, so a hit gathers only the aggregate's items and keys."""
+    sql = "SELECT g, SUM(v) AS s FROM t WHERE b >= {} AND v > 0 GROUP BY g"
+    template = ivm_template(build_logical_plan(parse_sql(sql.format(1))))
+    assert template.columns == frozenset({"g", "v"})
+    db = Database()
+    db.register_rows("t", _brush_rows([1, 2, 3, 4]), column_order=["g", "v", "b"])
+    for threshold in (1, 2):
+        db.execute(sql.format(threshold))
+    (view,) = db.ivm._views.values()
+    assert view.window(template.interval).column_names() == ["g", "v"]
 
 
 def test_view_key_excludes_brush_literals():
@@ -567,7 +581,7 @@ def test_view_cap_evicts_oldest_view():
         sql = f"SELECT g, COUNT(*) AS n FROM t WHERE v <> {shape} AND b >= {{}} GROUP BY g"
         db.execute(sql.format(1))
         db.execute(sql.format(2))
-    assert db.ivm.view_count() == MAX_VIEWS
+    assert len(db.ivm._views) == MAX_VIEWS
     assert db.metrics.snapshot()["ivm_views"] == MAX_VIEWS + 1
 
 
@@ -578,4 +592,4 @@ def test_manager_detaches_on_listener():
     db.register_rows("t", _brush_rows([1, 2]), column_order=["g", "v", "b"])
     db.register_rows("t", _brush_rows([3]), replace=True, column_order=["g", "v", "b"])
     # No views existed, so invalidation is a no-op — but must not raise.
-    assert manager.view_count() == 0
+    assert len(manager._views) == 0

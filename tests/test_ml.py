@@ -11,6 +11,12 @@ from repro.ml import (
     accuracy_score,
     train_test_split,
 )
+from repro.ml.decision_tree import FlatTrees
+
+
+def tree_predict(tree, features):
+    """A fitted tree's class predictions, through the forest's kernel."""
+    return (FlatTrees([tree.root_]).leaf_probabilities(features)[0] >= 0.5).astype(int)
 
 
 def make_linear_pairs(n: int = 400, seed: int = 0):
@@ -114,8 +120,8 @@ def make_nonlinear(n: int = 400, seed: int = 1):
 def test_decision_tree_fits_xor():
     features, labels = make_nonlinear()
     tree = DecisionTreeClassifier(max_depth=12, min_samples_split=2, seed=0).fit(features, labels)
-    assert accuracy_score(labels, tree.predict(features)) > 0.9
-    assert tree.depth() >= 2
+    assert accuracy_score(labels, tree_predict(tree, features)) > 0.9
+    assert FlatTrees([tree.root_]).depth >= 2
     assert tree.feature_importances_ is not None
     # Feature 2 is irrelevant to the XOR rule.
     assert tree.feature_importances_[2] < 0.2
@@ -134,16 +140,16 @@ def test_decision_tree_batch_prediction_equals_walking_each_sample():
     probes = np.random.default_rng(5).uniform(-1.2, 1.2, size=(300, 3))
     # Samples sitting exactly on a split threshold go left, like the walk.
     probes[:40, tree.root_.feature] = tree.root_.threshold
-    assert tree.predict_proba(probes).tolist() == [walk(row) for row in probes]
-    assert tree.predict_proba(probes[0]).tolist() == [walk(probes[0])]
+    flat = FlatTrees([tree.root_])
+    assert flat.leaf_probabilities(probes)[0].tolist() == [walk(row) for row in probes]
 
 
 def test_decision_tree_pure_labels_returns_leaf():
     features = np.array([[0.0], [1.0], [2.0]])
     labels = np.array([1, 1, 1])
     tree = DecisionTreeClassifier().fit(features, labels)
-    assert list(tree.predict(features)) == [1, 1, 1]
-    assert tree.depth() == 0
+    assert tree.root_.is_leaf()
+    assert list(tree_predict(tree, features)) == [1, 1, 1]
 
 
 def test_decision_tree_errors():
@@ -151,15 +157,13 @@ def test_decision_tree_errors():
         DecisionTreeClassifier(max_depth=0)
     with pytest.raises(ModelError):
         DecisionTreeClassifier().fit(np.zeros((0, 2)), np.zeros(0))
-    with pytest.raises(ModelError):
-        DecisionTreeClassifier().predict(np.zeros((1, 2)))
 
 
 def test_random_forest_beats_single_shallow_tree_on_xor():
     features, labels = make_nonlinear()
     tree = DecisionTreeClassifier(max_depth=2, seed=0).fit(features, labels)
     forest = RandomForestClassifier(n_estimators=20, max_depth=6, seed=0).fit(features, labels)
-    tree_accuracy = accuracy_score(labels, tree.predict(features))
+    tree_accuracy = accuracy_score(labels, tree_predict(tree, features))
     forest_accuracy = accuracy_score(labels, forest.predict(features))
     assert forest_accuracy > tree_accuracy
     assert forest_accuracy > 0.9

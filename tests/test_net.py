@@ -148,14 +148,14 @@ def test_cache_byte_accounting_follows_evictions():
     cache = QueryCache(max_entries=2)
     cache.put("a", EMPTY, 40)
     cache.put("b", EMPTY, 60)
-    assert cache.total_bytes == cache.stats.current_bytes == 100
+    assert cache.stats.current_bytes == 100
     cache.put("c", EMPTY, 30)  # the third entry evicts "a"
     assert cache.peek("a") is None
-    assert cache.total_bytes == 90
+    assert cache.stats.current_bytes == 90
     assert cache.stats.evictions == 1
     assert cache.stats.evicted_bytes == 40
     cache.clear()
-    assert cache.total_bytes == 0
+    assert cache.stats.current_bytes == 0
 
 
 def test_cache_statistics_expose_policy_and_budget():

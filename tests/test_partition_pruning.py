@@ -30,6 +30,8 @@ from repro.sql.planner import (
 from repro.storage import Catalog, PartitionedTable, Table, compute_zone_map
 from repro.storage.statistics import RangeInterval
 
+from helpers import table_from_columns
+
 
 def _predicate(sql_where: str):
     """The optimised WHERE predicate of ``SELECT * FROM t WHERE ...``."""
@@ -107,11 +109,11 @@ class TestPruningConjuncts:
 def _zone_maps():
     """Three partitions: t in [0,9] all-null v; t in [10,19]; t in [20,29]."""
     parts = [
-        Table.from_columns({"t": [float(i) for i in range(0, 10)], "v": [None] * 10}),
-        Table.from_columns(
+        table_from_columns({"t": [float(i) for i in range(0, 10)], "v": [None] * 10}),
+        table_from_columns(
             {"t": [float(i) for i in range(10, 20)], "v": [float(i) for i in range(10)]}
         ),
-        Table.from_columns({"t": [float(i) for i in range(20, 30)], "v": [None, 1.0] * 5}),
+        table_from_columns({"t": [float(i) for i in range(20, 30)], "v": [None, 1.0] * 5}),
     ]
     return [compute_zone_map(part) for part in parts]
 
@@ -166,7 +168,7 @@ def _flat_rows(db: Database, sql: str) -> list[dict]:
     """``sql``'s rows over a flat copy of ``db``'s ``data`` table."""
     flat = Database()
     flat.register_rows("data", db.execute("SELECT * FROM data").to_rows())
-    return flat.query_rows(sql)
+    return flat.execute(sql).to_rows()
 
 
 class TestPredicatePushdown:
@@ -330,7 +332,7 @@ class TestExecutorPruning:
         """
 
         def clustered(values: list[float]) -> PartitionedTable:
-            return PartitionedTable.from_table(Table.from_columns({"d": values}), 10)
+            return PartitionedTable.from_table(table_from_columns({"d": values}), 10)
 
         catalog = Catalog()
         catalog.register("t", clustered([float(i) for i in range(100)]))

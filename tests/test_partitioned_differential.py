@@ -48,8 +48,8 @@ def _typed(rows: list[dict]) -> list[list[tuple]]:
 def assert_exactly_equal(engines: dict[str, Database], sql: str) -> None:
     """The partitioned engine's rows ``==`` the flat engine's: value,
     type, column order and row order."""
-    flat = engines["serial"].query_rows(sql)
-    partitioned = engines["partitioned"].query_rows(sql)
+    flat = engines["serial"].execute(sql).to_rows()
+    partitioned = engines["partitioned"].execute(sql).to_rows()
     assert _typed(partitioned) == _typed(flat), sql
 
 
@@ -73,7 +73,7 @@ def test_corpus_query_identical_partitioned(engines, sql):
 def test_partitioned_engine_actually_partitions(engines):
     """The differential is only meaningful if the scan reads partitions."""
     before = engines["partitioned"].stats()
-    engines["partitioned"].query_rows("SELECT g, COUNT(*) AS n FROM data GROUP BY g")
+    engines["partitioned"].execute("SELECT g, COUNT(*) AS n FROM data GROUP BY g").to_rows()
     after = engines["partitioned"].stats()
     assert after["partitions_scanned"] > before["partitions_scanned"]
     assert after["morsel_tasks"] > before["morsel_tasks"]
@@ -133,9 +133,9 @@ def test_partition_boundary_rows_not_lost():
     engines = _engine_pair({"t": (rows, ["t", "v"])}, target_rows=10)
     for bound in (9.0, 10.0, 50.0, 99.0):
         assert_exactly_equal(engines, f"SELECT COUNT(*) AS n FROM t WHERE t >= {bound}")
-    deltas = engines["partitioned"].query_rows(
+    deltas = engines["partitioned"].execute(
         "SELECT COUNT(*) AS n FROM t WHERE t = 10"
-    )
+    ).to_rows()
     assert deltas == [{"n": 1}]
 
 
@@ -145,8 +145,8 @@ def test_partitioned_float_sums_are_bit_identical():
     rows = [{"g": "ab"[i % 2], "v": float(rng.normal(0, 1e6))} for i in range(5000)]
     engines = _engine_pair({"t": (rows, ["g", "v"])}, target_rows=500)
     sql = "SELECT g, SUM(v) AS s, AVG(v) AS a FROM t GROUP BY g"
-    serial = engines["serial"].query_rows(sql)
-    partitioned = engines["partitioned"].query_rows(sql)
+    serial = engines["serial"].execute(sql).to_rows()
+    partitioned = engines["partitioned"].execute(sql).to_rows()
     assert partitioned == serial
     assert all(isinstance(row["s"], float) for row in partitioned)
 

@@ -48,10 +48,10 @@ def db() -> Database:
 def test_brush_sequence_parses_once(db):
     """20 brush steps over the same shape: one parse, 19 template hits."""
     for low in range(0, 60, 3):  # 20 distinct literal pairs
-        rows = db.query_rows(
+        rows = db.execute(
             f"SELECT g, SUM(v) AS s, COUNT(*) AS n FROM t "
             f"WHERE v >= {low} AND v < {low + 40} GROUP BY g ORDER BY g"
-        )
+        ).to_rows()
         assert rows  # the window always overlaps data
     snapshot = db.metrics.snapshot()
     assert snapshot["queries_parsed"] == 1.0
@@ -73,19 +73,19 @@ def test_sqlite_brush_sequence_parses_once():
     )
     try:
         for low in range(0, 60, 3):  # 20 distinct literal pairs
-            rows = backend.query_rows(
+            rows = backend.execute(
                 f"SELECT g, COUNT(*) AS n FROM t WHERE v >= {low} AND v < {low + 40} "
                 "GROUP BY g ORDER BY g NULLS LAST"
-            )
+            ).to_rows()
             assert sum(row["n"] for row in rows) == min(low + 40, 100) - low
         stats = backend.stats()
         assert stats["queries_parsed"] == 1.0
         assert stats["plan_template_hits"] == 19.0
         assert stats["plan_cache_misses"] == 20.0
         # Text the embedded parser cannot read still runs on SQLite.
-        assert backend.query_rows("SELECT COUNT(*) AS n FROM t WHERE v IS NOT 2") == [{"n": 99}]
+        assert backend.execute("SELECT COUNT(*) AS n FROM t WHERE v IS NOT 2").to_rows() == [{"n": 99}]
         backend.clear_plan_cache()
-        backend.query_rows("SELECT g, COUNT(*) AS n FROM t WHERE v >= 1 AND v < 2 GROUP BY g")
+        backend.execute("SELECT g, COUNT(*) AS n FROM t WHERE v >= 1 AND v < 2 GROUP BY g").to_rows()
         assert backend.stats()["queries_parsed"] > stats["queries_parsed"]
     finally:
         backend.close()
@@ -93,8 +93,8 @@ def test_sqlite_brush_sequence_parses_once():
 
 def test_exact_repeat_hits_plan_cache_not_template(db):
     sql = "SELECT COUNT(*) AS n FROM t WHERE v > 10"
-    db.query_rows(sql)
-    db.query_rows(sql)
+    db.execute(sql).to_rows()
+    db.execute(sql).to_rows()
     snapshot = db.metrics.snapshot()
     assert snapshot["queries_parsed"] == 1.0
     assert snapshot["plan_cache_hits"] == 1.0
@@ -122,16 +122,16 @@ def test_template_results_match_fresh_parse(db):
         for lo, hi in ((1, 50), (7, 80), (3, 66)):
             sql = shape.format(lo=lo, hi=hi)
             uncached.clear_plan_cache()  # the reference parses every query fresh
-            assert db.query_rows(sql) == uncached.query_rows(sql), sql
+            assert db.execute(sql).to_rows() == uncached.execute(sql).to_rows(), sql
     assert db.metrics.snapshot()["plan_template_hits"] > 0
 
 
 def test_quoted_alias_stays_in_shape_key(db):
     """A double-quoted alias is a STRING token but not an expression: it
     keys the shape, and the WHERE literal is the slot."""
-    first = db.query_rows('SELECT v + 1 AS "bumped" FROM t WHERE v < 3 ORDER BY v')
-    second = db.query_rows('SELECT v + 1 AS "bumped" FROM t WHERE v < 4 ORDER BY v')
-    other = db.query_rows('SELECT v + 1 AS "other" FROM t WHERE v < 3 ORDER BY v')
+    first = db.execute('SELECT v + 1 AS "bumped" FROM t WHERE v < 3 ORDER BY v').to_rows()
+    second = db.execute('SELECT v + 1 AS "bumped" FROM t WHERE v < 4 ORDER BY v').to_rows()
+    other = db.execute('SELECT v + 1 AS "other" FROM t WHERE v < 3 ORDER BY v').to_rows()
     assert [row["bumped"] for row in first] == [1.0, 2.0, 3.0]
     assert [row["bumped"] for row in second] == [1.0, 2.0, 3.0, 4.0]
     assert [row["other"] for row in other] == [1.0, 2.0, 3.0]
@@ -142,9 +142,9 @@ def test_quoted_alias_stays_in_shape_key(db):
 
 def test_limit_count_stays_in_shape_key(db):
     """LIMIT 5.5 truncates to 5 in the parser: the count keys the shape."""
-    assert len(db.query_rows("SELECT v FROM t WHERE v > 1 ORDER BY v LIMIT 5.5")) == 5
-    assert len(db.query_rows("SELECT v FROM t WHERE v > 1 ORDER BY v LIMIT 6.5")) == 6
-    assert len(db.query_rows("SELECT v FROM t WHERE v > 2 ORDER BY v LIMIT 6.5")) == 6
+    assert len(db.execute("SELECT v FROM t WHERE v > 1 ORDER BY v LIMIT 5.5").to_rows()) == 5
+    assert len(db.execute("SELECT v FROM t WHERE v > 1 ORDER BY v LIMIT 6.5").to_rows()) == 6
+    assert len(db.execute("SELECT v FROM t WHERE v > 2 ORDER BY v LIMIT 6.5").to_rows()) == 6
     snapshot = db.metrics.snapshot()
     assert snapshot["plan_template_hits"] == 1.0
     assert snapshot["queries_parsed"] == 2.0
@@ -155,15 +155,15 @@ def test_keyword_literals_stay_in_shape(db):
     db.register_rows(
         "flags", [{"f": True, "v": 1.0}, {"f": False, "v": 2.0}], replace=True
     )
-    on = db.query_rows("SELECT v FROM flags WHERE f = TRUE")
-    off = db.query_rows("SELECT v FROM flags WHERE f = FALSE")
+    on = db.execute("SELECT v FROM flags WHERE f = TRUE").to_rows()
+    off = db.execute("SELECT v FROM flags WHERE f = FALSE").to_rows()
     assert on == [{"v": 1.0}] and off == [{"v": 2.0}]
 
 
 def test_clear_plan_cache_drops_templates(db):
-    db.query_rows("SELECT COUNT(*) AS n FROM t WHERE v > 5")
+    db.execute("SELECT COUNT(*) AS n FROM t WHERE v > 5").to_rows()
     db.clear_plan_cache()
-    db.query_rows("SELECT COUNT(*) AS n FROM t WHERE v > 6")
+    db.execute("SELECT COUNT(*) AS n FROM t WHERE v > 6").to_rows()
     assert db.metrics.snapshot()["queries_parsed"] == 2.0
 
 
@@ -243,7 +243,7 @@ def test_build_rejects_misaligned_shapes(db):
     assert prepare("SELECT a FROM t LIMIT ?") is None
     assert prepare("SELECT a, COUNT(*) AS n FROM t GROUP BY a HAVING COUNT(*) > ?") is None
     sql = "SELECT v FROM t WHERE v < 3 ORDER BY v LIMIT 2"
-    rows = db.query_rows(PreparedSQL(sql, "SELECT v FROM t WHERE v < 3 ORDER BY v LIMIT ?", [2]))
+    rows = db.execute(PreparedSQL(sql, "SELECT v FROM t WHERE v < 3 ORDER BY v LIMIT ?", [2])).to_rows()
     assert rows == [{"v": 0.0}, {"v": 1.0}]
     snapshot = db.metrics.snapshot()
     assert snapshot["plan_template_hits"] == 0.0
@@ -262,7 +262,7 @@ def test_select_slots_bind_unless_the_shape_has_having(db):
         sql = text.format(factor)
         assert db.plan(PreparedSQL(sql, shape, [factor])) == fresh_plan(sql)
         running = [0, 1, 2, 4, 6, 9]  # per-g running sums of v = 0..5
-        assert db.query_rows(PreparedSQL(sql, shape, [factor])) == [
+        assert db.execute(PreparedSQL(sql, shape, [factor])).to_rows() == [
             {"v": float(v), "s": float(total * factor)} for v, total in enumerate(running)
         ]
     snapshot = db.metrics.snapshot()
@@ -275,9 +275,9 @@ def test_instantiate_rejects_wrong_value_count(db):
     the query is planned from its text instead."""
     sql = "SELECT COUNT(*) AS n FROM t WHERE v > 5"
     shape = "SELECT COUNT(*) AS n FROM t WHERE v > ?"
-    assert db.query_rows(PreparedSQL(sql, shape, [5])) == [{"n": 94}]
+    assert db.execute(PreparedSQL(sql, shape, [5])).to_rows() == [{"n": 94}]
     wrong = "SELECT COUNT(*) AS n FROM t WHERE v > 50"
-    assert db.query_rows(PreparedSQL(wrong, shape, [50, 7])) == [{"n": 49}]
+    assert db.execute(PreparedSQL(wrong, shape, [50, 7])).to_rows() == [{"n": 49}]
     assert db.plan(PreparedSQL(wrong + " ", shape, [50, 7])) == fresh_plan(wrong)
 
 
@@ -285,7 +285,7 @@ def test_raw_question_mark_is_an_unbound_parameter(db):
     from repro.errors import ParseError
 
     with pytest.raises(ParseError, match="unbound parameter"):
-        db.query_rows("SELECT v FROM t WHERE v > ?")
+        db.execute("SELECT v FROM t WHERE v > ?").to_rows()
 
 
 # --------------------------------------------------------------------------- #

@@ -357,9 +357,9 @@ def _assert_identical_across_backends_and_oracle(rows: list[Row], predicate: Pre
                 for row, truth in zip(table, truths)
             ]),
         ):
-            assert sqlite.query_rows(sql.format(table="t")) == want, sql
-            assert embedded.query_rows(sql.format(table="t")) == want, sql
-            assert embedded.query_rows(sql.format(table="tp")) == want, sql
+            assert sqlite.execute(sql.format(table="t")).to_rows() == want, sql
+            assert embedded.execute(sql.format(table="t")).to_rows() == want, sql
+            assert embedded.execute(sql.format(table="tp")).to_rows() == want, sql
     finally:
         embedded.close()
         sqlite.close()
@@ -379,7 +379,7 @@ def test_predicate_as_ivm_static_conjunct(rows, predicate):
                 f"SELECT k, COUNT(*) AS n, COUNT(v) AS nv, MAX(v) AS hi FROM t "
                 f"WHERE b >= {low} AND ({predicate.sql}) GROUP BY k"
             )
-            assert with_ivm.query_rows(sql) == without_ivm.query_rows(sql), sql
+            assert with_ivm.execute(sql).to_rows() == without_ivm.execute(sql).to_rows(), sql
         assert with_ivm.stats()["ivm_hits"] >= 1
     finally:
         with_ivm.close()

@@ -217,7 +217,7 @@ def test_a_brush_crossing_zero_keeps_its_shape(backend):
         assert backend.plan(sql) == optimize_plan(build_logical_plan(parse_sql(sql)))
     assert backend.stats()["queries_parsed"] - parsed == 1
     for sql in queries:
-        assert backend.query_rows(sql) == backend.query_rows(str(sql) + " ")
+        assert backend.execute(sql).to_rows() == backend.execute(str(sql) + " ").to_rows()
 
 
 def test_prepared_sql_survives_a_pickle_round_trip():

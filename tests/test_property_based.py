@@ -25,13 +25,16 @@ from repro.bench.reference import (
     sort_indices_vectorized,
 )
 from repro.storage.table import Table
-from repro.dataflow.transforms.bin import compute_bins, nice_bin_step
-from repro.expr import evaluate, is_translatable, to_sql
+from repro.dataflow.transforms.bin import compute_bins
+from repro.expr import to_sql
+from repro.expr.to_sql import compiles
 from repro.net.cache import QueryCache
 from repro.rewrite import SpecRewriter
 from repro.net import MiddlewareServer
 from repro.sql import Database
 from repro.vega.spec import parse_spec_dict
+
+from helpers import evaluate, table_from_columns
 
 settings.register_profile(
     "repro", deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=30
@@ -69,7 +72,7 @@ def test_filter_equivalence_sql_vs_expression(rows, threshold):
     """WHERE v > t must keep exactly the rows the Vega expression keeps."""
     db = Database()
     db.register_rows("t", rows, column_order=["v", "w", "g"])
-    sql_rows = db.query_rows(f"SELECT * FROM t WHERE {to_sql('datum.v > cut', {'cut': threshold})}")
+    sql_rows = db.execute(f"SELECT * FROM t WHERE {to_sql('datum.v > cut', {'cut': threshold})}").to_rows()
     expr_rows = [r for r in rows if evaluate("datum.v > cut", r, {"cut": threshold}) is True]
     assert len(sql_rows) == len(expr_rows)
 
@@ -80,7 +83,7 @@ def test_groupby_count_equivalence(rows):
     """SQL GROUP BY count equals a hand-computed Python group count."""
     db = Database()
     db.register_rows("t", rows, column_order=["v", "w", "g"])
-    result = db.query_rows("SELECT g, COUNT(*) AS n FROM t GROUP BY g")
+    result = db.execute("SELECT g, COUNT(*) AS n FROM t GROUP BY g").to_rows()
     expected: dict[str, int] = {}
     for row in rows:
         expected[row["g"]] = expected.get(row["g"], 0) + 1
@@ -92,7 +95,7 @@ def test_groupby_count_equivalence(rows):
 def test_sum_ignores_nulls(rows):
     db = Database()
     db.register_rows("t", rows, column_order=["v", "w", "g"])
-    result = db.query_rows("SELECT SUM(v) AS s, COUNT(v) AS n FROM t")[0]
+    result = db.execute("SELECT SUM(v) AS s, COUNT(v) AS n FROM t").to_rows()[0]
     values = [r["v"] for r in rows if r["v"] is not None]
     assert result["n"] == len(values)
     if values:
@@ -158,7 +161,7 @@ def test_distinct_kernel_matches_reference(data):
     """Columnar DISTINCT == naive first-occurrence row scan."""
     n, arrays = data
     columns = {f"c{i}": list(arr) for i, arr in enumerate(arrays)}
-    table = Table.from_columns(columns) if n else Table.empty(list(columns))
+    table = table_from_columns(columns)
     assert table.distinct_indices().tolist() == distinct_indices_reference(table).tolist()
 
 
@@ -168,10 +171,10 @@ def test_grouped_aggregates_match_naive_python(rows):
     """Batched segment aggregation equals per-group Python aggregation."""
     db = Database()
     db.register_rows("t", rows, column_order=["v", "w", "g"])
-    result = db.query_rows(
+    result = db.execute(
         "SELECT g, COUNT(*) AS n, COUNT(v) AS nv, SUM(v) AS s, "
         "MIN(v) AS lo, MAX(v) AS hi, AVG(v) AS a FROM t GROUP BY g"
-    )
+    ).to_rows()
     groups: dict[str, list[float]] = {}
     counts: dict[str, int] = {}
     for row in rows:
@@ -199,7 +202,7 @@ def test_order_by_nulls_deterministic(rows, descending):
     db = Database()
     db.register_rows("t", rows, column_order=["v", "w", "g"])
     direction = "DESC" if descending else "ASC"
-    result = db.query_rows(f"SELECT v FROM t ORDER BY v {direction}")
+    result = db.execute(f"SELECT v FROM t ORDER BY v {direction}").to_rows()
     values = [r["v"] for r in result]
     n_null = sum(1 for v in values if v is None)
     nulls = values[:n_null] if descending else values[len(values) - n_null :]
@@ -225,7 +228,7 @@ def test_range_predicate_translation_agrees_with_evaluator(low, high, value):
     client = evaluate(expr, {"x": value}, signals)
     db = Database()
     db.register_rows("t", [{"x": value}])
-    server = len(db.query_rows(f"SELECT * FROM t WHERE {to_sql(expr, signals)}")) == 1
+    server = len(db.execute(f"SELECT * FROM t WHERE {to_sql(expr, signals)}").to_rows()) == 1
     assert bool(client) == server
 
 
@@ -237,7 +240,7 @@ def test_range_predicate_translation_agrees_with_evaluator(low, high, value):
     "datum.a > 0 ? 1 : 0",
 ]))
 def test_translatable_expressions_report_translatable(expr):
-    assert is_translatable(expr)
+    assert compiles(expr)
 
 
 # --------------------------------------------------------------------------- #

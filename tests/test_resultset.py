@@ -342,7 +342,7 @@ def test_cache_bytes_equal_sum_of_resident_entries_after_mixed_sequence():
     check()
     cache.clear()
     check()
-    assert cache.total_bytes == 0
+    assert cache.stats.current_bytes == 0
 
 
 def test_cache_entry_rows_materialise_lazily_and_payload_is_exact():

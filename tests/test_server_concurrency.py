@@ -80,7 +80,7 @@ def test_single_flight_retires_key_after_completion():
         scheduler.run("k", lambda: counter.append(1))
     assert len(counter) == 3
     assert scheduler.stats.executed == 3
-    assert scheduler.in_flight_count() == 0
+    assert not scheduler._in_flight
     scheduler.shutdown()
 
 
@@ -190,7 +190,7 @@ def test_admission_bound_caps_concurrent_executions():
         assert not thread.is_alive()
     assert peak[0] == 2
     assert [outcome.value for outcome in outcomes] == list(range(6))
-    assert scheduler.stats.executed == 6 and scheduler.in_flight_count() == 0
+    assert scheduler.stats.executed == 6 and not scheduler._in_flight
     scheduler.shutdown()
 
 
@@ -222,7 +222,7 @@ def test_leader_exception_reaches_coalesced_followers_as_the_same_object():
     assert all(exc is error for exc in raised)
     assert scheduler.stats.executed == 1 and scheduler.stats.coalesced == 3
     assert scheduler.stats.failed == 1
-    assert scheduler.in_flight_count() == 0  # the key retired
+    assert not scheduler._in_flight  # the key retired
     scheduler.shutdown()
 
 
@@ -269,15 +269,14 @@ def test_sessions_carry_their_own_network_profiles(manager):
 def test_session_manager_bookkeeping(manager):
     auto = manager.create_session()
     manager.create_session("named")
-    assert len(manager) == 2
-    assert "named" in manager.session_ids()
+    assert manager.snapshot()["sessions"] == 2
     assert manager.get("named").session_id == "named"
     with pytest.raises(ValueError):
         manager.create_session("named")
     with pytest.raises(KeyError):
         manager.get("ghost")
     manager.close_session(auto.session_id)
-    assert len(manager) == 1
+    assert manager.snapshot()["sessions"] == 1
 
 
 def test_session_manager_shutdown_returns_final_scheduler_snapshot(flights_db):
@@ -286,7 +285,7 @@ def test_session_manager_shutdown_returns_final_scheduler_snapshot(flights_db):
     final = manager.shutdown()
     assert final is not None and final["submitted"] == 1
     assert manager.shutdown() == final  # idempotent: admission is closed
-    assert len(manager) == 0
+    assert manager.snapshot()["sessions"] == 0
     # Without a scheduler there is no snapshot to return.
     bare = SessionManager(MiddlewareServer(flights_db))
     assert bare.shutdown() is None
@@ -418,7 +417,7 @@ def test_session_manager_execute_serialises_per_session_id(manager):
 
     assert not overlapped  # two threads on "alice" were serialised
     assert not inside.broken  # "bob" and "carol" were in serve() together
-    assert manager.session_ids() == ["alice", "bob", "carol"]
+    assert sorted(manager._sessions) == ["alice", "bob", "carol"]
     assert manager.get("alice").requests == 100
 
 
@@ -550,7 +549,7 @@ def test_sqlite_backend_uses_per_thread_connections(flights_rows):
     assert not errors
     # Six worker threads plus the registering thread: distinct connections.
     assert len(set(seen.values())) == 6
-    assert backend.connection_count() >= 7
+    assert len(backend._connections) >= 7
     backend.close()
 
 

@@ -250,6 +250,27 @@ def test_window_running_sum(db):
     assert by_category["b"] == [3, 7]
 
 
+def test_window_over_the_rows_before_the_current_one(db):
+    """``ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING`` is the running
+    value one row back: NULL (COUNT 0) on a partition's first row.  Inside
+    an expression the window is materialised once, and ``*`` does not
+    expand it."""
+    result = rows(
+        db,
+        "SELECT *, COALESCE(SUM(weight) OVER (PARTITION BY category ORDER BY weight "
+        "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS below, "
+        "COUNT(*) OVER (PARTITION BY category ORDER BY weight "
+        "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) AS before "
+        "FROM tiny ORDER BY category, weight",
+    )
+    assert list(result[0]) == ["category", "value", "weight", "below", "before"]
+    offsets = {}
+    for row in result:
+        offsets.setdefault(row["category"], []).append((row["below"], row["before"]))
+    assert offsets["a"] == [(0, 0), (1, 1)]
+    assert offsets["b"] == [(0, 0), (3, 1)]
+
+
 def test_window_row_number(db):
     result = rows(
         db,
@@ -322,8 +343,8 @@ def test_plan_cache_preserves_string_literal_whitespace():
     database = Database()
     database.register_rows("t", [{"s": "a b"}, {"s": "a  b"}])
     for quote in ("'", '"'):
-        one = database.query_rows(f"SELECT * FROM t WHERE s = {quote}a b{quote}")
-        two = database.query_rows(f"SELECT * FROM t WHERE s = {quote}a  b{quote}")
+        one = database.execute(f"SELECT * FROM t WHERE s = {quote}a b{quote}").to_rows()
+        two = database.execute(f"SELECT * FROM t WHERE s = {quote}a  b{quote}").to_rows()
         assert one == [{"s": "a b"}]
         assert two == [{"s": "a  b"}]  # distinct cache keys, not a stale plan
     totals = database.metrics.snapshot()
@@ -358,17 +379,17 @@ def test_order_by_string_nulls_deterministic():
     database.register_rows(
         "t", [{"s": "b"}, {"s": None}, {"s": "a"}, {"s": None}, {"s": "c"}]
     )
-    ascending = [r["s"] for r in database.query_rows("SELECT s FROM t ORDER BY s")]
+    ascending = [r["s"] for r in database.execute("SELECT s FROM t ORDER BY s").to_rows()]
     assert ascending == ["a", "b", "c", None, None]
-    descending = [r["s"] for r in database.query_rows("SELECT s FROM t ORDER BY s DESC")]
+    descending = [r["s"] for r in database.execute("SELECT s FROM t ORDER BY s DESC").to_rows()]
     assert descending == [None, None, "c", "b", "a"]
 
 
-def test_register_columns_and_drop(db):
-    db.register_columns("extra", {"a": [1, 2, 3]})
-    assert db.query_rows("SELECT COUNT(*) AS n FROM extra") == [{"n": 3}]
+def test_register_rows_and_drop(db):
+    db.register_rows("extra", [{"a": 1}, {"a": 2}, {"a": 3}])
+    assert db.execute("SELECT COUNT(*) AS n FROM extra").to_rows() == [{"n": 3}]
     db.drop_table("extra")
-    assert "extra" not in db.table_names()
+    assert "extra" not in db.catalog.table_names()
 
 
 def test_group_scalar_tail_vectorized_matches_naive_reference():
@@ -391,10 +412,10 @@ def test_group_scalar_tail_vectorized_matches_naive_reference():
     ]
     database = Database()
     database.register_rows("t", rows, column_order=["g", "v"])
-    result = database.query_rows(
+    result = database.execute(
         "SELECT g, g AS key_again, v + 0 AS shifted, COUNT(*) AS n "
         "FROM t GROUP BY g, v + 0 ORDER BY g, shifted"
-    )
+    ).to_rows()
     naive: dict[tuple, int] = {}
     for row in rows:
         naive[(row["g"], row["v"])] = naive.get((row["g"], row["v"]), 0) + 1
@@ -405,9 +426,9 @@ def test_group_scalar_tail_vectorized_matches_naive_reference():
 
     # Empty input: zero groups must come out as zero rows, and the
     # no-GROUP-BY global aggregate yields its one NULL-filled segment.
-    database.register_columns("e", {"g": [], "v": []})
-    assert database.query_rows("SELECT g, v + 0 AS s FROM e GROUP BY g, v + 0") == []
-    assert database.query_rows("SELECT MAX(v) AS m, COUNT(*) AS n FROM e") == [
+    database.register_rows("e", [], column_order=["g", "v"])
+    assert database.execute("SELECT g, v + 0 AS s FROM e GROUP BY g, v + 0").to_rows() == []
+    assert database.execute("SELECT MAX(v) AS m, COUNT(*) AS n FROM e").to_rows() == [
         {"m": None, "n": 0}
     ]
 
@@ -470,7 +491,7 @@ def test_dictionary_columns_through_sql_match_references(table, descending):
     database.register_table("t", table)
     arrays = [table.column(name).values for name in names]
 
-    grouped = database.query_rows(f"SELECT {keys}, COUNT(*) AS n FROM t GROUP BY {keys}")
+    grouped = database.execute(f"SELECT {keys}, COUNT(*) AS n FROM t GROUP BY {keys}").to_rows()
     reference = group_rows_reference(arrays, table.num_rows)
     assert [row["n"] for row in grouped] == [len(group) for group in reference]
     assert [tuple(row[name] for name in names) for row in grouped] == [
@@ -478,13 +499,13 @@ def test_dictionary_columns_through_sql_match_references(table, descending):
     ]
 
     direction = " DESC" if descending else ""
-    ordered = database.query_rows(
+    ordered = database.execute(
         f"SELECT {keys} FROM t ORDER BY " + ", ".join(name + direction for name in names)
-    )
+    ).to_rows()
     expected = sort_indices_reference(arrays, [descending] * len(names), table.num_rows)
     assert ordered == table.take(expected).to_rows()
 
-    distinct = database.query_rows(f"SELECT DISTINCT {keys} FROM t")
+    distinct = database.execute(f"SELECT DISTINCT {keys} FROM t").to_rows()
     seen: list[tuple] = []
     for row in table.to_rows():
         if tuple(row.values()) not in seen:
@@ -561,26 +582,26 @@ def test_scan_nodes_record_minimal_column_sets(sql, expected):
 
 def test_narrow_scans_return_the_same_rows(flights_db, flights_rows):
     """Every pruned shape still sees each column it needs (vs a Python oracle)."""
-    assert flights_db.query_rows("SELECT COUNT(*) AS n FROM flights") == [{"n": 500}]
+    assert flights_db.execute("SELECT COUNT(*) AS n FROM flights").to_rows() == [{"n": 500}]
     late = [r for r in flights_rows if r["delay"] is not None and r["delay"] > 30]
-    assert flights_db.query_rows("SELECT COUNT(*) AS n FROM flights WHERE delay > 30") == [
+    assert flights_db.execute("SELECT COUNT(*) AS n FROM flights WHERE delay > 30").to_rows() == [
         {"n": len(late)}
     ]
-    star = flights_db.query_rows("SELECT * FROM flights WHERE delay > 30")
+    star = flights_db.execute("SELECT * FROM flights WHERE delay > 30").to_rows()
     assert [list(row) for row in star[:1]] == [list(flights_rows[0])]
     assert len(star) == len(late)
-    windowed = flights_db.query_rows(
+    windowed = flights_db.execute(
         "SELECT carrier, ROW_NUMBER() OVER (PARTITION BY origin ORDER BY date, delay) AS r "
         "FROM flights WHERE delay > 30"
-    )
+    ).to_rows()
     assert len(windowed) == len(late) and set(windowed[0]) == {"carrier", "r"}
-    nested = flights_db.query_rows(
+    nested = flights_db.execute(
         "SELECT origin, n FROM (SELECT origin, COUNT(*) AS n FROM flights "
         "WHERE delay > 30 GROUP BY origin) AS sub ORDER BY origin"
-    )
+    ).to_rows()
     counts: dict = {}
     for row in late:
         counts[row["origin"]] = counts.get(row["origin"], 0) + 1
     assert nested == [{"origin": k, "n": counts[k]} for k in sorted(counts)]
     with pytest.raises(ExecutionError, match="unknown column 'nope'"):
-        flights_db.query_rows("SELECT nope FROM flights")
+        flights_db.execute("SELECT nope FROM flights").to_rows()

