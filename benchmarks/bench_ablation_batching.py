@@ -20,8 +20,7 @@ SIZE = 20_000
 
 def _run(system: VegaPlusSystem) -> tuple[float, int]:
     result = system.initialize()
-    transferred = system.rewritten.bytes_transferred()
-    return result.total_seconds, transferred
+    return result.total_seconds, result.breakdown.bytes_transferred
 
 
 def test_batched_rewrite_vs_unbatched(benchmark, harness: BenchmarkHarness):

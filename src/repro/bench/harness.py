@@ -247,13 +247,10 @@ class BenchmarkHarness:
         totals = {"client": 0.0, "server": 0.0, "network": 0.0, "serialization": 0.0}
         for episode_index, result in enumerate(results):
             measurement.episode_seconds.append(result.total_seconds)
-            operator_ids = (
-                list(result.report.evaluated_operators) if result.report is not None else None
-            )
             vector = encoder.encode_measured(
                 system.rewritten,
                 plan.plan_id,
-                operator_ids=operator_ids,
+                operator_ids=result.operator_ids,
                 episode=episode_index,
             )
             measurement.episode_vectors.append(vector)

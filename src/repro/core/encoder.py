@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.dataflow.graph import stale_closure
 from repro.dataflow.operator import Operator, SourceOperator
 from repro.expr import parse_expression
 from repro.expr.nodes import BinaryNode, IdentifierNode, MemberNode, NumberNode
@@ -154,7 +155,18 @@ def fold_records(
     """
     vector = PlanVector(plan_id=plan_id, episode=episode)
     if changed_signals is not None:
-        stale = _stale_keys(records, changed_signals)
+        key_of_name = {record.name: record.key for record in records if record.name is not None}
+        stale = stale_closure(
+            (
+                (
+                    record.key,
+                    record.signals,
+                    [record.upstream, *map(key_of_name.get, record.operator_refs)],
+                )
+                for record in records
+            ),
+            changed_signals,
+        )
         records = [record for record in records if record.key in stale]
     counts, cardinalities = vector.counts, vector.cardinalities
     for record in records:
@@ -162,32 +174,6 @@ def fold_records(
         counts[op_type] = counts.get(op_type, 0.0) + 1.0
         cardinalities[op_type] = cardinalities.get(op_type, 0.0) + record.rows
     return vector
-
-
-def _stale_keys(
-    records: Sequence[OperatorRecord], changed_signals: Set[str]
-) -> set[tuple[str, int]]:
-    """Keys of the records that re-run when ``changed_signals`` change.
-
-    Mirrors :meth:`Dataflow._stale_operators`: direct signal dependents
-    plus everything transitively downstream of them.
-    """
-    stale = {record.key for record in records if record.signals & changed_signals}
-    if not stale:
-        return stale
-    key_of_name = {record.name: record.key for record in records if record.name is not None}
-    grew = True
-    while grew:
-        grew = False
-        for record in records:
-            if record.key in stale:
-                continue
-            if record.upstream in stale or any(
-                key_of_name.get(name) in stale for name in record.operator_refs
-            ):
-                stale.add(record.key)
-                grew = True
-    return stale
 
 
 #: Default selectivity of a filter whose predicate cannot be analysed.

@@ -22,77 +22,50 @@ from __future__ import annotations
 
 from repro.core.plan import ExecutionPlan
 from repro.errors import OptimizationError
-from repro.rewrite.templates import rewritable_prefix
-from repro.vega.spec import DataEntry, VegaSpec
+from repro.rewrite.templates import legal_splits
+from repro.vega.spec import VegaSpec
+
+#: Safety cap on the number of generated plans (the crossfilter template
+#: already produces >100; runaway specs are rejected rather than silently
+#: truncated).
+MAX_PLANS = 100_000
 
 
 class PlanEnumerator:
     """Enumerates valid execution plans for a specification.
 
-    Parameters
-    ----------
-    spec:
-        The Vega specification to enumerate plans for.
-    max_plans:
-        Safety cap on the number of generated plans (the crossfilter
-        template already produces >100; runaway specs are rejected rather
-        than silently truncated).
+    Every entry's legal splits, and whether its output is then on the
+    server, come from :func:`~repro.rewrite.templates.legal_splits`, the
+    rule the rewriter validates a plan against.
     """
 
-    def __init__(self, spec: VegaSpec, max_plans: int = 100_000) -> None:
+    def __init__(self, spec: VegaSpec) -> None:
         self.spec = spec
-        self.max_plans = max_plans
 
     # ------------------------------------------------------------------ #
-    def entry_options(self, entry: DataEntry, parent_fully_server: bool) -> list[int]:
-        """Valid split points for one entry given its parent's state."""
-        if entry.values is not None:
-            return [0]
-        if entry.source is not None and not parent_fully_server:
-            return [0]
-        if entry.source is None and entry.table is None:
-            return [0]
-        return list(range(0, rewritable_prefix(entry.transforms) + 1))
-
     def enumerate(self) -> list[ExecutionPlan]:
         """All valid execution plans, each with a stable ``plan_id``."""
-        assignments: list[dict[str, int]] = [{}]
-        fully_server_flags: list[dict[str, bool]] = [{}]
-
+        # Each partial plan pairs its assignment with the entries whose
+        # output it leaves on the server.
+        partial: list[tuple[dict[str, int], frozenset[str]]] = [({}, frozenset())]
         for entry in self.spec.data:
-            next_assignments: list[dict[str, int]] = []
-            next_flags: list[dict[str, bool]] = []
-            for assignment, flags in zip(assignments, fully_server_flags):
-                parent_fully_server = True
-                if entry.source is not None:
-                    parent_fully_server = flags.get(entry.source, False)
-                elif entry.values is not None:
-                    parent_fully_server = False
-                for split in self.entry_options(entry, parent_fully_server):
-                    new_assignment = dict(assignment)
-                    new_assignment[entry.name] = split
-                    new_flags = dict(flags)
-                    source_available = entry.source is None or flags.get(entry.source, False)
-                    new_flags[entry.name] = (
-                        split == len(entry.transforms)
-                        and entry.values is None
-                        and source_available
-                        and (entry.source is not None or entry.table is not None)
-                    )
-                    next_assignments.append(new_assignment)
-                    next_flags.append(new_flags)
-                    if len(next_assignments) > self.max_plans:
+            extended = []
+            for assignment, on_server in partial:
+                splits, on_server_at = legal_splits(entry, entry.source in on_server)
+                for split in splits:
+                    extended.append((
+                        {**assignment, entry.name: split},
+                        on_server | {entry.name} if split == on_server_at else on_server,
+                    ))
+                    if len(extended) > MAX_PLANS:
                         raise OptimizationError(
-                            f"plan enumeration exceeded max_plans={self.max_plans}"
+                            f"plan enumeration exceeded {MAX_PLANS} plans"
                         )
-            assignments = next_assignments
-            fully_server_flags = next_flags
-
-        plans = [
+            partial = extended
+        return [
             ExecutionPlan.from_mapping(assignment, plan_id=index)
-            for index, assignment in enumerate(assignments)
+            for index, (assignment, _) in enumerate(partial)
         ]
-        return plans
 
     # ------------------------------------------------------------------ #
     def all_client_plan(self) -> ExecutionPlan:
@@ -108,21 +81,10 @@ class PlanEnumerator:
         be pushed, with no cost-based selection.
         """
         assignment: dict[str, int] = {}
-        fully_server: dict[str, bool] = {}
+        on_server: set[str] = set()
         for entry in self.spec.data:
-            parent_ok = True
-            if entry.source is not None:
-                parent_ok = fully_server.get(entry.source, False)
-            elif entry.values is not None:
-                parent_ok = False
-            options = self.entry_options(entry, parent_ok)
-            split = max(options)
-            assignment[entry.name] = split
-            source_available = entry.source is None or fully_server.get(entry.source, False)
-            fully_server[entry.name] = (
-                split == len(entry.transforms)
-                and entry.values is None
-                and source_available
-                and (entry.source is not None or entry.table is not None)
-            )
+            splits, on_server_at = legal_splits(entry, entry.source in on_server)
+            assignment[entry.name] = splits[-1]
+            if splits[-1] == on_server_at:
+                on_server.add(entry.name)
         return ExecutionPlan.from_mapping(assignment, plan_id=-2)

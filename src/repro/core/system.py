@@ -26,6 +26,7 @@ from repro.core.comparators import HeuristicComparator, PlanComparator
 from repro.core.encoder import vdt_shape_key
 from repro.core.optimizer import OptimizationResult, VegaPlusOptimizer
 from repro.core.plan import ExecutionPlan
+from repro.dataflow.graph import EvaluationReport
 from repro.errors import OptimizationError
 from repro.net.channel import NetworkModel
 from repro.net.middleware import MiddlewareServer
@@ -40,12 +41,36 @@ if TYPE_CHECKING:  # imports kept lazy; repro.server pulls in the runtime
 
 @dataclass
 class LatencyBreakdown:
-    """Where the time of one pass went."""
+    """Where the time of one pass went, and the bytes it fetched.
+
+    Everything but ``client_seconds`` sums the pass's own server replies
+    (:attr:`~repro.dataflow.graph.EvaluationReport.responses`);
+    ``bytes_transferred`` leaves out replies a cache served.
+    """
 
     client_seconds: float = 0.0
     server_seconds: float = 0.0
     network_seconds: float = 0.0
     serialization_seconds: float = 0.0
+    bytes_transferred: int = 0
+
+    @classmethod
+    def of_pass(cls, report: EvaluationReport) -> "LatencyBreakdown":
+        """The breakdown of one dataflow pass: its replies, and the rest
+        of its measured time as client time."""
+        responses = report.responses.values()
+        server_seconds = sum(response.server_seconds for response in responses)
+        return cls(
+            client_seconds=max(report.total_seconds - server_seconds, 0.0),
+            server_seconds=server_seconds,
+            network_seconds=sum(response.network_seconds for response in responses),
+            serialization_seconds=sum(
+                response.serialization_seconds for response in responses
+            ),
+            bytes_transferred=sum(
+                response.payload_bytes for response in responses if not response.from_cache
+            ),
+        )
 
     @property
     def total_seconds(self) -> float:
@@ -64,11 +89,15 @@ class InteractionResult:
 
     kind: str
     breakdown: LatencyBreakdown
-    evaluated_operators: int
+    #: Ids of the operators the pass evaluated, in evaluation order; the
+    #: benchmark harness encodes per-episode plan vectors from them.
+    operator_ids: list[int] = field(default_factory=list)
     signal_updates: dict[str, object] = field(default_factory=dict)
-    #: The dataflow evaluation report (operator ids, per-operator timing);
-    #: used by the benchmark harness to encode per-episode plan vectors.
-    report: object = None
+
+    @property
+    def evaluated_operators(self) -> int:
+        """Number of operators the pass evaluated."""
+        return len(self.operator_ids)
 
     @property
     def total_seconds(self) -> float:
@@ -163,36 +192,14 @@ class VegaPlusSystem:
     # ------------------------------------------------------------------ #
     def initialize(self) -> InteractionResult:
         """Run the initial rendering pass of the selected plan."""
-        built = self._require_built()
-        before = self._vdt_costs(built)
-        report = built.dataflow.run()
-        result = self._make_result("initial", report, before, built, {})
-        self.history.append(result)
-        self._record_feedback(result)
-        return result
-
-    def _record_feedback(self, result: InteractionResult) -> None:
-        """Record the true row counts of the VDTs this pass evaluated."""
-        if self.feedback is None:
-            return
-        built = self._require_built()
-        evaluated = set(result.report.evaluated_operators)
-        for vdt in built.vdts:
-            if vdt.id in evaluated and vdt.last_result is not None:
-                self.feedback.observe(
-                    vdt_shape_key(vdt.table, vdt.transforms),
-                    float(vdt.last_result.cardinality),
-                )
+        report = self._require_built().dataflow.run()
+        return self._record("initial", report, {})
 
     def interact(self, signal_updates: Mapping[str, object]) -> InteractionResult:
         """Apply an interaction (signal updates) and re-evaluate."""
-        built = self._require_built()
-        before = self._vdt_costs(built)
-        report = built.dataflow.update_signals(dict(signal_updates))
-        result = self._make_result("interaction", report, before, built, dict(signal_updates))
-        self.history.append(result)
-        self._record_feedback(result)
-        return result
+        updates = dict(signal_updates)
+        report = self._require_built().dataflow.update_signals(updates)
+        return self._record("interaction", report, updates)
 
     def run_session(
         self, interactions: Sequence[Mapping[str, object]]
@@ -229,36 +236,27 @@ class VegaPlusSystem:
             )
         return self.rewritten
 
-    @staticmethod
-    def _vdt_costs(built: RewrittenDataflow) -> tuple[float, float, float]:
-        return (
-            built.server_seconds(),
-            built.network_seconds(),
-            built.serialization_seconds(),
-        )
-
-    def _make_result(
-        self,
-        kind: str,
-        report,
-        before: tuple[float, float, float],
-        built: RewrittenDataflow,
-        signal_updates: dict[str, object],
+    def _record(
+        self, kind: str, report: EvaluationReport, signal_updates: dict[str, object]
     ) -> InteractionResult:
-        server_delta = built.server_seconds() - before[0]
-        network_delta = built.network_seconds() - before[1]
-        serialization_delta = built.serialization_seconds() - before[2]
-        client_seconds = max(report.total_seconds - server_delta, 0.0)
-        breakdown = LatencyBreakdown(
-            client_seconds=client_seconds,
-            server_seconds=server_delta,
-            network_seconds=network_delta,
-            serialization_seconds=serialization_delta,
-        )
-        return InteractionResult(
+        """Turn one pass into its result, kept in :attr:`history`.
+
+        The pass's replies feed its breakdown and, with a feedback store,
+        the true row counts of the VDTs it evaluated; neither the result
+        nor the store keeps a reply.
+        """
+        if self.feedback is not None:
+            for vdt in self._require_built().vdts:
+                response = report.responses.get(vdt.id)
+                if response is not None:
+                    self.feedback.observe(
+                        vdt_shape_key(vdt.table, vdt.transforms), float(response.num_rows)
+                    )
+        result = InteractionResult(
             kind=kind,
-            breakdown=breakdown,
-            evaluated_operators=len(report.evaluated_operators),
+            breakdown=LatencyBreakdown.of_pass(report),
+            operator_ids=report.evaluated_operators,
             signal_updates=signal_updates,
-            report=report,
         )
+        self.history.append(result)
+        return result

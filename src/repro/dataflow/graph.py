@@ -12,12 +12,14 @@ Evaluation walks operators in topological order.  A signal update marks
 only the operators that (transitively) depend on that signal as stale and
 re-evaluates just those — Vega's partial re-evaluation model, which the
 VegaPlus optimizer exploits when costing interactions (Section 5.4).
+:func:`stale_closure` is that rule, for the dataflow and for the plan
+encoder alike.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Set
+from collections.abc import Hashable, Iterable, Set
 from dataclasses import dataclass, field
 
 from repro.errors import CycleError, DataflowError
@@ -37,6 +39,36 @@ class EvaluationReport:
     operator_seconds: dict[int, float] = field(default_factory=dict)
     operator_cardinality: dict[int, int] = field(default_factory=dict)
     total_seconds: float = 0.0
+    #: The server replies operators received in this pass, by operator
+    #: id: the pass's server, network and serialisation cost.
+    responses: dict[int, object] = field(default_factory=dict)
+
+
+def stale_closure(
+    nodes: Iterable[tuple[Hashable, Set[str], Iterable[Hashable]]],
+    changed_signals: Set[str],
+) -> set:
+    """Keys of the nodes an update of ``changed_signals`` re-runs.
+
+    Each node is ``(key, signals it reads, keys it depends on)``; a
+    dependency that is no node's key is ignored.  The stale nodes are
+    those reading a changed signal plus every node transitively
+    downstream of one.
+    """
+    dependents: dict[Hashable, list[Hashable]] = {}
+    frontier = []
+    for key, signals, dependencies in nodes:
+        if signals & changed_signals:
+            frontier.append(key)
+        for dependency in dependencies:
+            dependents.setdefault(dependency, []).append(key)
+    stale = set(frontier)
+    while frontier:
+        for dependent in dependents.get(frontier.pop(), ()):
+            if dependent not in stale:
+                stale.add(dependent)
+                frontier.append(dependent)
+    return stale
 
 
 class Dataflow:
@@ -201,31 +233,18 @@ class Dataflow:
         """Operators to re-run after the given signal changes, in evaluation order."""
         ordered = self._stale_orders.get(changed_signals)
         if ordered is None:
-            stale = self._stale_operators(changed_signals)
+            stale = stale_closure(
+                (
+                    (op.id, op.signal_dependencies(), self._dependency_ids(op))
+                    for op in self._operators.values()
+                ),
+                changed_signals,
+            )
             ordered = [op for op in self.topological_order() if op.id in stale]
             self._stale_orders[changed_signals] = ordered
         return ordered
 
-    def _stale_operators(self, changed_signals: Set[str]) -> set[int]:
-        """Ids of operators that must re-run after the given signal changes."""
-        stale: set[int] = set()
-        for operator in self._operators.values():
-            if operator.signal_dependencies() & changed_signals:
-                stale.add(operator.id)
-        # Propagate staleness to all transitive dependents.
-        changed = True
-        while changed:
-            changed = False
-            for operator in self._operators.values():
-                if operator.id in stale:
-                    continue
-                if self._dependency_ids(operator) & stale:
-                    stale.add(operator.id)
-                    changed = True
-        return stale
-
     def _evaluate(self, operators: Iterable[Operator]) -> EvaluationReport:
-        report = EvaluationReport()
         refs = {name: op.id for name, op in self._named_operators.items()}
         start_total = time.perf_counter()
         results = {
@@ -234,6 +253,7 @@ class Dataflow:
             if op.last_result is not None
         }
         context = EvaluationContext(self.signals.values(), results)
+        report = EvaluationReport(responses=context.responses)
         for operator in operators:
             upstream = self.upstream_of(operator)
             if upstream is not None:

@@ -59,6 +59,9 @@ class EvaluationContext:
     ) -> None:
         self._signals = signals
         self._operator_values = operator_values
+        #: Server replies received during this pass, by operator id (a
+        #: :class:`~repro.net.middleware.QueryResponse` each).
+        self.responses: dict[int, object] = {}
 
     def signal(self, name: str) -> object:
         """Current value of a signal."""

@@ -31,6 +31,7 @@ from repro.expr.nodes import (
     StringNode,
     UnaryNode,
 )
+from repro.expr.evaluator import _to_number
 from repro.expr.parser import parse_expression
 from repro.sql.tokenizer import PreparedSQL, literal_shape
 
@@ -227,8 +228,21 @@ _CONSTANTS = (NumberNode, StringNode, BooleanNode)
 
 
 def _translate_binary(node: BinaryNode) -> list[_Part]:
-    # Equality against null becomes IS NULL / IS NOT NULL.
+    strings = [
+        operand.value for operand in (node.left, node.right) if isinstance(operand, StringNode)
+    ]
+    # The client's ``+`` concatenates when a string takes part, where
+    # SQL's adds numbers.
+    if node.op == "+" and strings:
+        raise ExpressionTranslationError("'+' with a string operand has no SQL equivalent")
     if node.op in ("==", "!="):
+        # The client's loose equality compares a numeric string as the
+        # number it reads as (``0 == '0'``); SQL compares it as text.
+        if any(_to_number(value) is not None for value in strings):
+            raise ExpressionTranslationError(
+                f"{node.op!r} against a numeric string has no SQL equivalent"
+            )
+        # Equality against null becomes IS NULL / IS NOT NULL.
         if isinstance(node.right, NullNode):
             return _is_null(node.left, node.op == "!=")
         if isinstance(node.left, NullNode):

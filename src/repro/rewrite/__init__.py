@@ -16,6 +16,7 @@ Implements Section 4 of the paper:
 from repro.rewrite.templates import (
     QueryFragment,
     REWRITABLE_TRANSFORMS,
+    legal_splits,
     rewritable_prefix,
 )
 from repro.rewrite.vdt import VegaDBMSTransform
@@ -24,6 +25,7 @@ from repro.rewrite.rewriter import SpecRewriter, RewrittenDataflow
 __all__ = [
     "QueryFragment",
     "REWRITABLE_TRANSFORMS",
+    "legal_splits",
     "rewritable_prefix",
     "VegaDBMSTransform",
     "SpecRewriter",

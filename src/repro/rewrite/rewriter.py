@@ -27,7 +27,7 @@ from repro.errors import OptimizationError, SpecError
 from repro.dataflow import Dataflow, Operator, create_transform
 from repro.dataflow.transforms import _convert_param
 from repro.net.middleware import MiddlewareServer
-from repro.rewrite.templates import rewritable_prefix
+from repro.rewrite.templates import legal_splits
 from repro.rewrite.vdt import VegaDBMSTransform
 from repro.vega.spec import DataEntry, VegaSpec
 
@@ -45,35 +45,17 @@ class RewrittenDataflow:
     #: space by entry fragment instead of building every candidate.
     entry_operators: dict[str, list[Operator]] = field(default_factory=dict)
 
-    def server_seconds(self) -> float:
-        """Total DBMS execution time across all VDTs so far."""
-        return sum(vdt.cost_log.server_seconds for vdt in self.vdts)
-
-    def network_seconds(self) -> float:
-        """Total modelled network time across all VDTs so far."""
-        return sum(vdt.cost_log.network_seconds for vdt in self.vdts)
-
-    def serialization_seconds(self) -> float:
-        """Total modelled serialisation time across all VDTs so far."""
-        return sum(vdt.cost_log.serialization_seconds for vdt in self.vdts)
-
-    def bytes_transferred(self) -> int:
-        """Total payload bytes fetched from the server so far."""
-        return int(sum(vdt.cost_log.bytes_transferred for vdt in self.vdts))
-
 
 @dataclass
 class _EntryState:
     """Per-entry bookkeeping while the rewriter walks the pipeline."""
 
-    tail: Operator
+    tail: Operator | None
     #: Transform definitions (from the base table) that produce this entry's
     #: output on the server, or None when the output is client-side.
     server_chain: list[dict] | None
     #: Base table the server chain reads from.
     table: str | None
-    #: Whether every declared transform of this entry ran on the server.
-    fully_server: bool
 
 
 class SpecRewriter:
@@ -90,32 +72,6 @@ class SpecRewriter:
                 self._children.setdefault(entry.source, []).append(entry.name)
 
     # ------------------------------------------------------------------ #
-    def validate_assignment(self, assignment: Mapping[str, int]) -> None:
-        """Check that ``assignment`` is a legal partitioning for this spec."""
-        states: dict[str, bool] = {}
-        for entry in self.spec.data:
-            split = int(assignment.get(entry.name, 0))
-            if split < 0 or split > len(entry.transforms):
-                raise OptimizationError(
-                    f"entry {entry.name!r}: split {split} out of range 0..{len(entry.transforms)}"
-                )
-            if split > rewritable_prefix(entry.transforms):
-                raise OptimizationError(
-                    f"entry {entry.name!r}: transform {split - 1} is not rewritable to SQL"
-                )
-            if entry.source is not None and split > 0 and not states.get(entry.source, False):
-                raise OptimizationError(
-                    f"entry {entry.name!r} offloads transforms but its source "
-                    f"{entry.source!r} is not fully executed on the server"
-                )
-            if entry.source is None and entry.table is None and split > 0:
-                raise OptimizationError(
-                    f"entry {entry.name!r} has inline values and cannot be offloaded"
-                )
-            states[entry.name] = split == len(entry.transforms) and (
-                entry.source is None or states.get(entry.source, False)
-            )
-
     def client_row_consumers(self, assignment: Mapping[str, int]) -> set[str]:
         """Entries whose rows must be materialised on the client.
 
@@ -140,8 +96,11 @@ class SpecRewriter:
 
     # ------------------------------------------------------------------ #
     def build(self, assignment: Mapping[str, int]) -> RewrittenDataflow:
-        """Construct the dataflow implementing ``assignment``."""
-        self.validate_assignment(assignment)
+        """Construct the dataflow implementing ``assignment``.
+
+        Each entry's split must be one :func:`legal_splits` allows given
+        its source entry's state; otherwise :class:`OptimizationError`.
+        """
         dataflow = Dataflow()
         for signal in self.spec.signals:
             dataflow.declare_signal(signal.name, value=signal.value)
@@ -150,11 +109,23 @@ class SpecRewriter:
         states: dict[str, _EntryState] = {}
         needed = self.client_row_consumers(assignment)
         entry_operators: dict[str, list[Operator]] = {}
+        on_server: set[str] = set()
 
         for entry in self.spec.data:
             split = int(assignment.get(entry.name, 0))
+            parent_on_server = entry.source in on_server
+            splits, on_server_at = legal_splits(entry, parent_on_server)
+            if split not in splits:
+                raise OptimizationError(
+                    f"entry {entry.name!r}: split {split} is not legal here, "
+                    f"legal splits are 0..{splits[-1]}"
+                )
+            if split == on_server_at:
+                on_server.add(entry.name)
             already = dataflow.num_operators()
-            state = self._build_entry(entry, split, dataflow, states, vdts, needed)
+            state = self._build_entry(
+                entry, split, parent_on_server, dataflow, states, vdts, needed
+            )
             states[entry.name] = state
             entry_operators[entry.name] = dataflow.operators()[already:]
             if state.tail is not None:
@@ -172,6 +143,7 @@ class SpecRewriter:
         self,
         entry: DataEntry,
         split: int,
+        parent_on_server: bool,
         dataflow: Dataflow,
         states: dict[str, _EntryState],
         vdts: list[VegaDBMSTransform],
@@ -181,7 +153,7 @@ class SpecRewriter:
         if entry.source is not None:
             parent = states[entry.source]
             base_table = parent.table
-            inherited_chain = list(parent.server_chain or []) if parent.fully_server else None
+            inherited_chain = list(parent.server_chain) if parent_on_server else None
             upstream_tail: Operator | None = parent.tail
         elif entry.values is not None:
             source = dataflow.add_source(list(entry.values), name=f"data:{entry.name}")
@@ -193,12 +165,6 @@ class SpecRewriter:
             inherited_chain = []
             upstream_tail = None
 
-        if split > 0 and (inherited_chain is None or base_table is None):
-            raise OptimizationError(
-                f"entry {entry.name!r} cannot offload transforms: its source data "
-                "is not available on the server"
-            )
-
         if split == 0:
             if not entry_needed and entry.name not in needed and not entry.transforms:
                 # Raw root entry that nothing on the client consumes: leave it
@@ -207,7 +173,6 @@ class SpecRewriter:
                     tail=None,
                     server_chain=list(inherited_chain) if inherited_chain is not None else None,
                     table=base_table,
-                    fully_server=inherited_chain is not None,
                 )
             if upstream_tail is None:
                 # Root entry executed on the client: fetch the raw table once
@@ -249,12 +214,7 @@ class SpecRewriter:
         if produced_rows_on_server and not rows_needed_on_client:
             # Fully offloaded and nothing on the client consumes the rows:
             # expose the server chain to children without fetching anything.
-            return _EntryState(
-                tail=None,
-                server_chain=row_chain,
-                table=base_table,
-                fully_server=True,
-            )
+            return _EntryState(tail=None, server_chain=row_chain, table=base_table)
         if produced_rows_on_server:
             main_vdt = self._make_vdt(base_table, row_chain, value_kind=None)
             dataflow.add_operator(main_vdt, None, name=f"vdt:{entry.name}")
@@ -269,7 +229,7 @@ class SpecRewriter:
                 upstream_tail = fetch
             tail = upstream_tail
 
-        state = self._attach_client_transforms(
+        return self._attach_client_transforms(
             entry,
             client_defs,
             tail,
@@ -277,8 +237,6 @@ class SpecRewriter:
             table=base_table,
             server_chain=row_chain,
         )
-        state.fully_server = not client_defs
-        return state
 
     def _attach_client_transforms(
         self,
@@ -297,12 +255,10 @@ class SpecRewriter:
             name = exported_signal if isinstance(exported_signal, str) else None
             dataflow.add_operator(operator, current, name=name)
             current = operator
-        fully_server = not definitions and server_chain is not None
         return _EntryState(
             tail=current,
-            server_chain=server_chain if fully_server else None,
+            server_chain=None if definitions else server_chain,
             table=table,
-            fully_server=fully_server,
         )
 
     # ------------------------------------------------------------------ #

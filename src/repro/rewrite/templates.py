@@ -32,6 +32,7 @@ from repro.dataflow.transforms.bin import bin_start, compute_bins, last_bin_thre
 from repro.dataflow.transforms.timeunit import UNIT_SECONDS
 from repro.expr.to_sql import compiles, to_sql
 from repro.sql.tokenizer import PreparedSQL, literal_shape
+from repro.vega.spec import DataEntry
 
 #: Transform types the rewriter can translate to SQL.
 REWRITABLE_TRANSFORMS = frozenset(
@@ -59,6 +60,28 @@ def rewritable_prefix(transforms: Sequence[Mapping]) -> int:
             break
         prefix += 1
     return prefix
+
+
+def legal_splits(entry: DataEntry, parent_on_server: bool) -> tuple[range, int | None]:
+    """The plan space's one legality rule for a data entry's split.
+
+    Returns ``(splits, on_server_at)``: the splits the entry may take,
+    and the split after which its output exists on the server (``None``
+    when it never does).  An entry's input is on the server when it reads
+    a table, or sources an entry whose output is; only then may it
+    offload, and at most its :func:`rewritable_prefix`.  Inline
+    ``values`` live on the client, and so does everything sourced from
+    them.  ``parent_on_server`` is the source entry's state; a root
+    entry ignores it."""
+    if entry.values is not None:
+        reachable = False
+    elif entry.source is not None:
+        reachable = parent_on_server
+    else:
+        reachable = entry.table is not None
+    if not reachable:
+        return range(1), None
+    return range(rewritable_prefix(entry.transforms) + 1), len(entry.transforms)
 
 
 @dataclass

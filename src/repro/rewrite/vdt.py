@@ -6,7 +6,10 @@ the upstream dataflow — its "input" is the DBMS table it targets.  When
 evaluated (initially or after a signal update), it resolves its parameters
 (signals, upstream operator values such as an extent), builds the batched
 SQL query from the rewrite templates, sends it through the middleware and
-emits the result rows for propagation downstream (Section 4).
+emits the result rows for propagation downstream (Section 4).  The
+:class:`~repro.net.middleware.QueryResponse` goes to the pass's
+:class:`~repro.dataflow.graph.EvaluationReport`, which is all a pass's
+cost is computed from.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from repro.dataflow.operator import EvaluationContext, Operator, OperatorResult
 from repro.errors import RewriteError
 from repro.expr import parse_expression, referenced_signals
-from repro.metrics import Counters
 from repro.net.middleware import MiddlewareServer
 from repro.rewrite.templates import QueryFragment, apply_transform
 
@@ -50,15 +52,6 @@ class VegaDBMSTransform(Operator):
         self.transforms = [dict(t) for t in transforms]
         self.middleware = middleware
         self.value_kind = value_kind
-        #: Non-client cost totals across evaluations, one update per
-        #: response (the responses themselves are not kept):
-        #: ``bytes_transferred`` excludes cache hits, ``cache_hits``
-        #: counts responses either cache level served.
-        self.cost_log = Counters(
-            "server_seconds", "network_seconds", "serialization_seconds",
-            "bytes_transferred", "cache_hits",
-        )
-        self.last_sql: str | None = None
         # ``transforms`` and ``params`` are private copies, so the signals
         # they reference are fixed at construction.
         deps = super().signal_dependencies()
@@ -78,21 +71,12 @@ class VegaDBMSTransform(Operator):
         params: dict,
         context: EvaluationContext,
     ) -> OperatorResult:
-        sql = self.build_sql(params, context)
-        self.last_sql = sql
-        response = self.middleware.execute(sql)
-        hit = response.from_cache
-        self.cost_log.add(
-            server_seconds=response.server_seconds,
-            network_seconds=response.network_seconds,
-            serialization_seconds=response.serialization_seconds,
-            cache_hits=int(hit),
-            bytes_transferred=0 if hit else response.payload_bytes,
-        )
+        response = self.middleware.execute(self.build_sql(params, context))
         rows = response.rows
         value = None
         if self.value_kind == "extent":
             value = _extract_extent(rows)
+        context.responses[self.id] = response
         return OperatorResult(rows=rows, value=value)
 
     def build_sql(self, params: dict, context: EvaluationContext) -> str:

@@ -27,7 +27,11 @@ def reference_vector(encoder, built, plan_id, episode=0, interaction=None):
     """
     dataflow = built.dataflow
     estimates = encoder._estimate_cardinalities(built)
-    wanted = None if interaction is None else dataflow._stale_operators(set(interaction))
+    wanted = (
+        None
+        if interaction is None
+        else {operator.id for operator in dataflow._stale_order(frozenset(interaction))}
+    )
     vector = PlanVector(plan_id=plan_id, episode=episode)
     for operator in dataflow.operators():
         if wanted is not None and operator.id not in wanted:

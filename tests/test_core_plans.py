@@ -1,5 +1,9 @@
 """Tests for execution plans, enumeration and plan encoding."""
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +19,13 @@ from repro.core import (
     VegaPlusSystem,
 )
 from repro.core.comparators import learned_features, normalize_cardinalities
-from repro.core.encoder import FEATURE_OPERATOR_TYPES, PlanVector, feature_names, vdt_shape_key
+from repro.core.encoder import (
+    FEATURE_OPERATOR_TYPES,
+    PlanVector,
+    feature_names,
+    fold_records,
+    vdt_shape_key,
+)
 from repro.datasets import generate_dataset
 from repro.errors import OptimizationError
 from repro.expr import parser as expr_parser
@@ -139,9 +149,83 @@ def test_enumerator_all_client_all_server_helpers(spec):
     assert enumerator.all_server_plan().as_dict() == {"source": 0, "binned": 4}
 
 
-def test_enumerator_max_plans_guard(spec):
-    with pytest.raises(OptimizationError):
-        PlanEnumerator(spec, max_plans=2).enumerate()
+def test_enumerator_max_plans_guard(spec, monkeypatch):
+    monkeypatch.setattr("repro.core.enumerator.MAX_PLANS", 2)
+    with pytest.raises(OptimizationError, match="exceeded 2 plans"):
+        PlanEnumerator(spec).enumerate()
+
+
+#: Each template's enumerated assignments, in enumeration order (so plan
+#: ids too): count and the first 16 hex digits of the SHA-256 of
+#: ``json.dumps([sorted(plan.as_dict().items()) for plan in plans])``.
+ENUMERATED_PLANS = {
+    "trellis_stacked_bar": (4, "edf07e732e123167"),
+    "line_chart": (3, "0c979fabd2720f25"),
+    "interactive_histogram": (4, "4bca282505c361f0"),
+    "zoomable_heatmap": (5, "2734df7e21caa223"),
+    "crossfilter": (756, "cf94dd871fd7158a"),
+    "heatmap_bar": (15, "972d8ecbdb700c34"),
+    "overview_detail": (40, "804098f4f6637179"),
+}
+
+
+def template_spec(template_name):
+    return WorkloadGenerator(seed=0).instantiate(template_name, "flights").spec
+
+
+@pytest.mark.parametrize("template_name", template_names())
+def test_each_template_enumerates_the_pinned_assignments(template_name):
+    plans = PlanEnumerator(parse_spec_dict(template_spec(template_name))).enumerate()
+    text = json.dumps([sorted(plan.as_dict().items()) for plan in plans])
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert (len(plans), digest) == ENUMERATED_PLANS[template_name]
+    assert [plan.plan_id for plan in plans] == list(range(len(plans)))
+
+
+def assert_only_enumerated_splits_build(spec):
+    """Move one entry's split of the all-client or the all-server plan to
+    every value from -1 to one past its transforms: ``use_plan`` builds
+    the result exactly when the enumerator offers it, and otherwise raises
+    :class:`OptimizationError` from the legality rule."""
+    parsed = parse_spec_dict(spec)
+    enumerator = PlanEnumerator(parsed)
+    offered = {plan.assignment for plan in enumerator.enumerate()}
+    system = VegaPlusSystem(spec, Database())
+    refused = 0
+    for base in (enumerator.all_client_plan(), enumerator.all_server_plan()):
+        assert base.assignment in offered
+        for entry in parsed.data:
+            for split in range(-1, len(entry.transforms) + 2):
+                plan = ExecutionPlan.from_mapping({**base.as_dict(), entry.name: split})
+                if plan.assignment in offered:
+                    system.use_plan(plan)
+                    continue
+                with pytest.raises(OptimizationError, match="is not legal"):
+                    system.use_plan(plan)
+                refused += 1
+    assert refused
+
+
+@pytest.mark.parametrize("template_name", template_names())
+def test_every_template_builds_only_enumerated_splits(template_name):
+    assert_only_enumerated_splits_build(template_spec(template_name))
+
+
+def test_a_child_of_inline_values_builds_only_enumerated_splits():
+    """Inline rows live on the client, so an entry sourcing them may not
+    offload its filter, although the inline entry has no transforms."""
+    spec = {
+        "data": [
+            {"name": "inline", "values": [{"x": 1}, {"x": 2}]},
+            {"name": "kept", "source": "inline",
+             "transform": [{"type": "filter", "expr": "datum.x > 1"}]},
+        ],
+        "marks": [{"type": "rect", "from": {"data": "kept"}}],
+    }
+    assert [plan.as_dict() for plan in PlanEnumerator(parse_spec_dict(spec)).enumerate()] == [
+        {"inline": 0, "kept": 0}
+    ]
+    assert_only_enumerated_splits_build(spec)
 
 
 # --------------------------------------------------------------------------- #
@@ -264,6 +348,97 @@ def test_plan_space_vectors_equal_per_plan_builds(template_name, template_backen
     assert_plan_space_matches_builds(optimizer, interactions)
 
 
+@pytest.mark.parametrize("template_name", template_names())
+def test_encoder_staleness_is_what_an_interaction_evaluates(template_name, template_rows):
+    """For every plan (a seeded 40 of crossfilter's), the records
+    ``fold_records`` keeps for an interaction are the operators
+    ``update_signals`` evaluates: relabelling each record's type with its
+    key makes the folded vector's counts name the encoder's stale set.
+    The interactions are three seeded ``sample_interaction`` draws."""
+    instance = WorkloadGenerator(seed=0).instantiate(template_name, "flights")
+    plans = PlanEnumerator(parse_spec_dict(instance.spec)).enumerate()
+    if len(plans) > 40:
+        picked = np.random.default_rng(0).choice(len(plans), size=40, replace=False)
+        plans = [plans[index] for index in sorted(picked)]
+    rng = np.random.default_rng(4)
+    interactions = [instance.sample_interaction(rng) for _ in range(3)]
+    backend = create_backend("embedded")
+    backend.register_rows("flights", template_rows)
+    optimizer = VegaPlusOptimizer(instance.spec, MiddlewareServer(backend, enable_cache=False))
+    evaluated = 0
+    for plan in plans:
+        built = optimizer.build(plan)
+        records = [
+            dataclasses.replace(record, op_type=repr(record.key))
+            for record in optimizer.encoder.operator_records(built)
+        ]
+        key_of = {
+            operator.id: repr((entry, index))
+            for entry, operators in built.entry_operators.items()
+            for index, operator in enumerate(operators)
+        }
+        built.dataflow.run()
+        for interaction in interactions:
+            # A signal set to the value it holds changes nothing.
+            current = built.dataflow.signals.values()
+            changed = {name for name, value in interaction.items() if value != current[name]}
+            stale = fold_records(records, plan.plan_id, changed_signals=changed)
+            report = built.dataflow.update_signals(interaction)
+            assert set(stale.counts) == {key_of[i] for i in report.evaluated_operators}, (
+                plan.plan_id, interaction
+            )
+            evaluated += len(report.evaluated_operators)
+    assert evaluated or not instance.template.interactive
+    backend.close()
+
+
+#: Per pass of the seeded crossfilter session below (initial render, then
+#: four interactions): modelled network seconds, modelled serialisation
+#: seconds and payload bytes fetched.  The LAN model and the Arrow codec
+#: cost bytes only, so both backends pay the same.
+CROSSFILTER_PASS_COSTS = [
+    (0.02408192, 3.84e-06, 5120),
+    (0.01203712, 1.74e-06, 2320),
+    (0.012034048, 1.596e-06, 2128),
+    (0.01202944, 1.38e-06, 1840),
+    (0.012027904, 1.308e-06, 1744),
+]
+
+
+@pytest.mark.parametrize("backend_name", backend_names())
+def test_crossfilter_session_pass_costs_are_pinned(backend_name):
+    """Each pass's breakdown sums that pass's own replies: its server
+    seconds are theirs exactly, and its modelled costs are pinned."""
+    backend = create_backend(backend_name)
+    backend.register_rows("flights", generate_dataset("flights", 2_000, seed=0))
+    instance = crossfilter_instance()
+    system = VegaPlusSystem(instance.spec, backend)
+    system.optimize()
+    served = []
+    execute = system.middleware.execute
+    system.middleware.execute = lambda sql: served.append(execute(sql)) or served[-1]
+    rng = np.random.default_rng(11)
+    costs = []
+    for index in range(len(CROSSFILTER_PASS_COSTS)):
+        served.clear()
+        if index == 0:
+            result = system.initialize()
+        else:
+            result = system.interact(instance.sample_interaction(rng))
+        breakdown = result.breakdown
+        assert breakdown.server_seconds == sum(r.server_seconds for r in served)
+        costs.append(
+            (breakdown.network_seconds, breakdown.serialization_seconds,
+             breakdown.bytes_transferred)
+        )
+    assert system.plan.plan_id == 755
+    assert costs == [
+        (pytest.approx(network, rel=1e-12), pytest.approx(codec, rel=1e-12), size)
+        for network, codec, size in CROSSFILTER_PASS_COSTS
+    ]
+    backend.close()
+
+
 @pytest.fixture(scope="module", params=backend_names())
 def invariance_backend(request):
     backend = create_backend(request.param)
@@ -363,8 +538,8 @@ def test_every_plan_sends_one_sql_text_to_every_backend(template_name, both_back
         for name, backend in both_backends.items():
             system = VegaPlusSystem(instance.spec, backend)
             system.use_plan(plan)
-            system.initialize()
-            texts[name] = [str(vdt.last_sql) for vdt in system.rewritten.vdts]
+            report = system.rewritten.dataflow.run()
+            texts[name] = [str(response.sql) for response in report.responses.values()]
         assert texts["embedded"] == texts["sqlite"], plan.plan_id
 
 
@@ -565,7 +740,7 @@ CROSSFILTER_BINS = (
     ("air_time", "600.0", "575.0", "0.0", "25.0"),
     ("dep_delay", "300.0", "280.0", "-40.0", "20.0"),
 )
-CROSSFILTER_SQL = (
+CROSSFILTER_SQL_AT_START = (
     "SELECT CASE WHEN {0} >= {1} THEN {2} WHEN {0} < {3} THEN {3} "
     "ELSE FLOOR(({0} - {3}) / {4}) * {4} + {3} END AS bin0, COUNT(*) AS count "
     "FROM flights WHERE (((((distance >= {5}) AND (distance <= {6})) "
@@ -574,7 +749,7 @@ CROSSFILTER_SQL = (
 )
 
 
-def test_crossfilter_sql_text_is_pinned():
+def test_crossfilter_prepared_sql_is_pinned():
     """The crossfilter's hot SQL is the contract that plan-invariance
     fixes must leave alone: with the e2e binding (distance, air_time,
     dep_delay) the chosen plan's three brush-dependent VDTs send these
@@ -586,14 +761,14 @@ def test_crossfilter_sql_text_is_pinned():
     backend.register_rows("flights", generate_dataset("flights", 2_000, seed=0))
     system = VegaPlusSystem(instance.spec, backend)
     system.optimize()
-    system.initialize()
-    sent = [vdt.last_sql for vdt in system.rewritten.vdts if vdt.signal_dependencies()]
+    responses = system.rewritten.dataflow.run().responses
+    sent = [responses[vdt.id].sql for vdt in system.rewritten.vdts if vdt.signal_dependencies()]
     brush = ("50", "4500", "20", "600", "-30", "300")
     assert [str(sql) for sql in sent] == [
-        CROSSFILTER_SQL.format(*bins, *brush) for bins in CROSSFILTER_BINS
+        CROSSFILTER_SQL_AT_START.format(*bins, *brush) for bins in CROSSFILTER_BINS
     ]
     assert [sql.shape for sql in sent] == [
-        CROSSFILTER_SQL.format(field, *["?"] * 10) for field, *_ in CROSSFILTER_BINS
+        CROSSFILTER_SQL_AT_START.format(field, *["?"] * 10) for field, *_ in CROSSFILTER_BINS
     ]
     backend.close()
 
@@ -614,6 +789,42 @@ def filter_count_spec(expr):
         ],
         "marks": [{"type": "rect", "from": {"data": "counts"}}],
     }
+
+
+#: Filter expression → count by ``g`` of the rows kept over
+#: ``STRING_FILTER_ROWS``.  The client's ``+`` concatenates a string, and
+#: its loose ``==`` reads ``'0'`` as 0: SQL does neither, so both stay on
+#: the client.
+STRING_FILTERS = {
+    "datum.s + 'z' == 'az'": {"a": 1, "c": 1},
+    "datum.x == '0'": {"a": 1, "b": 1},
+    "'0' != datum.x": {"a": 1, "b": 1, "c": 1},
+}
+STRING_FILTER_ROWS = [
+    {"g": g, "x": x, "s": s}
+    for g, x, s in (
+        ("a", 0.0, "a"), ("a", 1.0, "b"), ("b", None, None), ("b", 0.0, "q"), ("c", 2.0, "a"),
+    )
+]
+
+
+@pytest.mark.parametrize("backend_name", backend_names())
+def test_string_concatenation_and_loose_equality_stay_on_the_client(backend_name):
+    """All-client and all-server plans render the client's rows; the
+    all-server plan keeps the filter on the client."""
+    backend = create_backend(backend_name)
+    backend.register_rows("data", STRING_FILTER_ROWS)
+    for expr, want in STRING_FILTERS.items():
+        spec = filter_count_spec(expr)
+        enumerator = PlanEnumerator(parse_spec_dict(spec))
+        want_rows = [{"g": g, "n": n} for g, n in want.items()]
+        for plan in (enumerator.all_client_plan(), enumerator.all_server_plan()):
+            system = VegaPlusSystem(spec, backend)
+            system.use_plan(plan)
+            system.initialize()
+            assert rows_match(system.dataset("counts"), want_rows), (expr, plan.plan_id)
+        assert dict(enumerator.all_server_plan().assignment)["counts"] == 0, expr
+    backend.close()
 
 
 def test_not_equal_between_two_fields_stays_on_the_client():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dataflow import Dataflow, create_transform
+from repro.dataflow import Dataflow, create_transform, graph
 from repro.dataflow.operator import Operator, OperatorResult, ParamRef
 from repro.dataflow.signals import SignalRegistry
 from repro.errors import DataflowError
@@ -99,14 +99,14 @@ def test_update_signals_batch():
 def test_evaluation_order_is_computed_once_and_dropped_when_the_graph_changes(monkeypatch):
     dataflow, source, extent, bin_op, aggregate = build_chain()
     sorts, closures = [], []
-    sort, closure = Dataflow._sort_topologically, Dataflow._stale_operators
+    sort, closure = Dataflow._sort_topologically, graph.stale_closure
     monkeypatch.setattr(
         Dataflow, "_sort_topologically", lambda self: sorts.append(1) or sort(self)
     )
     monkeypatch.setattr(
-        Dataflow,
-        "_stale_operators",
-        lambda self, changed: closures.append(set(changed)) or closure(self, changed),
+        graph,
+        "stale_closure",
+        lambda nodes, changed: closures.append(set(changed)) or closure(nodes, changed),
     )
     full = dataflow.run()
     assert full.evaluated_operators == [source.id, extent.id, bin_op.id, aggregate.id]

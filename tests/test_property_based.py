@@ -337,8 +337,7 @@ def test_every_enumerated_plan_is_valid_and_equivalent(rows, maxbins):
 
     reference: set | None = None
     for plan in plans:
-        rewriter.validate_assignment(plan.as_dict())  # must not raise
-        built = rewriter.build(plan.as_dict())
+        built = rewriter.build(plan.as_dict())  # must not raise
         built.dataflow.run()
         binned = built.dataflow.dataset("binned")
         key = {

@@ -197,19 +197,19 @@ def test_rewriter_all_client_plan_fetches_table(rewriter):
     built = spec_rewriter.build({"source": 0, "binned": 0})
     report = built.dataflow.run()
     assert len(built.vdts) == 1  # the raw-table fetch
-    assert built.vdts[0].last_sql == "SELECT * FROM flights"
+    assert report.responses[built.vdts[0].id].sql == "SELECT * FROM flights"
     assert report.total_seconds > 0
 
 
 def test_rewriter_all_server_plan_single_aggregate_query(rewriter):
     spec_rewriter, _spec = rewriter
     built = spec_rewriter.build({"source": 0, "binned": 4})
-    built.dataflow.run()
-    sqls = [v.last_sql for v in built.vdts]
+    responses = built.dataflow.run().responses.values()
+    sqls = [response.sql for response in responses]
     assert any("MIN(delay)" in s for s in sqls)  # extent VDT
     assert any("GROUP BY" in s for s in sqls)  # bin+aggregate VDT
     # The fully offloaded plan never transfers the raw table.
-    assert built.bytes_transferred() < 10_000
+    assert sum(response.payload_bytes for response in responses) < 10_000
 
 
 def test_rewriter_equivalent_results_across_plans(rewriter, flights_rows):
@@ -273,8 +273,7 @@ def test_rewriter_child_requires_server_parent(flights_db):
         rewriter.build({"source": 0, "filtered": 0, "agg": 1})
     # Parent fully offloaded -> child may offload and nests the parent's SQL.
     built = rewriter.build({"source": 0, "filtered": 1, "agg": 1})
-    built.dataflow.run()
-    sql = built.vdts[-1].last_sql
+    sql = built.dataflow.run().responses[built.vdts[-1].id].sql
     assert "WHERE" in sql and "GROUP BY carrier" in sql
 
 
@@ -287,13 +286,13 @@ def test_client_row_consumers_dependency_checking(rewriter):
     assert "source" not in needed
 
 
-def test_vdt_cost_log_tracks_cache_hits(rewriter):
+def test_pass_responses_show_cache_hits(rewriter):
     spec_rewriter, _spec = rewriter
     built = spec_rewriter.build({"source": 0, "binned": 4})
     built.dataflow.run()
     # Re-running the same signals re-issues identical SQL, served by cache.
     built.dataflow.update_signals({"maxbins": 10, "min_delay": 0})
     built.dataflow.update_signals({"maxbins": 20})
-    built.dataflow.update_signals({"maxbins": 10})
-    total_hits = sum(v.cost_log.cache_hits for v in built.vdts)
-    assert total_hits >= 1
+    report = built.dataflow.update_signals({"maxbins": 10})
+    assert report.responses
+    assert all(response.from_cache for response in report.responses.values())
